@@ -407,7 +407,7 @@ bool CampaignDriver::run_chunk(std::size_t chunk_id, Checkpoint& ckpt,
 std::size_t CampaignDriver::chunks_done() const {
   std::size_t done = 0;
   for (std::size_t c = 0; c < n_chunks_; ++c) {
-    if (ckpt_.journal().find(chunk_key(c)) != nullptr) ++done;
+    if (ckpt_.journal().contains(chunk_key(c))) ++done;
   }
   return done;
 }
@@ -418,7 +418,7 @@ CampaignStats CampaignDriver::run(int shards, SweepReport* report, util::CancelT
   std::vector<std::size_t> remaining;
   std::vector<char> replayed(n_chunks_, 0);
   for (std::size_t c = 0; c < n_chunks_; ++c) {
-    if (ckpt_.journal().find(chunk_key(c)) != nullptr) {
+    if (ckpt_.journal().contains(chunk_key(c))) {
       ++st.chunks_replayed;
       replayed[c] = 1;
     } else {

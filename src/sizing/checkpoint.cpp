@@ -3,10 +3,13 @@
 #include <bit>
 #include <cinttypes>
 #include <cstdio>
+#include <optional>
 #include <sstream>
+#include <utility>
 
 #include "netlist/io.hpp"
 #include "util/error.hpp"
+#include "util/faultinject.hpp"
 
 namespace mtcmos::sizing {
 
@@ -91,6 +94,13 @@ bool decode_failure(const std::string& value, Outcome<T>& out) {
   return true;
 }
 
+/// The fault check fires per record as it is staged, under the staging
+/// item's scope, before anything reaches the journal.
+void stage_record(Checkpoint::Stage& stage, const std::string& key, std::string value) {
+  faultinject::check(faultinject::Site::kJournalAppend, "sizing::Checkpoint::record");
+  stage.emplace_back(key, std::move(value));
+}
+
 }  // namespace
 
 void Checkpoint::open(const std::string& path, util::JournalOptions options) {
@@ -100,7 +110,7 @@ void Checkpoint::open(const std::string& path, util::JournalOptions options) {
 void Checkpoint::bind_meta(const std::string& name, const std::string& value) {
   if (!armed()) return;
   const std::string key = "meta:" + name;
-  if (const std::string* existing = journal_.find(key)) {
+  if (const std::optional<std::string> existing = journal_.find(key)) {
     if (*existing != value) {
       throw NumericalError(
           {FailureCode::kInvalidArgument, "sizing::Checkpoint",
@@ -115,8 +125,8 @@ void Checkpoint::bind_meta(const std::string& name, const std::string& value) {
 
 bool Checkpoint::lookup(const std::string& key, Outcome<double>& out) const {
   if (!armed()) return false;
-  const std::string* value = journal_.find(key);
-  if (value == nullptr) return false;
+  const std::optional<std::string> value = journal_.find(key);
+  if (!value) return false;
   int attempts = 0;
   double v = 0.0;
   {
@@ -133,8 +143,8 @@ bool Checkpoint::lookup(const std::string& key, Outcome<double>& out) const {
 
 bool Checkpoint::lookup(const std::string& key, Outcome<VectorDelay>& out) const {
   if (!armed()) return false;
-  const std::string* value = journal_.find(key);
-  if (value == nullptr) return false;
+  const std::optional<std::string> value = journal_.find(key);
+  if (!value) return false;
   int attempts = 0;
   char b0[32], b1[32], b2[32];
   if (std::sscanf(value->c_str(), "ok %d %31s %31s %31s", &attempts, b0, b1, b2) == 4) {
@@ -149,39 +159,60 @@ bool Checkpoint::lookup(const std::string& key, Outcome<VectorDelay>& out) const
   throw_corrupt(key);
 }
 
-void Checkpoint::record(const std::string& key, const Outcome<double>& outcome) {
+void Checkpoint::record(const std::string& key, const Outcome<double>& outcome,
+                        Stage& stage) const {
   if (!armed()) return;
   if (outcome.ok()) {
-    journal_.append(key,
-                    "ok " + std::to_string(outcome.attempts) + " " + double_bits(*outcome.value));
+    stage_record(stage, key,
+                 "ok " + std::to_string(outcome.attempts) + " " + double_bits(*outcome.value));
   } else if (should_persist(outcome.failure)) {
-    journal_.append(key, encode_failure(outcome));
+    stage_record(stage, key, encode_failure(outcome));
   }
 }
 
-void Checkpoint::record(const std::string& key, const Outcome<VectorDelay>& outcome) {
+void Checkpoint::record(const std::string& key, const Outcome<VectorDelay>& outcome,
+                        Stage& stage) const {
   if (!armed()) return;
   if (outcome.ok()) {
     const VectorDelay& vd = *outcome.value;
-    journal_.append(key, "ok " + std::to_string(outcome.attempts) + " " +
-                             double_bits(vd.delay_cmos) + " " + double_bits(vd.delay_mtcmos) +
-                             " " + double_bits(vd.degradation_pct));
+    stage_record(stage, key,
+                 "ok " + std::to_string(outcome.attempts) + " " + double_bits(vd.delay_cmos) +
+                     " " + double_bits(vd.delay_mtcmos) + " " + double_bits(vd.degradation_pct));
   } else if (should_persist(outcome.failure)) {
     Outcome<double> shim;
     shim.attempts = outcome.attempts;
     shim.failure = outcome.failure;
-    journal_.append(key, encode_failure(shim));
+    stage_record(stage, key, encode_failure(shim));
   }
 }
 
-void Checkpoint::record_failure(const std::string& key, const FailureInfo& info) {
-  record(key, Outcome<double>::fail(info));
+void Checkpoint::record(const std::string& key, const Outcome<double>& outcome) {
+  Stage stage;
+  record(key, outcome, stage);
+  commit(stage);
+}
+
+void Checkpoint::record(const std::string& key, const Outcome<VectorDelay>& outcome) {
+  Stage stage;
+  record(key, outcome, stage);
+  commit(stage);
+}
+
+void Checkpoint::record_failure(const std::string& key, const FailureInfo& info,
+                                Stage& stage) const {
+  record(key, Outcome<double>::fail(info), stage);
+}
+
+void Checkpoint::commit(Stage& stage) {
+  if (stage.empty()) return;
+  journal_.append_batch(stage);
+  stage.clear();
 }
 
 bool Checkpoint::lookup_bisect(const std::string& key, BisectState& out) const {
   if (!armed()) return false;
-  const std::string* value = journal_.find(key);
-  if (value == nullptr) return false;
+  const std::optional<std::string> value = journal_.find(key);
+  if (!value) return false;
   char lo[32], hi[32], deg[32];
   BisectState s;
   if (std::sscanf(value->c_str(), "bs %d %31s %31s %31s %zu %zu", &s.phase, lo, hi, deg,

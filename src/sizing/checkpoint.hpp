@@ -51,6 +51,9 @@ struct BisectState {
 
 class Checkpoint {
  public:
+  /// Caller-owned group of encoded item records awaiting commit().
+  using Stage = std::vector<util::JournalRecord>;
+
   Checkpoint() = default;
 
   /// Open (creating or resuming) the journal at `path`.  Throws
@@ -68,17 +71,32 @@ class Checkpoint {
   /// Typed item records.  lookup returns false when the key is absent
   /// (or the checkpoint is unarmed); record silently skips outcomes that
   /// describe the interruption rather than the item (see header).
+  ///
+  /// Group commit: the `stage` overloads encode the record into the
+  /// caller's stage, and commit() writes the whole stage as one journal
+  /// group (one write()).  Staged records are invisible to lookup until
+  /// committed.  The kJournalAppend fault check runs at staging time,
+  /// once per staged record, under the caller's fault-injection scope: a
+  /// kill plan aimed at item N fires while item N is staged, and the
+  /// uncommitted group is lost exactly as a crash would lose it.  The
+  /// stage-less overloads stage and commit one record.
   bool lookup(const std::string& key, Outcome<double>& out) const;
   bool lookup(const std::string& key, Outcome<VectorDelay>& out) const;
+  void record(const std::string& key, const Outcome<double>& outcome, Stage& stage) const;
+  void record(const std::string& key, const Outcome<VectorDelay>& outcome, Stage& stage) const;
   void record(const std::string& key, const Outcome<double>& outcome);
   void record(const std::string& key, const Outcome<VectorDelay>& outcome);
 
-  /// Journal a bare failure under `key` without an Outcome type: the
+  /// Stage a bare failure under `key` without an Outcome type: the
   /// encoded form is shared by both lookup() overloads, so any sweep
   /// replays it as that item's failure.  The supervisor uses this to
   /// stamp quarantined (kPoisonedItem) items into the merged journal.
   /// Honors should_persist like record().
-  void record_failure(const std::string& key, const FailureInfo& info);
+  void record_failure(const std::string& key, const FailureInfo& info, Stage& stage) const;
+
+  /// Write every staged record as one journal group, then clear `stage`
+  /// (a no-op for an empty stage).
+  void commit(Stage& stage);
 
   bool lookup_bisect(const std::string& key, BisectState& out) const;
   void record_bisect(const std::string& key, const BisectState& state);

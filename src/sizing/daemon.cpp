@@ -293,7 +293,7 @@ class DaemonImpl {
     // life, so a deterministic kill test's *restarted* daemon (same
     // inherited plan table) does not die again at the same site.
     int prior_boots = 0;
-    if (const std::string* b = requests_.find("boot")) prior_boots = std::atoi(b->c_str());
+    if (const auto b = requests_.find("boot")) prior_boots = std::atoi(b->c_str());
     faultinject::set_generation(prior_boots);
     requests_.append("boot", std::to_string(prior_boots + 1));
 
@@ -510,8 +510,8 @@ class DaemonImpl {
     const std::string base_key = req.key();
     p.key = base_key;
     for (int alt = 1;; ++alt) {
-      const std::string* existing = requests_.find("req:" + p.key);
-      if (existing == nullptr || *existing == p.canonical) break;
+      const auto existing = requests_.find("req:" + p.key);
+      if (!existing || *existing == p.canonical) break;
       p.key = base_key + "-" + std::to_string(alt);
     }
     p.req = std::move(req);
@@ -524,7 +524,7 @@ class DaemonImpl {
     // the request survives any crash.  (A crash between journal and ack
     // -- kDaemonAckLost -- resumes headless AND lets the client safely
     // re-send: same canonical bytes, same key, answered from the store.)
-    if (requests_.find("req:" + p.key) == nullptr) {
+    if (!requests_.contains("req:" + p.key)) {
       requests_.append("req:" + p.key, p.canonical);
     }
     if (faultinject::fired(faultinject::Site::kDaemonAckLost)) ::raise(SIGKILL);
@@ -602,8 +602,12 @@ class DaemonImpl {
           Clock::now() + std::chrono::microseconds(static_cast<std::int64_t>(deadline_s * 1e6));
     }
     {
+      // A drain that began after the executor's pre-run check found no
+      // active_ to cancel; cancel_drain_ is stored before begin_cancel_drain
+      // takes this mutex, so re-checking it here closes that window.
       const std::lock_guard<std::mutex> lock(active_mutex_);
       active_ = active;
+      if (cancel_drain_.load()) active->token.request();
     }
     const std::size_t store_before = store_.journal().size();
     std::string done_fields;
@@ -756,7 +760,7 @@ class DaemonImpl {
     const std::string prefix = checkpoint_prefix(
         "rank", backend.name(), netlist_fingerprint(backend.netlist(), backend.outputs()), wl);
     for (const VectorPair& vp : vectors) {
-      if (store_.journal().find(checkpoint_item_key(prefix, vp)) == nullptr) return false;
+      if (!store_.journal().contains(checkpoint_item_key(prefix, vp))) return false;
     }
     return true;
   }

@@ -119,11 +119,12 @@ Checkpoint* armed_checkpoint(const EvalSession& session) {
 // watchdog armed, a completed attempt slower than the running-median
 // budget is discarded as kDeadlineExceeded and the item requeued exactly
 // once; a second over-budget attempt fails the item.  Completed outcomes
-// (successes and persistable failures) are journaled before being
-// returned, so a crash can lose at most the items still in flight.
+// (successes and persistable failures) are staged into `stage` before
+// being returned; the caller commits the stage, so a crash can lose at
+// most the items still in flight and each worker's uncommitted group.
 template <typename T, typename Fn>
 Outcome<T> run_item(const SweepCtx& ctx, std::size_t index, const std::string& key,
-                    Fn&& body) {
+                    Checkpoint::Stage& stage, Fn&& body) {
   if (ctx.checkpoint != nullptr) {
     Outcome<T> cached;
     if (ctx.checkpoint->lookup(key, cached)) return cached;
@@ -184,14 +185,43 @@ Outcome<T> run_item(const SweepCtx& ctx, std::size_t index, const std::string& k
     // of the checkpoint machinery, not numerical bad luck on this item --
     // it must tear down the sweep (like running out of disk would), not
     // burn the item's retry budget.
-    if (ctx.checkpoint != nullptr) ctx.checkpoint->record(key, out);
+    if (ctx.checkpoint != nullptr) ctx.checkpoint->record(key, out, stage);
     return out;
   }
   Outcome<T> out = Outcome<T>::fail(last);
   // record() filters interruption artifacts itself; terminal numerical
   // failures replay on resume exactly like successes.
-  if (ctx.checkpoint != nullptr) ctx.checkpoint->record(key, out);
+  if (ctx.checkpoint != nullptr) ctx.checkpoint->record(key, out, stage);
   return out;
+}
+
+// run_item for the serial call sites: the item's record commits at once.
+template <typename T, typename Fn>
+Outcome<T> run_item_committed(const SweepCtx& ctx, std::size_t index, const std::string& key,
+                              Fn&& body) {
+  Checkpoint::Stage stage;
+  Outcome<T> out = run_item<T>(ctx, index, key, stage, std::forward<Fn>(body));
+  if (ctx.checkpoint != nullptr) ctx.checkpoint->commit(stage);
+  return out;
+}
+
+// Run fn(i, stage) for every i in [0, n), one pool task per run of
+// `group` contiguous indices.  Each task commits what its items staged
+// as one journal group when it finishes -- also when cancellation or the
+// deadline cut its items short -- so an entry point returns with every
+// completed item journaled.  A task that throws (a journal fault, a
+// precondition bug) drops its uncommitted group, as a crash would.
+template <typename Fn>
+void for_each_group(util::ThreadPool& tp, Checkpoint* ckpt, std::size_t n, std::size_t group,
+                    const Fn& fn) {
+  tp.parallel_for((n + group - 1) / group, [&](std::size_t g) {
+    const std::size_t begin = g * group;
+    const std::size_t end = std::min(n, begin + group);
+    Checkpoint::Stage stage;
+    if (ckpt != nullptr) stage.reserve(end - begin);
+    for (std::size_t i = begin; i < end; ++i) fn(i, stage);
+    if (ckpt != nullptr) ckpt->commit(stage);
+  });
 }
 
 // --- Batch fast path (EvalSession::batch) ---
@@ -212,6 +242,17 @@ std::size_t batch_chunk(const EvalSession& session, const EvalBackend& backend) 
     return 0;
   }
   return session.batch == 0 ? kDefaultBatch : session.batch;
+}
+
+// Items per checkpoint commit group on the per-item pass, given the
+// batch_chunk() result.  The batch path commits up to kMaxCommitGroup
+// items with one journal write(); with the precompute stood down (chunk
+// 0) every item is its own group, which keeps per-item scheduling of
+// heavy items and the per-item crash-loss unit.
+constexpr std::size_t kMaxCommitGroup = 64;
+
+std::size_t commit_group(std::size_t chunk) {
+  return chunk == 0 ? 1 : std::min(chunk, kMaxCommitGroup);
 }
 
 // Per-index delays precomputed through the backend's batch path and
@@ -253,15 +294,15 @@ class BatchMemo {
 // Indices of `vectors` whose item key is not already journaled: only
 // these form batches, so checkpoint keys and records are untouched by
 // batching and a resumed run re-forms batches from the remaining items.
-template <typename T>
+// A presence test suffices here; run_item decodes the record when it
+// replays the item.
 std::vector<std::size_t> batch_todo(Checkpoint* ckpt, const std::string& prefix,
                                     const std::vector<VectorPair>& vectors) {
   std::vector<std::size_t> todo;
   todo.reserve(vectors.size());
   for (std::size_t i = 0; i < vectors.size(); ++i) {
-    if (ckpt != nullptr) {
-      Outcome<T> cached;
-      if (ckpt->lookup(checkpoint_item_key(prefix, vectors[i]), cached)) continue;
+    if (ckpt != nullptr && ckpt->journal().contains(checkpoint_item_key(prefix, vectors[i]))) {
+      continue;
     }
     todo.push_back(i);
   }
@@ -326,7 +367,7 @@ std::size_t rank_vectors_into(const EvalBackend& backend,
   const std::size_t chunk = batch_chunk(session, backend);
   BatchMemo base_memo, wl_memo;
   if (chunk > 0 && !cancel.requested()) {
-    const std::vector<std::size_t> todo = batch_todo<VectorDelay>(ckpt, prefix, vectors);
+    const std::vector<std::size_t> todo = batch_todo(ckpt, prefix, vectors);
     base_memo.reset(vectors.size());
     wl_memo.reset(vectors.size());
     batch_precompute(session.pool_ref(), deadline, cancel, vectors, todo, chunk, base_memo,
@@ -348,10 +389,11 @@ std::size_t rank_vectors_into(const EvalBackend& backend,
   // emission stream is bit-identical for any thread count, and a failed
   // item only removes itself from the stream.
   std::vector<Outcome<VectorDelay>> measured(vectors.size());
-  session.pool_ref().parallel_for(vectors.size(), [&](std::size_t i) {
+  for_each_group(session.pool_ref(), ckpt, vectors.size(), commit_group(chunk),
+                 [&](std::size_t i, Checkpoint::Stage& stage) {
     const std::string key =
         ckpt != nullptr ? checkpoint_item_key(prefix, vectors[i]) : std::string();
-    measured[i] = run_item<VectorDelay>(ctx, i, key, [&] {
+    measured[i] = run_item<VectorDelay>(ctx, i, key, stage, [&] {
       VectorDelay vd;
       vd.delay_cmos = base_memo.take(i, [&] { return backend.delay_baseline(vectors[i]); });
       if (vd.delay_cmos <= 0.0) return vd;
@@ -485,7 +527,7 @@ SizingResult size_for_degradation(const EvalBackend& backend,
     // consume its memo.
     BatchMemo base_memo, wl_memo;
     if (chunk > 0 && !cancel.requested()) {
-      const std::vector<std::size_t> todo = batch_todo<double>(ckpt, prefix, vectors);
+      const std::vector<std::size_t> todo = batch_todo(ckpt, prefix, vectors);
       base_memo.reset(vectors.size());
       wl_memo.reset(vectors.size());
       batch_precompute(tp, deadline, cancel, vectors, todo, chunk, base_memo,
@@ -503,13 +545,14 @@ SizingResult size_for_degradation(const EvalBackend& backend,
                        });
     }
     std::vector<Outcome<double>> deg(vectors.size());
-    // Plain parallel_for: run_item already absorbs NumericalErrors, so the
-    // only exceptions that reach the pool are precondition bugs (and
-    // journal write failures), which should cancel and propagate.
-    tp.parallel_for(vectors.size(), [&](std::size_t i) {
+    // run_item already absorbs NumericalErrors, so the only exceptions
+    // that reach the pool are precondition bugs (and journal write
+    // failures), which should cancel and propagate.
+    for_each_group(tp, ckpt, vectors.size(), commit_group(chunk),
+                   [&](std::size_t i, Checkpoint::Stage& stage) {
       const std::string key =
           ckpt != nullptr ? checkpoint_item_key(prefix, vectors[i]) : std::string();
-      deg[i] = run_item<double>(ctx, i, key, [&] {
+      deg[i] = run_item<double>(ctx, i, key, stage, [&] {
         // degradation_pct unrolled over the memos; identical arithmetic.
         const double d0 = base_memo.take(i, [&] { return backend.delay_baseline(vectors[i]); });
         if (d0 <= 0.0) return -1.0;
@@ -625,7 +668,7 @@ VectorDelay search_worst_vector(const EvalBackend& backend, double wl, int sampl
   const std::size_t chunk = batch_chunk(session, backend);
   BatchMemo score_memo;
   if (chunk > 0 && !cancel.requested()) {
-    const std::vector<std::size_t> todo = batch_todo<double>(ckpt, prefix, sampled);
+    const std::vector<std::size_t> todo = batch_todo(ckpt, prefix, sampled);
     score_memo.reset(sampled.size());
     batch_precompute(session.pool_ref(), deadline, cancel, sampled, todo, chunk, score_memo,
                      [&](const VectorPair* const* vps, std::size_t n2, Outcome<double>* out) {
@@ -633,8 +676,9 @@ VectorDelay search_worst_vector(const EvalBackend& backend, double wl, int sampl
                      });
   }
   std::vector<Outcome<double>> scores(sampled.size());
-  session.pool_ref().parallel_for(sampled.size(), [&](std::size_t i) {
-    scores[i] = run_item<double>(ctx, i, item_key(sampled[i]),
+  for_each_group(session.pool_ref(), ckpt, sampled.size(), commit_group(chunk),
+                 [&](std::size_t i, Checkpoint::Stage& stage) {
+    scores[i] = run_item<double>(ctx, i, item_key(sampled[i]), stage,
                                  [&] { return score_memo.take(i, [&] { return score(sampled[i]); }); });
   });
   VectorPair best;
@@ -670,8 +714,8 @@ VectorDelay search_worst_vector(const EvalBackend& backend, double wl, int sampl
         VectorPair cand = best;
         auto& vec = (side == 0) ? cand.v0 : cand.v1;
         vec[static_cast<std::size_t>(bit)] = !vec[static_cast<std::size_t>(bit)];
-        const Outcome<double> s =
-            run_item<double>(ctx, cand_index, item_key(cand), [&] { return score(cand); });
+        const Outcome<double> s = run_item_committed<double>(ctx, cand_index, item_key(cand),
+                                                             [&] { return score(cand); });
         report.add(cand_index, s);
         ++cand_index;
         if (!s.ok()) {
@@ -721,21 +765,19 @@ std::vector<VectorPair> screen_vectors(const netlist::Netlist& nl,
   }
   // Chunked dispatch: falling_discharge_weight is cheap relative to a
   // pool task handoff, so workers claim session.batch candidates per
-  // pool index instead of one.  Slots stay index-addressed and run_item
+  // pool index instead of one, and each chunk commits its checkpoint
+  // records as one group.  Slots stay index-addressed and run_item
   // still runs per item (scope stamps, checkpoint keys unchanged), so
   // the ranking is identical for any thread count or chunk size.
   std::vector<Outcome<double>> weights(candidates.size());
   const std::size_t chunk =
       std::max<std::size_t>(1, session.batch == 0 ? kDefaultBatch : session.batch);
-  const std::size_t nchunks = (candidates.size() + chunk - 1) / chunk;
-  session.pool_ref().parallel_for(nchunks, [&](std::size_t c) {
-    const std::size_t end = std::min((c + 1) * chunk, candidates.size());
-    for (std::size_t i = c * chunk; i < end; ++i) {
-      const std::string key =
-          ckpt != nullptr ? checkpoint_item_key(prefix, candidates[i]) : std::string();
-      weights[i] = run_item<double>(ctx, i, key,
-                                    [&] { return falling_discharge_weight(nl, candidates[i]); });
-    }
+  for_each_group(session.pool_ref(), ckpt, candidates.size(), chunk,
+                 [&](std::size_t i, Checkpoint::Stage& stage) {
+    const std::string key =
+        ckpt != nullptr ? checkpoint_item_key(prefix, candidates[i]) : std::string();
+    weights[i] = run_item<double>(ctx, i, key, stage,
+                                  [&] { return falling_discharge_weight(nl, candidates[i]); });
   });
   std::vector<std::pair<double, std::size_t>> scored;
   scored.reserve(candidates.size());
@@ -806,7 +848,7 @@ VerifyResult verify_sizing(const EvalBackend& fast, const EvalBackend& reference
                             result.wl),
           vp);
     }
-    const Outcome<double> o = run_item<double>(ctx, i, key, [&] {
+    const Outcome<double> o = run_item_committed<double>(ctx, i, key, [&] {
       return p.baseline ? p.backend->delay_baseline(vp)
                         : p.backend->delay_at_wl(vp, result.wl);
     });

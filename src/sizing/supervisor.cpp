@@ -104,7 +104,7 @@ int worker_main(int wfd, std::size_t slot_index, const std::string& journal_path
   for (const auto& [idx, strikes] : items) {
     if (cancel.requested() || parent_gone.load(std::memory_order_relaxed)) return finish(3);
     const std::string key = key_of(idx);
-    if (ckpt.journal().find(key) != nullptr) continue;  // replayed from a prior life
+    if (ckpt.journal().contains(key)) continue;  // replayed from a prior life
     if (!util::write_line(wfd, "S " + std::to_string(idx))) return finish(3);
 
     faultinject::set_generation(strikes);
@@ -129,7 +129,7 @@ int worker_main(int wfd, std::size_t slot_index, const std::string& journal_path
     }
 
     run_one(idx, ckpt, columnar.is_open() ? &columnar : nullptr);
-    if (ckpt.journal().find(key) == nullptr) {
+    if (!ckpt.journal().contains(key)) {
       // The item completed nothing durable -- a cancellation drained it
       // mid-body.  Report the drain instead of claiming completion.
       return finish(3);
@@ -308,7 +308,7 @@ SupervisorStats Supervisor::run(Checkpoint& merged, util::ColumnarWriter* column
     done_log.close();
     if (slot.current >= 0) {
       const std::size_t idx = static_cast<std::size_t>(slot.current);
-      if (done_log.find(key_of_(idx)) == nullptr) {
+      if (!done_log.contains(key_of_(idx))) {
         const int s_count = ++strikes[idx];
         if (s_count >= options_.poison_strikes && quarantined.insert(idx).second) {
           ++stats.quarantined;
@@ -318,7 +318,7 @@ SupervisorStats Supervisor::run(Checkpoint& merged, util::ColumnarWriter* column
     std::vector<std::size_t> pending;
     for (const std::size_t idx : slot.assigned) {
       if (quarantined.count(idx) != 0) continue;
-      if (done_log.find(key_of_(idx)) != nullptr) continue;
+      if (done_log.contains(key_of_(idx))) continue;
       pending.push_back(idx);
     }
     if (pending.empty()) {
@@ -442,9 +442,10 @@ SupervisorStats Supervisor::run(Checkpoint& merged, util::ColumnarWriter* column
     }
     columnar->flush();
   }
+  Checkpoint::Stage quarantine_records;
   for (const std::size_t idx : quarantined) {
     const std::string key = key_of_(idx);
-    if (merged.journal().find(key) != nullptr) continue;
+    if (merged.journal().contains(key)) continue;
     FailureInfo info;
     info.code = FailureCode::kPoisonedItem;
     info.site = "sizing::supervisor";
@@ -452,8 +453,9 @@ SupervisorStats Supervisor::run(Checkpoint& merged, util::ColumnarWriter* column
     info.attempts = it == strikes.end() ? options_.poison_strikes : it->second;
     info.context = "item " + std::to_string(idx) + " killed " +
                    std::to_string(info.attempts) + " worker(s); quarantined";
-    merged.record_failure(key, info);
+    merged.record_failure(key, info, quarantine_records);
   }
+  merged.commit(quarantine_records);
   merged.journal().flush();
   return stats;
 }

@@ -38,7 +38,7 @@ enum class Site : int {
   kVbsRun,                 ///< VbsSimulator::run entry
   kVbsBreakpoint,          ///< VbsSimulator::run breakpoint loop
   kSweepItem,              ///< sizing sweep per-item runner
-  kJournalAppend,          ///< util::Journal::append (checkpoint write path)
+  kJournalAppend,          ///< util::Journal::append, and Checkpoint staging of each record
   // Process-level sites consumed by sharded-sweep workers via fired()
   // (they kill the process instead of throwing; see supervisor.hpp).
   kWorkerAbort,            ///< worker calls abort() before running the item

@@ -108,14 +108,30 @@ std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
   return ~crc;
 }
 
+namespace {
+
+/// Room for the longest "J1 <crc> <key-len> <value-len>\n" header
+/// (3 + 8 + 2 * 21 + 1 = 54 bytes).
+constexpr std::size_t kMaxHeader = 64;
+
+/// Append one record in the J1 format to `out`.  The CRC is chained over
+/// key then value, which equals the CRC of their concatenation.
+void format_record_into(std::string& out, const std::string& key, const std::string& value) {
+  const std::uint32_t crc = crc32(value.data(), value.size(), crc32(key.data(), key.size()));
+  char header[kMaxHeader];
+  const int n =
+      std::snprintf(header, sizeof(header), "J1 %08x %zu %zu\n", crc, key.size(), value.size());
+  out.append(header, static_cast<std::size_t>(n));
+  out += key;
+  out += value;
+  out += '\n';
+}
+
+}  // namespace
+
 std::string format_journal_record(const std::string& key, const std::string& value) {
-  const std::uint32_t crc = crc32((key + value).data(), key.size() + value.size());
-  char header[64];
-  std::snprintf(header, sizeof(header), "J1 %08x %zu %zu\n", crc, key.size(), value.size());
-  std::string record = header;
-  record += key;
-  record += value;
-  record += '\n';
+  std::string record;
+  format_record_into(record, key, value);
   return record;
 }
 
@@ -174,10 +190,26 @@ void Journal::open(const std::string& path, JournalOptions options) {
   if (::lseek(fd_, 0, SEEK_END) < 0) throw_errno("seek failed", path);
 }
 
-void Journal::write_record(const std::string& key, const std::string& value) {
-  const std::string record = format_journal_record(key, value);
-  write_all(fd_, record.data(), record.size(), path_);
-  ++appended_since_sync_;
+void Journal::append(const std::string& key, const std::string& value) {
+  faultinject::check(faultinject::Site::kJournalAppend, "util::Journal::append");
+  append_batch({{key, value}});
+}
+
+void Journal::append_batch(const std::vector<JournalRecord>& records) {
+  if (records.empty()) return;
+  std::size_t bytes_max = 0;
+  for (const auto& [key, value] : records) {
+    if (key.empty()) throw std::invalid_argument("journal: key must not be empty");
+    bytes_max += kMaxHeader + key.size() + value.size() + 1;
+  }
+  std::string bytes;
+  bytes.reserve(bytes_max);
+  for (const auto& [key, value] : records) format_record_into(bytes, key, value);
+
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (fd_ < 0) throw std::runtime_error("journal: append on a closed journal");
+  write_all(fd_, bytes.data(), bytes.size(), path_);
+  appended_since_sync_ += records.size();
   // fsync narrows kernel-crash exposure only (the write() above already
   // survives process death), so it is rate-limited: the count trigger is
   // opt-in, the time trigger caps both exposure and overhead.
@@ -191,15 +223,9 @@ void Journal::write_record(const std::string& key, const std::string& value) {
     appended_since_sync_ = 0;
     last_sync_ = std::chrono::steady_clock::now();
   }
-}
-
-void Journal::append(const std::string& key, const std::string& value) {
-  if (key.empty()) throw std::invalid_argument("journal: key must not be empty");
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (fd_ < 0) throw std::runtime_error("journal: append on a closed journal");
-  faultinject::check(faultinject::Site::kJournalAppend, "util::Journal::append");
-  write_record(key, value);
-  latest_[key] = value;
+  // Copies, not moves: staged values carry the slack capacity of the
+  // concatenations that built them, and latest_ holds one per key.
+  for (const auto& [key, value] : records) latest_.insert_or_assign(key, value);
 }
 
 void Journal::flush() {
@@ -217,10 +243,16 @@ void Journal::close() {
   fd_ = -1;
 }
 
-const std::string* Journal::find(const std::string& key) const {
+std::optional<std::string> Journal::find(const std::string& key) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = latest_.find(key);
-  return it == latest_.end() ? nullptr : &it->second;
+  if (it == latest_.end()) return std::nullopt;
+  return it->second;
+}
+
+bool Journal::contains(const std::string& key) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return latest_.count(key) != 0;
 }
 
 std::size_t Journal::size() const {
@@ -288,8 +320,8 @@ std::size_t merge_journal_file(Journal& dest, const std::string& source_path,
   std::sort(records.begin(), records.end());
   std::size_t appended = 0;
   for (const auto& [key, value] : records) {
-    const std::string* existing = dest.find(key);
-    if (existing != nullptr && *existing == value) continue;
+    const std::optional<std::string> existing = dest.find(key);
+    if (existing && *existing == value) continue;
     dest.append(key, value);
     ++appended;
   }

@@ -2,9 +2,11 @@
 // Append-only, checksummed, crash-safe record log.
 //
 // A Journal persists (key, value) string records for runs that must
-// survive process death: every append is a single write() of one fully
-// formatted record, so a crash can only ever produce a *truncated tail*,
-// never an interleaved or half-updated interior.  On open the file is
+// survive process death: records are committed in groups, each group a
+// single write() of its fully formatted records (append() is the group
+// of one), so a crash can only ever produce a *truncated tail* -- whole
+// records before it, at most one torn record at it -- never an
+// interleaved or half-updated interior.  On open the file is
 // replayed record by record; the first malformed or checksum-failing
 // record marks the torn tail, which is truncated away so the file is
 // again a clean sequence of records before any new append.  Later
@@ -28,26 +30,34 @@
 // JournalOptions::fsync_interval_s (plus on flush()/close), bounding
 // both the exposure window and the overhead on sweeps whose items are
 // cheaper than an fsync.  fsync_every adds a count-based trigger on top
-// for callers that want per-record durability (fsync_every = 1).
+// (counting records, checked once per group) for callers that want
+// per-record durability (fsync_every = 1).
 //
-// Thread safety: append()/flush()/compact() are mutex-serialized and
-// safe to call from pool workers -- a compaction racing concurrent
-// appends lands every record in either the old or the new file, never
-// torn across both (the daemon compacts its request journal while the
-// executor appends).  open/replay are owner-thread operations.
+// Thread safety: append()/append_batch()/flush()/compact() are
+// mutex-serialized and safe to call from pool workers -- a compaction
+// racing concurrent appends lands every group in either the old or the
+// new file, never torn across both (the daemon compacts its request
+// journal while the executor appends).  find() returns a copy, so a
+// reader never sees a value a concurrent append is overwriting.
+// open/replay are owner-thread operations.
 
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace mtcmos::util {
 
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed = 0);
+
+/// One (key, value) record of a group handed to Journal::append_batch.
+using JournalRecord = std::pair<std::string, std::string>;
 
 struct JournalOptions {
   /// Max seconds between fsyncs while appending; 0 disables the timer.
@@ -73,9 +83,17 @@ class Journal {
   bool is_open() const { return fd_ >= 0; }
   const std::string& path() const { return path_; }
 
-  /// Append one record.  One write() per record; fsync per the options.
-  /// Throws std::runtime_error if the write fails (disk full).
+  /// Append one record: the kJournalAppend fault-injection check, then
+  /// append_batch() of that single record.
   void append(const std::string& key, const std::string& value);
+
+  /// Append `records` in order as one group: every record is formatted
+  /// into one buffer outside the lock, then written with a single
+  /// write(); fsync per the options.  No fault-injection check -- callers
+  /// that stage records (sizing::Checkpoint) check each one as they stage
+  /// it.  Throws std::invalid_argument on an empty key (nothing written)
+  /// and std::runtime_error if the write fails (disk full).
+  void append_batch(const std::vector<JournalRecord>& records);
 
   /// fsync the fd (no-op when nothing was appended since the last sync).
   void flush();
@@ -83,8 +101,11 @@ class Journal {
   /// Close the fd (flushing first).  Replayed state stays queryable.
   void close();
 
-  /// Latest value for `key`, or nullptr (replayed + appended records).
-  const std::string* find(const std::string& key) const;
+  /// Copy of the latest value for `key` (replayed + appended records),
+  /// or nullopt.  A copy, not a pointer: a concurrent append of the same
+  /// key may overwrite the stored value at any time.
+  std::optional<std::string> find(const std::string& key) const;
+  bool contains(const std::string& key) const;
   std::size_t size() const;  ///< distinct keys
   /// Records replayed from disk at open() (resume diagnostics).
   std::size_t replayed_records() const { return replayed_records_; }
@@ -99,8 +120,6 @@ class Journal {
   void compact();
 
  private:
-  void write_record(const std::string& key, const std::string& value);
-
   std::string path_;
   JournalOptions options_;
   int fd_ = -1;
@@ -112,8 +131,9 @@ class Journal {
   std::size_t truncated_bytes_ = 0;
 };
 
-/// One formatted record (append() writes exactly this).  Exposed so tests
-/// can compute offsets when simulating torn tails.
+/// One formatted record (append() writes exactly this; append_batch()
+/// writes the concatenation for its group).  Exposed so tests can compute
+/// offsets when simulating torn tails.
 std::string format_journal_record(const std::string& key, const std::string& value);
 
 /// Merge every record of the journal file at `source_path` into `dest`

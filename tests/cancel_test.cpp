@@ -12,6 +12,7 @@
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -182,8 +183,8 @@ TEST_F(Cancel, SigtermDuringCompactLeavesAValidJournal) {
   replay.open(jpath);
   EXPECT_EQ(replay.size(), 50u);
   for (int k = 0; k < 50; ++k) {
-    const std::string* value = replay.find("key" + std::to_string(k));
-    ASSERT_NE(value, nullptr) << "key" << k;
+    const std::optional<std::string> value = replay.find("key" + std::to_string(k));
+    ASSERT_TRUE(value.has_value()) << "key" << k;
     EXPECT_EQ(*value, "v" + std::to_string(150 + k)) << "latest update must survive compaction";
   }
   std::filesystem::remove_all(dir);

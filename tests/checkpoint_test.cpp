@@ -103,6 +103,10 @@ class FakeBackend : public EvalBackend {
   double delay_at_wl(const VectorPair& vp, double wl) const override {
     ++delay_calls;
     if (hook) hook(vp);
+    return delay_of(vp, wl);
+  }
+
+  static double delay_of(const VectorPair& vp, double wl) {
     double v = 0.0;
     for (const bool b : vp.v1) v = v * 2.0 + (b ? 1.0 : 0.0);
     for (const bool b : vp.v0) v = v * 2.0 + (b ? 1.0 : 0.0);
@@ -116,6 +120,23 @@ class FakeBackend : public EvalBackend {
  private:
   const netlist::Netlist& nl_;
   std::vector<std::string> outputs_;
+};
+
+/// FakeBackend on the session's batch path.  The batch call reports the
+/// flagged item (v1[0] set) as a failure, so the per-item pass retries it
+/// through the scalar delay_at_wl -- the only hook call of the sweep,
+/// landing mid-way through the per-item pass.
+class BatchFakeBackend : public FakeBackend {
+ public:
+  using FakeBackend::FakeBackend;
+  bool supports_batch() const override { return true; }
+  void delay_at_wl_batch(const VectorPair* const* vps, std::size_t n, double wl,
+                         Outcome<double>* out) const override {
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = vps[i]->v1[0] ? Outcome<double>::fail({FailureCode::kInjected, "fake", "batch"})
+                             : Outcome<double>::success(delay_of(*vps[i], wl), 1);
+    }
+  }
 };
 
 /// n-bit vectors where only item `slow` has v1[0] set (the hook's flag
@@ -492,6 +513,46 @@ TEST_F(CheckpointTest, CancelledItemsAreReportedButNeverJournaled) {
   // Cancellations are interruption artifacts: the journal stays empty, so
   // a resume re-runs every item instead of replaying the Ctrl-C.
   EXPECT_EQ(ckpt.journal().size(), 0u);
+}
+
+TEST_F(CheckpointTest, CancelMidSweepCommitsEveryCompletedItem) {
+  // The cancel lands inside a commit group on the batch path: the group's
+  // remaining items come back kCancelled, and the call must still commit
+  // what the group completed before returning, so the journal holds
+  // exactly the items the report counts as done.
+  const auto adder = make_ripple_adder(tech07(), 1);
+  const std::size_t flagged = 10;
+  const auto vectors = flagged_vectors(128, flagged);
+  BatchFakeBackend fake(adder.netlist, adder_outputs(adder));
+  util::CancelToken token;
+  fake.hook = [&token](const VectorPair&) { token.request(); };
+
+  util::ThreadPool pool(4);
+  Checkpoint ckpt;
+  ckpt.open(path());
+  SweepReport report;
+  EvalSession session;
+  session.pool = &pool;
+  session.batch = 16;  // eight commit groups of 16 items
+  session.cancel_token = &token;
+  session.checkpoint = &ckpt;
+  session.report = &report;
+  (void)sizing::rank_vectors(fake, vectors, 10.0, session);
+
+  ASSERT_TRUE(token.requested());
+  EXPECT_EQ(report.recovered, 1u);  // the flagged item, on its scalar retry
+  EXPECT_GT(report.failed, 0u);     // the rest of its group at least
+  for (const auto& [index, failure] : report.failures) {
+    EXPECT_EQ(failure.code, FailureCode::kCancelled) << index;
+  }
+  EXPECT_EQ(ckpt.journal().size(), report.succeeded + report.recovered);
+  Outcome<VectorDelay> back;
+  EXPECT_TRUE(ckpt.lookup(
+      checkpoint_item_key(checkpoint_prefix("rank", fake.name(),
+                                            netlist_fingerprint(adder.netlist, fake.outputs()),
+                                            10.0),
+                          vectors[flagged]),
+      back));
 }
 
 TEST_F(CheckpointTest, AllCancelledSizingSurfacesKCancelled) {

@@ -30,6 +30,7 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -642,13 +643,13 @@ TEST_F(DaemonTest, HashCollisionFallsBackToSuffixedJournalKey) {
 
   util::Journal j;
   j.open(state("a") + "/requests.mtj");
-  const std::string* seeded = j.find(std::string("req:") + key);
-  ASSERT_NE(seeded, nullptr);
+  const std::optional<std::string> seeded = j.find(std::string("req:") + key);
+  ASSERT_TRUE(seeded.has_value());
   EXPECT_EQ(*seeded, other);  // the colliding request did not clobber it
-  const std::string* ours = j.find(std::string("req:") + key + "-1");
-  ASSERT_NE(ours, nullptr);
+  const std::optional<std::string> ours = j.find(std::string("req:") + key + "-1");
+  ASSERT_TRUE(ours.has_value());
   EXPECT_EQ(*ours, canonical);
-  EXPECT_NE(j.find(std::string("done:") + key + "-1"), nullptr);
+  EXPECT_TRUE(j.contains(std::string("done:") + key + "-1"));
 }
 
 // ------------------------------------------------------------- sharding

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -54,11 +55,11 @@ TEST_F(JournalTest, AppendFindRoundTrip) {
   EXPECT_EQ(j.size(), 0u);
   j.append("alpha", "1");
   j.append("beta", "two");
-  ASSERT_NE(j.find("alpha"), nullptr);
+  ASSERT_TRUE(j.contains("alpha"));
   EXPECT_EQ(*j.find("alpha"), "1");
-  ASSERT_NE(j.find("beta"), nullptr);
+  ASSERT_TRUE(j.contains("beta"));
   EXPECT_EQ(*j.find("beta"), "two");
-  EXPECT_EQ(j.find("gamma"), nullptr);
+  EXPECT_FALSE(j.contains("gamma"));
   EXPECT_EQ(j.size(), 2u);
 }
 
@@ -89,7 +90,7 @@ TEST_F(JournalTest, ReplaySurvivesCloseAndReopen) {
   EXPECT_EQ(j.replayed_records(), 100u);
   EXPECT_EQ(j.truncated_bytes(), 0u);
   for (int i = 0; i < 100; ++i) {
-    ASSERT_NE(j.find("key" + std::to_string(i)), nullptr) << i;
+    ASSERT_TRUE(j.contains("key" + std::to_string(i))) << i;
     EXPECT_EQ(*j.find("key" + std::to_string(i)), std::to_string(i * i));
   }
 }
@@ -102,7 +103,7 @@ TEST_F(JournalTest, BinaryValuesAndNewlinesRoundTrip) {
   j.close();
   Journal r;
   r.open(path());
-  ASSERT_NE(r.find("multi\nline\nkey"), nullptr);
+  ASSERT_TRUE(r.contains("multi\nline\nkey"));
   EXPECT_EQ(*r.find("multi\nline\nkey"), value);
 }
 
@@ -129,7 +130,7 @@ TEST_F(JournalTest, TornTailIsTruncatedAtEveryOffset) {
     j.open(p);
     EXPECT_EQ(j.replayed_records(), 2u) << "cut at " << cut;
     EXPECT_EQ(j.truncated_bytes(), cut - keep) << "cut at " << cut;
-    EXPECT_EQ(j.find("victim"), nullptr) << "cut at " << cut;
+    EXPECT_FALSE(j.contains("victim")) << "cut at " << cut;
     EXPECT_EQ(*j.find("a"), "AA");
     EXPECT_EQ(*j.find("b"), "BB");
     // The torn bytes are gone from disk: appends after replay start from
@@ -140,6 +141,93 @@ TEST_F(JournalTest, TornTailIsTruncatedAtEveryOffset) {
     r.open(p);
     EXPECT_EQ(r.replayed_records(), 3u) << "cut at " << cut;
     EXPECT_EQ(*r.find("after"), "resume");
+  }
+}
+
+std::vector<mtcmos::util::JournalRecord> sample_batch() {
+  return {{"alpha", "1"},
+          {"multi\nline", std::string("bin\0ary", 7)},
+          {"alpha", "2"},  // same key twice in one group: the later wins
+          {"empty-value", ""},
+          {"last", "the final record of the group"}};
+}
+
+TEST_F(JournalTest, AppendBatchIsByteIdenticalToAppends) {
+  const auto records = sample_batch();
+  {
+    Journal batched;
+    batched.open(path("batched.mtj"));
+    batched.append_batch(records);
+    EXPECT_EQ(batched.size(), 4u);
+    EXPECT_EQ(*batched.find("alpha"), "2");
+    Journal single;
+    single.open(path("single.mtj"));
+    for (const auto& [key, value] : records) single.append(key, value);
+  }
+  const std::string bytes = slurp(path("batched.mtj"));
+  EXPECT_EQ(bytes, slurp(path("single.mtj")));
+  std::string expected;
+  for (const auto& [key, value] : records) expected += format_journal_record(key, value);
+  EXPECT_EQ(bytes, expected);
+
+  Journal r;
+  r.open(path("batched.mtj"));
+  EXPECT_EQ(r.replayed_records(), records.size());
+  EXPECT_EQ(*r.find("alpha"), "2");
+  EXPECT_EQ(*r.find("multi\nline"), std::string("bin\0ary", 7));
+  EXPECT_EQ(*r.find("empty-value"), "");
+}
+
+TEST_F(JournalTest, AppendBatchRejectsAnEmptyKeyBeforeWriting) {
+  Journal j;
+  j.open(path());
+  EXPECT_THROW(j.append_batch({{"ok", "1"}, {"", "2"}}), std::invalid_argument);
+  EXPECT_EQ(j.size(), 0u);
+  j.append_batch({});  // an empty group writes nothing
+  j.close();
+  EXPECT_TRUE(slurp(path()).empty());
+}
+
+TEST_F(JournalTest, TornBatchKeepsEveryWholeRecordAtEveryOffset) {
+  // A crash mid-write of a group tears it at an arbitrary byte: replay
+  // keeps the records before the group, every record of the group that
+  // reached the file whole, and truncates the torn remainder.
+  const auto records = sample_batch();
+  {
+    Journal j;
+    j.open(path());
+    j.append("before", "B");
+    j.append_batch(records);
+  }
+  const std::string full = slurp(path());
+  std::vector<std::size_t> ends;  // file offset just past each record
+  std::size_t offset = format_journal_record("before", "B").size();
+  const std::size_t group_begin = offset;
+  for (const auto& [key, value] : records) {
+    offset += format_journal_record(key, value).size();
+    ends.push_back(offset);
+  }
+  ASSERT_EQ(offset, full.size());
+  for (std::size_t cut = group_begin; cut < full.size(); ++cut) {
+    const std::string p = path("torn_" + std::to_string(cut) + ".mtj");
+    {
+      std::ofstream os(p, std::ios::binary);
+      os.write(full.data(), static_cast<std::streamsize>(cut));
+    }
+    std::size_t whole = 0;
+    while (whole < ends.size() && ends[whole] <= cut) ++whole;
+    const std::size_t kept = whole == 0 ? group_begin : ends[whole - 1];
+    Journal j;
+    j.open(p);
+    EXPECT_EQ(j.replayed_records(), 1 + whole) << "cut at " << cut;
+    EXPECT_EQ(j.truncated_bytes(), cut - kept) << "cut at " << cut;
+    EXPECT_EQ(*j.find("before"), "B");
+    EXPECT_EQ(j.contains("last"), whole == records.size()) << "cut at " << cut;
+    if (whole >= 1) {
+      EXPECT_EQ(*j.find("alpha"), whole >= 3 ? "2" : "1") << "cut at " << cut;
+    }
+    j.close();
+    EXPECT_EQ(std::filesystem::file_size(p), kept) << "cut at " << cut;
   }
 }
 
@@ -165,8 +253,8 @@ TEST_F(JournalTest, CorruptedInteriorByteStopsReplayThere) {
   j.open(path());
   EXPECT_EQ(j.replayed_records(), 1u);
   EXPECT_EQ(*j.find("a"), "AA");
-  EXPECT_EQ(j.find("b"), nullptr);
-  EXPECT_EQ(j.find("c"), nullptr);
+  EXPECT_FALSE(j.contains("b"));
+  EXPECT_FALSE(j.contains("c"));
   EXPECT_GT(j.truncated_bytes(), 0u);
 }
 
@@ -286,12 +374,12 @@ TEST_F(JournalTest, CompactRacingConcurrentAppendsLosesNothing) {
   EXPECT_EQ(r.replayed_records(), r.size());
   for (int t = 0; t < kThreads; ++t) {
     for (int i = 0; i < kPerThread; ++i) {
-      const std::string* v = r.find("t" + std::to_string(t) + ":" + std::to_string(i));
-      ASSERT_NE(v, nullptr) << "t" << t << ":" << i;
+      const std::optional<std::string> v = r.find("t" + std::to_string(t) + ":" + std::to_string(i));
+      ASSERT_TRUE(v.has_value()) << "t" << t << ":" << i;
       EXPECT_EQ(*v, std::to_string(i));
     }
   }
-  EXPECT_NE(r.find("hot"), nullptr);
+  EXPECT_TRUE(r.contains("hot"));
 }
 
 TEST_F(JournalTest, InjectedAppendFaultLeavesValidJournal) {
@@ -306,7 +394,7 @@ TEST_F(JournalTest, InjectedAppendFaultLeavesValidJournal) {
   Journal r;
   r.open(path());
   EXPECT_EQ(r.replayed_records(), 2u);
-  EXPECT_EQ(r.find("doomed"), nullptr);
+  EXPECT_FALSE(r.contains("doomed"));
   EXPECT_EQ(*r.find("before"), "ok");
   EXPECT_EQ(*r.find("after"), "ok");
 }
@@ -346,7 +434,7 @@ TEST_F(JournalTest, OpenCreatesTheFileEagerly) {
   j.close();
   Journal again;
   again.open(p);
-  ASSERT_NE(again.find("k"), nullptr);
+  ASSERT_TRUE(again.contains("k"));
   EXPECT_EQ(*again.find("k"), "v");
 }
 
@@ -372,7 +460,7 @@ TEST_F(JournalTest, MergeJournalFileDedupsSkipsAndCounts) {
   EXPECT_EQ(*dest.find("shared-same"), "1");
   EXPECT_EQ(*dest.find("shared-stale"), "new");
   EXPECT_EQ(*dest.find("fresh"), "f");
-  EXPECT_EQ(dest.find("hb:0"), nullptr);
+  EXPECT_FALSE(dest.contains("hb:0"));
 }
 
 TEST_F(JournalTest, MergeJournalFileAppendsInSortedKeyOrder) {
@@ -415,7 +503,7 @@ TEST_F(JournalTest, MergeJournalFileTruncatesTornSourceTail) {
   dest.open(path("dest.mtj"));
   EXPECT_EQ(mtcmos::util::merge_journal_file(dest, path("source.mtj"), {}), 1u);
   EXPECT_EQ(*dest.find("whole"), "w");
-  EXPECT_EQ(dest.find("torn"), nullptr);
+  EXPECT_FALSE(dest.contains("torn"));
 }
 
 TEST_F(JournalTest, MergeJournalFileMissingSourceThrows) {

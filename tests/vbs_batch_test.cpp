@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -513,6 +514,82 @@ TEST(VbsBatchSession, VbsSiteFaultPlansForceTheScalarPath) {
   EXPECT_EQ(report.failed, 0u);
   EXPECT_EQ(report.recovered, 1u);  // item 3 failed once, retried, succeeded
   EXPECT_EQ(ranked.size(), sizing::rank_vectors(backend, fx.pairs, 10.0).size());
+}
+
+std::map<std::string, std::string> journal_contents(const sizing::Checkpoint& ckpt) {
+  std::map<std::string, std::string> out;
+  ckpt.journal().for_each(
+      [&](const std::string& key, const std::string& value) { out.emplace(key, value); });
+  return out;
+}
+
+TEST(VbsBatchSession, GroupCommittedJournalMatchesSerialScalarJournal) {
+  // The batch path commits records in groups from four workers; the
+  // serial scalar path commits them one item at a time.  Both journals
+  // must hold exactly the same (key, value) set, for every entry point.
+  const AdderFixture fx(2);
+  const VbsBackend backend(fx.adder.netlist, fx.outs);
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("vbs_batch_group." +
+                    std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
+  std::filesystem::create_directories(dir);
+
+  const auto sweep_all = [&](util::ThreadPool& pool, std::size_t batch, const std::string& name) {
+    sizing::Checkpoint ckpt;
+    ckpt.open((dir / name).string());
+    EvalSession session;
+    session.pool = &pool;
+    session.batch = batch;
+    session.checkpoint = &ckpt;
+    (void)sizing::rank_vectors(backend, fx.pairs, 10.0, session);
+    (void)sizing::size_for_degradation(backend, fx.pairs, 5.0, {}, session);
+    Rng rng(42);
+    (void)sizing::search_worst_vector(backend, 8.0, 100, rng, session);
+    (void)sizing::screen_vectors(fx.adder.netlist, fx.pairs, 8, session);
+    return journal_contents(ckpt);
+  };
+  util::ThreadPool serial(1), threaded(4);
+  const auto want = sweep_all(serial, 1, "serial.mtj");
+  const auto got = sweep_all(threaded, 0, "threaded.mtj");
+  EXPECT_GT(want.size(), fx.pairs.size());
+  EXPECT_TRUE(got == want) << got.size() << " records vs " << want.size();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(VbsBatchSession, RepeatedTransitionsRaceNoJournalReader) {
+  // Each transition appears four times in a row, so workers running
+  // neighbouring items look up a key while another worker commits (and
+  // overwrites) the same key.  Journal::find copies the value under the
+  // lock; under TSan this is the reader/writer race check.  Per-item
+  // commits (batch = 1) and groups that straddle the repeats (batch = 3)
+  // both replay and record bit-identically.  Fresh journals over several
+  // rounds give the schedule more chances to interleave.
+  const AdderFixture fx(2);
+  const VbsBackend backend(fx.adder.netlist, fx.outs);
+  std::vector<VectorPair> repeated;
+  for (const VectorPair& vp : fx.pairs) repeated.insert(repeated.end(), 4, vp);
+  EvalSession plain;
+  plain.batch = 1;
+  const auto reference = sizing::rank_vectors(backend, repeated, 10.0, plain);
+
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("vbs_batch_repeat." +
+                    std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
+  std::filesystem::create_directories(dir);
+  util::ThreadPool pool(4);
+  for (int run = 0; run < 8; ++run) {
+    SCOPED_TRACE(run);
+    sizing::Checkpoint ckpt;
+    ckpt.open((dir / ("repeat" + std::to_string(run) + ".mtj")).string());
+    EvalSession session;
+    session.pool = &pool;
+    session.batch = run % 2 == 0 ? 1 : 3;
+    session.checkpoint = &ckpt;
+    expect_same_ranking(sizing::rank_vectors(backend, repeated, 10.0, session), reference);
+    EXPECT_EQ(ckpt.journal().size(), fx.pairs.size());
+    expect_same_ranking(sizing::rank_vectors(backend, repeated, 10.0, session), reference);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
