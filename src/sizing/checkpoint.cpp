@@ -1,6 +1,7 @@
 #include "sizing/checkpoint.hpp"
 
 #include <bit>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <optional>
@@ -46,6 +47,30 @@ bool parse_double_bits(const std::string& token, double& out) {
   if (std::sscanf(token.c_str(), "%" SCNx64, &bits) != 1) return false;
   out = std::bit_cast<double>(bits);
   return true;
+}
+
+/// Strict decoder for the success form record() writes:
+/// "ok <attempts> <bits>" with kN space-separated double_bits() fields,
+/// each exactly 16 hex digits.  No sign on the attempt count, no "0x",
+/// nothing trailing: anything else is not a record this writer produced.
+template <std::size_t kN>
+bool decode_ok(const std::string& value, int& attempts, double (&out)[kN]) {
+  if (value.rfind("ok ", 0) != 0) return false;
+  const char* p = value.data() + 3;
+  const char* const end = value.data() + value.size();
+  const std::from_chars_result a = std::from_chars(p, end, attempts);
+  if (a.ec != std::errc() || a.ptr == p) return false;
+  p = a.ptr;
+  for (double& d : out) {
+    if (end - p < 17 || *p != ' ') return false;
+    ++p;
+    std::uint64_t bits = 0;
+    const std::from_chars_result b = std::from_chars(p, p + 16, bits, 16);
+    if (b.ec != std::errc() || b.ptr != p + 16) return false;
+    d = std::bit_cast<double>(bits);
+    p += 16;
+  }
+  return p == end;
 }
 
 void append_bits(std::string& out, const std::vector<bool>& bits) {
@@ -128,16 +153,12 @@ bool Checkpoint::lookup(const std::string& key, Outcome<double>& out) const {
   const std::optional<std::string> value = journal_.find(key);
   if (!value) return false;
   int attempts = 0;
-  double v = 0.0;
-  {
-    char bits[32];
-    if (std::sscanf(value->c_str(), "ok %d %31s", &attempts, bits) == 2 &&
-        parse_double_bits(bits, v)) {
-      out = Outcome<double>::success(v, attempts);
-      return true;
-    }
+  double v[1] = {};
+  if (decode_ok(*value, attempts, v)) {
+    out = Outcome<double>::success(v[0], attempts);
+    return true;
   }
-  if (decode_failure(*value, out)) return true;
+  if (value->rfind("fail ", 0) == 0 && decode_failure(*value, out)) return true;
   throw_corrupt(key);
 }
 
@@ -146,16 +167,16 @@ bool Checkpoint::lookup(const std::string& key, Outcome<VectorDelay>& out) const
   const std::optional<std::string> value = journal_.find(key);
   if (!value) return false;
   int attempts = 0;
-  char b0[32], b1[32], b2[32];
-  if (std::sscanf(value->c_str(), "ok %d %31s %31s %31s", &attempts, b0, b1, b2) == 4) {
+  double v[3] = {};
+  if (decode_ok(*value, attempts, v)) {
     VectorDelay vd;  // pair is re-attached by the sweep (it is in the key)
-    if (parse_double_bits(b0, vd.delay_cmos) && parse_double_bits(b1, vd.delay_mtcmos) &&
-        parse_double_bits(b2, vd.degradation_pct)) {
-      out = Outcome<VectorDelay>::success(std::move(vd), attempts);
-      return true;
-    }
+    vd.delay_cmos = v[0];
+    vd.delay_mtcmos = v[1];
+    vd.degradation_pct = v[2];
+    out = Outcome<VectorDelay>::success(std::move(vd), attempts);
+    return true;
   }
-  if (decode_failure(*value, out)) return true;
+  if (value->rfind("fail ", 0) == 0 && decode_failure(*value, out)) return true;
   throw_corrupt(key);
 }
 

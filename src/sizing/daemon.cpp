@@ -4,6 +4,7 @@
 #include <signal.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -18,6 +19,7 @@
 #include <set>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -60,11 +62,31 @@ std::uint64_t fnv1a(const std::string& s) {
   return h;
 }
 
+void append_bits(std::string& out, const std::vector<bool>& bits) {
+  const std::size_t at = out.size();
+  out.resize(at + bits.size());
+  char* p = out.data() + at;
+  for (const bool b : bits) *p++ = b ? '1' : '0';
+}
+
 std::string bits_string(const std::vector<bool>& bits) {
   std::string out;
-  out.reserve(bits.size());
-  for (const bool b : bits) out += b ? '1' : '0';
+  append_bits(out, bits);
   return out;
+}
+
+/// `{"type":"<type>","req":"<req>","index":<index>` -- the shared head of
+/// row and value lines.
+void append_line_head(std::string& out, const char* type, const std::string& req,
+                      std::size_t index) {
+  out += "{\"type\":\"";
+  out += type;
+  out += "\",\"req\":\"";
+  out += req;
+  out += "\",\"index\":";
+  char buf[24];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), index);
+  out.append(buf, r.ptr);
 }
 
 /// Compact, deterministic re-serialization of a parsed JSON value:
@@ -196,12 +218,22 @@ struct Connection {
       : fd(fd_in), reader(fd_in), write_stall_ms(write_stall_ms_in) {}
   ~Connection() { util::close_fd(fd); }
 
-  void send(const std::string& line) {
+  void send(const std::string& line) { send_frame(line + '\n'); }
+
+  /// Send a frame of whole, '\n'-terminated lines with one write.
+  void send_frame(const std::string& frame) {
     const std::lock_guard<std::mutex> lock(write_mutex);
-    if (!alive.load(std::memory_order_relaxed)) return;
-    if (!util::write_line(fd, line, write_stall_ms)) {
-      alive.store(false, std::memory_order_relaxed);
-    }
+    write_locked(frame);
+  }
+
+  /// Send an admitted request's terminal (done or error) line.  It
+  /// leaves `in_flight` under the write lock, so the request is out of
+  /// flight before the client can see its end, and nothing the
+  /// connection sends next can overtake the line.
+  void send_terminal(const std::string& line) {
+    const std::lock_guard<std::mutex> lock(write_mutex);
+    in_flight.fetch_sub(1);
+    write_locked(line + '\n');
   }
 
   int fd;
@@ -209,13 +241,25 @@ struct Connection {
   int write_stall_ms;
   std::mutex write_mutex;
   std::atomic<bool> alive{true};
+  /// Admitted requests whose terminal line is not sent yet.  Only a
+  /// connection with none may use the replay lane, so one connection's
+  /// answers never overtake each other.
+  std::atomic<int> in_flight{0};
+
+ private:
+  void write_locked(const std::string& bytes) {
+    if (!alive.load(std::memory_order_relaxed)) return;
+    if (!util::write_bytes(fd, bytes.data(), bytes.size(), write_stall_ms)) {
+      alive.store(false, std::memory_order_relaxed);
+    }
+  }
 };
 
 using ConnPtr = std::shared_ptr<Connection>;
 
-/// The executing request's cancellation surface, shared between the
-/// executor (which plumbs the token into the sweep session) and the
-/// poll loop (which raises it on deadline expiry or drain).
+/// An executing request's cancellation surface, shared between the
+/// thread running it (which plumbs the token into the sweep session) and
+/// the poll loop (which raises it on deadline expiry or drain).
 struct ActiveState {
   util::CancelToken token;
   Clock::time_point deadline = Clock::time_point::max();
@@ -233,40 +277,66 @@ struct Pending {
 /// happens in the entry points' serial input-order reduction, so the row
 /// sequence -- indices, bits, round-trip-exact doubles -- is
 /// deterministic and byte-identical between a fresh run and a
-/// checkpoint-replayed one.  kDaemonWrite fires *before* the write with
-/// the row index as scope, so tests can kill the daemon at exactly row k.
+/// checkpoint-replayed one.
+///
+/// Framing: rows are encoded straight into a per-request frame buffer,
+/// which goes out with one write once it holds kFrameBytes, and again at
+/// flush() -- the entry points flush at the end of every sweep pass, and
+/// the executor flushes before any terminal line, so a request's rows
+/// always precede its done or error line.  kDaemonWrite fires *before*
+/// row k is encoded with the row index as scope and flushes rows 0..k-1
+/// before the SIGKILL, so tests can kill the daemon at exactly row k.
+/// Nothing is encoded for a headless request or a dead connection.
 class SocketRowSink final : public ResultSink {
  public:
+  static constexpr std::size_t kFrameBytes = 64 * 1024;
+
   SocketRowSink(const ConnPtr& conn, const std::string& req_key)
-      : conn_(conn), req_key_(req_key) {}
+      : conn_(conn), req_key_(req_key) {
+    if (conn_ != nullptr) frame_.reserve(kFrameBytes + 1024);
+  }
 
   void on_delay(const std::string& /*key*/, const VectorDelay& row) override {
-    std::string line = "{\"type\":\"row\",\"req\":\"" + req_key_ +
-                       "\",\"index\":" + std::to_string(index_) + ",\"v0\":\"" +
-                       bits_string(row.pair.v0) + "\",\"v1\":\"" + bits_string(row.pair.v1) +
-                       "\",\"delay_cmos\":" + util::json_double(row.delay_cmos) +
-                       ",\"delay_mtcmos\":" + util::json_double(row.delay_mtcmos) +
-                       ",\"degradation_pct\":" + util::json_double(row.degradation_pct) + "}";
-    emit(line);
+    begin_row();
+    if (streaming()) append_row_line(frame_, req_key_, index_, row);
+    end_row();
   }
 
   void on_value(const std::string& /*key*/, double value) override {
-    emit("{\"type\":\"value\",\"req\":\"" + req_key_ + "\",\"index\":" + std::to_string(index_) +
-         ",\"value\":" + util::json_double(value) + "}");
+    begin_row();
+    if (streaming()) append_value_line(frame_, req_key_, index_, value);
+    end_row();
+  }
+
+  void flush() override {
+    if (frame_.empty()) return;
+    conn_->send_frame(frame_);
+    frame_.clear();
   }
 
   std::size_t rows() const { return index_; }
 
  private:
-  void emit(const std::string& line) {
+  bool streaming() const {
+    return conn_ != nullptr && conn_->alive.load(std::memory_order_relaxed);
+  }
+
+  void begin_row() {
     const faultinject::ScopedScope scope(static_cast<std::int64_t>(index_));
-    if (faultinject::fired(faultinject::Site::kDaemonWrite)) ::raise(SIGKILL);
+    if (faultinject::fired(faultinject::Site::kDaemonWrite)) {
+      flush();
+      ::raise(SIGKILL);
+    }
+  }
+
+  void end_row() {
     ++index_;
-    if (conn_ != nullptr) conn_->send(line);
+    if (frame_.size() >= kFrameBytes) flush();
   }
 
   ConnPtr conn_;
   std::string req_key_;
+  std::string frame_;
   std::size_t index_ = 0;
 };
 
@@ -301,9 +371,10 @@ class DaemonImpl {
 
     listener_.open(options_.socket_path);
     std::thread executor([this] { executor_loop(); });
-    // A poll-loop throw must not unwind past the joinable executor
-    // thread (whose destructor would std::terminate with no journal
-    // flush): capture it, shut the executor down like a drain, flush,
+    std::thread lane([this] { lane_loop(); });
+    // A poll-loop throw must not unwind past the joinable executor and
+    // lane threads (whose destructors would std::terminate with no
+    // journal flush): capture it, shut both down like a drain, flush,
     // and only then rethrow.
     std::exception_ptr poll_error;
     try {
@@ -318,6 +389,7 @@ class DaemonImpl {
     }
     queue_cv_.notify_all();
     executor.join();
+    lane.join();
     listener_.close();
     requests_.flush();
     store_.journal().flush();
@@ -387,7 +459,7 @@ class DaemonImpl {
     while (true) {
       if (drain_token().requested() && !cancel_drain_.load()) begin_cancel_drain();
       check_deadline();
-      if (draining_.load() && queue_empty() && !executor_busy_.load()) break;
+      if (draining_.load() && all_idle()) break;
 
       wait_activity(conns);
       accept_new(conns);
@@ -398,9 +470,10 @@ class DaemonImpl {
     conns.clear();
   }
 
-  bool queue_empty() {
+  /// Nothing queued, executing, or on the replay lane.
+  bool all_idle() {
     const std::lock_guard<std::mutex> lock(queue_mutex_);
-    return queue_.empty();
+    return queue_.empty() && !executor_busy_.load() && !lane_busy_;
   }
 
   void begin_cancel_drain() {
@@ -408,17 +481,21 @@ class DaemonImpl {
     draining_.store(true);
     {
       const std::lock_guard<std::mutex> lock(active_mutex_);
-      if (active_ != nullptr) active_->token.request();
+      for (const auto& active : {active_, lane_active_}) {
+        if (active != nullptr) active->token.request();
+      }
     }
     queue_cv_.notify_all();
   }
 
   void check_deadline() {
     const std::lock_guard<std::mutex> lock(active_mutex_);
-    if (active_ == nullptr) return;
-    if (Clock::now() >= active_->deadline && !active_->deadline_fired.load()) {
-      active_->deadline_fired.store(true);
-      active_->token.request();
+    for (const auto& active : {active_, lane_active_}) {
+      if (active == nullptr) continue;
+      if (Clock::now() >= active->deadline && !active->deadline_fired.load()) {
+        active->deadline_fired.store(true);
+        active->token.request();
+      }
     }
   }
 
@@ -530,21 +607,36 @@ class DaemonImpl {
     if (faultinject::fired(faultinject::Site::kDaemonAckLost)) ::raise(SIGKILL);
     conn->send("{\"type\":\"ack\",\"req\":\"" + p.key + "\",\"op\":\"" + p.req.op + "\"}");
     accepted_.fetch_add(1);
+    // A repeat of a rank request that already completed is answered
+    // from the store alone, so it may take the replay lane instead of
+    // queueing behind computing work -- when the lane is free and this
+    // connection has nothing else in flight.
+    const std::optional<std::string> done = requests_.find("done:" + p.key);
+    const bool repeat =
+        p.req.op == "rank" && conn->in_flight.load() == 0 && done && *done == "ok";
+    conn->in_flight.fetch_add(1);
     {
       const std::lock_guard<std::mutex> lock(queue_mutex_);
-      queue_.push_back(std::move(p));
+      if (repeat && !lane_busy_) {
+        lane_busy_ = true;
+        lane_next_ = std::move(p);
+      } else {
+        queue_.push_back(std::move(p));
+      }
     }
     queue_cv_.notify_all();
   }
 
   std::string status_line() {
     std::size_t depth;
+    int active;
     {
       const std::lock_guard<std::mutex> lock(queue_mutex_);
       depth = queue_.size();
+      active = (executor_busy_.load() ? 1 : 0) + (lane_busy_ ? 1 : 0);
     }
     return "{\"type\":\"status\",\"queue\":" + std::to_string(depth) +
-           ",\"active\":" + std::to_string(executor_busy_.load() ? 1 : 0) +
+           ",\"active\":" + std::to_string(active) +
            ",\"accepted\":" + std::to_string(accepted_.load()) +
            ",\"rejected\":" + std::to_string(rejected_.load()) +
            ",\"completed\":" + std::to_string(completed_.load()) +
@@ -576,24 +668,63 @@ class DaemonImpl {
       if (cancel_drain_.load()) {
         // Admitted but never started: stays journaled (req: without
         // done:), resumes on the next boot.
-        interrupted_.store(true);
-        send_error(p, "cancelled", "daemon is shutting down; request journaled for restart");
-        executor_busy_.store(false);
-        continue;
+        cancel_unstarted(p);
+      } else {
+        run_request(p, active_, nullptr);
       }
-      run_request(p);
       executor_busy_.store(false);
     }
   }
 
-  void send_error(const Pending& p, const std::string& code, const std::string& message) {
-    if (p.conn != nullptr) {
-      p.conn->send("{\"type\":\"error\",\"req\":\"" + p.key + "\",\"code\":\"" + code +
-                   "\",\"message\":" + util::json_string(message) + "}");
+  /// The replay lane: one thread answering repeat rank requests from the
+  /// store while the executor computes, so a repeat never waits behind a
+  /// fresh request's simulation.  Its sweeps run on a private one-thread
+  /// pool and never write the store; a request whose items turn out not
+  /// to be all in the store (the store was replaced under a kept request
+  /// journal) is handed to the executor queue untouched.
+  void lane_loop() {
+    while (true) {
+      Pending p;
+      {
+        std::unique_lock<std::mutex> lock(queue_mutex_);
+        queue_cv_.wait(lock, [this] { return stop_ || lane_next_.has_value(); });
+        if (!lane_next_) return;
+        p = std::move(*lane_next_);
+        lane_next_.reset();
+      }
+      bool done = true;
+      if (cancel_drain_.load()) {
+        cancel_unstarted(p);
+      } else {
+        done = run_request(p, lane_active_, &lane_pool_);
+      }
+      {
+        const std::lock_guard<std::mutex> lock(queue_mutex_);
+        if (!done) queue_.push_back(std::move(p));
+        lane_busy_ = false;
+      }
+      if (!done) queue_cv_.notify_all();
     }
   }
 
-  void run_request(const Pending& p) {
+  void cancel_unstarted(const Pending& p) {
+    interrupted_.store(true);
+    send_error(p, "cancelled", "daemon is shutting down; request journaled for restart");
+  }
+
+  void send_error(const Pending& p, const std::string& code, const std::string& message) {
+    if (p.conn != nullptr) {
+      p.conn->send_terminal("{\"type\":\"error\",\"req\":\"" + p.key + "\",\"code\":\"" +
+                            code + "\",\"message\":" + util::json_string(message) + "}");
+    }
+  }
+
+  /// Run `p` on the calling thread, publishing its cancellation state
+  /// in `slot`.  With a `replay_pool` (the replay lane) the request is
+  /// answered only if every item is already in the store: otherwise
+  /// nothing is sent or counted and this returns false.
+  bool run_request(const Pending& p, std::shared_ptr<ActiveState>& slot,
+                   util::ThreadPool* replay_pool) {
     auto active = std::make_shared<ActiveState>();
     const double deadline_s =
         p.req.deadline_s > 0.0 ? p.req.deadline_s : options_.default_deadline_s;
@@ -601,12 +732,19 @@ class DaemonImpl {
       active->deadline =
           Clock::now() + std::chrono::microseconds(static_cast<std::int64_t>(deadline_s * 1e6));
     }
+    if (faultinject::fired(faultinject::Site::kDaemonDrainWindow)) {
+      // Test hook: land a SIGTERM drain inside the window below -- after
+      // the executor's pre-run drain check, before active_ is published --
+      // and park until the poll loop has begun the cancel drain.
+      ::raise(SIGTERM);
+      while (!cancel_drain_.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     {
       // A drain that began after the executor's pre-run check found no
       // active_ to cancel; cancel_drain_ is stored before begin_cancel_drain
       // takes this mutex, so re-checking it here closes that window.
       const std::lock_guard<std::mutex> lock(active_mutex_);
-      active_ = active;
+      slot = active;
       if (cancel_drain_.load()) active->token.request();
     }
     const std::size_t store_before = store_.journal().size();
@@ -616,25 +754,33 @@ class DaemonImpl {
     SocketRowSink sink(p.conn, p.key);
     std::size_t hits = 0;
     std::size_t misses = 0;
+    bool answerable = true;
     try {
       if (p.req.op == "sleep") {
         run_sleep(p.req, active->token);
       } else if (p.req.op == "campaign") {
         done_fields = run_campaign(p, report, active->token, hits, misses);
       } else {
-        done_fields = run_sweep(p, report, sink, active->token, deadline_s);
+        done_fields = run_sweep(p, report, sink, active->token, deadline_s, replay_pool,
+                                answerable);
       }
     } catch (const NumericalError& e) {
       if (e.info().code != FailureCode::kCancelled) fail_message = e.what();
     } catch (const std::exception& e) {
       fail_message = e.what();
     }
+    sink.flush();  // every row precedes the terminal done/error line
     {
       const std::lock_guard<std::mutex> lock(active_mutex_);
-      active_ = nullptr;
+      slot = nullptr;
     }
+    if (!answerable) return false;
 
-    if (p.req.op != "campaign") {
+    if (replay_pool != nullptr) {
+      // A replay-lane request found every item in the store and wrote
+      // none; the store delta would also count the executor's records.
+      hits = report.total;
+    } else if (p.req.op != "campaign") {
       // Sweep dedup is item-granular against the shared store: items the
       // run journaled are misses, the rest of the report replayed.  A
       // campaign writes to its per-campaign journal instead, so its
@@ -653,7 +799,7 @@ class DaemonImpl {
       failed_.fetch_add(1);
       requests_.append("done:" + p.key, "error");
       send_error(p, "failed", fail_message);
-      return;
+      return true;
     }
     if (active->token.requested()) {
       // Interrupted (deadline or drain): completed items are in the
@@ -668,7 +814,7 @@ class DaemonImpl {
         interrupted_.store(true);
         send_error(p, "cancelled", "daemon is shutting down; request journaled for restart");
       }
-      return;
+      return true;
     }
 
     completed_.fetch_add(1);
@@ -680,8 +826,9 @@ class DaemonImpl {
                          ",\"failed\":" + std::to_string(report.failed) +
                          ",\"dedup_hits\":" + std::to_string(hits) +
                          ",\"dedup_misses\":" + std::to_string(misses) + done_fields + "}";
-      p.conn->send(line);
+      p.conn->send_terminal(line);
     }
+    return true;
   }
 
   void run_sleep(const Request& req, util::CancelToken& token) {
@@ -693,9 +840,12 @@ class DaemonImpl {
     }
   }
 
-  /// rank / size / verify bodies.  Returns extra done-line fields.
+  /// rank / size / verify bodies.  Returns extra done-line fields.  With
+  /// a `replay_pool` the sweep runs on it, and a rank whose items are not
+  /// all in the store clears `answerable` and returns without running.
   std::string run_sweep(const Pending& p, SweepReport& report, SocketRowSink& sink,
-                        util::CancelToken& token, double deadline_s) {
+                        util::CancelToken& token, double deadline_s,
+                        util::ThreadPool* replay_pool, bool& answerable) {
     const Request& req = p.req;
     const CornerCircuit cc = build_campaign_circuit(req.circuit, nullptr);
     std::unique_ptr<EvalBackend> backend;
@@ -720,8 +870,13 @@ class DaemonImpl {
     session.cancel_token = &token;
     session.deadline_s = deadline_s;
     session.sink = &sink;
+    session.pool = replay_pool;
 
     if (req.op == "rank") {
+      if (replay_pool != nullptr && !all_keys_present(*backend, vectors, req.wl)) {
+        answerable = false;
+        return "";
+      }
       if (options_.shards > 1 && !all_keys_present(*backend, vectors, req.wl)) {
         // Fan the missing items across supervised worker processes; their
         // shard journals merge into the shared store, then the streaming
@@ -807,8 +962,13 @@ class DaemonImpl {
   std::deque<Pending> queue_;
   bool stop_ = false;
 
+  bool lane_busy_ = false;  ///< a request is on the replay lane (queue_mutex_)
+  std::optional<Pending> lane_next_;
+  util::ThreadPool lane_pool_{1};
+
   std::mutex active_mutex_;
   std::shared_ptr<ActiveState> active_;
+  std::shared_ptr<ActiveState> lane_active_;
 
   std::atomic<bool> draining_{false};
   std::atomic<bool> cancel_drain_{false};
@@ -828,6 +988,30 @@ class DaemonImpl {
 };
 
 }  // namespace
+
+void append_row_line(std::string& out, const std::string& req, std::size_t index,
+                     const VectorDelay& row) {
+  append_line_head(out, "row", req, index);
+  out += ",\"v0\":\"";
+  append_bits(out, row.pair.v0);
+  out += "\",\"v1\":\"";
+  append_bits(out, row.pair.v1);
+  out += "\",\"delay_cmos\":";
+  util::append_json_double(out, row.delay_cmos);
+  out += ",\"delay_mtcmos\":";
+  util::append_json_double(out, row.delay_mtcmos);
+  out += ",\"degradation_pct\":";
+  util::append_json_double(out, row.degradation_pct);
+  out += "}\n";
+}
+
+void append_value_line(std::string& out, const std::string& req, std::size_t index,
+                       double value) {
+  append_line_head(out, "value", req, index);
+  out += ",\"value\":";
+  util::append_json_double(out, value);
+  out += "}\n";
+}
 
 DaemonStats Daemon::serve() {
   DaemonImpl impl(options_);

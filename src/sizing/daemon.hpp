@@ -34,6 +34,15 @@
 //    without simulating.  Per-request hit/miss counts ride on the done
 //    line; daemon-wide counters ride on `status`.
 //
+//  * Replay lane: a repeat of a `rank` request that already completed
+//    (its `done:` record is "ok") is answered by a second thread from
+//    the store alone, beside whatever the executor is computing, so a
+//    store read never queues behind a simulation.  It takes the lane
+//    only when the lane is free and its connection has nothing else in
+//    flight -- one connection's answers keep their order -- and the
+//    lane hands it to the executor queue if any of its items is missing
+//    from the store.  Rows and done lines are byte-identical either way.
+//
 //  * Deadlines: a request's deadline_s (or the daemon default) both
 //    bounds the sweep via EvalSession::deadline_s and raises the
 //    request's private CancelToken from the poll loop, so in-flight
@@ -43,7 +52,7 @@
 //    the next restart.
 //
 //  * Graceful drain: SIGTERM/SIGINT (the global CancelToken) stops
-//    admission (`draining` rejections), cancels the in-flight request,
+//    admission (`draining` rejections), cancels the in-flight requests,
 //    skips still-queued ones (both stay journaled for restart-resume),
 //    flushes, and exits -- code 3 when work was interrupted, 0 when the
 //    daemon was idle.  The `drain` op is the polite version: stop
@@ -54,15 +63,17 @@
 // whose journals merge into the shared store, and campaign requests pass
 // the shard count straight to CampaignDriver::run.
 //
-// Threading: serve() runs the poll loop on the calling thread and one
-// executor thread for request bodies.  Both are created after any fork
-// of the daemon itself; the executor forks supervisor workers only via
-// the established supervisor contract.
+// Threading: serve() runs the poll loop on the calling thread, one
+// executor thread for request bodies, and the replay-lane thread (on a
+// private one-thread pool).  All are created after any fork of the
+// daemon itself; the executor forks supervisor workers only via the
+// established supervisor contract.
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
 
+#include "sizing/eval_types.hpp"
 #include "util/cancel.hpp"
 #include "util/journal.hpp"
 
@@ -108,8 +119,8 @@ struct DaemonStats {
 };
 
 /// One daemon instance.  Construct with options, then serve() until a
-/// drain: it owns the socket, both journals, and the executor thread for
-/// the duration of the call.
+/// drain: it owns the socket, both journals, and the executor and
+/// replay-lane threads for the duration of the call.
 class Daemon {
  public:
   explicit Daemon(DaemonOptions options) : options_(std::move(options)) {}
@@ -127,5 +138,15 @@ class Daemon {
  private:
   DaemonOptions options_;
 };
+
+/// The row-stream encoders: append one complete protocol line, '\n'
+/// included, for streamed row `index` of request `req` to `out`.  A
+/// `row` line carries a rank measurement, a `value` line any scalar
+/// measurement; doubles print via util::append_json_double.  Exposed so
+/// tests can pin the wire bytes.
+void append_row_line(std::string& out, const std::string& req, std::size_t index,
+                     const VectorDelay& row);
+void append_value_line(std::string& out, const std::string& req, std::size_t index,
+                       double value);
 
 }  // namespace mtcmos::sizing

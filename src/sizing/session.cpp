@@ -291,19 +291,50 @@ class BatchMemo {
   std::vector<std::uint8_t> has_;
 };
 
-// Indices of `vectors` whose item key is not already journaled: only
+// Checkpoint item keys of one entry-point pass.  With a checkpoint armed,
+// every key is formatted once up front and shared by batch_todo, run_item
+// and the sink emission.  Without one, only a key-carrying sink reads
+// them, once each in the serial emission loop, so sink_key() formats
+// them there one at a time instead of holding a whole pass of keys.
+class ItemKeys {
+ public:
+  ItemKeys(const Checkpoint* ckpt, bool sink_keys, std::string prefix,
+           const std::vector<VectorPair>& vectors)
+      : prefix_(std::move(prefix)), vectors_(vectors), sink_keys_(sink_keys) {
+    if (ckpt == nullptr) return;
+    stored_.reserve(vectors.size());
+    for (const VectorPair& vp : vectors) stored_.push_back(checkpoint_item_key(prefix_, vp));
+  }
+
+  /// run_item's key: empty when no checkpoint is armed (it is unused then).
+  const std::string& item(std::size_t i) const { return stored_.empty() ? kNoKey : stored_[i]; }
+
+  /// The key emitted with item i's row; serial emission loops only.
+  const std::string& sink_key(std::size_t i) {
+    if (!stored_.empty() || !sink_keys_) return item(i);
+    scratch_ = checkpoint_item_key(prefix_, vectors_[i]);
+    return scratch_;
+  }
+
+ private:
+  static inline const std::string kNoKey;
+  std::string prefix_;
+  const std::vector<VectorPair>& vectors_;
+  bool sink_keys_;
+  std::vector<std::string> stored_;
+  std::string scratch_;
+};
+
+// Indices of the `n` items whose key is not already journaled: only
 // these form batches, so checkpoint keys and records are untouched by
 // batching and a resumed run re-forms batches from the remaining items.
 // A presence test suffices here; run_item decodes the record when it
 // replays the item.
-std::vector<std::size_t> batch_todo(Checkpoint* ckpt, const std::string& prefix,
-                                    const std::vector<VectorPair>& vectors) {
+std::vector<std::size_t> batch_todo(Checkpoint* ckpt, const ItemKeys& keys, std::size_t n) {
   std::vector<std::size_t> todo;
-  todo.reserve(vectors.size());
-  for (std::size_t i = 0; i < vectors.size(); ++i) {
-    if (ckpt != nullptr && ckpt->journal().contains(checkpoint_item_key(prefix, vectors[i]))) {
-      continue;
-    }
+  todo.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (ckpt != nullptr && ckpt->journal().contains(keys.item(i))) continue;
     todo.push_back(i);
   }
   return todo;
@@ -359,6 +390,7 @@ std::size_t rank_vectors_into(const EvalBackend& backend,
     prefix = checkpoint_prefix("rank", backend.name(),
                                netlist_fingerprint(backend.netlist(), backend.outputs()), wl);
   }
+  ItemKeys keys(ckpt, sink.wants_keys(), std::move(prefix), vectors);
   if (!cancel.requested()) backend.prepare_wl(wl);
   // Batch fast path: precompute chunk-batched delays for every item not
   // already journaled; the bodies below consume the memo.  Stage 2
@@ -367,7 +399,7 @@ std::size_t rank_vectors_into(const EvalBackend& backend,
   const std::size_t chunk = batch_chunk(session, backend);
   BatchMemo base_memo, wl_memo;
   if (chunk > 0 && !cancel.requested()) {
-    const std::vector<std::size_t> todo = batch_todo(ckpt, prefix, vectors);
+    const std::vector<std::size_t> todo = batch_todo(ckpt, keys, vectors.size());
     base_memo.reset(vectors.size());
     wl_memo.reset(vectors.size());
     batch_precompute(session.pool_ref(), deadline, cancel, vectors, todo, chunk, base_memo,
@@ -391,9 +423,7 @@ std::size_t rank_vectors_into(const EvalBackend& backend,
   std::vector<Outcome<VectorDelay>> measured(vectors.size());
   for_each_group(session.pool_ref(), ckpt, vectors.size(), commit_group(chunk),
                  [&](std::size_t i, Checkpoint::Stage& stage) {
-    const std::string key =
-        ckpt != nullptr ? checkpoint_item_key(prefix, vectors[i]) : std::string();
-    measured[i] = run_item<VectorDelay>(ctx, i, key, stage, [&] {
+    measured[i] = run_item<VectorDelay>(ctx, i, keys.item(i), stage, [&] {
       VectorDelay vd;
       vd.delay_cmos = base_memo.take(i, [&] { return backend.delay_baseline(vectors[i]); });
       if (vd.delay_cmos <= 0.0) return vd;
@@ -413,8 +443,7 @@ std::size_t rank_vectors_into(const EvalBackend& backend,
       if (!session.policy.isolate) throw NumericalError(measured[i].failure);
       continue;
     }
-    sink.on_delay(need_keys ? checkpoint_item_key(prefix, vectors[i]) : std::string(),
-                  *measured[i].value);
+    sink.on_delay(keys.sink_key(i), *measured[i].value);
     ++emitted;
   }
   sink.flush();
@@ -521,13 +550,14 @@ SizingResult size_for_degradation(const EvalBackend& backend,
     if (!cancel.requested()) backend.prepare_wl(wl);
     std::string prefix;
     if (ckpt != nullptr || sink_keys) prefix = checkpoint_prefix("probe", backend.name(), fp, wl);
+    ItemKeys keys(ckpt, sink_keys, std::move(prefix), vectors);
     // Batch fast path: baseline batch first (after the first probe it is
     // all backend-memo hits), then the sized delay where the outputs
     // toggled.  The body below unrolls degradation_pct so each stage can
     // consume its memo.
     BatchMemo base_memo, wl_memo;
     if (chunk > 0 && !cancel.requested()) {
-      const std::vector<std::size_t> todo = batch_todo(ckpt, prefix, vectors);
+      const std::vector<std::size_t> todo = batch_todo(ckpt, keys, vectors.size());
       base_memo.reset(vectors.size());
       wl_memo.reset(vectors.size());
       batch_precompute(tp, deadline, cancel, vectors, todo, chunk, base_memo,
@@ -550,9 +580,7 @@ SizingResult size_for_degradation(const EvalBackend& backend,
     // failures), which should cancel and propagate.
     for_each_group(tp, ckpt, vectors.size(), commit_group(chunk),
                    [&](std::size_t i, Checkpoint::Stage& stage) {
-      const std::string key =
-          ckpt != nullptr ? checkpoint_item_key(prefix, vectors[i]) : std::string();
-      deg[i] = run_item<double>(ctx, i, key, stage, [&] {
+      deg[i] = run_item<double>(ctx, i, keys.item(i), stage, [&] {
         // degradation_pct unrolled over the memos; identical arithmetic.
         const double d0 = base_memo.take(i, [&] { return backend.delay_baseline(vectors[i]); });
         if (d0 <= 0.0) return -1.0;
@@ -570,12 +598,7 @@ SizingResult size_for_degradation(const EvalBackend& backend,
         if (!session.policy.isolate) throw NumericalError(deg[i].failure);
         continue;
       }
-      if (sink != nullptr) {
-        sink->on_value(sink_keys || ckpt != nullptr
-                           ? checkpoint_item_key(prefix, vectors[i])
-                           : std::string(),
-                       *deg[i].value);
-      }
+      if (sink != nullptr) sink->on_value(keys.sink_key(i), *deg[i].value);
       any_ok = true;
       if (*deg[i].value > worst) {
         worst = *deg[i].value;
@@ -665,10 +688,11 @@ VectorDelay search_worst_vector(const EvalBackend& backend, double wl, int sampl
   // candidate is derived from the current best and so depends on the
   // previous candidate's verdict.
   const std::vector<VectorPair> sampled = sampled_vector_pairs(n, samples, rng);
+  ItemKeys keys(ckpt, sink != nullptr && sink->wants_keys(), prefix, sampled);
   const std::size_t chunk = batch_chunk(session, backend);
   BatchMemo score_memo;
   if (chunk > 0 && !cancel.requested()) {
-    const std::vector<std::size_t> todo = batch_todo(ckpt, prefix, sampled);
+    const std::vector<std::size_t> todo = batch_todo(ckpt, keys, sampled.size());
     score_memo.reset(sampled.size());
     batch_precompute(session.pool_ref(), deadline, cancel, sampled, todo, chunk, score_memo,
                      [&](const VectorPair* const* vps, std::size_t n2, Outcome<double>* out) {
@@ -678,7 +702,7 @@ VectorDelay search_worst_vector(const EvalBackend& backend, double wl, int sampl
   std::vector<Outcome<double>> scores(sampled.size());
   for_each_group(session.pool_ref(), ckpt, sampled.size(), commit_group(chunk),
                  [&](std::size_t i, Checkpoint::Stage& stage) {
-    scores[i] = run_item<double>(ctx, i, item_key(sampled[i]), stage,
+    scores[i] = run_item<double>(ctx, i, keys.item(i), stage,
                                  [&] { return score_memo.take(i, [&] { return score(sampled[i]); }); });
   });
   VectorPair best;
@@ -689,7 +713,7 @@ VectorDelay search_worst_vector(const EvalBackend& backend, double wl, int sampl
       if (!session.policy.isolate) throw NumericalError(scores[i].failure);
       continue;
     }
-    if (sink != nullptr) sink->on_value(item_key(sampled[i]), *scores[i].value);
+    if (sink != nullptr) sink->on_value(keys.sink_key(i), *scores[i].value);
     if (*scores[i].value > best_score) {
       best_score = *scores[i].value;
       best = sampled[i];
@@ -714,15 +738,16 @@ VectorDelay search_worst_vector(const EvalBackend& backend, double wl, int sampl
         VectorPair cand = best;
         auto& vec = (side == 0) ? cand.v0 : cand.v1;
         vec[static_cast<std::size_t>(bit)] = !vec[static_cast<std::size_t>(bit)];
-        const Outcome<double> s = run_item_committed<double>(ctx, cand_index, item_key(cand),
-                                                             [&] { return score(cand); });
+        const std::string key = item_key(cand);
+        const Outcome<double> s =
+            run_item_committed<double>(ctx, cand_index, key, [&] { return score(cand); });
         report.add(cand_index, s);
         ++cand_index;
         if (!s.ok()) {
           if (!session.policy.isolate) throw NumericalError(s.failure);
           continue;
         }
-        if (sink != nullptr) sink->on_value(item_key(cand), *s.value);
+        if (sink != nullptr) sink->on_value(key, *s.value);
         if (*s.value > best_score) {
           best_score = *s.value;
           best = std::move(cand);
@@ -763,6 +788,7 @@ std::vector<VectorPair> screen_vectors(const netlist::Netlist& nl,
     // Logic-level screening involves no backend: key on the bare netlist.
     prefix = checkpoint_prefix_nowl("screen", "logic", netlist_fingerprint(nl, {}));
   }
+  ItemKeys keys(ckpt, sink != nullptr && sink->wants_keys(), std::move(prefix), candidates);
   // Chunked dispatch: falling_discharge_weight is cheap relative to a
   // pool task handoff, so workers claim session.batch candidates per
   // pool index instead of one, and each chunk commits its checkpoint
@@ -774,9 +800,7 @@ std::vector<VectorPair> screen_vectors(const netlist::Netlist& nl,
       std::max<std::size_t>(1, session.batch == 0 ? kDefaultBatch : session.batch);
   for_each_group(session.pool_ref(), ckpt, candidates.size(), chunk,
                  [&](std::size_t i, Checkpoint::Stage& stage) {
-    const std::string key =
-        ckpt != nullptr ? checkpoint_item_key(prefix, candidates[i]) : std::string();
-    weights[i] = run_item<double>(ctx, i, key, stage,
+    weights[i] = run_item<double>(ctx, i, keys.item(i), stage,
                                   [&] { return falling_discharge_weight(nl, candidates[i]); });
   });
   std::vector<std::pair<double, std::size_t>> scored;
@@ -787,10 +811,7 @@ std::vector<VectorPair> screen_vectors(const netlist::Netlist& nl,
       if (!session.policy.isolate) throw NumericalError(weights[i].failure);
       continue;
     }
-    if (sink != nullptr) {
-      sink->on_value(need_keys ? checkpoint_item_key(prefix, candidates[i]) : std::string(),
-                     *weights[i].value);
-    }
+    if (sink != nullptr) sink->on_value(keys.sink_key(i), *weights[i].value);
     scored.emplace_back(*weights[i].value, i);
   }
   if (sink != nullptr) sink->flush();

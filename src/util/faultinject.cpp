@@ -54,6 +54,7 @@ const char* to_string(Site site) {
     case Site::kDaemonRead: return "daemon-read";
     case Site::kDaemonAckLost: return "daemon-ack-lost";
     case Site::kDaemonWrite: return "daemon-write";
+    case Site::kDaemonDrainWindow: return "daemon-drain-window";
   }
   return "unknown-site";
 }

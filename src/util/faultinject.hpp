@@ -48,11 +48,17 @@ enum class Site : int {
   // Daemon lifecycle sites consumed by mtcmos_sizerd via fired() (the
   // daemon raises SIGKILL on a hit; see sizing/daemon.hpp).  Scope is the
   // connection index for accept, the request sequence number for
-  // read/ack-lost, and the streamed row index for write.
+  // read/ack-lost, and the streamed row index for write; the drain-window
+  // site is visited unscoped.
   kDaemonAccept,           ///< daemon dies right after accepting a connection
   kDaemonRead,             ///< daemon dies after reading a request, before journaling it
   kDaemonAckLost,          ///< daemon dies after journaling a request, before the ack
   kDaemonWrite,            ///< daemon dies before streaming a result row
+  /// The daemon executor raises SIGTERM at itself between its pre-run
+  /// drain check and publishing the request it is about to run, then
+  /// parks until the drain begins (needs the default, signal-driven drain
+  /// token).  Lands a drain in that window on every run.
+  kDaemonDrainWindow,
 };
 
 const char* to_string(Site site);

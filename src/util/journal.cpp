@@ -206,7 +206,7 @@ void Journal::append_batch(const std::vector<JournalRecord>& records) {
   bytes.reserve(bytes_max);
   for (const auto& [key, value] : records) format_record_into(bytes, key, value);
 
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<std::shared_mutex> lock(mutex_);
   if (fd_ < 0) throw std::runtime_error("journal: append on a closed journal");
   write_all(fd_, bytes.data(), bytes.size(), path_);
   appended_since_sync_ += records.size();
@@ -229,14 +229,14 @@ void Journal::append_batch(const std::vector<JournalRecord>& records) {
 }
 
 void Journal::flush() {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<std::shared_mutex> lock(mutex_);
   if (fd_ < 0 || appended_since_sync_ == 0) return;
   fsync_retry(fd_, path_);
   appended_since_sync_ = 0;
 }
 
 void Journal::close() {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<std::shared_mutex> lock(mutex_);
   if (fd_ < 0) return;
   if (appended_since_sync_ > 0) fsync_retry(fd_, path_);
   ::close(fd_);
@@ -244,30 +244,30 @@ void Journal::close() {
 }
 
 std::optional<std::string> Journal::find(const std::string& key) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::shared_lock<std::shared_mutex> lock(mutex_);
   const auto it = latest_.find(key);
   if (it == latest_.end()) return std::nullopt;
   return it->second;
 }
 
 bool Journal::contains(const std::string& key) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::shared_lock<std::shared_mutex> lock(mutex_);
   return latest_.count(key) != 0;
 }
 
 std::size_t Journal::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::shared_lock<std::shared_mutex> lock(mutex_);
   return latest_.size();
 }
 
 void Journal::for_each(
     const std::function<void(const std::string&, const std::string&)>& fn) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::shared_lock<std::shared_mutex> lock(mutex_);
   for (const auto& [key, value] : latest_) fn(key, value);
 }
 
 void Journal::compact() {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<std::shared_mutex> lock(mutex_);
   if (fd_ < 0) throw std::runtime_error("journal: compact on a closed journal");
   const std::string tmp_path = path_ + ".compact.tmp";
   const int tmp_fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);

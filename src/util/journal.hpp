@@ -37,8 +37,10 @@
 // mutex-serialized and safe to call from pool workers -- a compaction
 // racing concurrent appends lands every group in either the old or the
 // new file, never torn across both (the daemon compacts its request
-// journal while the executor appends).  find() returns a copy, so a
-// reader never sees a value a concurrent append is overwriting.
+// journal while the executor appends).  Readers -- find(), contains(),
+// size(), for_each() -- share the lock, so parallel replays of a store
+// do not serialize on each other.  find() returns a copy, so a reader
+// never sees a value a concurrent append is overwriting.
 // open/replay are owner-thread operations.
 
 #include <chrono>
@@ -47,6 +49,7 @@
 #include <functional>
 #include <mutex>
 #include <optional>
+#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -123,7 +126,7 @@ class Journal {
   std::string path_;
   JournalOptions options_;
   int fd_ = -1;
-  mutable std::mutex mutex_;
+  mutable std::shared_mutex mutex_;
   std::unordered_map<std::string, std::string> latest_;
   std::size_t appended_since_sync_ = 0;
   std::chrono::steady_clock::time_point last_sync_ = {};

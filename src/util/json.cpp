@@ -1,6 +1,10 @@
 #include "util/json.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -309,14 +313,37 @@ JsonPtr JsonValue::make(Kind kind) {
 
 JsonPtr parse_json(const std::string& text) { return JsonParser(text).parse_document(); }
 
-std::string json_double(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[64];
-  for (int precision = 15; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
-    if (std::strtod(buf, nullptr) == v) break;  // %.17g always round-trips
+void append_json_double(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += "null";
+    return;
   }
-  return buf;
+  // The contract is the first of %.15g, %.16g, %.17g that strtod()s back
+  // to v.  The shortest round-trip digit count d picks that precision
+  // directly: for d <= 15 the unique 15-digit decimal inside v's rounding
+  // interval is %.15g, and for d >= 16 it is %.{d}g -- except at a power
+  // of two, whose interval is narrower below than above, so %.16g can
+  // round to the side that misses it and 17 digits are needed.
+  // to_chars(general, p) is specified as printf("%.*g", p), byte for byte.
+  char buf[32];
+  std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::scientific);
+  int digits = 0;
+  for (const char* p = buf; p != r.ptr && *p != 'e'; ++p) digits += (*p >= '0' && *p <= '9');
+  const int precision = std::max(15, digits);
+  r = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, precision);
+  constexpr std::uint64_t kFraction = (std::uint64_t{1} << 52) - 1;
+  if (precision == 16 && (std::bit_cast<std::uint64_t>(v) & kFraction) == 0) {
+    double back = 0.0;
+    std::from_chars(buf, r.ptr, back);
+    if (back != v) r = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 17);
+  }
+  out.append(buf, r.ptr);
+}
+
+std::string json_double(double v) {
+  std::string out;
+  append_json_double(out, v);
+  return out;
 }
 
 std::string json_string(const std::string& s) {

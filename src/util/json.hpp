@@ -69,9 +69,11 @@ class JsonValue {
 /// line:column position on malformed input or trailing garbage.
 JsonPtr parse_json(const std::string& text);
 
-/// Shortest decimal representation that strtod()s back to exactly `v`
-/// (tries %.15g .. %.17g).  NaN/inf -- which valid JSON cannot carry --
-/// are emitted as null.
+/// The first of %.15g, %.16g, %.17g that strtod()s back to exactly `v`
+/// -- these bytes feed request keys, so they are a compatibility
+/// contract.  NaN/inf -- which valid JSON cannot carry -- are emitted as
+/// null.  The append form writes into `out` without a temporary.
+void append_json_double(std::string& out, double v);
 std::string json_double(double v);
 
 /// Escape and quote `s` as a JSON string literal.

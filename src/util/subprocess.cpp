@@ -136,18 +136,16 @@ bool wait_writable(int fd, int timeout_ms) {
 
 }  // namespace
 
-bool write_line(int fd, const std::string& line, int stall_timeout_ms) {
-  std::string buf = line;
-  buf += '\n';
+bool write_bytes(int fd, const char* data, std::size_t size, int stall_timeout_ms) {
   std::size_t done = 0;
-  while (done < buf.size()) {
-    const ssize_t n = ::write(fd, buf.data() + done, buf.size() - done);
+  while (done < size) {
+    const ssize_t n = ::write(fd, data + done, size - done);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
         // Nonblocking socket with a full send buffer (a slow client
         // mid-row-stream): wait for writability instead of dropping the
-        // line, but only within the stall budget -- a peer that keeps
+        // bytes, but only within the stall budget -- a peer that keeps
         // the connection open yet never reads must not pin the writer
         // forever.  Any drain by the peer restarts the budget.
         if (!wait_writable(fd, stall_timeout_ms)) return false;  // stalled: peer is as good as gone
@@ -158,6 +156,15 @@ bool write_line(int fd, const std::string& line, int stall_timeout_ms) {
     done += static_cast<std::size_t>(n);
   }
   return true;
+}
+
+bool write_line(int fd, const std::string& line, int stall_timeout_ms) {
+  // One buffer, one write(): a short line stays atomic on a pipe.
+  std::string buf;
+  buf.reserve(line.size() + 1);
+  buf += line;
+  buf += '\n';
+  return write_bytes(fd, buf.data(), buf.size(), stall_timeout_ms);
 }
 
 bool LineReader::poll(std::vector<std::string>& lines) {

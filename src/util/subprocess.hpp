@@ -25,6 +25,7 @@
 
 #include <sys/types.h>
 
+#include <cstddef>
 #include <functional>
 #include <string>
 #include <vector>
@@ -82,6 +83,12 @@ void close_fd(int fd);
 /// forever.  The daemon passes a finite grace so a client that stops
 /// reading mid-stream is declared dead instead of pinning the executor.
 bool write_line(int fd, const std::string& line, int stall_timeout_ms = -1);
+
+/// The bytes-level writer under write_line(): writes all `size` bytes of
+/// `data` with the same EINTR, short-write, EPIPE and stall-budget
+/// semantics.  The daemon sends whole frames of pre-terminated lines
+/// through it without copying them.
+bool write_bytes(int fd, const char* data, std::size_t size, int stall_timeout_ms = -1);
 
 /// Incremental line splitter over a nonblocking fd (worker status pipes,
 /// daemon socket connections).  poll() drains whatever is currently

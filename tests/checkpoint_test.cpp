@@ -253,6 +253,120 @@ TEST_F(CheckpointTest, BisectStateRoundTrips) {
   EXPECT_FALSE(ckpt.lookup_bisect("other", back));
 }
 
+/// Bit patterns the decoder must carry unchanged: signed zero, both
+/// subnormal extremes, infinities and NaNs with payloads.
+const std::uint64_t kEdgeBits[] = {
+    0x8000000000000000ull,  // -0.0
+    0x0000000000000001ull,  // smallest denormal
+    0x000fffffffffffffull,  // largest denormal
+    0x7ff0000000000000ull,  // +inf
+    0xfff0000000000000ull,  // -inf
+    0x7ff8000000dead01ull,  // quiet NaN with a payload
+    0xfff0000000000badull,  // negative signaling NaN with a payload
+    0x3ff0000000000000ull,  // 1.0
+    0xffefffffffffffffull,  // -DBL_MAX
+};
+
+TEST_F(CheckpointTest, EveryRecordFormRoundTripsBitExactly) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  FailureInfo info{FailureCode::kSingularMatrix, "spice::lu", "pivot 0 at node n3"};
+  info.attempts = 3;
+  {
+    Checkpoint ckpt;
+    ckpt.open(path());
+    Checkpoint::Stage stage;
+    int i = 0;
+    for (const std::uint64_t b : kEdgeBits) {
+      const double v = std::bit_cast<double>(b);
+      ckpt.record("d" + std::to_string(i), Outcome<double>::success(v, 1 + i));
+      VectorDelay vd;
+      vd.delay_cmos = v;
+      vd.delay_mtcmos = std::bit_cast<double>(~b);
+      vd.degradation_pct = -v;
+      ckpt.record("v" + std::to_string(i), Outcome<VectorDelay>::success(vd, 7), stage);
+      ++i;
+    }
+    ckpt.record("fd", Outcome<double>::fail(info));
+    ckpt.record("fv", Outcome<VectorDelay>::fail(info), stage);
+    ckpt.record_failure("q", {FailureCode::kPoisonedItem, "sizing::supervisor", ""}, stage);
+    ckpt.commit(stage);
+  }
+  Checkpoint ckpt;  // through the on-disk format
+  ckpt.open(path());
+  int i = 0;
+  for (const std::uint64_t b : kEdgeBits) {
+    SCOPED_TRACE(i);
+    Outcome<double> d;
+    ASSERT_TRUE(ckpt.lookup("d" + std::to_string(i), d));
+    ASSERT_TRUE(d.ok());
+    EXPECT_EQ(bits(*d.value), b);
+    EXPECT_EQ(d.attempts, 1 + i);
+    Outcome<VectorDelay> v;
+    ASSERT_TRUE(ckpt.lookup("v" + std::to_string(i), v));
+    ASSERT_TRUE(v.ok());
+    EXPECT_EQ(bits(v.value->delay_cmos), b);
+    EXPECT_EQ(bits(v.value->delay_mtcmos), ~b);
+    EXPECT_EQ(bits(v.value->degradation_pct), b ^ 0x8000000000000000ull);
+    EXPECT_EQ(v.attempts, 7);
+    ++i;
+  }
+  Outcome<double> fd;
+  ASSERT_TRUE(ckpt.lookup("fd", fd));
+  EXPECT_FALSE(fd.ok());
+  EXPECT_EQ(fd.failure.code, info.code);
+  EXPECT_EQ(fd.failure.site, info.site);
+  EXPECT_EQ(fd.failure.context, info.context);
+  EXPECT_EQ(fd.attempts, 3);
+  Outcome<VectorDelay> fv;
+  ASSERT_TRUE(ckpt.lookup("fv", fv));
+  EXPECT_FALSE(fv.ok());
+  EXPECT_EQ(fv.failure.context, info.context);
+  Outcome<VectorDelay> q;  // a bare failure replays under either type
+  ASSERT_TRUE(ckpt.lookup("q", q));
+  EXPECT_EQ(q.failure.code, FailureCode::kPoisonedItem);
+  EXPECT_EQ(q.failure.site, "sizing::supervisor");
+  EXPECT_EQ(q.failure.context, "");
+}
+
+TEST_F(CheckpointTest, MalformedCrcValidRecordsAreRejected) {
+  Checkpoint ckpt;
+  ckpt.open(path());
+  const std::string one = "3ff0000000000000";
+  const auto expect_corrupt = [&](const std::string& value, bool delay) {
+    SCOPED_TRACE(value);
+    ckpt.journal().append("bad", value);  // a whole, checksummed record
+    try {
+      if (delay) {
+        Outcome<VectorDelay> out;
+        ckpt.lookup("bad", out);
+      } else {
+        Outcome<double> out;
+        ckpt.lookup("bad", out);
+      }
+      ADD_FAILURE() << "lookup accepted a malformed record";
+    } catch (const NumericalError& e) {
+      EXPECT_EQ(e.info().code, FailureCode::kInvalidArgument);
+    }
+  };
+  for (const bool delay : {false, true}) {
+    expect_corrupt("ok 1 zz", delay);
+    expect_corrupt("ok 1 " + one + " " + one + " " + one + " trailing", delay);
+    expect_corrupt("ok 1 " + one + " " + one + " " + one + " ", delay);
+    expect_corrupt("ok 1", delay);
+    expect_corrupt("ok 1 " + one + " " + one, delay);  // missing field for a delay record
+    expect_corrupt("ok +1 " + one + " " + one + " " + one, delay);
+    expect_corrupt("ok 1 0x" + one + " 0x" + one + " 0x" + one, delay);
+    expect_corrupt("ok 1 0x3ff00000000000 0x3ff00000000000 0x3ff00000000000", delay);
+    expect_corrupt("ok 1 " + one.substr(1) + " " + one + " " + one, delay);  // 15 digits
+    expect_corrupt("ok  1 " + one + " " + one + " " + one, delay);
+    expect_corrupt("ok 1 -" + one.substr(1) + " " + one + " " + one, delay);
+    expect_corrupt("okay", delay);
+    expect_corrupt("", delay);
+  }
+  expect_corrupt("ok 1 " + one + " trailing", false);
+  expect_corrupt("ok 1 " + one + " " + one, false);  // a delay-shaped value is not a double
+}
+
 TEST_F(CheckpointTest, InterruptionArtifactsAreNeverPersisted) {
   FailureInfo cancelled{FailureCode::kCancelled, "sizing::sweep_item", "ctrl-c"};
   FailureInfo session_deadline{FailureCode::kDeadlineExceeded, "sizing::sweep_item", "late"};

@@ -1,10 +1,11 @@
 // mtcmos_sizerd contract tests: line-protocol round trips, admission
 // control (coded `overloaded` rejections under flood), request
 // deadlines, graceful drain exit codes, cross-request dedup counters,
-// and the crash-safety ladder driven by the kDaemon* faultinject sites
-// -- kill after accept, after read-before-journal, between journal and
-// ack, and mid-row-stream, each followed by a restart that must resume
-// journaled work and answer a re-sent request with byte-identical rows.
+// the replay lane, and the crash-safety ladder driven by the kDaemon*
+// faultinject sites -- kill after accept, after read-before-journal,
+// between journal and ack, and mid-row-stream, each followed by a
+// restart that must resume journaled work and answer a re-sent request
+// with byte-identical rows.
 //
 // The daemon runs as a forked child (util::spawn_child) so a SIGKILL
 // plan takes out a real process; the fork inherits the test's armed
@@ -23,7 +24,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -31,10 +34,12 @@
 #include <filesystem>
 #include <memory>
 #include <optional>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "sizing/eval_types.hpp"
 #include "util/faultinject.hpp"
 #include "util/journal.hpp"
 #include "util/json.hpp"
@@ -482,11 +487,16 @@ TEST_F(DaemonTest, SigtermWhileIdleExitsZero) {
 }
 
 TEST_F(DaemonTest, SigtermWhileBusyCancelsAndExitsThree) {
+  // The SIGTERM lands in the executor's narrowest window on every run:
+  // kDaemonDrainWindow raises it after the pre-run drain check and parks
+  // the executor until the drain has begun, before the request is
+  // published as active.  Only the re-check at publication can cancel
+  // it; without that, the 30 s sleep would run to completion and exit 0.
+  faultinject::arm(faultinject::Site::kDaemonDrainWindow, faultinject::kAnyScope, 1);
   const ChildProcess child = start(state("a"));
   auto ch = connect();
   EXPECT_TRUE(ch->send("{\"op\":\"sleep\",\"seconds\":30}"));
   EXPECT_TRUE(has(recv_line(*ch), "\"type\":\"ack\""));
-  util::send_signal(child.pid, SIGTERM);
   const std::string reply = recv_line(*ch, 15000);
   EXPECT_TRUE(has(reply, "\"code\":\"cancelled\"")) << reply;
   const ExitStatus st = wait_exit(child);
@@ -669,6 +679,191 @@ TEST_F(DaemonTest, ShardedRankMatchesSerialByteForByte) {
   EXPECT_TRUE(has(got.terminal, "\"type\":\"done\"")) << got.terminal;
   EXPECT_TRUE(ch->send("{\"op\":\"drain\"}"));
   EXPECT_EQ(wait_exit(sharded).exit_code, 0);
+}
+
+// -------------------------------------------------------------- framing
+// Rows travel in frames of whole lines, so every row must still precede
+// its request's terminal line, also when the request ends in an error.
+
+TEST_F(DaemonTest, RowsOfAFailedRequestArriveBeforeItsErrorLine) {
+  const ChildProcess child = start(state("a"));
+  auto ch = connect();
+  // No W/L meets a 1e-6 % target: the first probe streams one value row
+  // per adder1 transition (all 16 of them), then the sizing fails.
+  const Stream s = exchange(
+      *ch, "{\"op\":\"size\",\"circuit\":\"builtin:adder1\",\"target_pct\":0.000001}");
+  EXPECT_TRUE(has(s.terminal, "\"code\":\"failed\"")) << s.terminal;
+  ASSERT_EQ(s.rows.size(), 16u);
+  for (std::size_t i = 0; i < s.rows.size(); ++i) {
+    EXPECT_EQ(json_field(s.rows[i], "index"), static_cast<long>(i));
+  }
+  // Nothing trails the error line: the next line answers the next op.
+  EXPECT_TRUE(ch->send("{\"op\":\"status\"}"));
+  EXPECT_TRUE(has(recv_line(*ch), "\"type\":\"status\""));
+  EXPECT_TRUE(ch->send("{\"op\":\"drain\"}"));
+  EXPECT_EQ(wait_exit(child).exit_code, 0);
+}
+
+TEST_F(DaemonTest, RowsOfADeadlinedRequestArriveBeforeItsErrorLine) {
+  const ChildProcess child = start(state("a"));
+  auto ch = connect();
+  // The 4096 SPICE transitions of adder3 take far longer than the 2 s
+  // deadline; the items finished by then stream as rows, the rest fail
+  // the deadline.
+  const Stream s = exchange(*ch,
+                            "{\"op\":\"rank\",\"circuit\":\"builtin:adder3\",\"backend\":"
+                            "\"spice\",\"wl\":6,\"deadline_s\":2}",
+                            120000);
+  EXPECT_TRUE(has(s.terminal, "\"code\":\"deadline\"")) << s.terminal;
+  EXPECT_FALSE(s.rows.empty());
+  EXPECT_LT(s.rows.size(), 4096u) << "the sweep beat its deadline";
+  for (std::size_t i = 0; i < s.rows.size(); ++i) {
+    EXPECT_EQ(json_field(s.rows[i], "index"), static_cast<long>(i));
+  }
+  EXPECT_TRUE(ch->send("{\"op\":\"status\"}"));
+  EXPECT_TRUE(has(recv_line(*ch), "\"type\":\"status\""));
+  // The deadlined request stays journaled and finishes headless at the
+  // next boot; this life need not wait for it.
+  util::send_signal(child.pid, SIGTERM);
+  wait_exit(child);
+}
+
+// ---------------------------------------------------------- replay lane
+// A repeat of a completed rank request is answered from the store on the
+// replay lane, beside whatever the executor is running.
+
+TEST_F(DaemonTest, RepeatRankIsAnsweredWhileTheExecutorIsBusy) {
+  const ChildProcess child = start(state("a"));
+  auto ranker = connect();
+  const Stream first = exchange(*ranker, kRank);
+  ASSERT_TRUE(has(first.terminal, "\"type\":\"done\"")) << first.terminal;
+
+  // The executor is now busy for 30 s; the repeat must not queue behind.
+  auto sleeper = connect();
+  EXPECT_TRUE(sleeper->send("{\"op\":\"sleep\",\"seconds\":30}"));
+  EXPECT_TRUE(has(recv_line(*sleeper), "\"type\":\"ack\""));
+  const Stream repeat = exchange(*ranker, kRank, 15000);
+  EXPECT_EQ(repeat.rows, first.rows);
+  EXPECT_TRUE(has(repeat.terminal, "\"type\":\"done\"")) << repeat.terminal;
+  EXPECT_TRUE(has(repeat.terminal, "\"dedup_hits\":" + std::to_string(first.rows.size())))
+      << repeat.terminal;
+  EXPECT_TRUE(has(repeat.terminal, "\"dedup_misses\":0")) << repeat.terminal;
+
+  EXPECT_TRUE(ranker->send("{\"op\":\"status\"}"));
+  const std::string status = recv_line(*ranker);
+  EXPECT_TRUE(has(status, "\"completed\":2")) << status;  // the sleep still runs
+  util::send_signal(child.pid, SIGTERM);
+  EXPECT_EQ(wait_exit(child).exit_code, 3);  // the sleep was interrupted
+}
+
+TEST_F(DaemonTest, RepeatWhoseItemsLeftTheStoreIsRecomputedByTheExecutor) {
+  const ChildProcess first_life = start(state("a"));
+  auto ch = connect();
+  const Stream first = exchange(*ch, kRank);
+  ASSERT_TRUE(has(first.terminal, "\"type\":\"done\"")) << first.terminal;
+  EXPECT_TRUE(ch->send("{\"op\":\"drain\"}"));
+  EXPECT_EQ(wait_exit(first_life).exit_code, 0);
+
+  // The request journal still says "done", but the store is gone: the
+  // lane must hand the repeat to the executor, which recomputes it.
+  fs::remove(fs::path(state("a")) / "store.mtj");
+  const ChildProcess second_life = start(state("a"));
+  ch = connect();
+  const Stream again = exchange(*ch, kRank);
+  EXPECT_EQ(again.rows, first.rows);
+  EXPECT_TRUE(has(again.terminal, "\"type\":\"done\"")) << again.terminal;
+  EXPECT_TRUE(has(again.terminal, "\"dedup_hits\":0")) << again.terminal;
+  EXPECT_TRUE(has(again.terminal, "\"dedup_misses\":" + std::to_string(first.rows.size())))
+      << again.terminal;
+  EXPECT_TRUE(ch->send("{\"op\":\"drain\"}"));
+  EXPECT_EQ(wait_exit(second_life).exit_code, 0);
+}
+
+TEST_F(DaemonTest, PipelinedRepeatWaitsForItsConnectionsEarlierRequest) {
+  const ChildProcess child = start(state("a"));
+  auto ch = connect();
+  const Stream first = exchange(*ch, kRank);
+  ASSERT_TRUE(has(first.terminal, "\"type\":\"done\"")) << first.terminal;
+
+  // A repeat pipelined behind a sleep on the same connection does not
+  // take the lane: its rows follow the sleep's done line.
+  EXPECT_TRUE(ch->send("{\"op\":\"sleep\",\"seconds\":0.3}"));
+  EXPECT_TRUE(ch->send(kRank));
+  std::vector<std::string> lines;
+  std::string line;
+  int done = 0;
+  while (done < 2 && ch->recv(line, 15000)) {
+    lines.push_back(line);
+    if (has(line, "\"type\":\"done\"")) ++done;
+  }
+  ASSERT_EQ(done, 2);
+  std::size_t sleep_done = lines.size(), first_row = lines.size();
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (has(lines[i], "\"op\":\"sleep\"") && has(lines[i], "\"type\":\"done\"")) sleep_done = i;
+    if (has(lines[i], "\"type\":\"row\"") && first_row == lines.size()) first_row = i;
+  }
+  EXPECT_LT(sleep_done, first_row);
+  EXPECT_TRUE(ch->send("{\"op\":\"drain\"}"));
+  EXPECT_EQ(wait_exit(child).exit_code, 0);
+}
+
+// The row encoders against the line concatenation they replaced.
+std::string bits_oracle(const std::vector<bool>& bits) {
+  std::string out;
+  for (const bool b : bits) out += b ? '1' : '0';
+  return out;
+}
+
+TEST(RowEncoding, MatchesTheConcatenatedLineForRandomRows) {
+  std::mt19937_64 gen(7);
+  const auto random_double = [&] {
+    switch (gen() % 4) {
+      case 0: return std::bit_cast<double>(gen());  // any pattern, NaN/inf included
+      case 1: return static_cast<double>(static_cast<std::int64_t>(gen() % 2001) - 1000);
+      case 2: return std::ldexp(static_cast<double>(gen() % 1000000), -40);
+      default: return (static_cast<double>(gen() % 1000000) - 5e5) * 1e-4;
+    }
+  };
+  const auto random_bits = [&](std::size_t n) {
+    std::vector<bool> bits(n);
+    for (std::size_t i = 0; i < n; ++i) bits[i] = (gen() & 1u) != 0;
+    return bits;
+  };
+  std::string stream;
+  std::string want_stream;
+  for (int trial = 0; trial < 20000; ++trial) {
+    const std::string req = bits_oracle(random_bits(1 + gen() % 16));
+    const std::size_t index = trial % 7 == 0 ? gen() : gen() % 100000;
+    const std::size_t n = gen() % 20;
+    sizing::VectorDelay row;
+    row.pair = {random_bits(n), random_bits(n)};
+    row.delay_cmos = random_double();
+    row.delay_mtcmos = random_double();
+    row.degradation_pct = random_double();
+    const std::string want =
+        "{\"type\":\"row\",\"req\":\"" + req + "\",\"index\":" + std::to_string(index) +
+        ",\"v0\":\"" + bits_oracle(row.pair.v0) + "\",\"v1\":\"" + bits_oracle(row.pair.v1) +
+        "\",\"delay_cmos\":" + util::json_double(row.delay_cmos) +
+        ",\"delay_mtcmos\":" + util::json_double(row.delay_mtcmos) +
+        ",\"degradation_pct\":" + util::json_double(row.degradation_pct) + "}\n";
+    std::string got;
+    sizing::append_row_line(got, req, index, row);
+    ASSERT_EQ(got, want);
+
+    const double value = random_double();
+    const std::string want_value = "{\"type\":\"value\",\"req\":\"" + req +
+                                   "\",\"index\":" + std::to_string(index) +
+                                   ",\"value\":" + util::json_double(value) + "}\n";
+    got.clear();
+    sizing::append_value_line(got, req, index, value);
+    ASSERT_EQ(got, want_value);
+
+    // Appending into a shared frame is plain concatenation.
+    sizing::append_row_line(stream, req, index, row);
+    sizing::append_value_line(stream, req, index, value);
+    want_stream += want + want_value;
+  }
+  EXPECT_EQ(stream, want_stream);
 }
 
 }  // namespace

@@ -1,13 +1,24 @@
-// Unit tests for mtcmos::util: dense LU, sparse LU, tables, RNG, errors.
+// Unit tests for mtcmos::util: dense LU, sparse LU, tables, RNG, errors,
+// JSON number output.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <random>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/dense_matrix.hpp"
 #include "util/error.hpp"
 #include "util/failure.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/sparse_lu.hpp"
 #include "util/table.hpp"
@@ -440,6 +451,85 @@ TEST(SweepReport, MergeAggregatesMixedCodesAndRungs) {
   EXPECT_EQ(a.rung_histogram[1], 1u);
   EXPECT_EQ(a.code_histogram().size(), 2u);
   EXPECT_EQ(a.failures_dropped, 0u);
+}
+
+// --- json_double: byte identity with the historical printf/strtod form ---
+//
+// Request keys hash json_double() output, so its bytes are a
+// compatibility contract.  The oracle is the original implementation:
+// the first of %.15g, %.16g, %.17g that strtod()s back to the value.
+
+std::string json_double_oracle(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[64];
+  for (int precision = 15; precision <= 17; ++precision) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
+    if (std::strtod(buf, nullptr) == v) break;
+  }
+  return buf;
+}
+
+void expect_json_double_matches(double v) {
+  const std::string want = json_double_oracle(v);
+  ASSERT_EQ(util::json_double(v), want) << std::hexfloat << v;
+  std::string appended = "x";
+  util::append_json_double(appended, v);
+  ASSERT_EQ(appended, "x" + want) << std::hexfloat << v;
+}
+
+TEST(JsonDouble, MatchesTheOracleOnEdgeCases) {
+  std::vector<double> edges = {0.0, -0.0, 1.0, -1.0, 0.1, 0.1 + 0.2, 1.0 / 3.0, 2.0 / 3.0,
+                               DBL_MIN, -DBL_MIN, DBL_MAX, -DBL_MAX, DBL_EPSILON,
+                               std::numeric_limits<double>::denorm_min(),
+                               -std::numeric_limits<double>::denorm_min(),
+                               std::nextafter(DBL_MIN, 0.0), 0x1p-1050, 0x1.8p-1070};
+  // %g switches to exponent form below 1e-4 and at 1e15..1e17 (precision
+  // 15..17): straddle every switch point.
+  for (const double anchor : {1e-5, 1e-4, 1e15, 1e16, 1e17}) {
+    edges.push_back(anchor);
+    double below = anchor;
+    double above = anchor;
+    for (int k = 0; k < 4; ++k) {
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, INFINITY);
+      edges.push_back(below);
+      edges.push_back(above);
+    }
+  }
+  // Integers, including ones past 2^53 and with 15..17 digits.
+  for (const double i : {2.0, 10.0, 123456.0, 999999999999999.0, 1234567890123456.0,
+                         9007199254740992.0, 9007199254740994.0, 12345678901234568.0,
+                         99999999999999999.0, 1e21, 1e22, 1e23}) {
+    edges.push_back(i);
+    edges.push_back(-i);
+  }
+  // Every power of two (the asymmetric rounding intervals) and of ten.
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);
+    edges.push_back(p);
+    edges.push_back(std::nextafter(p, 0.0));
+    edges.push_back(std::nextafter(p, INFINITY));
+  }
+  for (int e = -323; e <= 308; ++e) edges.push_back(std::pow(10.0, e));
+  for (const double v : edges) {
+    expect_json_double_matches(v);
+    expect_json_double_matches(-v);
+  }
+}
+
+TEST(JsonDouble, MatchesTheOracleOnOneMillionRandomBitPatterns) {
+  std::mt19937_64 gen(20261017u);
+  for (int i = 0; i < 1000000; ++i) expect_json_double_matches(std::bit_cast<double>(gen()));
+}
+
+TEST(JsonDouble, NonFiniteValuesAreNull) {
+  EXPECT_EQ(util::json_double(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(util::json_double(-std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(util::json_double(std::numeric_limits<double>::quiet_NaN()), "null");
+  EXPECT_EQ(util::json_double(std::bit_cast<double>(0x7ff0000000000001ull)), "null");
+  std::string out = "[";
+  util::append_json_double(out, std::numeric_limits<double>::infinity());
+  EXPECT_EQ(out, "[null");
 }
 
 }  // namespace
