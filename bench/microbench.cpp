@@ -9,13 +9,12 @@
 // (switch-level vs transistor-level) and writes BENCH_backend.json.
 //
 // Next comes the batch VBS kernel benchmark: the full 4096-vector adder
-// sweep through the scalar per-vector path and through each SoA batch
-// kernel variant (lockstep / simd / cohort) single-threaded, plus a
-// multi-threaded cohort leg on min(4, threads) threads, verifying
-// bit-identity of every leg and writing BENCH_vbs.json (including the
-// MTCMOS_NATIVE flag and compile-time SIMD ISA, so perf baselines are
-// never compared across instruction sets).  --only vbs.<sub> narrows the
-// run to one kernel variant.
+// sweep through the scalar per-vector path and through the SoA batch
+// kernel single-threaded, plus a multi-threaded batch leg on
+// min(4, threads) threads, verifying bit-identity of every leg and
+// writing BENCH_vbs.json (including the MTCMOS_NATIVE flag and
+// compile-time SIMD ISA, so perf baselines are never compared across
+// instruction sets).  --only vbs.<sub> narrows the run to one leg.
 //
 // It then runs the SPICE hot-path benchmark: a sampled adder vector set
 // through the transistor-level SpiceBackend, once with the accelerations
@@ -25,7 +24,7 @@
 // and writes BENCH_spice.json including the EngineStats counters.
 //
 //   microbench [--threads N] [--json PATH]
-//              [--only sweep|backend|vbs[.scalar|.lockstep|.simd|.cohort]|spice]
+//              [--only sweep|backend|vbs[.scalar|.cohort]|spice]
 //              [--batch N] [--gbench [gbench args...]]
 //
 // --only restricts the run to one of the four benchmarks (the perf
@@ -313,16 +312,14 @@ int backend_benchmark(const std::string& json_path) {
 
 // Batch VBS kernel benchmark (ROADMAP item 2): the full 4096-vector adder
 // sweep through the scalar per-vector path (the bit-identity reference,
-// always run) and through the SoA batch kernel variants in chunks of
-// `batch` -- one leg per BatchKernel so a variant-specific regression is
-// visible in isolation -- plus a multi-threaded cohort leg on
-// min(4, threads) threads (chunks fan out over the thread pool, one
-// workspace per thread), the configuration the <= 10 ms sweep target is
-// specified against.  Every leg's delay array must be bit-identical to
-// the scalar reference.  Legs are timed best-of-3 so the committed
-// baseline is not hostage to a scheduler hiccup.  `sub` restricts the
-// run to one kernel variant (--only vbs.scalar|lockstep|simd|cohort;
-// empty runs everything including the MT leg).  Writes BENCH_vbs.json
+// always run) and through the SoA batch kernel in chunks of `batch` on one
+// thread, plus a multi-threaded batch leg on min(4, threads) threads
+// (chunks fan out over the thread pool, one workspace per thread), the
+// configuration the <= 10 ms sweep target is specified against.  Every
+// leg's delay array must be bit-identical to the scalar reference.  Legs
+// are timed best-of-3 so the committed baseline is not hostage to a
+// scheduler hiccup.  `sub` restricts the run to one leg (--only
+// vbs.scalar|cohort; empty runs everything including the MT leg).  Writes BENCH_vbs.json
 // including the MTCMOS_NATIVE flag and the compile-time SIMD ISA, so
 // check_bench.py never compares speedups across instruction sets.
 int vbs_benchmark(std::size_t batch, int threads, const std::string& sub,
@@ -378,32 +375,25 @@ int vbs_benchmark(std::size_t batch, int threads, const std::string& sub,
     return ident;
   };
   const auto us_of = [n](const Leg& l) { return l.seconds / static_cast<double>(n) * 1e6; };
-  const auto run_variant = [&](core::BatchKernel kernel) {
-    const core::VbsBatchSimulator bsim(sim, kernel);
+  const core::VbsBatchSimulator bsim(sim);
+  Leg cohort, mt;
+  const bool all = sub.empty();
+  if (all || sub == "cohort") {
     core::VbsBatchWorkspace bws;
-    Leg leg;
-    leg.seconds = best_of(3, [&] {
+    cohort.seconds = best_of(3, [&] {
       for (std::size_t off = 0; off < n; off += batch) {
         bsim.critical_delays(items.data() + off, std::min(batch, n - off), outs, bws,
                              lanes.data() + off);
       }
     });
-    leg.identical = check();
-    leg.ran = true;
-    return leg;
-  };
-
-  Leg lockstep, simd, cohort, mt;
-  const bool all = sub.empty();
-  if (all || sub == "lockstep") lockstep = run_variant(core::BatchKernel::kLockstep);
-  if (all || sub == "simd") simd = run_variant(core::BatchKernel::kSimd);
-  if (all || sub == "cohort") cohort = run_variant(core::BatchKernel::kCohort);
+    cohort.identical = check();
+    cohort.ran = true;
+  }
 
   const int mt_threads = std::min(4, std::max(1, threads));
   if (all) {
     // Chunks are disjoint lane ranges, so concurrent workers write
     // disjoint slices of `lanes`; each thread reuses its own workspace.
-    const core::VbsBatchSimulator bsim(sim, core::BatchKernel::kCohort);
     util::ThreadPool pool(mt_threads);
     const std::size_t n_chunks = (n + batch - 1) / batch;
     mt.seconds = best_of(3, [&] {
@@ -423,21 +413,16 @@ int vbs_benchmark(std::size_t batch, int threads, const std::string& sub,
 #else
   const bool march_native = false;
 #endif
-  const bool identical = lockstep.identical && simd.identical && cohort.identical && mt.identical;
-  const Leg& head = cohort.ran ? cohort : (simd.ran ? simd : lockstep);
-  const double speedup = head.ran ? scalar_s / head.seconds : 1.0;
+  const bool identical = cohort.identical && mt.identical;
+  const double speedup = cohort.ran ? scalar_s / cohort.seconds : 1.0;
 
   std::cout << "VBS batch kernel, 3-bit adder, " << n << " vector pairs, W/L = " << wl
             << ", batch = " << batch << "\n  scalar   (1 thread): " << scalar_s << " s  ("
             << scalar_us << " us/vector)\n";
-  const auto print_leg = [&](const char* name, const Leg& l) {
-    if (!l.ran) return;
-    std::cout << "  " << name << l.seconds << " s  (" << us_of(l) << " us/vector)"
-              << (l.identical ? "" : "  NOT IDENTICAL") << "\n";
-  };
-  print_leg("lockstep (1 thread): ", lockstep);
-  print_leg("simd     (1 thread): ", simd);
-  print_leg("cohort   (1 thread): ", cohort);
+  if (cohort.ran) {
+    std::cout << "  cohort   (1 thread): " << cohort.seconds << " s  (" << us_of(cohort)
+              << " us/vector)" << (cohort.identical ? "" : "  NOT IDENTICAL") << "\n";
+  }
   if (mt.ran) {
     std::cout << "  cohort   (" << mt_threads
               << (mt_threads == 1 ? " thread):  " : " threads): ") << mt.seconds << " s  ("
@@ -463,12 +448,6 @@ int vbs_benchmark(std::size_t batch, int threads, const std::string& sub,
        << "  \"batch\": " << batch << ",\n"
        << "  \"scalar_seconds\": " << scalar_s << ",\n"
        << "  \"scalar_us_per_vector\": " << scalar_us << ",\n";
-  if (lockstep.ran) {
-    json << "  \"lockstep_us_per_vector\": " << us_of(lockstep) << ",\n";
-  }
-  if (simd.ran) {
-    json << "  \"simd_us_per_vector\": " << us_of(simd) << ",\n";
-  }
   if (cohort.ran) {
     json << "  \"batch_seconds\": " << cohort.seconds << ",\n"
          << "  \"batch_us_per_vector\": " << us_of(cohort) << ",\n"
@@ -608,16 +587,13 @@ int main(int argc, char** argv) {
       json_path = argv[++i];
     } else if (arg == "--only" && i + 1 < argc) {
       only = argv[++i];
-      // The vbs suite takes kernel-variant sub-suites: --only vbs.cohort
-      // runs the scalar reference plus just that batch leg.
+      // The vbs suite takes leg sub-suites: --only vbs.cohort runs the
+      // scalar reference plus the single-thread batch leg.
       if (only.rfind("vbs.", 0) == 0) {
         vbs_sub = only.substr(4);
         only = "vbs";
-        if (vbs_sub == "batch") vbs_sub = "lockstep";  // historical alias
-        if (vbs_sub != "scalar" && vbs_sub != "lockstep" && vbs_sub != "simd" &&
-            vbs_sub != "cohort") {
-          std::cerr << "microbench: --only vbs.<sub> expects scalar, lockstep (alias: "
-                       "batch), simd, or cohort\n";
+        if (vbs_sub != "scalar" && vbs_sub != "cohort") {
+          std::cerr << "microbench: --only vbs.<sub> expects scalar or cohort\n";
           return 2;
         }
       } else if (only != "sweep" && only != "backend" && only != "vbs" && only != "spice") {
@@ -630,7 +606,7 @@ int main(int argc, char** argv) {
       gbench_args.push_back(argv[i]);  // forward to google-benchmark
     } else {
       std::cerr << "usage: microbench [--threads N] [--json PATH] "
-                   "[--only sweep|backend|vbs[.scalar|.lockstep|.simd|.cohort]|spice] [--batch N] "
+                   "[--only sweep|backend|vbs[.scalar|.cohort]|spice] [--batch N] "
                    "[--gbench [gbench args...]]\n"
                    "  --only also filters the --gbench micro-suite (see bench/README.md)\n";
       return 2;

@@ -74,7 +74,7 @@ SweepRun timed_sweep(const sizing::EvalBackend& backend,
 
 // Time the same sweep through the backend's batch interface: `batch`
 // vectors per EvalBackend::delay_at_wl_batch call, chunks fanned over the
-// pool.  On the switch-level backend this is the SoA lockstep kernel
+// pool.  On the switch-level backend this is the SoA batch kernel
 // (core/vbs_batch.hpp); results are bit-identical to timed_sweep's.
 // Failed lanes report -1 like a non-toggling vector would.
 SweepRun timed_batch_sweep(const sizing::EvalBackend& backend,
@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
   }
 
   // --- Batched switch-level leg: the same 4096 vectors through the SoA
-  // lockstep kernel, `batch` lanes per call.  No journal traffic here --
+  // batch kernel, `batch` lanes per call.  No journal traffic here --
   // this leg times the raw kernel, and its results are checked
   // bit-for-bit against the scalar leg's.
   SweepRun vbs_batch_run;

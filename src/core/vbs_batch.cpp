@@ -6,7 +6,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <numeric>
 #include <optional>
 
 #include "core/simd.hpp"
@@ -14,16 +13,14 @@
 #include "util/error.hpp"
 #include "util/faultinject.hpp"
 
-// SoA replay of VbsSimulator::run (vbs.cpp) in three kernel variants (see
-// vbs_batch.hpp): run_lockstep is the PR 6 kernel kept verbatim as the
-// bisection reference, run_work<false> adds the batched Eq. 5 solve and
-// branchless SIMD passes on the same schedule, and run_work<true> adds
-// the cohort scheduler (live-lane compaction + active-gate skipping),
-// Eq. 5 dedup, and Hamming-incremental v0 settling.  Every stage below
-// names the scalar passage it mirrors; the per-lane floating-point
-// sequence must stay operation-for-operation identical, because the
-// determinism contract (vbs_batch.hpp) promises bit-identical delays.
-// When editing vbs.cpp, edit the matching stages here.
+// SoA replay of VbsSimulator::run (vbs.cpp): one kernel (see
+// vbs_batch.hpp) combining the batched Eq. 5 solve, branchless SIMD
+// passes, the cohort scheduler (live-lane compaction + active-gate
+// skipping), Eq. 5 dedup, and Hamming-incremental v0 settling.  Every
+// stage below names the scalar passage it mirrors; the per-lane
+// floating-point sequence must stay operation-for-operation identical,
+// because the determinism contract (vbs_batch.hpp) promises bit-identical
+// delays.  When editing vbs.cpp, edit the matching stages here.
 
 namespace mtcmos::core {
 
@@ -86,10 +83,7 @@ void reset_soa(VbsBatchWorkspace& ws, int n_gate, int n_net, int n_dom, std::siz
   ws.t_next.assign(B, kInf);
   ws.dt.assign(B, 0.0);
   ws.running.assign(B, 0);
-  ws.failed.assign(B, 0);
-  ws.any_active.assign(B, 0);
   ws.breakpoints.assign(B, 0);
-  ws.failure.assign(B, FailureInfo{});
   ws.events.clear();
   ws.next_event.assign(B, 0);
   ws.event_begin.assign(B, 0);
@@ -155,22 +149,32 @@ void VbsBatchSimulator::critical_delays(const VbsBatchItem* items, std::size_t c
                 items[i].v0->size() == n_in && items[i].v1->size() == n_in,
             "VbsSimulator::run: input vector size mismatch");
   }
-  switch (kernel_) {
-    case BatchKernel::kLockstep:
-      run_lockstep(items, count, out_names, ws, results);
-      break;
-    case BatchKernel::kSimd:
-      run_work<false>(items, count, out_names, ws, results);
-      break;
-    case BatchKernel::kCohort:
-      run_work<true>(items, count, out_names, ws, results);
-      break;
-  }
+  run(items, count, out_names, ws, results);
 }
 
-void VbsBatchSimulator::run_lockstep(const VbsBatchItem* items, std::size_t count,
-                                     const std::vector<std::string>& out_names,
-                                     VbsBatchWorkspace& ws, VbsLaneResult* results) const {
+// Vectorized, work-skipping kernel.  Eq. 5 is re-solved through the
+// batched closed form and the beta / slope / advance passes run as
+// branchless selects under MTCMOS_SIMD_LOOP.  On top of that it:
+//
+//   * compacts finished/failed lanes out of a dense live prefix [0, live)
+//     by column swaps at the top of each round, so every pass runs over
+//     live lanes only (per-lane FP sequences are independent, so moving a
+//     lane's column preserves its bit pattern);
+//   * partitions gates into an active cohort (>= 1 live lane with a
+//     non-idle drive, tracked by gate_active counts maintained at every
+//     drive transition) and a settled cohort that is skipped entirely.
+//     Skipped rows are bit-exact no-ops in every pass: idle drives add
+//     0 beta, produce 0 slope, emit no candidates, and advance by 0;
+//   * dedups the iterative Eq. 5 solves (body effect / alpha != 2) per
+//     domain per round: bit-equal beta totals give bit-equal solutions;
+//   * settles each new v0 group incrementally from its Hamming-nearest
+//     settled neighbor (packed u64 keys), re-evaluating only the dirty
+//     logic cone in topo order -- pure logic, identical to a full settle;
+//   * reduces a lane to its delay the moment it retires, since no later
+//     round can append to a retired lane's monitors.
+void VbsBatchSimulator::run(const VbsBatchItem* items, std::size_t count,
+                            const std::vector<std::string>& out_names, VbsBatchWorkspace& ws,
+                            VbsLaneResult* results) const {
   const netlist::Netlist& nl = sim_.nl_;
   const VbsOptions& opt = sim_.options_;
   const std::size_t n_in = nl.inputs().size();
@@ -183,21 +187,73 @@ void VbsBatchSimulator::run_lockstep(const VbsBatchItem* items, std::size_t coun
   const double vtp = tech.pmos_low.vt0;
   const double pull_up_drive = std::max(vdd - vtp, 0.0);
   const double alpha = opt.alpha;
+  const double vt0 = tech.nmos_low.vt0;
+  // Eq. 5 fast path: the closed form applies lane-wise and the threshold
+  // does not depend on V_x, so one batched solve covers the domain row.
+  const bool fast_eq5 = (alpha == 2.0) && !opt.body_effect;
   const int n_dom = static_cast<int>(sim_.domain_r_.size());
   const int n_gate = nl.gate_count();
   const int n_net = nl.net_count();
   const std::size_t B = count;
 
   const auto gidx = [B](int g, std::size_t l) { return static_cast<std::size_t>(g) * B + l; };
+  const auto dom = [&](int g) {
+    return static_cast<std::size_t>(sim_.gate_domain_[static_cast<std::size_t>(g)]);
+  };
 
   resolve_out_names(nl, out_names, ws);
   const std::size_t n_mon = ws.mon_gate.size();
   reset_soa(ws, n_gate, n_net, n_dom, n_mon, B);
+  ws.slot_item.assign(B, 0);
+  // Per-gate and per-lane non-idle drive counts, maintained by set_drive
+  // (every drive starts idle).  lane_active[l] != 0 is the scalar kernel's
+  // "any gate active" predicate, kept incrementally.
+  ws.gate_active.assign(static_cast<std::size_t>(n_gate), 0);
+  ws.lane_active.assign(B, 0);
+  ws.group_key.clear();
 
-  // Online Pwl::last_crossing replay for one monitored channel: the
-  // segment (ta,va)-(tb,vb) is final once a strictly later point arrives
-  // (or at end of run); a same-time append replaces vb, Pwl::append's
-  // vertical-step rule.
+  // Pulldown truth tables: logic settling and re-evaluation are the
+  // hottest scalar remnants, and a gate's function is static, so gates
+  // with <= 6 fanins trade the SpExpr walk for one table lookup.  The
+  // table is the same function, so results are identical.  The tables are
+  // rebuilt on every call: the workspace outlives any one netlist, so
+  // nothing it holds can safely identify which netlist they describe.
+  ws.gate_tt.assign(static_cast<std::size_t>(n_gate), 0);
+  ws.gate_tt_ok.assign(static_cast<std::size_t>(n_gate), 0);
+  for (int g = 0; g < n_gate; ++g) {
+    const netlist::Gate& gate = nl.gate(g);
+    const std::size_t nf = gate.fanins.size();
+    if (nf > 6) continue;
+    ws.pins.resize(nf);
+    std::uint64_t tt = 0;
+    for (std::uint32_t m = 0; m < (std::uint32_t{1} << nf); ++m) {
+      for (std::size_t p = 0; p < nf; ++p) ws.pins[p] = ((m >> p) & 1u) != 0;
+      if (gate.pulldown.conducts(ws.pins)) tt |= std::uint64_t{1} << m;
+    }
+    ws.gate_tt[static_cast<std::size_t>(g)] = tt;
+    ws.gate_tt_ok[static_cast<std::size_t>(g)] = 1;
+  }
+  // Pulldown-conducts for gate g given a per-net logic lookup.
+  const auto conducts_at = [&](int g, auto&& net_bit) {
+    const netlist::Gate& gate = nl.gate(g);
+    if (ws.gate_tt_ok[static_cast<std::size_t>(g)]) {
+      std::uint32_t idx = 0;
+      for (std::size_t p = 0; p < gate.fanins.size(); ++p) {
+        idx |= static_cast<std::uint32_t>(net_bit(gate.fanins[p]) ? 1u : 0u) << p;
+      }
+      return ((ws.gate_tt[static_cast<std::size_t>(g)] >> idx) & 1u) != 0;
+    }
+    ws.pins.resize(gate.fanins.size());
+    for (std::size_t p = 0; p < gate.fanins.size(); ++p) {
+      ws.pins[p] = net_bit(gate.fanins[p]);
+    }
+    return gate.pulldown.conducts(ws.pins);
+  };
+
+  // Monitor trackers: an online replay of Pwl::append + last_crossing.
+  // The segment (ta,va)-(tb,vb) is final once a strictly later point
+  // arrives (or the lane retires); a same-time append replaces vb,
+  // Pwl::append's vertical-step rule.
   const auto mon_finalize = [&](std::size_t k) {
     const double v0 = ws.mon_va[k];
     const double v1 = ws.mon_vb[k];
@@ -234,620 +290,17 @@ void VbsBatchSimulator::run_lockstep(const VbsBatchItem* items, std::size_t coun
     if (mon >= 0) mon_append(mon, l, ws.t_now[l], ws.vout[gidx(g, l)]);
   };
 
-  std::size_t lanes_running = 0;
-  const auto fail_lane = [&](std::size_t l, FailureInfo info) {
-    if (ws.running[l]) --lanes_running;
-    ws.running[l] = 0;
-    ws.failed[l] = 1;
-    ws.failure[l] = std::move(info);
-    // Idle drives keep the failed lane inert in the unconditional SoA
-    // stages below (zero beta, zero slope, no breakpoint candidates).
-    for (int g = 0; g < n_gate; ++g) ws.drive[gidx(g, l)] = Drive::kIdle;
-  };
-
-  // --- Per-lane initialization (scalar: run() up to the main loop).
-  const double t_cross_in = opt.t_switch + 0.5 * opt.input_ramp;
-  ws.settled_logic.clear();
-  ws.settled_rep.clear();
-  for (std::size_t l = 0; l < B; ++l) {
-    try {
-      faultinject::check(faultinject::Site::kVbsRun, "VbsSimulator::run");
-    } catch (const NumericalError& e) {
-      ws.failure[l] = e.info();
-      ws.failed[l] = 1;
-      continue;
-    }
-    const std::vector<bool>& v0 = *items[l].v0;
-    const std::vector<bool>& v1 = *items[l].v1;
-    // Shared-prefix reuse: settle each distinct v0 once per batch.
-    std::size_t group = ws.settled_rep.size();
-    for (std::size_t k = 0; k < ws.settled_rep.size(); ++k) {
-      if (*items[ws.settled_rep[k]].v0 == v0) {
-        group = k;
-        break;
-      }
-    }
-    if (group == ws.settled_rep.size()) {
-      ws.settled_rep.push_back(l);
-      const std::size_t base = ws.settled_logic.size();
-      ws.settled_logic.resize(base + static_cast<std::size_t>(n_net), 0);
-      std::uint8_t* settled = ws.settled_logic.data() + base;
-      for (std::size_t i = 0; i < n_in; ++i) {
-        settled[static_cast<std::size_t>(nl.inputs()[i])] = v0[i] ? 1 : 0;
-      }
-      for (const int g : sim_.topo_) {
-        const netlist::Gate& gate = nl.gate(g);
-        ws.pins.resize(gate.fanins.size());
-        for (std::size_t p = 0; p < gate.fanins.size(); ++p) {
-          ws.pins[p] = settled[static_cast<std::size_t>(gate.fanins[p])] != 0;
-        }
-        settled[static_cast<std::size_t>(gate.output)] = gate.pulldown.conducts(ws.pins) ? 0 : 1;
-      }
-    }
-    const std::uint8_t* settled =
-        ws.settled_logic.data() + group * static_cast<std::size_t>(n_net);
-    for (int n = 0; n < n_net; ++n) {
-      ws.logic[static_cast<std::size_t>(n) * B + l] = settled[static_cast<std::size_t>(n)];
-    }
-    for (int g = 0; g < n_gate; ++g) {
-      ws.vout[gidx(g, l)] =
-          settled[static_cast<std::size_t>(nl.gate(g).output)] != 0 ? vdd : 0.0;
-    }
-    // Gate channels open with the settled value at t = 0 (scalar lines
-    // that seed result.outputs before the loop).
-    for (std::size_t m = 0; m < n_mon; ++m) {
-      mon_append(static_cast<int>(m), l, 0.0, ws.vout[gidx(ws.mon_gate[m], l)]);
-    }
-    // Input threshold-crossing events, in input order, then the same
-    // std::sort call the scalar path makes on its (identical) sequence.
-    ws.event_begin[l] = ws.events.size();
-    for (std::size_t i = 0; i < n_in; ++i) {
-      if (v0[i] != v1[i]) ws.events.push_back({t_cross_in, nl.inputs()[i], v1[i]});
-    }
-    ws.event_end[l] = ws.events.size();
-    ws.next_event[l] = ws.event_begin[l];
-    std::sort(ws.events.begin() + static_cast<std::ptrdiff_t>(ws.event_begin[l]),
-              ws.events.begin() + static_cast<std::ptrdiff_t>(ws.event_end[l]),
-              [](const InputEvent& a, const InputEvent& b) { return a.t < b.t; });
-    ws.running[l] = 1;
-    ++lanes_running;
-  }
-
-  const auto drive_current = [alpha](double beta, double u) {
-    if (u <= 0.0) return 0.0;
-    if (alpha == 2.0) return 0.5 * beta * u * u;
-    return 0.5 * beta * std::pow(u, alpha);
-  };
-
-  // Scalar reevaluate(): drive direction from current net logic, with the
-  // domain-dependent low rest level (reverse conduction).
-  const auto reevaluate = [&](int g, std::size_t l) {
-    const netlist::Gate& gate = nl.gate(g);
-    ws.pins.resize(gate.fanins.size());
-    for (std::size_t p = 0; p < gate.fanins.size(); ++p) {
-      ws.pins[p] = ws.logic[static_cast<std::size_t>(gate.fanins[p]) * B + l] != 0;
-    }
-    const bool target = !gate.pulldown.conducts(ws.pins);
-    const std::size_t k = gidx(g, l);
-    const Drive before = ws.drive[k];
-    const double low =
-        ws.target_low[static_cast<std::size_t>(
-                          sim_.gate_domain_[static_cast<std::size_t>(g)]) *
-                          B +
-                      l];
-    if (target && ws.vout[k] < vdd - kEpsV) {
-      ws.drive[k] = Drive::kUp;
-    } else if (!target && ws.vout[k] > low + kEpsV) {
-      ws.drive[k] = Drive::kDown;
-    } else {
-      ws.drive[k] = Drive::kIdle;
-    }
-    if (ws.drive[k] != before) record_gate(g, l);
-  };
-
-  // --- Lockstep breakpoint rounds.  Each live lane advances to its own
-  // next breakpoint; finished and failed lanes stay inert (idle drives)
-  // so the lane-inner loops can run unconditionally and vectorize.
-  while (lanes_running > 0) {
-    // Scalar loop top: fault injection and budget guards.
-    double elapsed_s = 0.0;
-    if (opt.deadline_s > 0.0) {
-      const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start_time;
-      elapsed_s = elapsed.count();
-    }
-    for (std::size_t l = 0; l < B; ++l) {
-      if (!ws.running[l]) continue;
-      try {
-        faultinject::check(faultinject::Site::kVbsBreakpoint, "VbsSimulator::run");
-        if (opt.max_breakpoints > 0 && ws.breakpoints[l] >= opt.max_breakpoints) {
-          throw NumericalError({FailureCode::kDeadlineExceeded, "VbsSimulator::run",
-                                "breakpoint budget of " + std::to_string(opt.max_breakpoints) +
-                                    " exhausted at t=" + std::to_string(ws.t_now[l])});
-        }
-        if (opt.deadline_s > 0.0 && elapsed_s > opt.deadline_s) {
-          throw NumericalError({FailureCode::kDeadlineExceeded, "VbsSimulator::run",
-                                "wall-clock deadline of " + std::to_string(opt.deadline_s) +
-                                    " s exceeded at t=" + std::to_string(ws.t_now[l])});
-        }
-      } catch (const NumericalError& e) {
-        fail_lane(l, e.info());
-      }
-    }
-    if (lanes_running == 0) break;
-
-    // --- Solve each domain's virtual ground for its discharger set.
-    std::fill(ws.beta_dom.begin(), ws.beta_dom.end(), 0.0);
-    for (int g = 0; g < n_gate; ++g) {
-      const double bg = sim_.beta_n_[static_cast<std::size_t>(g)];
-      double* beta_row =
-          ws.beta_dom.data() + static_cast<std::size_t>(sim_.gate_domain_[static_cast<std::size_t>(g)]) * B;
-      const Drive* drive_row = ws.drive.data() + gidx(g, 0);
-      for (std::size_t l = 0; l < B; ++l) {
-        beta_row[l] += (drive_row[l] == Drive::kDown) ? bg : 0.0;
-      }
-    }
-    for (int d = 0; d < n_dom; ++d) {
-      const double r = sim_.domain_r_[static_cast<std::size_t>(d)];
-      const std::size_t base = static_cast<std::size_t>(d) * B;
-      for (std::size_t l = 0; l < B; ++l) {
-        const VxSolution eq =
-            solve_vx(r, vdd, tech.nmos_low, ws.beta_dom[base + l], opt.body_effect, alpha);
-        ws.eq_vx[base + l] = eq.vx;
-        if (cx <= 0.0 || r <= 0.0) {
-          ws.vx_state[base + l] = eq.vx;
-          ws.vx_dom[base + l] = eq.vx;
-          ws.u_dom[base + l] = eq.gate_drive;
-        } else {
-          // RC mode: V_x is state; gate drive follows the instantaneous V_x.
-          ws.vx_dom[base + l] = ws.vx_state[base + l];
-          const double vtn = opt.body_effect
-                                 ? threshold_voltage(tech.nmos_low, ws.vx_dom[base + l])
-                                 : tech.nmos_low.vt0;
-          ws.u_dom[base + l] = std::max(vdd - vtn - ws.vx_dom[base + l], 0.0);
-        }
-        ws.target_low[base + l] =
-            opt.reverse_conduction ? std::min(ws.vx_dom[base + l], th) : 0.0;
-      }
-    }
-
-    // --- Slopes.
-    for (int g = 0; g < n_gate; ++g) {
-      const double cl = sim_.cload_[static_cast<std::size_t>(g)];
-      const double bn = sim_.beta_n_[static_cast<std::size_t>(g)];
-      const double slope_up = drive_current(sim_.beta_p_[static_cast<std::size_t>(g)],
-                                            pull_up_drive) /
-                              cl;
-      const double* u_row =
-          ws.u_dom.data() + static_cast<std::size_t>(sim_.gate_domain_[static_cast<std::size_t>(g)]) * B;
-      const Drive* drive_row = ws.drive.data() + gidx(g, 0);
-      double* slope_row = ws.slope.data() + gidx(g, 0);
-      for (std::size_t l = 0; l < B; ++l) {
-        double s = 0.0;
-        if (drive_row[l] == Drive::kDown) {
-          s = -drive_current(bn, u_row[l]) / cl;
-        } else if (drive_row[l] == Drive::kUp) {
-          s = slope_up;
-        }
-        slope_row[l] = s;
-      }
-    }
-
-    // --- Next breakpoint per lane (paper Eq. 6/7 estimates; scalar t_next
-    // min-chain, in the same candidate order).
-    for (std::size_t l = 0; l < B; ++l) {
-      double tn = kInf;
-      if (ws.next_event[l] < ws.event_end[l]) {
-        tn = std::min(tn, ws.events[ws.next_event[l]].t);
-      }
-      for (const detail::PendingEval& p : ws.pending[l]) tn = std::min(tn, p.t);
-      ws.t_next[l] = tn;
-      ws.any_active[l] = 0;
-    }
-    for (int g = 0; g < n_gate; ++g) {
-      const netlist::NetId out = nl.gate(g).output;
-      const std::uint8_t* logic_row = ws.logic.data() + static_cast<std::size_t>(out) * B;
-      const double* low_row =
-          ws.target_low.data() +
-          static_cast<std::size_t>(sim_.gate_domain_[static_cast<std::size_t>(g)]) * B;
-      const Drive* drive_row = ws.drive.data() + gidx(g, 0);
-      const double* vout_row = ws.vout.data() + gidx(g, 0);
-      const double* slope_row = ws.slope.data() + gidx(g, 0);
-      for (std::size_t l = 0; l < B; ++l) {
-        if (drive_row[l] == Drive::kIdle) continue;
-        ws.any_active[l] = 1;
-        const bool out_logic = logic_row[l] != 0;
-        const double low = low_row[l];
-        const double vo = vout_row[l];
-        const double sl = slope_row[l];
-        double tn = ws.t_next[l];
-        if (drive_row[l] == Drive::kDown && sl < 0.0) {
-          if (out_logic && vo > th) tn = std::min(tn, ws.t_now[l] + (vo - th) / -sl);
-          if (vo > low) tn = std::min(tn, ws.t_now[l] + (vo - low) / -sl);
-        } else if (drive_row[l] == Drive::kUp && sl > 0.0) {
-          if (!out_logic && vo < th) tn = std::min(tn, ws.t_now[l] + (th - vo) / sl);
-          if (vo < vdd) tn = std::min(tn, ws.t_now[l] + (vdd - vo) / sl);
-        }
-        ws.t_next[l] = tn;
-      }
-    }
-    // RC-mode refinement breakpoints while any V_x is far from equilibrium.
-    if (cx > 0.0) {
-      for (int d = 0; d < n_dom; ++d) {
-        const double r = sim_.domain_r_[static_cast<std::size_t>(d)];
-        if (r <= 0.0) continue;
-        const std::size_t base = static_cast<std::size_t>(d) * B;
-        for (std::size_t l = 0; l < B; ++l) {
-          if (std::abs(ws.vx_state[base + l] - ws.eq_vx[base + l]) > 0.002 * vdd) {
-            ws.t_next[l] = std::min(ws.t_next[l], ws.t_now[l] + 0.25 * r * cx);
-          }
-        }
-      }
-    }
-
-    // --- Per-lane termination (scalar: quiescent break / runaway throws).
-    for (std::size_t l = 0; l < B; ++l) {
-      if (!ws.running[l]) {
-        ws.dt[l] = 0.0;
-        continue;
-      }
-      if (!std::isfinite(ws.t_next[l])) {
-        if (ws.any_active[l]) {
-          fail_lane(l, {FailureCode::kBreakpointRunaway, "VbsSimulator::run",
-                        "active gates are stalled with no future breakpoint at t=" +
-                            std::to_string(ws.t_now[l])});
-        } else {
-          ws.running[l] = 0;  // quiescent: simulation complete
-          --lanes_running;
-        }
-        ws.dt[l] = 0.0;
-        continue;
-      }
-      if (ws.t_next[l] > opt.t_max) {
-        fail_lane(l, {FailureCode::kBreakpointRunaway, "VbsSimulator::run",
-                      "breakpoint beyond t_max (possible runaway) at t=" +
-                          std::to_string(ws.t_now[l])});
-        ws.dt[l] = 0.0;
-        continue;
-      }
-      ws.dt[l] = ws.t_next[l] - ws.t_now[l];
-      ws.t_now[l] = ws.t_next[l];
-      ++ws.breakpoints[l];
-    }
-    if (lanes_running == 0) break;
-
-    // --- Advance all active outputs linearly to the breakpoint.  Inert
-    // lanes have slope == 0 and dt == 0, so the unconditional update is a
-    // bit-exact no-op for them and the loop stays branch-free.
-    {
-      const double* dt = ws.dt.data();
-      for (int g = 0; g < n_gate; ++g) {
-        double* vout_row = ws.vout.data() + gidx(g, 0);
-        const double* slope_row = ws.slope.data() + gidx(g, 0);
-        for (std::size_t l = 0; l < B; ++l) {
-          vout_row[l] = std::clamp(vout_row[l] + slope_row[l] * dt[l], 0.0, vdd);
-        }
-      }
-    }
-    for (std::size_t m = 0; m < n_mon; ++m) {
-      const int g = ws.mon_gate[m];
-      const Drive* drive_row = ws.drive.data() + gidx(g, 0);
-      for (std::size_t l = 0; l < B; ++l) {
-        if (drive_row[l] != Drive::kIdle) record_gate(g, l);
-      }
-    }
-    if (cx > 0.0) {
-      for (int d = 0; d < n_dom; ++d) {
-        const double r = sim_.domain_r_[static_cast<std::size_t>(d)];
-        if (r <= 0.0) continue;
-        const double tau = r * cx;
-        const std::size_t base = static_cast<std::size_t>(d) * B;
-        for (std::size_t l = 0; l < B; ++l) {
-          if (!ws.running[l]) continue;  // exp(-0/tau) would still perturb bits
-          ws.vx_state[base + l] =
-              ws.eq_vx[base + l] +
-              (ws.vx_state[base + l] - ws.eq_vx[base + l]) * std::exp(-ws.dt[l] / tau);
-        }
-      }
-    }
-
-    // --- Process events at each advanced lane's t_now (scalar event
-    // block, one lane at a time -- this cost scales with real events, not
-    // with the lockstep round count).
-    for (std::size_t l = 0; l < B; ++l) {
-      if (!ws.running[l]) continue;  // still-running lanes advanced this round
-      const double t_now = ws.t_now[l];
-      ws.to_reevaluate.clear();
-      auto mark_fanout = [&](netlist::NetId n, double t_tr) {
-        for (int g : nl.fanout_of(n)) {
-          if (opt.input_slope_factor > 0.0 && t_tr > 0.0) {
-            ws.pending[l].push_back({t_now + opt.input_slope_factor * t_tr, g});
-          } else {
-            ws.to_reevaluate.push_back(g);
-          }
-        }
-      };
-      while (ws.next_event[l] < ws.event_end[l] &&
-             ws.events[ws.next_event[l]].t <= t_now + kEpsT) {
-        const InputEvent& ev = ws.events[ws.next_event[l]++];
-        ws.logic[static_cast<std::size_t>(ev.net) * B + l] = ev.value ? 1 : 0;
-        mark_fanout(ev.net, opt.input_ramp);
-      }
-      for (int g = 0; g < n_gate; ++g) {
-        const std::size_t k = gidx(g, l);
-        if (ws.drive[k] == Drive::kIdle) continue;
-        const netlist::NetId out = nl.gate(g).output;
-        const std::size_t out_k = static_cast<std::size_t>(out) * B + l;
-        const bool out_logic = ws.logic[out_k] != 0;
-        const double t_tr = (ws.slope[k] != 0.0) ? vdd / std::abs(ws.slope[k]) : 0.0;
-        const double low =
-            ws.target_low[static_cast<std::size_t>(
-                              sim_.gate_domain_[static_cast<std::size_t>(g)]) *
-                              B +
-                          l];
-        if (ws.drive[k] == Drive::kDown) {
-          if (out_logic && ws.vout[k] <= th + kEpsV) {
-            ws.logic[out_k] = 0;
-            mark_fanout(out, t_tr);
-          }
-          if (ws.vout[k] <= low + kEpsV) {
-            ws.vout[k] = low;
-            ws.drive[k] = Drive::kIdle;
-            record_gate(g, l);
-          }
-        } else if (ws.drive[k] == Drive::kUp) {
-          if (!out_logic && ws.vout[k] >= th - kEpsV) {
-            ws.logic[out_k] = 1;
-            mark_fanout(out, t_tr);
-          }
-          if (ws.vout[k] >= vdd - kEpsV) {
-            ws.vout[k] = vdd;
-            ws.drive[k] = Drive::kIdle;
-            record_gate(g, l);
-          }
-        }
-      }
-      // Due pending activations (input-slope extension).
-      for (auto it = ws.pending[l].begin(); it != ws.pending[l].end();) {
-        if (it->t <= t_now + kEpsT) {
-          ws.to_reevaluate.push_back(it->gate);
-          it = ws.pending[l].erase(it);
-        } else {
-          ++it;
-        }
-      }
-      // Reverse conduction: idle-low outputs track their domain's V_x.
-      if (opt.reverse_conduction) {
-        for (int g = 0; g < n_gate; ++g) {
-          const std::size_t k = gidx(g, l);
-          const double pin = std::min(
-              ws.vx_state[static_cast<std::size_t>(
-                              sim_.gate_domain_[static_cast<std::size_t>(g)]) *
-                              B +
-                          l],
-              th);
-          if (ws.drive[k] == Drive::kIdle &&
-              ws.logic[static_cast<std::size_t>(nl.gate(g).output) * B + l] == 0 &&
-              std::abs(ws.vout[k] - pin) > kEpsV) {
-            ws.vout[k] = pin;
-            record_gate(g, l);
-          }
-        }
-      }
-      // Re-evaluate fanout of every net whose logic changed (gate index
-      // order, scalar determinism rule).
-      std::sort(ws.to_reevaluate.begin(), ws.to_reevaluate.end());
-      ws.to_reevaluate.erase(std::unique(ws.to_reevaluate.begin(), ws.to_reevaluate.end()),
-                             ws.to_reevaluate.end());
-      for (int g : ws.to_reevaluate) reevaluate(g, l);
-    }
-  }
-
-  // --- Finish: flush the last pending segment of every tracker (scalar
-  // last_crossing also scans the final segment) and reduce to delays.
-  for (std::size_t k = 0; k < n_mon * B; ++k) {
-    if (ws.mon_npts[k] >= 2) mon_finalize(k);
-  }
-  const double t_in = opt.t_switch + 0.5 * opt.input_ramp;
-  for (std::size_t l = 0; l < B; ++l) {
-    if (ws.failed[l]) {
-      results[l] = {-1.0, false, ws.failure[l]};
-      continue;
-    }
-    double worst = -1.0;
-    for (const VbsBatchWorkspace::OutRef& ref : ws.out_refs) {
-      std::optional<double> t;
-      if (ref.kind == 1) {
-        const std::size_t k = static_cast<std::size_t>(ref.mon) * B + l;
-        if (ws.mon_has[k]) t = ws.mon_cross[k];
-      } else if (ref.kind == 2) {
-        const bool a = (*items[l].v0)[static_cast<std::size_t>(ref.input)];
-        const bool b = (*items[l].v1)[static_cast<std::size_t>(ref.input)];
-        if (a != b) t = input_last_crossing(opt, th, a ? vdd : 0.0, b ? vdd : 0.0);
-      }
-      if (t && *t > t_in) worst = std::max(worst, *t - t_in);
-    }
-    results[l] = {worst, true, FailureInfo{}};
-  }
-}
-
-// Vectorized / work-skipping kernel.  run_work<false> (kSimd) keeps the
-// lockstep schedule -- every gate x lane every round -- but re-solves
-// Eq. 5 through the batched closed form and runs the beta / slope /
-// candidate / advance passes as branchless selects under MTCMOS_SIMD_LOOP.
-// run_work<true> (kCohort) additionally:
-//
-//   * compacts finished/failed lanes out of a dense live prefix [0, live)
-//     by column swaps at the top of each round, so every pass runs over
-//     live lanes only (per-lane FP sequences are independent, so moving a
-//     lane's column preserves its bit pattern);
-//   * partitions gates into an active cohort (>= 1 live lane with a
-//     non-idle drive, tracked by gate_active counts maintained at every
-//     drive transition) and a settled cohort that is skipped entirely.
-//     Skipped rows are bit-exact no-ops in every pass: idle drives add
-//     0 beta, produce 0 slope, emit no candidates, and advance by 0;
-//   * dedups the iterative Eq. 5 solves (body effect / alpha != 2) per
-//     domain per round: bit-equal beta totals give bit-equal solutions;
-//   * settles each new v0 group incrementally from its Hamming-nearest
-//     settled neighbor (packed u64 keys), re-evaluating only the dirty
-//     logic cone in topo order -- pure logic, identical to a full settle;
-//   * reduces a lane to its delay the moment it retires, since no later
-//     round can append to a retired lane's monitors.
-template <bool Cohort>
-void VbsBatchSimulator::run_work(const VbsBatchItem* items, std::size_t count,
-                                 const std::vector<std::string>& out_names,
-                                 VbsBatchWorkspace& ws, VbsLaneResult* results) const {
-  const netlist::Netlist& nl = sim_.nl_;
-  const VbsOptions& opt = sim_.options_;
-  const std::size_t n_in = nl.inputs().size();
-
-  const auto start_time = std::chrono::steady_clock::now();
-  const Technology& tech = nl.tech();
-  const double vdd = tech.vdd;
-  const double th = 0.5 * vdd;
-  const double cx = opt.virtual_ground_cap;
-  const double vtp = tech.pmos_low.vt0;
-  const double pull_up_drive = std::max(vdd - vtp, 0.0);
-  const double alpha = opt.alpha;
-  const double vt0 = tech.nmos_low.vt0;
-  // Eq. 5 fast path: the closed form applies lane-wise and the threshold
-  // does not depend on V_x, so one batched solve covers the domain row.
-  const bool fast_eq5 = (alpha == 2.0) && !opt.body_effect;
-  const int n_dom = static_cast<int>(sim_.domain_r_.size());
-  const int n_gate = nl.gate_count();
-  const int n_net = nl.net_count();
-  const std::size_t B = count;
-
-  const auto gidx = [B](int g, std::size_t l) { return static_cast<std::size_t>(g) * B + l; };
-  const auto dom = [&](int g) {
-    return static_cast<std::size_t>(sim_.gate_domain_[static_cast<std::size_t>(g)]);
-  };
-
-#ifdef MTCMOS_BATCH_PROF
-  struct Prof {
-    long long ns[16] = {};
-    long long rounds = 0, lanesum = 0, gatesum = 0, pairs = 0, reevals = 0;
-    ~Prof() {
-      static const char* nm[16] = {"compact", "guards", "beta",   "solve",   "slope",  "cand",
-                                   "term",    "adv",    "mon",    "vx",      "setup",  "ev:in",
-                                   "ev:cross", "init",   "ev:pend", "ev:reev"};
-      for (int i = 0; i < 16; ++i)
-        if (ns[i]) std::fprintf(stderr, "PROF %-8s %9.3f ms\n", nm[i], ns[i] / 1e6);
-      std::fprintf(stderr, "PROF rounds=%lld lanesum=%lld gatesum=%lld pairs=%lld reevals=%lld\n",
-                   rounds, lanesum, gatesum, pairs, reevals);
-    }
-  };
-  static Prof g_prof;
-#define PROF_T0 auto _pt = std::chrono::steady_clock::now()
-#define PROF_TICK(i)                                                               \
-  {                                                                                \
-    const auto _n = std::chrono::steady_clock::now();                              \
-    g_prof.ns[i] += std::chrono::duration_cast<std::chrono::nanoseconds>(_n - _pt).count(); \
-    _pt = _n;                                                                      \
-  }
-#else
-#define PROF_T0
-#define PROF_TICK(i)
-#endif
-  PROF_T0;
-
-  resolve_out_names(nl, out_names, ws);
-  const std::size_t n_mon = ws.mon_gate.size();
-  reset_soa(ws, n_gate, n_net, n_dom, n_mon, B);
-  ws.slot_item.assign(B, 0);
-  ws.gate_active.assign(static_cast<std::size_t>(n_gate), 0);
-  ws.group_key.clear();
-
-  // Pulldown truth tables: logic settling and re-evaluation are the
-  // hottest scalar remnants, and a gate's function is static, so gates
-  // with <= 6 fanins trade the SpExpr walk for one table lookup.  The
-  // table is the same function, so results are identical.  Gate functions
-  // are a property of the netlist, not the batch, so the tables are built
-  // once per (workspace, netlist) pair and reused across chunks.
-  if (ws.tt_netlist != &nl || ws.gate_tt.size() != static_cast<std::size_t>(n_gate)) {
-    ws.gate_tt.assign(static_cast<std::size_t>(n_gate), 0);
-    ws.gate_tt_ok.assign(static_cast<std::size_t>(n_gate), 0);
-    for (int g = 0; g < n_gate; ++g) {
-      const netlist::Gate& gate = nl.gate(g);
-      const std::size_t nf = gate.fanins.size();
-      if (nf > 6) continue;
-      ws.pins.resize(nf);
-      std::uint64_t tt = 0;
-      for (std::uint32_t m = 0; m < (std::uint32_t{1} << nf); ++m) {
-        for (std::size_t p = 0; p < nf; ++p) ws.pins[p] = ((m >> p) & 1u) != 0;
-        if (gate.pulldown.conducts(ws.pins)) tt |= std::uint64_t{1} << m;
-      }
-      ws.gate_tt[static_cast<std::size_t>(g)] = tt;
-      ws.gate_tt_ok[static_cast<std::size_t>(g)] = 1;
-    }
-    ws.tt_netlist = &nl;
-  }
-  PROF_TICK(10);
-  // Pulldown-conducts for gate g given a per-net logic lookup.
-  const auto conducts_at = [&](int g, auto&& net_bit) {
-    const netlist::Gate& gate = nl.gate(g);
-    if (ws.gate_tt_ok[static_cast<std::size_t>(g)]) {
-      std::uint32_t idx = 0;
-      for (std::size_t p = 0; p < gate.fanins.size(); ++p) {
-        idx |= static_cast<std::uint32_t>(net_bit(gate.fanins[p]) ? 1u : 0u) << p;
-      }
-      return ((ws.gate_tt[static_cast<std::size_t>(g)] >> idx) & 1u) != 0;
-    }
-    ws.pins.resize(gate.fanins.size());
-    for (std::size_t p = 0; p < gate.fanins.size(); ++p) {
-      ws.pins[p] = net_bit(gate.fanins[p]);
-    }
-    return gate.pulldown.conducts(ws.pins);
-  };
-
-  // Monitor trackers: same online Pwl replay as run_lockstep.
-  const auto mon_finalize = [&](std::size_t k) {
-    const double v0 = ws.mon_va[k];
-    const double v1 = ws.mon_vb[k];
-    if (v1 == v0) return;  // edge_matches(kAny) is false
-    const double lo = std::min(v0, v1);
-    const double hi = std::max(v0, v1);
-    if (th < lo || th > hi) return;
-    const double frac = (th - v0) / (v1 - v0);
-    ws.mon_cross[k] = ws.mon_ta[k] + frac * (ws.mon_tb[k] - ws.mon_ta[k]);
-    ws.mon_has[k] = 1;
-  };
-  const auto mon_append = [&](int mon, std::size_t l, double t, double v) {
-    const std::size_t k = static_cast<std::size_t>(mon) * B + l;
-    if (ws.mon_npts[k] == 0) {
-      ws.mon_tb[k] = t;
-      ws.mon_vb[k] = v;
-      ws.mon_npts[k] = 1;
-      return;
-    }
-    if (t == ws.mon_tb[k]) {
-      ws.mon_vb[k] = v;
-      return;
-    }
-    if (ws.mon_npts[k] >= 2) mon_finalize(k);
-    ws.mon_ta[k] = ws.mon_tb[k];
-    ws.mon_va[k] = ws.mon_vb[k];
-    ws.mon_tb[k] = t;
-    ws.mon_vb[k] = v;
-    ws.mon_npts[k] = 2;
-  };
-  const auto record_gate = [&](int g, std::size_t l) {
-    const int mon = ws.mon_of_gate[static_cast<std::size_t>(g)];
-    if (mon >= 0) mon_append(mon, l, ws.t_now[l], ws.vout[gidx(g, l)]);
-  };
-
-  // Drive transitions route through here so the cohort kernel can keep
-  // per-gate live-drive counts (the active/settled gate partition).
+  // Drive transitions route through here to keep the live-drive counts
+  // (the active/settled gate partition).
   const auto set_drive = [&](int g, std::size_t l, Drive d) {
     Drive& cur = ws.drive[gidx(g, l)];
     if (cur == d) return;
-    if constexpr (Cohort) {
-      if (cur == Drive::kIdle) {
-        ++ws.gate_active[static_cast<std::size_t>(g)];
-        ++ws.lane_active[l];
-      } else if (d == Drive::kIdle) {
-        --ws.gate_active[static_cast<std::size_t>(g)];
-        --ws.lane_active[l];
-      }
+    if (cur == Drive::kIdle) {
+      ++ws.gate_active[static_cast<std::size_t>(g)];
+      ++ws.lane_active[l];
+    } else if (d == Drive::kIdle) {
+      --ws.gate_active[static_cast<std::size_t>(g)];
+      --ws.lane_active[l];
     }
     cur = d;
   };
@@ -860,18 +313,14 @@ void VbsBatchSimulator::run_work(const VbsBatchItem* items, std::size_t count,
     ws.running[l] = 0;
     // Idle drives keep the failed lane inert for the rest of its round.
     for (int g = 0; g < n_gate; ++g) set_drive(g, l, Drive::kIdle);
-    if constexpr (Cohort) {
-      results[ws.slot_item[l]] = {-1.0, false, std::move(info)};
-    } else {
-      ws.failed[l] = 1;
-      ws.failure[l] = std::move(info);
-    }
+    results[ws.slot_item[l]] = {-1.0, false, std::move(info)};
   };
 
-  // Retired-lane reduce (cohort): a quiescent lane's monitors can never
-  // be appended to again, so flushing and reducing now is bit-identical
-  // to the end-of-run reduce the other kernels do.
-  [[maybe_unused]] const auto finish_lane = [&](std::size_t l) {
+  // Retired-lane reduce: a quiescent lane's monitors can never be
+  // appended to again, so flushing (the scalar last_crossing also scans
+  // the final segment) and reducing now is bit-identical to reducing at
+  // the end of the run.
+  const auto finish_lane = [&](std::size_t l) {
     for (std::size_t m = 0; m < n_mon; ++m) {
       const std::size_t k = m * B + l;
       if (ws.mon_npts[k] >= 2) mon_finalize(k);
@@ -895,10 +344,10 @@ void VbsBatchSimulator::run_work(const VbsBatchItem* items, std::size_t count,
 
   // Lane-column swap for the compaction step.  Only state that persists
   // across rounds travels with the lane: round scratch (slope, beta, u,
-  // vx_dom, eq_vx, target_low, t_next, dt, any_active) is recomputed for
-  // the live prefix before it is read again, and a retired lane's
-  // failure/result was already recorded.
-  [[maybe_unused]] const auto swap_lanes = [&](std::size_t a, std::size_t b) {
+  // vx_dom, eq_vx, target_low, t_next, dt) is recomputed for the live
+  // prefix before it is read again, and a retired lane's failure/result
+  // was already recorded.
+  const auto swap_lanes = [&](std::size_t a, std::size_t b) {
     for (int g = 0; g < n_gate; ++g) {
       std::swap(ws.drive[gidx(g, a)], ws.drive[gidx(g, b)]);
       std::swap(ws.vout[gidx(g, a)], ws.vout[gidx(g, b)]);
@@ -934,26 +383,21 @@ void VbsBatchSimulator::run_work(const VbsBatchItem* items, std::size_t count,
   };
 
   // --- Per-lane initialization, in item order (kVbsRun faultinject
-  // consumption must match the scalar loop).  Cohort lanes are assigned
-  // dense slots; an init-failed item never occupies one.
+  // consumption must match the scalar loop).  Lanes are assigned dense
+  // slots; an init-failed item never occupies one.
   ws.settled_logic.clear();
   ws.settled_rep.clear();
-  const bool packed_keys = Cohort && n_in <= 64;
+  const bool packed_keys = n_in <= 64;
   std::size_t live = 0;
   for (std::size_t i = 0; i < count; ++i) {
     try {
       faultinject::check(faultinject::Site::kVbsRun, "VbsSimulator::run");
     } catch (const NumericalError& e) {
-      if constexpr (Cohort) {
-        results[i] = {-1.0, false, e.info()};
-      } else {
-        ws.failure[i] = e.info();
-        ws.failed[i] = 1;
-      }
+      results[i] = {-1.0, false, e.info()};
       continue;
     }
-    const std::size_t l = Cohort ? live++ : i;
-    if constexpr (Cohort) ws.slot_item[l] = i;
+    const std::size_t l = live++;
+    ws.slot_item[l] = i;
     const std::vector<bool>& v0 = *items[i].v0;
     const std::vector<bool>& v1 = *items[i].v1;
     // Shared-prefix reuse: settle each distinct v0 once per batch.  With
@@ -989,7 +433,7 @@ void VbsBatchSimulator::run_work(const VbsBatchItem* items, std::size_t count,
       std::uint8_t* settled = ws.settled_logic.data() + base;
       std::size_t nearest = n_groups;
       if (packed_keys && n_groups > 0) {
-        int best = n_in < 64 ? 65 : 65;
+        int best = 65;  // above any popcount of a 64-bit key
         for (std::size_t k = 0; k < n_groups; ++k) {
           const int d = std::popcount(ws.group_key[k] ^ key);
           if (d < best) {
@@ -1075,19 +519,6 @@ void VbsBatchSimulator::run_work(const VbsBatchItem* items, std::size_t count,
     ws.running[l] = 1;
     ++lanes_running;
   }
-  if constexpr (Cohort) {
-    // Per-lane non-idle drive counts: with these maintained by set_drive,
-    // the candidate sweep no longer stores a per-pair any_active flag --
-    // lane_active[l] != 0 is the same predicate, kept incrementally.
-    ws.lane_active.assign(B, 0);
-    for (int g = 0; g < n_gate; ++g) {
-      const Drive* row = ws.drive.data() + gidx(g, 0);
-      for (std::size_t l = 0; l < B; ++l) {
-        ws.lane_active[l] += (row[l] != Drive::kIdle) ? 1u : 0u;
-      }
-    }
-  }
-  PROF_TICK(13);
 
   const auto drive_current = [alpha](double beta, double u) {
     if (u <= 0.0) return 0.0;
@@ -1112,12 +543,6 @@ void VbsBatchSimulator::run_work(const VbsBatchItem* items, std::size_t count,
     if (next != before) record_gate(g, l);
   };
 
-  if constexpr (!Cohort) {
-    // kSimd keeps the lockstep schedule: the "active" cohort is every gate.
-    ws.active_gates.resize(static_cast<std::size_t>(n_gate));
-    std::iota(ws.active_gates.begin(), ws.active_gates.end(), 0);
-  }
-
   // Visit the non-idle lanes of a drive row in ascending order, skipping
   // idle lanes eight at a time: kIdle == 0, so an all-idle block is a zero
   // uint64.  Only no-op lanes are skipped, so users stay bit-exact.
@@ -1139,35 +564,26 @@ void VbsBatchSimulator::run_work(const VbsBatchItem* items, std::size_t count,
 
   // --- Breakpoint rounds.
   while (lanes_running > 0) {
-    PROF_T0;
-    if constexpr (Cohort) {
-      // Swap-retire finished lanes out of the dense live prefix.  Order
-      // within the prefix is not preserved; per-lane sequences are
-      // independent, so this cannot change any lane's bits.
-      for (std::size_t l = 0; l < live;) {
-        if (ws.running[l]) {
-          ++l;
-          continue;
-        }
-        --live;
-        if (l != live) swap_lanes(l, live);
+    // Swap-retire finished lanes out of the dense live prefix.  Order
+    // within the prefix is not preserved; per-lane sequences are
+    // independent, so this cannot change any lane's bits.
+    for (std::size_t l = 0; l < live;) {
+      if (ws.running[l]) {
+        ++l;
+        continue;
       }
-      // Rebuild the active cohort, ascending: candidate min-chains and
-      // the event-stage gate scan keep the scalar kernel's gate order.
-      ws.active_gates.clear();
-      for (int g = 0; g < n_gate; ++g) {
-        if (ws.gate_active[static_cast<std::size_t>(g)] > 0) ws.active_gates.push_back(g);
-      }
+      --live;
+      if (l != live) swap_lanes(l, live);
     }
-    const std::size_t L = Cohort ? live : B;
+    // Rebuild the active cohort, ascending: candidate min-chains and
+    // the event-stage gate scan keep the scalar kernel's gate order.
+    ws.active_gates.clear();
+    for (int g = 0; g < n_gate; ++g) {
+      if (ws.gate_active[static_cast<std::size_t>(g)] > 0) ws.active_gates.push_back(g);
+    }
+    const std::size_t L = live;
     const int* gl = ws.active_gates.data();
     const std::size_t gn = ws.active_gates.size();
-    PROF_TICK(0);
-#ifdef MTCMOS_BATCH_PROF
-    ++g_prof.rounds;
-    g_prof.lanesum += static_cast<long long>(L);
-    g_prof.gatesum += static_cast<long long>(gn);
-#endif
 
     // Scalar loop top: fault injection and budget guards.  When nothing is
     // armed and no budget is set, every check below is a no-op for every
@@ -1198,7 +614,6 @@ void VbsBatchSimulator::run_work(const VbsBatchItem* items, std::size_t count,
       }
     }
     if (lanes_running == 0) break;
-    PROF_TICK(1);
 
     // --- Solve each domain's virtual ground for its discharger set.
     // Settled gates contribute 0 beta in every lane; skipping their rows
@@ -1212,22 +627,19 @@ void VbsBatchSimulator::run_work(const VbsBatchItem* items, std::size_t count,
       const double bg = sim_.beta_n_[static_cast<std::size_t>(g)];
       double* beta_row = ws.beta_dom.data() + dom(g) * B;
       const Drive* drive_row = ws.drive.data() + gidx(g, 0);
-      if constexpr (Cohort) {
-        // Sparse row: += 0.0 on an idle lane leaves its (+0.0-seeded)
-        // total bit-unchanged, so skipping idle lanes is exact.
-        if (ws.gate_active[static_cast<std::size_t>(g)] * 4 < L) {
-          for_each_driving(drive_row, L, [&](std::size_t l) {
-            if (drive_row[l] == Drive::kDown) beta_row[l] += bg;
-          });
-          continue;
-        }
+      // Sparse row: += 0.0 on an idle lane leaves its (+0.0-seeded) total
+      // bit-unchanged, so skipping idle lanes is exact.
+      if (ws.gate_active[static_cast<std::size_t>(g)] * 4 < L) {
+        for_each_driving(drive_row, L, [&](std::size_t l) {
+          if (drive_row[l] == Drive::kDown) beta_row[l] += bg;
+        });
+        continue;
       }
       MTCMOS_SIMD_LOOP
       for (std::size_t l = 0; l < L; ++l) {
         beta_row[l] += (drive_row[l] == Drive::kDown) ? bg : 0.0;
       }
     }
-    PROF_TICK(2);
     for (int d = 0; d < n_dom; ++d) {
       const double r = sim_.domain_r_[static_cast<std::size_t>(d)];
       const std::size_t base = static_cast<std::size_t>(d) * B;
@@ -1264,27 +676,23 @@ void VbsBatchSimulator::run_work(const VbsBatchItem* items, std::size_t count,
           double vx = 0.0;
           double u = 0.0;
           bool hit = false;
-          if constexpr (Cohort) {
-            for (std::size_t j = 0; j < mn; ++j) {
-              if (mb[j] == b) {
-                vx = mvx[j];
-                u = mu[j];
-                hit = true;
-                break;
-              }
+          for (std::size_t j = 0; j < mn; ++j) {
+            if (mb[j] == b) {
+              vx = mvx[j];
+              u = mu[j];
+              hit = true;
+              break;
             }
           }
           if (!hit) {
             const VxSolution eq = solve_vx(r, vdd, tech.nmos_low, b, opt.body_effect, alpha);
             vx = eq.vx;
             u = eq.gate_drive;
-            if constexpr (Cohort) {
-              if (mn < mb.size()) {
-                mb[mn] = b;
-                mvx[mn] = vx;
-                mu[mn] = u;
-                ++mn;
-              }
+            if (mn < mb.size()) {
+              mb[mn] = b;
+              mvx[mn] = vx;
+              mu[mn] = u;
+              ++mn;
             }
           }
           eq_row[l] = vx;
@@ -1309,7 +717,6 @@ void VbsBatchSimulator::run_work(const VbsBatchItem* items, std::size_t count,
       // reset_soa seeded (nothing else writes them), so no per-round fill.
     }
 
-    PROF_TICK(3);
     // --- Per-lane t_next seed (pending input events and due activations),
     // hoisted before the slope/candidate sweep accumulates gate
     // candidates onto it.
@@ -1320,14 +727,12 @@ void VbsBatchSimulator::run_work(const VbsBatchItem* items, std::size_t count,
       }
       for (const detail::PendingEval& p : ws.pending[l]) tn = std::min(tn, p.t);
       ws.t_next[l] = tn;
-      if constexpr (!Cohort) ws.any_active[l] = 0;
     }
     // --- Slopes and next-breakpoint candidates (paper Eq. 6/7 estimates;
     // active gates only -- an idle drive's slope is written 0 and a
     // settled gate's stale slope row is never read while idle).
     //
-    // The cohort kernel fuses the candidate accumulation into the slope
-    // sweep: the candidate block for (g, lane) reads only that gate's
+    // The candidate accumulation is fused into the slope sweep: the candidate block for (g, lane) reads only that gate's
     // just-written slope, so one scan of the drive row serves both
     // passes and each lane still sees gate candidates in ascending gate
     // order, exactly as when the passes ran separately.  Candidates are
@@ -1347,76 +752,53 @@ void VbsBatchSimulator::run_work(const VbsBatchItem* items, std::size_t count,
       const double* u_row = ws.u_dom.data() + dom(g) * B;
       const Drive* drive_row = ws.drive.data() + gidx(g, 0);
       double* slope_row = ws.slope.data() + gidx(g, 0);
-      if constexpr (Cohort) {
-        const netlist::NetId out = nl.gate(g).output;
-        const std::uint8_t* logic_row = ws.logic.data() + static_cast<std::size_t>(out) * B;
-        const double* low_row = ws.target_low.data() + dom(g) * B;
-        const double* vout_row = ws.vout.data() + gidx(g, 0);
-        const auto cand = [&](std::size_t l, double sl) {
-          const Drive dr = drive_row[l];
-          const bool out_logic = logic_row[l] != 0;
-          const double vo = vout_row[l];
-          const double tno = ws.t_now[l];
-          double tn = ws.t_next[l];
-          if (dr == Drive::kDown && sl < 0.0) {
-            if (out_logic && vo > th) tn = std::min(tn, tno + (th - vo) / sl);
-            const double low = low_row[l];
-            if (vo > low) tn = std::min(tn, tno + (low - vo) / sl);
-          } else if (dr == Drive::kUp && sl > 0.0) {
-            if (!out_logic && vo < th) tn = std::min(tn, tno + (th - vo) / sl);
-            if (vo < vdd) tn = std::min(tn, tno + (vdd - vo) / sl);
-          }
-          ws.t_next[l] = tn;
-        };
-        // Sparse row: gate_active[g] is the exact non-idle live count, so
-        // when few lanes drive this gate a branchy sweep skips the
-        // divisions the branchless select would issue for every lane.
-        // Values written are identical either way.
-        if (!MTCMOS_SIMD_ENABLED || ws.gate_active[static_cast<std::size_t>(g)] * 4 < L) {
-          std::fill(slope_row, slope_row + L, 0.0);
-          for_each_driving(drive_row, L, [&](std::size_t l) {
-            double sl;
-            if (drive_row[l] == Drive::kUp) {
-              sl = slope_up;
-            } else {
-              // Same association as the branchless forms: ((0.5*bn)*u)*u.
-              const double u = u_row[l];
-              const double dc =
-                  (u <= 0.0) ? 0.0
-                             : (alpha == 2.0 ? 0.5 * bn * u * u
-                                             : 0.5 * bn * std::pow(u, alpha));
-              sl = -dc / cl;
-            }
-            slope_row[l] = sl;
-            cand(l, sl);
-          });
-          continue;
+      const netlist::NetId out = nl.gate(g).output;
+      const std::uint8_t* logic_row = ws.logic.data() + static_cast<std::size_t>(out) * B;
+      const double* low_row = ws.target_low.data() + dom(g) * B;
+      const double* vout_row = ws.vout.data() + gidx(g, 0);
+      const auto cand = [&](std::size_t l, double sl) {
+        const Drive dr = drive_row[l];
+        const bool out_logic = logic_row[l] != 0;
+        const double vo = vout_row[l];
+        const double tno = ws.t_now[l];
+        double tn = ws.t_next[l];
+        if (dr == Drive::kDown && sl < 0.0) {
+          if (out_logic && vo > th) tn = std::min(tn, tno + (th - vo) / sl);
+          const double low = low_row[l];
+          if (vo > low) tn = std::min(tn, tno + (low - vo) / sl);
+        } else if (dr == Drive::kUp && sl > 0.0) {
+          if (!out_logic && vo < th) tn = std::min(tn, tno + (th - vo) / sl);
+          if (vo < vdd) tn = std::min(tn, tno + (vdd - vo) / sl);
         }
-        // Dense row: vectorized branchless slope fill, then a sparse
-        // candidate scan (the division-heavy candidate pass loses to the
-        // branchy form even vectorized -- divide throughput dominates).
-        if (alpha == 2.0) {
-          MTCMOS_SIMD_LOOP
-          for (std::size_t l = 0; l < L; ++l) {
+        ws.t_next[l] = tn;
+      };
+      // Sparse row: gate_active[g] is the exact non-idle live count, so
+      // when few lanes drive this gate a branchy sweep skips the
+      // divisions the branchless select would issue for every lane.
+      // Values written are identical either way.
+      if (!MTCMOS_SIMD_ENABLED || ws.gate_active[static_cast<std::size_t>(g)] * 4 < L) {
+        std::fill(slope_row, slope_row + L, 0.0);
+        for_each_driving(drive_row, L, [&](std::size_t l) {
+          double sl;
+          if (drive_row[l] == Drive::kUp) {
+            sl = slope_up;
+          } else {
+            // Same association as the branchless forms: ((0.5*bn)*u)*u.
             const double u = u_row[l];
-            const double dc = (u <= 0.0) ? 0.0 : 0.5 * bn * u * u;
-            slope_row[l] = (drive_row[l] == Drive::kDown)
-                               ? -dc / cl
-                               : ((drive_row[l] == Drive::kUp) ? slope_up : 0.0);
+            const double dc =
+                (u <= 0.0) ? 0.0
+                           : (alpha == 2.0 ? 0.5 * bn * u * u
+                                           : 0.5 * bn * std::pow(u, alpha));
+            sl = -dc / cl;
           }
-        } else {
-          // pow stays a scalar libm call (simd.hpp rule): unannotated loop.
-          for (std::size_t l = 0; l < L; ++l) {
-            const double u = u_row[l];
-            const double dc = (u <= 0.0) ? 0.0 : 0.5 * bn * std::pow(u, alpha);
-            slope_row[l] = (drive_row[l] == Drive::kDown)
-                               ? -dc / cl
-                               : ((drive_row[l] == Drive::kUp) ? slope_up : 0.0);
-          }
-        }
-        for_each_driving(drive_row, L, [&](std::size_t l) { cand(l, slope_row[l]); });
+          slope_row[l] = sl;
+          cand(l, sl);
+        });
         continue;
       }
+      // Dense row: vectorized branchless slope fill, then a sparse
+      // candidate scan (the division-heavy candidate pass loses to the
+      // branchy form even vectorized -- divide throughput dominates).
       if (alpha == 2.0) {
         MTCMOS_SIMD_LOOP
         for (std::size_t l = 0; l < L; ++l) {
@@ -1436,44 +818,9 @@ void VbsBatchSimulator::run_work(const VbsBatchItem* items, std::size_t count,
                              : ((drive_row[l] == Drive::kUp) ? slope_up : 0.0);
         }
       }
+      for_each_driving(drive_row, L, [&](std::size_t l) { cand(l, slope_row[l]); });
     }
 
-    PROF_TICK(4);
-    if constexpr (!Cohort) {
-      // kSimd keeps the standalone branchless candidate pass over every
-      // gate x lane (the lockstep schedule has no drive-count tracking).
-      for (std::size_t gi = 0; gi < gn; ++gi) {
-        const int g = gl[gi];
-        const netlist::NetId out = nl.gate(g).output;
-        const std::uint8_t* logic_row = ws.logic.data() + static_cast<std::size_t>(out) * B;
-        const double* low_row = ws.target_low.data() + dom(g) * B;
-        const Drive* drive_row = ws.drive.data() + gidx(g, 0);
-        const double* vout_row = ws.vout.data() + gidx(g, 0);
-        const double* slope_row = ws.slope.data() + gidx(g, 0);
-        MTCMOS_SIMD_LOOP
-        for (std::size_t l = 0; l < L; ++l) {
-          const Drive dr = drive_row[l];
-          const bool dn = dr == Drive::kDown;
-          const bool out_logic = logic_row[l] != 0;
-          const double vo = vout_row[l];
-          const double sl = slope_row[l];
-          const double tno = ws.t_now[l];
-          const bool act = dr != Drive::kIdle;
-          const bool sgn = act && (dn ? sl < 0.0 : sl > 0.0);
-          const double rail = dn ? low_row[l] : vdd;
-          // Unselected candidates may divide by zero (inf/NaN) and are
-          // discarded by the selects; selected ones repeat the scalar
-          // expressions exactly, so the min-chain value is unchanged.
-          const double c_th = tno + (th - vo) / sl;
-          const double c_rail = tno + (rail - vo) / sl;
-          double tn = ws.t_next[l];
-          tn = (sgn && out_logic == dn && (dn ? vo > th : vo < th)) ? std::min(tn, c_th) : tn;
-          tn = (sgn && (dn ? vo > rail : vo < rail)) ? std::min(tn, c_rail) : tn;
-          ws.t_next[l] = tn;
-          ws.any_active[l] = static_cast<std::uint8_t>(ws.any_active[l] | (act ? 1 : 0));
-        }
-      }
-    }
     // RC-mode refinement breakpoints while any V_x is far from equilibrium.
     if (cx > 0.0) {
       for (int d = 0; d < n_dom; ++d) {
@@ -1488,7 +835,6 @@ void VbsBatchSimulator::run_work(const VbsBatchItem* items, std::size_t count,
       }
     }
 
-    PROF_TICK(5);
     // --- Per-lane termination (scalar: quiescent break / runaway throws).
     for (std::size_t l = 0; l < L; ++l) {
       if (!ws.running[l]) {
@@ -1496,14 +842,14 @@ void VbsBatchSimulator::run_work(const VbsBatchItem* items, std::size_t count,
         continue;
       }
       if (!std::isfinite(ws.t_next[l])) {
-        if (Cohort ? ws.lane_active[l] != 0 : ws.any_active[l] != 0) {
+        if (ws.lane_active[l] != 0) {
           fail_lane(l, {FailureCode::kBreakpointRunaway, "VbsSimulator::run",
                         "active gates are stalled with no future breakpoint at t=" +
                             std::to_string(ws.t_now[l])});
         } else {
           ws.running[l] = 0;  // quiescent: simulation complete
           --lanes_running;
-          if constexpr (Cohort) finish_lane(l);
+          finish_lane(l);
         }
         ws.dt[l] = 0.0;
         continue;
@@ -1521,7 +867,6 @@ void VbsBatchSimulator::run_work(const VbsBatchItem* items, std::size_t count,
     }
     if (lanes_running == 0) break;
 
-    PROF_TICK(6);
     // --- Advance, record monitors, and fire crossings in one fused sweep
     // per active gate, so each gate's vout/slope/drive rows stay cache-hot
     // across the three stages.  The scalar kernel handles one lane at a
@@ -1578,9 +923,6 @@ void VbsBatchSimulator::run_work(const VbsBatchItem* items, std::size_t count,
         // branches.  The fired bodies repeat the scalar expressions
         // exactly.
         for_each_driving(drive_row, L, [&](std::size_t l) {
-#ifdef MTCMOS_BATCH_PROF
-          ++g_prof.pairs;
-#endif
           if (mon >= 0) record_gate(g, l);
           const std::size_t k = gidx(g, l);
           const bool dn = drive_row[l] == Drive::kDown;
@@ -1604,7 +946,6 @@ void VbsBatchSimulator::run_work(const VbsBatchItem* items, std::size_t count,
         });
       }
     }
-    PROF_TICK(7);
     if (cx > 0.0) {
       for (int d = 0; d < n_dom; ++d) {
         const double r = sim_.domain_r_[static_cast<std::size_t>(d)];
@@ -1619,7 +960,6 @@ void VbsBatchSimulator::run_work(const VbsBatchItem* items, std::size_t count,
         }
       }
     }
-    PROF_TICK(9);
     // --- Input events due at each advanced lane's t_now.
     for (std::size_t l = 0; l < L; ++l) {
       if (!ws.running[l]) continue;  // still-running lanes advanced this round
@@ -1631,7 +971,6 @@ void VbsBatchSimulator::run_work(const VbsBatchItem* items, std::size_t count,
         mark_fanout(l, ev.net, opt.input_ramp);
       }
     }
-    PROF_TICK(11);
     for (std::size_t l = 0; l < L; ++l) {
       if (!ws.running[l]) continue;
       if (ws.pending[l].empty() && !opt.reverse_conduction) continue;
@@ -1663,10 +1002,6 @@ void VbsBatchSimulator::run_work(const VbsBatchItem* items, std::size_t count,
         }
       }
     }
-    PROF_TICK(14);
-#ifdef MTCMOS_BATCH_PROF
-    g_prof.reevals += static_cast<long long>(ws.reeval_pairs.size());
-#endif
     // Re-evaluate the fanout of every net whose logic changed.  The scalar
     // kernel sorts and dedups its per-lane list first, but that is only a
     // schedule choice: each reevaluate touches its own gate's drive alone
@@ -1676,43 +1011,8 @@ void VbsBatchSimulator::run_work(const VbsBatchItem* items, std::size_t count,
     for (const std::uint64_t p : ws.reeval_pairs) {
       reevaluate(static_cast<int>(p & 0xffffffffu), static_cast<std::size_t>(p >> 32));
     }
-    PROF_TICK(15);
   }
-
-  // --- Finish.  Cohort lanes reduced at retirement; the lockstep-schedule
-  // variant flushes and reduces every lane here, like run_lockstep.
-  if constexpr (!Cohort) {
-    for (std::size_t k = 0; k < n_mon * B; ++k) {
-      if (ws.mon_npts[k] >= 2) mon_finalize(k);
-    }
-    for (std::size_t l = 0; l < B; ++l) {
-      if (ws.failed[l]) {
-        results[l] = {-1.0, false, ws.failure[l]};
-        continue;
-      }
-      double worst = -1.0;
-      for (const VbsBatchWorkspace::OutRef& ref : ws.out_refs) {
-        std::optional<double> t;
-        if (ref.kind == 1) {
-          const std::size_t k = static_cast<std::size_t>(ref.mon) * B + l;
-          if (ws.mon_has[k]) t = ws.mon_cross[k];
-        } else if (ref.kind == 2) {
-          const bool a = (*items[l].v0)[static_cast<std::size_t>(ref.input)];
-          const bool b = (*items[l].v1)[static_cast<std::size_t>(ref.input)];
-          if (a != b) t = input_last_crossing(opt, th, a ? vdd : 0.0, b ? vdd : 0.0);
-        }
-        if (t && *t > t_in) worst = std::max(worst, *t - t_in);
-      }
-      results[l] = {worst, true, FailureInfo{}};
-    }
-  }
+  // Every lane was reduced (or failed) as it retired.
 }
-
-template void VbsBatchSimulator::run_work<false>(const VbsBatchItem*, std::size_t,
-                                                 const std::vector<std::string>&,
-                                                 VbsBatchWorkspace&, VbsLaneResult*) const;
-template void VbsBatchSimulator::run_work<true>(const VbsBatchItem*, std::size_t,
-                                                const std::vector<std::string>&,
-                                                VbsBatchWorkspace&, VbsLaneResult*) const;
 
 }  // namespace mtcmos::core

@@ -6,47 +6,37 @@
 // breakpoint appends to string-keyed Trace channels, every run builds a
 // fresh VbsResult, and every transition re-settles the v0 logic state from
 // scratch.  VbsBatchSimulator evaluates a *batch* of v0 -> v1 transitions
-// in lockstep instead:
+// together instead, in one kernel:
 //
 //   * state is laid out structure-of-arrays, gate-major: vout[g*B + lane],
 //     slope[g*B + lane], drive[g*B + lane], per-domain V_x rows -- so the
 //     Eq. 5 beta accumulation, slope recomputation and output advance are
 //     contiguous lane-inner loops the compiler can vectorize (AVX2 on
 //     x86), with no per-lane heap allocation inside the breakpoint loop;
-//   * each lockstep round advances every live lane to *its own* next
-//     breakpoint (lanes do not synchronize in simulated time, only in
-//     program order), so a lane's arithmetic sequence is exactly the
-//     scalar kernel's;
+//   * each round advances every live lane to *its own* next breakpoint
+//     (lanes do not synchronize in simulated time, only in program
+//     order), so a lane's arithmetic sequence is exactly the scalar
+//     kernel's;
 //   * the kernel is delay-only: instead of recording full waveforms it
 //     replays Pwl::append / Pwl::last_crossing online against the V_dd/2
 //     level for just the monitored output nets, which is where the scalar
 //     path's time actually goes;
+//   * the Eq. 5 re-solve goes through the batched closed form
+//     (solve_vx_batch) when alpha == 2 without body effect, and the beta /
+//     slope / advance passes are branchless selects under MTCMOS_SIMD_LOOP
+//     (portable scalar without MTCMOS_NATIVE);
+//   * lanes that finish or fail are swap-retired out of a dense live
+//     prefix, so every pass runs over live lanes only;
+//   * gates are partitioned into an active cohort (>= 1 live lane
+//     driving) and a settled cohort that is skipped entirely instead of
+//     re-evaluated each round;
+//   * the general-alpha / body-effect Eq. 5 path dedups identical
+//     discharger sets per domain per round;
 //   * transitions that share the settled v0 state reuse one logic
 //     settling pass (shared-prefix reuse) -- in an ordered all-pairs
-//     sweep a whole chunk typically shares its v0.
-//
-// Three kernel variants share the contract, selectable per simulator so a
-// perf regression can be bisected stage by stage (bench/microbench.cpp
-// runs one leg per variant):
-//
-//   kLockstep  the original PR 6 kernel: every gate x lane re-evaluated
-//              every round, branchy inner loops, per-lane Eq. 5 solves.
-//   kSimd      same lockstep schedule, but the Eq. 5 re-solve goes
-//              through the batched closed form (solve_vx_batch) when
-//              alpha == 2 without body effect, and the beta / slope /
-//              candidate / advance passes are branchless selects under
-//              MTCMOS_SIMD_LOOP (portable scalar without MTCMOS_NATIVE).
-//   kCohort    (default) kSimd plus work skipping: lanes that finish or
-//              fail are swap-retired out of a dense live prefix so every
-//              pass runs over [0, live) only; gates are partitioned into
-//              an active cohort (>= 1 live lane driving) and a settled
-//              cohort that is skipped entirely instead of re-evaluated
-//              each round; the general-alpha / body-effect Eq. 5 path
-//              dedups identical discharger sets per domain per round; and
-//              v0 settling is shared across *similar* (not just equal)
-//              vectors by settling each new group incrementally from its
-//              Hamming-nearest settled neighbor, propagating only the
-//              dirty logic cone.
+//     sweep a whole chunk typically shares its v0 -- and each *new* v0 is
+//     settled incrementally from its Hamming-nearest settled neighbor,
+//     propagating only the dirty logic cone.
 //
 // Determinism contract: for every lane, critical_delays() returns a value
 // bit-identical to VbsSimulator::critical_delay(v0, v1, out_names) on the
@@ -108,10 +98,7 @@ struct VbsBatchWorkspace {
   std::vector<double> t_next;
   std::vector<double> dt;
   std::vector<std::uint8_t> running;
-  std::vector<std::uint8_t> failed;
-  std::vector<std::uint8_t> any_active;
   std::vector<std::size_t> breakpoints;
-  std::vector<FailureInfo> failure;
   // Flattened per-lane input-event spans [event_begin[l], event_end[l]).
   std::vector<detail::InputEvent> events;
   std::vector<std::size_t> next_event;
@@ -119,11 +106,8 @@ struct VbsBatchWorkspace {
   std::vector<std::size_t> event_end;
   // Delayed gate activations (input-slope extension), per lane.
   std::vector<std::vector<detail::PendingEval>> pending;
-  // Event-stage scratch.  run_lockstep processes lanes one at a time
-  // through to_reevaluate; run_work batches the whole round's
-  // re-evaluations as packed (lane << 32 | gate) keys so one sort gives
-  // every lane its gate-index-ordered unique set.
-  std::vector<int> to_reevaluate;
+  // Event-stage scratch: the whole round's re-evaluations as packed
+  // (lane << 32 | gate) keys.
   std::vector<std::uint64_t> reeval_pairs;
   std::vector<bool> pins;
   // Shared-prefix reuse: settled logic per distinct v0 in the batch.
@@ -145,15 +129,13 @@ struct VbsBatchWorkspace {
     int input = -1;
   };
   std::vector<OutRef> out_refs;
-  // Per-gate pulldown truth tables (run_work): bit m of gate_tt[g] is
+  // Per-gate pulldown truth tables: bit m of gate_tt[g] is
   // SpExpr::conducts for fanin assignment m (fanin p = bit p), built for
   // gates with <= 6 fanins.  Wider gates (gate_tt_ok == 0) keep the
-  // expression walk.  Cached per netlist: tt_netlist tags which netlist
-  // the tables describe so chunked sweeps build them once.
+  // expression walk.  Rebuilt on every call.
   std::vector<std::uint64_t> gate_tt;
   std::vector<std::uint8_t> gate_tt_ok;
-  const void* tt_netlist = nullptr;
-  // Cohort-kernel state (unused by kLockstep).
+  // Cohort scheduler state.
   std::vector<std::size_t> slot_item;     ///< live slot -> original item index
   std::vector<std::uint32_t> gate_active; ///< per gate: live lanes with a non-idle drive
   std::vector<std::uint32_t> lane_active; ///< per lane: gates with a non-idle drive
@@ -162,23 +144,11 @@ struct VbsBatchWorkspace {
   std::vector<std::uint8_t> net_dirty;    ///< incremental-settle cone scratch
 };
 
-/// Which batch kernel critical_delays() runs.  All variants are
-/// bit-identical to the scalar path (and to each other); the split exists
-/// so perf regressions can be bisected per stage.  See the file comment.
-enum class BatchKernel : std::uint8_t {
-  kLockstep,  ///< PR 6 lockstep SoA kernel (bisection reference)
-  kSimd,      ///< + batched Eq. 5 closed form and branchless SIMD passes
-  kCohort,    ///< + live-lane compaction, active-gate cohorts, solve dedup,
-              ///<   Hamming-incremental v0 settling (default)
-};
-
 class VbsBatchSimulator {
  public:
   /// The wrapped simulator (and its netlist) must outlive the batch
   /// simulator.  Construction is cheap; no per-batch state is kept here.
-  explicit VbsBatchSimulator(const VbsSimulator& sim,
-                             BatchKernel kernel = BatchKernel::kCohort)
-      : sim_(sim), kernel_(kernel) {}
+  explicit VbsBatchSimulator(const VbsSimulator& sim) : sim_(sim) {}
 
   /// Batched equivalent of calling sim.critical_delay(*v0, *v1, out_names)
   /// once per item.  results[i].delay is bit-identical to the scalar
@@ -194,19 +164,13 @@ class VbsBatchSimulator {
                                              VbsBatchWorkspace& ws) const;
 
   const VbsSimulator& simulator() const { return sim_; }
-  BatchKernel kernel() const { return kernel_; }
 
  private:
-  void run_lockstep(const VbsBatchItem* items, std::size_t count,
-                    const std::vector<std::string>& out_names, VbsBatchWorkspace& ws,
-                    VbsLaneResult* results) const;
-  template <bool Cohort>
-  void run_work(const VbsBatchItem* items, std::size_t count,
-                const std::vector<std::string>& out_names, VbsBatchWorkspace& ws,
-                VbsLaneResult* results) const;
+  void run(const VbsBatchItem* items, std::size_t count,
+           const std::vector<std::string>& out_names, VbsBatchWorkspace& ws,
+           VbsLaneResult* results) const;
 
   const VbsSimulator& sim_;
-  BatchKernel kernel_;
 };
 
 }  // namespace mtcmos::core

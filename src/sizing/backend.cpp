@@ -27,7 +27,7 @@ core::VbsBatchWorkspace& local_batch_workspace() {
   return ws;
 }
 
-// Run the lockstep kernel over `vps` and convert lane results to the
+// Run the batch VBS kernel over `vps` and convert lane results to the
 // Outcome shape the batch interface promises.
 void run_vbs_batch(const core::VbsSimulator& sim, const std::vector<std::string>& outputs,
                    const VectorPair* const* vps, std::size_t n, Outcome<double>* out) {

@@ -158,7 +158,7 @@ class VbsBackend : public EvalBackend {
   void prepare_wl(double wl) const override { (void)simulator_at_wl(wl); }
   CacheStats cache_stats() const override;
 
-  /// Batch fast path: the SoA lockstep kernel (core/vbs_batch.hpp),
+  /// Batch fast path: the SoA batch kernel (core/vbs_batch.hpp),
   /// bit-identical to the scalar calls.  The baseline variant resolves
   /// memo hits first and runs the kernel over the misses only, inserting
   /// results through the same eviction path as the scalar call.

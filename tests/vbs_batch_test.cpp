@@ -1,14 +1,17 @@
 // Tests for the SoA batch kernel (core/vbs_batch.hpp): bit-identity with
 // the scalar VbsSimulator across every VbsOptions extension, multi-domain
-// partitions and batch sizes, per-lane failure isolation, coded option
-// validation, and (through EvalSession) parallel sweeps and checkpoint
-// kill-and-resume with the batch path enabled.
+// partitions and batch sizes, wide netlists (> 64 inputs, > 6 fanins),
+// workspace reuse across netlists, per-lane failure isolation, coded
+// option validation, and (through EvalSession) parallel sweeps and
+// checkpoint kill-and-resume with the batch path enabled.
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,6 +20,8 @@
 #include "core/vbs_batch.hpp"
 #include "models/sleep_transistor.hpp"
 #include "models/technology.hpp"
+#include "netlist/bits.hpp"
+#include "netlist/netlist.hpp"
 #include "sizing/checkpoint.hpp"
 #include "sizing/session.hpp"
 #include "sizing/sizing.hpp"
@@ -50,15 +55,14 @@ std::vector<VbsBatchItem> make_items(const std::vector<VectorPair>& pairs) {
   return items;
 }
 
-/// Runs the batch kernel in chunks of `batch` and requires every lane to
-/// equal the scalar critical_delay bit-for-bit.
+/// Runs the batch kernel in chunks of `batch` through `bws` and requires
+/// every lane to equal the scalar critical_delay bit-for-bit.
 void expect_bit_identical(const VbsSimulator& sim, const std::vector<VectorPair>& pairs,
                           const std::vector<std::string>& outs, std::size_t batch,
-                          BatchKernel kernel = BatchKernel::kCohort) {
-  const VbsBatchSimulator batch_sim(sim, kernel);
+                          VbsBatchWorkspace& bws) {
+  const VbsBatchSimulator batch_sim(sim);
   const std::vector<VbsBatchItem> items = make_items(pairs);
   std::vector<VbsLaneResult> results(items.size());
-  VbsBatchWorkspace bws;
   for (std::size_t off = 0; off < items.size(); off += batch) {
     const std::size_t n = std::min(batch, items.size() - off);
     batch_sim.critical_delays(items.data() + off, n, outs, bws, results.data() + off);
@@ -71,6 +75,12 @@ void expect_bit_identical(const VbsSimulator& sim, const std::vector<VectorPair>
     // scalar floating-point sequence exactly.
     EXPECT_EQ(results[i].delay, scalar) << "lane " << i;
   }
+}
+
+void expect_bit_identical(const VbsSimulator& sim, const std::vector<VectorPair>& pairs,
+                          const std::vector<std::string>& outs, std::size_t batch) {
+  VbsBatchWorkspace bws;
+  expect_bit_identical(sim, pairs, outs, batch, bws);
 }
 
 TEST(VbsBatch, BitIdenticalAcrossBatchSizes) {
@@ -88,23 +98,17 @@ TEST(VbsBatch, BitIdenticalAcrossBatchSizes) {
   expect_bit_identical(sim, fx.pairs, fx.outs, fx.pairs.size());  // full sweep, one batch
 }
 
-TEST(VbsBatch, BitIdenticalForEveryKernel) {
-  // Every BatchKernel variant replays the scalar FP sequence exactly --
-  // the lockstep reference, the branchless SIMD passes, and the cohort
-  // scheduler's compaction/skipping must not change a single bit.
+TEST(VbsBatch, ChunkedSamplesAreBitIdentical) {
+  // The sampled sweep in chunks of 32 (neither the per-lane nor the
+  // whole-sweep extreme), then the everything-on extension config, where
+  // the general-alpha solve and reverse-conduction paths diverge most.
   const AdderFixture fx;
   VbsOptions opt;
   opt.sleep_resistance = SleepTransistor(tech07(), 8.0).reff();
   const VbsSimulator sim(fx.adder.netlist, opt);
   std::vector<VectorPair> sample;
   for (std::size_t i = 0; i < fx.pairs.size(); i += 17) sample.push_back(fx.pairs[i]);
-  for (const BatchKernel kernel :
-       {BatchKernel::kLockstep, BatchKernel::kSimd, BatchKernel::kCohort}) {
-    SCOPED_TRACE(static_cast<int>(kernel));
-    expect_bit_identical(sim, sample, fx.outs, 32, kernel);
-  }
-  // The extension everything-on config through each variant too: the
-  // general-alpha solve and reverse-conduction paths diverge most.
+  expect_bit_identical(sim, sample, fx.outs, 32);
   VbsOptions all;
   all.sleep_resistance = SleepTransistor(tech07(), 6.0).reff();
   all.body_effect = true;
@@ -115,11 +119,7 @@ TEST(VbsBatch, BitIdenticalForEveryKernel) {
   const VbsSimulator sim_all(fx.adder.netlist, all);
   std::vector<VectorPair> thin;
   for (std::size_t i = 0; i < fx.pairs.size(); i += 41) thin.push_back(fx.pairs[i]);
-  for (const BatchKernel kernel :
-       {BatchKernel::kLockstep, BatchKernel::kSimd, BatchKernel::kCohort}) {
-    SCOPED_TRACE(static_cast<int>(kernel));
-    expect_bit_identical(sim_all, thin, fx.outs, 32, kernel);
-  }
+  expect_bit_identical(sim_all, thin, fx.outs, 32);
 }
 
 TEST(VbsBatch, RandomizedMixedSettleVectorsAreBitIdentical) {
@@ -145,11 +145,98 @@ TEST(VbsBatch, RandomizedMixedSettleVectorsAreBitIdentical) {
     p.v1 = (i % 9 == 0) ? p.v0 : random_bits(6);  // some no-op transitions
     pairs.push_back(std::move(p));
   }
-  for (const BatchKernel kernel :
-       {BatchKernel::kLockstep, BatchKernel::kSimd, BatchKernel::kCohort}) {
-    SCOPED_TRACE(static_cast<int>(kernel));
-    // A chunk size that does not divide the set exercises the tail chunk.
-    expect_bit_identical(sim, pairs, fx.outs, 48, kernel);
+  // A chunk size that does not divide the set exercises the tail chunk.
+  expect_bit_identical(sim, pairs, fx.outs, 48);
+}
+
+TEST(VbsBatch, WorkspaceReuseAcrossNetlistsAtOneAddress) {
+  // A workspace outlives every netlist it serves (the sizing backends keep
+  // one per thread).  A netlist built where a freed one lived -- same
+  // address, same gate count, different gate function -- must still be
+  // simulated with its own pulldown truth tables.
+  const auto pairs = sizing::all_vector_pairs(2);
+  VbsBatchWorkspace bws;               // shared, like a thread_local one
+  std::optional<netlist::Netlist> nl;  // one slot: both netlists share an address
+  for (const bool nand : {true, false}) {
+    SCOPED_TRACE(nand ? "nand2" : "nor2");
+    nl.emplace(tech07());
+    const netlist::NetId a = nl->add_input("a");
+    const netlist::NetId b = nl->add_input("b");
+    const netlist::NetId y = nand ? nl->add_nand2("g", a, b) : nl->add_nor2("g", a, b);
+    VbsOptions opt;
+    opt.sleep_resistance = 1500.0;
+    const VbsSimulator sim(*nl, opt);
+    expect_bit_identical(sim, pairs, {nl->net_name(y)}, pairs.size(), bws);
+  }
+}
+
+TEST(VbsBatch, MoreThanSixtyFourInputsAreBitIdentical) {
+  // 66 inputs do not fit a packed u64 v0 key, so settle groups are found
+  // by comparing whole vectors and every new group is settled in full.
+  // Six v0s, interleaved, each repeat across the chunks (shared-prefix
+  // reuse); the v1s flip a random handful of bits.
+  const circuits::RippleAdder adder = make_ripple_adder(tech07(), 33);
+  std::vector<std::string> outs;
+  for (const auto s : adder.sum) outs.push_back(adder.netlist.net_name(s));
+  outs.push_back(adder.netlist.net_name(adder.cout));
+  const std::size_t n_in = adder.netlist.inputs().size();
+  ASSERT_GT(n_in, 64u);
+  mtcmos::Rng rng(20261017);
+  std::vector<std::vector<bool>> v0s(6, std::vector<bool>(n_in));
+  for (auto& v : v0s) {
+    for (std::size_t i = 0; i < n_in; ++i) v[i] = rng.coin();
+  }
+  std::vector<VectorPair> pairs;
+  for (std::size_t i = 0; i < 48; ++i) {
+    VectorPair p;
+    p.v0 = v0s[i % v0s.size()];
+    p.v1 = p.v0;
+    for (int f = 0; f < 4; ++f) {
+      const std::size_t bit = rng.uniform_int(0, n_in - 1);
+      p.v1[bit] = !p.v1[bit];
+    }
+    pairs.push_back(std::move(p));
+  }
+  for (const double alpha : {2.0, 1.5}) {
+    SCOPED_TRACE(alpha);
+    VbsOptions opt;
+    opt.sleep_resistance = SleepTransistor(tech07(), 8.0).reff();
+    opt.alpha = alpha;
+    const VbsSimulator sim(adder.netlist, opt);
+    expect_bit_identical(sim, pairs, outs, 16);
+  }
+}
+
+TEST(VbsBatch, GatesWiderThanSixFaninsAreBitIdentical) {
+  // A 7-input series pulldown has no 64-bit truth table, so settling and
+  // re-evaluation fall back to the expression walk for that gate.  Every
+  // transition into or out of the all-ones vector toggles the NAND7.
+  netlist::Netlist nl(tech07());
+  std::vector<netlist::NetId> ins;
+  std::vector<netlist::SpExpr> series;
+  for (int i = 0; i < 7; ++i) {
+    ins.push_back(nl.add_input("x" + std::to_string(i)));
+    series.push_back(netlist::SpExpr::input(i));
+  }
+  const netlist::NetId n7 = nl.net("nand7.out");
+  nl.add_gate("nand7", netlist::SpExpr::series(std::move(series)), ins, n7);
+  const netlist::NetId y = nl.add_inv("inv", n7);
+  const std::vector<std::string> outs = {nl.net_name(n7), nl.net_name(y)};
+
+  const std::vector<bool> ones(7, true);
+  std::vector<VectorPair> pairs;
+  for (std::uint64_t v = 0; v < 128; ++v) {
+    const std::vector<bool> bits = netlist::bits_from_uint(v, 7);
+    pairs.push_back({ones, bits});
+    pairs.push_back({bits, ones});
+  }
+  for (const bool body_effect : {false, true}) {
+    SCOPED_TRACE(body_effect);
+    VbsOptions opt;
+    opt.sleep_resistance = 1500.0;
+    opt.body_effect = body_effect;
+    const VbsSimulator sim(nl, opt);
+    expect_bit_identical(sim, pairs, outs, 32);
   }
 }
 
