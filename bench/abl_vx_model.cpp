@@ -30,8 +30,8 @@ double spice_vx(const Technology& tech, int n_gates, double sleep_wl) {
   ckt.add_mosfet("Msleep", vgnd, vdd, spice::kGround, spice::kGround, tech.nmos_high,
                  sleep_wl * tech.lmin, tech.lmin);
   for (int i = 0; i < n_gates; ++i) {
-    ckt.add_mosfet("M" + std::to_string(i), vdd, vdd, vgnd, spice::kGround, tech.nmos_low,
-                   tech.wn_default, tech.lmin);
+    ckt.add_mosfet(std::string("M").append(std::to_string(i)), vdd, vdd, vgnd, spice::kGround,
+                   tech.nmos_low, tech.wn_default, tech.lmin);
   }
   spice::Engine eng(ckt);
   const auto v = eng.dc_operating_point();

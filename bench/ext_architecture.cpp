@@ -57,12 +57,13 @@ int main() {
   Table table({"architecture", "transistors", "CMOS tpd [ns]", "Ipeak (R=0) [mA]",
                "degr @ W/L=40 [%]", "degr @ W/L=170 [%]", "W/L for 5%"});
   for (Arch& a : archs) {
-    const sizing::DelayEvaluator eval(a.nl, a.outs);
-    const double d0 = eval.delay_cmos(vp);
+    const sizing::VbsBackend eval(a.nl, a.outs);
+    const double d0 = eval.delay_baseline(vp);
     const double ipeak = sizing::measure_peak_current(a.nl, vp);
     const double d40 = eval.degradation_pct(vp, 40.0);
     const double d170 = eval.degradation_pct(vp, 170.0);
-    const auto sized = sizing::size_for_degradation(eval, {vp}, 5.0, 5.0, 4000.0);
+    const auto sized =
+        sizing::size_for_degradation(eval, {vp}, 5.0, {.wl_min = 5.0, .wl_max = 4000.0});
     table.add_row({a.name, std::to_string(a.nl.transistor_count()), Table::num(d0 / ns, 4),
                    Table::num(ipeak / mA, 4), Table::num(d40, 3), Table::num(d170, 3),
                    Table::num(sized.wl, 4)});

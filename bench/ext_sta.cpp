@@ -62,7 +62,7 @@ int main() {
 
   // Narrow with the fast simulator (the paper's flow), SPICE-verify the
   // top candidates -- ranked by *absolute* delay for each target metric.
-  const sizing::DelayEvaluator eval(adder.netlist, outs);
+  const sizing::VbsBackend eval(adder.netlist, outs);
   auto ranked = sizing::rank_vectors(eval, sizing::all_vector_pairs(6), wl);
   double worst_cmos = 0.0, worst_mt = 0.0;
   std::sort(ranked.begin(), ranked.end(),

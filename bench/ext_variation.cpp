@@ -53,7 +53,7 @@ int main() {
 
   // (2) Nominal-corner sizing vs yield-aware sizing for a 10% target.
   const double target = 10.0;
-  const sizing::DelayEvaluator eval(ref.netlist, outputs);
+  const sizing::VbsBackend eval(ref.netlist, outputs);
   const double wl_nominal = sizing::size_for_degradation(eval, {vp}, target).wl;
   const double wl_p95 = sizing::wl_for_yield(builder, nominal, outputs, vp, target, 0.95, model,
                                              samples, /*seed=*/42);

@@ -54,7 +54,7 @@ int main() {
 
   // Switch-level tool alongside (the paper's intended use at this scale:
   // sweep fast, SPICE-verify after).
-  const sizing::DelayEvaluator eval(mult.netlist, outs);
+  const sizing::VbsBackend eval(mult.netlist, outs);
 
   Table fig7({"sleep W/L", "A tpd [ns]", "A degr [%]", "A degr VBS [%]", "B tpd [ns]",
               "B degr [%]", "B degr VBS [%]", "A Vx peak [V]", "A Ipeak [mA]"});

@@ -50,14 +50,14 @@ int main(int argc, char** argv) {
   std::vector<std::string> outputs;
   for (const auto s : adder.sum) outputs.push_back(adder.netlist.net_name(s));
   outputs.push_back(adder.netlist.net_name(adder.cout));
-  const sizing::DelayEvaluator eval(adder.netlist, outputs);
+  const sizing::VbsBackend eval(adder.netlist, outputs);
   const double wl = 8.0;
 
   const auto pairs = sizing::all_vector_pairs(6);
   std::cout << "Sweeping " << pairs.size() << " vector transitions at sleep W/L = " << wl
             << " on " << pool.thread_count() << " threads ...\n";
   const auto t0 = std::chrono::steady_clock::now();
-  const auto ranked = sizing::rank_vectors(eval, pairs, wl, &pool);
+  const auto ranked = sizing::rank_vectors(eval, pairs, wl, {.pool = &pool});
   const double secs = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   std::cout << ranked.size() << " transitions toggle an output; swept in " << secs
             << " s (paper: 13.5 s on a Sparc 5 for the same space)\n\n";
@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < 25 && i < ranked.size(); ++i) stress.push_back(ranked[i].pair);
   Table sizes({"target degr [%]", "required W/L"});
   for (double target : {20.0, 10.0, 5.0, 2.0}) {
-    const auto s = sizing::size_for_degradation(eval, stress, target, 1.0, 4000.0, 0.5, &pool);
+    const auto s = sizing::size_for_degradation(eval, stress, target, {}, {.pool = &pool});
     sizes.add_row({Table::num(target, 3), Table::num(s.wl, 4)});
   }
   sizes.print(std::cout);

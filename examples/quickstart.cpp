@@ -50,7 +50,7 @@ int main() {
             << res.finish_time / ns << " ns in\n";
 
   // 3. Size for <= 5% worst-case degradation over a set of stress vectors.
-  const sizing::DelayEvaluator eval(adder.netlist, outputs);
+  const sizing::VbsBackend eval(adder.netlist, outputs);
   const std::vector<sizing::VectorPair> vectors = {
       vp,
       {concat_bits(bits_from_uint(0, 3), bits_from_uint(0, 3)),

@@ -37,7 +37,7 @@ int main() {
 
   std::vector<std::string> outputs;
   for (const auto p : mult.p) outputs.push_back(mult.netlist.net_name(p));
-  const sizing::DelayEvaluator eval(mult.netlist, outputs);
+  const sizing::VbsBackend eval(mult.netlist, outputs);
 
   // 1. Search the 2^32 transition space with the switch-level simulator.
   Rng rng(2026);
@@ -64,7 +64,8 @@ int main() {
 
   // 3. Size for 5% against the stress set.
   const std::vector<sizing::VectorPair> stress = {worst.pair, vec_a, vec_b};
-  const sizing::SizingResult sized = sizing::size_for_degradation(eval, stress, 5.0, 10.0, 3000.0);
+  const sizing::SizingResult sized =
+      sizing::size_for_degradation(eval, stress, 5.0, {.wl_min = 10.0, .wl_max = 3000.0});
   std::cout << "\nSized for <= 5%: W/L = " << sized.wl << " (achieves " << sized.degradation_pct
             << "%)\n";
 

@@ -6,6 +6,16 @@
 
 namespace mtcmos::circuits {
 
+namespace {
+
+// Net name `prefix` + decimal `index`.  Built by append: GCC 12 at -O3
+// raises a false -Wrestrict on "a" + std::to_string(i).
+std::string indexed(const char* prefix, int index) {
+  return std::string(prefix).append(std::to_string(index));
+}
+
+}  // namespace
+
 InverterTree make_inverter_tree(const Technology& tech, const InverterTreeOptions& options) {
   require(options.fanout >= 1, "make_inverter_tree: fanout must be >= 1");
   require(options.stages >= 1, "make_inverter_tree: stages must be >= 1");
@@ -43,8 +53,8 @@ RippleAdder make_ripple_adder(const Technology& tech, int nbits, double output_l
   require(nbits >= 1, "make_ripple_adder: nbits must be >= 1");
   RippleAdder adder{Netlist(tech), {}, {}, {}, -1};
   Netlist& nl = adder.netlist;
-  for (int i = 0; i < nbits; ++i) adder.a.push_back(nl.add_input("a" + std::to_string(i)));
-  for (int i = 0; i < nbits; ++i) adder.b.push_back(nl.add_input("b" + std::to_string(i)));
+  for (int i = 0; i < nbits; ++i) adder.a.push_back(nl.add_input(indexed("a", i)));
+  for (int i = 0; i < nbits; ++i) adder.b.push_back(nl.add_input(indexed("b", i)));
 
   NetId carry = nl.net("cin0");  // undriven -> constant 0 (paper: initial carry grounded)
   for (int i = 0; i < nbits; ++i) {
@@ -63,8 +73,8 @@ CsaMultiplier make_csa_multiplier(const Technology& tech, int nbits, double outp
   require(nbits >= 2, "make_csa_multiplier: nbits must be >= 2");
   CsaMultiplier mult{Netlist(tech), {}, {}, {}};
   Netlist& nl = mult.netlist;
-  for (int i = 0; i < nbits; ++i) mult.x.push_back(nl.add_input("x" + std::to_string(i)));
-  for (int i = 0; i < nbits; ++i) mult.y.push_back(nl.add_input("y" + std::to_string(i)));
+  for (int i = 0; i < nbits; ++i) mult.x.push_back(nl.add_input(indexed("x", i)));
+  for (int i = 0; i < nbits; ++i) mult.y.push_back(nl.add_input(indexed("y", i)));
 
   // Partial products pp[i][j] = x_j & y_i  (row i weights 2^i).
   std::vector<std::vector<NetId>> pp(static_cast<std::size_t>(nbits));
@@ -128,8 +138,8 @@ WallaceMultiplier make_wallace_multiplier(const Technology& tech, int nbits,
   require(nbits >= 2, "make_wallace_multiplier: nbits must be >= 2");
   WallaceMultiplier mult{Netlist(tech), {}, {}, {}, 0};
   Netlist& nl = mult.netlist;
-  for (int i = 0; i < nbits; ++i) mult.x.push_back(nl.add_input("x" + std::to_string(i)));
-  for (int i = 0; i < nbits; ++i) mult.y.push_back(nl.add_input("y" + std::to_string(i)));
+  for (int i = 0; i < nbits; ++i) mult.x.push_back(nl.add_input(indexed("x", i)));
+  for (int i = 0; i < nbits; ++i) mult.y.push_back(nl.add_input(indexed("y", i)));
   const NetId zero = nl.net("const0");
 
   // Dot matrix: columns[w] = nets of weight 2^w.
@@ -158,7 +168,7 @@ WallaceMultiplier make_wallace_multiplier(const Technology& tech, int nbits,
       int cell = 0;
       while (col.size() - i >= 3) {
         const auto fa = nl.add_mirror_fa(
-            "w" + std::to_string(layer) + "_" + std::to_string(w) + "_" + std::to_string(cell++),
+            indexed("w", layer) + "_" + std::to_string(w) + "_" + std::to_string(cell++),
             col[i], col[i + 1], col[i + 2]);
         next[w].push_back(fa.sum);
         if (w + 1 < next.size()) next[w + 1].push_back(fa.cout);
@@ -167,8 +177,7 @@ WallaceMultiplier make_wallace_multiplier(const Technology& tech, int nbits,
       if (col.size() - i == 2) {
         // Half adder: a full adder with carry-in tied low.
         const auto ha = nl.add_mirror_fa(
-            "w" + std::to_string(layer) + "_" + std::to_string(w) + "_h", col[i], col[i + 1],
-            zero);
+            indexed("w", layer) + "_" + std::to_string(w) + "_h", col[i], col[i + 1], zero);
         next[w].push_back(ha.sum);
         if (w + 1 < next.size()) next[w + 1].push_back(ha.cout);
         i += 2;
@@ -200,7 +209,7 @@ ParityTree make_parity_tree(const Technology& tech, int nbits, double output_loa
   require(nbits >= 2, "make_parity_tree: nbits must be >= 2");
   ParityTree tree{Netlist(tech), {}, -1, 0};
   Netlist& nl = tree.netlist;
-  for (int i = 0; i < nbits; ++i) tree.inputs.push_back(nl.add_input("p" + std::to_string(i)));
+  for (int i = 0; i < nbits; ++i) tree.inputs.push_back(nl.add_input(indexed("p", i)));
 
   std::vector<NetId> level = tree.inputs;
   const NetId zero = nl.net("const0");
@@ -210,7 +219,7 @@ ParityTree make_parity_tree(const Technology& tech, int nbits, double output_loa
     std::vector<NetId> next;
     for (std::size_t i = 0; i + 1 < level.size(); i += 2) {
       next.push_back(nl.add_xor2(
-          "x" + std::to_string(depth) + "_" + std::to_string(i / 2), level[i], level[i + 1]));
+          indexed("x", depth) + "_" + std::to_string(i / 2), level[i], level[i + 1]));
     }
     level = std::move(next);
     ++depth;

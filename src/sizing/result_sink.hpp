@@ -1,13 +1,12 @@
 #pragma once
 // Streaming result path for sweep entry points.
 //
-// Historically every sweep returned a materialized vector of rows, which
-// caps a campaign at whatever fits in RAM.  The entry points in
-// session.hpp now *emit* each measured row into a ResultSink during their
-// serial input-order reduction; "return a vector" is just what the
-// legacy shims build from a MemorySink afterwards (bit-for-bit the old
-// values), while campaign-scale callers plug in a ColumnarSpillSink and
-// never hold more than a block of rows in memory.
+// A materialized vector of rows caps a campaign at whatever fits in RAM,
+// so the entry points in session.hpp *emit* each measured row into a
+// ResultSink during their serial input-order reduction.  A returned
+// vector (rank_vectors) is what the entry point builds from a MemorySink
+// afterwards, while campaign-scale callers plug in a ColumnarSpillSink
+// and never hold more than a block of rows in memory.
 //
 // Row identity: every emission carries the item's content-derived
 // checkpoint key (checkpoint_item_key -- op, backend, netlist
@@ -44,7 +43,7 @@ class ResultSink {
   /// One ranked-sweep measurement (rank_vectors).  Every successfully
   /// measured row is emitted, including non-switching ones
   /// (delay <= 0) -- consumers filter, so a streaming consumer sees the
-  /// same universe the legacy return-value filter saw.
+  /// same universe rank_vectors' return-value filter sees.
   virtual void on_delay(const std::string& key, const VectorDelay& row) = 0;
 
   /// One scalar measurement (bisection probe degradation, search score,
@@ -55,8 +54,8 @@ class ResultSink {
   virtual void flush() {}
 };
 
-/// Collects emissions in order; the in-RAM sink behind the legacy
-/// return-a-vector shims and the reference half of streaming-equivalence
+/// Collects emissions in order; the in-RAM sink behind the entry points
+/// that return a vector and the reference half of streaming-equivalence
 /// tests.
 class MemorySink final : public ResultSink {
  public:
@@ -115,7 +114,7 @@ class ColumnarSpillSink final : public ResultSink {
   util::ColumnarWriter& writer_;
 };
 
-/// Fans every emission out to two sinks (legacy shim collecting into a
+/// Fans every emission out to two sinks (rank_vectors collecting into a
 /// MemorySink while the session's spill sink also observes the sweep).
 class TeeSink final : public ResultSink {
  public:

@@ -91,21 +91,50 @@ class Watchdog {
   std::multiset<double> lower_, upper_;
 };
 
-// Everything run_item needs, resolved once per entry-point call.
-struct SweepCtx {
-  const SweepPolicy& policy;
-  const Deadline& deadline;
-  util::CancelToken& cancel;
-  Checkpoint* checkpoint;  // nullptr or unarmed-stripped
-  Watchdog* watchdog;      // nullptr = disabled
-};
+// Everything an entry-point call resolves once from its EvalSession and
+// run_item reads per item: the pool, the report (the session's, or a
+// scratch one when per-item outcomes are discarded), the deadline clock,
+// the cancel token, the checkpoint (armed or null, so the hot path tests
+// one pointer) and the optional watchdog.  Never copied: `report` may refer
+// to `scratch`.
+struct RunContext {
+  explicit RunContext(const EvalSession& s)
+      : pool(s.pool_ref()),
+        policy(s.policy),
+        report(s.report != nullptr ? *s.report : scratch),
+        deadline(Deadline::start(s.deadline_s)),
+        cancel(s.cancel_ref()),
+        checkpoint(s.checkpoint != nullptr && s.checkpoint->armed() ? s.checkpoint : nullptr) {
+    if (s.watchdog.armed()) watchdog.emplace(s.watchdog);
+  }
+  RunContext(const RunContext&) = delete;
+  RunContext& operator=(const RunContext&) = delete;
 
-// Resolve the session checkpoint to "armed or null", so the hot path
-// tests one pointer.
-Checkpoint* armed_checkpoint(const EvalSession& session) {
-  return session.checkpoint != nullptr && session.checkpoint->armed() ? session.checkpoint
-                                                                      : nullptr;
-}
+  /// Item keys have a consumer: the checkpoint, or a key-carrying sink.
+  bool needs_keys(const ResultSink* sink) const {
+    return checkpoint != nullptr || (sink != nullptr && sink->wants_keys());
+  }
+
+  /// Add item i's outcome to the report; true when it carries a value.
+  /// A failure rethrows unless the policy isolates failures.
+  template <typename T>
+  bool keep(std::size_t i, const Outcome<T>& o) const {
+    report.add(i, o);
+    if (o.ok()) return true;
+    if (!policy.isolate) throw NumericalError(o.failure);
+    return false;
+  }
+
+  util::ThreadPool& pool;
+  const SweepPolicy& policy;
+  SweepReport scratch;
+  SweepReport& report;
+  const Deadline deadline;
+  util::CancelToken& cancel;
+  Checkpoint* const checkpoint;
+  /// Fed by run_item through a const context; it locks internally.
+  mutable std::optional<Watchdog> watchdog;
+};
 
 // Run one sweep item under the policy's retry budget, stamping the item
 // index as the fault-injection scope so tests can address "item 37" by
@@ -123,7 +152,7 @@ Checkpoint* armed_checkpoint(const EvalSession& session) {
 // being returned; the caller commits the stage, so a crash can lose at
 // most the items still in flight and each worker's uncommitted group.
 template <typename T, typename Fn>
-Outcome<T> run_item(const SweepCtx& ctx, std::size_t index, const std::string& key,
+Outcome<T> run_item(const RunContext& ctx, std::size_t index, const std::string& key,
                     Checkpoint::Stage& stage, Fn&& body) {
   if (ctx.checkpoint != nullptr) {
     Outcome<T> cached;
@@ -151,7 +180,7 @@ Outcome<T> run_item(const SweepCtx& ctx, std::size_t index, const std::string& k
     std::optional<T> value;
     try {
       faultinject::check(faultinject::Site::kSweepItem, "sizing::sweep_item");
-      if (ctx.watchdog == nullptr) {
+      if (!ctx.watchdog) {
         value = body();
       } else {
         const auto t0 = Clock::now();
@@ -197,7 +226,7 @@ Outcome<T> run_item(const SweepCtx& ctx, std::size_t index, const std::string& k
 
 // run_item for the serial call sites: the item's record commits at once.
 template <typename T, typename Fn>
-Outcome<T> run_item_committed(const SweepCtx& ctx, std::size_t index, const std::string& key,
+Outcome<T> run_item_committed(const RunContext& ctx, std::size_t index, const std::string& key,
                               Fn&& body) {
   Checkpoint::Stage stage;
   Outcome<T> out = run_item<T>(ctx, index, key, stage, std::forward<Fn>(body));
@@ -346,14 +375,14 @@ std::vector<std::size_t> batch_todo(Checkpoint* ckpt, const ItemKeys& keys, std:
 // cancelled or the deadline expires are skipped; run_item classifies
 // those items normally when it reaches them.
 template <typename BatchFn>
-void batch_precompute(util::ThreadPool& tp, const Deadline& deadline,
-                      util::CancelToken& cancel, const std::vector<VectorPair>& vectors,
+void batch_precompute(const RunContext& run, const std::vector<VectorPair>& vectors,
                       const std::vector<std::size_t>& idx, std::size_t chunk, BatchMemo& memo,
                       const BatchFn& call) {
   if (idx.empty()) return;
+  memo.reset(vectors.size());
   const std::size_t nchunks = (idx.size() + chunk - 1) / chunk;
-  tp.parallel_for(nchunks, [&](std::size_t c) {
-    if (cancel.requested() || deadline.expired()) return;
+  run.pool.parallel_for(nchunks, [&](std::size_t c) {
+    if (run.cancel.requested() || run.deadline.expired()) return;
     const std::size_t begin = c * chunk;
     const std::size_t end = std::min(begin + chunk, idx.size());
     std::vector<const VectorPair*> vps(end - begin);
@@ -364,6 +393,48 @@ void batch_precompute(util::ThreadPool& tp, const Deadline& deadline,
   });
 }
 
+// Baseline and sized delays for the degradation sweeps (rank_vectors and
+// every size_for_degradation probe).  precompute() is their batch fast
+// path: baseline delays for every item not already journaled (after the
+// first probe these are all backend-memo hits), then the sized delay
+// only where the baseline toggled the outputs, mirroring measure()'s
+// early return.  measure() is the per-item body, consuming the memos.
+struct DegradationMemo {
+  BatchMemo base, sized;
+
+  void precompute(const RunContext& run, const EvalBackend& backend,
+                  const std::vector<VectorPair>& vectors, double wl, const ItemKeys& keys,
+                  std::size_t chunk) {
+    if (chunk == 0 || run.cancel.requested()) return;
+    const std::vector<std::size_t> todo = batch_todo(run.checkpoint, keys, vectors.size());
+    batch_precompute(run, vectors, todo, chunk, base,
+                     [&](const VectorPair* const* vps, std::size_t n, Outcome<double>* out) {
+                       backend.delay_baseline_batch(vps, n, out);
+                     });
+    std::vector<std::size_t> toggled;
+    toggled.reserve(todo.size());
+    for (const std::size_t i : todo) {
+      if (base.ok_positive(i)) toggled.push_back(i);
+    }
+    batch_precompute(run, vectors, toggled, chunk, sized,
+                     [&](const VectorPair* const* vps, std::size_t n, Outcome<double>* out) {
+                       backend.delay_at_wl_batch(vps, n, wl, out);
+                     });
+  }
+
+  // EvalBackend::degradation_pct's arithmetic, keeping both delays.
+  VectorDelay measure(std::size_t i, const EvalBackend& backend, const VectorPair& vp,
+                      double wl) {
+    VectorDelay vd;
+    vd.delay_cmos = base.take(i, [&] { return backend.delay_baseline(vp); });
+    if (vd.delay_cmos <= 0.0) return vd;
+    vd.delay_mtcmos = sized.take(i, [&] { return backend.delay_at_wl(vp, wl); });
+    if (vd.delay_mtcmos <= 0.0) return vd;
+    vd.degradation_pct = (vd.delay_mtcmos - vd.delay_cmos) / vd.delay_cmos * 100.0;
+    return vd;
+  }
+};
+
 // Streaming core shared by the materializing and streaming rank_vectors
 // fronts: evaluate, then emit every successfully measured row (computed
 // or checkpoint-replayed alike) into `sink` during the serial
@@ -372,77 +443,36 @@ void batch_precompute(util::ThreadPool& tp, const Deadline& deadline,
 std::size_t rank_vectors_into(const EvalBackend& backend,
                               const std::vector<VectorPair>& vectors, double wl,
                               const EvalSession& session, ResultSink& sink) {
-  SweepReport scratch;
-  SweepReport& report = session.report != nullptr ? *session.report : scratch;
-  const Deadline deadline = Deadline::start(session.deadline_s);
-  util::CancelToken& cancel = session.cancel_ref();
-  Checkpoint* ckpt = armed_checkpoint(session);
-  std::optional<Watchdog> watchdog;
-  if (session.watchdog.armed()) watchdog.emplace(session.watchdog);
-  const SweepCtx ctx{session.policy, deadline, cancel, ckpt,
-                     watchdog ? &*watchdog : nullptr};
+  const RunContext run(session);
   // Keys are formatted when anyone consumes them -- the checkpoint for
   // replay/record, or a key-carrying sink (columnar spill) for row
   // identity.  The plain in-RAM path skips the formatting entirely.
-  const bool need_keys = ckpt != nullptr || sink.wants_keys();
   std::string prefix;
-  if (need_keys) {
+  if (run.needs_keys(&sink)) {
     prefix = checkpoint_prefix("rank", backend.name(),
                                netlist_fingerprint(backend.netlist(), backend.outputs()), wl);
   }
-  ItemKeys keys(ckpt, sink.wants_keys(), std::move(prefix), vectors);
-  if (!cancel.requested()) backend.prepare_wl(wl);
-  // Batch fast path: precompute chunk-batched delays for every item not
-  // already journaled; the bodies below consume the memo.  Stage 2
-  // evaluates the sized delay only where the baseline toggled the
-  // outputs, mirroring the scalar body's early return.
+  ItemKeys keys(run.checkpoint, sink.wants_keys(), std::move(prefix), vectors);
+  if (!run.cancel.requested()) backend.prepare_wl(wl);
   const std::size_t chunk = batch_chunk(session, backend);
-  BatchMemo base_memo, wl_memo;
-  if (chunk > 0 && !cancel.requested()) {
-    const std::vector<std::size_t> todo = batch_todo(ckpt, keys, vectors.size());
-    base_memo.reset(vectors.size());
-    wl_memo.reset(vectors.size());
-    batch_precompute(session.pool_ref(), deadline, cancel, vectors, todo, chunk, base_memo,
-                     [&](const VectorPair* const* vps, std::size_t n, Outcome<double>* out) {
-                       backend.delay_baseline_batch(vps, n, out);
-                     });
-    std::vector<std::size_t> sized;
-    sized.reserve(todo.size());
-    for (const std::size_t i : todo) {
-      if (base_memo.ok_positive(i)) sized.push_back(i);
-    }
-    batch_precompute(session.pool_ref(), deadline, cancel, vectors, sized, chunk, wl_memo,
-                     [&](const VectorPair* const* vps, std::size_t n, Outcome<double>* out) {
-                       backend.delay_at_wl_batch(vps, n, wl, out);
-                     });
-  }
+  DegradationMemo memo;
+  memo.precompute(run, backend, vectors, wl, keys, chunk);
   // Evaluate into per-index Outcome slots, then reduce in input order:
   // the sink sees the exact sequence the serial loop produced, so the
   // emission stream is bit-identical for any thread count, and a failed
   // item only removes itself from the stream.
   std::vector<Outcome<VectorDelay>> measured(vectors.size());
-  for_each_group(session.pool_ref(), ckpt, vectors.size(), commit_group(chunk),
+  for_each_group(run.pool, run.checkpoint, vectors.size(), commit_group(chunk),
                  [&](std::size_t i, Checkpoint::Stage& stage) {
-    measured[i] = run_item<VectorDelay>(ctx, i, keys.item(i), stage, [&] {
-      VectorDelay vd;
-      vd.delay_cmos = base_memo.take(i, [&] { return backend.delay_baseline(vectors[i]); });
-      if (vd.delay_cmos <= 0.0) return vd;
-      vd.delay_mtcmos = wl_memo.take(i, [&] { return backend.delay_at_wl(vectors[i], wl); });
-      if (vd.delay_mtcmos <= 0.0) return vd;
-      vd.degradation_pct = (vd.delay_mtcmos - vd.delay_cmos) / vd.delay_cmos * 100.0;
-      return vd;
-    });
+    measured[i] = run_item<VectorDelay>(run, i, keys.item(i), stage,
+                                        [&] { return memo.measure(i, backend, vectors[i], wl); });
     // The transition itself lives in the checkpoint key, not the record;
     // re-attach it for computed and replayed outcomes alike.
     if (measured[i].ok()) measured[i].value->pair = vectors[i];
   });
   std::size_t emitted = 0;
   for (std::size_t i = 0; i < measured.size(); ++i) {
-    report.add(i, measured[i]);
-    if (!measured[i].ok()) {
-      if (!session.policy.isolate) throw NumericalError(measured[i].failure);
-      continue;
-    }
+    if (!run.keep(i, measured[i])) continue;
     sink.on_delay(keys.sink_key(i), *measured[i].value);
     ++emitted;
   }
@@ -455,10 +485,9 @@ std::size_t rank_vectors_into(const EvalBackend& backend,
 std::vector<VectorDelay> rank_vectors(const EvalBackend& backend,
                                       const std::vector<VectorPair>& vectors, double wl,
                                       const EvalSession& session) {
-  // Materializing front: collect the emission stream in RAM, then apply
-  // the legacy contract -- drop non-switching rows, sort worst-first.
-  // The filter and sort see the exact row sequence the pre-sink reduction
-  // produced, so the returned vector is bit-identical to it.
+  // Materializing front: collect the emission stream in RAM, then drop
+  // non-switching rows and sort worst-first.  The filter and sort see the
+  // exact row sequence the streaming front emits.
   MemorySink mem;
   if (session.sink != nullptr) {
     TeeSink tee(mem, *session.sink);
@@ -508,16 +537,8 @@ SizingResult size_for_degradation(const EvalBackend& backend,
   if (!(bounds.wl_max > bounds.wl_min)) bad_bounds("need wl_min < wl_max");
   if (!(bounds.wl_tol > 0.0)) bad_bounds("wl_tol must be positive");
 
-  SweepReport scratch;
-  SweepReport& report = session.report != nullptr ? *session.report : scratch;
-  const Deadline deadline = Deadline::start(session.deadline_s);
-  util::CancelToken& cancel = session.cancel_ref();
-  Checkpoint* ckpt = armed_checkpoint(session);
-  std::optional<Watchdog> watchdog;
-  if (session.watchdog.armed()) watchdog.emplace(session.watchdog);
-  const SweepCtx ctx{session.policy, deadline, cancel, ckpt,
-                     watchdog ? &*watchdog : nullptr};
-  util::ThreadPool& tp = session.pool_ref();
+  const RunContext run(session);
+  Checkpoint* ckpt = run.checkpoint;
 
   // Bisection-state journaling: one record, overwritten after every
   // probe, carrying the live W/L interval.  Resume re-derives the same
@@ -529,7 +550,7 @@ SizingResult size_for_degradation(const EvalBackend& backend,
   std::uint64_t fp = 0;
   std::string bisect_key;
   std::size_t probes = 0;
-  if (ckpt != nullptr || sink_keys) fp = netlist_fingerprint(backend.netlist(), backend.outputs());
+  if (run.needs_keys(sink)) fp = netlist_fingerprint(backend.netlist(), backend.outputs());
   if (ckpt != nullptr) {
     bisect_key = checkpoint_prefix_nowl(
         "bisect", backend.name(),
@@ -547,57 +568,28 @@ SizingResult size_for_degradation(const EvalBackend& backend,
   // the serial loop for any thread count, regardless of which items fail.
   const std::size_t chunk = batch_chunk(session, backend);
   auto worst_at = [&](double wl) {
-    if (!cancel.requested()) backend.prepare_wl(wl);
+    if (!run.cancel.requested()) backend.prepare_wl(wl);
     std::string prefix;
-    if (ckpt != nullptr || sink_keys) prefix = checkpoint_prefix("probe", backend.name(), fp, wl);
+    if (run.needs_keys(sink)) prefix = checkpoint_prefix("probe", backend.name(), fp, wl);
     ItemKeys keys(ckpt, sink_keys, std::move(prefix), vectors);
-    // Batch fast path: baseline batch first (after the first probe it is
-    // all backend-memo hits), then the sized delay where the outputs
-    // toggled.  The body below unrolls degradation_pct so each stage can
-    // consume its memo.
-    BatchMemo base_memo, wl_memo;
-    if (chunk > 0 && !cancel.requested()) {
-      const std::vector<std::size_t> todo = batch_todo(ckpt, keys, vectors.size());
-      base_memo.reset(vectors.size());
-      wl_memo.reset(vectors.size());
-      batch_precompute(tp, deadline, cancel, vectors, todo, chunk, base_memo,
-                       [&](const VectorPair* const* vps, std::size_t n, Outcome<double>* out) {
-                         backend.delay_baseline_batch(vps, n, out);
-                       });
-      std::vector<std::size_t> sized;
-      sized.reserve(todo.size());
-      for (const std::size_t i : todo) {
-        if (base_memo.ok_positive(i)) sized.push_back(i);
-      }
-      batch_precompute(tp, deadline, cancel, vectors, sized, chunk, wl_memo,
-                       [&](const VectorPair* const* vps, std::size_t n, Outcome<double>* out) {
-                         backend.delay_at_wl_batch(vps, n, wl, out);
-                       });
-    }
+    DegradationMemo memo;
+    memo.precompute(run, backend, vectors, wl, keys, chunk);
     std::vector<Outcome<double>> deg(vectors.size());
     // run_item already absorbs NumericalErrors, so the only exceptions
     // that reach the pool are precondition bugs (and journal write
     // failures), which should cancel and propagate.
-    for_each_group(tp, ckpt, vectors.size(), commit_group(chunk),
+    for_each_group(run.pool, ckpt, vectors.size(), commit_group(chunk),
                    [&](std::size_t i, Checkpoint::Stage& stage) {
-      deg[i] = run_item<double>(ctx, i, keys.item(i), stage, [&] {
-        // degradation_pct unrolled over the memos; identical arithmetic.
-        const double d0 = base_memo.take(i, [&] { return backend.delay_baseline(vectors[i]); });
-        if (d0 <= 0.0) return -1.0;
-        const double d1 = wl_memo.take(i, [&] { return backend.delay_at_wl(vectors[i], wl); });
-        if (d1 <= 0.0) return -1.0;
-        return (d1 - d0) / d0 * 100.0;
+      deg[i] = run_item<double>(run, i, keys.item(i), stage, [&] {
+        const VectorDelay vd = memo.measure(i, backend, vectors[i], wl);
+        return vd.delay_cmos <= 0.0 || vd.delay_mtcmos <= 0.0 ? -1.0 : vd.degradation_pct;
       });
     });
     double worst = -1.0;
     std::size_t worst_idx = 0;
     bool any_ok = false;
     for (std::size_t i = 0; i < vectors.size(); ++i) {
-      report.add(i, deg[i]);
-      if (!deg[i].ok()) {
-        if (!session.policy.isolate) throw NumericalError(deg[i].failure);
-        continue;
-      }
+      if (!run.keep(i, deg[i])) continue;
       if (sink != nullptr) sink->on_value(keys.sink_key(i), *deg[i].value);
       any_ok = true;
       if (*deg[i].value > worst) {
@@ -651,24 +643,16 @@ SizingResult size_for_degradation(const EvalBackend& backend,
 VectorDelay search_worst_vector(const EvalBackend& backend, double wl, int samples, Rng& rng,
                                 const EvalSession& session) {
   require(samples >= 1, "search_worst_vector: need at least one sample");
-  SweepReport scratch;
-  SweepReport& report = session.report != nullptr ? *session.report : scratch;
-  const Deadline deadline = Deadline::start(session.deadline_s);
-  util::CancelToken& cancel = session.cancel_ref();
-  Checkpoint* ckpt = armed_checkpoint(session);
-  std::optional<Watchdog> watchdog;
-  if (session.watchdog.armed()) watchdog.emplace(session.watchdog);
-  const SweepCtx ctx{session.policy, deadline, cancel, ckpt,
-                     watchdog ? &*watchdog : nullptr};
+  const RunContext run(session);
   const int n = static_cast<int>(backend.netlist().inputs().size());
   ResultSink* sink = session.sink;
-  const bool need_keys = ckpt != nullptr || (sink != nullptr && sink->wants_keys());
+  const bool need_keys = run.needs_keys(sink);
   std::string prefix;
   if (need_keys) {
     prefix = checkpoint_prefix("search", backend.name(),
                                netlist_fingerprint(backend.netlist(), backend.outputs()), wl);
   }
-  if (!cancel.requested()) backend.prepare_wl(wl);
+  if (!run.cancel.requested()) backend.prepare_wl(wl);
 
   auto score = [&](const VectorPair& vp) -> double {
     // Objective: absolute MTCMOS delay (what the designer must cover).
@@ -688,38 +672,33 @@ VectorDelay search_worst_vector(const EvalBackend& backend, double wl, int sampl
   // candidate is derived from the current best and so depends on the
   // previous candidate's verdict.
   const std::vector<VectorPair> sampled = sampled_vector_pairs(n, samples, rng);
-  ItemKeys keys(ckpt, sink != nullptr && sink->wants_keys(), prefix, sampled);
+  ItemKeys keys(run.checkpoint, sink != nullptr && sink->wants_keys(), prefix, sampled);
   const std::size_t chunk = batch_chunk(session, backend);
   BatchMemo score_memo;
-  if (chunk > 0 && !cancel.requested()) {
-    const std::vector<std::size_t> todo = batch_todo(ckpt, keys, sampled.size());
-    score_memo.reset(sampled.size());
-    batch_precompute(session.pool_ref(), deadline, cancel, sampled, todo, chunk, score_memo,
+  if (chunk > 0 && !run.cancel.requested()) {
+    batch_precompute(run, sampled, batch_todo(run.checkpoint, keys, sampled.size()), chunk,
+                     score_memo,
                      [&](const VectorPair* const* vps, std::size_t n2, Outcome<double>* out) {
                        backend.delay_at_wl_batch(vps, n2, wl, out);
                      });
   }
   std::vector<Outcome<double>> scores(sampled.size());
-  for_each_group(session.pool_ref(), ckpt, sampled.size(), commit_group(chunk),
+  for_each_group(run.pool, run.checkpoint, sampled.size(), commit_group(chunk),
                  [&](std::size_t i, Checkpoint::Stage& stage) {
-    scores[i] = run_item<double>(ctx, i, keys.item(i), stage,
+    scores[i] = run_item<double>(run, i, keys.item(i), stage,
                                  [&] { return score_memo.take(i, [&] { return score(sampled[i]); }); });
   });
   VectorPair best;
   double best_score = -1.0;
   for (std::size_t i = 0; i < sampled.size(); ++i) {
-    report.add(i, scores[i]);
-    if (!scores[i].ok()) {
-      if (!session.policy.isolate) throw NumericalError(scores[i].failure);
-      continue;
-    }
+    if (!run.keep(i, scores[i])) continue;
     if (sink != nullptr) sink->on_value(keys.sink_key(i), *scores[i].value);
     if (*scores[i].value > best_score) {
       best_score = *scores[i].value;
       best = sampled[i];
     }
   }
-  if (best_score <= 0.0 && cancel.requested()) {
+  if (best_score <= 0.0 && run.cancel.requested()) {
     throw NumericalError({FailureCode::kCancelled, "sizing::search_worst_vector",
                           "cancelled before any sample completed"});
   }
@@ -731,7 +710,7 @@ VectorDelay search_worst_vector(const EvalBackend& backend, double wl, int sampl
   std::size_t cand_index = sampled.size();
   bool improved = true;
   int rounds = 0;
-  while (improved && rounds++ < 32 && !cancel.requested()) {
+  while (improved && rounds++ < 32 && !run.cancel.requested()) {
     improved = false;
     for (int side = 0; side < 2; ++side) {
       for (int bit = 0; bit < n; ++bit) {
@@ -740,13 +719,8 @@ VectorDelay search_worst_vector(const EvalBackend& backend, double wl, int sampl
         vec[static_cast<std::size_t>(bit)] = !vec[static_cast<std::size_t>(bit)];
         const std::string key = item_key(cand);
         const Outcome<double> s =
-            run_item_committed<double>(ctx, cand_index, key, [&] { return score(cand); });
-        report.add(cand_index, s);
-        ++cand_index;
-        if (!s.ok()) {
-          if (!session.policy.isolate) throw NumericalError(s.failure);
-          continue;
-        }
+            run_item_committed<double>(run, cand_index, key, [&] { return score(cand); });
+        if (!run.keep(cand_index++, s)) continue;
         if (sink != nullptr) sink->on_value(key, *s.value);
         if (*s.value > best_score) {
           best_score = *s.value;
@@ -772,45 +746,32 @@ std::vector<VectorPair> screen_vectors(const netlist::Netlist& nl,
                                        std::vector<VectorPair> candidates, std::size_t keep,
                                        const EvalSession& session) {
   require(keep >= 1, "screen_vectors: keep must be >= 1");
-  SweepReport scratch;
-  SweepReport& report = session.report != nullptr ? *session.report : scratch;
-  const Deadline deadline = Deadline::start(session.deadline_s);
-  util::CancelToken& cancel = session.cancel_ref();
-  Checkpoint* ckpt = armed_checkpoint(session);
-  std::optional<Watchdog> watchdog;
-  if (session.watchdog.armed()) watchdog.emplace(session.watchdog);
-  const SweepCtx ctx{session.policy, deadline, cancel, ckpt,
-                     watchdog ? &*watchdog : nullptr};
+  const RunContext run(session);
   ResultSink* sink = session.sink;
-  const bool need_keys = ckpt != nullptr || (sink != nullptr && sink->wants_keys());
   std::string prefix;
-  if (need_keys) {
+  if (run.needs_keys(sink)) {
     // Logic-level screening involves no backend: key on the bare netlist.
     prefix = checkpoint_prefix_nowl("screen", "logic", netlist_fingerprint(nl, {}));
   }
-  ItemKeys keys(ckpt, sink != nullptr && sink->wants_keys(), std::move(prefix), candidates);
-  // Chunked dispatch: falling_discharge_weight is cheap relative to a
-  // pool task handoff, so workers claim session.batch candidates per
-  // pool index instead of one, and each chunk commits its checkpoint
-  // records as one group.  Slots stay index-addressed and run_item
-  // still runs per item (scope stamps, checkpoint keys unchanged), so
-  // the ranking is identical for any thread count or chunk size.
+  ItemKeys keys(run.checkpoint, sink != nullptr && sink->wants_keys(), std::move(prefix),
+                candidates);
+  // Grouped dispatch: falling_discharge_weight is cheap relative to a
+  // pool task handoff, so workers claim a commit group of candidates per
+  // pool index instead of one, under the same commit_group() rule as the
+  // batched sweeps.  Slots stay index-addressed and run_item still runs
+  // per item (scope stamps, checkpoint keys unchanged), so the ranking is
+  // identical for any thread count or group size.
   std::vector<Outcome<double>> weights(candidates.size());
-  const std::size_t chunk =
-      std::max<std::size_t>(1, session.batch == 0 ? kDefaultBatch : session.batch);
-  for_each_group(session.pool_ref(), ckpt, candidates.size(), chunk,
+  const std::size_t group = commit_group(session.batch == 0 ? kDefaultBatch : session.batch);
+  for_each_group(run.pool, run.checkpoint, candidates.size(), group,
                  [&](std::size_t i, Checkpoint::Stage& stage) {
-    weights[i] = run_item<double>(ctx, i, keys.item(i), stage,
+    weights[i] = run_item<double>(run, i, keys.item(i), stage,
                                   [&] { return falling_discharge_weight(nl, candidates[i]); });
   });
   std::vector<std::pair<double, std::size_t>> scored;
   scored.reserve(candidates.size());
   for (std::size_t i = 0; i < candidates.size(); ++i) {
-    report.add(i, weights[i]);
-    if (!weights[i].ok()) {
-      if (!session.policy.isolate) throw NumericalError(weights[i].failure);
-      continue;
-    }
+    if (!run.keep(i, weights[i])) continue;
     if (sink != nullptr) sink->on_value(keys.sink_key(i), *weights[i].value);
     scored.emplace_back(*weights[i].value, i);
   }
@@ -827,15 +788,7 @@ std::vector<VectorPair> screen_vectors(const netlist::Netlist& nl,
 VerifyResult verify_sizing(const EvalBackend& fast, const EvalBackend& reference,
                            const SizingResult& result, double target_pct,
                            const EvalSession& session) {
-  SweepReport scratch;
-  SweepReport& report = session.report != nullptr ? *session.report : scratch;
-  const Deadline deadline = Deadline::start(session.deadline_s);
-  util::CancelToken& cancel = session.cancel_ref();
-  Checkpoint* ckpt = armed_checkpoint(session);
-  std::optional<Watchdog> watchdog;
-  if (session.watchdog.armed()) watchdog.emplace(session.watchdog);
-  const SweepCtx ctx{session.policy, deadline, cancel, ckpt,
-                     watchdog ? &*watchdog : nullptr};
+  const RunContext run(session);
   const VectorPair& vp = result.binding_vector;
   require(!vp.v0.empty() && vp.v0.size() == vp.v1.size(),
           "verify_sizing: result carries no binding vector");
@@ -858,7 +811,7 @@ VerifyResult verify_sizing(const EvalBackend& fast, const EvalBackend& reference
       {&reference, false, &out.reference_delay},
   };
   ResultSink* sink = session.sink;
-  const bool need_keys = ckpt != nullptr || (sink != nullptr && sink->wants_keys());
+  const bool need_keys = run.needs_keys(sink);
   for (std::size_t i = 0; i < 4; ++i) {
     const Probe& p = probes[i];
     std::string key;
@@ -869,13 +822,11 @@ VerifyResult verify_sizing(const EvalBackend& fast, const EvalBackend& reference
                             result.wl),
           vp);
     }
-    const Outcome<double> o = run_item_committed<double>(ctx, i, key, [&] {
+    const Outcome<double> o = run_item_committed<double>(run, i, key, [&] {
       return p.baseline ? p.backend->delay_baseline(vp)
                         : p.backend->delay_at_wl(vp, result.wl);
     });
-    report.add(i, o);
-    if (!o.ok()) {
-      if (!session.policy.isolate) throw NumericalError(o.failure);
+    if (!run.keep(i, o)) {
       if (out.ok) {
         out.ok = false;
         out.failure = o.failure;
@@ -904,87 +855,6 @@ VerifyResult verify_sizing(const EvalBackend& fast, const EvalBackend& reference
         target_pct > 0.0 && out.reference_degradation_pct <= target_pct;
   }
   return out;
-}
-
-// --- Legacy forwarding shims ---
-//
-// The pre-session API: one plain and one fault-isolating overload per
-// sweep, hard-wired to DelayEvaluator.  Each forwards into the session
-// implementation above; results are bit-identical to the historical
-// behavior (the session bodies *are* the old bodies, generalized over
-// EvalBackend).
-
-namespace {
-
-EvalSession make_session(util::ThreadPool* pool) {
-  EvalSession s;
-  s.pool = pool;
-  return s;
-}
-
-EvalSession make_session(util::ThreadPool* pool, const SweepPolicy& policy,
-                         SweepReport& report) {
-  EvalSession s;
-  s.pool = pool;
-  s.policy = policy;
-  s.report = &report;
-  return s;
-}
-
-}  // namespace
-
-std::vector<VectorDelay> rank_vectors(const DelayEvaluator& eval,
-                                      const std::vector<VectorPair>& vectors, double wl,
-                                      util::ThreadPool* pool) {
-  return rank_vectors(static_cast<const EvalBackend&>(eval), vectors, wl, make_session(pool));
-}
-
-std::vector<VectorDelay> rank_vectors(const DelayEvaluator& eval,
-                                      const std::vector<VectorPair>& vectors, double wl,
-                                      const SweepPolicy& policy, SweepReport& report,
-                                      util::ThreadPool* pool) {
-  return rank_vectors(static_cast<const EvalBackend&>(eval), vectors, wl,
-                      make_session(pool, policy, report));
-}
-
-SizingResult size_for_degradation(const DelayEvaluator& eval,
-                                  const std::vector<VectorPair>& vectors, double target_pct,
-                                  double wl_min, double wl_max, double wl_tol,
-                                  util::ThreadPool* pool) {
-  return size_for_degradation(static_cast<const EvalBackend&>(eval), vectors, target_pct,
-                              {wl_min, wl_max, wl_tol}, make_session(pool));
-}
-
-SizingResult size_for_degradation(const DelayEvaluator& eval,
-                                  const std::vector<VectorPair>& vectors, double target_pct,
-                                  const SweepPolicy& policy, SweepReport& report, double wl_min,
-                                  double wl_max, double wl_tol, util::ThreadPool* pool) {
-  return size_for_degradation(static_cast<const EvalBackend&>(eval), vectors, target_pct,
-                              {wl_min, wl_max, wl_tol}, make_session(pool, policy, report));
-}
-
-VectorDelay search_worst_vector(const DelayEvaluator& eval, double wl, int samples, Rng& rng,
-                                util::ThreadPool* pool) {
-  return search_worst_vector(static_cast<const EvalBackend&>(eval), wl, samples, rng,
-                             make_session(pool));
-}
-
-VectorDelay search_worst_vector(const DelayEvaluator& eval, double wl, int samples, Rng& rng,
-                                const SweepPolicy& policy, SweepReport& report,
-                                util::ThreadPool* pool) {
-  return search_worst_vector(static_cast<const EvalBackend&>(eval), wl, samples, rng,
-                             make_session(pool, policy, report));
-}
-
-std::vector<VectorPair> screen_vectors(const Netlist& nl, std::vector<VectorPair> candidates,
-                                       std::size_t keep, util::ThreadPool* pool) {
-  return screen_vectors(nl, std::move(candidates), keep, make_session(pool));
-}
-
-std::vector<VectorPair> screen_vectors(const Netlist& nl, std::vector<VectorPair> candidates,
-                                       std::size_t keep, const SweepPolicy& policy,
-                                       SweepReport& report, util::ThreadPool* pool) {
-  return screen_vectors(nl, std::move(candidates), keep, make_session(pool, policy, report));
 }
 
 }  // namespace mtcmos::sizing

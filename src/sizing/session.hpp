@@ -1,15 +1,12 @@
 #pragma once
 // Session-scoped sweep entry points over EvalBackend.
 //
-// Every sweep used to come in a plain + fault-isolating overload pair,
-// each hard-wired to the switch-level DelayEvaluator.  EvalSession
-// collapses the run context -- thread pool, fault-isolation policy,
-// report sink, wall-clock budget -- into one value, and the four entry
-// points below are the single implementations both legacy overload
-// families (sizing/sizing.hpp) forward to.  Because they are written
-// against EvalBackend, the same ranking / bisection / search code runs on
-// the switch-level simulator (VbsBackend) or the transistor-level engine
-// (SpiceBackend) unchanged.
+// EvalSession collapses the run context -- thread pool, fault-isolation
+// policy, report sink, wall-clock budget, checkpoint, cancellation --
+// into one value, and each sweep below has exactly one implementation
+// taking it.  Because they are written against EvalBackend, the same
+// ranking / bisection / search code runs on the switch-level simulator
+// (VbsBackend) or the transistor-level engine (SpiceBackend) unchanged.
 //
 // verify_sizing() is the paper's Section 6 methodology as a function:
 // size with the fast backend, then re-measure the binding vector on the
@@ -54,9 +51,9 @@ struct WatchdogConfig {
 
 /// Run context shared by every sweep call in a sizing session.
 ///
-/// Defaults reproduce the legacy plain overloads: global thread pool,
-/// isolating policy with one retry, per-item outcomes discarded, no
-/// deadline, no checkpoint, no watchdog, cancellation via the
+/// A default-constructed session runs on the global thread pool with an
+/// isolating policy and one retry, discards per-item outcomes, and arms
+/// no deadline, checkpoint or watchdog; cancellation polls the
 /// process-global token.
 struct EvalSession {
   util::ThreadPool* pool = nullptr;  ///< nullptr = the process-global pool
@@ -90,8 +87,8 @@ struct EvalSession {
   /// from the checkpoint alike -- into the sink during its serial
   /// input-order reduction, keyed by the item's content-derived
   /// checkpoint key.  Emission order is deterministic for any thread
-  /// count.  nullptr disables (the legacy return values are unchanged
-  /// either way: internally they are built from a MemorySink).
+  /// count.  nullptr disables (the materialized return values are
+  /// unchanged either way: internally they are built from a MemorySink).
   ResultSink* sink = nullptr;
   /// Chunk size for the backend's batch fast path (EvalBackend::
   /// delay_*_batch, the SoA cohort kernel on VbsBackend).  0 = auto:
@@ -173,11 +170,10 @@ VectorDelay search_worst_vector(const EvalBackend& backend, double wl, int sampl
 /// Keep the `keep` candidates with the largest falling_discharge_weight
 /// (logic-level screening; no backend involved).  Candidates whose weight
 /// computation fails are excluded from the ranking and recorded in the
-/// session report.  No session default here: the legacy overloads in
-/// sizing.hpp cover the default-context spelling.
+/// session report.
 std::vector<VectorPair> screen_vectors(const netlist::Netlist& nl,
                                        std::vector<VectorPair> candidates, std::size_t keep,
-                                       const EvalSession& session);
+                                       const EvalSession& session = {});
 
 /// Cross-backend sign-off for one sizing result (paper Section 6.2:
 /// size with the fast tool, verify with the accurate one).

@@ -16,10 +16,11 @@
 // and greedy bit-flip refinement for large ones (the 8x8 multiplier of
 // Section 4), and ranked degradation reports (Figure 14).
 //
-// The sweep entry points declared here are the legacy overload family:
-// each forwards to the single EvalBackend + EvalSession implementation in
-// sizing/session.hpp, which also runs the same sweeps on the
-// transistor-level SpiceBackend.  New code should target the session API.
+// The sweep entry points themselves (rank_vectors, size_for_degradation,
+// search_worst_vector, screen_vectors) live in sizing/session.hpp, written
+// against EvalBackend + EvalSession so the same code runs on the
+// switch-level VbsBackend or the transistor-level SpiceBackend.  This
+// header includes both so one include serves a whole sizing flow.
 
 #include <string>
 #include <vector>
@@ -38,26 +39,6 @@ namespace mtcmos::sizing {
 
 using netlist::Netlist;
 
-/// Measures circuit delay (latest 50% crossing among `outputs`) through
-/// the switch-level simulator, for arbitrary sleep W/L.
-///
-/// Historically the concrete engine behind every sweep; now a thin
-/// adapter over VbsBackend (sizing/backend.hpp), which carries the
-/// caching and thread-safety story.  Kept so existing callers compile
-/// unchanged; the only addition is the legacy delay_cmos() spelling of
-/// EvalBackend::delay_baseline().
-class DelayEvaluator : public VbsBackend {
- public:
-  /// `outputs` are net names whose latest crossing defines the delay.
-  /// `base` carries stimulus timing and model extensions; its
-  /// sleep_resistance field is overridden per call.
-  DelayEvaluator(const Netlist& nl, std::vector<std::string> outputs, core::VbsOptions base = {})
-      : VbsBackend(nl, std::move(outputs), base) {}
-
-  /// Legacy name for the R = 0 (ideal ground) baseline delay.
-  double delay_cmos(const VectorPair& vp) const { return delay_baseline(vp); }
-};
-
 // --- Baseline estimators ---
 
 /// Baseline 1: W/L that matches the summed width of every low-Vt NMOS.
@@ -73,28 +54,6 @@ double peak_current_wl(const Technology& tech, double ipeak, double bounce_budge
 double measure_peak_current(const Netlist& nl, const VectorPair& vp,
                             core::VbsOptions base = {});
 
-// --- Simulator-driven sizing (legacy overloads; see sizing/session.hpp) ---
-
-/// Smallest W/L (within [wl_min, wl_max], resolved to `wl_tol`) whose
-/// worst degradation over `vectors` is <= target_pct.  Throws
-/// NumericalError if even wl_max cannot meet the target.  Each bisection
-/// probe evaluates the vector set on `pool` (nullptr = the global pool);
-/// results are bit-identical for any thread count.
-SizingResult size_for_degradation(const DelayEvaluator& eval,
-                                  const std::vector<VectorPair>& vectors, double target_pct,
-                                  double wl_min = 1.0, double wl_max = 4000.0,
-                                  double wl_tol = 0.5, util::ThreadPool* pool = nullptr);
-
-/// Fault-isolating variant: failed vectors are skipped in each probe's
-/// worst-degradation reduction and recorded in `report` (one report entry
-/// per vector per probe, so `report.total` is a multiple of the vector
-/// count).  Throws NumericalError only if every vector of a probe fails.
-SizingResult size_for_degradation(const DelayEvaluator& eval,
-                                  const std::vector<VectorPair>& vectors, double target_pct,
-                                  const SweepPolicy& policy, SweepReport& report,
-                                  double wl_min = 1.0, double wl_max = 4000.0,
-                                  double wl_tol = 0.5, util::ThreadPool* pool = nullptr);
-
 // --- Vector-space exploration ---
 
 /// All 2^n * 2^n transitions of an n-input circuit (n <= 8 guard).
@@ -102,40 +61,6 @@ std::vector<VectorPair> all_vector_pairs(int n_inputs);
 
 /// `count` transitions sampled uniformly (deterministic under the seed).
 std::vector<VectorPair> sampled_vector_pairs(int n_inputs, int count, Rng& rng);
-
-/// Degradation-ranked report over a vector set at sizing `wl`.  Pairs
-/// whose outputs never switch are dropped.  Sorted worst-first.  Vectors
-/// are evaluated in parallel on `pool` (nullptr = the global pool); the
-/// report is bit-identical for any thread count.
-std::vector<VectorDelay> rank_vectors(const DelayEvaluator& eval,
-                                      const std::vector<VectorPair>& vectors, double wl,
-                                      util::ThreadPool* pool = nullptr);
-
-/// Fault-isolating variant: items that still fail after `policy`'s retry
-/// budget are dropped from the ranking and recorded in `report` with
-/// their FailureInfo; surviving entries are bit-identical to a no-fault
-/// serial run over the surviving subset.
-std::vector<VectorDelay> rank_vectors(const DelayEvaluator& eval,
-                                      const std::vector<VectorPair>& vectors, double wl,
-                                      const SweepPolicy& policy, SweepReport& report,
-                                      util::ThreadPool* pool = nullptr);
-
-/// Randomized worst-vector search: `samples` random pairs, then greedy
-/// single-bit-flip refinement from the best one.  Returns the worst
-/// VectorDelay found.  This is how the toolkit narrows the 2^32 vector
-/// space of the 8x8 multiplier the way the paper narrows it for SPICE.
-/// The sample pass scores candidates in parallel on `pool`; the greedy
-/// refinement is inherently sequential and runs serially.
-VectorDelay search_worst_vector(const DelayEvaluator& eval, double wl, int samples, Rng& rng,
-                                util::ThreadPool* pool = nullptr);
-
-/// Fault-isolating variant: failed samples are skipped in the
-/// first-maximum reduction and failed refinement candidates count as
-/// no-improvement; both are recorded in `report` (sample items use their
-/// sample index, refinement candidates continue the numbering).
-VectorDelay search_worst_vector(const DelayEvaluator& eval, double wl, int samples, Rng& rng,
-                                const SweepPolicy& policy, SweepReport& report,
-                                util::ThreadPool* pool = nullptr);
 
 // --- Logic-level screening (a pre-filter before even the fast simulator) ---
 
@@ -146,18 +71,5 @@ VectorDelay search_worst_vector(const DelayEvaluator& eval, double wl, int sampl
 /// strongly with MTCMOS sensitivity (paper Section 2.4: vectors "that
 /// will cause large currents to flow through the sleep transistors").
 double falling_discharge_weight(const Netlist& nl, const VectorPair& vp);
-
-/// Keep the `keep` candidates with the largest falling_discharge_weight.
-/// Used to thin huge vector sets before handing them to the simulator,
-/// mirroring how the paper's tool thins them before SPICE.  Weights are
-/// computed in parallel on `pool`.
-std::vector<VectorPair> screen_vectors(const Netlist& nl, std::vector<VectorPair> candidates,
-                                       std::size_t keep, util::ThreadPool* pool = nullptr);
-
-/// Fault-isolating variant: candidates whose weight computation fails are
-/// excluded from the ranking and recorded in `report`.
-std::vector<VectorPair> screen_vectors(const Netlist& nl, std::vector<VectorPair> candidates,
-                                       std::size_t keep, const SweepPolicy& policy,
-                                       SweepReport& report, util::ThreadPool* pool = nullptr);
 
 }  // namespace mtcmos::sizing

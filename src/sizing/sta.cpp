@@ -54,8 +54,9 @@ StaEngine::StaEngine(const netlist::Netlist& nl, StaOptions options)
         continue;
       }
       std::ostringstream key;
-      key << gate.pulldown.serialize([](int p) { return "p" + std::to_string(p); }) << '|'
-          << pin << '|' << gate.wn << '|' << gate.wp << '|'
+      key << gate.pulldown.serialize(
+                 [](int p) { return std::string("p").append(std::to_string(p)); })
+          << '|' << pin << '|' << gate.wn << '|' << gate.wp << '|'
           << static_cast<int>(options_.ground) << '|' << options_.sleep_wl << '|';
       for (const bool b : statics) key << (b ? '1' : '0');
 

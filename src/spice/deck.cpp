@@ -22,7 +22,9 @@ std::string spice_safe_name(const std::string& name) {
       out.push_back('_');
     }
   }
-  if (out.empty() || std::isdigit(static_cast<unsigned char>(out[0]))) out.insert(0, "n");
+  if (out.empty() || std::isdigit(static_cast<unsigned char>(out[0]))) {
+    out.insert(out.begin(), 'n');
+  }
   return out;
 }
 

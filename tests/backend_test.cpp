@@ -1,7 +1,7 @@
 // Tests for the backend-agnostic evaluation layer (sizing/backend.hpp,
 // sizing/session.hpp): cross-backend consistency through one interface,
-// bit-identical legacy-shim forwarding, verify_sizing round trips under
-// injected SPICE faults, bounded caches, and thread-safe SpiceBackend
+// sweeps on the SPICE backend, verify_sizing round trips under injected
+// SPICE faults, bounded caches, and thread-safe SpiceBackend
 // sharing.  Labeled `backend` (and `tsan`, for the concurrency tests) so
 // sanitizer builds can target them with `ctest -L backend`.
 
@@ -22,7 +22,6 @@ namespace {
 
 using circuits::make_inverter_tree;
 using circuits::make_ripple_adder;
-using sizing::DelayEvaluator;
 using sizing::EvalBackend;
 using sizing::EvalCacheLimits;
 using sizing::EvalSession;
@@ -55,10 +54,6 @@ circuits::InverterTree make_chain() {
   return make_inverter_tree(tech07(), opt);
 }
 
-bool same_pair(const VectorPair& a, const VectorPair& b) {
-  return a.v0 == b.v0 && a.v1 == b.v1;
-}
-
 // --- Cross-backend consistency ---
 
 TEST_F(Backend, VbsAndSpiceAgreeOnInverterTreeThroughOneInterface) {
@@ -81,61 +76,6 @@ TEST_F(Backend, VbsAndSpiceAgreeOnInverterTreeThroughOneInterface) {
     const double ratio = vbs.delay_at_wl(vp, wl) / spice.delay_at_wl(vp, wl);
     EXPECT_GT(ratio, 0.4) << "wl=" << wl;
     EXPECT_LT(ratio, 2.2) << "wl=" << wl;
-  }
-}
-
-TEST_F(Backend, DelayEvaluatorIsAThinVbsBackendAdapter) {
-  const auto adder = make_ripple_adder(tech07(), 2);
-  const DelayEvaluator eval(adder.netlist, adder_outputs(adder));
-  const EvalBackend& backend = eval;
-  const VectorPair vp{{false, false, false, false}, {true, true, false, true}};
-  EXPECT_STREQ(backend.name(), "vbs");
-  EXPECT_EQ(eval.delay_cmos(vp), backend.delay_baseline(vp));
-  EXPECT_EQ(eval.delay_at_wl(vp, 10.0), backend.delay_at_wl(vp, 10.0));
-  EXPECT_EQ(eval.degradation_pct(vp, 10.0), backend.degradation_pct(vp, 10.0));
-}
-
-// --- Session API vs legacy overloads ---
-
-TEST_F(Backend, SessionApiMatchesLegacyOverloadsBitIdentically) {
-  const auto adder = make_ripple_adder(tech07(), 2);
-  const DelayEvaluator eval(adder.netlist, adder_outputs(adder));
-  const EvalBackend& backend = eval;
-  const auto vectors = sizing::all_vector_pairs(4);
-
-  // rank_vectors
-  const auto legacy_rank = sizing::rank_vectors(eval, vectors, 10.0);
-  const auto session_rank = sizing::rank_vectors(backend, vectors, 10.0);
-  ASSERT_EQ(legacy_rank.size(), session_rank.size());
-  for (std::size_t i = 0; i < legacy_rank.size(); ++i) {
-    EXPECT_TRUE(same_pair(legacy_rank[i].pair, session_rank[i].pair)) << i;
-    EXPECT_EQ(legacy_rank[i].delay_cmos, session_rank[i].delay_cmos) << i;
-    EXPECT_EQ(legacy_rank[i].delay_mtcmos, session_rank[i].delay_mtcmos) << i;
-    EXPECT_EQ(legacy_rank[i].degradation_pct, session_rank[i].degradation_pct) << i;
-  }
-
-  // size_for_degradation
-  const auto legacy_sized = sizing::size_for_degradation(eval, vectors, 5.0);
-  const auto session_sized = sizing::size_for_degradation(backend, vectors, 5.0);
-  EXPECT_EQ(legacy_sized.wl, session_sized.wl);
-  EXPECT_EQ(legacy_sized.degradation_pct, session_sized.degradation_pct);
-  EXPECT_TRUE(same_pair(legacy_sized.binding_vector, session_sized.binding_vector));
-
-  // search_worst_vector (identical RNG streams)
-  Rng rng_legacy(7), rng_session(7);
-  const auto legacy_worst = sizing::search_worst_vector(eval, 10.0, 24, rng_legacy);
-  const auto session_worst = sizing::search_worst_vector(backend, 10.0, 24, rng_session);
-  EXPECT_TRUE(same_pair(legacy_worst.pair, session_worst.pair));
-  EXPECT_EQ(legacy_worst.delay_mtcmos, session_worst.delay_mtcmos);
-  EXPECT_EQ(legacy_worst.degradation_pct, session_worst.degradation_pct);
-
-  // screen_vectors
-  const auto legacy_screen = sizing::screen_vectors(adder.netlist, vectors, 16);
-  const auto session_screen =
-      sizing::screen_vectors(adder.netlist, vectors, 16, EvalSession{});
-  ASSERT_EQ(legacy_screen.size(), session_screen.size());
-  for (std::size_t i = 0; i < legacy_screen.size(); ++i) {
-    EXPECT_TRUE(same_pair(legacy_screen[i], session_screen[i])) << i;
   }
 }
 

@@ -144,6 +144,12 @@ TEST_F(Cancel, SigintDuringMultiThreadedSpiceSweepDrainsCleanly) {
   }
 }
 
+// `prefix` + decimal `n`.  Built by append: GCC 12 at -O3 raises a false
+// -Wrestrict on "v" + std::to_string(n).
+std::string numbered(const char* prefix, int n) {
+  return std::string(prefix).append(std::to_string(n));
+}
+
 TEST_F(Cancel, SigtermDuringCompactLeavesAValidJournal) {
   // Compaction replaces the journal by atomic rename, and the cancel
   // handlers install WITHOUT SA_RESTART, so a SIGTERM landing mid-compact
@@ -162,7 +168,7 @@ TEST_F(Cancel, SigtermDuringCompactLeavesAValidJournal) {
     util::Journal j;
     j.open(jpath);
     for (int i = 0; i < 200; ++i) {
-      j.append("key" + std::to_string(i % 50), "v" + std::to_string(i));
+      j.append(numbered("key", i % 50), numbered("v", i));
     }
     std::thread signaller([] {
       std::this_thread::sleep_for(std::chrono::microseconds(100));
@@ -183,9 +189,9 @@ TEST_F(Cancel, SigtermDuringCompactLeavesAValidJournal) {
   replay.open(jpath);
   EXPECT_EQ(replay.size(), 50u);
   for (int k = 0; k < 50; ++k) {
-    const std::optional<std::string> value = replay.find("key" + std::to_string(k));
+    const std::optional<std::string> value = replay.find(numbered("key", k));
     ASSERT_TRUE(value.has_value()) << "key" << k;
-    EXPECT_EQ(*value, "v" + std::to_string(150 + k)) << "latest update must survive compaction";
+    EXPECT_EQ(*value, numbered("v", 150 + k)) << "latest update must survive compaction";
   }
   std::filesystem::remove_all(dir);
 }

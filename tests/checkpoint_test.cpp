@@ -183,7 +183,7 @@ TEST_F(CheckpointTest, DoubleOutcomeRoundTripsToTheLastUlp) {
   const double values[] = {0.1 + 0.2, 1e-300, -0.0, 3.5e9, 1.0 / 3.0};
   int i = 0;
   for (const double v : values) {
-    const std::string key = "k" + std::to_string(i++);
+    const std::string key = std::string("k").append(std::to_string(i++));
     ckpt.record(key, Outcome<double>::success(v, 2));
     Outcome<double> back;
     ASSERT_TRUE(ckpt.lookup(key, back)) << key;
@@ -603,6 +603,34 @@ TEST_F(CheckpointTest, KilledRankResumesBitIdenticallyOnSpice) {
 }
 
 // --- Cancellation ---
+
+TEST_F(CheckpointTest, KilledScreeningLosesAtMostOneCommitGroup) {
+  // screen_vectors commits in groups of at most 64 items, like every other
+  // entry point: on one thread, a crash while staging item 100 drops the
+  // open group (items 64..100) and keeps the committed one (items 0..63).
+  const auto adder = make_ripple_adder(tech07(), 3);
+  const auto all = sizing::all_vector_pairs(6);
+  const std::vector<VectorPair> candidates(all.begin(), all.begin() + 512);
+
+  util::ThreadPool serial(1);
+  Checkpoint killed;
+  killed.open(path());
+  EvalSession session;
+  session.pool = &serial;
+  session.checkpoint = &killed;
+  faultinject::arm(faultinject::Site::kJournalAppend, /*scope=*/100, /*fail_hits=*/1);
+  EXPECT_THROW(sizing::screen_vectors(adder.netlist, candidates, 16, session), NumericalError);
+  faultinject::disarm_all();
+
+  ASSERT_EQ(killed.journal().size(), 64u);
+  const std::string prefix =
+      checkpoint_prefix_nowl("screen", "logic", netlist_fingerprint(adder.netlist, {}));
+  for (std::size_t i = 0; i < 64; ++i) {
+    Outcome<double> back;
+    ASSERT_TRUE(killed.lookup(checkpoint_item_key(prefix, candidates[i]), back)) << i;
+    EXPECT_EQ(*back.value, sizing::falling_discharge_weight(adder.netlist, candidates[i])) << i;
+  }
+}
 
 TEST_F(CheckpointTest, CancelledItemsAreReportedButNeverJournaled) {
   const auto adder = make_ripple_adder(tech07(), 2);

@@ -307,7 +307,7 @@ TEST_F(ColumnarTest, AutoFlushAtRowsPerBlock) {
   ColumnarWriter w;
   w.open(path(), opts);
   const double v = 3.0;
-  for (int i = 0; i < 10; ++i) w.append("k" + std::to_string(i), &v, 1);
+  for (int i = 0; i < 10; ++i) w.append(std::string("k").append(std::to_string(i)), &v, 1);
   EXPECT_EQ(w.blocks_written(), 2u);  // two full blocks; 2 rows still buffered
   w.close();
   EXPECT_EQ(scan_all(path()).size(), 10u);

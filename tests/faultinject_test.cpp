@@ -23,8 +23,8 @@ namespace mtcmos {
 namespace {
 
 using circuits::make_ripple_adder;
-using sizing::DelayEvaluator;
 using sizing::SweepPolicy;
+using sizing::VbsBackend;
 using sizing::VectorDelay;
 using sizing::VectorPair;
 using units::fF;
@@ -66,7 +66,7 @@ spice::TransientOptions rc_options() {
 
 TEST_F(FaultInject, PlansAreScopeAddressedAndCounted) {
   const auto adder = make_ripple_adder(tech07(), 2);
-  const DelayEvaluator eval(adder.netlist, adder_outputs(adder));
+  const VbsBackend eval(adder.netlist, adder_outputs(adder));
   const VectorPair vp{{false, false, false, false}, {true, true, true, true}};
 
   faultinject::arm(faultinject::Site::kVbsRun, /*scope=*/5, /*fail_hits=*/-1);
@@ -98,7 +98,7 @@ TEST_F(FaultInject, PlansAreScopeAddressedAndCounted) {
 // over the surviving subset.
 TEST_F(FaultInject, RankVectorsIsolatesOneFaultPerSite) {
   const auto adder = make_ripple_adder(tech07(), 2);
-  const DelayEvaluator eval(adder.netlist, adder_outputs(adder));
+  const VbsBackend eval(adder.netlist, adder_outputs(adder));
   const auto vectors = sizing::all_vector_pairs(4);
   ASSERT_EQ(vectors.size(), 256u);
   const double wl = 10.0;
@@ -117,7 +117,7 @@ TEST_F(FaultInject, RankVectorsIsolatesOneFaultPerSite) {
   util::ThreadPool pool(4);
   SweepReport report;
   const auto ranked =
-      sizing::rank_vectors(eval, vectors, wl, SweepPolicy{}, report, &pool);
+      sizing::rank_vectors(eval, vectors, wl, {.pool = &pool, .report = &report});
 
   EXPECT_EQ(report.total, 256u);
   EXPECT_EQ(report.failed, 3u);
@@ -140,7 +140,7 @@ TEST_F(FaultInject, RankVectorsIsolatesOneFaultPerSite) {
     if (i != 10 && i != 100 && i != 200) surviving.push_back(vectors[i]);
   }
   util::ThreadPool serial(1);
-  const auto reference = sizing::rank_vectors(eval, surviving, wl, &serial);
+  const auto reference = sizing::rank_vectors(eval, surviving, wl, {.pool = &serial});
 
   ASSERT_EQ(ranked.size(), reference.size());
   for (std::size_t i = 0; i < ranked.size(); ++i) {
@@ -157,7 +157,7 @@ TEST_F(FaultInject, RankVectorsIsolatesOneFaultPerSite) {
 // histogram shows the recovery, and the ranking is unchanged.
 TEST_F(FaultInject, SweepRetryAbsorbsSingleHitFault) {
   const auto adder = make_ripple_adder(tech07(), 2);
-  const DelayEvaluator eval(adder.netlist, adder_outputs(adder));
+  const VbsBackend eval(adder.netlist, adder_outputs(adder));
   const auto vectors = sizing::all_vector_pairs(4);
   const double wl = 10.0;
 
@@ -165,7 +165,7 @@ TEST_F(FaultInject, SweepRetryAbsorbsSingleHitFault) {
   faultinject::arm(faultinject::Site::kSweepItem, /*scope=*/37, /*fail_hits=*/1);
   SweepReport report;
   const auto ranked =
-      sizing::rank_vectors(eval, vectors, wl, SweepPolicy{}, report, &pool);
+      sizing::rank_vectors(eval, vectors, wl, {.pool = &pool, .report = &report});
 
   EXPECT_EQ(faultinject::injected_count(), 1u);
   EXPECT_EQ(report.failed, 0u);
@@ -177,7 +177,7 @@ TEST_F(FaultInject, SweepRetryAbsorbsSingleHitFault) {
 
   faultinject::disarm_all();
   util::ThreadPool serial(1);
-  const auto reference = sizing::rank_vectors(eval, vectors, wl, &serial);
+  const auto reference = sizing::rank_vectors(eval, vectors, wl, {.pool = &serial});
   ASSERT_EQ(ranked.size(), reference.size());
   for (std::size_t i = 0; i < ranked.size(); ++i) {
     EXPECT_EQ(ranked[i].degradation_pct, reference[i].degradation_pct) << "rank " << i;
@@ -189,7 +189,7 @@ TEST_F(FaultInject, SweepRetryAbsorbsSingleHitFault) {
 // failure is rethrown.
 TEST_F(FaultInject, IsolationOffRethrowsFirstFailure) {
   const auto adder = make_ripple_adder(tech07(), 2);
-  const DelayEvaluator eval(adder.netlist, adder_outputs(adder));
+  const VbsBackend eval(adder.netlist, adder_outputs(adder));
   const auto vectors = sizing::all_vector_pairs(4);
 
   faultinject::arm(faultinject::Site::kSweepItem, /*scope=*/42, /*fail_hits=*/-1);
@@ -198,7 +198,8 @@ TEST_F(FaultInject, IsolationOffRethrowsFirstFailure) {
   SweepPolicy hard_stop;
   hard_stop.isolate = false;
   hard_stop.max_attempts = 1;
-  EXPECT_THROW(sizing::rank_vectors(eval, vectors, 10.0, hard_stop, report, &serial),
+  EXPECT_THROW(sizing::rank_vectors(eval, vectors, 10.0,
+                                    {.pool = &serial, .policy = hard_stop, .report = &report}),
                NumericalError);
 }
 
@@ -302,13 +303,13 @@ TEST_F(FaultInject, DeadlineInsideSweepOnlyLosesThatItem) {
   // Any switching transition needs more than one breakpoint; only the 16
   // identity transitions (v0 == v1) schedule none and stay under budget.
   base.max_breakpoints = 1;
-  const DelayEvaluator eval(adder.netlist, adder_outputs(adder), base);
+  const VbsBackend eval(adder.netlist, adder_outputs(adder), base);
   const auto vectors = sizing::all_vector_pairs(4);
 
   util::ThreadPool pool(4);
   SweepReport report;
   const auto ranked =
-      sizing::rank_vectors(eval, vectors, 10.0, SweepPolicy{}, report, &pool);
+      sizing::rank_vectors(eval, vectors, 10.0, {.pool = &pool, .report = &report});
   EXPECT_TRUE(ranked.empty());  // survivors never switch -> dropped
   EXPECT_EQ(report.total, 256u);
   EXPECT_EQ(report.failed, 240u);

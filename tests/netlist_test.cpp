@@ -267,7 +267,7 @@ TEST(Expand, RailResistanceCreatesTapChainAndGradient) {
   Netlist nl(tech07());
   const NetId a = nl.add_input("a");
   for (int k = 0; k < 4; ++k) {
-    nl.add_load(nl.add_inv("g" + std::to_string(k), a), 60.0 * fF);
+    nl.add_load(nl.add_inv(std::string("g").append(std::to_string(k)), a), 60.0 * fF);
   }
   ExpandOptions opt;
   opt.sleep_wl = 6.0;

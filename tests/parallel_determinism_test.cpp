@@ -46,15 +46,15 @@ class ParallelDeterminismTest : public ::testing::Test {
         parallel_(4) {}
 
   circuits::RippleAdder adder_;
-  DelayEvaluator eval_;
+  VbsBackend eval_;
   util::ThreadPool serial_;
   util::ThreadPool parallel_;
 };
 
 TEST_F(ParallelDeterminismTest, RankVectorsBitIdentical) {
   const auto pairs = adder_pairs();
-  const auto ranked_serial = rank_vectors(eval_, pairs, 8.0, &serial_);
-  const auto ranked_parallel = rank_vectors(eval_, pairs, 8.0, &parallel_);
+  const auto ranked_serial = rank_vectors(eval_, pairs, 8.0, {.pool = &serial_});
+  const auto ranked_parallel = rank_vectors(eval_, pairs, 8.0, {.pool = &parallel_});
   ASSERT_EQ(ranked_serial.size(), ranked_parallel.size());
   for (std::size_t i = 0; i < ranked_serial.size(); ++i) {
     EXPECT_EQ(ranked_serial[i].pair.v0, ranked_parallel[i].pair.v0) << "rank " << i;
@@ -70,8 +70,9 @@ TEST_F(ParallelDeterminismTest, SizeForDegradationBitIdentical) {
   std::vector<VectorPair> stress;
   const auto pairs = adder_pairs();
   for (std::size_t i = 0; i < pairs.size(); i += 20) stress.push_back(pairs[i]);
-  const SizingResult a = size_for_degradation(eval_, stress, 5.0, 1.0, 2000.0, 0.5, &serial_);
-  const SizingResult b = size_for_degradation(eval_, stress, 5.0, 1.0, 2000.0, 0.5, &parallel_);
+  const SizingBounds bounds{1.0, 2000.0, 0.5};
+  const SizingResult a = size_for_degradation(eval_, stress, 5.0, bounds, {.pool = &serial_});
+  const SizingResult b = size_for_degradation(eval_, stress, 5.0, bounds, {.pool = &parallel_});
   EXPECT_EQ(a.wl, b.wl);
   EXPECT_EQ(a.degradation_pct, b.degradation_pct);
   EXPECT_EQ(a.binding_vector.v0, b.binding_vector.v0);
@@ -80,8 +81,8 @@ TEST_F(ParallelDeterminismTest, SizeForDegradationBitIdentical) {
 
 TEST_F(ParallelDeterminismTest, SearchWorstVectorBitIdentical) {
   Rng rng_a(42), rng_b(42);
-  const VectorDelay a = search_worst_vector(eval_, 8.0, 40, rng_a, &serial_);
-  const VectorDelay b = search_worst_vector(eval_, 8.0, 40, rng_b, &parallel_);
+  const VectorDelay a = search_worst_vector(eval_, 8.0, 40, rng_a, {.pool = &serial_});
+  const VectorDelay b = search_worst_vector(eval_, 8.0, 40, rng_b, {.pool = &parallel_});
   EXPECT_EQ(a.pair.v0, b.pair.v0);
   EXPECT_EQ(a.pair.v1, b.pair.v1);
   EXPECT_EQ(a.delay_cmos, b.delay_cmos);
@@ -91,8 +92,8 @@ TEST_F(ParallelDeterminismTest, SearchWorstVectorBitIdentical) {
 
 TEST_F(ParallelDeterminismTest, ScreenVectorsBitIdentical) {
   const auto pairs = adder_pairs();
-  const auto a = screen_vectors(adder_.netlist, pairs, 25, &serial_);
-  const auto b = screen_vectors(adder_.netlist, pairs, 25, &parallel_);
+  const auto a = screen_vectors(adder_.netlist, pairs, 25, {.pool = &serial_});
+  const auto b = screen_vectors(adder_.netlist, pairs, 25, {.pool = &parallel_});
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].v0, b[i].v0) << "kept " << i;

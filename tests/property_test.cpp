@@ -343,10 +343,16 @@ TEST_P(PwlProperty, IntegralIsAdditiveAndCrossingsConsistent) {
   // Every reported crossing must actually sit on the level.
   for (double level : {0.0, 0.5, 1.0}) {
     const auto c = w.crossing(level, Edge::kAny);
-    if (c) EXPECT_NEAR(w.sample(*c), level, 1e-9);
+    if (c) {
+      EXPECT_NEAR(w.sample(*c), level, 1e-9);
+    }
     const auto lc = w.last_crossing(level, Edge::kAny);
-    if (lc) EXPECT_NEAR(w.sample(*lc), level, 1e-9);
-    if (c && lc) EXPECT_LE(*c, *lc + 1e-12);
+    if (lc) {
+      EXPECT_NEAR(w.sample(*lc), level, 1e-9);
+    }
+    if (c && lc) {
+      EXPECT_LE(*c, *lc + 1e-12);
+    }
   }
 }
 
@@ -359,9 +365,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PwlProperty, ::testing::Range(1, 13));
 netlist::Netlist random_netlist(Rng& rng, int n_inputs, int n_gates) {
   netlist::Netlist nl(tech07());
   std::vector<netlist::NetId> nets;
-  for (int i = 0; i < n_inputs; ++i) nets.push_back(nl.add_input("in" + std::to_string(i)));
+  for (int i = 0; i < n_inputs; ++i) {
+    nets.push_back(nl.add_input(std::string("in").append(std::to_string(i))));
+  }
   for (int g = 0; g < n_gates; ++g) {
-    const std::string name = "g" + std::to_string(g);
+    const std::string name = std::string("g").append(std::to_string(g));
     auto pick = [&] {
       return nets[static_cast<std::size_t>(rng.uniform_int(0, nets.size() - 1))];
     };

@@ -68,9 +68,9 @@ TEST(Baselines, MeasuredPeakCurrentPositiveAndVectorDependent) {
 
 TEST(DelayEval, CmosDelayIndependentOfWl) {
   const auto adder = make_ripple_adder(tech07(), 3);
-  const DelayEvaluator eval(adder.netlist, adder_outputs(adder));
+  const VbsBackend eval(adder.netlist, adder_outputs(adder));
   const VectorPair vp = adder_pair(0, 0, 7, 1, 3);
-  const double d0 = eval.delay_cmos(vp);
+  const double d0 = eval.delay_baseline(vp);
   EXPECT_GT(d0, 0.0);
   EXPECT_GT(eval.delay_at_wl(vp, 5.0), d0);
   EXPECT_GT(eval.delay_at_wl(vp, 5.0), eval.delay_at_wl(vp, 50.0));
@@ -78,7 +78,7 @@ TEST(DelayEval, CmosDelayIndependentOfWl) {
 
 TEST(DelayEval, DegradationShrinksWithWl) {
   const auto adder = make_ripple_adder(tech07(), 3);
-  const DelayEvaluator eval(adder.netlist, adder_outputs(adder));
+  const VbsBackend eval(adder.netlist, adder_outputs(adder));
   const VectorPair vp = adder_pair(0, 0, 7, 1, 3);
   double prev = 1e9;
   for (double wl : {5.0, 10.0, 20.0, 80.0}) {
@@ -91,24 +91,24 @@ TEST(DelayEval, DegradationShrinksWithWl) {
 
 TEST(DelayEval, NonSwitchingVectorReportsNegative) {
   const auto adder = make_ripple_adder(tech07(), 3);
-  const DelayEvaluator eval(adder.netlist, adder_outputs(adder));
+  const VbsBackend eval(adder.netlist, adder_outputs(adder));
   const VectorPair vp = adder_pair(3, 2, 3, 2, 3);  // no transition
   EXPECT_LT(eval.degradation_pct(vp, 10.0), 0.0);
 }
 
 TEST(DelayEval, UnknownOutputRejected) {
   const auto adder = make_ripple_adder(tech07(), 3);
-  EXPECT_THROW(DelayEvaluator(adder.netlist, {"nope"}), std::invalid_argument);
-  EXPECT_THROW(DelayEvaluator(adder.netlist, {}), std::invalid_argument);
+  EXPECT_THROW(VbsBackend(adder.netlist, {"nope"}), std::invalid_argument);
+  EXPECT_THROW(VbsBackend(adder.netlist, {}), std::invalid_argument);
 }
 
 TEST(Sizing, BisectionMeetsTarget) {
   const auto adder = make_ripple_adder(tech07(), 3);
-  const DelayEvaluator eval(adder.netlist, adder_outputs(adder));
+  const VbsBackend eval(adder.netlist, adder_outputs(adder));
   const std::vector<VectorPair> vectors = {adder_pair(0, 0, 7, 1, 3),
                                            adder_pair(0, 0, 7, 7, 3),
                                            adder_pair(5, 2, 2, 5, 3)};
-  const SizingResult res = size_for_degradation(eval, vectors, 5.0, 1.0, 2000.0, 0.5);
+  const SizingResult res = size_for_degradation(eval, vectors, 5.0, {1.0, 2000.0, 0.5});
   EXPECT_LE(res.degradation_pct, 5.0);
   // Minimality: 20% smaller must violate the target for some vector.
   double worse = -1.0;
@@ -120,7 +120,7 @@ TEST(Sizing, BisectionMeetsTarget) {
 
 TEST(Sizing, TighterTargetNeedsBiggerDevice) {
   const auto adder = make_ripple_adder(tech07(), 3);
-  const DelayEvaluator eval(adder.netlist, adder_outputs(adder));
+  const VbsBackend eval(adder.netlist, adder_outputs(adder));
   const std::vector<VectorPair> vectors = {adder_pair(0, 0, 7, 1, 3)};
   const double wl5 = size_for_degradation(eval, vectors, 5.0).wl;
   const double wl2 = size_for_degradation(eval, vectors, 2.0).wl;
@@ -131,9 +131,9 @@ TEST(Sizing, TighterTargetNeedsBiggerDevice) {
 
 TEST(Sizing, ImpossibleTargetThrows) {
   const auto adder = make_ripple_adder(tech07(), 3);
-  const DelayEvaluator eval(adder.netlist, adder_outputs(adder));
+  const VbsBackend eval(adder.netlist, adder_outputs(adder));
   const std::vector<VectorPair> vectors = {adder_pair(0, 0, 7, 7, 3)};
-  EXPECT_THROW(size_for_degradation(eval, vectors, 0.001, 1.0, 2.0), NumericalError);
+  EXPECT_THROW(size_for_degradation(eval, vectors, 0.001, {1.0, 2.0}), NumericalError);
 }
 
 TEST(VectorSpace, ExhaustiveEnumerationCount) {
@@ -157,7 +157,7 @@ TEST(VectorSpace, SamplingIsDeterministic) {
 
 TEST(VectorSpace, RankingIsSortedAndFiltered) {
   const auto adder = make_ripple_adder(tech07(), 2);
-  const DelayEvaluator eval(adder.netlist, adder_outputs(adder));
+  const VbsBackend eval(adder.netlist, adder_outputs(adder));
   const auto ranked = rank_vectors(eval, all_vector_pairs(4), 8.0);
   ASSERT_GT(ranked.size(), 10u);
   EXPECT_LT(ranked.size(), 256u);  // identity transitions filtered out
@@ -172,7 +172,7 @@ TEST(VectorSpace, RankingIsSortedAndFiltered) {
 
 TEST(VectorSpace, WorstVectorSearchBeatsAverage) {
   const auto adder = make_ripple_adder(tech07(), 3);
-  const DelayEvaluator eval(adder.netlist, adder_outputs(adder));
+  const VbsBackend eval(adder.netlist, adder_outputs(adder));
   Rng rng(7);
   const VectorDelay worst = search_worst_vector(eval, 8.0, 40, rng);
   EXPECT_GT(worst.delay_mtcmos, 0.0);
@@ -222,7 +222,7 @@ TEST(Screening, CorrelatesWithSimulatedDegradation) {
   // The top screened decile must contain the simulator's worst vector (or
   // something within a few percent of it).
   const auto adder = make_ripple_adder(tech07(), 2);
-  const DelayEvaluator eval(adder.netlist, adder_outputs(adder));
+  const VbsBackend eval(adder.netlist, adder_outputs(adder));
   auto pairs = all_vector_pairs(4);
   const auto kept = screen_vectors(adder.netlist, pairs, pairs.size() / 10);
   double best_kept = 0.0;
@@ -247,7 +247,7 @@ TEST(VectorSpace, SearchAgreesWithExhaustiveOnSmallAdder) {
   // On the 2-bit adder (256 pairs) the randomized search must land within
   // a few percent of the exhaustive worst MTCMOS delay.
   const auto adder = make_ripple_adder(tech07(), 2);
-  const DelayEvaluator eval(adder.netlist, adder_outputs(adder));
+  const VbsBackend eval(adder.netlist, adder_outputs(adder));
   double exhaustive_worst = 0.0;
   for (const auto& vp : all_vector_pairs(4)) {
     exhaustive_worst = std::max(exhaustive_worst, eval.delay_at_wl(vp, 8.0));
