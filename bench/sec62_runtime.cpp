@@ -51,21 +51,25 @@ SweepRun timed_sweep(const sizing::EvalBackend& backend,
                      const std::vector<sizing::VectorPair>& pairs, double wl,
                      util::ThreadPool& pool, sizing::Checkpoint* ckpt) {
   backend.prepare_wl(wl);
-  std::string prefix;
-  if (ckpt != nullptr && ckpt->armed()) {
-    prefix = sizing::checkpoint_prefix(
-        "sec62-delay", backend.name(),
-        sizing::netlist_fingerprint(backend.netlist(), backend.outputs()), wl);
+  const bool journaled = ckpt != nullptr && ckpt->armed();
+  sizing::ItemKeys keys;
+  if (journaled) {
+    keys = sizing::ItemKeys(
+        ckpt->context(sizing::checkpoint_prefix(
+            "sec62-delay", backend.name(),
+            sizing::netlist_fingerprint(backend.netlist(), backend.outputs()), wl)),
+        pairs);
   }
   SweepRun out;
   const auto t0 = Clock::now();
   out.delays = pool.parallel_map(pairs.size(), [&](std::size_t i) {
-    if (prefix.empty()) return backend.delay_at_wl(pairs[i], wl);
-    const std::string key = sizing::checkpoint_item_key(prefix, pairs[i]);
+    if (!journaled) return backend.delay_at_wl(pairs[i], wl);
     Outcome<double> cached;
-    if (ckpt->lookup(key, cached) && cached.ok()) return *cached.value;
+    if (ckpt->lookup(keys[i], cached) && cached.ok()) return *cached.value;
     const double d = backend.delay_at_wl(pairs[i], wl);
-    ckpt->record(key, Outcome<double>::success(d));
+    sizing::Checkpoint::Stage stage;
+    ckpt->record(keys[i], Outcome<double>::success(d), stage);
+    ckpt->commit(stage);
     return d;
   });
   out.seconds = std::chrono::duration<double>(Clock::now() - t0).count();

@@ -478,7 +478,14 @@ int main(int argc, char** argv) {
       std::filesystem::create_directories(checkpoint_dir);
       const std::string journal_path =
           (std::filesystem::path(checkpoint_dir) / "journal.mtj").string();
-      checkpoint.open(journal_path);
+      try {
+        checkpoint.open(journal_path);
+      } catch (const NumericalError& e) {
+        // A journal this build refuses to resume (an older item format)
+        // is an orchestration problem, not a failed sweep.
+        std::cerr << "orchestration error: " << e.what() << "\n";
+        return 1;
+      }
       if (checkpoint.journal().size() > 0 && !resume) {
         std::cerr << "error: " << journal_path << " already holds "
                   << checkpoint.journal().size()

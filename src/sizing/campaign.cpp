@@ -442,7 +442,9 @@ CampaignStats CampaignDriver::run(int shards, SweepReport* report, util::CancelT
       sopt.cancel_token = cancel;
       sopt.columnar_shards = true;
       sopt.columnar_rows_per_block = spec_.chunk;
-      const auto key_of = [&remaining](std::size_t i) { return chunk_key(remaining[i]); };
+      const auto key_of = [&remaining](std::size_t i) {
+        return Checkpoint::Key(chunk_key(remaining[i]));
+      };
       // Runs inside a forked worker: its own lazily built corner
       // backends (this object was copied by the fork), a 1-thread
       // inline pool, and the worker's private shard journal + store.

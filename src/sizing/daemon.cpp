@@ -747,7 +747,7 @@ class DaemonImpl {
       slot = active;
       if (cancel_drain_.load()) active->token.request();
     }
-    const std::size_t store_before = store_.journal().size();
+    const std::size_t store_before = store_.journal().item_count();
     std::string done_fields;
     std::string fail_message;
     SweepReport report;
@@ -786,7 +786,7 @@ class DaemonImpl {
       // campaign writes to its per-campaign journal instead, so its
       // hit/miss split is the chunk-granular one run_campaign filled in
       // -- the store delta would count every campaign item as a hit.
-      misses = store_.journal().size() - store_before;
+      misses = store_.journal().item_count() - store_before;
       hits = report.total > misses ? report.total - misses : 0;
     }
     dedup_hits_.fetch_add(hits);
@@ -914,8 +914,11 @@ class DaemonImpl {
                         double wl) {
     const std::string prefix = checkpoint_prefix(
         "rank", backend.name(), netlist_fingerprint(backend.netlist(), backend.outputs()), wl);
-    for (const VectorPair& vp : vectors) {
-      if (!store_.journal().contains(checkpoint_item_key(prefix, vp))) return false;
+    std::uint64_t context = 0;
+    if (!store_.journal().find_context(prefix, context)) return false;  // never ranked
+    const ItemKeys keys(context, vectors);
+    for (std::size_t i = 0; i < vectors.size(); ++i) {
+      if (!store_.contains(keys[i])) return false;
     }
     return true;
   }

@@ -8,13 +8,13 @@
 // afterwards, while campaign-scale callers plug in a ColumnarSpillSink
 // and never hold more than a block of rows in memory.
 //
-// Row identity: every emission carries the item's content-derived
-// checkpoint key (checkpoint_item_key -- op, backend, netlist
-// fingerprint, W/L bits, transition bits), the same identity the journal
-// uses.  That makes spilled rows self-describing (the transition is
-// recoverable from the key alone), lets shard stores merge exactly like
-// shard journals, and means checkpoint *replay* feeds a sink the same
-// bytes the original run did.
+// Row identity: a sink that wants_keys() receives each row's
+// content-derived key (checkpoint_item_key -- op, backend, netlist
+// fingerprint, W/L bits, transition bits), the identity the journal's
+// typed item keys encode.  That makes spilled rows self-describing (the
+// transition is recoverable from the key alone), lets shard stores merge
+// exactly like shard journals, and means checkpoint *replay* feeds a sink
+// the same bytes the original run did.
 //
 // Emission discipline: sinks are called only from the entry points'
 // serial reduction loops, in input order, so implementations need no
@@ -35,9 +35,9 @@ class ResultSink {
  public:
   virtual ~ResultSink();
 
-  /// Whether emissions must carry real checkpoint keys.  Entry points
-  /// skip key formatting when neither the checkpoint nor the sink needs
-  /// it, keeping the default (MemorySink-backed) path allocation-lean.
+  /// Whether emissions must carry real row keys.  Other sinks are fed
+  /// empty keys: entry points format keys only for a sink that wants
+  /// them, keeping the default (MemorySink-backed) path allocation-lean.
   virtual bool wants_keys() const { return false; }
 
   /// One ranked-sweep measurement (rank_vectors).  Every successfully

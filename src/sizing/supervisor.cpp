@@ -103,8 +103,8 @@ int worker_main(int wfd, std::size_t slot_index, const std::string& journal_path
 
   for (const auto& [idx, strikes] : items) {
     if (cancel.requested() || parent_gone.load(std::memory_order_relaxed)) return finish(3);
-    const std::string key = key_of(idx);
-    if (ckpt.journal().contains(key)) continue;  // replayed from a prior life
+    const Checkpoint::Key key = key_of(idx);
+    if (ckpt.contains(key)) continue;  // replayed from a prior life
     if (!util::write_line(wfd, "S " + std::to_string(idx))) return finish(3);
 
     faultinject::set_generation(strikes);
@@ -129,7 +129,7 @@ int worker_main(int wfd, std::size_t slot_index, const std::string& journal_path
     }
 
     run_one(idx, ckpt, columnar.is_open() ? &columnar : nullptr);
-    if (!ckpt.journal().contains(key)) {
+    if (!ckpt.contains(key)) {
       // The item completed nothing durable -- a cancellation drained it
       // mid-body.  Report the drain instead of claiming completion.
       return finish(3);
@@ -303,9 +303,9 @@ SupervisorStats Supervisor::run(Checkpoint& merged, util::ColumnarWriter* column
     // Crash (abort, SIGKILL, stall self-exit, body exception).  Blame
     // the in-flight item unless its outcome actually reached the
     // journal (death between journaling and the "F" line).
-    util::Journal done_log;
+    Checkpoint done_log;
     done_log.open(slot.journal_path);
-    done_log.close();
+    done_log.journal().close();
     if (slot.current >= 0) {
       const std::size_t idx = static_cast<std::size_t>(slot.current);
       if (!done_log.contains(key_of_(idx))) {
@@ -444,8 +444,8 @@ SupervisorStats Supervisor::run(Checkpoint& merged, util::ColumnarWriter* column
   }
   Checkpoint::Stage quarantine_records;
   for (const std::size_t idx : quarantined) {
-    const std::string key = key_of_(idx);
-    if (merged.journal().contains(key)) continue;
+    const Checkpoint::Key key = key_of_(idx);
+    if (merged.contains(key)) continue;
     FailureInfo info;
     info.code = FailureCode::kPoisonedItem;
     info.site = "sizing::supervisor";
@@ -469,11 +469,13 @@ ShardedRankResult sharded_rank_vectors(const EvalBackend& backend,
     local.open(options.dir + "/merged.mtj", options.journal);
     merged = &local;
   }
-  const std::string prefix = checkpoint_prefix(
-      "rank", backend.name(), netlist_fingerprint(backend.netlist(), backend.outputs()), wl);
-  const auto key_of = [prefix, &vectors](std::size_t i) {
-    return checkpoint_item_key(prefix, vectors[i]);
-  };
+  // Registering the pass context in the merged journal up front also
+  // covers items only a quarantine stamp ever records.
+  const ItemKeys keys(merged->context(checkpoint_prefix(
+                          "rank", backend.name(),
+                          netlist_fingerprint(backend.netlist(), backend.outputs()), wl)),
+                      vectors);
+  const auto key_of = [&keys](std::size_t i) { return Checkpoint::Key(keys[i]); };
   const auto run_one = [&backend, &vectors, wl](std::size_t i, Checkpoint& ckpt) {
     // One item per call, on an inline pool (a forked worker must not
     // spawn sweep threads), scalar path (a 1-item batch gains nothing).

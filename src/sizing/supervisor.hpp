@@ -118,8 +118,9 @@ class Supervisor {
   /// `run_one(idx, ckpt)` evaluates item `idx` inside a worker process,
   /// journaling its outcome into `ckpt` under `key_of(idx)`; it runs on
   /// a 1-thread pool and must be deterministic.  `key_of` must match
-  /// the keys `run_one` journals (used for replay skips and quarantine
-  /// stamps).
+  /// the record `run_one` journals -- a typed item for sweeps, a text key
+  /// for campaign chunks -- and is used for replay skips and quarantine
+  /// stamps.
   using ItemFn = std::function<void(std::size_t idx, Checkpoint& ckpt)>;
   /// Columnar-aware item body: additionally receives the worker's shard
   /// store (nullptr when columnar_shards is off) so streamed sweeps can
@@ -127,7 +128,7 @@ class Supervisor {
   /// itself -- see SupervisorOptions::columnar_shards for the contract.
   using SinkItemFn =
       std::function<void(std::size_t idx, Checkpoint& ckpt, util::ColumnarWriter* columnar)>;
-  using KeyFn = std::function<std::string(std::size_t idx)>;
+  using KeyFn = std::function<Checkpoint::Key(std::size_t idx)>;
 
   Supervisor(SupervisorOptions options, std::size_t n_items, ItemFn run_one, KeyFn key_of);
   Supervisor(SupervisorOptions options, std::size_t n_items, SinkItemFn run_one, KeyFn key_of);

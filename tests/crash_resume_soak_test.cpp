@@ -233,11 +233,12 @@ TEST_F(CrashResumeSoak, KilledSizingBisectionResumesToTheSameResult) {
   }
 }
 
-TEST_F(CrashResumeSoak, CompactionBetweenKillsDoesNotDisturbResume) {
-  // Interleave crash/resume with journal compaction: kill a sweep, compact
-  // the survivor journal (atomic-rename replacement), shear a random tail
-  // chunk off the NEXT kill, and keep going.  Compaction must never lose a
-  // journaled item or disturb the final bit-identical merge.
+TEST_F(CrashResumeSoak, ReopenBetweenKillsDoesNotDisturbResume) {
+  // Interleave crash/resume with journal reopens: kill a sweep, shear a
+  // random tail chunk off every other kill, replay the survivor journal
+  // (truncating the torn tail) and replay it again, and keep going.  A
+  // reopen must never lose a journaled item or disturb the final
+  // bit-identical merge.
   const auto adder = circuits::make_ripple_adder(tech07(), 2);
   const VbsBackend vbs(adder.netlist, adder_outputs(adder));
   const auto vectors = sizing::all_vector_pairs(4);
@@ -252,16 +253,21 @@ TEST_F(CrashResumeSoak, CompactionBetweenKillsDoesNotDisturbResume) {
   for (int kill = 0; kill < 5; ++kill) {
     (void)killed_rank(vbs, vectors, 10.0, journal, scope_of(rng));
     if (kill % 2 == 1) shear_tail(journal, shear_of(rng));
-    Checkpoint survivor;
-    survivor.open(journal);
-    const std::size_t before = survivor.journal().size();
-    survivor.journal().compact();
-    EXPECT_EQ(survivor.journal().size(), before) << "kill " << kill;
+    std::size_t before = 0;
+    {
+      Checkpoint survivor;
+      survivor.open(journal);
+      before = survivor.journal().size();
+    }
+    Checkpoint again;
+    again.open(journal);
+    EXPECT_EQ(again.journal().size(), before) << "kill " << kill;
+    EXPECT_EQ(again.journal().truncated_bytes(), 0u) << "kill " << kill;
   }
   SweepReport report;
   const auto merged = resumed_rank(vbs, vectors, 10.0, journal, &report);
   EXPECT_EQ(report.failed, 0u);
-  expect_rank_identical(merged, reference, "compaction between kills");
+  expect_rank_identical(merged, reference, "reopen between kills");
 }
 
 // ---------------------------------------------------------------------------

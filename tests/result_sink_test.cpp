@@ -168,14 +168,17 @@ TEST_F(ResultSinkTest, SizingEmitsValueRowsIdenticallyOnBothSinks) {
 }
 
 TEST_F(ResultSinkTest, CheckpointReplayFeedsTheSinkTheSameBytes) {
-  // Uninterrupted reference emission.
-  MemorySink reference;
+  // Key-carrying sinks: only those receive row keys, checkpoint or not,
+  // so the key comparison below checks real keys.  Uninterrupted
+  // reference emission.
+  KeyedMemorySink keyed_reference;
+  MemorySink& reference = keyed_reference.inner;
   {
     Checkpoint ckpt;
     ckpt.open(path("ref.mtj"));
     EvalSession session;
     session.checkpoint = &ckpt;
-    session.sink = &reference;
+    session.sink = &keyed_reference;
     sizing::rank_vectors_stream(*backend_, vectors_, 10.0, session);
   }
 
@@ -186,7 +189,7 @@ TEST_F(ResultSinkTest, CheckpointReplayFeedsTheSinkTheSameBytes) {
                                      vectors_.begin() + static_cast<std::ptrdiff_t>(
                                                             vectors_.size() / 2));
   {
-    MemorySink partial;
+    KeyedMemorySink partial;
     EvalSession session;
     session.checkpoint = &ckpt;
     session.sink = &partial;
@@ -195,12 +198,14 @@ TEST_F(ResultSinkTest, CheckpointReplayFeedsTheSinkTheSameBytes) {
 
   // Resumed run over the full set: half replays, half computes -- the
   // emission stream must match the uninterrupted run byte for byte.
-  MemorySink resumed;
+  KeyedMemorySink keyed_resumed;
+  MemorySink& resumed = keyed_resumed.inner;
   EvalSession session;
   session.checkpoint = &ckpt;
-  session.sink = &resumed;
+  session.sink = &keyed_resumed;
   sizing::rank_vectors_stream(*backend_, vectors_, 10.0, session);
 
+  ASSERT_FALSE(reference.delays.front().key.empty());
   ASSERT_EQ(resumed.delays.size(), reference.delays.size());
   for (std::size_t i = 0; i < reference.delays.size(); ++i) {
     EXPECT_EQ(resumed.delays[i].key, reference.delays[i].key);

@@ -643,6 +643,60 @@ TEST(VbsBatchSession, GroupCommittedJournalMatchesSerialScalarJournal) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(VbsBatchSession, MoreThanSixtyFourInputsResumeBitIdentically) {
+  // 67 inputs pack into two words per vector, the typed item store's wide
+  // key path: a killed journaled rank resumes to the uninterrupted
+  // ranking, and a third run replays every item.
+  const circuits::RippleAdder adder = make_ripple_adder(tech07(), 33);
+  std::vector<std::string> outs;
+  for (const auto s : adder.sum) outs.push_back(adder.netlist.net_name(s));
+  outs.push_back(adder.netlist.net_name(adder.cout));
+  const std::size_t n_in = adder.netlist.inputs().size();
+  ASSERT_GT(n_in, 64u);
+  Rng rng(20261017);
+  std::vector<VectorPair> pairs(6);
+  for (VectorPair& p : pairs) {
+    p.v0.resize(n_in);
+    for (std::size_t i = 0; i < n_in; ++i) p.v0[i] = rng.coin();
+    p.v1 = p.v0;
+    for (int f = 0; f < 4; ++f) {
+      const std::size_t bit = rng.uniform_int(0, n_in - 1);
+      p.v1[bit] = !p.v1[bit];
+    }
+  }
+  const VbsBackend backend(adder.netlist, outs);
+  const auto reference = sizing::rank_vectors(backend, pairs, 10.0);
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("vbs_batch_wide." +
+                    std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "wide.mtj").string();
+  util::ThreadPool serial(1);
+  {
+    sizing::Checkpoint killed;
+    killed.open(path);
+    EvalSession session;
+    session.pool = &serial;
+    session.batch = 2;  // commit groups of two
+    session.checkpoint = &killed;
+    faultinject::arm(faultinject::Site::kJournalAppend, /*scope=*/3, /*fail_hits=*/1);
+    EXPECT_THROW(sizing::rank_vectors(backend, pairs, 10.0, session), NumericalError);
+    faultinject::disarm_all();
+    EXPECT_EQ(killed.journal().size(), 2u);  // the group holding item 3 was lost
+  }
+  for (int run = 0; run < 2; ++run) {
+    SCOPED_TRACE(run);
+    sizing::Checkpoint resumed;
+    resumed.open(path);
+    EXPECT_EQ(resumed.journal().replayed_records(), run == 0 ? 2u : pairs.size());
+    EvalSession session;
+    session.checkpoint = &resumed;
+    expect_same_ranking(sizing::rank_vectors(backend, pairs, 10.0, session), reference);
+    EXPECT_EQ(resumed.journal().size(), pairs.size());
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(VbsBatchSession, RepeatedTransitionsRaceNoJournalReader) {
   // Each transition appears four times in a row, so workers running
   // neighbouring items look up a key while another worker commits (and
