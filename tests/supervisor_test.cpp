@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <csignal>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -357,6 +359,48 @@ TEST_F(SupervisorTest, ResumingAMergedCampaignSkipsAllWork) {
   EXPECT_EQ(merged.journal().size(), before);
   EXPECT_EQ(again.report.failed, 0u);
   expect_rank_identical(again.ranked, reference, "resumed campaign");
+}
+
+TEST_F(SupervisorTest, DeathAfterJournalingTheLastItemIsNoStrikeAndNoRestart) {
+  // The worker dies after its last item's outcome reached the shard
+  // journal but before the "F" line.  The parent must find that outcome
+  // in the journal it reopens: no strike (so no quarantine, even at one
+  // strike), and nothing pending, so no restart.
+  const std::string prefix = "test:vbs:0:";
+  const auto vectors = sizing::all_vector_pairs(1);
+  const std::size_t last = vectors.size() - 1;
+  const std::string died = (dir_ / "died").string();
+  Checkpoint merged;
+  merged.open((dir_ / "merged.mtj").string());
+  const sizing::ItemKeys keys(merged.context(prefix), vectors);
+
+  SupervisorOptions options = fast_options(1);
+  options.poison_strikes = 1;
+  sizing::Supervisor supervisor(
+      options, vectors.size(),
+      sizing::Supervisor::ItemFn([&](std::size_t idx, Checkpoint& ckpt) {
+        const sizing::ItemKeys worker_keys(ckpt.context(prefix), vectors);
+        Checkpoint::Stage stage;
+        ckpt.record(worker_keys[idx], Outcome<double>::success(static_cast<double>(idx)), stage);
+        ckpt.commit(stage);
+        if (idx == last && !std::filesystem::exists(died)) {
+          std::ofstream(died) << "1";
+          ::raise(SIGKILL);
+        }
+      }),
+      [&](std::size_t idx) { return Checkpoint::Key(keys[idx]); });
+  const sizing::SupervisorStats stats = supervisor.run(merged);
+  EXPECT_TRUE(std::filesystem::exists(died));
+  EXPECT_EQ(stats.quarantined, 0u);
+  EXPECT_EQ(stats.restarts, 0);
+  EXPECT_EQ(stats.workers_spawned, 1);
+  EXPECT_EQ(stats.abandoned, 0u);
+  for (std::size_t i = 0; i < vectors.size(); ++i) {
+    Outcome<double> out;
+    ASSERT_TRUE(merged.lookup(keys[i], out)) << "item " << i;
+    ASSERT_TRUE(out.ok()) << "item " << i;
+    EXPECT_EQ(*out.value, static_cast<double>(i));
+  }
 }
 
 }  // namespace
