@@ -5,6 +5,7 @@
 #include "core/vbs_batch.hpp"
 #include "models/sleep_transistor.hpp"
 #include "util/error.hpp"
+#include "util/journal.hpp"
 
 namespace mtcmos::sizing {
 
@@ -44,6 +45,67 @@ void run_vbs_batch(const core::VbsSimulator& sim, const std::vector<std::string>
 
 }  // namespace
 
+// --- BaselineMemo ---
+
+std::size_t BaselineMemo::KeyHash::operator()(const Key& key) const {
+  return util::fnv1a64(key.data(), key.size() * sizeof(std::uint64_t));
+}
+
+const BaselineMemo::Key* BaselineMemo::pack(const VectorPair& vp) const {
+  if (vp.v0.size() != width_ || vp.v1.size() != width_) return nullptr;
+  thread_local Key key;
+  const std::size_t half = util::item_words(static_cast<std::uint32_t>(width_));
+  key.assign(2 * half, 0);
+  for (std::size_t b = 0; b < width_; ++b) {
+    key[b / 64] |= std::uint64_t{vp.v0[b]} << (b % 64);
+    key[half + b / 64] |= std::uint64_t{vp.v1[b]} << (b % 64);
+  }
+  return &key;
+}
+
+std::vector<std::size_t> BaselineMemo::find(const VectorPair* const* vps, std::size_t n,
+                                            Outcome<double>* out) const {
+  std::vector<std::size_t> miss;
+  const std::shared_lock<std::shared_mutex> lock(mutex_);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Key* key = pack(*vps[i]);
+    const auto it = key != nullptr ? delays_.find(*key) : delays_.end();
+    if (it == delays_.end()) {
+      miss.push_back(i);
+    } else {
+      out[i] = Outcome<double>::success(it->second);
+    }
+  }
+  hits_.fetch_add(n - miss.size(), std::memory_order_relaxed);
+  misses_.fetch_add(miss.size(), std::memory_order_relaxed);
+  return miss;
+}
+
+void BaselineMemo::insert(const VectorPair& vp, double delay) {
+  const Key* key = pack(vp);
+  if (key == nullptr) return;
+  const std::lock_guard<std::shared_mutex> lock(mutex_);
+  const auto [it, inserted] = delays_.try_emplace(*key, delay);
+  if (!inserted) return;
+  order_.push_back(&it->first);
+  if (delays_.size() > capacity_) {
+    delays_.erase(delays_.find(*order_.front()));
+    order_.pop_front();
+    ++evictions_;
+  }
+}
+
+CacheStats BaselineMemo::stats() const {
+  CacheStats s;
+  const std::shared_lock<std::shared_mutex> lock(mutex_);
+  s.baseline_entries = delays_.size();
+  s.baseline_capacity = capacity_;
+  s.baseline_hits = hits_.load(std::memory_order_relaxed);
+  s.baseline_misses = misses_.load(std::memory_order_relaxed);
+  s.baseline_evictions = evictions_;
+  return s;
+}
+
 // --- EvalBackend batch defaults ---
 
 void EvalBackend::delay_at_wl_batch(const VectorPair* const* vps, std::size_t n, double wl,
@@ -76,7 +138,8 @@ VbsBackend::VbsBackend(const Netlist& nl, std::vector<std::string> outputs,
       outputs_(std::move(outputs)),
       base_(base),
       limits_(limits),
-      baseline_sim_(nl, with_resistance(base, 0.0)) {
+      baseline_sim_(nl, with_resistance(base, 0.0)),
+      baselines_(nl.inputs().size(), limits.max_baseline_delays) {
   require(!outputs_.empty(), "VbsBackend: need at least one output net");
   require(limits_.max_simulators >= 1 && limits_.max_baseline_delays >= 1,
           "VbsBackend: cache limits must be >= 1");
@@ -86,26 +149,8 @@ VbsBackend::VbsBackend(const Netlist& nl, std::vector<std::string> outputs,
 }
 
 double VbsBackend::delay_baseline(const VectorPair& vp) const {
-  {
-    const std::lock_guard<std::mutex> lock(baseline_mutex_);
-    const auto it = baseline_cache_.find({vp.v0, vp.v1});
-    if (it != baseline_cache_.end()) {
-      ++baseline_hits_;
-      return it->second;
-    }
-    ++baseline_misses_;
-  }
-  // Compute outside the lock; a concurrent duplicate computes the same
-  // deterministic value, so whichever insert wins is equivalent.
-  const double d = baseline_sim_.critical_delay(vp.v0, vp.v1, outputs_, local_workspace());
-  const std::lock_guard<std::mutex> lock(baseline_mutex_);
-  if (baseline_cache_.size() >= limits_.max_baseline_delays &&
-      baseline_cache_.find({vp.v0, vp.v1}) == baseline_cache_.end()) {
-    baseline_cache_.erase(baseline_cache_.begin());
-    ++baseline_evictions_;
-  }
-  baseline_cache_.try_emplace({vp.v0, vp.v1}, d);
-  return d;
+  return baselines_.get(
+      vp, [&] { return baseline_sim_.critical_delay(vp.v0, vp.v1, outputs_, local_workspace()); });
 }
 
 std::shared_ptr<const core::VbsSimulator> VbsBackend::simulator_at_wl(double wl) const {
@@ -146,62 +191,30 @@ void VbsBackend::delay_at_wl_batch(const VectorPair* const* vps, std::size_t n, 
 
 void VbsBackend::delay_baseline_batch(const VectorPair* const* vps, std::size_t n,
                                       Outcome<double>* out) const {
-  // Resolve memo hits under the lock, then run the kernel over the
-  // misses only -- on the second and later probes of a bisection the
-  // whole batch typically hits.
-  std::vector<std::size_t> miss;
-  {
-    const std::lock_guard<std::mutex> lock(baseline_mutex_);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto it = baseline_cache_.find({vps[i]->v0, vps[i]->v1});
-      if (it != baseline_cache_.end()) {
-        ++baseline_hits_;
-        out[i] = Outcome<double>::success(it->second);
-      } else {
-        ++baseline_misses_;
-        miss.push_back(i);
-      }
-    }
-  }
+  // The kernel runs over the memo misses only: on the second and later
+  // probes of a bisection the whole batch typically hits.
+  const std::vector<std::size_t> miss = baselines_.find(vps, n, out);
   if (miss.empty()) return;
   std::vector<const VectorPair*> miss_vps(miss.size());
   std::vector<Outcome<double>> miss_out(miss.size());
   for (std::size_t k = 0; k < miss.size(); ++k) miss_vps[k] = vps[miss[k]];
   run_vbs_batch(baseline_sim_, outputs_, miss_vps.data(), miss.size(), miss_out.data());
-  const std::lock_guard<std::mutex> lock(baseline_mutex_);
   for (std::size_t k = 0; k < miss.size(); ++k) {
     // Failures are reported, never cached -- exactly like the scalar
     // call, which throws before touching the memo.
-    if (miss_out[k].ok()) {
-      const std::pair<std::vector<bool>, std::vector<bool>> key{vps[miss[k]]->v0,
-                                                                vps[miss[k]]->v1};
-      if (baseline_cache_.size() >= limits_.max_baseline_delays &&
-          baseline_cache_.find(key) == baseline_cache_.end()) {
-        baseline_cache_.erase(baseline_cache_.begin());
-        ++baseline_evictions_;
-      }
-      baseline_cache_.try_emplace(key, *miss_out[k].value);
-    }
+    if (miss_out[k].ok()) baselines_.insert(*miss_vps[k], *miss_out[k].value);
     out[miss[k]] = std::move(miss_out[k]);
   }
 }
 
 CacheStats VbsBackend::cache_stats() const {
-  CacheStats s;
-  {
-    const std::lock_guard<std::mutex> lock(sim_mutex_);
-    s.sim_entries = sim_cache_.size();
-    s.sim_capacity = limits_.max_simulators;
-    s.sim_hits = sim_hits_;
-    s.sim_misses = sim_misses_;
-    s.sim_evictions = sim_evictions_;
-  }
-  const std::lock_guard<std::mutex> lock(baseline_mutex_);
-  s.baseline_entries = baseline_cache_.size();
-  s.baseline_capacity = limits_.max_baseline_delays;
-  s.baseline_hits = baseline_hits_;
-  s.baseline_misses = baseline_misses_;
-  s.baseline_evictions = baseline_evictions_;
+  CacheStats s = baselines_.stats();
+  const std::lock_guard<std::mutex> lock(sim_mutex_);
+  s.sim_entries = sim_cache_.size();
+  s.sim_capacity = limits_.max_simulators;
+  s.sim_hits = sim_hits_;
+  s.sim_misses = sim_misses_;
+  s.sim_evictions = sim_evictions_;
   return s;
 }
 
@@ -209,7 +222,10 @@ CacheStats VbsBackend::cache_stats() const {
 
 SpiceBackend::SpiceBackend(const Netlist& nl, std::vector<std::string> outputs,
                            SpiceBackendOptions options)
-    : nl_(nl), outputs_(std::move(outputs)), options_(options) {
+    : nl_(nl),
+      outputs_(std::move(outputs)),
+      options_(options),
+      baselines_(nl.inputs().size(), options.max_baseline_delays) {
   require(!outputs_.empty(), "SpiceBackend: need at least one output net");
   require(options_.max_engines >= 1 && options_.max_baseline_delays >= 1,
           "SpiceBackend: cache limits must be >= 1");
@@ -300,29 +316,11 @@ double SpiceBackend::delay_at_wl(const VectorPair& vp, double wl) const {
 }
 
 double SpiceBackend::delay_baseline(const VectorPair& vp) const {
-  {
-    const std::lock_guard<std::mutex> lock(baseline_mutex_);
-    const auto it = baseline_cache_.find({vp.v0, vp.v1});
-    if (it != baseline_cache_.end()) {
-      ++baseline_hits_;
-      return it->second;
-    }
-    ++baseline_misses_;
-  }
-  SpiceRefResult r;
-  {
-    const Lease lease = acquire(baseline_);
-    r = lease.ref().measure(vp);
-  }
-  if (!r.ok()) throw NumericalError(r.failure);
-  const std::lock_guard<std::mutex> lock(baseline_mutex_);
-  if (baseline_cache_.size() >= options_.max_baseline_delays &&
-      baseline_cache_.find({vp.v0, vp.v1}) == baseline_cache_.end()) {
-    baseline_cache_.erase(baseline_cache_.begin());
-    ++baseline_evictions_;
-  }
-  baseline_cache_.try_emplace({vp.v0, vp.v1}, r.delay);
-  return r.delay;
+  return baselines_.get(vp, [&] {
+    const SpiceRefResult r = acquire(baseline_).ref().measure(vp);
+    if (!r.ok()) throw NumericalError(r.failure);
+    return r.delay;
+  });
 }
 
 spice::EngineStats SpiceBackend::engine_stats() const {
@@ -355,21 +353,13 @@ spice::EngineStats SpiceBackend::engine_stats() const {
 }
 
 CacheStats SpiceBackend::cache_stats() const {
-  CacheStats s;
-  {
-    const std::lock_guard<std::mutex> lock(cache_mutex_);
-    s.sim_entries = engines_.size();
-    s.sim_capacity = options_.max_engines;
-    s.sim_hits = sim_hits_;
-    s.sim_misses = sim_misses_;
-    s.sim_evictions = sim_evictions_;
-  }
-  const std::lock_guard<std::mutex> lock(baseline_mutex_);
-  s.baseline_entries = baseline_cache_.size();
-  s.baseline_capacity = options_.max_baseline_delays;
-  s.baseline_hits = baseline_hits_;
-  s.baseline_misses = baseline_misses_;
-  s.baseline_evictions = baseline_evictions_;
+  CacheStats s = baselines_.stats();
+  const std::lock_guard<std::mutex> lock(cache_mutex_);
+  s.sim_entries = engines_.size();
+  s.sim_capacity = options_.max_engines;
+  s.sim_hits = sim_hits_;
+  s.sim_misses = sim_misses_;
+  s.sim_evictions = sim_evictions_;
   return s;
 }
 

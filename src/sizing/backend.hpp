@@ -28,11 +28,15 @@
 //   * cache_stats() exposes cache occupancy/hit counters so long design-
 //     space sweeps can watch their memory footprint.
 
+#include <atomic>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -67,12 +71,57 @@ struct CacheStats {
 /// Size caps for a backend's caches.  Million-vector design-space sweeps
 /// revisit W/L values and vectors unevenly; without caps the per-W/L
 /// engine cache and the per-vector baseline memo grow without bound.
-/// Exceeding a cap evicts (least-recently-used engines, smallest-key
+/// Exceeding a cap evicts (least-recently-used engines, the oldest
 /// baseline entries); evicted entries are recomputed identically on the
 /// next request, so capping never changes results, only speed.
 struct EvalCacheLimits {
   std::size_t max_simulators = 64;             ///< distinct W/L engines kept
   std::size_t max_baseline_delays = 1u << 20;  ///< per-vector baseline memos kept
+};
+
+/// The baseline-delay memo of both backends: keys are v0 and v1 packed
+/// into 64-bit words (any input count; a transition not `width` bits wide
+/// is never stored), packed into thread-local scratch, so a hit allocates
+/// nothing and is served under a shared lock.  At the cap the oldest entry
+/// is evicted.
+class BaselineMemo {
+ public:
+  BaselineMemo(std::size_t width, std::size_t capacity) : width_(width), capacity_(capacity) {}
+
+  /// The memoized delay of `vp`, else compute() run outside the lock and
+  /// memoized unless it throws.  Counts a hit or a miss.
+  template <typename Compute>
+  double get(const VectorPair& vp, const Compute& compute) {
+    const VectorPair* p = &vp;
+    if (Outcome<double> hit; find(&p, 1, &hit).empty()) return *hit.value;
+    const double d = compute();
+    insert(vp, d);
+    return d;
+  }
+  /// Look `n` pairs up under one shared lock: each hit lands in out[i] as
+  /// a success; returns the indices of the misses.
+  std::vector<std::size_t> find(const VectorPair* const* vps, std::size_t n,
+                                Outcome<double>* out) const;
+  /// Memoize `delay` for `vp`; a no-op when present (a duplicate computed it).
+  void insert(const VectorPair& vp, double delay);
+  /// The baseline_* counters.
+  CacheStats stats() const;
+
+ private:
+  using Key = std::vector<std::uint64_t>;
+  struct KeyHash {
+    std::size_t operator()(const Key& key) const;
+  };
+  /// `vp` packed into thread-local scratch; null when not width_ bits wide.
+  const Key* pack(const VectorPair& vp) const;
+
+  const std::size_t width_;
+  const std::size_t capacity_;
+  mutable std::shared_mutex mutex_;  ///< the two tables below
+  std::unordered_map<Key, double, KeyHash> delays_;
+  std::deque<const Key*> order_;  ///< keys of delays_, oldest first
+  std::size_t evictions_ = 0;
+  mutable std::atomic<std::size_t> hits_{0}, misses_{0};
 };
 
 /// Abstract "delay of (VectorPair, W/L)" evaluator.  See the header
@@ -135,8 +184,8 @@ class EvalBackend {
 ///     inverter reduction and topological order are derived once, not per
 ///     delay call), LRU-bounded by EvalCacheLimits::max_simulators, plus
 ///     a dedicated never-evicted R = 0 baseline simulator;
-///   * the baseline (CMOS) delay per vector pair, bounded by
-///     EvalCacheLimits::max_baseline_delays.
+///   * the baseline (CMOS) delay per vector pair in a BaselineMemo,
+///     bounded by EvalCacheLimits::max_baseline_delays.
 /// All entry points are thread-safe: simulators are immutable after
 /// construction, caches are mutex-guarded, and per-run scratch lives in
 /// thread-local workspaces, so one backend can serve a whole thread pool
@@ -160,8 +209,8 @@ class VbsBackend : public EvalBackend {
 
   /// Batch fast path: the SoA batch kernel (core/vbs_batch.hpp),
   /// bit-identical to the scalar calls.  The baseline variant resolves
-  /// memo hits first and runs the kernel over the misses only, inserting
-  /// results through the same eviction path as the scalar call.
+  /// memo hits under one shared lock and runs the kernel over the misses
+  /// only, memoizing its successes like the scalar call.
   bool supports_batch() const override { return true; }
   void delay_at_wl_batch(const VectorPair* const* vps, std::size_t n, double wl,
                          Outcome<double>* out) const override;
@@ -189,9 +238,7 @@ class VbsBackend : public EvalBackend {
   mutable std::map<double, SimEntry> sim_cache_;
   mutable std::uint64_t sim_clock_ = 0;
   mutable std::size_t sim_hits_ = 0, sim_misses_ = 0, sim_evictions_ = 0;
-  mutable std::mutex baseline_mutex_;
-  mutable std::map<std::pair<std::vector<bool>, std::vector<bool>>, double> baseline_cache_;
-  mutable std::size_t baseline_hits_ = 0, baseline_misses_ = 0, baseline_evictions_ = 0;
+  mutable BaselineMemo baselines_;
 };
 
 struct SpiceBackendOptions {
@@ -229,8 +276,9 @@ struct SpiceBackendOptions {
 /// from identical options and measure() is deterministic, so an N-thread
 /// sweep is bit-identical to a serial one.  Entries are LRU-bounded;
 /// eviction drops only the cache's reference, in-flight leases keep their
-/// pool alive.  The baseline uses a dedicated ideal-ground pool with a
-/// per-vector delay memo.  Persistent divergence (through the whole
+/// pool alive.  The baseline uses a dedicated ideal-ground pool and the
+/// same BaselineMemo as VbsBackend, capped by SpiceBackendOptions::
+/// max_baseline_delays.  Persistent divergence (through the whole
 /// recovery ladder) surfaces as util::NumericalError carrying the
 /// FailureInfo, so session sweeps isolate it per item.
 class SpiceBackend : public EvalBackend {
@@ -297,9 +345,7 @@ class SpiceBackend : public EvalBackend {
   mutable std::uint64_t clock_ = 0;
   mutable std::size_t sim_hits_ = 0, sim_misses_ = 0, sim_evictions_ = 0;
   std::shared_ptr<Entry> baseline_;  ///< ideal-ground reference pool
-  mutable std::mutex baseline_mutex_;
-  mutable std::map<std::pair<std::vector<bool>, std::vector<bool>>, double> baseline_cache_;
-  mutable std::size_t baseline_hits_ = 0, baseline_misses_ = 0, baseline_evictions_ = 0;
+  mutable BaselineMemo baselines_;
 };
 
 }  // namespace mtcmos::sizing

@@ -234,34 +234,16 @@ Outcome<T> run_item_committed(const RunContext& ctx, std::size_t index, const It
   return out;
 }
 
-// Run fn(i, stage) for every i in [0, n), one pool task per run of
-// `group` contiguous indices.  Each task commits what its items staged
-// as one journal group when it finishes -- also when cancellation or the
-// deadline cut its items short -- so an entry point returns with every
-// completed item journaled.  A task that throws (a journal fault, a
-// precondition bug) drops its uncommitted group, as a crash would.
-template <typename Fn>
-void for_each_group(util::ThreadPool& tp, Checkpoint* ckpt, std::size_t n, std::size_t group,
-                    const Fn& fn) {
-  tp.parallel_for((n + group - 1) / group, [&](std::size_t g) {
-    const std::size_t begin = g * group;
-    const std::size_t end = std::min(n, begin + group);
-    Checkpoint::Stage stage;
-    for (std::size_t i = begin; i < end; ++i) fn(i, stage);
-    if (ckpt != nullptr) ckpt->commit(stage);
-  });
-}
-
 // --- Batch fast path (EvalSession::batch) ---
 
 constexpr std::size_t kDefaultBatch = 256;
 
-// Chunk size for this entry-point call, or 0 when the batch precompute
-// must stand down: the backend has no batch kernel, the caller forced
-// scalar (batch == 1), the watchdog is armed (it times individual item
-// bodies, which a precomputed memo would reduce to nothing), or a
-// fault-injection plan targets a VBS site (such plans address per-item
-// scopes, which a batch-wide kernel run cannot honor).
+// Chunk size for this entry-point call, or 0 when the batch kernel must
+// stand down: the backend has no batch kernel, the caller forced scalar
+// (batch == 1), the watchdog is armed (it times individual item bodies,
+// which a precomputed memo would reduce to nothing), or a fault-injection
+// plan targets a VBS site (such plans address per-item scopes, which a
+// batch-wide kernel run cannot honor).
 std::size_t batch_chunk(const EvalSession& session, const EvalBackend& backend) {
   if (session.batch == 1 || !backend.supports_batch()) return 0;
   if (session.watchdog.armed()) return 0;
@@ -272,42 +254,79 @@ std::size_t batch_chunk(const EvalSession& session, const EvalBackend& backend) 
   return session.batch == 0 ? kDefaultBatch : session.batch;
 }
 
-// Items per checkpoint commit group on the per-item pass, given the
-// batch_chunk() result.  The batch path commits up to kMaxCommitGroup
-// items with one journal write(); with the precompute stood down (chunk
-// 0) every item is its own group, which keeps per-item scheduling of
-// heavy items and the per-item crash-loss unit.
+// Items per checkpoint commit group: one journal write() each.
 constexpr std::size_t kMaxCommitGroup = 64;
 
-std::size_t commit_group(std::size_t chunk) {
-  return chunk == 0 ? 1 : std::min(chunk, kMaxCommitGroup);
+// The sweep scheduler: one pool task per `chunk` items (per item when the
+// kernel stands down, chunk 0).  A task builds its memo -- presence tests
+// and batch kernel -- then runs each item through run_item, committing
+// after every kMaxCommitGroup items and at its end, also when cancellation
+// or the deadline cut its items short, so an entry point returns with
+// every completed item journaled.  A task that throws (a journal fault, a
+// precondition bug) drops its uncommitted group, as a crash would.
+template <typename T, typename MakeMemo, typename Body>
+void run_chunks(const RunContext& run, const ItemKeys& keys, std::size_t chunk,
+                std::vector<Outcome<T>>& out, const MakeMemo& make_memo, const Body& body) {
+  const std::size_t span = std::max<std::size_t>(chunk, 1);
+  const std::size_t group = std::min(span, kMaxCommitGroup);
+  run.pool.parallel_for((out.size() + span - 1) / span, [&](std::size_t c) {
+    const std::size_t begin = c * span;
+    const std::size_t end = std::min(out.size(), begin + span);
+    auto memo = make_memo(begin, end);
+    Checkpoint::Stage stage;
+    for (std::size_t i = begin; i < end; ++i) {
+      out[i] = run_item<T>(run, i, keys, i, stage, [&] { return body(memo, i); });
+      if (run.checkpoint != nullptr && ((i + 1 - begin) % group == 0 || i + 1 == end)) {
+        run.checkpoint->commit(stage);
+      }
+    }
+  });
 }
 
-// Per-index delays precomputed through the backend's batch path and
-// consumed (once) by the run_item bodies in place of the scalar backend
-// call.  A consumed failure is rethrown as the NumericalError the scalar
-// call would have thrown; because slots are consume-once, retry attempts
-// fall back to the live backend, which reproduces the same deterministic
-// outcome -- so attempt counts, failure records and checkpoint contents
-// match the scalar path exactly.  Workers touch disjoint indices only.
-class BatchMemo {
+// The items of [begin, end) for the chunk's batch kernel: those not yet
+// journaled, so a resumed run batches only the rest; none when the kernel
+// stands down (chunk 0) or the run is cancelled or out of time (run_item
+// classifies those items itself).
+std::vector<std::size_t> chunk_todo(const RunContext& run, const ItemKeys& keys,
+                                    std::size_t chunk, std::size_t begin, std::size_t end) {
+  std::vector<std::size_t> todo;
+  if (chunk == 0 || run.cancel.requested() || run.deadline.expired()) return todo;
+  for (std::size_t i = begin; i < end; ++i) {
+    if (run.checkpoint == nullptr || !run.checkpoint->contains(keys[i])) todo.push_back(i);
+  }
+  return todo;
+}
+
+// Batch-kernel delays of a chunk's items `idx` (ascending), each consumed
+// once by a run_item body in place of the scalar call.  A failure is
+// rethrown as the NumericalError the scalar call would throw; a retry
+// finds the slot consumed and calls the live backend, which repeats the
+// outcome -- so attempts, failures and records match the scalar path.
+class ChunkMemo {
  public:
-  void reset(std::size_t n) {
-    slots_.assign(n, {});
-    has_.assign(n, 0);
+  template <typename Kernel>
+  ChunkMemo(std::vector<std::size_t> idx, const std::vector<VectorPair>& vectors,
+            const Kernel& kernel)
+      : idx_(std::move(idx)), slots_(idx_.size()) {
+    if (idx_.empty()) return;
+    std::vector<const VectorPair*> vps(idx_.size());
+    for (std::size_t k = 0; k < idx_.size(); ++k) vps[k] = &vectors[idx_[k]];
+    kernel(vps.data(), vps.size(), slots_.data());
   }
-  void put(std::size_t i, Outcome<double> o) {
-    slots_[i] = std::move(o);
-    has_[i] = 1;
+  // Indices whose delay is positive (the outputs toggled).
+  std::vector<std::size_t> positive() const {
+    std::vector<std::size_t> out;
+    for (std::size_t k = 0; k < idx_.size(); ++k) {
+      if (slots_[k].ok() && *slots_[k].value > 0.0) out.push_back(idx_[k]);
+    }
+    return out;
   }
-  bool ok_positive(std::size_t i) const {
-    return i < has_.size() && has_[i] != 0 && slots_[i].ok() && *slots_[i].value > 0.0;
-  }
+  // Bodies run in ascending index order, so a cursor finds each slot.
   template <typename Fn>
   double take(std::size_t i, Fn&& fallback) {
-    if (i < has_.size() && has_[i] != 0) {
-      has_[i] = 0;
-      const Outcome<double> o = std::move(slots_[i]);
+    while (next_ < idx_.size() && idx_[next_] < i) ++next_;
+    if (next_ < idx_.size() && idx_[next_] == i) {
+      const Outcome<double> o = std::move(slots_[next_++]);
       if (!o.ok()) throw NumericalError(o.failure);
       return *o.value;
     }
@@ -315,8 +334,9 @@ class BatchMemo {
   }
 
  private:
+  std::vector<std::size_t> idx_;
   std::vector<Outcome<double>> slots_;
-  std::vector<std::uint8_t> has_;
+  std::size_t next_ = 0;
 };
 
 // Typed checkpoint keys of one pass over `vectors` in the context
@@ -343,72 +363,19 @@ class SinkKeys {
   std::string key_;
 };
 
-// Indices of the `n` items not already journaled: only these form
-// batches, so checkpoint keys and records are untouched by batching and a
-// resumed run re-forms batches from the remaining items.  A presence test
-// suffices here; run_item decodes the record when it replays the item.
-std::vector<std::size_t> batch_todo(const Checkpoint* ckpt, const ItemKeys& keys, std::size_t n) {
-  std::vector<std::size_t> todo;
-  todo.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (ckpt != nullptr && ckpt->contains(keys[i])) continue;
-    todo.push_back(i);
-  }
-  return todo;
-}
-
-// Fan one batched evaluation over the pool: indices in `idx` (into
-// `vectors`) run in `chunk`-sized groups, one backend batch call each,
-// results landing in `memo`.  Chunks not yet started when the session is
-// cancelled or the deadline expires are skipped; run_item classifies
-// those items normally when it reaches them.
-template <typename BatchFn>
-void batch_precompute(const RunContext& run, const std::vector<VectorPair>& vectors,
-                      const std::vector<std::size_t>& idx, std::size_t chunk, BatchMemo& memo,
-                      const BatchFn& call) {
-  if (idx.empty()) return;
-  memo.reset(vectors.size());
-  const std::size_t nchunks = (idx.size() + chunk - 1) / chunk;
-  run.pool.parallel_for(nchunks, [&](std::size_t c) {
-    if (run.cancel.requested() || run.deadline.expired()) return;
-    const std::size_t begin = c * chunk;
-    const std::size_t end = std::min(begin + chunk, idx.size());
-    std::vector<const VectorPair*> vps(end - begin);
-    for (std::size_t k = begin; k < end; ++k) vps[k - begin] = &vectors[idx[k]];
-    std::vector<Outcome<double>> out(end - begin);
-    call(vps.data(), vps.size(), out.data());
-    for (std::size_t k = begin; k < end; ++k) memo.put(idx[k], std::move(out[k - begin]));
-  });
-}
-
-// Baseline and sized delays for the degradation sweeps (rank_vectors and
-// every size_for_degradation probe).  precompute() is their batch fast
-// path: baseline delays for every item not already journaled (after the
-// first probe these are all backend-memo hits), then the sized delay
-// only where the baseline toggled the outputs, mirroring measure()'s
-// early return.  measure() is the per-item body, consuming the memos.
+// One chunk of a degradation sweep (rank_vectors, size_for_degradation
+// probes): baseline delays of the `todo` items (memo hits after a
+// bisection's first probe), then sized delays only where the baseline
+// toggled the outputs, as measure() -- the item body -- returns early.
 struct DegradationMemo {
-  BatchMemo base, sized;
+  DegradationMemo(const EvalBackend& backend, const std::vector<VectorPair>& vectors, double wl,
+                  std::vector<std::size_t> todo)
+      : base(std::move(todo), vectors,
+             [&](auto vps, auto n, auto out) { backend.delay_baseline_batch(vps, n, out); }),
+        sized(base.positive(), vectors,
+              [&](auto vps, auto n, auto out) { backend.delay_at_wl_batch(vps, n, wl, out); }) {}
 
-  void precompute(const RunContext& run, const EvalBackend& backend,
-                  const std::vector<VectorPair>& vectors, double wl, const ItemKeys& keys,
-                  std::size_t chunk) {
-    if (chunk == 0 || run.cancel.requested()) return;
-    const std::vector<std::size_t> todo = batch_todo(run.checkpoint, keys, vectors.size());
-    batch_precompute(run, vectors, todo, chunk, base,
-                     [&](const VectorPair* const* vps, std::size_t n, Outcome<double>* out) {
-                       backend.delay_baseline_batch(vps, n, out);
-                     });
-    std::vector<std::size_t> toggled;
-    toggled.reserve(todo.size());
-    for (const std::size_t i : todo) {
-      if (base.ok_positive(i)) toggled.push_back(i);
-    }
-    batch_precompute(run, vectors, toggled, chunk, sized,
-                     [&](const VectorPair* const* vps, std::size_t n, Outcome<double>* out) {
-                       backend.delay_at_wl_batch(vps, n, wl, out);
-                     });
-  }
+  ChunkMemo base, sized;
 
   // EvalBackend::degradation_pct's arithmetic, keeping both delays.
   VectorDelay measure(std::size_t i, const EvalBackend& backend, const VectorPair& vp,
@@ -445,24 +412,25 @@ std::size_t rank_vectors_into(const EvalBackend& backend,
   SinkKeys sink_key(&sink, prefix);
   if (!run.cancel.requested()) backend.prepare_wl(wl);
   const std::size_t chunk = batch_chunk(session, backend);
-  DegradationMemo memo;
-  memo.precompute(run, backend, vectors, wl, keys, chunk);
   // Evaluate into per-index Outcome slots, then reduce in input order:
   // the sink sees the exact sequence the serial loop produced, so the
   // emission stream is bit-identical for any thread count, and a failed
   // item only removes itself from the stream.
   std::vector<Outcome<VectorDelay>> measured(vectors.size());
-  for_each_group(run.pool, run.checkpoint, vectors.size(), commit_group(chunk),
-                 [&](std::size_t i, Checkpoint::Stage& stage) {
-    measured[i] = run_item<VectorDelay>(run, i, keys, i, stage,
-                                        [&] { return memo.measure(i, backend, vectors[i], wl); });
-    // The transition itself lives in the checkpoint key, not the record;
-    // re-attach it for computed and replayed outcomes alike.
-    if (measured[i].ok()) measured[i].value->pair = vectors[i];
-  });
+  run_chunks(
+      run, keys, chunk, measured,
+      [&](std::size_t begin, std::size_t end) {
+        return DegradationMemo(backend, vectors, wl, chunk_todo(run, keys, chunk, begin, end));
+      },
+      [&](DegradationMemo& memo, std::size_t i) {
+        return memo.measure(i, backend, vectors[i], wl);
+      });
   std::size_t emitted = 0;
   for (std::size_t i = 0; i < measured.size(); ++i) {
     if (!run.keep(i, measured[i])) continue;
+    // The transition itself lives in the checkpoint key, not the record;
+    // re-attach it for computed and replayed outcomes alike.
+    measured[i].value->pair = vectors[i];
     sink.on_delay(sink_key(vectors[i]), *measured[i].value);
     ++emitted;
   }
@@ -562,19 +530,19 @@ SizingResult size_for_degradation(const EvalBackend& backend,
     if (run.needs_keys(sink)) prefix = checkpoint_prefix("probe", backend.name(), fp, wl);
     const ItemKeys keys = pass_keys(ckpt, prefix, vectors);
     SinkKeys sink_key(sink, prefix);
-    DegradationMemo memo;
-    memo.precompute(run, backend, vectors, wl, keys, chunk);
     std::vector<Outcome<double>> deg(vectors.size());
     // run_item already absorbs NumericalErrors, so the only exceptions
     // that reach the pool are precondition bugs (and journal write
     // failures), which should cancel and propagate.
-    for_each_group(run.pool, ckpt, vectors.size(), commit_group(chunk),
-                   [&](std::size_t i, Checkpoint::Stage& stage) {
-      deg[i] = run_item<double>(run, i, keys, i, stage, [&] {
-        const VectorDelay vd = memo.measure(i, backend, vectors[i], wl);
-        return vd.delay_cmos <= 0.0 || vd.delay_mtcmos <= 0.0 ? -1.0 : vd.degradation_pct;
-      });
-    });
+    run_chunks(
+        run, keys, chunk, deg,
+        [&](std::size_t begin, std::size_t end) {
+          return DegradationMemo(backend, vectors, wl, chunk_todo(run, keys, chunk, begin, end));
+        },
+        [&](DegradationMemo& memo, std::size_t i) {
+          const VectorDelay vd = memo.measure(i, backend, vectors[i], wl);
+          return vd.delay_cmos <= 0.0 || vd.delay_mtcmos <= 0.0 ? -1.0 : vd.degradation_pct;
+        });
     double worst = -1.0;
     std::size_t worst_idx = 0;
     bool any_ok = false;
@@ -653,27 +621,25 @@ VectorDelay search_worst_vector(const EvalBackend& backend, double wl, int sampl
   // Sample pass: the RNG draws stay serial (reproducible from the seed);
   // the expensive scoring fans out, and the serial first-maximum
   // reduction -- which skips failed samples -- keeps the winner identical
-  // for any thread count.  The batch fast path precomputes the sample
-  // scores; the greedy refinement below stays scalar, because each
+  // for any thread count.  The batch kernel scores the samples chunk by
+  // chunk; the greedy refinement below stays scalar, because each
   // candidate is derived from the current best and so depends on the
   // previous candidate's verdict.
   const std::vector<VectorPair> sampled = sampled_vector_pairs(n, samples, rng);
   const ItemKeys keys = run.checkpoint != nullptr ? ItemKeys(context, sampled) : ItemKeys();
   const std::size_t chunk = batch_chunk(session, backend);
-  BatchMemo score_memo;
-  if (chunk > 0 && !run.cancel.requested()) {
-    batch_precompute(run, sampled, batch_todo(run.checkpoint, keys, sampled.size()), chunk,
-                     score_memo,
-                     [&](const VectorPair* const* vps, std::size_t n2, Outcome<double>* out) {
-                       backend.delay_at_wl_batch(vps, n2, wl, out);
-                     });
-  }
   std::vector<Outcome<double>> scores(sampled.size());
-  for_each_group(run.pool, run.checkpoint, sampled.size(), commit_group(chunk),
-                 [&](std::size_t i, Checkpoint::Stage& stage) {
-    scores[i] = run_item<double>(run, i, keys, i, stage,
-                                 [&] { return score_memo.take(i, [&] { return score(sampled[i]); }); });
-  });
+  run_chunks(
+      run, keys, chunk, scores,
+      [&](std::size_t begin, std::size_t end) {
+        return ChunkMemo(chunk_todo(run, keys, chunk, begin, end), sampled,
+                         [&](auto vps, auto m, auto out) {
+                           backend.delay_at_wl_batch(vps, m, wl, out);
+                         });
+      },
+      [&](ChunkMemo& memo, std::size_t i) {
+        return memo.take(i, [&] { return score(sampled[i]); });
+      });
   VectorPair best;
   double best_score = -1.0;
   for (std::size_t i = 0; i < sampled.size(); ++i) {
@@ -744,18 +710,16 @@ std::vector<VectorPair> screen_vectors(const netlist::Netlist& nl,
   const ItemKeys keys = pass_keys(run.checkpoint, prefix, candidates);
   SinkKeys sink_key(sink, prefix);
   // Grouped dispatch: falling_discharge_weight is cheap relative to a
-  // pool task handoff, so workers claim a commit group of candidates per
-  // pool index instead of one, under the same commit_group() rule as the
-  // batched sweeps.  Slots stay index-addressed and run_item still runs
-  // per item (scope stamps, checkpoint keys unchanged), so the ranking is
-  // identical for any thread count or group size.
+  // pool task handoff, so each task takes one commit group of candidates,
+  // with no kernel and so no memo.  Slots stay index-addressed and
+  // run_item still runs per item (scope stamps, checkpoint keys
+  // unchanged), so the ranking is identical for any thread count or
+  // group size.
   std::vector<Outcome<double>> weights(candidates.size());
-  const std::size_t group = commit_group(session.batch == 0 ? kDefaultBatch : session.batch);
-  for_each_group(run.pool, run.checkpoint, candidates.size(), group,
-                 [&](std::size_t i, Checkpoint::Stage& stage) {
-    weights[i] = run_item<double>(run, i, keys, i, stage,
-                                  [&] { return falling_discharge_weight(nl, candidates[i]); });
-  });
+  run_chunks(
+      run, keys, std::min(session.batch == 0 ? kDefaultBatch : session.batch, kMaxCommitGroup),
+      weights, [](std::size_t, std::size_t) { return 0; },
+      [&](int, std::size_t i) { return falling_discharge_weight(nl, candidates[i]); });
   std::vector<std::pair<double, std::size_t>> scored;
   scored.reserve(candidates.size());
   for (std::size_t i = 0; i < candidates.size(); ++i) {

@@ -447,7 +447,8 @@ void Journal::open(const std::string& path, JournalOptions options,
     if (::ftruncate(fd_, static_cast<off_t>(pos)) != 0) throw_errno("truncate failed", path);
   }
   if (items_.empty()) chunks_.clear();  // text records were copied out
-  if (::lseek(fd_, 0, SEEK_END) < 0) throw_errno("seek failed", path);
+  end_ = ::lseek(fd_, 0, SEEK_END);
+  if (end_ < 0) throw_errno("seek failed", path);
 }
 
 void Journal::append(const std::string& key, const std::string& value) {
@@ -487,7 +488,20 @@ void Journal::append_batch(JournalBatch batch) {
 
 void Journal::write_locked(const std::string& bytes, std::size_t records) {
   if (fd_ < 0) throw std::runtime_error("journal: append on a closed journal");
-  write_all(fd_, bytes.data(), bytes.size(), path_);
+  try {
+    write_all(fd_, bytes.data(), bytes.size(), path_);
+  } catch (...) {
+    // A short write leaves torn bytes: cut them off, or the next append
+    // would land after them and the next open() would truncate it away.
+    // If that fails too, close, so later appends throw instead.
+    if (::ftruncate(fd_, static_cast<off_t>(end_)) != 0 ||
+        ::lseek(fd_, static_cast<off_t>(end_), SEEK_SET) < 0) {
+      ::close(fd_);
+      fd_ = -1;
+    }
+    throw;
+  }
+  end_ += static_cast<std::int64_t>(bytes.size());
   appended_since_sync_ += records;
   // fsync narrows kernel-crash exposure only (the write() above already
   // survives process death), so it is rate-limited: the count trigger is

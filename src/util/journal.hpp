@@ -160,7 +160,9 @@ class Journal {
   /// fsync per the options.  No fault-injection check -- callers that
   /// stage records (sizing::Checkpoint) check each one as they stage it.
   /// Throws std::invalid_argument on an empty text key (nothing written)
-  /// and std::runtime_error if the write fails.
+  /// and std::runtime_error if the write fails.  A failed write leaves no
+  /// torn bytes behind: the file is cut back to its last whole record,
+  /// or, if that fails too, the journal is closed so later appends throw.
   void append_batch(JournalBatch batch);
 
   /// Id of the pass context `prefix` (its FNV-1a hash), registered with a
@@ -233,6 +235,7 @@ class Journal {
   JournalOptions options_;
   int fd_ = -1;
   std::mutex write_mutex_;  ///< fd_ writes and the fsync state; taken before mutex_
+  std::int64_t end_ = 0;    ///< file size after the last whole record
   bool dir_sync_pending_ = false;  ///< open() created the file; its entry is not synced yet
   mutable std::shared_mutex mutex_;  ///< the tables below
   std::unordered_map<std::string, std::string> latest_;

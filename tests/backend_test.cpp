@@ -242,6 +242,67 @@ TEST_F(Backend, VbsCachesAreBoundedAndEvictionIsLossless) {
   EXPECT_EQ(unbounded_stats.sim_evictions, 0u);
 }
 
+TEST_F(Backend, BaselineMemoKeepsTransitionsWiderThanOneWordApart) {
+  // The baseline memo packs a transition into 64-bit words: two 67-input
+  // transitions that differ only at input 66 get their own entries and
+  // their own delays, on the batch path and the scalar path alike.
+  const auto adder = make_ripple_adder(tech07(), 33);
+  const auto outs = adder_outputs(adder);
+  const std::size_t n_in = adder.netlist.inputs().size();
+  ASSERT_GT(n_in, 64u);
+  const VectorPair a{std::vector<bool>(n_in, false), std::vector<bool>(n_in, true)};
+  VectorPair b = a;
+  b.v1[n_in - 1] = false;
+  const double da = VbsBackend(adder.netlist, outs).delay_baseline(a);
+  const double db = VbsBackend(adder.netlist, outs).delay_baseline(b);
+  ASSERT_NE(da, db);
+
+  const VbsBackend batched(adder.netlist, outs);
+  const VectorPair* vps[] = {&a, &b};
+  for (int pass = 0; pass < 2; ++pass) {
+    Outcome<double> out[2];
+    batched.delay_baseline_batch(vps, 2, out);
+    ASSERT_TRUE(out[0].ok() && out[1].ok());
+    EXPECT_EQ(*out[0].value, da) << pass;
+    EXPECT_EQ(*out[1].value, db) << pass;
+  }
+  EXPECT_EQ(batched.cache_stats().baseline_entries, 2u);
+  EXPECT_EQ(batched.cache_stats().baseline_hits, 2u);
+
+  const VbsBackend scalar(adder.netlist, outs);
+  EXPECT_EQ(scalar.delay_baseline(b), db);
+  EXPECT_EQ(scalar.delay_baseline(a), da);
+  EXPECT_EQ(scalar.delay_baseline(b), db);
+  EXPECT_EQ(scalar.cache_stats().baseline_entries, 2u);
+  EXPECT_EQ(scalar.cache_stats().baseline_hits, 1u);
+}
+
+TEST_F(Backend, SpiceBaselineMemoIsBoundedAndEvictionIsLossless) {
+  const auto chain = make_chain();
+  const std::string leaf = chain.netlist.net_name(chain.leaves[0]);
+  SpiceBackendOptions sopt;
+  sopt.tstop = 8.0 * ns;
+  const SpiceBackend unbounded(chain.netlist, {leaf}, sopt);
+  sopt.max_baseline_delays = 1;
+  const SpiceBackend bounded(chain.netlist, {leaf}, sopt);
+  const VectorPair rise{{false}, {true}};
+  const VectorPair fall{{true}, {false}};
+  const double d_rise = unbounded.delay_baseline(rise);
+  const double d_fall = unbounded.delay_baseline(fall);
+  for (int pass = 0; pass < 2; ++pass) {
+    EXPECT_EQ(bounded.delay_baseline(rise), d_rise) << pass;
+    EXPECT_EQ(bounded.delay_baseline(fall), d_fall) << pass;
+  }
+  EXPECT_EQ(bounded.delay_baseline(fall), d_fall);  // the one entry kept
+  const auto stats = bounded.cache_stats();
+  EXPECT_EQ(stats.baseline_capacity, 1u);
+  EXPECT_EQ(stats.baseline_entries, 1u);
+  EXPECT_EQ(stats.baseline_evictions, 3u);
+  EXPECT_EQ(stats.baseline_hits, 1u);
+  EXPECT_EQ(stats.baseline_misses, 4u);
+  EXPECT_EQ(unbounded.cache_stats().baseline_entries, 2u);
+}
+
 TEST_F(Backend, SpiceEngineCacheIsBounded) {
   const auto chain = make_chain();
   const std::string leaf = chain.netlist.net_name(chain.leaves[0]);

@@ -21,6 +21,8 @@
 #include <iterator>
 #include <functional>
 #include <limits>
+#include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -139,6 +141,48 @@ class BatchFakeBackend : public FakeBackend {
       out[i] = vps[i]->v1[0] ? Outcome<double>::fail({FailureCode::kInjected, "fake", "batch"})
                              : Outcome<double>::success(delay_of(*vps[i], wl), 1);
     }
+  }
+};
+
+/// Batch backend that counts the transitions each batch call receives,
+/// to check that the session's kernel sees exactly the unjournaled items.
+/// The sized delay degrades by 100 / wl % plus a tiny per-vector nudge, so
+/// a sizing to 5 % bisects to about W/L 20 and its worst vector is the
+/// one with the largest v1.
+class CountingBatchBackend : public FakeBackend {
+ public:
+  using Seen = std::map<std::pair<std::vector<bool>, std::vector<bool>>, int>;
+  using FakeBackend::FakeBackend;
+
+  bool supports_batch() const override { return true; }
+  double delay_at_wl(const VectorPair& vp, double wl) const override { return sized(vp, wl); }
+  void delay_baseline_batch(const VectorPair* const* vps, std::size_t n,
+                            Outcome<double>* out) const override {
+    note(baseline_seen, vps, n);
+    for (std::size_t i = 0; i < n; ++i) out[i] = Outcome<double>::success(delay_baseline(*vps[i]));
+  }
+  void delay_at_wl_batch(const VectorPair* const* vps, std::size_t n, double wl,
+                         Outcome<double>* out) const override {
+    note(sized_seen, vps, n);
+    for (std::size_t i = 0; i < n; ++i) out[i] = Outcome<double>::success(sized(*vps[i], wl));
+  }
+
+  mutable std::mutex mutex;
+  mutable Seen baseline_seen, sized_seen;
+  mutable int batch_calls = 0;
+  mutable int empty_calls = 0;
+
+ private:
+  static double sized(const VectorPair& vp, double wl) {
+    double v = 0.0;
+    for (const bool b : vp.v1) v = v * 2.0 + (b ? 1.0 : 0.0);
+    return 1e-9 * (1.0 + 1.0 / wl) + v * 1e-16;
+  }
+  void note(Seen& seen, const VectorPair* const* vps, std::size_t n) const {
+    const std::lock_guard<std::mutex> lock(mutex);
+    ++batch_calls;
+    if (n == 0) ++empty_calls;
+    for (std::size_t i = 0; i < n; ++i) ++seen[{vps[i]->v0, vps[i]->v1}];
   }
 };
 
@@ -841,6 +885,80 @@ TEST_F(CheckpointTest, CancelMidSweepCommitsEveryCompletedItem) {
                                             10.0),
                           vectors[flagged]),
       back));
+}
+
+TEST_F(CheckpointTest, ResumedBatchedRankPassesOnlyUnjournaledItemsToTheKernel) {
+  // Journal the odd items, then rank all of them on a 4-thread pool in
+  // chunks of 16: each batch call sees only (and every one of) the even
+  // items, once.  A fully journaled rerun makes no batch call at all.
+  const auto adder = make_ripple_adder(tech07(), 1);
+  const auto outs = adder_outputs(adder);
+  const auto vectors = flagged_vectors(128, 999);
+  std::vector<VectorPair> odd;
+  CountingBatchBackend::Seen even;
+  for (std::size_t i = 0; i < vectors.size(); ++i) {
+    if (i % 2 == 1) {
+      odd.push_back(vectors[i]);
+    } else {
+      even[{vectors[i].v0, vectors[i].v1}] = 1;
+    }
+  }
+  util::ThreadPool pool(4);
+  Checkpoint ckpt;
+  ckpt.open(path());
+  EvalSession session;
+  session.pool = &pool;
+  session.batch = 16;
+  session.checkpoint = &ckpt;
+  const CountingBatchBackend warm(adder.netlist, outs);
+  EXPECT_EQ(sizing::rank_vectors(warm, odd, 10.0, session).size(), odd.size());
+
+  const CountingBatchBackend resumed(adder.netlist, outs);
+  EXPECT_EQ(sizing::rank_vectors(resumed, vectors, 10.0, session).size(), vectors.size());
+  EXPECT_EQ(resumed.baseline_seen, even);
+  EXPECT_EQ(resumed.sized_seen, even);
+  EXPECT_EQ(resumed.empty_calls, 0);
+
+  const CountingBatchBackend replayed(adder.netlist, outs);
+  EXPECT_EQ(sizing::rank_vectors(replayed, vectors, 10.0, session).size(), vectors.size());
+  EXPECT_EQ(replayed.batch_calls, 0);
+}
+
+TEST_F(CheckpointTest, ResumedBatchedSizingPassesOnlyUnjournaledItemsToTheKernel) {
+  // The same split for every size_for_degradation probe.  The journaled
+  // odd half holds the worst vector (item 127), so both runs bisect
+  // through the same W/L probes: each even item reaches both batch calls
+  // once per probe, as often as the warm run's items did.
+  const auto adder = make_ripple_adder(tech07(), 1);
+  const auto outs = adder_outputs(adder);
+  const auto vectors = flagged_vectors(128, 999);
+  std::vector<VectorPair> odd;
+  for (std::size_t i = 1; i < vectors.size(); i += 2) odd.push_back(vectors[i]);
+  util::ThreadPool pool(4);
+  Checkpoint ckpt;
+  ckpt.open(path());
+  EvalSession session;
+  session.pool = &pool;
+  session.batch = 16;
+  session.checkpoint = &ckpt;
+  const CountingBatchBackend warm(adder.netlist, outs);
+  const auto warm_result = sizing::size_for_degradation(warm, odd, 5.0, {}, session);
+  const int probes = warm.sized_seen.at({vectors[127].v0, vectors[127].v1});
+  ASSERT_GT(probes, 2);
+
+  const CountingBatchBackend resumed(adder.netlist, outs);
+  const auto result = sizing::size_for_degradation(resumed, vectors, 5.0, {}, session);
+  EXPECT_EQ(result.wl, warm_result.wl);
+  CountingBatchBackend::Seen even;
+  for (std::size_t i = 0; i < vectors.size(); i += 2) even[{vectors[i].v0, vectors[i].v1}] = probes;
+  EXPECT_EQ(resumed.baseline_seen, even);
+  EXPECT_EQ(resumed.sized_seen, even);
+  EXPECT_EQ(resumed.empty_calls, 0);
+  EXPECT_EQ(warm.empty_calls, 0);
+
+  const CountingBatchBackend replayed(adder.netlist, outs);
+  EXPECT_EQ(sizing::size_for_degradation(replayed, vectors, 5.0, {}, session).wl, result.wl);
+  EXPECT_EQ(replayed.batch_calls, 0);
 }
 
 TEST_F(CheckpointTest, AllCancelledSizingSurfacesKCancelled) {

@@ -6,6 +6,10 @@
 #include "util/journal.hpp"
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <array>
 #include <bit>
@@ -314,6 +318,56 @@ TEST_F(JournalTest, EmptyKeyAndClosedJournalThrow) {
   EXPECT_THROW(j.append("", "v"), std::invalid_argument);
   j.close();
   EXPECT_THROW(j.append("k", "v"), std::runtime_error);
+}
+
+TEST_F(JournalTest, FailedWriteLeavesNoTornBytesForTheNextAppend) {
+  // A write cut short (here by RLIMIT_FSIZE, 10 bytes past the first
+  // record) must not leave torn bytes for the next append to land after:
+  // the next open() would truncate that whole record away.  The limit is
+  // set in a forked child, so this process keeps its own; the child exits
+  // with the number of the first check that failed.
+  const std::string p = path();
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    int failed = 0;
+    try {
+      Journal j;
+      j.open(p);
+      j.append("a", "1");
+      const std::uintmax_t size = std::filesystem::file_size(p);
+      ::signal(SIGXFSZ, SIG_IGN);
+      rlimit lifted{};
+      ::getrlimit(RLIMIT_FSIZE, &lifted);
+      rlimit capped = lifted;
+      capped.rlim_cur = static_cast<rlim_t>(size + 10);
+      bool threw = false;
+      if (::setrlimit(RLIMIT_FSIZE, &capped) != 0) _exit(1);
+      try {
+        j.append("b", std::string(200, 'x'));
+      } catch (const std::runtime_error&) {
+        threw = true;
+      }
+      if (::setrlimit(RLIMIT_FSIZE, &lifted) != 0) _exit(2);
+      if (!threw) _exit(3);
+      if (std::filesystem::file_size(p) != size) _exit(4);
+      j.append("c", "3");
+      if (!j.contains("c") || j.contains("b")) _exit(5);
+      j.close();
+      Journal back;
+      back.open(p);
+      if (!back.contains("a") || back.contains("b")) _exit(6);
+      if (!back.contains("c")) _exit(7);
+      if (back.truncated_bytes() != 0) _exit(8);
+    } catch (...) {
+      failed = 9;
+    }
+    _exit(failed);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 TEST_F(JournalTest, FsyncEveryRecordAndNeverBothWork) {
