@@ -16,6 +16,11 @@
 //             byte-identical to the first run (checkpoint-replay
 //             identity through the socket).
 //
+//   fresh     Rank requests on the same circuit, each at a W/L no request
+//             has used (every item is a store miss): the warm evaluation
+//             context's path, where only the sized circuit is simulated.
+//             Reports streamed rows/s (not gated).
+//
 // Writes BENCH_daemon.json (including the MTCMOS_NATIVE flag so
 // scripts/check_bench.py never compares throughput across ISAs).
 // Exits nonzero when a repeat diverges or the daemon misbehaves.
@@ -47,7 +52,14 @@ namespace {
 
 constexpr int kStatusPings = 2000;
 constexpr int kDedupRepeats = 30;
+constexpr int kFreshRequests = 30;
 constexpr char kRank[] = "{\"op\":\"rank\",\"circuit\":\"builtin:adder2\",\"wl\":6}";
+
+/// kRank at a W/L of 7 + i, which no other request of the run uses.
+std::string fresh_rank(int i) {
+  return "{\"op\":\"rank\",\"circuit\":\"builtin:adder2\",\"wl\":" + std::to_string(7 + i) +
+         "}";
+}
 
 /// Collect one request's response stream; returns row/value lines.
 bool collect(LineChannel& ch, const std::string& request, std::vector<std::string>& rows) {
@@ -154,6 +166,20 @@ int main(int argc, char** argv) {
   const double total_rows = static_cast<double>(first.size()) * kDedupRepeats;
   const double rows_per_second = seconds > 0.0 ? total_rows / seconds : 0.0;
 
+  // Leg 3: fresh W/Ls on the circuit the daemon already knows.
+  std::size_t fresh_rows = 0;
+  const auto f0 = Clock::now();
+  for (int r = 0; r < kFreshRequests; ++r) {
+    if (!collect(ch, fresh_rank(r), rows) || rows.size() != first.size()) {
+      std::cerr << "daemon_bench: fresh request " << r << " failed\n";
+      return 1;
+    }
+    fresh_rows += rows.size();
+  }
+  const double fresh_seconds = std::chrono::duration<double>(Clock::now() - f0).count();
+  const double fresh_rows_per_second =
+      fresh_seconds > 0.0 ? static_cast<double>(fresh_rows) / fresh_seconds : 0.0;
+
   ch.send("{\"op\":\"drain\"}");
   ch.close();
   const mtcmos::util::ExitStatus st = mtcmos::util::reap(daemon.pid);
@@ -170,6 +196,8 @@ int main(int argc, char** argv) {
             << "dedup leg: " << kDedupRepeats << " replayed rank requests x " << first.size()
             << " rows in " << seconds << " s (" << rows_per_second << " rows/s)\n"
             << "  repeats byte-identical: " << (identical ? "yes" : "NO") << "\n"
+            << "fresh leg: " << kFreshRequests << " rank requests at new W/Ls x " << first.size()
+            << " rows in " << fresh_seconds << " s (" << fresh_rows_per_second << " rows/s)\n"
             << "  daemon drained clean: " << (clean_exit ? "yes" : "NO") << "\n"
             << "  march_native: " << (march_native ? "yes" : "no") << "\n";
 
@@ -189,6 +217,9 @@ int main(int argc, char** argv) {
        << "  \"seconds\": " << seconds << ",\n"
        << "  \"rows_per_second\": " << rows_per_second << ",\n"
        << "  \"identical\": " << (identical ? "true" : "false") << ",\n"
+       << "  \"fresh_requests\": " << kFreshRequests << ",\n"
+       << "  \"fresh_seconds\": " << fresh_seconds << ",\n"
+       << "  \"fresh_rows_per_second\": " << fresh_rows_per_second << ",\n"
        << "  \"clean_exit\": " << (clean_exit ? "true" : "false") << ",\n"
        << "  \"march_native\": " << (march_native ? "true" : "false") << "\n"
        << "}\n";

@@ -262,7 +262,11 @@ CornerCircuit build_campaign_circuit(const std::string& circuit, const Technolog
     throw std::invalid_argument("campaign: unknown builtin circuit '" + name +
                                 "' (supported: adderN, multN, wallaceN)");
   }
-  netlist::ParsedNetlist parsed = netlist::read_netlist_file(circuit);
+  return campaign_circuit_from(circuit, netlist::read_netlist_file(circuit), tech);
+}
+
+CornerCircuit campaign_circuit_from(const std::string& circuit, netlist::ParsedNetlist parsed,
+                                    const Technology* tech) {
   if (parsed.outputs.empty()) {
     throw std::invalid_argument("campaign: " + circuit + " declares no `output` nets");
   }
@@ -277,7 +281,7 @@ namespace {
 /// ColumnarSpillSink whose flush() is a no-op: the chunk driver decides
 /// between commit (writer flush, then journal record) and abandon
 /// (writer discard) *after* inspecting the chunk's health, so a
-/// cancelled chunk never leaves a partial block behind.
+/// cancelled or failed chunk never leaves a partial block behind.
 class ChunkSink final : public ResultSink {
  public:
   explicit ChunkSink(util::ColumnarWriter& writer) : spill_(writer) {}
@@ -385,8 +389,16 @@ bool CampaignDriver::run_chunk(std::size_t chunk_id, Checkpoint& ckpt,
 
   const std::vector<VectorPair> slice(vectors_.begin() + static_cast<std::ptrdiff_t>(p.begin),
                                       vectors_.begin() + static_cast<std::ptrdiff_t>(p.end));
-  const std::size_t rows =
-      rank_vectors_stream(backend, slice, spec_.wl_grid[p.wl_idx], session);
+  std::size_t rows = 0;
+  try {
+    rows = rank_vectors_stream(backend, slice, spec_.wl_grid[p.wl_idx], session);
+  } catch (...) {
+    // Rows stream into the block while the pass computes, so a pass that
+    // throws leaves part of the chunk buffered: drop it like a cancelled
+    // chunk's, or close() would flush a partial block under the chunk's tag.
+    store.discard();
+    throw;
+  }
 
   util::CancelToken& tok = cancel != nullptr ? *cancel : util::CancelToken::global();
   const auto cancelled_code = static_cast<std::size_t>(FailureCode::kCancelled);

@@ -63,6 +63,7 @@
 #include <vector>
 
 #include "models/technology.hpp"
+#include "netlist/io.hpp"
 #include "netlist/netlist.hpp"
 #include "sizing/checkpoint.hpp"
 #include "sizing/eval_types.hpp"
@@ -130,6 +131,12 @@ struct CornerCircuit {
 /// order, gate order, and device widths, so every corner shares vector
 /// and key semantics with the nominal circuit.
 CornerCircuit build_campaign_circuit(const std::string& circuit, const Technology* tech);
+
+/// build_campaign_circuit's .mtn path over a netlist the caller already
+/// parsed from the file `circuit` (the daemon parses the bytes it keyed
+/// its warm evaluation context on).
+CornerCircuit campaign_circuit_from(const std::string& circuit, netlist::ParsedNetlist parsed,
+                                    const Technology* tech);
 
 /// Nominal process of the spec's circuit (builtins pick their paper
 /// process; a .mtn file supplies its own).

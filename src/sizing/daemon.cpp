@@ -15,14 +15,18 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <list>
 #include <map>
 #include <set>
+#include <sstream>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
 #include <vector>
 
+#include "netlist/io.hpp"
 #include "sizing/backend.hpp"
 #include "sizing/campaign.hpp"
 #include "sizing/checkpoint.hpp"
@@ -273,11 +277,11 @@ struct Pending {
   ConnPtr conn;  ///< nullptr for headless restart-resumed requests
 };
 
-/// ResultSink streaming rows to the client as JSON lines.  Emission
-/// happens in the entry points' serial input-order reduction, so the row
-/// sequence -- indices, bits, round-trip-exact doubles -- is
-/// deterministic and byte-identical between a fresh run and a
-/// checkpoint-replayed one.
+/// ResultSink streaming rows to the client as JSON lines.  The entry
+/// points emit in input order, on the request's thread, while the sweep
+/// still computes, so the row sequence -- indices, bits, round-trip-exact
+/// doubles -- is deterministic and byte-identical between a fresh run and
+/// a checkpoint-replayed one.
 ///
 /// Framing: rows are encoded straight into a per-request frame buffer,
 /// which goes out with one write once it holds kFrameBytes, and again at
@@ -341,6 +345,86 @@ class SocketRowSink final : public ResultSink {
 };
 
 std::string bool_json(bool v) { return v ? "true" : "false"; }
+
+/// What a rank/size/verify request evaluates against, apart from its W/L
+/// and its sampled vectors: a circuit, its backend and its exhaustive
+/// vector set.  Kept warm across requests, the backend's memos carry
+/// over -- above all the baseline (R = 0) delays, which do not depend on
+/// W/L -- so a fresh W/L on a known circuit simulates only the sized
+/// circuit.  Immutable once built; the backend is thread-safe.
+struct EvalContext {
+  EvalContext(CornerCircuit cc, const std::string& backend_kind) : circuit(std::move(cc)) {
+    if (backend_kind == "spice") {
+      backend = std::make_unique<SpiceBackend>(circuit.nl, circuit.outputs);
+    } else {
+      backend = std::make_unique<VbsBackend>(circuit.nl, circuit.outputs);
+    }
+    const int n_in = static_cast<int>(circuit.nl.inputs().size());
+    if (n_in <= 8) exhaustive = all_vector_pairs(n_in);
+  }
+
+  CornerCircuit circuit;
+  std::unique_ptr<EvalBackend> backend;  ///< over `circuit`
+  std::vector<VectorPair> exhaustive;    ///< all transitions; empty above 8 inputs
+};
+
+using ContextPtr = std::shared_ptr<const EvalContext>;
+
+/// The daemon's warm evaluation contexts, shared by the executor and the
+/// replay lane; a request holds its ContextPtr, so eviction never frees a
+/// context in use.  Keyed by backend kind plus circuit identity: a
+/// builtin's name, or a .mtn file's bytes, read on every request, so an
+/// edited file is a different key and never reuses a stale netlist.
+/// LRU-bounded at kMaxContexts.
+class ContextCache {
+ public:
+  static constexpr std::size_t kMaxContexts = 4;
+
+  ContextPtr get(const std::string& circuit, const std::string& backend_kind) {
+    const bool builtin = circuit.rfind("builtin:", 0) == 0;
+    const std::string bytes = builtin ? std::string() : file_bytes(circuit);
+    std::string key = backend_kind + '\n' + circuit + '\n' + bytes;
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (ContextPtr hit = touch_locked(key)) return hit;
+    }
+    // Build outside the lock: the lane keeps answering meanwhile.  A file
+    // is parsed from the bytes that form the key, not re-read.
+    auto built = std::make_shared<const EvalContext>(
+        builtin ? build_campaign_circuit(circuit, nullptr) : parse_file(circuit, bytes),
+        backend_kind);
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (ContextPtr raced = touch_locked(key)) return raced;  // the other thread built it too
+    lru_.emplace_front(std::move(key), built);
+    if (lru_.size() > kMaxContexts) lru_.pop_back();
+    return built;
+  }
+
+ private:
+  static std::string file_bytes(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    require(in.good(), "read_netlist_file: cannot open " + path);
+    return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  }
+
+  static CornerCircuit parse_file(const std::string& path, const std::string& bytes) {
+    std::istringstream in(bytes);
+    return campaign_circuit_from(path, netlist::read_netlist(in), nullptr);
+  }
+
+  /// The context under `key`, moved to the front; null when absent.
+  ContextPtr touch_locked(const std::string& key) {
+    for (auto it = lru_.begin(); it != lru_.end(); ++it) {
+      if (it->first != key) continue;
+      lru_.splice(lru_.begin(), lru_, it);
+      return lru_.front().second;
+    }
+    return nullptr;
+  }
+
+  std::mutex mutex_;
+  std::list<std::pair<std::string, ContextPtr>> lru_;  ///< most recently used first
+};
 
 class DaemonImpl {
  public:
@@ -847,22 +931,18 @@ class DaemonImpl {
                         util::CancelToken& token, double deadline_s,
                         util::ThreadPool* replay_pool, bool& answerable) {
     const Request& req = p.req;
-    const CornerCircuit cc = build_campaign_circuit(req.circuit, nullptr);
-    std::unique_ptr<EvalBackend> backend;
-    if (req.backend == "spice") {
-      backend = std::make_unique<SpiceBackend>(cc.nl, cc.outputs);
-    } else {
-      backend = std::make_unique<VbsBackend>(cc.nl, cc.outputs);
-    }
+    const ContextPtr ctx = contexts_.get(req.circuit, req.backend);
+    const CornerCircuit& cc = ctx->circuit;
+    const EvalBackend& backend = *ctx->backend;
 
+    // Sampled sets can be large, so they stay per request.
     const int n_in = static_cast<int>(cc.nl.inputs().size());
-    std::vector<VectorPair> vectors;
-    if (n_in <= 8) {
-      vectors = all_vector_pairs(n_in);
-    } else {
+    std::vector<VectorPair> sampled;
+    if (n_in > 8) {
       Rng rng(req.seed);
-      vectors = sampled_vector_pairs(n_in, req.vectors, rng);
+      sampled = sampled_vector_pairs(n_in, req.vectors, rng);
     }
+    const std::vector<VectorPair>& vectors = n_in > 8 ? sampled : ctx->exhaustive;
 
     EvalSession session;
     session.report = &report;
@@ -873,11 +953,11 @@ class DaemonImpl {
     session.pool = replay_pool;
 
     if (req.op == "rank") {
-      if (replay_pool != nullptr && !all_keys_present(*backend, vectors, req.wl)) {
+      if (replay_pool != nullptr && !all_keys_present(backend, vectors, req.wl)) {
         answerable = false;
         return "";
       }
-      if (options_.shards > 1 && !all_keys_present(*backend, vectors, req.wl)) {
+      if (options_.shards > 1 && !all_keys_present(backend, vectors, req.wl)) {
         // Fan the missing items across supervised worker processes; their
         // shard journals merge into the shared store, then the streaming
         // pass below replays everything without simulating.
@@ -886,22 +966,22 @@ class DaemonImpl {
         sopt.dir = (fs::path(options_.state_dir) / "shards" / p.key).string();
         sopt.cancel_token = &token;
         sopt.journal = options_.journal;
-        sharded_rank_vectors(*backend, vectors, req.wl, sopt, &store_);
+        sharded_rank_vectors(backend, vectors, req.wl, sopt, &store_);
       }
-      rank_vectors_stream(*backend, vectors, req.wl, session);
+      rank_vectors_stream(backend, vectors, req.wl, session);
       return "";
     }
     if (req.op == "size") {
-      const SizingResult sized = size_for_degradation(*backend, vectors, req.target_pct, {}, session);
+      const SizingResult sized = size_for_degradation(backend, vectors, req.target_pct, {}, session);
       return ",\"wl\":" + util::json_double(sized.wl) +
              ",\"degradation_pct\":" + util::json_double(sized.degradation_pct) + ",\"v0\":\"" +
              bits_string(sized.binding_vector.v0) + "\",\"v1\":\"" +
              bits_string(sized.binding_vector.v1) + "\"";
     }
     // verify: size on the fast backend, re-measure on the reference.
-    const SizingResult sized = size_for_degradation(*backend, vectors, req.target_pct, {}, session);
+    const SizingResult sized = size_for_degradation(backend, vectors, req.target_pct, {}, session);
     const SpiceBackend reference(cc.nl, cc.outputs);
-    const VerifyResult vr = verify_sizing(*backend, reference, sized, req.target_pct, session);
+    const VerifyResult vr = verify_sizing(backend, reference, sized, req.target_pct, session);
     if (!vr.ok) throw NumericalError(FailureInfo(vr.failure));
     return ",\"wl\":" + util::json_double(vr.wl) +
            ",\"fast_degradation_pct\":" + util::json_double(vr.fast_degradation_pct) +
@@ -959,6 +1039,7 @@ class DaemonImpl {
   util::UnixListener listener_;
   util::Journal requests_;
   Checkpoint store_;
+  ContextCache contexts_;
 
   std::mutex queue_mutex_;
   std::condition_variable queue_cv_;

@@ -65,7 +65,9 @@
 //
 // Threading: serve() runs the poll loop on the calling thread, one
 // executor thread for request bodies, and the replay-lane thread (on a
-// private one-thread pool).  All are created after any fork of the
+// private one-thread pool).  The executor and the lane share a small LRU
+// of warm evaluation contexts (circuit, backend, exhaustive vectors), so
+// a fresh W/L on a known circuit reuses its W/L-invariant baselines.  All are created after any fork of the
 // daemon itself; the executor forks supervisor workers only via the
 // established supervisor contract.
 

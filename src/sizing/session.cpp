@@ -1,14 +1,17 @@
 #include "sizing/session.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <exception>
 #include <mutex>
 #include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -263,13 +266,42 @@ constexpr std::size_t kMaxCommitGroup = 64;
 // after every kMaxCommitGroup items and at its end, also when cancellation
 // or the deadline cut its items short, so an entry point returns with
 // every completed item journaled.  A task that throws (a journal fault, a
-// precondition bug) drops its uncommitted group, as a crash would.
-template <typename T, typename MakeMemo, typename Body>
+// precondition bug) drops its uncommitted group, as a crash would, and
+// propagates once the pool drains.
+//
+// emit(i) is the caller's per-item reduction (report, sink, running
+// maximum), called for every item in input order while the pass still
+// computes: after each chunk the *calling* thread runs, it emits the
+// finished prefix of chunks; workers only mark their chunk done, and the
+// rest is emitted once the pool drains.  Sinks are therefore called from
+// one thread, in the same sequence for any thread count.  An exception
+// from emit(k) (a non-isolated failure) stops emission after item k - 1;
+// every chunk still runs, so the same items are journaled, and it is
+// rethrown at the end.  A task that throws leaves emission at the last
+// whole chunk before it.
+template <typename T, typename MakeMemo, typename Body, typename Emit>
 void run_chunks(const RunContext& run, const ItemKeys& keys, std::size_t chunk,
-                std::vector<Outcome<T>>& out, const MakeMemo& make_memo, const Body& body) {
+                std::vector<Outcome<T>>& out, const MakeMemo& make_memo, const Body& body,
+                const Emit& emit) {
   const std::size_t span = std::max<std::size_t>(chunk, 1);
   const std::size_t group = std::min(span, kMaxCommitGroup);
-  run.pool.parallel_for((out.size() + span - 1) / span, [&](std::size_t c) {
+  const std::size_t n_chunks = (out.size() + span - 1) / span;
+  std::vector<std::atomic<bool>> done(n_chunks);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::size_t emitted = 0;  // chunks emitted; touched by the calling thread only
+  std::exception_ptr emit_error;
+  const auto emit_ready = [&] {
+    for (; !emit_error && emitted < n_chunks && done[emitted].load(std::memory_order_acquire);
+         ++emitted) {
+      const std::size_t end = std::min(out.size(), (emitted + 1) * span);
+      try {
+        for (std::size_t i = emitted * span; i < end; ++i) emit(i);
+      } catch (...) {
+        emit_error = std::current_exception();
+      }
+    }
+  };
+  run.pool.parallel_for(n_chunks, [&](std::size_t c) {
     const std::size_t begin = c * span;
     const std::size_t end = std::min(out.size(), begin + span);
     auto memo = make_memo(begin, end);
@@ -280,7 +312,11 @@ void run_chunks(const RunContext& run, const ItemKeys& keys, std::size_t chunk,
         run.checkpoint->commit(stage);
       }
     }
+    done[c].store(true, std::memory_order_release);
+    if (std::this_thread::get_id() == caller) emit_ready();
   });
+  emit_ready();
+  if (emit_error) std::rethrow_exception(emit_error);
 }
 
 // The items of [begin, end) for the chunk's batch kernel: those not yet
@@ -347,7 +383,7 @@ ItemKeys pass_keys(Checkpoint* ckpt, const std::string& prefix,
 }
 
 // Row keys for a key-carrying sink (the columnar spill), formatted one at
-// a time in the serial emission loops; empty for every other sink.
+// a time as rows are emitted; empty for every other sink.
 class SinkKeys {
  public:
   SinkKeys(const ResultSink* sink, const std::string& prefix)
@@ -391,10 +427,10 @@ struct DegradationMemo {
 };
 
 // Streaming core shared by the materializing and streaming rank_vectors
-// fronts: evaluate, then emit every successfully measured row (computed
-// or checkpoint-replayed alike) into `sink` during the serial
-// input-order reduction.  Rows live only in the per-call Outcome slots;
-// what persists beyond the call is whatever the sink keeps.
+// fronts: evaluate, emitting every successfully measured row (computed
+// or checkpoint-replayed alike) into `sink` in input order as chunks
+// complete.  Rows live only in the per-call Outcome slots; what persists
+// beyond the call is whatever the sink keeps.
 std::size_t rank_vectors_into(const EvalBackend& backend,
                               const std::vector<VectorPair>& vectors, double wl,
                               const EvalSession& session, ResultSink& sink) {
@@ -412,11 +448,12 @@ std::size_t rank_vectors_into(const EvalBackend& backend,
   SinkKeys sink_key(&sink, prefix);
   if (!run.cancel.requested()) backend.prepare_wl(wl);
   const std::size_t chunk = batch_chunk(session, backend);
-  // Evaluate into per-index Outcome slots, then reduce in input order:
-  // the sink sees the exact sequence the serial loop produced, so the
+  // Evaluate into per-index Outcome slots, emitted in input order: the
+  // sink sees the exact sequence the serial loop produced, so the
   // emission stream is bit-identical for any thread count, and a failed
   // item only removes itself from the stream.
   std::vector<Outcome<VectorDelay>> measured(vectors.size());
+  std::size_t emitted = 0;
   run_chunks(
       run, keys, chunk, measured,
       [&](std::size_t begin, std::size_t end) {
@@ -424,16 +461,15 @@ std::size_t rank_vectors_into(const EvalBackend& backend,
       },
       [&](DegradationMemo& memo, std::size_t i) {
         return memo.measure(i, backend, vectors[i], wl);
+      },
+      [&](std::size_t i) {
+        if (!run.keep(i, measured[i])) return;
+        // The transition itself lives in the checkpoint key, not the
+        // record; re-attach it for computed and replayed outcomes alike.
+        measured[i].value->pair = vectors[i];
+        sink.on_delay(sink_key(vectors[i]), *measured[i].value);
+        ++emitted;
       });
-  std::size_t emitted = 0;
-  for (std::size_t i = 0; i < measured.size(); ++i) {
-    if (!run.keep(i, measured[i])) continue;
-    // The transition itself lives in the checkpoint key, not the record;
-    // re-attach it for computed and replayed outcomes alike.
-    measured[i].value->pair = vectors[i];
-    sink.on_delay(sink_key(vectors[i]), *measured[i].value);
-    ++emitted;
-  }
   sink.flush();
   return emitted;
 }
@@ -520,8 +556,8 @@ SizingResult size_for_degradation(const EvalBackend& backend,
     ckpt->record_bisect(bisect_key, {phase, lo, hi, hi_deg, hi_idx, probes});
   };
 
-  // Parallel map into index-addressed Outcome slots, then a serial
-  // first-maximum reduction that skips failed items: identical result to
+  // Parallel map into index-addressed Outcome slots, reduced in input
+  // order by a first-maximum that skips failed items: identical result to
   // the serial loop for any thread count, regardless of which items fail.
   const std::size_t chunk = batch_chunk(session, backend);
   auto worst_at = [&](double wl) {
@@ -531,6 +567,9 @@ SizingResult size_for_degradation(const EvalBackend& backend,
     const ItemKeys keys = pass_keys(ckpt, prefix, vectors);
     SinkKeys sink_key(sink, prefix);
     std::vector<Outcome<double>> deg(vectors.size());
+    double worst = -1.0;
+    std::size_t worst_idx = 0;
+    bool any_ok = false;
     // run_item already absorbs NumericalErrors, so the only exceptions
     // that reach the pool are precondition bugs (and journal write
     // failures), which should cancel and propagate.
@@ -542,19 +581,16 @@ SizingResult size_for_degradation(const EvalBackend& backend,
         [&](DegradationMemo& memo, std::size_t i) {
           const VectorDelay vd = memo.measure(i, backend, vectors[i], wl);
           return vd.delay_cmos <= 0.0 || vd.delay_mtcmos <= 0.0 ? -1.0 : vd.degradation_pct;
+        },
+        [&](std::size_t i) {
+          if (!run.keep(i, deg[i])) return;
+          if (sink != nullptr) sink->on_value(sink_key(vectors[i]), *deg[i].value);
+          any_ok = true;
+          if (*deg[i].value > worst) {
+            worst = *deg[i].value;
+            worst_idx = i;
+          }
         });
-    double worst = -1.0;
-    std::size_t worst_idx = 0;
-    bool any_ok = false;
-    for (std::size_t i = 0; i < vectors.size(); ++i) {
-      if (!run.keep(i, deg[i])) continue;
-      if (sink != nullptr) sink->on_value(sink_key(vectors[i]), *deg[i].value);
-      any_ok = true;
-      if (*deg[i].value > worst) {
-        worst = *deg[i].value;
-        worst_idx = i;
-      }
-    }
     if (sink != nullptr) sink->flush();
     if (!any_ok) {
       // Keep the first failure's code: an all-cancelled probe surfaces as
@@ -619,7 +655,7 @@ VectorDelay search_worst_vector(const EvalBackend& backend, double wl, int sampl
   };
 
   // Sample pass: the RNG draws stay serial (reproducible from the seed);
-  // the expensive scoring fans out, and the serial first-maximum
+  // the expensive scoring fans out, and the input-order first-maximum
   // reduction -- which skips failed samples -- keeps the winner identical
   // for any thread count.  The batch kernel scores the samples chunk by
   // chunk; the greedy refinement below stays scalar, because each
@@ -629,6 +665,8 @@ VectorDelay search_worst_vector(const EvalBackend& backend, double wl, int sampl
   const ItemKeys keys = run.checkpoint != nullptr ? ItemKeys(context, sampled) : ItemKeys();
   const std::size_t chunk = batch_chunk(session, backend);
   std::vector<Outcome<double>> scores(sampled.size());
+  VectorPair best;
+  double best_score = -1.0;
   run_chunks(
       run, keys, chunk, scores,
       [&](std::size_t begin, std::size_t end) {
@@ -639,17 +677,15 @@ VectorDelay search_worst_vector(const EvalBackend& backend, double wl, int sampl
       },
       [&](ChunkMemo& memo, std::size_t i) {
         return memo.take(i, [&] { return score(sampled[i]); });
+      },
+      [&](std::size_t i) {
+        if (!run.keep(i, scores[i])) return;
+        if (sink != nullptr) sink->on_value(sink_key(sampled[i]), *scores[i].value);
+        if (*scores[i].value > best_score) {
+          best_score = *scores[i].value;
+          best = sampled[i];
+        }
       });
-  VectorPair best;
-  double best_score = -1.0;
-  for (std::size_t i = 0; i < sampled.size(); ++i) {
-    if (!run.keep(i, scores[i])) continue;
-    if (sink != nullptr) sink->on_value(sink_key(sampled[i]), *scores[i].value);
-    if (*scores[i].value > best_score) {
-      best_score = *scores[i].value;
-      best = sampled[i];
-    }
-  }
   if (best_score <= 0.0 && run.cancel.requested()) {
     throw NumericalError({FailureCode::kCancelled, "sizing::search_worst_vector",
                           "cancelled before any sample completed"});
@@ -716,17 +752,17 @@ std::vector<VectorPair> screen_vectors(const netlist::Netlist& nl,
   // unchanged), so the ranking is identical for any thread count or
   // group size.
   std::vector<Outcome<double>> weights(candidates.size());
+  std::vector<std::pair<double, std::size_t>> scored;
+  scored.reserve(candidates.size());
   run_chunks(
       run, keys, std::min(session.batch == 0 ? kDefaultBatch : session.batch, kMaxCommitGroup),
       weights, [](std::size_t, std::size_t) { return 0; },
-      [&](int, std::size_t i) { return falling_discharge_weight(nl, candidates[i]); });
-  std::vector<std::pair<double, std::size_t>> scored;
-  scored.reserve(candidates.size());
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (!run.keep(i, weights[i])) continue;
-    if (sink != nullptr) sink->on_value(sink_key(candidates[i]), *weights[i].value);
-    scored.emplace_back(*weights[i].value, i);
-  }
+      [&](int, std::size_t i) { return falling_discharge_weight(nl, candidates[i]); },
+      [&](std::size_t i) {
+        if (!run.keep(i, weights[i])) return;
+        if (sink != nullptr) sink->on_value(sink_key(candidates[i]), *weights[i].value);
+        scored.emplace_back(*weights[i].value, i);
+      });
   if (sink != nullptr) sink->flush();
   std::sort(scored.begin(), scored.end(),
             [](const auto& a, const auto& b) { return a.first > b.first; });

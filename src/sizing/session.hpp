@@ -84,11 +84,14 @@ struct EvalSession {
   WatchdogConfig watchdog = {};
   /// Streaming row sink (sizing/result_sink.hpp).  When set, every entry
   /// point emits each successfully measured row -- computed or replayed
-  /// from the checkpoint alike -- into the sink during its serial
-  /// input-order reduction, keyed by the item's content-derived
-  /// checkpoint key.  Emission order is deterministic for any thread
-  /// count.  nullptr disables (the materialized return values are
-  /// unchanged either way: internally they are built from a MemorySink).
+  /// from the checkpoint alike -- into the sink in input order while the
+  /// pass still computes, keyed by the item's content-derived checkpoint
+  /// key.  The sink is called only from the thread that called the entry
+  /// point, and the emission sequence is identical for any thread count.
+  /// When a pass throws, the rows emitted before the throw are a prefix
+  /// of that sequence.  nullptr disables (the materialized return values
+  /// are unchanged either way: internally they are built from a
+  /// MemorySink).
   ResultSink* sink = nullptr;
   /// Chunk size for the backend's batch fast path (EvalBackend::
   /// delay_*_batch, the SoA cohort kernel on VbsBackend).  0 = auto:

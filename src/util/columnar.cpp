@@ -8,6 +8,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "util/faultinject.hpp"
 #include "util/journal.hpp"  // crc32
 
 namespace mtcmos::util {
@@ -229,6 +230,10 @@ void ColumnarWriter::append(const std::string& key, const double* values, std::s
   if (fd_ < 0) throw std::runtime_error("columnar: append on a closed writer");
   if (n == 0) throw std::invalid_argument("columnar: rows need at least one value column");
   if (key.size() > 0xFFFFFFFFull) throw std::invalid_argument("columnar: key too long");
+  {
+    const faultinject::ScopedScope scope(static_cast<std::int64_t>(key_lens_.size()));
+    faultinject::check(faultinject::Site::kColumnarAppend, "util::columnar_append");
+  }
   if (key_lens_.empty()) {
     block_cols_ = n;
   } else if (n != block_cols_) {

@@ -46,6 +46,7 @@ const char* to_string(Site site) {
     case Site::kVbsBreakpoint: return "vbs-breakpoint";
     case Site::kSweepItem: return "sweep-item";
     case Site::kJournalAppend: return "journal-append";
+    case Site::kColumnarAppend: return "columnar-append";
     case Site::kWorkerAbort: return "worker-abort";
     case Site::kWorkerKill: return "worker-kill";
     case Site::kWorkerStall: return "worker-stall";

@@ -39,6 +39,7 @@ enum class Site : int {
   kVbsBreakpoint,          ///< VbsSimulator::run breakpoint loop
   kSweepItem,              ///< sizing sweep per-item runner
   kJournalAppend,          ///< util::Journal::append, and Checkpoint staging of each record
+  kColumnarAppend,         ///< util::ColumnarWriter::append; scope = the row's index in its block
   // Process-level sites consumed by sharded-sweep workers via fired()
   // (they kill the process instead of throwing; see supervisor.hpp).
   kWorkerAbort,            ///< worker calls abort() before running the item

@@ -19,6 +19,7 @@
 #include "sizing/campaign.hpp"
 #include "util/cancel.hpp"
 #include "util/error.hpp"
+#include "util/faultinject.hpp"
 
 namespace mtcmos {
 namespace {
@@ -362,6 +363,34 @@ TEST_F(CampaignTest, ResumedAndShardedRunsEmitByteIdenticalTables) {
   EXPECT_EQ(pstats.chunks_run, 0u);
   EXPECT_EQ(pstats.chunks_replayed, replayed.n_chunks());
   EXPECT_EQ(table_of(replayed), reference);
+}
+
+// Rows stream into a chunk's block while its pass computes, so a pass
+// that throws after emitting some rows leaves them buffered.  The driver
+// must drop them: flushed under the chunk's tag (the writer flushes on
+// close), they would win first-block-wins over the resumed re-run.
+TEST_F(CampaignTest, ChunkThatThrowsMidStreamLeavesNoPartialBlock) {
+  const auto spec = CampaignSpec::parse(kTinySpec);
+  CampaignDriver fresh(spec, subdir("fresh"), false);
+  fresh.run();
+  const std::string reference = table_of(fresh);
+
+  {
+    // The first chunk spills rows 0 and 1, then its third append throws.
+    faultinject::arm(faultinject::Site::kColumnarAppend, 2, 1);
+    CampaignDriver failing(spec, subdir("failed"), false);
+    try {
+      failing.run();
+      ADD_FAILURE() << "the injected append failure did not propagate";
+    } catch (const NumericalError& e) {
+      EXPECT_EQ(e.info().code, FailureCode::kInjected);
+    }
+    faultinject::disarm_all();
+    EXPECT_EQ(failing.chunks_done(), 0u);
+  }
+  CampaignDriver resumed(spec, subdir("failed"), true);
+  EXPECT_TRUE(resumed.run().complete);
+  EXPECT_EQ(table_of(resumed), reference);
 }
 
 TEST_F(CampaignTest, SampledVectorModeIsDeterministic) {

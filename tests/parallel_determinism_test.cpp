@@ -9,12 +9,22 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <filesystem>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "circuits/generators.hpp"
 #include "core/vbs.hpp"
 #include "models/technology.hpp"
+#include "sizing/checkpoint.hpp"
+#include "sizing/result_sink.hpp"
 #include "sizing/sizing.hpp"
+#include "util/error.hpp"
+#include "util/faultinject.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -115,6 +125,172 @@ TEST_F(ParallelDeterminismTest, SharedSimulatorConcurrentRuns) {
     hot[i] = eval_.degradation_pct(pairs[i], 8.0);
   });
   EXPECT_EQ(cold, hot);
+}
+
+}  // namespace
+}  // namespace mtcmos::sizing
+
+namespace mtcmos::sizing {
+namespace {
+
+// --- The emission contract of the sweep scheduler -----------------------
+//
+// Rows are emitted in input order while the pass still computes, always
+// on the thread that called the entry point; a pass that throws leaves a
+// prefix of the stream behind.
+
+/// Records every emitted row bit-exactly, with the thread that emitted it.
+class RecordingSink final : public ResultSink {
+ public:
+  void on_delay(const std::string& /*key*/, const VectorDelay& row) override {
+    threads.push_back(std::this_thread::get_id());
+    std::string line;
+    for (const bool b : row.pair.v0) line += b ? '1' : '0';
+    line += '-';
+    for (const bool b : row.pair.v1) line += b ? '1' : '0';
+    for (const double d : {row.delay_cmos, row.delay_mtcmos, row.degradation_pct}) {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), " %a", d);
+      line += buf;
+    }
+    rows.push_back(line);
+  }
+  void on_value(const std::string& /*key*/, double value) override {
+    threads.push_back(std::this_thread::get_id());
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%a", value);
+    rows.emplace_back(buf);
+  }
+
+  std::vector<std::string> rows;
+  std::vector<std::thread::id> threads;
+};
+
+class EmissionContractTest : public ParallelDeterminismTest {
+ protected:
+  static constexpr std::size_t kBatch = 16;  // 32 chunks over the 512 pairs
+
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("emission." + std::to_string(::getpid()) + "." +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override {
+    faultinject::disarm_all();
+    std::filesystem::remove_all(dir_);
+  }
+
+  /// The serial, fault-free row stream.
+  std::vector<std::string> reference(const std::vector<VectorPair>& pairs) {
+    RecordingSink sink;
+    EvalSession session;
+    session.pool = &serial_;
+    session.sink = &sink;
+    session.batch = kBatch;
+    rank_vectors_stream(eval_, pairs, 8.0, session);
+    return sink.rows;
+  }
+
+  static void expect_caller_only(const RecordingSink& sink) {
+    for (const std::thread::id id : sink.threads) ASSERT_EQ(id, std::this_thread::get_id());
+  }
+
+  std::filesystem::path dir_;
+};
+
+TEST_F(EmissionContractTest, RowsComeFromTheCallingThreadInInputOrder) {
+  const auto pairs = adder_pairs();
+  const std::vector<std::string> expected = reference(pairs);
+  ASSERT_EQ(expected.size(), pairs.size());
+  for (const int threads : {1, 2, 4}) {
+    util::ThreadPool pool(threads);
+    RecordingSink rank_sink;
+    EvalSession session;
+    session.pool = &pool;
+    session.sink = &rank_sink;
+    session.batch = kBatch;
+    EXPECT_EQ(rank_vectors_stream(eval_, pairs, 8.0, session), pairs.size());
+    EXPECT_EQ(rank_sink.rows, expected) << threads << " threads";
+    expect_caller_only(rank_sink);
+
+    // The value-row entry points follow the same rule.
+    RecordingSink probe_sink;
+    session.sink = &probe_sink;
+    std::vector<VectorPair> stress;
+    for (std::size_t i = 0; i < pairs.size(); i += 20) stress.push_back(pairs[i]);
+    size_for_degradation(eval_, stress, 5.0, {1.0, 2000.0, 0.5}, session);
+    EXPECT_FALSE(probe_sink.rows.empty());
+    expect_caller_only(probe_sink);
+    RecordingSink screen_sink;
+    session.sink = &screen_sink;
+    screen_vectors(adder_.netlist, pairs, 25, session);
+    EXPECT_EQ(screen_sink.rows.size(), pairs.size());
+    expect_caller_only(screen_sink);
+  }
+}
+
+TEST_F(EmissionContractTest, NonIsolatedFailureEmitsThePrefixAndJournalsEveryItem) {
+  const auto pairs = adder_pairs();
+  const std::vector<std::string> expected = reference(pairs);
+  constexpr std::size_t kFailing = 37;
+  for (const int threads : {1, 2, 4}) {
+    util::ThreadPool pool(threads);
+    Checkpoint ckpt;
+    ckpt.open((dir_ / ("t" + std::to_string(threads) + ".mtj")).string());
+    faultinject::arm(faultinject::Site::kSweepItem, static_cast<std::int64_t>(kFailing), -1);
+    RecordingSink sink;
+    EvalSession session;
+    session.pool = &pool;
+    session.sink = &sink;
+    session.batch = kBatch;
+    session.checkpoint = &ckpt;
+    session.policy.isolate = false;
+    try {
+      rank_vectors_stream(eval_, pairs, 8.0, session);
+      ADD_FAILURE() << "the non-isolated failure did not propagate (" << threads << " threads)";
+    } catch (const NumericalError& e) {
+      EXPECT_EQ(e.info().code, FailureCode::kInjected);
+    }
+    faultinject::disarm_all();
+    const std::vector<std::string> prefix(expected.begin(), expected.begin() + kFailing);
+    EXPECT_EQ(sink.rows, prefix) << threads << " threads";
+    expect_caller_only(sink);
+    // Every chunk ran to its end: the failing item's terminal failure
+    // and every other item are journaled.
+    EXPECT_EQ(ckpt.journal().item_count(), pairs.size()) << threads << " threads";
+  }
+}
+
+TEST_F(EmissionContractTest, WorkerThrowLeavesOnlyWholeInOrderChunksEmitted) {
+  const auto pairs = adder_pairs();
+  const std::vector<std::string> expected = reference(pairs);
+  constexpr std::size_t kFailing = 300;  // inside chunk 18
+  for (const int threads : {1, 2, 4}) {
+    util::ThreadPool pool(threads);
+    Checkpoint ckpt;
+    ckpt.open((dir_ / ("t" + std::to_string(threads) + ".mtj")).string());
+    // The journal fault escapes run_item: the chunk task itself throws.
+    faultinject::arm(faultinject::Site::kJournalAppend, static_cast<std::int64_t>(kFailing), 1);
+    RecordingSink sink;
+    EvalSession session;
+    session.pool = &pool;
+    session.sink = &sink;
+    session.batch = kBatch;
+    session.checkpoint = &ckpt;
+    EXPECT_THROW(rank_vectors_stream(eval_, pairs, 8.0, session), NumericalError);
+    faultinject::disarm_all();
+    EXPECT_EQ(sink.rows.size() % kBatch, 0u) << threads << " threads";
+    EXPECT_LE(sink.rows.size(), kFailing / kBatch * kBatch) << threads << " threads";
+    // Inline, every chunk before the failing one is emitted as it ends.
+    if (threads == 1) {
+      EXPECT_EQ(sink.rows.size(), kFailing / kBatch * kBatch);
+    }
+    const std::vector<std::string> prefix(expected.begin(), expected.begin() + sink.rows.size());
+    EXPECT_EQ(sink.rows, prefix) << threads << " threads";
+    expect_caller_only(sink);
+  }
 }
 
 }  // namespace
