@@ -174,7 +174,6 @@ class VbsSimulator {
                         const std::vector<std::string>& out_names, VbsWorkspace& ws) const;
 
   const VbsOptions& options() const { return options_; }
-  int domain_count() const { return static_cast<int>(domain_r_.size()); }
 
  private:
   friend class VbsBatchSimulator;  // SoA batch kernel (vbs_batch.hpp)

@@ -221,7 +221,6 @@ class VbsBackend : public EvalBackend {
   /// reused (including across threads) thereafter.  The shared_ptr pins
   /// the simulator against LRU eviction while a caller runs it.
   std::shared_ptr<const core::VbsSimulator> simulator_at_wl(double wl) const;
-  const core::VbsSimulator& baseline_simulator() const { return baseline_sim_; }
 
  private:
   struct SimEntry {

@@ -28,6 +28,10 @@ namespace fs = std::filesystem;
 using util::JsonPtr;
 using util::JsonValue;
 
+/// Largest chunk a spec may ask for: every integer up to it is exact in a
+/// double, and a vector count (an int) plus it cannot overflow size_t.
+constexpr double kMaxChunk = 0x1p53;
+
 /// Reject spec keys that are not in `allowed`: a typo'd field must fail
 /// loudly, not silently fall back to a default.
 void check_keys(const JsonValue& obj, const std::vector<std::string>& allowed,
@@ -164,11 +168,11 @@ CampaignSpec CampaignSpec::parse(const std::string& json_text) {
       spec.vector_mode = VectorMode::kExhaustive;
     } else if (mode == "sampled") {
       spec.vector_mode = VectorMode::kSampled;
-      spec.sample_count = static_cast<int>(vec->number_or("count", 0.0));
+      spec.sample_count = vec->integer_or("count", 0);
       if (spec.sample_count < 1) {
         throw std::invalid_argument("campaign spec: sampled vectors need a positive count");
       }
-      spec.seed = static_cast<std::uint64_t>(vec->number_or("seed", 1.0));
+      spec.seed = vec->integer_or<std::uint64_t>("seed", 1);
     } else {
       throw std::invalid_argument("campaign spec: vectors.mode must be \"exhaustive\" or "
                                   "\"sampled\", got \"" + mode + "\"");
@@ -176,8 +180,9 @@ CampaignSpec CampaignSpec::parse(const std::string& json_text) {
   }
 
   const double chunk = root->number_or("chunk", 2048.0);
-  if (!(chunk >= 1.0) || chunk != std::floor(chunk)) {
-    throw std::invalid_argument("campaign spec: chunk must be a positive integer");
+  if (!(chunk >= 1.0 && chunk <= kMaxChunk) || chunk != std::floor(chunk)) {
+    throw std::invalid_argument("campaign spec: chunk must be an integer in [1, " +
+                                util::json_double(kMaxChunk) + "]");
   }
   spec.chunk = static_cast<std::size_t>(chunk);
   return spec;
@@ -452,8 +457,6 @@ CampaignStats CampaignDriver::run(int shards, SweepReport* report, util::CancelT
       sopt.shards = shards;
       sopt.dir = (fs::path(dir_) / "shards").string();
       sopt.cancel_token = cancel;
-      sopt.columnar_shards = true;
-      sopt.columnar_rows_per_block = spec_.chunk;
       const auto key_of = [&remaining](std::size_t i) {
         return Checkpoint::Key(chunk_key(remaining[i]));
       };
@@ -467,7 +470,7 @@ CampaignStats CampaignDriver::run(int shards, SweepReport* report, util::CancelT
         util::ThreadPool inline_pool(1);
         run_chunk(remaining[i], ckpt, *columnar, nullptr, cancel, &inline_pool, nullptr);
       };
-      Supervisor supervisor(sopt, remaining.size(), Supervisor::SinkItemFn(run_one), key_of);
+      Supervisor supervisor(sopt, remaining.size(), run_one, key_of);
       st.supervisor = supervisor.run(ckpt_, &store_);
     }
   }

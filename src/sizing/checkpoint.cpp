@@ -1,8 +1,6 @@
 #include "sizing/checkpoint.hpp"
 
 #include <bit>
-#include <cinttypes>
-#include <cstdio>
 #include <initializer_list>
 #include <optional>
 #include <sstream>
@@ -18,30 +16,6 @@ namespace mtcmos::sizing {
 
 namespace {
 
-std::uint64_t fnv1a_double(double v, std::uint64_t seed) {
-  const std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
-  return util::fnv1a64(&bits, sizeof(bits), seed);
-}
-
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return buf;
-}
-
-std::string double_bits(double v) { return hex64(std::bit_cast<std::uint64_t>(v)); }
-
-bool parse_double_bits(const std::string& token, double& out) {
-  std::uint64_t bits = 0;
-  if (std::sscanf(token.c_str(), "%" SCNx64, &bits) != 1) return false;
-  out = std::bit_cast<double>(bits);
-  return true;
-}
-
-void append_bits(std::string& out, const std::vector<bool>& bits) {
-  for (const bool b : bits) out += b ? '1' : '0';
-}
-
 [[noreturn]] void throw_corrupt(const std::string& what) {
   // A CRC-valid record that fails typed decoding means the journal was
   // produced by an incompatible writer, not torn by a crash: refuse to
@@ -52,7 +26,7 @@ void append_bits(std::string& out, const std::vector<bool>& bits) {
 }
 
 std::string describe(const Checkpoint::Key& key) {
-  return key.text.empty() ? "an item of context " + hex64(key.item.context)
+  return key.text.empty() ? "an item of context " + util::hex16(key.item.context)
                           : "key '" + key.text + "'";
 }
 
@@ -263,28 +237,6 @@ template void Checkpoint::view_record(const std::string&, const Outcome<VectorDe
 template bool Checkpoint::lookup_as(const Key&, Outcome<double>&) const;
 template bool Checkpoint::lookup_as(const Key&, Outcome<VectorDelay>&) const;
 
-bool Checkpoint::lookup_bisect(const std::string& key, BisectState& out) const {
-  const std::optional<std::string> value = journal_.find(key);
-  if (!value) return false;
-  char lo[32], hi[32], deg[32];
-  BisectState s;
-  if (std::sscanf(value->c_str(), "bs %d %31s %31s %31s %zu %zu", &s.phase, lo, hi, deg,
-                  &s.hi_idx, &s.probes) != 6 ||
-      !parse_double_bits(lo, s.lo) || !parse_double_bits(hi, s.hi) ||
-      !parse_double_bits(deg, s.hi_deg)) {
-    throw_corrupt("key '" + key + "'");
-  }
-  out = s;
-  return true;
-}
-
-void Checkpoint::record_bisect(const std::string& key, const BisectState& state) {
-  if (!armed()) return;
-  journal_.append(key, "bs " + std::to_string(state.phase) + " " + double_bits(state.lo) + " " +
-                           double_bits(state.hi) + " " + double_bits(state.hi_deg) + " " +
-                           std::to_string(state.hi_idx) + " " + std::to_string(state.probes));
-}
-
 bool Checkpoint::should_persist(const FailureInfo& failure) {
   if (failure.code == FailureCode::kCancelled) return false;
   if (failure.code == FailureCode::kDeadlineExceeded &&
@@ -304,13 +256,25 @@ std::uint64_t netlist_fingerprint(const netlist::Netlist& nl,
 
 std::string checkpoint_prefix(const char* op, const char* backend_name,
                               std::uint64_t fingerprint, double wl) {
-  return std::string(op) + ":" + backend_name + ":" + hex64(fingerprint) + ":" +
-         double_bits(wl) + ":";
+  return std::string(op) + ":" + backend_name + ":" + util::hex16(fingerprint) + ":" +
+         util::hex16(std::bit_cast<std::uint64_t>(wl)) + ":";
 }
 
 std::string checkpoint_prefix_nowl(const char* op, const char* backend_name,
                                    std::uint64_t fingerprint) {
-  return std::string(op) + ":" + backend_name + ":" + hex64(fingerprint) + ":";
+  return std::string(op) + ":" + backend_name + ":" + util::hex16(fingerprint) + ":";
+}
+
+std::string rank_prefix(const EvalBackend& backend, double wl) {
+  return checkpoint_prefix("rank", backend.name(),
+                           netlist_fingerprint(backend.netlist(), backend.outputs()), wl);
+}
+
+void append_bits(std::string& out, const std::vector<bool>& bits) {
+  const std::size_t at = out.size();
+  out.resize(at + bits.size());
+  char* p = out.data() + at;
+  for (const bool b : bits) *p++ = b ? '1' : '0';
 }
 
 std::string checkpoint_item_key(const std::string& prefix, const VectorPair& vp) {
@@ -319,25 +283,6 @@ std::string checkpoint_item_key(const std::string& prefix, const VectorPair& vp)
   key += '-';
   append_bits(key, vp.v1);
   return key;
-}
-
-std::uint64_t sizing_args_hash(std::uint64_t fingerprint, const char* backend_name,
-                               const std::vector<VectorPair>& vectors, double target_pct,
-                               double wl_min, double wl_max, double wl_tol) {
-  std::uint64_t h = fingerprint;
-  h = util::fnv1a64(backend_name, std::string(backend_name).size(), h);
-  h = fnv1a_double(target_pct, h);
-  h = fnv1a_double(wl_min, h);
-  h = fnv1a_double(wl_max, h);
-  h = fnv1a_double(wl_tol, h);
-  for (const VectorPair& vp : vectors) {
-    std::string bits;
-    append_bits(bits, vp.v0);
-    bits += '-';
-    append_bits(bits, vp.v1);
-    h = util::fnv1a64(bits.data(), bits.size(), h);
-  }
-  return h;
 }
 
 }  // namespace mtcmos::sizing

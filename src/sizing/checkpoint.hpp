@@ -4,8 +4,7 @@
 // A Checkpoint wraps a util::Journal and gives the sweep entry points
 // (sizing/session.hpp) a typed record store: per-item Outcomes keyed by
 // a deterministic item identity -- netlist fingerprint + backend + sweep
-// operation + W/L (the pass *context*) + vector transition -- plus
-// bisection-interval state for size_for_degradation.  Because keys are
+// operation + W/L (the pass *context*) + vector transition.  Because keys are
 // content-derived (never "item 37 of this process"), an identical
 // re-invocation of a sweep maps every already-completed item to its
 // journaled outcome and skips the simulation: a run interrupted at any
@@ -48,19 +47,6 @@
 #include "util/journal.hpp"
 
 namespace mtcmos::sizing {
-
-/// Progress of a size_for_degradation bisection, journaled after every
-/// probe so an interrupted sizing resumes knowing the live W/L interval
-/// (diagnostics; the probe *outcomes* themselves replay from the item
-/// records, which is what keeps the merged report bit-identical).
-struct BisectState {
-  int phase = 0;  ///< 1 = wl_max probed, 2 = wl_min probed, 3 = bisecting
-  double lo = 0.0;
-  double hi = 0.0;
-  double hi_deg = 0.0;
-  std::size_t hi_idx = 0;
-  std::size_t probes = 0;  ///< completed probe sweeps
-};
 
 /// Typed keys of one sweep pass: its context id and every transition
 /// packed into 64-bit words once, so the per-item path hashes words
@@ -155,9 +141,6 @@ class Checkpoint {
     view_record(key, outcome);
   }
 
-  bool lookup_bisect(const std::string& key, BisectState& out) const;
-  void record_bisect(const std::string& key, const BisectState& state);
-
   /// Whether a failed outcome belongs in the journal: interruption
   /// artifacts (kCancelled; session-deadline / watchdog
   /// kDeadlineExceeded) must be re-run on resume, not replayed.
@@ -187,15 +170,12 @@ std::string checkpoint_prefix(const char* op, const char* backend_name, std::uin
                               double wl);
 std::string checkpoint_prefix_nowl(const char* op, const char* backend_name,
                                    std::uint64_t fingerprint);
+/// Prefix of a rank_vectors pass over `backend` at `wl` (op "rank").
+std::string rank_prefix(const EvalBackend& backend, double wl);
+/// Append `bits` as '0'/'1' characters, bit 0 first.
+void append_bits(std::string& out, const std::vector<bool>& bits);
 /// Item key string: prefix + the v0/v1 bit strings of the transition --
 /// the row key of key-carrying sinks (the columnar spill).
 std::string checkpoint_item_key(const std::string& prefix, const VectorPair& vp);
-
-/// Identity of one size_for_degradation invocation: fingerprint +
-/// backend + target + bounds + the full vector set.  Used to key the
-/// bisection-state record and the run-configuration guard.
-std::uint64_t sizing_args_hash(std::uint64_t fingerprint, const char* backend_name,
-                               const std::vector<VectorPair>& vectors, double target_pct,
-                               double wl_min, double wl_max, double wl_tol);
 
 }  // namespace mtcmos::sizing

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <atomic>
@@ -48,35 +47,16 @@ namespace {
 namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+/// Longest deadline or sleep [s] the daemon accepts: half the clock's
+/// range, so now() plus it cannot overflow.
+constexpr double kMaxWaitS = std::chrono::duration<double>(Clock::duration::max()).count() / 2;
 
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = kFnvOffset;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= kFnvPrime;
+/// `seconds`, checked against kMaxWaitS.
+double wait_seconds(double seconds, const std::string& what) {
+  if (seconds > kMaxWaitS) {
+    throw std::invalid_argument(what + " must be <= " + util::json_double(kMaxWaitS) + " s");
   }
-  return h;
-}
-
-void append_bits(std::string& out, const std::vector<bool>& bits) {
-  const std::size_t at = out.size();
-  out.resize(at + bits.size());
-  char* p = out.data() + at;
-  for (const bool b : bits) *p++ = b ? '1' : '0';
-}
-
-std::string bits_string(const std::vector<bool>& bits) {
-  std::string out;
-  append_bits(out, bits);
-  return out;
+  return seconds;
 }
 
 /// `{"type":"<type>","req":"<req>","index":<index>` -- the shared head of
@@ -168,7 +148,10 @@ struct Request {
     return out + "}";
   }
 
-  std::string key() const { return hex16(fnv1a(canonical())); }
+  std::string key() const {
+    const std::string c = canonical();
+    return util::hex16(util::fnv1a64(c.data(), c.size()));
+  }
 };
 
 Request parse_request(const util::JsonValue& doc) {
@@ -179,9 +162,9 @@ Request parse_request(const util::JsonValue& doc) {
     throw std::invalid_argument("unknown op '" + req.op +
                                 "' (expected rank|size|verify|campaign|sleep|status|drain)");
   }
-  req.deadline_s = doc.number_or("deadline_s", 0.0);
+  req.deadline_s = wait_seconds(doc.number_or("deadline_s", 0.0), "deadline_s");
   if (req.op == "sleep") {
-    req.seconds = doc.number_or("seconds", 0.0);
+    req.seconds = wait_seconds(doc.number_or("seconds", 0.0), "seconds");
     if (req.seconds < 0.0) throw std::invalid_argument("sleep: seconds must be >= 0");
     return req;
   }
@@ -199,9 +182,9 @@ Request parse_request(const util::JsonValue& doc) {
   req.wl = doc.number_or("wl", 10.0);
   if (!(req.wl > 0.0)) throw std::invalid_argument("wl must be > 0");
   req.target_pct = doc.number_or("target_pct", 5.0);
-  req.vectors = static_cast<int>(doc.number_or("vectors", 200.0));
+  req.vectors = doc.integer_or("vectors", 200);
   if (req.vectors < 1) throw std::invalid_argument("vectors must be >= 1");
-  req.seed = static_cast<std::uint64_t>(doc.number_or("seed", 1.0));
+  req.seed = doc.integer_or<std::uint64_t>("seed", 1);
   // Fail unknown circuits at admission so the client's bad-request
   // arrives before the ack, not as a failed execution later.
   campaign_nominal_tech(req.circuit);
@@ -435,6 +418,10 @@ class DaemonImpl {
       throw std::runtime_error("daemon: socket_path and state_dir are required");
     }
     if (options_.max_queue < 0) throw std::runtime_error("daemon: max_queue must be >= 0");
+    if (options_.default_deadline_s > kMaxWaitS) {
+      throw std::runtime_error("daemon: default_deadline_s must be <= " +
+                               util::json_double(kMaxWaitS) + " s");
+    }
     ::signal(SIGPIPE, SIG_IGN);
     if (options_.cancel_token == nullptr) util::install_cancel_signal_handlers();
 
@@ -501,11 +488,11 @@ class DaemonImpl {
   /// matching `done:` re-enters the queue headless, in sorted-key order
   /// so resumes are deterministic.
   void resume_unfinished() {
-    // Snapshot first: for_each holds the journal mutex, so find() calls
-    // from inside the callback would self-deadlock.
+    // Snapshot first: for_each_text holds the journal mutex, so find()
+    // calls from inside the callback would self-deadlock.
     std::vector<std::pair<std::string, std::string>> requests;
     std::set<std::string> done;
-    requests_.for_each([&](const std::string& key, const std::string& value) {
+    requests_.for_each_text([&](const std::string& key, const std::string& value) {
       if (key.rfind("req:", 0) == 0) requests.emplace_back(key.substr(4), value);
       if (key.rfind("done:", 0) == 0) done.insert(key.substr(5));
     });
@@ -973,10 +960,12 @@ class DaemonImpl {
     }
     if (req.op == "size") {
       const SizingResult sized = size_for_degradation(backend, vectors, req.target_pct, {}, session);
-      return ",\"wl\":" + util::json_double(sized.wl) +
-             ",\"degradation_pct\":" + util::json_double(sized.degradation_pct) + ",\"v0\":\"" +
-             bits_string(sized.binding_vector.v0) + "\",\"v1\":\"" +
-             bits_string(sized.binding_vector.v1) + "\"";
+      std::string out = ",\"wl\":" + util::json_double(sized.wl) + ",\"degradation_pct\":" +
+                        util::json_double(sized.degradation_pct) + ",\"v0\":\"";
+      append_bits(out, sized.binding_vector.v0);
+      out += "\",\"v1\":\"";
+      append_bits(out, sized.binding_vector.v1);
+      return out + "\"";
     }
     // verify: size on the fast backend, re-measure on the reference.
     const SizingResult sized = size_for_degradation(backend, vectors, req.target_pct, {}, session);
@@ -992,10 +981,10 @@ class DaemonImpl {
 
   bool all_keys_present(const EvalBackend& backend, const std::vector<VectorPair>& vectors,
                         double wl) {
-    const std::string prefix = checkpoint_prefix(
-        "rank", backend.name(), netlist_fingerprint(backend.netlist(), backend.outputs()), wl);
     std::uint64_t context = 0;
-    if (!store_.journal().find_context(prefix, context)) return false;  // never ranked
+    if (!store_.journal().find_context(rank_prefix(backend, wl), context)) {
+      return false;  // never ranked
+    }
     const ItemKeys keys(context, vectors);
     for (std::size_t i = 0; i < vectors.size(); ++i) {
       if (!store_.contains(keys[i])) return false;

@@ -1,6 +1,6 @@
 #pragma once
 // Value types shared by the evaluation layer: vector transitions, sweep
-// measurements, fault-isolation policy, and sizing results.  Split out of
+// measurements, the per-item retry budget, and sizing results.  Split out of
 // sizing.hpp so the backend abstraction (sizing/backend.hpp) and the
 // transistor-level reference (sizing/spice_ref.hpp) can speak the same
 // vocabulary without pulling in the sweep entry points.
@@ -23,20 +23,13 @@ struct VectorDelay {
   double degradation_pct = 0.0;
 };
 
-/// How a sweep handles per-item NumericalErrors.
-///
-/// Every sweep entry point runs each item inside a bounded retry loop and
-/// records an Outcome into an index-addressed slot, so one diverging item
-/// cannot tear down a batch of thousands (isolate = true, the default) and
-/// the surviving results stay bit-identical to a serial no-fault run.
-/// With isolate = false the first failure is rethrown after the batch
-/// drains -- the pre-robustness behavior, for callers that want hard
-/// stops.  Precondition errors (std::invalid_argument) always propagate;
-/// only numerical failures are isolated.
-struct SweepPolicy {
-  bool isolate = true;
-  int max_attempts = 2;  ///< per-item attempts (1 = no retry)
-};
+/// Attempts per sweep item.  Every sweep entry point runs each item inside
+/// this retry budget and records its Outcome into an index-addressed slot,
+/// so one diverging item cannot tear down a batch of thousands and the
+/// surviving results stay bit-identical to a serial no-fault run.  Only
+/// numerical failures are retried and isolated; precondition errors
+/// (std::invalid_argument) always propagate.
+inline constexpr int kItemAttempts = 2;
 
 /// Result of a degradation-targeted sizing run.
 struct SizingResult {

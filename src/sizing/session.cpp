@@ -103,7 +103,6 @@ class Watchdog {
 struct RunContext {
   explicit RunContext(const EvalSession& s)
       : pool(s.pool_ref()),
-        policy(s.policy),
         report(s.report != nullptr ? *s.report : scratch),
         deadline(Deadline::start(s.deadline_s)),
         cancel(s.cancel_ref()),
@@ -119,17 +118,13 @@ struct RunContext {
   }
 
   /// Add item i's outcome to the report; true when it carries a value.
-  /// A failure rethrows unless the policy isolates failures.
   template <typename T>
   bool keep(std::size_t i, const Outcome<T>& o) const {
     report.add(i, o);
-    if (o.ok()) return true;
-    if (!policy.isolate) throw NumericalError(o.failure);
-    return false;
+    return o.ok();
   }
 
   util::ThreadPool& pool;
-  const SweepPolicy& policy;
   SweepReport scratch;
   SweepReport& report;
   const Deadline deadline;
@@ -139,7 +134,7 @@ struct RunContext {
   mutable std::optional<Watchdog> watchdog;
 };
 
-// Run one sweep item under the policy's retry budget, stamping the item
+// Run one sweep item under the kItemAttempts retry budget, stamping the item
 // index as the fault-injection scope so tests can address "item 37" by
 // name.  Only NumericalError is retried/recorded; precondition errors
 // (std::invalid_argument and friends) propagate -- they indicate caller
@@ -162,7 +157,7 @@ Outcome<T> run_item(const RunContext& ctx, std::size_t index, const ItemKeys& ke
     if (ctx.checkpoint->lookup(keys[k], cached)) return cached;
   }
   const faultinject::ScopedScope scope(static_cast<std::int64_t>(index));
-  int budget = std::max(1, ctx.policy.max_attempts);
+  int budget = kItemAttempts;
   bool requeued = false;
   FailureInfo last;
   for (int attempt = 1; attempt <= budget; ++attempt) {
@@ -275,7 +270,7 @@ constexpr std::size_t kMaxCommitGroup = 64;
 // finished prefix of chunks; workers only mark their chunk done, and the
 // rest is emitted once the pool drains.  Sinks are therefore called from
 // one thread, in the same sequence for any thread count.  An exception
-// from emit(k) (a non-isolated failure) stops emission after item k - 1;
+// from emit(k) (a sink that throws) stops emission after item k - 1;
 // every chunk still runs, so the same items are journaled, and it is
 // rethrown at the end.  A task that throws leaves emission at the last
 // whole chunk before it.
@@ -439,11 +434,7 @@ std::size_t rank_vectors_into(const EvalBackend& backend,
   // checkpoint registers it as the pass context, a key-carrying sink
   // (columnar spill) builds row keys from it.  The plain in-RAM path
   // skips the fingerprint entirely.
-  std::string prefix;
-  if (run.needs_keys(&sink)) {
-    prefix = checkpoint_prefix("rank", backend.name(),
-                               netlist_fingerprint(backend.netlist(), backend.outputs()), wl);
-  }
+  const std::string prefix = run.needs_keys(&sink) ? rank_prefix(backend, wl) : std::string();
   const ItemKeys keys = pass_keys(run.checkpoint, prefix, vectors);
   SinkKeys sink_key(&sink, prefix);
   if (!run.cancel.requested()) backend.prepare_wl(wl);
@@ -534,27 +525,11 @@ SizingResult size_for_degradation(const EvalBackend& backend,
   const RunContext run(session);
   Checkpoint* ckpt = run.checkpoint;
 
-  // Bisection-state journaling: one record, overwritten after every
-  // probe, carrying the live W/L interval.  Resume re-derives the same
-  // probe sequence (the item records replay each completed probe without
-  // simulating), so the state record is the run's progress diagnostic --
-  // and its key doubles as the run identity guard.
+  // A resume re-derives the same probe sequence: the item records replay
+  // each completed probe without simulating.
   ResultSink* sink = session.sink;
   std::uint64_t fp = 0;
-  std::string bisect_key;
-  std::size_t probes = 0;
   if (run.needs_keys(sink)) fp = netlist_fingerprint(backend.netlist(), backend.outputs());
-  if (ckpt != nullptr) {
-    bisect_key = checkpoint_prefix_nowl(
-        "bisect", backend.name(),
-        sizing_args_hash(fp, backend.name(), vectors, target_pct, bounds.wl_min, bounds.wl_max,
-                         bounds.wl_tol));
-  }
-  const auto record_state = [&](int phase, double lo, double hi, double hi_deg,
-                                std::size_t hi_idx) {
-    if (ckpt == nullptr) return;
-    ckpt->record_bisect(bisect_key, {phase, lo, hi, hi_deg, hi_idx, probes});
-  };
 
   // Parallel map into index-addressed Outcome slots, reduced in input
   // order by a first-maximum that skips failed items: identical result to
@@ -599,18 +574,15 @@ SizingResult size_for_degradation(const EvalBackend& backend,
                             "every vector failed at probe W/L=" + std::to_string(wl) +
                                 " (first: " + deg[0].failure.message() + ")"});
     }
-    ++probes;
     return std::pair<double, std::size_t>{worst, worst_idx};
   };
 
   auto [deg_max, idx_max] = worst_at(bounds.wl_max);
-  record_state(1, bounds.wl_min, bounds.wl_max, deg_max, idx_max);
   if (deg_max > target_pct) {
     throw NumericalError("size_for_degradation: even W/L=" + std::to_string(bounds.wl_max) +
                          " degrades " + std::to_string(deg_max) + "% > target");
   }
   auto [deg_min, idx_min] = worst_at(bounds.wl_min);
-  record_state(2, bounds.wl_min, bounds.wl_max, deg_max, idx_max);
   if (deg_min >= 0.0 && deg_min <= target_pct) {
     return {bounds.wl_min, deg_min, vectors[idx_min]};
   }
@@ -629,7 +601,6 @@ SizingResult size_for_degradation(const EvalBackend& backend,
     } else {
       lo = mid;
     }
-    record_state(3, lo, hi, hi_deg, hi_idx);
   }
   return {hi, hi_deg, vectors[hi_idx]};
 }

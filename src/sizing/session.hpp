@@ -1,10 +1,9 @@
 #pragma once
 // Session-scoped sweep entry points over EvalBackend.
 //
-// EvalSession collapses the run context -- thread pool, fault-isolation
-// policy, report sink, wall-clock budget, checkpoint, cancellation --
-// into one value, and each sweep below has exactly one implementation
-// taking it.  Because they are written against EvalBackend, the same
+// EvalSession collapses the run context -- thread pool, report sink,
+// wall-clock budget, checkpoint, cancellation -- into one value, and each
+// sweep below has exactly one implementation taking it.  Because they are written against EvalBackend, the same
 // ranking / bisection / search code runs on the switch-level simulator
 // (VbsBackend) or the transistor-level engine (SpiceBackend) unchanged.
 //
@@ -51,13 +50,12 @@ struct WatchdogConfig {
 
 /// Run context shared by every sweep call in a sizing session.
 ///
-/// A default-constructed session runs on the global thread pool with an
-/// isolating policy and one retry, discards per-item outcomes, and arms
-/// no deadline, checkpoint or watchdog; cancellation polls the
-/// process-global token.
+/// A default-constructed session runs on the global thread pool, discards
+/// per-item outcomes, and arms no deadline, checkpoint or watchdog;
+/// cancellation polls the process-global token.  Every session isolates
+/// per-item numerical failures under the kItemAttempts retry budget.
 struct EvalSession {
   util::ThreadPool* pool = nullptr;  ///< nullptr = the process-global pool
-  SweepPolicy policy = {};
   SweepReport* report = nullptr;  ///< nullptr = per-item outcomes discarded
   /// Wall-clock budget [s] for one entry-point call; 0 disables.  When
   /// the budget runs out, items not yet started fail with
@@ -129,7 +127,7 @@ struct SizingBounds {
 
 /// Degradation-ranked report over a vector set at sizing `wl`.  Pairs
 /// whose outputs never switch are dropped.  Sorted worst-first.  Items
-/// that still fail after the session policy's retry budget are dropped
+/// that still fail after the kItemAttempts retry budget are dropped
 /// from the ranking and recorded in the session report; surviving entries
 /// are bit-identical to a no-fault serial run over the surviving subset,
 /// for any thread count.
@@ -202,7 +200,7 @@ struct VerifyResult {
 /// Re-measure `result.binding_vector` at `result.wl` on both backends and
 /// report the fast-vs-reference delta.  `target_pct` (when > 0) also
 /// checks the reference-measured degradation against the original sizing
-/// target.  Measurement failures honor the session policy's retry budget
+/// target.  Measurement failures honor the kItemAttempts retry budget
 /// and are recorded in the session report; a terminal failure yields
 /// ok = false with the FailureInfo instead of throwing.
 VerifyResult verify_sizing(const EvalBackend& fast, const EvalBackend& reference,

@@ -48,15 +48,15 @@ void write_torn_tail(const std::string& journal_path) {
 
 /// Worker body, run in the forked child.  Walks its (item, strikes)
 /// assignment serially, skipping items its shard journal already holds,
-/// announcing "S <idx>" / "F <idx>" around each and heartbeating from a
-/// side thread ("H" on the pipe + an hb:<slot> journal record).  The
+/// announcing "S <idx>" / "F <idx>" around each and heartbeating "H" on
+/// the pipe from a side thread.  With a `columnar_path`, item bodies also
+/// get a shard store of `rows_per_block`-row blocks.  The
 /// kWorker* fault sites are consulted between "S" and the item body,
 /// under the item's scope and with the item's prior strike count as the
 /// process generation, so tests can script "die on this item's first
 /// two attempts" deterministically.
-int worker_main(int wfd, std::size_t slot_index, const std::string& journal_path,
-                const std::string& columnar_path,
-                const std::vector<std::pair<std::size_t, int>>& items,
+int worker_main(int wfd, const std::string& journal_path, const std::string& columnar_path,
+                std::size_t rows_per_block, const std::vector<std::pair<std::size_t, int>>& items,
                 const SupervisorOptions& options, const Supervisor::SinkItemFn& run_one,
                 const Supervisor::KeyFn& key_of) {
   util::install_cancel_signal_handlers();
@@ -70,7 +70,7 @@ int worker_main(int wfd, std::size_t slot_index, const std::string& journal_path
   util::ColumnarWriter columnar;
   if (!columnar_path.empty()) {
     util::ColumnarOptions copts;
-    copts.rows_per_block = options.columnar_rows_per_block;
+    copts.rows_per_block = rows_per_block;
     columnar.open(columnar_path, copts);
   }
 
@@ -78,19 +78,10 @@ int worker_main(int wfd, std::size_t slot_index, const std::string& journal_path
   std::atomic<bool> stalled{false};
   std::atomic<bool> parent_gone{false};
   std::thread heartbeat([&] {
-    std::uint64_t beats = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      if (!stalled.load(std::memory_order_relaxed)) {
-        if (!util::write_line(wfd, "H")) {
-          parent_gone.store(true, std::memory_order_relaxed);
-          break;
-        }
-        try {
-          ckpt.journal().append("hb:" + std::to_string(slot_index), std::to_string(++beats));
-        } catch (...) {
-          // Heartbeat records are best-effort liveness breadcrumbs; the
-          // item loop will hit the same journal error and die visibly.
-        }
+      if (!stalled.load(std::memory_order_relaxed) && !util::write_line(wfd, "H")) {
+        parent_gone.store(true, std::memory_order_relaxed);
+        break;
       }
       std::this_thread::sleep_for(to_duration(options.heartbeat_interval_s));
     }
@@ -174,14 +165,6 @@ std::vector<std::pair<std::size_t, std::size_t>> plan_shards(std::size_t n_items
   return out;
 }
 
-Supervisor::Supervisor(SupervisorOptions options, std::size_t n_items, ItemFn run_one,
-                       KeyFn key_of)
-    : options_(std::move(options)),
-      n_items_(n_items),
-      run_one_([inner = std::move(run_one)](std::size_t idx, Checkpoint& ckpt,
-                                            util::ColumnarWriter*) { inner(idx, ckpt); }),
-      key_of_(std::move(key_of)) {}
-
 Supervisor::Supervisor(SupervisorOptions options, std::size_t n_items, SinkItemFn run_one,
                        KeyFn key_of)
     : options_(std::move(options)),
@@ -197,10 +180,10 @@ SupervisorStats Supervisor::run(Checkpoint& merged, util::ColumnarWriter* column
     throw std::invalid_argument("supervisor: the merged checkpoint must be armed");
   }
   if (options_.shards < 1) throw std::invalid_argument("supervisor: shards must be >= 1");
-  if (options_.columnar_shards && (columnar == nullptr || !columnar->is_open())) {
-    throw std::invalid_argument(
-        "supervisor: columnar_shards requires an open columnar merge destination");
+  if (columnar != nullptr && !columnar->is_open()) {
+    throw std::invalid_argument("supervisor: the columnar merge destination must be open");
   }
+  const std::size_t rows_per_block = columnar != nullptr ? columnar->rows_per_block() : 0;
   std::filesystem::create_directories(options_.dir);
 
   SupervisorStats stats;
@@ -226,8 +209,8 @@ SupervisorStats Supervisor::run(Checkpoint& merged, util::ColumnarWriter* column
       items.emplace_back(idx, it == strikes.end() ? 0 : it->second);
     }
     const util::ChildProcess child = util::spawn_child([&, s, items](int wfd) {
-      return worker_main(wfd, s, slots[s].journal_path, slots[s].columnar_path, items, options_,
-                         run_one_, key_of_);
+      return worker_main(wfd, slots[s].journal_path, slots[s].columnar_path, rows_per_block,
+                         items, options_, run_one_, key_of_);
     });
     slot.pid = child.pid;
     slot.fd = child.pipe_fd;
@@ -241,7 +224,7 @@ SupervisorStats Supervisor::run(Checkpoint& merged, util::ColumnarWriter* column
   for (std::size_t s = 0; s < ranges.size(); ++s) {
     Slot& slot = slots[s];
     slot.journal_path = options_.dir + "/shard" + std::to_string(s) + ".mtj";
-    if (options_.columnar_shards) {
+    if (columnar != nullptr) {
       slot.columnar_path = options_.dir + "/shard" + std::to_string(s) + ".mtc";
     }
     slot.assigned.clear();
@@ -422,19 +405,17 @@ SupervisorStats Supervisor::run(Checkpoint& merged, util::ColumnarWriter* column
     }
   }
 
-  // Merge: every shard journal's records (minus heartbeats) into the
-  // campaign checkpoint, then stamp quarantined items so replay shows a
-  // classified failure instead of re-running the killer.
+  // Merge: every shard journal's records into the campaign checkpoint,
+  // then stamp quarantined items so replay shows a classified failure
+  // instead of re-running the killer.
   for (const Slot& slot : slots) {
     if (!std::filesystem::exists(slot.journal_path)) continue;
-    util::merge_journal_file(merged.journal(), slot.journal_path, [](const std::string& key) {
-      return key.rfind("hb:", 0) == 0;
-    });
+    util::merge_journal_file(merged.journal(), slot.journal_path);
   }
   // Shard columnar stores merge like the shard journals: by identity,
   // first block per tag wins (a tag re-flushed by a restarted worker or
   // duplicated across an orphan reassignment holds bit-identical rows).
-  if (options_.columnar_shards && columnar != nullptr) {
+  if (columnar != nullptr) {
     std::vector<std::uint64_t> seen_tags;
     for (const Slot& slot : slots) {
       if (slot.columnar_path.empty() || !std::filesystem::exists(slot.columnar_path)) continue;
@@ -471,12 +452,10 @@ ShardedRankResult sharded_rank_vectors(const EvalBackend& backend,
   }
   // Registering the pass context in the merged journal up front also
   // covers items only a quarantine stamp ever records.
-  const ItemKeys keys(merged->context(checkpoint_prefix(
-                          "rank", backend.name(),
-                          netlist_fingerprint(backend.netlist(), backend.outputs()), wl)),
-                      vectors);
+  const ItemKeys keys(merged->context(rank_prefix(backend, wl)), vectors);
   const auto key_of = [&keys](std::size_t i) { return Checkpoint::Key(keys[i]); };
-  const auto run_one = [&backend, &vectors, wl](std::size_t i, Checkpoint& ckpt) {
+  const auto run_one = [&backend, &vectors, wl](std::size_t i, Checkpoint& ckpt,
+                                                util::ColumnarWriter*) {
     // One item per call, on an inline pool (a forked worker must not
     // spawn sweep threads), scalar path (a 1-item batch gains nothing).
     util::ThreadPool inline_pool(1);

@@ -14,12 +14,11 @@
 //   same content-derived item keys as a single-process sweep.
 //
 //   Workers speak a line protocol on a pipe -- "H" heartbeats,
-//   "S <idx>" before an item, "F <idx>" after journaling it -- and
-//   append hb:<slot> heartbeat records to their journal.  The parent
-//   polls the pipes: a worker silent past liveness_timeout_s is
-//   SIGKILLed; a dead worker (crash, signal, stall-kill) is restarted
-//   on the same shard with exponential backoff under a per-slot restart
-//   budget.  Restarted workers replay their shard journal, so a death
+//   "S <idx>" before an item, "F <idx>" after journaling it.  The parent
+//   polls the pipes and judges liveness from them alone: a worker silent
+//   past liveness_timeout_s is SIGKILLed; a dead worker (crash, signal,
+//   stall-kill) is restarted on the same shard with exponential backoff
+//   under a per-slot restart budget.  Restarted workers replay their shard journal, so a death
 //   costs at most the one in-flight item.
 //
 //   Blame and quarantine: the item a dead worker started ("S") but
@@ -39,11 +38,21 @@
 //   (workers drain like any cancelled sweep), then SIGKILLs stragglers.
 //
 //   run() finally merges every shard journal into the caller's
-//   checkpoint by key (util::merge_journal_file, heartbeat records
-//   dropped).  Because keys are content-derived and workers are
-//   deterministic, duplicated records agree and the merged journal
-//   replays into results and a SweepReport bit-identical to a
-//   single-process, single-thread run.
+//   checkpoint by key (util::merge_journal_file).  Because keys are
+//   content-derived and workers are deterministic, duplicated records
+//   agree and the merged journal replays into results and a SweepReport
+//   bit-identical to a single-process, single-thread run.
+//
+//   Given a columnar merge destination, each worker also spills result
+//   rows into a private columnar store shard<k>.mtc next to its journal,
+//   in blocks of the destination's rows_per_block (append-reopened
+//   across restarts, so a restart keeps every block an earlier life
+//   flushed), and run() merges the shard stores into the destination
+//   like the shard journals -- first block per tag wins.  The item body
+//   must then (1) flush at most one block per tag, so rows_per_block must
+//   be >= the most rows one item emits, and (2) flush the block *before*
+//   journaling the item's completion, so a journaled item always has its
+//   rows on disk and a re-run duplicate is bitwise identical.
 //
 // Fork-safety: workers are forked directly (no exec) and must not touch
 // threads or locks created before the fork -- they run their sweep on a
@@ -85,19 +94,6 @@ struct SupervisorOptions {
   double drain_timeout_s = 5.0;     ///< graceful-exit window after SIGTERM
   util::CancelToken* cancel_token = nullptr;  ///< nullptr = global token
   util::JournalOptions journal = {};          ///< worker journal durability
-  /// Each worker also spills result rows into a private columnar store
-  /// shard<k>.mtc next to its journal (append-reopened across restarts,
-  /// so a restart keeps every block an earlier life flushed), and run()
-  /// merges the shard stores into its caller's campaign store exactly
-  /// like the shard journals -- first block per tag wins.  Requires the
-  /// item body to (1) flush at most one block per tag and (2) flush the
-  /// block *before* journaling the item's completion, so a journaled
-  /// item always has its rows on disk and a re-run duplicate is bitwise
-  /// identical.  Off by default.
-  bool columnar_shards = false;
-  /// Block buffer of the workers' shard stores; must be >= the largest
-  /// row count one item emits, to keep blocks 1:1 with tags.
-  std::size_t columnar_rows_per_block = 4096;
 };
 
 struct SupervisorStats {
@@ -115,32 +111,28 @@ std::vector<std::pair<std::size_t, std::size_t>> plan_shards(std::size_t n_items
 
 class Supervisor {
  public:
-  /// `run_one(idx, ckpt)` evaluates item `idx` inside a worker process,
-  /// journaling its outcome into `ckpt` under `key_of(idx)`; it runs on
-  /// a 1-thread pool and must be deterministic.  `key_of` must match
-  /// the record `run_one` journals -- a typed item for sweeps, a text key
-  /// for campaign chunks -- and is used for replay skips and quarantine
-  /// stamps.
-  using ItemFn = std::function<void(std::size_t idx, Checkpoint& ckpt)>;
-  /// Columnar-aware item body: additionally receives the worker's shard
-  /// store (nullptr when columnar_shards is off) so streamed sweeps can
-  /// spill rows that run() later merges.  The body tags/flushes blocks
-  /// itself -- see SupervisorOptions::columnar_shards for the contract.
+  /// `run_one(idx, ckpt, columnar)` evaluates item `idx` inside a worker
+  /// process, journaling its outcome into `ckpt` under `key_of(idx)`; it
+  /// runs on a 1-thread pool and must be deterministic.  `columnar` is
+  /// the worker's shard store, or nullptr when run() has no columnar
+  /// destination; the body tags and flushes its blocks itself (see the
+  /// header for the contract).  `key_of` must match the record `run_one`
+  /// journals -- a typed item for sweeps, a text key for campaign chunks
+  /// -- and is used for replay skips and quarantine stamps.
   using SinkItemFn =
       std::function<void(std::size_t idx, Checkpoint& ckpt, util::ColumnarWriter* columnar)>;
   using KeyFn = std::function<Checkpoint::Key(std::size_t idx)>;
 
-  Supervisor(SupervisorOptions options, std::size_t n_items, ItemFn run_one, KeyFn key_of);
   Supervisor(SupervisorOptions options, std::size_t n_items, SinkItemFn run_one, KeyFn key_of);
 
   /// Supervise the sharded sweep to completion (or cancellation), then
   /// merge every shard journal into `merged` and stamp quarantined
-  /// items as kPoisonedItem records; with columnar_shards set, also
-  /// merge every shard store into `columnar` (required non-null then,
-  /// open for append).  `merged` must be armed.  Throws
-  /// std::invalid_argument on an unusable configuration (empty dir,
-  /// shards < 1, unarmed checkpoint, missing columnar dest) and
-  /// std::runtime_error on fork/pipe failure.
+  /// items as kPoisonedItem records; with a non-null `columnar` (open
+  /// for append), workers get shard stores and run() merges them into
+  /// it.  `merged` must be armed.  Throws std::invalid_argument on an
+  /// unusable configuration (empty dir, shards < 1, unarmed checkpoint,
+  /// a columnar destination that is not open) and std::runtime_error on
+  /// fork/pipe failure.
   SupervisorStats run(Checkpoint& merged, util::ColumnarWriter* columnar = nullptr);
 
  private:

@@ -207,7 +207,6 @@ void ColumnarWriter::open(const std::string& path, ColumnarOptions options) {
   path_ = path;
   options_ = options;
   truncated_bytes_ = 0;
-  rows_appended_ = 0;
   blocks_written_ = 0;
   if (options_.rows_per_block == 0) {
     throw std::invalid_argument("columnar: rows_per_block must be positive");
@@ -248,7 +247,6 @@ void ColumnarWriter::append(const std::string& key, const double* values, std::s
     std::memcpy(&bits, &values[c], sizeof(double));
     value_bits_.push_back(bits);
   }
-  ++rows_appended_;
   if (key_lens_.size() >= options_.rows_per_block) flush_locked();
 }
 
@@ -266,7 +264,6 @@ void ColumnarWriter::flush() {
 
 void ColumnarWriter::discard() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  rows_appended_ -= key_lens_.size();
   key_lens_.clear();
   key_blob_.clear();
   value_bits_.clear();

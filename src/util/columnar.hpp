@@ -90,6 +90,7 @@ class ColumnarWriter {
   void open(const std::string& path, ColumnarOptions options = {});
   bool is_open() const { return fd_ >= 0; }
   const std::string& path() const { return path_; }
+  std::size_t rows_per_block() const { return options_.rows_per_block; }
 
   /// Buffer one row under the current tag.  Flushes automatically when
   /// the buffer reaches rows_per_block, and also when `n` differs from
@@ -117,8 +118,6 @@ class ColumnarWriter {
 
   /// Bytes of torn tail discarded by open() (0 for a clean file).
   std::size_t truncated_bytes() const { return truncated_bytes_; }
-  /// Rows appended since open() (diagnostics).
-  std::size_t rows_appended() const { return rows_appended_; }
   /// Blocks written since open() (diagnostics).
   std::size_t blocks_written() const { return blocks_written_; }
 
@@ -137,7 +136,6 @@ class ColumnarWriter {
   std::vector<std::uint64_t> value_bits_;  ///< row-major; transposed at flush
   std::size_t block_cols_ = 0;
   std::size_t truncated_bytes_ = 0;
-  std::size_t rows_appended_ = 0;
   std::size_t blocks_written_ = 0;
 };
 

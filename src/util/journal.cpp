@@ -210,12 +210,6 @@ void format_record_into(std::string& out, const std::string& key, const std::str
   out += '\n';
 }
 
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
-
 /// Registry records "ctx:<16 lowercase hex id>" map a context id to its
 /// key prefix.
 bool context_id(const std::string& key, std::uint64_t& id) {
@@ -245,6 +239,12 @@ std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
   }
   for (; size > 0; --size, ++p) crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   return ~crc;
+}
+
+std::string hex16(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
+  return buf;
 }
 
 std::uint64_t fnv1a64(const void* data, std::size_t size, std::uint64_t seed) {
@@ -665,8 +665,7 @@ void Journal::for_each(const Visitor& fn) const {
   }
 }
 
-std::size_t merge_journal_file(Journal& dest, const std::string& source_path,
-                               const std::function<bool(const std::string& key)>& skip) {
+std::size_t merge_journal_file(Journal& dest, const std::string& source_path) {
   // Journal::open O_CREATs; probe first so a missing source is an error
   // instead of a silently-created empty journal.
   if (::access(source_path.c_str(), F_OK) != 0) {
@@ -688,10 +687,8 @@ std::size_t merge_journal_file(Journal& dest, const std::string& source_path,
   }
   const std::size_t registrations = batch.size();
 
-  std::vector<std::pair<std::string, std::string>> records;
-  for (const auto& [key, value] : source.latest_) {
-    if (!(skip && skip(key))) records.emplace_back(key, value);
-  }
+  std::vector<std::pair<std::string, std::string>> records(source.latest_.begin(),
+                                                           source.latest_.end());
   std::sort(records.begin(), records.end());
   for (auto& [key, value] : records) {
     const std::optional<std::string> existing = dest.find(key);

@@ -5,7 +5,7 @@
 //   J2 <crc32-hex> <bits> <count> <text-bytes>\n<count items><text>\n
 //
 // J1 is a text record: (key, value) byte strings -- run metadata,
-// bisection state, daemon requests, campaign chunks, heartbeats.  Keys
+// context registrations, daemon requests, campaign chunks.  Keys
 // must not be empty; embedded newlines are fine because the header
 // carries exact lengths.  Its crc32 covers key+value.
 //
@@ -71,6 +71,9 @@ std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed = 0);
 /// 64-bit FNV-1a.
 std::uint64_t fnv1a64(const void* data, std::size_t size,
                       std::uint64_t seed = 1469598103934665603ull);
+
+/// `v` as 16 lowercase hex digits.
+std::string hex16(std::uint64_t v);
 
 /// 64-bit words per packed vector of `bits` bits.
 constexpr std::size_t item_words(std::uint32_t bits) { return (bits + 63u) / 64u; }
@@ -203,8 +206,7 @@ class Journal {
   void for_each(const Visitor& fn) const;
 
  private:
-  friend std::size_t merge_journal_file(Journal&, const std::string&,
-                                        const std::function<bool(const std::string&)>&);
+  friend std::size_t merge_journal_file(Journal&, const std::string&);
   /// An item's latest record (then its failure text) in chunks_.
   struct Item {
     const char* at;
@@ -260,13 +262,11 @@ std::string format_journal_record(const std::string& key, const std::string& val
 /// its context registrations, then the latest value per text key (sorted)
 /// and per item (sorted by width and key bytes), skipping records `dest`
 /// already holds unchanged, so the merged bytes depend only on the record
-/// sets.  `skip` drops matching text keys (the supervisor drops worker
-/// heartbeats).  The source is replayed with open()'s torn-tail
+/// sets.  The source is replayed with open()'s torn-tail
 /// truncation, so a SIGKILLed worker's journal merges cleanly.  Returns
 /// the text and item records appended.  Throws std::runtime_error if the
 /// source cannot be read, and a kInvalidArgument NumericalError if a
 /// source context collides with a different `dest` context.
-std::size_t merge_journal_file(Journal& dest, const std::string& source_path,
-                               const std::function<bool(const std::string& key)>& skip = {});
+std::size_t merge_journal_file(Journal& dest, const std::string& source_path);
 
 }  // namespace mtcmos::util

@@ -190,6 +190,10 @@ class JsonParser {
       pos_ = begin;
       fail("invalid number");
     }
+    if (!std::isfinite(value)) {  // JSON cannot carry inf: 1e999 overflowed
+      pos_ = begin;
+      fail("number out of range");
+    }
     JsonPtr v = JsonValue::make(JsonValue::Kind::kNumber);
     v->number_ = value;
     return v;
@@ -293,11 +297,6 @@ double JsonValue::number_or(const std::string& key, double fallback) const {
 std::string JsonValue::string_or(const std::string& key, const std::string& fallback) const {
   JsonPtr v = get(key);
   return v == nullptr ? fallback : v->as_string();
-}
-
-bool JsonValue::bool_or(const std::string& key, bool fallback) const {
-  JsonPtr v = get(key);
-  return v == nullptr ? fallback : v->as_bool();
 }
 
 const std::vector<std::string>& JsonValue::object_keys() const {

@@ -11,9 +11,12 @@
 // shortest decimal that round-trips to the exact bit pattern, so a
 // table built from replayed bit-exact doubles is byte-stable.
 
+#include <cmath>
 #include <cstddef>
+#include <limits>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -28,10 +31,6 @@ class JsonValue {
 
   Kind kind() const { return kind_; }
   bool is_object() const { return kind_ == Kind::kObject; }
-  bool is_array() const { return kind_ == Kind::kArray; }
-  bool is_number() const { return kind_ == Kind::kNumber; }
-  bool is_string() const { return kind_ == Kind::kString; }
-  bool is_bool() const { return kind_ == Kind::kBool; }
 
   /// Typed accessors throw std::runtime_error naming the expected kind on
   /// mismatch, so spec errors surface as readable messages, not UB.
@@ -47,7 +46,11 @@ class JsonValue {
   /// Convenience: field value or a default when absent.
   double number_or(const std::string& key, double fallback) const;
   std::string string_or(const std::string& key, const std::string& fallback) const;
-  bool bool_or(const std::string& key, bool fallback) const;
+  /// number_or as an `Int`, its fraction dropped.  Throws
+  /// std::invalid_argument naming the field when the number lies outside
+  /// Int's range, before the cast could overflow.
+  template <typename Int>
+  Int integer_or(const std::string& key, Int fallback) const;
 
   /// Object keys in file order (spec diagnostics / strict-field checks).
   const std::vector<std::string>& object_keys() const;
@@ -66,7 +69,8 @@ class JsonValue {
 };
 
 /// Parse a complete JSON document.  Throws std::runtime_error with a
-/// line:column position on malformed input or trailing garbage.
+/// line:column position on malformed input, a number too large for a
+/// double (JSON cannot carry inf), or trailing garbage.
 JsonPtr parse_json(const std::string& text);
 
 /// The first of %.15g, %.16g, %.17g that strtod()s back to exactly `v`
@@ -78,5 +82,19 @@ std::string json_double(double v);
 
 /// Escape and quote `s` as a JSON string literal.
 std::string json_string(const std::string& s);
+
+template <typename Int>
+Int JsonValue::integer_or(const std::string& key, Int fallback) const {
+  const JsonPtr v = get(key);
+  if (v == nullptr) return fallback;
+  const double d = std::trunc(v->as_number());
+  // Int's range is [min, 2^digits); both ends are exact doubles.
+  constexpr double kEnd = 2.0 * static_cast<double>(std::numeric_limits<Int>::max() / 2 + 1);
+  if (!(d >= static_cast<double>(std::numeric_limits<Int>::min()) && d < kEnd)) {
+    throw std::invalid_argument(key + " is out of range (" + json_double(v->as_number()) +
+                                ")");
+  }
+  return static_cast<Int>(d);
+}
 
 }  // namespace mtcmos::util

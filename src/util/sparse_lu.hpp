@@ -84,9 +84,6 @@ class SparseLu {
   /// scratch is an internal member, so no per-call vectors are created.
   void solve_inplace(std::vector<double>& b) const;
 
-  /// Number of stored entries including fill (diagnostics).
-  std::size_t nnz() const { return values_.size(); }
-
   /// y = A x with the currently *stamped* values (not the factorization).
   /// External indexing.  Used to verify solve quality in diagnostics and
   /// tests.

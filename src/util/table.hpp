@@ -21,8 +21,6 @@ class Table {
   void print(std::ostream& os) const;
   void write_csv(std::ostream& os) const;
 
-  std::size_t row_count() const { return rows_.size(); }
-
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;

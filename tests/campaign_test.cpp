@@ -127,6 +127,26 @@ TEST(CampaignSpecParse, RejectsSemanticErrors) {
                std::invalid_argument);
 }
 
+// Integer fields are range-checked before their cast: an out-of-range
+// count, seed or chunk is a spec error, never undefined behaviour.
+TEST(CampaignSpecParse, RejectsOutOfRangeIntegers) {
+  const auto sampled = [](const std::string& fields) {
+    return R"({"circuit": "x", "wl_grid": [1], "vectors": {"mode": "sampled", )" + fields +
+           "}}";
+  };
+  EXPECT_THROW(CampaignSpec::parse(sampled(R"("count": 1e10)")), std::invalid_argument);
+  EXPECT_THROW(CampaignSpec::parse(sampled(R"("count": 4, "seed": -1)")),
+               std::invalid_argument);
+  EXPECT_THROW(CampaignSpec::parse(sampled(R"("count": 4, "seed": 1e300)")),
+               std::invalid_argument);
+  EXPECT_THROW(CampaignSpec::parse(R"({"circuit": "x", "wl_grid": [1], "chunk": 1e300})"),
+               std::invalid_argument);
+  EXPECT_THROW(CampaignSpec::parse(R"({"circuit": "x", "wl_grid": [1], "chunk": 1e999})"),
+               std::runtime_error);  // overflows the double itself
+  const auto spec = CampaignSpec::parse(sampled(R"("count": 4, "seed": 18446744073709549568)"));
+  EXPECT_EQ(spec.seed, 18446744073709549568ull);  // the largest double below 2^64
+}
+
 TEST(CampaignSpecParse, MalformedJsonReportsPosition) {
   try {
     CampaignSpec::parse("{\n  \"circuit\": oops\n}");

@@ -42,7 +42,6 @@ namespace {
 
 using circuits::make_inverter_tree;
 using circuits::make_ripple_adder;
-using sizing::BisectState;
 using sizing::Checkpoint;
 using sizing::checkpoint_item_key;
 using sizing::checkpoint_prefix;
@@ -282,22 +281,6 @@ TEST_F(CheckpointTest, FailureOutcomeRoundTripsWithSiteAndContext) {
   EXPECT_EQ(back.failure.site, info.site);
   EXPECT_EQ(back.failure.context, info.context);
   EXPECT_EQ(back.failure.attempts, 2);
-}
-
-TEST_F(CheckpointTest, BisectStateRoundTrips) {
-  Checkpoint ckpt;
-  ckpt.open(path());
-  const BisectState s{3, 1.5, 800.0, 4.75, 17, 9};
-  ckpt.record_bisect("bs", s);
-  BisectState back;
-  ASSERT_TRUE(ckpt.lookup_bisect("bs", back));
-  EXPECT_EQ(back.phase, 3);
-  EXPECT_EQ(back.lo, 1.5);
-  EXPECT_EQ(back.hi, 800.0);
-  EXPECT_EQ(back.hi_deg, 4.75);
-  EXPECT_EQ(back.hi_idx, 17u);
-  EXPECT_EQ(back.probes, 9u);
-  EXPECT_FALSE(ckpt.lookup_bisect("other", back));
 }
 
 /// Bit patterns the decoder must carry unchanged: signed zero, both
@@ -740,18 +723,45 @@ TEST_F(CheckpointTest, KilledSizingResumesBitIdenticallyOnVbs) {
   EXPECT_EQ(merged.degradation_pct, reference.degradation_pct);
   EXPECT_TRUE(same_pair(merged.binding_vector, reference.binding_vector));
 
-  // The bisection-state record tracked the run to completion.
-  const std::uint64_t fp = netlist_fingerprint(adder.netlist, outs);
-  const sizing::SizingBounds bounds;
-  BisectState state;
-  ASSERT_TRUE(resumed.lookup_bisect(
-      checkpoint_prefix_nowl("bisect", vbs.name(),
-                             sizing::sizing_args_hash(fp, vbs.name(), vectors, 5.0,
-                                                      bounds.wl_min, bounds.wl_max,
-                                                      bounds.wl_tol)),
-      state));
-  EXPECT_EQ(state.phase, 3);
-  EXPECT_LE(state.hi - state.lo, bounds.wl_tol);
+  // A sizing journal holds only context registrations and item records.
+  EXPECT_EQ(resumed.journal().size(), resumed.journal().item_count());
+}
+
+// Journals from builds that wrote bisection-state and worker heartbeat
+// text records still open and resume bit-identically; nothing reads or
+// rewrites those records.
+TEST_F(CheckpointTest, JournalWithRetiredBisectAndHeartbeatRecordsResumes) {
+  const auto adder = make_ripple_adder(tech07(), 2);
+  const VbsBackend vbs(adder.netlist, adder_outputs(adder));
+  const auto vectors = sizing::all_vector_pairs(4);
+  const auto reference = sizing::size_for_degradation(vbs, vectors, 5.0);
+
+  const std::string bisect_key = "bisect:vbs:0123456789abcdef:";
+  const std::string bisect_value =
+      "bs 3 3ff0000000000000 4059000000000000 4014000000000000 17 9";
+  std::size_t items = 0;
+  {
+    Checkpoint old;
+    old.open(path());
+    old.journal().append(bisect_key, bisect_value);
+    old.journal().append("hb:0", "12");
+    EvalSession session;
+    session.checkpoint = &old;
+    (void)sizing::size_for_degradation(vbs, vectors, 5.0, {}, session);
+    items = old.journal().item_count();
+  }
+
+  Checkpoint resumed;
+  resumed.open(path());
+  EvalSession session;
+  session.checkpoint = &resumed;
+  const auto merged = sizing::size_for_degradation(vbs, vectors, 5.0, {}, session);
+  EXPECT_EQ(merged.wl, reference.wl);
+  EXPECT_EQ(merged.degradation_pct, reference.degradation_pct);
+  EXPECT_TRUE(same_pair(merged.binding_vector, reference.binding_vector));
+  EXPECT_EQ(resumed.journal().item_count(), items);  // every probe replayed
+  EXPECT_EQ(resumed.journal().find(bisect_key), bisect_value);
+  EXPECT_EQ(resumed.journal().find("hb:0"), "12");
 }
 
 TEST_F(CheckpointTest, KilledRankResumesBitIdenticallyOnSpice) {

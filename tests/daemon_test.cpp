@@ -287,6 +287,25 @@ class DaemonTest : public ::testing::Test {
     return std::atol(line.c_str() + pos + key.size() + 3);
   }
 
+  /// Send `request` to a fresh daemon: it must answer bad-request before
+  /// any ack and journal nothing.
+  void expect_rejected_unjournaled(const std::string& request) {
+    const ChildProcess child = start(state("a"));
+    auto ch = connect();
+    EXPECT_TRUE(ch->send(request));
+    const std::string answer = recv_line(*ch);
+    EXPECT_TRUE(has(answer, "\"code\":\"bad-request\"")) << answer;
+    EXPECT_TRUE(ch->send("{\"op\":\"drain\"}"));
+    const std::string drained = recv_line(*ch);
+    EXPECT_TRUE(has(drained, "\"op\":\"drain\"")) << drained;  // not an ack of `request`
+    EXPECT_EQ(wait_exit(child).exit_code, 0);
+    util::Journal journal;
+    journal.open(state("a") + "/requests.mtj");
+    journal.for_each_text([](const std::string& key, const std::string& value) {
+      EXPECT_NE(key.rfind("req:", 0), 0u) << key << " -> " << value;
+    });
+  }
+
   fs::path dir_;
   std::vector<pid_t> running_;
 };
@@ -361,6 +380,46 @@ TEST_F(DaemonTest, RankStreamsRowsAndDuplicateRequestIsAllDedupHits) {
 
   EXPECT_TRUE(ch->send("{\"op\":\"drain\"}"));
   EXPECT_EQ(wait_exit(child).exit_code, 0);
+}
+
+// The request key is a compatibility contract: journals and clients
+// written by earlier builds hold it, so the same request bytes must ack
+// with the same key.
+TEST_F(DaemonTest, RankRequestKeyIsPinned) {
+  const ChildProcess child = start(state("a"));
+  auto ch = connect();
+  const Stream s = exchange(*ch, kRank);
+  EXPECT_TRUE(has(s.ack, "\"req\":\"2fc79c02986d31d6\"")) << s.ack;
+  EXPECT_TRUE(has(s.terminal, "\"type\":\"done\"")) << s.terminal;
+  EXPECT_TRUE(ch->send("{\"op\":\"drain\"}"));
+  EXPECT_EQ(wait_exit(child).exit_code, 0);
+}
+
+// Out-of-range numbers are rejected at admission, one field at a time:
+// nothing reaches the journal in a form a restart cannot re-parse, and no
+// cast or clock arithmetic overflows.
+TEST_F(DaemonTest, WlThatOverflowsADoubleIsABadRequest) {
+  expect_rejected_unjournaled(R"({"op":"rank","circuit":"builtin:adder2","wl":1e999})");
+}
+
+TEST_F(DaemonTest, DeadlineTooLongForTheClockIsABadRequest) {
+  expect_rejected_unjournaled(
+      R"({"op":"rank","circuit":"builtin:adder2","wl":6,"deadline_s":1e300})");
+}
+
+TEST_F(DaemonTest, VectorsOutsideIntIsABadRequest) {
+  expect_rejected_unjournaled(
+      R"({"op":"rank","circuit":"builtin:adder2","wl":6,"vectors":1e10})");
+}
+
+TEST_F(DaemonTest, SeedOutsideUint64IsABadRequest) {
+  expect_rejected_unjournaled(R"({"op":"rank","circuit":"builtin:adder2","wl":6,"seed":1e300})");
+  fs::remove_all(state("a"));
+  expect_rejected_unjournaled(R"({"op":"rank","circuit":"builtin:adder2","wl":6,"seed":-1})");
+}
+
+TEST_F(DaemonTest, SleepTooLongForTheClockIsABadRequest) {
+  expect_rejected_unjournaled(R"({"op":"sleep","seconds":1e300})");
 }
 
 TEST_F(DaemonTest, SizeAndVerifyReturnSizingFields) {

@@ -23,7 +23,6 @@ namespace mtcmos {
 namespace {
 
 using circuits::make_ripple_adder;
-using sizing::SweepPolicy;
 using sizing::VbsBackend;
 using sizing::VectorDelay;
 using sizing::VectorPair;
@@ -130,7 +129,7 @@ TEST_F(FaultInject, RankVectorsIsolatesOneFaultPerSite) {
   EXPECT_EQ(report.failures[2].first, 200u);
   for (const auto& [index, info] : report.failures) {
     EXPECT_EQ(info.code, FailureCode::kInjected) << "index " << index;
-    EXPECT_EQ(info.attempts, SweepPolicy{}.max_attempts) << "index " << index;
+    EXPECT_EQ(info.attempts, sizing::kItemAttempts) << "index " << index;
   }
 
   // No-fault serial reference over the surviving subset.
@@ -183,24 +182,6 @@ TEST_F(FaultInject, SweepRetryAbsorbsSingleHitFault) {
     EXPECT_EQ(ranked[i].degradation_pct, reference[i].degradation_pct) << "rank " << i;
     EXPECT_EQ(ranked[i].pair.v0, reference[i].pair.v0) << "rank " << i;
   }
-}
-
-// With isolation off a sweep keeps the pre-robustness contract: the first
-// failure is rethrown.
-TEST_F(FaultInject, IsolationOffRethrowsFirstFailure) {
-  const auto adder = make_ripple_adder(tech07(), 2);
-  const VbsBackend eval(adder.netlist, adder_outputs(adder));
-  const auto vectors = sizing::all_vector_pairs(4);
-
-  faultinject::arm(faultinject::Site::kSweepItem, /*scope=*/42, /*fail_hits=*/-1);
-  util::ThreadPool serial(1);
-  SweepReport report;
-  SweepPolicy hard_stop;
-  hard_stop.isolate = false;
-  hard_stop.max_attempts = 1;
-  EXPECT_THROW(sizing::rank_vectors(eval, vectors, 10.0,
-                                    {.pool = &serial, .policy = hard_stop, .report = &report}),
-               NumericalError);
 }
 
 // A seeded Newton divergence recovers through the ladder: attempt 1 eats

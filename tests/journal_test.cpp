@@ -485,7 +485,6 @@ TEST_F(JournalTest, MergeJournalFileDedupsSkipsAndCounts) {
   source.append("shared-same", "1");
   source.append("shared-stale", "old");
   source.append("shared-stale", "new");  // latest per key wins
-  source.append("hb:0", "beat");
   source.append("fresh", "f");
   source.close();
 
@@ -493,15 +492,12 @@ TEST_F(JournalTest, MergeJournalFileDedupsSkipsAndCounts) {
   dest.open(path("dest.mtj"));
   dest.append("shared-same", "1");    // identical -> not re-appended
   dest.append("shared-stale", "old");  // differs -> source's latest appended
-  const std::size_t appended = mtcmos::util::merge_journal_file(
-      dest, path("source.mtj"),
-      [](const std::string& key) { return key.rfind("hb:", 0) == 0; });
+  const std::size_t appended = mtcmos::util::merge_journal_file(dest, path("source.mtj"));
   EXPECT_EQ(appended, 2u);  // shared-stale + fresh
   EXPECT_EQ(dest.size(), 3u);
   EXPECT_EQ(*dest.find("shared-same"), "1");
   EXPECT_EQ(*dest.find("shared-stale"), "new");
   EXPECT_EQ(*dest.find("fresh"), "f");
-  EXPECT_FALSE(dest.contains("hb:0"));
 }
 
 TEST_F(JournalTest, MergeJournalFileAppendsInSortedKeyOrder) {
@@ -514,7 +510,7 @@ TEST_F(JournalTest, MergeJournalFileAppendsInSortedKeyOrder) {
 
   Journal dest;
   dest.open(path("dest.mtj"));
-  EXPECT_EQ(mtcmos::util::merge_journal_file(dest, path("source.mtj"), {}), 3u);
+  EXPECT_EQ(mtcmos::util::merge_journal_file(dest, path("source.mtj")), 3u);
   dest.close();
   // Sorted visitation makes the merged bytes deterministic regardless of
   // the source's (insertion-ordered) record sequence.
@@ -542,7 +538,7 @@ TEST_F(JournalTest, MergeJournalFileTruncatesTornSourceTail) {
   }
   Journal dest;
   dest.open(path("dest.mtj"));
-  EXPECT_EQ(mtcmos::util::merge_journal_file(dest, path("source.mtj"), {}), 1u);
+  EXPECT_EQ(mtcmos::util::merge_journal_file(dest, path("source.mtj")), 1u);
   EXPECT_EQ(*dest.find("whole"), "w");
   EXPECT_FALSE(dest.contains("torn"));
 }
@@ -550,7 +546,7 @@ TEST_F(JournalTest, MergeJournalFileTruncatesTornSourceTail) {
 TEST_F(JournalTest, MergeJournalFileMissingSourceThrows) {
   Journal dest;
   dest.open(path("dest.mtj"));
-  EXPECT_THROW(mtcmos::util::merge_journal_file(dest, path("no-such.mtj"), {}),
+  EXPECT_THROW(mtcmos::util::merge_journal_file(dest, path("no-such.mtj")),
                std::runtime_error);
 }
 

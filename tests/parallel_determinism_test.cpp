@@ -231,6 +231,27 @@ TEST_F(EmissionContractTest, RowsComeFromTheCallingThreadInInputOrder) {
   }
 }
 
+/// Records rows like RecordingSink, but throws an injected failure at
+/// row `fail_at` instead of recording it.
+class FailingSink final : public ResultSink {
+ public:
+  explicit FailingSink(std::size_t fail_at) : fail_at_(fail_at) {}
+
+  void on_delay(const std::string& key, const VectorDelay& row) override {
+    if (recorded.rows.size() == fail_at_) {
+      throw NumericalError({FailureCode::kInjected, "test::FailingSink",
+                            "row " + std::to_string(fail_at_)});
+    }
+    recorded.on_delay(key, row);
+  }
+  void on_value(const std::string& key, double value) override { recorded.on_value(key, value); }
+
+  RecordingSink recorded;
+
+ private:
+  std::size_t fail_at_;
+};
+
 TEST_F(EmissionContractTest, NonIsolatedFailureEmitsThePrefixAndJournalsEveryItem) {
   const auto pairs = adder_pairs();
   const std::vector<std::string> expected = reference(pairs);
@@ -239,26 +260,23 @@ TEST_F(EmissionContractTest, NonIsolatedFailureEmitsThePrefixAndJournalsEveryIte
     util::ThreadPool pool(threads);
     Checkpoint ckpt;
     ckpt.open((dir_ / ("t" + std::to_string(threads) + ".mtj")).string());
-    faultinject::arm(faultinject::Site::kSweepItem, static_cast<std::int64_t>(kFailing), -1);
-    RecordingSink sink;
+    FailingSink failing(kFailing);
+    const RecordingSink& sink = failing.recorded;
     EvalSession session;
     session.pool = &pool;
-    session.sink = &sink;
+    session.sink = &failing;
     session.batch = kBatch;
     session.checkpoint = &ckpt;
-    session.policy.isolate = false;
     try {
       rank_vectors_stream(eval_, pairs, 8.0, session);
-      ADD_FAILURE() << "the non-isolated failure did not propagate (" << threads << " threads)";
+      ADD_FAILURE() << "the sink's failure did not propagate (" << threads << " threads)";
     } catch (const NumericalError& e) {
       EXPECT_EQ(e.info().code, FailureCode::kInjected);
     }
-    faultinject::disarm_all();
     const std::vector<std::string> prefix(expected.begin(), expected.begin() + kFailing);
     EXPECT_EQ(sink.rows, prefix) << threads << " threads";
     expect_caller_only(sink);
-    // Every chunk ran to its end: the failing item's terminal failure
-    // and every other item are journaled.
+    // Every chunk ran to its end: every item is journaled.
     EXPECT_EQ(ckpt.journal().item_count(), pairs.size()) << threads << " threads";
   }
 }

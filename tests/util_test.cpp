@@ -532,5 +532,27 @@ TEST(JsonDouble, NonFiniteValuesAreNull) {
   EXPECT_EQ(out, "[null");
 }
 
+// JSON cannot carry inf, so a number that overflows a double is malformed
+// input, not a value to pass on.  Underflow to zero is still a value.
+TEST(JsonParse, RejectsNumbersThatOverflowADouble) {
+  EXPECT_THROW(util::parse_json(R"({"wl":1e999})"), std::runtime_error);
+  EXPECT_THROW(util::parse_json("-1e400"), std::runtime_error);
+  EXPECT_EQ(util::parse_json("1e308")->as_number(), 1e308);
+  EXPECT_EQ(util::parse_json("1e-999")->as_number(), 0.0);
+}
+
+TEST(JsonParse, IntegerFieldsAreRangeCheckedBeforeTheCast) {
+  const util::JsonPtr doc =
+      util::parse_json(R"({"big":1e10,"neg":-1,"frac":7.9,"two64":18446744073709551616})");
+  EXPECT_THROW(doc->integer_or("big", 0), std::invalid_argument);
+  EXPECT_EQ(doc->integer_or<std::int64_t>("big", 0), 10000000000);
+  EXPECT_THROW(doc->integer_or<std::uint64_t>("neg", 0), std::invalid_argument);
+  EXPECT_EQ(doc->integer_or("neg", 0), -1);
+  EXPECT_EQ(doc->integer_or("frac", 0), 7);
+  EXPECT_EQ(doc->integer_or("absent", 5), 5);
+  EXPECT_THROW(doc->integer_or<std::uint64_t>("two64", 0), std::invalid_argument);
+  EXPECT_THROW(doc->integer_or<std::int64_t>("two64", 0), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace mtcmos
