@@ -10,8 +10,9 @@
 //
 // Next comes the batch VBS kernel benchmark: the full 4096-vector adder
 // sweep through the scalar per-vector path and through the SoA batch
-// kernel single-threaded, plus a multi-threaded batch leg on
-// min(4, threads) threads, verifying bit-identity of every leg and
+// kernel single-threaded, 4096 sampled 4-bit multiplier transitions
+// through the batch kernel (ungated timing), plus a multi-threaded batch
+// leg on min(4, threads) threads, verifying bit-identity of every leg and
 // writing BENCH_vbs.json (including the MTCMOS_NATIVE flag and
 // compile-time SIMD ISA, so perf baselines are never compared across
 // instruction sets).  --only vbs.<sub> narrows the run to one leg.
@@ -57,6 +58,7 @@
 #include "netlist/bits.hpp"
 #include "sizing/sizing.hpp"
 #include "sizing/spice_ref.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
@@ -315,11 +317,12 @@ int backend_benchmark(const std::string& json_path) {
 // always run) and through the SoA batch kernel in chunks of `batch` on one
 // thread, plus a multi-threaded batch leg on min(4, threads) threads
 // (chunks fan out over the thread pool, one workspace per thread), the
-// configuration the <= 10 ms sweep target is specified against.  Every
-// leg's delay array must be bit-identical to the scalar reference.  Legs
-// are timed best-of-3 so the committed baseline is not hostage to a
-// scheduler hiccup.  `sub` restricts the run to one leg (--only
-// vbs.scalar|cohort; empty runs everything including the MT leg).  Writes BENCH_vbs.json
+// configuration the <= 10 ms sweep target is specified against, and a
+// 4-bit multiplier leg (below).  Every leg's delay array must be
+// bit-identical to the scalar reference.  Legs are timed best-of-3 so the
+// committed baseline is not hostage to a scheduler hiccup.  `sub`
+// restricts the run (--only vbs.scalar|cohort; cohort also runs the
+// multiplier leg, and empty adds the MT leg).  Writes BENCH_vbs.json
 // including the MTCMOS_NATIVE flag and the compile-time SIMD ISA, so
 // check_bench.py never compares speedups across instruction sets.
 int vbs_benchmark(std::size_t batch, int threads, const std::string& sub,
@@ -390,6 +393,44 @@ int vbs_benchmark(std::size_t batch, int threads, const std::string& sub,
     cohort.ran = true;
   }
 
+  // Wide-circuit leg: 4096 seeded sampled transitions of the 4-bit CSA
+  // multiplier (96 gates, a few of them driving per lane at each
+  // breakpoint) through the batch kernel on one thread at the same batch
+  // size.  Its timing is reported but not gated; the scalar reference
+  // covers the first 512 lanes only, to keep the suite short, and its
+  // bit-identity folds into `identical`.
+  const double mult4_wl = 50.0;
+  const std::size_t mult4_n = 4096, mult4_ref = 512;
+  Leg mult4;
+  if (all || sub == "cohort") {
+    const auto mult = circuits::make_csa_multiplier(tech03(), 4);
+    std::vector<std::string> mouts;
+    for (const auto p : mult.p) mouts.push_back(mult.netlist.net_name(p));
+    core::VbsOptions mopt;
+    mopt.sleep_resistance = SleepTransistor(tech03(), mult4_wl).reff();
+    const core::VbsSimulator msim(mult.netlist, mopt);
+    const core::VbsBatchSimulator mbsim(msim);
+    Rng rng(20261017);
+    const auto mpairs = sizing::sampled_vector_pairs(static_cast<int>(mult.netlist.inputs().size()),
+                                                     static_cast<int>(mult4_n), rng);
+    std::vector<core::VbsBatchItem> mitems;
+    mitems.reserve(mult4_n);
+    for (const auto& p : mpairs) mitems.push_back({&p.v0, &p.v1});
+    std::vector<core::VbsLaneResult> mlanes(mult4_n);
+    core::VbsBatchWorkspace bws;
+    mult4.seconds = best_of(3, [&] {
+      for (std::size_t off = 0; off < mult4_n; off += batch) {
+        mbsim.critical_delays(mitems.data() + off, std::min(batch, mult4_n - off), mouts, bws,
+                              mlanes.data() + off);
+      }
+    });
+    for (std::size_t i = 0; i < mult4_ref; ++i) {
+      const double ref = msim.critical_delay(mpairs[i].v0, mpairs[i].v1, mouts, ws);
+      if (!mlanes[i].ok || mlanes[i].delay != ref) mult4.identical = false;
+    }
+    mult4.ran = true;
+  }
+
   const int mt_threads = std::min(4, std::max(1, threads));
   if (all) {
     // Chunks are disjoint lane ranges, so concurrent workers write
@@ -413,7 +454,7 @@ int vbs_benchmark(std::size_t batch, int threads, const std::string& sub,
 #else
   const bool march_native = false;
 #endif
-  const bool identical = cohort.identical && mt.identical;
+  const bool identical = cohort.identical && mt.identical && mult4.identical;
   const double speedup = cohort.ran ? scalar_s / cohort.seconds : 1.0;
 
   std::cout << "VBS batch kernel, 3-bit adder, " << n << " vector pairs, W/L = " << wl
@@ -422,6 +463,12 @@ int vbs_benchmark(std::size_t batch, int threads, const std::string& sub,
   if (cohort.ran) {
     std::cout << "  cohort   (1 thread): " << cohort.seconds << " s  (" << us_of(cohort)
               << " us/vector)" << (cohort.identical ? "" : "  NOT IDENTICAL") << "\n";
+  }
+  if (mult4.ran) {
+    std::cout << "  mult4    (1 thread): " << mult4.seconds << " s  ("
+              << mult4.seconds / static_cast<double>(mult4_n) * 1e6 << " us/vector, "
+              << mult4_n << " sampled, W/L = " << mult4_wl << ", scalar check on "
+              << mult4_ref << ")" << (mult4.identical ? "" : "  NOT IDENTICAL") << "\n";
   }
   if (mt.ran) {
     std::cout << "  cohort   (" << mt_threads
@@ -452,6 +499,10 @@ int vbs_benchmark(std::size_t batch, int threads, const std::string& sub,
     json << "  \"batch_seconds\": " << cohort.seconds << ",\n"
          << "  \"batch_us_per_vector\": " << us_of(cohort) << ",\n"
          << "  \"sweep_ms\": " << cohort.seconds * 1e3 << ",\n";
+  }
+  if (mult4.ran) {
+    json << "  \"mult4_batch_us_per_vector\": "
+         << mult4.seconds / static_cast<double>(mult4_n) * 1e6 << ",\n";
   }
   if (mt.ran) {
     json << "  \"mt_threads\": " << mt_threads << ",\n"

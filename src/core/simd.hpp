@@ -15,12 +15,6 @@
 
 #if defined(MTCMOS_SIMD)
 #define MTCMOS_SIMD_LOOP _Pragma("omp simd")
-// MTCMOS_SIMD_ENABLED lets kernels pick between a branchless form (worth
-// it when the loop actually vectorizes) and a branchy scalar form that
-// issues fewer divisions (better when it will not).  Both forms must
-// write bit-identical values; only the schedule may differ.
-#define MTCMOS_SIMD_ENABLED 1
 #else
 #define MTCMOS_SIMD_LOOP
-#define MTCMOS_SIMD_ENABLED 0
 #endif

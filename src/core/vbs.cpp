@@ -21,6 +21,13 @@ using detail::kInf;
 using detail::Drive;
 using detail::InputEvent;
 
+/// Drive-current law I = (beta/2) u^alpha (paper Eq. 2).
+double drive_current(double beta, double u, double alpha) {
+  if (u <= 0.0) return 0.0;
+  if (alpha == 2.0) return 0.5 * beta * u * u;
+  return 0.5 * beta * std::pow(u, alpha);
+}
+
 }  // namespace
 
 VbsSimulator::VbsSimulator(const netlist::Netlist& nl, VbsOptions options)
@@ -69,14 +76,38 @@ VbsSimulator::VbsSimulator(const netlist::Netlist& nl, VbsOptions options,
   if (!(options_.deadline_s >= 0.0)) {
     bad_option("negative deadline_s " + std::to_string(options_.deadline_s));
   }
+  // A rising output's pull-up sees the full supply, so its slope is a
+  // per-gate constant.
+  const double pull_up_drive = std::max(nl_.tech().vdd - nl_.tech().pmos_low.vt0, 0.0);
   for (int g = 0; g < nl_.gate_count(); ++g) {
     beta_n_.push_back(nl_.beta_n_eff(g));
     beta_p_.push_back(nl_.beta_p_eff(g));
     const double cl = nl_.output_load(g);
     require(cl > 0.0, "VbsSimulator: gate " + nl_.gate(g).name + " drives zero capacitance");
     cload_.push_back(cl);
+    slope_up_.push_back(drive_current(beta_p_.back(), pull_up_drive, options_.alpha) / cl);
   }
   topo_ = nl_.topo_order();
+}
+
+const std::vector<std::uint64_t>& VbsSimulator::pulldown_tables() const {
+  std::call_once(pulldown_once_, [this] {
+    pulldown_tt_.assign(static_cast<std::size_t>(nl_.gate_count()), 0);
+    std::vector<bool> pins;
+    for (int g = 0; g < nl_.gate_count(); ++g) {
+      const netlist::Gate& gate = nl_.gate(g);
+      const std::size_t nf = gate.fanins.size();
+      if (nf > 6) continue;
+      pins.resize(nf);
+      std::uint64_t tt = 0;
+      for (std::uint32_t m = 0; m < (std::uint32_t{1} << nf); ++m) {
+        for (std::size_t p = 0; p < nf; ++p) pins[p] = ((m >> p) & 1u) != 0;
+        if (gate.pulldown.conducts(pins)) tt |= std::uint64_t{1} << m;
+      }
+      pulldown_tt_[static_cast<std::size_t>(g)] = tt;
+    }
+  });
+  return pulldown_tt_;
 }
 
 VbsResult VbsSimulator::run(const std::vector<bool>& v0, const std::vector<bool>& v1) const {
@@ -94,8 +125,6 @@ VbsResult VbsSimulator::run(const std::vector<bool>& v0, const std::vector<bool>
   const double vdd = tech.vdd;
   const double th = 0.5 * vdd;
   const double cx = options_.virtual_ground_cap;
-  const double vtp = tech.pmos_low.vt0;
-  const double pull_up_drive = std::max(vdd - vtp, 0.0);
   const int n_dom = static_cast<int>(domain_r_.size());
 
   VbsResult result;
@@ -207,11 +236,6 @@ VbsResult VbsSimulator::run(const std::vector<bool>& v0, const std::vector<bool>
   pending.clear();
 
   const double alpha = options_.alpha;
-  auto drive_current = [alpha](double beta, double u) {
-    if (u <= 0.0) return 0.0;
-    if (alpha == 2.0) return 0.5 * beta * u * u;
-    return 0.5 * beta * std::pow(u, alpha);
-  };
 
   std::vector<double>& beta_dom = ws.beta_dom;
   std::vector<double>& u_dom = ws.u_dom;
@@ -271,8 +295,8 @@ VbsResult VbsSimulator::run(const std::vector<bool>& v0, const std::vector<bool>
       target_low[static_cast<std::size_t>(d)] =
           options_.reverse_conduction ? std::min(vx_dom[static_cast<std::size_t>(d)], th) : 0.0;
       record_vx(d, t_now, vx_dom[static_cast<std::size_t>(d)]);
-      const double i_dom =
-          drive_current(beta_dom[static_cast<std::size_t>(d)], u_dom[static_cast<std::size_t>(d)]);
+      const double i_dom = drive_current(beta_dom[static_cast<std::size_t>(d)],
+                                         u_dom[static_cast<std::size_t>(d)], alpha);
       record_idom(d, t_now, i_dom);
       i_total_now += i_dom;
     }
@@ -287,13 +311,12 @@ VbsResult VbsSimulator::run(const std::vector<bool>& v0, const std::vector<bool>
           break;
         case Drive::kDown: {
           const double u = u_dom[static_cast<std::size_t>(gate_domain_[static_cast<std::size_t>(g)])];
-          st.slope = -drive_current(beta_n_[static_cast<std::size_t>(g)], u) /
+          st.slope = -drive_current(beta_n_[static_cast<std::size_t>(g)], u, alpha) /
                      cload_[static_cast<std::size_t>(g)];
           break;
         }
         case Drive::kUp:
-          st.slope = drive_current(beta_p_[static_cast<std::size_t>(g)], pull_up_drive) /
-                     cload_[static_cast<std::size_t>(g)];
+          st.slope = slope_up_[static_cast<std::size_t>(g)];
           break;
       }
     }
@@ -372,8 +395,8 @@ VbsResult VbsSimulator::run(const std::vector<bool>& v0, const std::vector<bool>
       } else {
         record_vx(d, t_now, eq_dom[static_cast<std::size_t>(d)].vx);
       }
-      const double i_dom =
-          drive_current(beta_dom[static_cast<std::size_t>(d)], u_dom[static_cast<std::size_t>(d)]);
+      const double i_dom = drive_current(beta_dom[static_cast<std::size_t>(d)],
+                                         u_dom[static_cast<std::size_t>(d)], alpha);
       record_idom(d, t_now, i_dom);
       i_total_end += i_dom;
     }

@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -178,6 +179,12 @@ class VbsSimulator {
  private:
   friend class VbsBatchSimulator;  // SoA batch kernel (vbs_batch.hpp)
 
+  /// Per-gate pulldown truth tables for the batch kernel: bit m of entry g
+  /// is SpExpr::conducts for fanin assignment m (fanin p = bit p), for
+  /// gates with <= 6 fanins (wider gates keep the expression walk).  Built
+  /// on first use, so a simulator that never runs a batch never pays.
+  const std::vector<std::uint64_t>& pulldown_tables() const;
+
   const netlist::Netlist& nl_;
   VbsOptions options_;
   std::vector<int> gate_domain_;
@@ -186,7 +193,10 @@ class VbsSimulator {
   std::vector<double> beta_n_;
   std::vector<double> beta_p_;
   std::vector<double> cload_;
+  std::vector<double> slope_up_;  ///< constant rising-output slope [V/s]
   std::vector<int> topo_;
+  mutable std::once_flag pulldown_once_;
+  mutable std::vector<std::uint64_t> pulldown_tt_;
 };
 
 }  // namespace mtcmos::core

@@ -14,13 +14,13 @@
 #include "util/faultinject.hpp"
 
 // SoA replay of VbsSimulator::run (vbs.cpp): one kernel (see
-// vbs_batch.hpp) combining the batched Eq. 5 solve, branchless SIMD
-// passes, the cohort scheduler (live-lane compaction + active-gate
-// skipping), Eq. 5 dedup, and Hamming-incremental v0 settling.  Every
-// stage below names the scalar passage it mirrors; the per-lane
-// floating-point sequence must stay operation-for-operation identical,
-// because the determinism contract (vbs_batch.hpp) promises bit-identical
-// delays.  When editing vbs.cpp, edit the matching stages here.
+// vbs_batch.hpp) combining the batched Eq. 5 solve, live-lane compaction,
+// a per-round list of driving cells, Eq. 5 dedup, and Hamming-incremental
+// v0 settling.  Every stage below names the scalar passage it mirrors; the
+// per-lane floating-point sequence must stay operation-for-operation
+// identical, because the determinism contract (vbs_batch.hpp) promises
+// bit-identical delays.  When editing vbs.cpp, edit the matching stages
+// here.
 
 namespace mtcmos::core {
 
@@ -71,7 +71,6 @@ void reset_soa(VbsBatchWorkspace& ws, int n_gate, int n_net, int n_dom, std::siz
                std::size_t B) {
   ws.drive.assign(static_cast<std::size_t>(n_gate) * B, Drive::kIdle);
   ws.vout.assign(static_cast<std::size_t>(n_gate) * B, 0.0);
-  ws.slope.assign(static_cast<std::size_t>(n_gate) * B, 0.0);
   ws.logic.assign(static_cast<std::size_t>(n_net) * B, 0);
   ws.beta_dom.assign(static_cast<std::size_t>(n_dom) * B, 0.0);
   ws.u_dom.assign(static_cast<std::size_t>(n_dom) * B, 0.0);
@@ -152,19 +151,18 @@ void VbsBatchSimulator::critical_delays(const VbsBatchItem* items, std::size_t c
   run(items, count, out_names, ws, results);
 }
 
-// Vectorized, work-skipping kernel.  Eq. 5 is re-solved through the
-// batched closed form and the beta / slope / advance passes run as
-// branchless selects under MTCMOS_SIMD_LOOP.  On top of that it:
+// Work-skipping kernel.  Eq. 5 is re-solved through the batched closed
+// form, and on top of that it:
 //
 //   * compacts finished/failed lanes out of a dense live prefix [0, live)
 //     by column swaps at the top of each round, so every pass runs over
 //     live lanes only (per-lane FP sequences are independent, so moving a
 //     lane's column preserves its bit pattern);
-//   * partitions gates into an active cohort (>= 1 live lane with a
-//     non-idle drive, tracked by gate_active counts maintained at every
-//     drive transition) and a settled cohort that is skipped entirely.
-//     Skipped rows are bit-exact no-ops in every pass: idle drives add
-//     0 beta, produce 0 slope, emit no candidates, and advance by 0;
+//   * lists the round's driving (gate, lane) cells once, from per-gate
+//     non-idle counts maintained at every drive transition, and runs the
+//     beta, slope/candidate, advance and crossing passes over that list.
+//     Idle cells are bit-exact no-ops in every pass: they add no beta,
+//     emit no candidates, and the scalar kernel does not advance them;
 //   * dedups the iterative Eq. 5 solves (body effect / alpha != 2) per
 //     domain per round: bit-equal beta totals give bit-equal solutions;
 //   * settles each new v0 group incrementally from its Hamming-nearest
@@ -184,8 +182,6 @@ void VbsBatchSimulator::run(const VbsBatchItem* items, std::size_t count,
   const double vdd = tech.vdd;
   const double th = 0.5 * vdd;
   const double cx = opt.virtual_ground_cap;
-  const double vtp = tech.pmos_low.vt0;
-  const double pull_up_drive = std::max(vdd - vtp, 0.0);
   const double alpha = opt.alpha;
   const double vt0 = tech.nmos_low.vt0;
   // Eq. 5 fast path: the closed form applies lane-wise and the threshold
@@ -212,41 +208,24 @@ void VbsBatchSimulator::run(const VbsBatchItem* items, std::size_t count,
   ws.lane_active.assign(B, 0);
   ws.group_key.clear();
 
-  // Pulldown truth tables: logic settling and re-evaluation are the
-  // hottest scalar remnants, and a gate's function is static, so gates
-  // with <= 6 fanins trade the SpExpr walk for one table lookup.  The
-  // table is the same function, so results are identical.  The tables are
-  // rebuilt on every call: the workspace outlives any one netlist, so
-  // nothing it holds can safely identify which netlist they describe.
-  ws.gate_tt.assign(static_cast<std::size_t>(n_gate), 0);
-  ws.gate_tt_ok.assign(static_cast<std::size_t>(n_gate), 0);
-  for (int g = 0; g < n_gate; ++g) {
-    const netlist::Gate& gate = nl.gate(g);
-    const std::size_t nf = gate.fanins.size();
-    if (nf > 6) continue;
-    ws.pins.resize(nf);
-    std::uint64_t tt = 0;
-    for (std::uint32_t m = 0; m < (std::uint32_t{1} << nf); ++m) {
-      for (std::size_t p = 0; p < nf; ++p) ws.pins[p] = ((m >> p) & 1u) != 0;
-      if (gate.pulldown.conducts(ws.pins)) tt |= std::uint64_t{1} << m;
-    }
-    ws.gate_tt[static_cast<std::size_t>(g)] = tt;
-    ws.gate_tt_ok[static_cast<std::size_t>(g)] = 1;
-  }
-  // Pulldown-conducts for gate g given a per-net logic lookup.
+  // Pulldown-conducts for gate g given a per-net logic lookup.  Logic
+  // settling and re-evaluation are the hottest scalar remnants, so gates
+  // with <= 6 fanins trade the SpExpr walk for one lookup in the
+  // simulator's truth table -- the same function, so results are
+  // identical.
+  const std::vector<std::uint64_t>& pulldown_tt = sim_.pulldown_tables();
   const auto conducts_at = [&](int g, auto&& net_bit) {
     const netlist::Gate& gate = nl.gate(g);
-    if (ws.gate_tt_ok[static_cast<std::size_t>(g)]) {
+    const std::size_t nf = gate.fanins.size();
+    if (nf <= 6) {
       std::uint32_t idx = 0;
-      for (std::size_t p = 0; p < gate.fanins.size(); ++p) {
+      for (std::size_t p = 0; p < nf; ++p) {
         idx |= static_cast<std::uint32_t>(net_bit(gate.fanins[p]) ? 1u : 0u) << p;
       }
-      return ((ws.gate_tt[static_cast<std::size_t>(g)] >> idx) & 1u) != 0;
+      return ((pulldown_tt[static_cast<std::size_t>(g)] >> idx) & 1u) != 0;
     }
-    ws.pins.resize(gate.fanins.size());
-    for (std::size_t p = 0; p < gate.fanins.size(); ++p) {
-      ws.pins[p] = net_bit(gate.fanins[p]);
-    }
+    ws.pins.resize(nf);
+    for (std::size_t p = 0; p < nf; ++p) ws.pins[p] = net_bit(gate.fanins[p]);
     return gate.pulldown.conducts(ws.pins);
   };
 
@@ -291,7 +270,7 @@ void VbsBatchSimulator::run(const VbsBatchItem* items, std::size_t count,
   };
 
   // Drive transitions route through here to keep the live-drive counts
-  // (the active/settled gate partition).
+  // (the extents of the round's cell list).
   const auto set_drive = [&](int g, std::size_t l, Drive d) {
     Drive& cur = ws.drive[gidx(g, l)];
     if (cur == d) return;
@@ -343,7 +322,7 @@ void VbsBatchSimulator::run(const VbsBatchItem* items, std::size_t count,
   };
 
   // Lane-column swap for the compaction step.  Only state that persists
-  // across rounds travels with the lane: round scratch (slope, beta, u,
+  // across rounds travels with the lane: round scratch (cells, beta, u,
   // vx_dom, eq_vx, target_low, t_next, dt) is recomputed for the live
   // prefix before it is read again, and a retired lane's failure/result
   // was already recorded.
@@ -520,12 +499,6 @@ void VbsBatchSimulator::run(const VbsBatchItem* items, std::size_t count,
     ++lanes_running;
   }
 
-  const auto drive_current = [alpha](double beta, double u) {
-    if (u <= 0.0) return 0.0;
-    if (alpha == 2.0) return 0.5 * beta * u * u;
-    return 0.5 * beta * std::pow(u, alpha);
-  };
-
   const auto reevaluate = [&](int g, std::size_t l) {
     const bool target = !conducts_at(g, [&](netlist::NetId n) {
       return ws.logic[static_cast<std::size_t>(n) * B + l] != 0;
@@ -545,7 +518,7 @@ void VbsBatchSimulator::run(const VbsBatchItem* items, std::size_t count,
 
   // Visit the non-idle lanes of a drive row in ascending order, skipping
   // idle lanes eight at a time: kIdle == 0, so an all-idle block is a zero
-  // uint64.  Only no-op lanes are skipped, so users stay bit-exact.
+  // uint64.
   const auto for_each_driving = [](const Drive* row, std::size_t n, auto&& fn) {
     std::size_t l = 0;
     for (; l + 8 <= n; l += 8) {
@@ -561,6 +534,10 @@ void VbsBatchSimulator::run(const VbsBatchItem* items, std::size_t count,
       if (row[l] != Drive::kIdle) fn(l);
     }
   };
+  // Eq. 5 at R = 0 never reads beta (solve_vx and solve_vx_batch both
+  // return the no-bounce solution), so such a domain's beta row is left
+  // at the zeros reset_soa seeded.
+  const auto domain_needs_beta = [&](std::size_t d) { return sim_.domain_r_[d] > 0.0; };
 
   // --- Breakpoint rounds.
   while (lanes_running > 0) {
@@ -575,15 +552,7 @@ void VbsBatchSimulator::run(const VbsBatchItem* items, std::size_t count,
       --live;
       if (l != live) swap_lanes(l, live);
     }
-    // Rebuild the active cohort, ascending: candidate min-chains and
-    // the event-stage gate scan keep the scalar kernel's gate order.
-    ws.active_gates.clear();
-    for (int g = 0; g < n_gate; ++g) {
-      if (ws.gate_active[static_cast<std::size_t>(g)] > 0) ws.active_gates.push_back(g);
-    }
     const std::size_t L = live;
-    const int* gl = ws.active_gates.data();
-    const std::size_t gn = ws.active_gates.size();
 
     // Scalar loop top: fault injection and budget guards.  When nothing is
     // armed and no budget is set, every check below is a no-op for every
@@ -615,30 +584,52 @@ void VbsBatchSimulator::run(const VbsBatchItem* items, std::size_t count,
     }
     if (lanes_running == 0) break;
 
-    // --- Solve each domain's virtual ground for its discharger set.
-    // Settled gates contribute 0 beta in every lane; skipping their rows
-    // is bit-exact.
+    // --- The round's driving cells, from one scan of the active gates'
+    // drive rows.  gate_active[g] is the exact non-idle count of the live
+    // prefix, so each run's extent is known before its row is scanned:
+    // falling lanes fill it from the front, rising lanes from the back.
+    // Every pass below visits these cells only; an idle (gate, lane) is a
+    // bit-exact no-op in each of them (it adds no beta, has no candidate,
+    // and the scalar kernel does not advance it).
+    ws.cell_runs.clear();
+    std::uint32_t n_cells = 0;
+    for (int g = 0; g < n_gate; ++g) {
+      const std::uint32_t n = ws.gate_active[static_cast<std::size_t>(g)];
+      if (n == 0) continue;
+      ws.cell_runs.push_back({g, n_cells, n_cells, n_cells + n});
+      n_cells += n;
+    }
+    if (ws.cell_lane.size() < n_cells) {
+      ws.cell_lane.resize(n_cells);
+      ws.cell_slope.resize(n_cells);
+    }
+    std::uint32_t* const cell_lane = ws.cell_lane.data();
+    double* const cell_slope = ws.cell_slope.data();
+    for (VbsBatchWorkspace::CellRun& run : ws.cell_runs) {
+      const Drive* drive_row = ws.drive.data() + gidx(run.gate, 0);
+      std::uint32_t rise = run.end;
+      for_each_driving(drive_row, L, [&](std::size_t l) {
+        if (drive_row[l] == Drive::kDown) {
+          cell_lane[run.split++] = static_cast<std::uint32_t>(l);
+        } else {
+          cell_lane[--rise] = static_cast<std::uint32_t>(l);
+        }
+      });
+    }
+
+    // --- Solve each domain's virtual ground for its discharger set.  Each
+    // lane accumulates its falling gates' beta in ascending gate order, as
+    // the scalar loop does.
     for (int d = 0; d < n_dom; ++d) {
+      if (!domain_needs_beta(static_cast<std::size_t>(d))) continue;
       double* row = ws.beta_dom.data() + static_cast<std::size_t>(d) * B;
       std::fill(row, row + L, 0.0);
     }
-    for (std::size_t gi = 0; gi < gn; ++gi) {
-      const int g = gl[gi];
-      const double bg = sim_.beta_n_[static_cast<std::size_t>(g)];
-      double* beta_row = ws.beta_dom.data() + dom(g) * B;
-      const Drive* drive_row = ws.drive.data() + gidx(g, 0);
-      // Sparse row: += 0.0 on an idle lane leaves its (+0.0-seeded) total
-      // bit-unchanged, so skipping idle lanes is exact.
-      if (ws.gate_active[static_cast<std::size_t>(g)] * 4 < L) {
-        for_each_driving(drive_row, L, [&](std::size_t l) {
-          if (drive_row[l] == Drive::kDown) beta_row[l] += bg;
-        });
-        continue;
-      }
-      MTCMOS_SIMD_LOOP
-      for (std::size_t l = 0; l < L; ++l) {
-        beta_row[l] += (drive_row[l] == Drive::kDown) ? bg : 0.0;
-      }
+    for (const VbsBatchWorkspace::CellRun& run : ws.cell_runs) {
+      if (!domain_needs_beta(dom(run.gate))) continue;
+      const double bg = sim_.beta_n_[static_cast<std::size_t>(run.gate)];
+      double* beta_row = ws.beta_dom.data() + dom(run.gate) * B;
+      for (std::uint32_t i = run.begin; i < run.split; ++i) beta_row[cell_lane[i]] += bg;
     }
     for (int d = 0; d < n_dom; ++d) {
       const double r = sim_.domain_r_[static_cast<std::size_t>(d)];
@@ -728,97 +719,53 @@ void VbsBatchSimulator::run(const VbsBatchItem* items, std::size_t count,
       for (const detail::PendingEval& p : ws.pending[l]) tn = std::min(tn, p.t);
       ws.t_next[l] = tn;
     }
-    // --- Slopes and next-breakpoint candidates (paper Eq. 6/7 estimates;
-    // active gates only -- an idle drive's slope is written 0 and a
-    // settled gate's stale slope row is never read while idle).
-    //
-    // The candidate accumulation is fused into the slope sweep: the candidate block for (g, lane) reads only that gate's
-    // just-written slope, so one scan of the drive row serves both
-    // passes and each lane still sees gate candidates in ascending gate
-    // order, exactly as when the passes ran separately.  Candidates are
-    // direction-unified: for a falling output (slope < 0) the scalar
-    // (vo - th) / -sl is bit-identical to (th - vo) / sl -- IEEE negation
-    // of numerator and denominator flips both signs and changes neither
-    // magnitude nor rounding -- so one expression per candidate serves
-    // both drive directions at two divisions per driving lane.  The
+    // --- Slopes and next-breakpoint candidates (paper Eq. 6/7 estimates),
+    // fused into one sweep of the cells: each lane still sees its gates'
+    // candidates in ascending gate order.  A falling cell's slope depends
+    // on its domain's u and is kept in cell_slope for the advance; a
+    // rising cell's is the gate's constant slope_up_.  For a falling
+    // output (slope < 0) the scalar (vo - th) / -sl is bit-identical to
+    // (th - vo) / sl -- IEEE negation of numerator and denominator flips
+    // both signs and changes neither magnitude nor rounding.  The
     // min-chain order (threshold before rail) matches the scalar kernel.
-    for (std::size_t gi = 0; gi < gn; ++gi) {
-      const int g = gl[gi];
-      const double cl = sim_.cload_[static_cast<std::size_t>(g)];
-      const double bn = sim_.beta_n_[static_cast<std::size_t>(g)];
-      const double slope_up = drive_current(sim_.beta_p_[static_cast<std::size_t>(g)],
-                                            pull_up_drive) /
-                              cl;
-      const double* u_row = ws.u_dom.data() + dom(g) * B;
-      const Drive* drive_row = ws.drive.data() + gidx(g, 0);
-      double* slope_row = ws.slope.data() + gidx(g, 0);
-      const netlist::NetId out = nl.gate(g).output;
-      const std::uint8_t* logic_row = ws.logic.data() + static_cast<std::size_t>(out) * B;
-      const double* low_row = ws.target_low.data() + dom(g) * B;
-      const double* vout_row = ws.vout.data() + gidx(g, 0);
-      const auto cand = [&](std::size_t l, double sl) {
-        const Drive dr = drive_row[l];
-        const bool out_logic = logic_row[l] != 0;
+    for (const VbsBatchWorkspace::CellRun& run : ws.cell_runs) {
+      const std::size_t g = static_cast<std::size_t>(run.gate);
+      const double cl = sim_.cload_[g];
+      const double bn = sim_.beta_n_[g];
+      const double* u_row = ws.u_dom.data() + dom(run.gate) * B;
+      const double* low_row = ws.target_low.data() + dom(run.gate) * B;
+      const std::uint8_t* logic_row =
+          ws.logic.data() + static_cast<std::size_t>(nl.gate(run.gate).output) * B;
+      const double* vout_row = ws.vout.data() + gidx(run.gate, 0);
+      for (std::uint32_t i = run.begin; i < run.split; ++i) {
+        const std::size_t l = cell_lane[i];
+        // Same association as the scalar drive_current: ((0.5*bn)*u)*u.
+        const double u = u_row[l];
+        const double dc = (u <= 0.0) ? 0.0
+                                     : (alpha == 2.0 ? 0.5 * bn * u * u
+                                                     : 0.5 * bn * std::pow(u, alpha));
+        const double sl = -dc / cl;
+        cell_slope[i] = sl;
+        if (!(sl < 0.0)) continue;
         const double vo = vout_row[l];
         const double tno = ws.t_now[l];
         double tn = ws.t_next[l];
-        if (dr == Drive::kDown && sl < 0.0) {
-          if (out_logic && vo > th) tn = std::min(tn, tno + (th - vo) / sl);
-          const double low = low_row[l];
-          if (vo > low) tn = std::min(tn, tno + (low - vo) / sl);
-        } else if (dr == Drive::kUp && sl > 0.0) {
-          if (!out_logic && vo < th) tn = std::min(tn, tno + (th - vo) / sl);
-          if (vo < vdd) tn = std::min(tn, tno + (vdd - vo) / sl);
-        }
+        if (logic_row[l] != 0 && vo > th) tn = std::min(tn, tno + (th - vo) / sl);
+        const double low = low_row[l];
+        if (vo > low) tn = std::min(tn, tno + (low - vo) / sl);
         ws.t_next[l] = tn;
-      };
-      // Sparse row: gate_active[g] is the exact non-idle live count, so
-      // when few lanes drive this gate a branchy sweep skips the
-      // divisions the branchless select would issue for every lane.
-      // Values written are identical either way.
-      if (!MTCMOS_SIMD_ENABLED || ws.gate_active[static_cast<std::size_t>(g)] * 4 < L) {
-        std::fill(slope_row, slope_row + L, 0.0);
-        for_each_driving(drive_row, L, [&](std::size_t l) {
-          double sl;
-          if (drive_row[l] == Drive::kUp) {
-            sl = slope_up;
-          } else {
-            // Same association as the branchless forms: ((0.5*bn)*u)*u.
-            const double u = u_row[l];
-            const double dc =
-                (u <= 0.0) ? 0.0
-                           : (alpha == 2.0 ? 0.5 * bn * u * u
-                                           : 0.5 * bn * std::pow(u, alpha));
-            sl = -dc / cl;
-          }
-          slope_row[l] = sl;
-          cand(l, sl);
-        });
-        continue;
       }
-      // Dense row: vectorized branchless slope fill, then a sparse
-      // candidate scan (the division-heavy candidate pass loses to the
-      // branchy form even vectorized -- divide throughput dominates).
-      if (alpha == 2.0) {
-        MTCMOS_SIMD_LOOP
-        for (std::size_t l = 0; l < L; ++l) {
-          const double u = u_row[l];
-          const double dc = (u <= 0.0) ? 0.0 : 0.5 * bn * u * u;
-          slope_row[l] = (drive_row[l] == Drive::kDown)
-                             ? -dc / cl
-                             : ((drive_row[l] == Drive::kUp) ? slope_up : 0.0);
-        }
-      } else {
-        // pow stays a scalar libm call (simd.hpp rule): unannotated loop.
-        for (std::size_t l = 0; l < L; ++l) {
-          const double u = u_row[l];
-          const double dc = (u <= 0.0) ? 0.0 : 0.5 * bn * std::pow(u, alpha);
-          slope_row[l] = (drive_row[l] == Drive::kDown)
-                             ? -dc / cl
-                             : ((drive_row[l] == Drive::kUp) ? slope_up : 0.0);
-        }
+      const double su = sim_.slope_up_[g];
+      if (!(su > 0.0)) continue;
+      for (std::uint32_t i = run.split; i < run.end; ++i) {
+        const std::size_t l = cell_lane[i];
+        const double vo = vout_row[l];
+        const double tno = ws.t_now[l];
+        double tn = ws.t_next[l];
+        if (logic_row[l] == 0 && vo < th) tn = std::min(tn, tno + (th - vo) / su);
+        if (vo < vdd) tn = std::min(tn, tno + (vdd - vo) / su);
+        ws.t_next[l] = tn;
       }
-      for_each_driving(drive_row, L, [&](std::size_t l) { cand(l, slope_row[l]); });
     }
 
     // RC-mode refinement breakpoints while any V_x is far from equilibrium.
@@ -867,26 +814,23 @@ void VbsBatchSimulator::run(const VbsBatchItem* items, std::size_t count,
     }
     if (lanes_running == 0) break;
 
-    // --- Advance, record monitors, and fire crossings in one fused sweep
-    // per active gate, so each gate's vout/slope/drive rows stay cache-hot
-    // across the three stages.  The scalar kernel handles one lane at a
-    // time; here the per-lane phases run as batch passes over rows.  Lanes
-    // share no mutable state, and within a lane the stage order per gate
-    // (advance, monitor append, crossing) preserves the scalar sequence:
-    // the tracker sees the advanced value at t_now first, and a rail
-    // retire's record_gate then overwrites the same-t point, exactly as
-    // the separate passes did.  Lanes retired or failed this round have
-    // dt == 0, a bit-exact no-op advance, and their drives are idle.
+    // --- Advance, record monitors, and fire crossings in one sweep of the
+    // cells.  The scalar kernel handles one lane at a time; here the
+    // per-lane phases run as one pass over the cells.  Lanes share no
+    // mutable state, and within a lane the stage order per gate (advance,
+    // monitor append, crossing) preserves the scalar sequence: the
+    // tracker sees the advanced value at t_now first, and a rail retire's
+    // record_gate then overwrites the same-t point.  A lane that failed at
+    // termination this round still has cells, but its drives are idle and
+    // its result is recorded, so its cells are skipped.
     //
     // Running the crossing scan ahead of the input-event phase (the
     // scalar order is input events first) is sound: crossings read and
     // write gate-output logic only, input events write primary-input
     // logic only -- disjoint nets -- and the re-evaluations both phases
-    // enqueue commute (see the re-evaluation pass below).  The active
-    // cohort is a superset of every lane's non-idle gates: a drive only
-    // becomes non-idle in its own lane's reevaluate, which runs after
-    // this sweep, and the list has every gate that entered the round
-    // non-idle in any live lane.
+    // enqueue commute (see the re-evaluation pass below).  The cells are
+    // every (gate, lane) that drives this round: a drive only becomes
+    // non-idle in its own lane's reevaluate, which runs after this sweep.
     ws.reeval_pairs.clear();
     const auto mark_fanout = [&](std::size_t l, netlist::NetId n, double t_tr) {
       for (int g : nl.fanout_of(n)) {
@@ -898,52 +842,51 @@ void VbsBatchSimulator::run(const VbsBatchItem* items, std::size_t count,
         }
       }
     };
-    {
-      const double* dt = ws.dt.data();
-      for (std::size_t gi = 0; gi < gn; ++gi) {
-        const int g = gl[gi];
-        double* vout_row = ws.vout.data() + gidx(g, 0);
-        const double* slope_row = ws.slope.data() + gidx(g, 0);
-        MTCMOS_SIMD_LOOP
-        for (std::size_t l = 0; l < L; ++l) {
-          vout_row[l] = std::clamp(vout_row[l] + slope_row[l] * dt[l], 0.0, vdd);
+    // t_tr is the full-swing transition time that stretches fanout
+    // activation; it is only consumed when a logic crossing fires, so its
+    // division stays inside the branch.
+    const auto t_tr = [vdd](double sl) { return (sl != 0.0) ? vdd / std::abs(sl) : 0.0; };
+    for (const VbsBatchWorkspace::CellRun& run : ws.cell_runs) {
+      const int g = run.gate;
+      double* vout_row = ws.vout.data() + gidx(g, 0);
+      const bool monitored = ws.mon_of_gate[static_cast<std::size_t>(g)] >= 0;
+      const netlist::NetId out = nl.gate(g).output;
+      std::uint8_t* logic_row = ws.logic.data() + static_cast<std::size_t>(out) * B;
+      const double* low_row = ws.target_low.data() + dom(g) * B;
+      for (std::uint32_t i = run.begin; i < run.split; ++i) {
+        const std::size_t l = cell_lane[i];
+        if (!ws.running[l]) continue;
+        const double sl = cell_slope[i];
+        const double v = std::clamp(vout_row[l] + sl * ws.dt[l], 0.0, vdd);
+        vout_row[l] = v;
+        if (monitored) record_gate(g, l);
+        if (logic_row[l] != 0 && v <= th + kEpsV) {
+          logic_row[l] = 0;
+          mark_fanout(l, out, t_tr(sl));
         }
-        const Drive* drive_row = ws.drive.data() + gidx(g, 0);
-        const int mon = ws.mon_of_gate[static_cast<std::size_t>(g)];
-        const netlist::NetId out = nl.gate(g).output;
-        const std::size_t out_base = static_cast<std::size_t>(out) * B;
-        const std::size_t low_base = dom(g) * B;
-        // Non-running lanes are all idle, so the sweep visits live work
-        // only.  The monitor append shares the scan (mon is per-gate
-        // constant, so the branch predicts perfectly); per lane it runs
-        // before the crossing checks, as the separate passes did.
-        // Marshalled compares: both directions' crossing tests fold into
-        // one select each (the drive direction is data, not a predictable
-        // branch), leaving only the rarely-taken "crossing fired"
-        // branches.  The fired bodies repeat the scalar expressions
-        // exactly.
-        for_each_driving(drive_row, L, [&](std::size_t l) {
-          if (mon >= 0) record_gate(g, l);
-          const std::size_t k = gidx(g, l);
-          const bool dn = drive_row[l] == Drive::kDown;
-          const double v = ws.vout[k];
-          const bool out_logic = ws.logic[out_base + l] != 0;
-          const double rail = dn ? ws.target_low[low_base + l] : vdd;
-          const bool th_fire = out_logic == dn && (dn ? v <= th + kEpsV : v >= th - kEpsV);
-          const bool rail_fire = dn ? v <= rail + kEpsV : v >= rail - kEpsV;
-          if (th_fire) {
-            ws.logic[out_base + l] = dn ? 0 : 1;
-            // t_tr (the full-swing transition time that stretches fanout
-            // activation) is only consumed when a logic crossing fires,
-            // so its division stays inside the branch.
-            mark_fanout(l, out, (ws.slope[k] != 0.0) ? vdd / std::abs(ws.slope[k]) : 0.0);
-          }
-          if (rail_fire) {
-            ws.vout[k] = rail;
-            set_drive(g, l, Drive::kIdle);
-            record_gate(g, l);
-          }
-        });
+        const double low = low_row[l];
+        if (v <= low + kEpsV) {
+          vout_row[l] = low;
+          set_drive(g, l, Drive::kIdle);
+          record_gate(g, l);
+        }
+      }
+      const double su = sim_.slope_up_[static_cast<std::size_t>(g)];
+      for (std::uint32_t i = run.split; i < run.end; ++i) {
+        const std::size_t l = cell_lane[i];
+        if (!ws.running[l]) continue;
+        const double v = std::clamp(vout_row[l] + su * ws.dt[l], 0.0, vdd);
+        vout_row[l] = v;
+        if (monitored) record_gate(g, l);
+        if (logic_row[l] == 0 && v >= th - kEpsV) {
+          logic_row[l] = 1;
+          mark_fanout(l, out, t_tr(su));
+        }
+        if (v >= vdd - kEpsV) {
+          vout_row[l] = vdd;
+          set_drive(g, l, Drive::kIdle);
+          record_gate(g, l);
+        }
       }
     }
     if (cx > 0.0) {
@@ -988,7 +931,7 @@ void VbsBatchSimulator::run(const VbsBatchItem* items, std::size_t count,
         }
       }
       // Reverse conduction: idle-low outputs track their domain's V_x.
-      // This scans *idle* gates, so it cannot use the active cohort.
+      // This scans *idle* gates, so it cannot use the cell list.
       if (opt.reverse_conduction) {
         for (int g = 0; g < n_gate; ++g) {
           const std::size_t k = gidx(g, l);

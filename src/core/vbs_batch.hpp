@@ -9,10 +9,8 @@
 // together instead, in one kernel:
 //
 //   * state is laid out structure-of-arrays, gate-major: vout[g*B + lane],
-//     slope[g*B + lane], drive[g*B + lane], per-domain V_x rows -- so the
-//     Eq. 5 beta accumulation, slope recomputation and output advance are
-//     contiguous lane-inner loops the compiler can vectorize (AVX2 on
-//     x86), with no per-lane heap allocation inside the breakpoint loop;
+//     drive[g*B + lane], per-domain V_x rows, with no per-lane heap
+//     allocation inside the breakpoint loop;
 //   * each round advances every live lane to *its own* next breakpoint
 //     (lanes do not synchronize in simulated time, only in program
 //     order), so a lane's arithmetic sequence is exactly the scalar
@@ -21,15 +19,17 @@
 //     replays Pwl::append / Pwl::last_crossing online against the V_dd/2
 //     level for just the monitored output nets, which is where the scalar
 //     path's time actually goes;
+//   * each round builds one list of its driving (gate, lane) cells --
+//     gate-ascending, falling before rising within a gate -- and the
+//     beta, slope/candidate, advance and crossing passes walk only that
+//     list, so idle cells cost nothing; beta is not accumulated in an
+//     R = 0 domain, whose Eq. 5 solve never reads it;
 //   * the Eq. 5 re-solve goes through the batched closed form
-//     (solve_vx_batch) when alpha == 2 without body effect, and the beta /
-//     slope / advance passes are branchless selects under MTCMOS_SIMD_LOOP
-//     (portable scalar without MTCMOS_NATIVE);
+//     (solve_vx_batch) when alpha == 2 without body effect;
 //   * lanes that finish or fail are swap-retired out of a dense live
 //     prefix, so every pass runs over live lanes only;
-//   * gates are partitioned into an active cohort (>= 1 live lane
-//     driving) and a settled cohort that is skipped entirely instead of
-//     re-evaluated each round;
+//   * gates with <= 6 fanins evaluate through the simulator's pulldown
+//     truth tables, built once on its first batch call;
 //   * the general-alpha / body-effect Eq. 5 path dedups identical
 //     discharger sets per domain per round;
 //   * transitions that share the settled v0 state reuse one logic
@@ -83,7 +83,6 @@ struct VbsBatchWorkspace {
   // Gate-major [gate * lanes + lane].
   std::vector<detail::Drive> drive;
   std::vector<double> vout;
-  std::vector<double> slope;
   // Net-major [net * lanes + lane].
   std::vector<std::uint8_t> logic;
   // Domain-major [domain * lanes + lane].
@@ -129,17 +128,21 @@ struct VbsBatchWorkspace {
     int input = -1;
   };
   std::vector<OutRef> out_refs;
-  // Per-gate pulldown truth tables: bit m of gate_tt[g] is
-  // SpExpr::conducts for fanin assignment m (fanin p = bit p), built for
-  // gates with <= 6 fanins.  Wider gates (gate_tt_ok == 0) keep the
-  // expression walk.  Rebuilt on every call.
-  std::vector<std::uint64_t> gate_tt;
-  std::vector<std::uint8_t> gate_tt_ok;
-  // Cohort scheduler state.
+  // Scheduler state.
   std::vector<std::size_t> slot_item;     ///< live slot -> original item index
   std::vector<std::uint32_t> gate_active; ///< per gate: live lanes with a non-idle drive
   std::vector<std::uint32_t> lane_active; ///< per lane: gates with a non-idle drive
-  std::vector<int> active_gates;          ///< active cohort, rebuilt each round (ascending)
+  // The round's driving (gate, lane) cells, rebuilt each round: one run
+  // per gate with a driving lane, in ascending gate order; a run's lanes
+  // are cell_lane[begin, split) falling, then cell_lane[split, end)
+  // rising.
+  struct CellRun {
+    int gate = -1;
+    std::uint32_t begin = 0, split = 0, end = 0;
+  };
+  std::vector<CellRun> cell_runs;
+  std::vector<std::uint32_t> cell_lane;
+  std::vector<double> cell_slope;         ///< falling cells: the round's slope
   std::vector<std::uint64_t> group_key;   ///< packed v0 per settle group (n_in <= 64)
   std::vector<std::uint8_t> net_dirty;    ///< incremental-settle cone scratch
 };

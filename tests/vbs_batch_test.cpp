@@ -1,18 +1,22 @@
 // Tests for the SoA batch kernel (core/vbs_batch.hpp): bit-identity with
 // the scalar VbsSimulator across every VbsOptions extension, multi-domain
-// partitions and batch sizes, wide netlists (> 64 inputs, > 6 fanins),
+// partitions (an ideal-ground domain among them) and batch sizes, on the
+// 3-bit adder and the 4-bit CSA and Wallace multipliers, the R = 0
+// baseline, wide netlists (> 64 inputs, > 6 fanins),
 // workspace reuse across netlists, per-lane failure isolation, coded
 // option validation, and (through EvalSession) parallel sweeps and
 // checkpoint kill-and-resume with the batch path enabled.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "circuits/generators.hpp"
@@ -307,6 +311,122 @@ TEST(VbsBatch, BitIdenticalOnMultiDomainNetlists) {
                          {SleepTransistor(tech07(), 5.0).reff(),
                           SleepTransistor(tech07(), 11.0).reff()});
   expect_bit_identical(sim, sample, fx.outs, 32);
+}
+
+// The 12-gate adder keeps every drive row dense and the set of gates
+// driving in a round small.  The 4-bit multipliers (96+ gates, a handful
+// driving per lane at each breakpoint) give the round's cell list long
+// sparse runs instead.
+struct WideFixture {
+  std::string name;
+  netlist::Netlist nl;
+  std::vector<std::string> outs;
+  std::vector<VectorPair> pairs;
+};
+
+std::vector<WideFixture> wide_fixtures() {
+  std::vector<WideFixture> fxs;
+  const auto add = [&](std::string name, netlist::Netlist nl,
+                       const std::vector<netlist::NetId>& products, std::uint64_t seed) {
+    std::vector<std::string> outs;
+    for (const netlist::NetId p : products) outs.push_back(nl.net_name(p));
+    mtcmos::Rng rng(seed);
+    const int n_in = static_cast<int>(nl.inputs().size());
+    fxs.push_back({std::move(name), std::move(nl), std::move(outs),
+                   sizing::sampled_vector_pairs(n_in, 263, rng)});
+  };
+  circuits::CsaMultiplier mult = circuits::make_csa_multiplier(tech03(), 4);
+  add("mult4", std::move(mult.netlist), mult.p, 20261017);
+  circuits::WallaceMultiplier wallace = circuits::make_wallace_multiplier(tech03(), 4);
+  add("wallace4", std::move(wallace.netlist), wallace.p, 20261018);
+  return fxs;
+}
+
+/// One scalar reference, then the batch kernel at batch 256 (one full
+/// chunk and a tail) and at batch 7 (many short chunks).
+void expect_wide_bit_identical(const VbsSimulator& sim, const WideFixture& fx) {
+  const VbsBatchSimulator batch_sim(sim);
+  const std::vector<VbsBatchItem> items = make_items(fx.pairs);
+  VbsWorkspace ws;
+  std::vector<double> scalar(fx.pairs.size());
+  for (std::size_t i = 0; i < fx.pairs.size(); ++i) {
+    scalar[i] = sim.critical_delay(fx.pairs[i].v0, fx.pairs[i].v1, fx.outs, ws);
+  }
+  VbsBatchWorkspace bws;
+  for (const std::size_t batch : {std::size_t{256}, std::size_t{7}}) {
+    SCOPED_TRACE(batch);
+    std::vector<VbsLaneResult> results(items.size());
+    for (std::size_t off = 0; off < items.size(); off += batch) {
+      const std::size_t n = std::min(batch, items.size() - off);
+      batch_sim.critical_delays(items.data() + off, n, fx.outs, bws, results.data() + off);
+    }
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      ASSERT_TRUE(results[i].ok) << "lane " << i << ": " << results[i].failure.message();
+      EXPECT_EQ(results[i].delay, scalar[i]) << "lane " << i;
+    }
+  }
+}
+
+TEST(VbsBatch, WideCircuitsAreBitIdenticalForEveryExtension) {
+  const double r = SleepTransistor(tech03(), 10.0).reff();
+  std::vector<std::pair<std::string, VbsOptions>> variants;
+  const auto variant = [&](std::string name, auto&& set) {
+    VbsOptions o;
+    o.sleep_resistance = r;
+    set(o);
+    variants.emplace_back(std::move(name), o);
+  };
+  variant("default", [](VbsOptions&) {});
+  variant("body_effect", [](VbsOptions& o) { o.body_effect = true; });
+  variant("virtual_ground_cap", [](VbsOptions& o) { o.virtual_ground_cap = 20e-12; });
+  variant("reverse_conduction", [](VbsOptions& o) { o.reverse_conduction = true; });
+  variant("alpha_1.3", [](VbsOptions& o) { o.alpha = 1.3; });
+  variant("input_slope", [](VbsOptions& o) { o.input_slope_factor = 0.3; });
+  variant("all_extensions", [](VbsOptions& o) {
+    o.body_effect = true;
+    o.virtual_ground_cap = 5e-12;
+    o.reverse_conduction = true;
+    o.alpha = 1.5;
+    o.input_slope_factor = 0.2;
+  });
+  for (const WideFixture& fx : wide_fixtures()) {
+    for (const auto& [name, opt] : variants) {
+      SCOPED_TRACE(fx.name + " " + name);
+      const VbsSimulator sim(fx.nl, opt);
+      expect_wide_bit_identical(sim, fx);
+    }
+  }
+}
+
+TEST(VbsBatch, WideCircuitsWithAnIdealGroundDomainAreBitIdentical) {
+  // Domain 0 is ideal ground (R = 0), whose Eq. 5 solve never reads the
+  // discharge beta, so the kernel skips accumulating it; domain 1 keeps a
+  // real sleep device.  Body effect routes both through the deduped
+  // iterative solve.
+  for (const WideFixture& fx : wide_fixtures()) {
+    std::vector<int> gate_domain(static_cast<std::size_t>(fx.nl.gate_count()));
+    for (std::size_t g = 0; g < gate_domain.size(); ++g) gate_domain[g] = static_cast<int>(g % 2);
+    for (const bool body_effect : {false, true}) {
+      SCOPED_TRACE(fx.name + (body_effect ? " body_effect" : " default"));
+      VbsOptions opt;
+      opt.body_effect = body_effect;
+      const VbsSimulator sim(fx.nl, opt, gate_domain,
+                             {0.0, SleepTransistor(tech03(), 8.0).reff()});
+      expect_wide_bit_identical(sim, fx);
+    }
+  }
+}
+
+TEST(VbsBatch, IdealGroundBaselineIsBitIdentical) {
+  // The R = 0 CMOS baseline every degradation is measured against.
+  for (const WideFixture& fx : wide_fixtures()) {
+    SCOPED_TRACE(fx.name);
+    const VbsSimulator sim(fx.nl, VbsOptions{});
+    expect_wide_bit_identical(sim, fx);
+  }
+  const AdderFixture fx;
+  const VbsSimulator sim(fx.adder.netlist, VbsOptions{});
+  expect_bit_identical(sim, fx.pairs, fx.outs, 256);
 }
 
 TEST(VbsBatch, OutNameHandlingMatchesScalar) {
