@@ -15,7 +15,10 @@
 //             the peak-RSS growth across the run, and asserts the
 //             growth stays far below what holding the row set in memory
 //             would cost (~200 MB): the streaming pipeline must keep
-//             its footprint at one chunk block, not one campaign.
+//             its footprint at one chunk block, not one campaign.  It
+//             also reports (ungated) its CPU utilization: process CPU
+//             seconds / (pool threads x wall seconds), which falls when
+//             cores idle between chunks.
 //
 // Writes BENCH_campaign.json (including the MTCMOS_NATIVE flag so
 // scripts/check_bench.py never compares throughput across ISAs).
@@ -34,6 +37,7 @@
 #include <string>
 
 #include "sizing/campaign.hpp"
+#include "util/thread_pool.hpp"
 
 namespace fs = std::filesystem;
 using mtcmos::sizing::CampaignDriver;
@@ -71,6 +75,14 @@ double peak_rss_mb() {
   struct rusage ru {};
   getrusage(RUSAGE_SELF, &ru);
   return static_cast<double>(ru.ru_maxrss) / 1024.0;
+}
+
+/// User + system CPU seconds this process has used so far.
+double cpu_seconds() {
+  struct rusage ru {};
+  getrusage(RUSAGE_SELF, &ru);
+  const auto s = [](const timeval& tv) { return tv.tv_sec + tv.tv_usec * 1e-6; };
+  return s(ru.ru_utime) + s(ru.ru_stime);
 }
 
 std::string table_of(CampaignDriver& driver) {
@@ -120,12 +132,16 @@ int main(int argc, char** argv) {
   const auto big = CampaignSpec::parse(kBigSpec);
   CampaignDriver driver(big, (root / "big").string(), false);
   const double rss_before = peak_rss_mb();
+  const double cpu_before = cpu_seconds();
   const auto t0 = Clock::now();
   const CampaignStats stats = driver.run();
   std::string table;
   if (stats.complete) table = table_of(driver);
   const double seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+  const double cpu_used = cpu_seconds() - cpu_before;
   const double rss_after = peak_rss_mb();
+  const int threads = mtcmos::util::ThreadPool::global().thread_count();
+  const double cpu_utilization = seconds > 0.0 ? cpu_used / (threads * seconds) : 0.0;
 
   const double rows = static_cast<double>(stats.rows_emitted);
   const double rows_per_second = seconds > 0.0 ? rows / seconds : 0.0;
@@ -146,6 +162,8 @@ int main(int argc, char** argv) {
             << " vectors = " << rows << " rows in " << driver.n_chunks() << " chunks\n"
             << "  complete: " << (stats.complete ? "yes" : "NO") << "\n"
             << "  wall: " << seconds << " s  (" << rows_per_second << " rows/s)\n"
+            << "  cpu utilization: " << cpu_utilization << "  (" << cpu_used << " CPU-s on "
+            << threads << " threads; ungated)\n"
             << "  columnar store: " << static_cast<double>(store_bytes) / (1024.0 * 1024.0)
             << " MB on disk\n"
             << "  peak RSS growth: " << rss_delta_mb << " MB  (bound 128 MB: "
@@ -168,6 +186,7 @@ int main(int argc, char** argv) {
        << "  \"chunk\": " << big.chunk << ",\n"
        << "  \"seconds\": " << seconds << ",\n"
        << "  \"rows_per_second\": " << rows_per_second << ",\n"
+       << "  \"cpu_utilization\": " << cpu_utilization << ",\n"
        << "  \"rss_delta_mb\": " << rss_delta_mb << ",\n"
        << "  \"rss_bounded\": " << (rss_bounded ? "true" : "false") << ",\n"
        << "  \"identical\": " << (identical ? "true" : "false") << ",\n"

@@ -286,19 +286,33 @@ namespace {
 /// ColumnarSpillSink whose flush() is a no-op: the chunk driver decides
 /// between commit (writer flush, then journal record) and abandon
 /// (writer discard) *after* inspecting the chunk's health, so a
-/// cancelled or failed chunk never leaves a partial block behind.
+/// cancelled or failed chunk never leaves a partial block behind.  The
+/// chunk's tag is set at its first row: the writer still buffers the
+/// previous chunk until that chunk's commit.
 class ChunkSink final : public ResultSink {
  public:
-  explicit ChunkSink(util::ColumnarWriter& writer) : spill_(writer) {}
+  ChunkSink(util::ColumnarWriter& writer, std::uint64_t tag) : spill_(writer), tag_(tag) {}
   bool wants_keys() const override { return true; }
   void on_delay(const std::string& key, const VectorDelay& row) override {
+    tag();
     spill_.on_delay(key, row);
   }
-  void on_value(const std::string& key, double value) override { spill_.on_value(key, value); }
+  void on_value(const std::string& key, double value) override {
+    tag();
+    spill_.on_value(key, value);
+  }
   void flush() override {}
 
  private:
+  void tag() {
+    if (tagged_) return;
+    spill_.writer().set_tag(tag_);
+    tagged_ = true;
+  }
+
   ColumnarSpillSink spill_;
+  std::uint64_t tag_;
+  bool tagged_ = false;
 };
 
 }  // namespace
@@ -317,8 +331,13 @@ CampaignDriver::CampaignDriver(CampaignSpec spec, std::string dir, bool resume,
   }
   ckpt_.bind_meta("campaign", spec_.canonical());
 
-  const CornerCircuit nominal = build_campaign_circuit(spec_.circuit, nullptr);
-  const int n_in = static_cast<int>(nominal.nl.inputs().size());
+  nominal_ = std::make_unique<const CornerCircuit>(build_campaign_circuit(spec_.circuit, nullptr));
+  // The spec names a .mtn file by path only: bind its contents too, so a
+  // resume over an edited netlist is refused instead of mixing the rows
+  // of two circuits in one table.
+  ckpt_.bind_meta("campaign-netlist",
+                  util::hex16(netlist_fingerprint(nominal_->nl, nominal_->outputs)));
+  const int n_in = static_cast<int>(nominal_->nl.inputs().size());
   if (spec_.vector_mode == CampaignSpec::VectorMode::kExhaustive) {
     if (n_in > 8) {
       throw std::invalid_argument(
@@ -333,8 +352,11 @@ CampaignDriver::CampaignDriver(CampaignSpec spec, std::string dir, bool resume,
   chunks_per_sweep_ = (vectors_.size() + spec_.chunk - 1) / spec_.chunk;
   n_chunks_ = chunks_per_sweep_ * spec_.wl_grid.size() * spec_.corners.size();
 
+  // One row more than a chunk holds: a block is written only by its
+  // chunk's commit, never by the writer filling up, so a chunk the run
+  // stops at leaves no block even when every one of its rows was emitted.
   util::ColumnarOptions copts;
-  copts.rows_per_block = spec_.chunk;
+  copts.rows_per_block = spec_.chunk + 1;
   store_.open(store_path_, copts);
 }
 
@@ -356,69 +378,106 @@ std::string CampaignDriver::chunk_key(std::size_t chunk_id) {
   return "chunk:" + std::to_string(chunk_id);
 }
 
-EvalBackend& CampaignDriver::backend_for(std::size_t corner) {
-  if (cached_corner_ == corner && backend_ != nullptr) return *backend_;
-  backend_.reset();
-  circuit_.reset();
-  const Technology nominal = campaign_nominal_tech(spec_.circuit);
-  const Technology t = corner_technology(nominal, spec_.corners[corner]);
-  circuit_ = std::make_unique<CornerCircuit>(build_campaign_circuit(spec_.circuit, &t));
+std::shared_ptr<const CampaignDriver::CornerBackend> CampaignDriver::corner_backend(
+    std::size_t corner) {
+  const std::lock_guard<std::mutex> lock(corner_mutex_);
+  if (corner_ != nullptr && cached_corner_ == corner) return corner_;
+  corner_.reset();
+  const Technology t = corner_technology(nominal_->nl.tech(), spec_.corners[corner]);
+  // A .mtn circuit is re-bound from the netlist parsed (and fingerprinted)
+  // at construction, not read again.
+  auto built = std::make_shared<CornerBackend>(
+      spec_.circuit.rfind("builtin:", 0) == 0
+          ? build_campaign_circuit(spec_.circuit, &t)
+          : CornerCircuit{retech(nominal_->nl, t), nominal_->outputs});
   if (spec_.backend == "spice") {
-    backend_ = std::make_unique<SpiceBackend>(circuit_->nl, circuit_->outputs);
+    built->backend = std::make_unique<SpiceBackend>(built->circuit.nl, built->circuit.outputs);
   } else {
-    backend_ = std::make_unique<VbsBackend>(circuit_->nl, circuit_->outputs);
+    built->backend = std::make_unique<VbsBackend>(built->circuit.nl, built->circuit.outputs);
   }
+  corner_ = std::move(built);
   cached_corner_ = corner;
-  return *backend_;
+  return corner_;
 }
 
-bool CampaignDriver::run_chunk(std::size_t chunk_id, Checkpoint& ckpt,
-                               util::ColumnarWriter& store, SweepReport* report,
-                               util::CancelToken* cancel, util::ThreadPool* pool,
-                               std::size_t* rows_out) {
-  const ChunkPlan p = plan(chunk_id);
-  const EvalBackend& backend = backend_for(p.corner);
+std::size_t CampaignDriver::run_chunks(const std::vector<std::size_t>& ids, Checkpoint& ckpt,
+                                       util::ColumnarWriter& store, SweepReport* report,
+                                       util::CancelToken* cancel, util::ThreadPool* pool) {
+  util::CancelToken& tok = cancel != nullptr ? *cancel : util::CancelToken::global();
+  // One pass per chunk.  Block discipline: one tag, rows buffered by the
+  // no-op-flush sink, committed by close() only if the chunk ran to
+  // completion -- and the block lands on disk strictly before the
+  // journal record, so a journaled chunk always has its rows.
+  struct Chunk {
+    Chunk(util::ColumnarWriter& store, std::size_t id,
+          std::shared_ptr<const CornerBackend> corner)
+        : sink(store, id), corner(std::move(corner)) {}
+    ChunkSink sink;
+    SweepReport report;
+    std::shared_ptr<const CornerBackend> corner;
+  };
+  class Passes final : public RankPasses {
+   public:
+    Passes(CampaignDriver& driver, const std::vector<std::size_t>& ids, Checkpoint& ckpt,
+           util::ColumnarWriter& store, SweepReport* report, util::CancelToken& tok)
+        : d_(driver), ids_(ids), ckpt_(ckpt), store_(store), report_(report), tok_(tok),
+          chunks_(ids.size()) {}
 
-  // Block discipline: one tag, rows buffered by the no-op-flush sink,
-  // committed below only if the chunk ran to completion -- and the block
-  // lands on disk strictly before the journal record, so a journaled
-  // chunk always has its rows.
-  store.set_tag(chunk_id);
-  ChunkSink sink(store);
-  SweepReport chunk_report;
+    RankPass open(std::size_t k) override {
+      const ChunkPlan p = d_.plan(ids_[k]);
+      chunks_[k] = std::make_unique<Chunk>(store_, ids_[k], d_.corner_backend(p.corner));
+      Chunk& c = *chunks_[k];
+      return {c.corner->backend.get(), d_.vectors_.data() + p.begin, d_.spec_.wl_grid[p.wl_idx],
+              &c.sink, &c.report};
+    }
+
+    bool close(std::size_t k, std::size_t rows) override {
+      const std::unique_ptr<Chunk> c = std::move(chunks_[k]);
+      const auto cancelled = static_cast<std::size_t>(FailureCode::kCancelled);
+      const bool interrupted =
+          tok_.requested() ||
+          (c->report.code_counts.size() > cancelled && c->report.code_counts[cancelled] > 0);
+      if (report_ != nullptr) report_->merge(c->report);
+      if (interrupted) {
+        store_.discard();
+        return false;
+      }
+      store_.flush();
+      ckpt_.record(chunk_key(ids_[k]), Outcome<double>::success(static_cast<double>(rows)));
+      committed += rows;
+      return true;
+    }
+
+    std::size_t committed = 0;  ///< rows of the committed chunks
+
+   private:
+    CampaignDriver& d_;
+    const std::vector<std::size_t>& ids_;
+    Checkpoint& ckpt_;
+    util::ColumnarWriter& store_;
+    SweepReport* const report_;
+    util::CancelToken& tok_;
+    std::vector<std::unique_ptr<Chunk>> chunks_;  ///< slot k lives from open(k) to close(k)
+  } passes(*this, ids, ckpt, store, report, tok);
+
+  std::vector<std::size_t> sizes(ids.size());
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    const ChunkPlan p = plan(ids[k]);
+    sizes[k] = p.end - p.begin;
+  }
   EvalSession session;
   session.pool = pool;
-  session.report = &chunk_report;
-  session.sink = &sink;
   session.cancel_token = cancel;
-
-  const std::vector<VectorPair> slice(vectors_.begin() + static_cast<std::ptrdiff_t>(p.begin),
-                                      vectors_.begin() + static_cast<std::ptrdiff_t>(p.end));
-  std::size_t rows = 0;
   try {
-    rows = rank_vectors_stream(backend, slice, spec_.wl_grid[p.wl_idx], session);
+    rank_vectors_passes(sizes, passes, session);
   } catch (...) {
-    // Rows stream into the block while the pass computes, so a pass that
-    // throws leaves part of the chunk buffered: drop it like a cancelled
+    // Rows stream into the block while the chunk computes, so a pass that
+    // throws leaves part of a chunk buffered: drop it like a cancelled
     // chunk's, or close() would flush a partial block under the chunk's tag.
     store.discard();
     throw;
   }
-
-  util::CancelToken& tok = cancel != nullptr ? *cancel : util::CancelToken::global();
-  const auto cancelled_code = static_cast<std::size_t>(FailureCode::kCancelled);
-  const bool interrupted =
-      tok.requested() || (chunk_report.code_counts.size() > cancelled_code &&
-                          chunk_report.code_counts[cancelled_code] > 0);
-  if (report != nullptr) report->merge(chunk_report);
-  if (interrupted) {
-    store.discard();
-    return false;
-  }
-  store.flush();
-  ckpt.record(chunk_key(chunk_id), Outcome<double>::success(static_cast<double>(rows)));
-  if (rows_out != nullptr) *rows_out = rows;
-  return true;
+  return passes.committed;
 }
 
 std::size_t CampaignDriver::chunks_done() const {
@@ -429,7 +488,8 @@ std::size_t CampaignDriver::chunks_done() const {
   return done;
 }
 
-CampaignStats CampaignDriver::run(int shards, SweepReport* report, util::CancelToken* cancel) {
+CampaignStats CampaignDriver::run(int shards, SweepReport* report, util::CancelToken* cancel,
+                                  util::ThreadPool* pool) {
   CampaignStats st;
   st.chunks_total = n_chunks_;
   std::vector<std::size_t> remaining;
@@ -446,12 +506,9 @@ CampaignStats CampaignDriver::run(int shards, SweepReport* report, util::CancelT
   util::CancelToken& tok = cancel != nullptr ? *cancel : util::CancelToken::global();
   if (!remaining.empty() && !tok.requested()) {
     if (shards <= 1) {
-      for (const std::size_t c : remaining) {
-        if (tok.requested()) break;
-        std::size_t rows = 0;
-        if (!run_chunk(c, ckpt_, store_, report, cancel, nullptr, &rows)) break;
-        st.rows_emitted += rows;
-      }
+      st.rows_emitted = run_chunks(remaining, ckpt_, store_, report, cancel, pool);
+      const std::lock_guard<std::mutex> lock(corner_mutex_);
+      corner_.reset();
     } else {
       SupervisorOptions sopt;
       sopt.shards = shards;
@@ -468,7 +525,7 @@ CampaignStats CampaignDriver::run(int shards, SweepReport* report, util::CancelT
       const auto run_one = [this, &remaining, cancel](std::size_t i, Checkpoint& ckpt,
                                                       util::ColumnarWriter* columnar) {
         util::ThreadPool inline_pool(1);
-        run_chunk(remaining[i], ckpt, *columnar, nullptr, cancel, &inline_pool, nullptr);
+        run_chunks({remaining[i]}, ckpt, *columnar, nullptr, cancel, &inline_pool);
       };
       Supervisor supervisor(sopt, remaining.size(), run_one, key_of);
       st.supervisor = supervisor.run(ckpt_, &store_);
@@ -549,7 +606,7 @@ void CampaignDriver::write_table(std::ostream& os) {
         return true;
       });
 
-  const Technology nominal = campaign_nominal_tech(spec_.circuit);
+  const Technology& nominal = nominal_->nl.tech();
   os << "{\n";
   os << "  \"format\": \"mtcmos-campaign-table-1\",\n";
   os << "  \"circuit\": " << util::json_string(spec_.circuit) << ",\n";

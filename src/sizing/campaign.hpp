@@ -23,7 +23,10 @@
 //   * checkpoint: one journal record per completed chunk ("chunk:<id>",
 //     written strictly *after* the block), so the journal stays
 //     item-count-independent and a resume re-runs only incomplete
-//     chunks;
+//     chunks.  In-process, the remaining chunks run as one pool job
+//     (sizing::rank_vectors_passes) so no core idles at a chunk
+//     boundary, yet blocks and records still commit in chunk order and
+//     a run stops at the first chunk it interrupts;
 //   * sharding: with shards > 1 the remaining chunks run across
 //     supervised worker processes (sizing/supervisor.hpp) whose shard
 //     journals and shard columnar stores merge back by identity.
@@ -59,6 +62,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -156,14 +160,17 @@ struct CampaignStats {
 /// Orchestrates one campaign under a checkpoint directory:
 /// DIR/campaign.mtj journals chunk completions, DIR/campaign.mtc holds
 /// the spilled rows, DIR/shards/ hosts supervised workers.  Construction
-/// opens (or resumes) both files and binds the canonical spec into the
-/// journal; run() executes the remaining chunks; write_table() streams
-/// the aggregated characterization table once the campaign is complete.
+/// opens (or resumes) both files and binds the canonical spec and the
+/// circuit's netlist fingerprint into the journal; run() executes the
+/// remaining chunks; write_table() streams the aggregated
+/// characterization table once the campaign is complete.
 class CampaignDriver {
  public:
   /// Throws std::invalid_argument when `resume` is false but the journal
   /// already holds records (two runs must never silently mix), and the
-  /// usual coded error when a resume presents a different spec.
+  /// usual coded kInvalidArgument error when a resume presents a
+  /// different spec or a .mtn circuit whose netlist was edited.  A
+  /// journal that predates the netlist record resumes and is bound then.
   CampaignDriver(CampaignSpec spec, std::string dir, bool resume,
                  util::JournalOptions journal_options = {});
 
@@ -177,13 +184,16 @@ class CampaignDriver {
   Checkpoint& checkpoint() { return ckpt_; }
 
   /// Execute every not-yet-journaled chunk.  shards <= 1 runs them
-  /// in-process on the session thread pool; shards > 1 supervises worker
-  /// processes with the full restart/quarantine machinery.  `report`
-  /// (optional) accumulates per-item sweep health of the chunks this
-  /// call actually ran; `cancel` (nullptr = the process-global token)
-  /// makes the campaign drain at the next chunk boundary.
+  /// in-process as one job on `pool` (nullptr = the global pool): each
+  /// chunk is one pass of rank_vectors_passes, so chunk k + 1 computes
+  /// while chunk k commits, and chunks still commit in order.  shards > 1
+  /// supervises worker processes with the full restart/quarantine
+  /// machinery.  `report` (optional) accumulates per-item sweep health of
+  /// the chunks this call committed or stopped at; `cancel` (nullptr =
+  /// the process-global token) makes the campaign stop at the first
+  /// chunk it interrupts.
   CampaignStats run(int shards = 1, SweepReport* report = nullptr,
-                    util::CancelToken* cancel = nullptr);
+                    util::CancelToken* cancel = nullptr, util::ThreadPool* pool = nullptr);
 
   /// Stream the characterization table as JSON: one scan of the columnar
   /// store builds per-(corner, W/L) aggregates -- row/switching/failure
@@ -203,9 +213,21 @@ class CampaignDriver {
   };
   ChunkPlan plan(std::size_t chunk_id) const;
   static std::string chunk_key(std::size_t chunk_id);
-  bool run_chunk(std::size_t chunk_id, Checkpoint& ckpt, util::ColumnarWriter& store,
-                 SweepReport* report, util::CancelToken* cancel, util::ThreadPool* pool,
-                 std::size_t* rows_out);
+  std::size_t run_chunks(const std::vector<std::size_t>& ids, Checkpoint& ckpt,
+                         util::ColumnarWriter& store, SweepReport* report,
+                         util::CancelToken* cancel, util::ThreadPool* pool);
+
+  /// One corner's circuit and backend (the backend points into the circuit).
+  struct CornerBackend {
+    explicit CornerBackend(CornerCircuit c) : circuit(std::move(c)) {}
+    CornerCircuit circuit;
+    std::unique_ptr<EvalBackend> backend;
+  };
+  /// The backend of `corner`, built on first use.  Only the most recent
+  /// corner is cached (chunks are corner-major, so a walk in chunk order
+  /// builds each corner once); a chunk in flight holds its own reference,
+  /// so a corner is freed once its last chunk is done with it.
+  std::shared_ptr<const CornerBackend> corner_backend(std::size_t corner);
 
   CampaignSpec spec_;
   std::string dir_;
@@ -213,16 +235,13 @@ class CampaignDriver {
   std::string store_path_;
   Checkpoint ckpt_;
   util::ColumnarWriter store_;
+  std::unique_ptr<const CornerCircuit> nominal_;  ///< the circuit bound into the journal
   std::vector<VectorPair> vectors_;
   std::size_t chunks_per_sweep_ = 0;
   std::size_t n_chunks_ = 0;
-  // Lazily built per-corner circuit + backend, keyed by corner index;
-  // only the most recent corner is kept (chunks are corner-major, so a
-  // sequential walk rebuilds each corner once).
-  std::size_t cached_corner_ = static_cast<std::size_t>(-1);
-  std::unique_ptr<CornerCircuit> circuit_;
-  std::unique_ptr<EvalBackend> backend_;
-  EvalBackend& backend_for(std::size_t corner);
+  std::mutex corner_mutex_;  ///< guards the two fields below
+  std::size_t cached_corner_ = 0;
+  std::shared_ptr<const CornerBackend> corner_;
 };
 
 }  // namespace mtcmos::sizing

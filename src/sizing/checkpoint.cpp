@@ -112,13 +112,13 @@ void stage_value(Checkpoint::Stage& stage, const Checkpoint::Key& key,
 
 }  // namespace
 
-ItemKeys::ItemKeys(std::uint64_t context, const std::vector<VectorPair>& vectors)
+ItemKeys::ItemKeys(std::uint64_t context, const VectorPair* vectors, std::size_t n)
     : context_(context) {
-  if (vectors.empty()) return;
-  bits_ = static_cast<std::uint32_t>(vectors.front().v0.size());
+  if (n == 0) return;
+  bits_ = static_cast<std::uint32_t>(vectors[0].v0.size());
   stride_ = 2 * util::item_words(bits_);
-  words_.assign(vectors.size() * stride_, 0);
-  for (std::size_t i = 0; i < vectors.size(); ++i) {
+  words_.assign(n * stride_, 0);
+  for (std::size_t i = 0; i < n; ++i) {
     const VectorPair& vp = vectors[i];
     if (vp.v0.size() != bits_ || vp.v1.size() != bits_) {
       throw std::invalid_argument("checkpoint: every transition of a pass must be " +

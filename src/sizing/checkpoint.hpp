@@ -55,7 +55,9 @@ namespace mtcmos::sizing {
 class ItemKeys {
  public:
   ItemKeys() = default;
-  ItemKeys(std::uint64_t context, const std::vector<VectorPair>& vectors);
+  ItemKeys(std::uint64_t context, const VectorPair* vectors, std::size_t n);
+  ItemKeys(std::uint64_t context, const std::vector<VectorPair>& vectors)
+      : ItemKeys(context, vectors.data(), vectors.size()) {}
 
   util::ItemKey operator[](std::size_t i) const {
     return {context_, bits_, words_.data() + i * stride_};

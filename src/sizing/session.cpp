@@ -6,12 +6,14 @@
 #include <cmath>
 #include <cstdint>
 #include <exception>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -255,63 +257,125 @@ std::size_t batch_chunk(const EvalSession& session, const EvalBackend& backend) 
 // Items per checkpoint commit group: one journal write() each.
 constexpr std::size_t kMaxCommitGroup = 64;
 
-// The sweep scheduler: one pool task per `chunk` items (per item when the
-// kernel stands down, chunk 0).  A task builds its memo -- presence tests
-// and batch kernel -- then runs each item through run_item, committing
-// after every kMaxCommitGroup items and at its end, also when cancellation
-// or the deadline cut its items short, so an entry point returns with
-// every completed item journaled.  A task that throws (a journal fault, a
+// The sweep scheduler: an ordered list of passes, pass k of sizes[k]
+// items, run as one pool job of one task per `chunk` items of a pass (per
+// item when the kernel stands down, chunk 0).  Tasks are claimed in
+// (pass, chunk) order, so pass k + 1's tasks start while pass k's last
+// ones finish.  open(k) builds pass k's state -- its `keys`, and whatever
+// its memo, body and emit read -- once, when the pass's first task
+// starts; the state is freed once the pass is emitted.  A task's Outcome
+// slots live from its run to its emission, so memory holds the tasks in
+// flight, not the list.  A task builds its memo (presence tests and
+// batch kernel), then runs each item through run_item, committing after
+// every kMaxCommitGroup items and at its end, also when cancellation or
+// the deadline cut its items short, so an entry point returns with every
+// completed item journaled.  A task that throws (a journal fault, a
 // precondition bug) drops its uncommitted group, as a crash would, and
-// propagates once the pool drains.
+// propagates once the pool drains; emission stops at the last whole
+// chunk before it.
 //
-// emit(i) is the caller's per-item reduction (report, sink, running
-// maximum), called for every item in input order while the pass still
-// computes: after each chunk the *calling* thread runs, it emits the
-// finished prefix of chunks; workers only mark their chunk done, and the
-// rest is emitted once the pool drains.  Sinks are therefore called from
-// one thread, in the same sequence for any thread count.  An exception
-// from emit(k) (a sink that throws) stops emission after item k - 1;
-// every chunk still runs, so the same items are journaled, and it is
-// rethrown at the end.  A task that throws leaves emission at the last
-// whole chunk before it.
-template <typename T, typename MakeMemo, typename Body, typename Emit>
-void run_chunks(const RunContext& run, const ItemKeys& keys, std::size_t chunk,
-                std::vector<Outcome<T>>& out, const MakeMemo& make_memo, const Body& body,
-                const Emit& emit) {
+// emit(state, i, outcome) is the caller's per-item reduction (report,
+// sink, running maximum), called for every item in input order, pass
+// after pass, while later items still compute: after each task the
+// *calling* thread runs, it emits the finished prefix of tasks; workers
+// only mark their task done, and the rest is emitted once the pool
+// drains.  Sinks are therefore called from one thread, in the same
+// sequence for any thread count.  close(k, state) runs on the calling
+// thread right after pass k's last item is emitted and says whether to
+// go on.  An exception from emit or close, or a close that returns false,
+// stops emission there: the stopped pass's tasks still run, so the same
+// items are journaled, later passes' tasks not yet started are skipped,
+// and the exception is rethrown at the end.
+template <typename T, typename Open, typename MakeMemo, typename Body, typename Emit,
+          typename Close>
+void run_passes(const RunContext& run, std::size_t chunk, const std::vector<std::size_t>& sizes,
+                const Open& open, const MakeMemo& make_memo, const Body& body, const Emit& emit,
+                const Close& close) {
   const std::size_t span = std::max<std::size_t>(chunk, 1);
   const std::size_t group = std::min(span, kMaxCommitGroup);
-  const std::size_t n_chunks = (out.size() + span - 1) / span;
-  std::vector<std::atomic<bool>> done(n_chunks);
+  const std::size_t n_passes = sizes.size();
+  std::vector<std::size_t> first(n_passes + 1, 0);  // each pass's first task
+  for (std::size_t k = 0; k < n_passes; ++k) first[k + 1] = first[k] + (sizes[k] + span - 1) / span;
+  std::vector<std::atomic<bool>> done(first.back());
+  std::vector<std::vector<Outcome<T>>> outs(first.back());
+  std::vector<std::invoke_result_t<const Open&, std::size_t>> states(n_passes);
+  std::vector<std::once_flag> opened(n_passes);
+  const auto state = [&](std::size_t k) -> auto& {
+    std::call_once(opened[k], [&] { states[k] = open(k); });
+    return *states[k];
+  };
+  std::atomic<std::size_t> live{n_passes};  // passes from `live` on are stopped
   const std::thread::id caller = std::this_thread::get_id();
-  std::size_t emitted = 0;  // chunks emitted; touched by the calling thread only
+  // The emission cursor: the calling thread's alone.
+  std::size_t pass = 0;     // the pass being emitted
+  std::size_t emitted = 0;  // tasks emitted
   std::exception_ptr emit_error;
   const auto emit_ready = [&] {
-    for (; !emit_error && emitted < n_chunks && done[emitted].load(std::memory_order_acquire);
-         ++emitted) {
-      const std::size_t end = std::min(out.size(), (emitted + 1) * span);
+    while (!emit_error && pass < live.load(std::memory_order_relaxed)) {
+      if (emitted == first[pass + 1]) {
+        bool go = false;
+        try {
+          go = close(pass, state(pass));
+        } catch (...) {
+          emit_error = std::current_exception();
+        }
+        states[pass].reset();
+        if (!go) live.store(pass + 1, std::memory_order_relaxed);
+        ++pass;
+        continue;
+      }
+      if (!done[emitted].load(std::memory_order_acquire)) return;
+      auto& s = *states[pass];
+      std::vector<Outcome<T>> out = std::move(outs[emitted]);
+      const std::size_t begin = (emitted - first[pass]) * span;
       try {
-        for (std::size_t i = emitted * span; i < end; ++i) emit(i);
+        for (std::size_t j = 0; j < out.size(); ++j) emit(s, begin + j, out[j]);
       } catch (...) {
         emit_error = std::current_exception();
+        live.store(pass + 1, std::memory_order_relaxed);
       }
+      ++emitted;
     }
   };
-  run.pool.parallel_for(n_chunks, [&](std::size_t c) {
-    const std::size_t begin = c * span;
-    const std::size_t end = std::min(out.size(), begin + span);
-    auto memo = make_memo(begin, end);
-    Checkpoint::Stage stage;
-    for (std::size_t i = begin; i < end; ++i) {
-      out[i] = run_item<T>(run, i, keys, i, stage, [&] { return body(memo, i); });
-      if (run.checkpoint != nullptr && ((i + 1 - begin) % group == 0 || i + 1 == end)) {
-        run.checkpoint->commit(stage);
+  run.pool.parallel_for(first.back(), [&](std::size_t t) {
+    const std::size_t k =
+        static_cast<std::size_t>(std::upper_bound(first.begin(), first.end(), t) - first.begin()) -
+        1;
+    if (k < live.load(std::memory_order_relaxed)) {
+      auto& s = state(k);
+      const std::size_t begin = (t - first[k]) * span;
+      const std::size_t end = std::min(sizes[k], begin + span);
+      auto memo = make_memo(s, begin, end);
+      std::vector<Outcome<T>>& out = outs[t];
+      out.resize(end - begin);
+      Checkpoint::Stage stage;
+      for (std::size_t i = begin; i < end; ++i) {
+        out[i - begin] = run_item<T>(run, i, s.keys, i, stage, [&] { return body(s, memo, i); });
+        if (run.checkpoint != nullptr && ((i + 1 - begin) % group == 0 || i + 1 == end)) {
+          run.checkpoint->commit(stage);
+        }
       }
     }
-    done[c].store(true, std::memory_order_release);
+    done[t].store(true, std::memory_order_release);
     if (std::this_thread::get_id() == caller) emit_ready();
   });
   emit_ready();
   if (emit_error) std::rethrow_exception(emit_error);
+}
+
+// run_passes over one pass of `n` items keyed by `keys`; emit(i, outcome).
+template <typename T, typename MakeMemo, typename Body, typename Emit>
+void run_chunks(const RunContext& run, const ItemKeys& keys, std::size_t chunk, std::size_t n,
+                const MakeMemo& make_memo, const Body& body, const Emit& emit) {
+  struct Pass {
+    const ItemKeys& keys;
+  };
+  run_passes<T>(
+      run, chunk, {n}, [&](std::size_t) { return std::make_unique<Pass>(Pass{keys}); },
+      [&](Pass&, std::size_t begin, std::size_t end) { return make_memo(begin, end); },
+      [&](Pass&, auto& memo, std::size_t i) { return body(memo, i); },
+      [&](Pass&, std::size_t i, Outcome<T>& o) { emit(i, o); },
+      [](std::size_t, Pass&) { return true; });
 }
 
 // The items of [begin, end) for the chunk's batch kernel: those not yet
@@ -336,8 +400,7 @@ std::vector<std::size_t> chunk_todo(const RunContext& run, const ItemKeys& keys,
 class ChunkMemo {
  public:
   template <typename Kernel>
-  ChunkMemo(std::vector<std::size_t> idx, const std::vector<VectorPair>& vectors,
-            const Kernel& kernel)
+  ChunkMemo(std::vector<std::size_t> idx, const VectorPair* vectors, const Kernel& kernel)
       : idx_(std::move(idx)), slots_(idx_.size()) {
     if (idx_.empty()) return;
     std::vector<const VectorPair*> vps(idx_.size());
@@ -372,9 +435,9 @@ class ChunkMemo {
 
 // Typed checkpoint keys of one pass over `vectors` in the context
 // `prefix`, registering it; empty (and unused) when no checkpoint is armed.
-ItemKeys pass_keys(Checkpoint* ckpt, const std::string& prefix,
-                   const std::vector<VectorPair>& vectors) {
-  return ckpt != nullptr ? ItemKeys(ckpt->context(prefix), vectors) : ItemKeys();
+ItemKeys pass_keys(Checkpoint* ckpt, const std::string& prefix, const VectorPair* vectors,
+                   std::size_t n) {
+  return ckpt != nullptr ? ItemKeys(ckpt->context(prefix), vectors, n) : ItemKeys();
 }
 
 // Row keys for a key-carrying sink (the columnar spill), formatted one at
@@ -399,7 +462,7 @@ class SinkKeys {
 // bisection's first probe), then sized delays only where the baseline
 // toggled the outputs, as measure() -- the item body -- returns early.
 struct DegradationMemo {
-  DegradationMemo(const EvalBackend& backend, const std::vector<VectorPair>& vectors, double wl,
+  DegradationMemo(const EvalBackend& backend, const VectorPair* vectors, double wl,
                   std::vector<std::size_t> todo)
       : base(std::move(todo), vectors,
              [&](auto vps, auto n, auto out) { backend.delay_baseline_batch(vps, n, out); }),
@@ -421,48 +484,90 @@ struct DegradationMemo {
   }
 };
 
+// One rank pass while it is in flight: its keys and the row-key
+// formatter of its sink.  The pass prefix is formatted when
+// anyone consumes it -- the checkpoint registers it as the pass context,
+// a key-carrying sink (columnar spill) builds row keys from it; the plain
+// in-RAM path skips the fingerprint entirely.
+struct RankState {
+  RankState(const RunContext& run, const RankPass& p, std::size_t n)
+      : pass(p),
+        report(p.report != nullptr ? *p.report : run.report),
+        prefix(run.needs_keys(p.sink) ? rank_prefix(*p.backend, p.wl) : std::string()),
+        keys(pass_keys(run.checkpoint, prefix, p.vectors, n)),
+        sink_key(p.sink, prefix) {
+    if (!run.cancel.requested()) p.backend->prepare_wl(p.wl);
+  }
+
+  const RankPass pass;
+  SweepReport& report;
+  const std::string prefix;
+  const ItemKeys keys;
+  SinkKeys sink_key;
+  std::size_t rows = 0;
+};
+
+}  // namespace
+
+std::size_t rank_vectors_passes(const std::vector<std::size_t>& sizes, RankPasses& passes,
+                                const EvalSession& session) {
+  if (sizes.empty()) return 0;
+  const RunContext run(session);
+  const auto open = [&](std::size_t k) {
+    const RankPass p = passes.open(k);
+    if (p.sink == nullptr) {
+      throw std::invalid_argument("rank_vectors_passes: every pass needs a sink");
+    }
+    return std::make_unique<RankState>(run, p, sizes[k]);
+  };
+  // Pass 0 opens before the job: its backend picks the chunk size.
+  std::unique_ptr<RankState> first = open(0);
+  const std::size_t chunk = batch_chunk(session, *first->pass.backend);
+  std::size_t rows = 0;
+  // Each pass evaluates into per-item Outcome slots, emitted in input
+  // order: its sink sees the exact sequence the serial loop produced, so
+  // the emission stream is bit-identical for any thread count, and a
+  // failed item only removes itself from the stream.
+  run_passes<VectorDelay>(
+      run, chunk, sizes, [&](std::size_t k) { return k == 0 ? std::move(first) : open(k); },
+      [&](RankState& s, std::size_t begin, std::size_t end) {
+        return DegradationMemo(*s.pass.backend, s.pass.vectors, s.pass.wl,
+                               chunk_todo(run, s.keys, chunk, begin, end));
+      },
+      [&](RankState& s, DegradationMemo& memo, std::size_t i) {
+        return memo.measure(i, *s.pass.backend, s.pass.vectors[i], s.pass.wl);
+      },
+      [&](RankState& s, std::size_t i, Outcome<VectorDelay>& o) {
+        s.report.add(i, o);
+        if (!o.ok()) return;
+        // The transition itself lives in the checkpoint key, not the
+        // record; re-attach it for computed and replayed outcomes alike.
+        o.value->pair = s.pass.vectors[i];
+        s.pass.sink->on_delay(s.sink_key(s.pass.vectors[i]), *o.value);
+        ++s.rows;
+      },
+      [&](std::size_t k, RankState& s) {
+        s.pass.sink->flush();
+        rows += s.rows;
+        return passes.close(k, s.rows);
+      });
+  return rows;
+}
+
+namespace {
+
 // Streaming core shared by the materializing and streaming rank_vectors
-// fronts: evaluate, emitting every successfully measured row (computed
-// or checkpoint-replayed alike) into `sink` in input order as chunks
-// complete.  Rows live only in the per-call Outcome slots; what persists
-// beyond the call is whatever the sink keeps.
+// fronts: the one-pass case of rank_vectors_passes.
 std::size_t rank_vectors_into(const EvalBackend& backend,
                               const std::vector<VectorPair>& vectors, double wl,
                               const EvalSession& session, ResultSink& sink) {
-  const RunContext run(session);
-  // The pass prefix is formatted when anyone consumes it -- the
-  // checkpoint registers it as the pass context, a key-carrying sink
-  // (columnar spill) builds row keys from it.  The plain in-RAM path
-  // skips the fingerprint entirely.
-  const std::string prefix = run.needs_keys(&sink) ? rank_prefix(backend, wl) : std::string();
-  const ItemKeys keys = pass_keys(run.checkpoint, prefix, vectors);
-  SinkKeys sink_key(&sink, prefix);
-  if (!run.cancel.requested()) backend.prepare_wl(wl);
-  const std::size_t chunk = batch_chunk(session, backend);
-  // Evaluate into per-index Outcome slots, emitted in input order: the
-  // sink sees the exact sequence the serial loop produced, so the
-  // emission stream is bit-identical for any thread count, and a failed
-  // item only removes itself from the stream.
-  std::vector<Outcome<VectorDelay>> measured(vectors.size());
-  std::size_t emitted = 0;
-  run_chunks(
-      run, keys, chunk, measured,
-      [&](std::size_t begin, std::size_t end) {
-        return DegradationMemo(backend, vectors, wl, chunk_todo(run, keys, chunk, begin, end));
-      },
-      [&](DegradationMemo& memo, std::size_t i) {
-        return memo.measure(i, backend, vectors[i], wl);
-      },
-      [&](std::size_t i) {
-        if (!run.keep(i, measured[i])) return;
-        // The transition itself lives in the checkpoint key, not the
-        // record; re-attach it for computed and replayed outcomes alike.
-        measured[i].value->pair = vectors[i];
-        sink.on_delay(sink_key(vectors[i]), *measured[i].value);
-        ++emitted;
-      });
-  sink.flush();
-  return emitted;
+  struct OnePass final : RankPasses {
+    RankPass pass;
+    RankPass open(std::size_t) override { return pass; }
+    bool close(std::size_t, std::size_t) override { return true; }
+  } one;
+  one.pass = {&backend, vectors.data(), wl, &sink, nullptr};
+  return rank_vectors_passes({vectors.size()}, one, session);
 }
 
 }  // namespace
@@ -531,7 +636,7 @@ SizingResult size_for_degradation(const EvalBackend& backend,
   std::uint64_t fp = 0;
   if (run.needs_keys(sink)) fp = netlist_fingerprint(backend.netlist(), backend.outputs());
 
-  // Parallel map into index-addressed Outcome slots, reduced in input
+  // Parallel map into per-item Outcome slots, reduced in input
   // order by a first-maximum that skips failed items: identical result to
   // the serial loop for any thread count, regardless of which items fail.
   const std::size_t chunk = batch_chunk(session, backend);
@@ -539,30 +644,32 @@ SizingResult size_for_degradation(const EvalBackend& backend,
     if (!run.cancel.requested()) backend.prepare_wl(wl);
     std::string prefix;
     if (run.needs_keys(sink)) prefix = checkpoint_prefix("probe", backend.name(), fp, wl);
-    const ItemKeys keys = pass_keys(ckpt, prefix, vectors);
+    const ItemKeys keys = pass_keys(ckpt, prefix, vectors.data(), vectors.size());
     SinkKeys sink_key(sink, prefix);
-    std::vector<Outcome<double>> deg(vectors.size());
     double worst = -1.0;
     std::size_t worst_idx = 0;
     bool any_ok = false;
+    FailureInfo first_failure;
     // run_item already absorbs NumericalErrors, so the only exceptions
     // that reach the pool are precondition bugs (and journal write
     // failures), which should cancel and propagate.
-    run_chunks(
-        run, keys, chunk, deg,
+    run_chunks<double>(
+        run, keys, chunk, vectors.size(),
         [&](std::size_t begin, std::size_t end) {
-          return DegradationMemo(backend, vectors, wl, chunk_todo(run, keys, chunk, begin, end));
+          return DegradationMemo(backend, vectors.data(), wl,
+                                 chunk_todo(run, keys, chunk, begin, end));
         },
         [&](DegradationMemo& memo, std::size_t i) {
           const VectorDelay vd = memo.measure(i, backend, vectors[i], wl);
           return vd.delay_cmos <= 0.0 || vd.delay_mtcmos <= 0.0 ? -1.0 : vd.degradation_pct;
         },
-        [&](std::size_t i) {
-          if (!run.keep(i, deg[i])) return;
-          if (sink != nullptr) sink->on_value(sink_key(vectors[i]), *deg[i].value);
+        [&](std::size_t i, const Outcome<double>& o) {
+          if (i == 0) first_failure = o.failure;
+          if (!run.keep(i, o)) return;
+          if (sink != nullptr) sink->on_value(sink_key(vectors[i]), *o.value);
           any_ok = true;
-          if (*deg[i].value > worst) {
-            worst = *deg[i].value;
+          if (*o.value > worst) {
+            worst = *o.value;
             worst_idx = i;
           }
         });
@@ -570,9 +677,9 @@ SizingResult size_for_degradation(const EvalBackend& backend,
     if (!any_ok) {
       // Keep the first failure's code: an all-cancelled probe surfaces as
       // kCancelled so callers distinguish "interrupted" from "diverged".
-      throw NumericalError({deg[0].failure.code, "size_for_degradation",
+      throw NumericalError({first_failure.code, "size_for_degradation",
                             "every vector failed at probe W/L=" + std::to_string(wl) +
-                                " (first: " + deg[0].failure.message() + ")"});
+                                " (first: " + first_failure.message() + ")"});
     }
     return std::pair<double, std::size_t>{worst, worst_idx};
   };
@@ -635,13 +742,12 @@ VectorDelay search_worst_vector(const EvalBackend& backend, double wl, int sampl
   const std::vector<VectorPair> sampled = sampled_vector_pairs(n, samples, rng);
   const ItemKeys keys = run.checkpoint != nullptr ? ItemKeys(context, sampled) : ItemKeys();
   const std::size_t chunk = batch_chunk(session, backend);
-  std::vector<Outcome<double>> scores(sampled.size());
   VectorPair best;
   double best_score = -1.0;
-  run_chunks(
-      run, keys, chunk, scores,
+  run_chunks<double>(
+      run, keys, chunk, sampled.size(),
       [&](std::size_t begin, std::size_t end) {
-        return ChunkMemo(chunk_todo(run, keys, chunk, begin, end), sampled,
+        return ChunkMemo(chunk_todo(run, keys, chunk, begin, end), sampled.data(),
                          [&](auto vps, auto m, auto out) {
                            backend.delay_at_wl_batch(vps, m, wl, out);
                          });
@@ -649,11 +755,11 @@ VectorDelay search_worst_vector(const EvalBackend& backend, double wl, int sampl
       [&](ChunkMemo& memo, std::size_t i) {
         return memo.take(i, [&] { return score(sampled[i]); });
       },
-      [&](std::size_t i) {
-        if (!run.keep(i, scores[i])) return;
-        if (sink != nullptr) sink->on_value(sink_key(sampled[i]), *scores[i].value);
-        if (*scores[i].value > best_score) {
-          best_score = *scores[i].value;
+      [&](std::size_t i, const Outcome<double>& o) {
+        if (!run.keep(i, o)) return;
+        if (sink != nullptr) sink->on_value(sink_key(sampled[i]), *o.value);
+        if (*o.value > best_score) {
+          best_score = *o.value;
           best = sampled[i];
         }
       });
@@ -714,7 +820,7 @@ std::vector<VectorPair> screen_vectors(const netlist::Netlist& nl,
     // Logic-level screening involves no backend: key on the bare netlist.
     prefix = checkpoint_prefix_nowl("screen", "logic", netlist_fingerprint(nl, {}));
   }
-  const ItemKeys keys = pass_keys(run.checkpoint, prefix, candidates);
+  const ItemKeys keys = pass_keys(run.checkpoint, prefix, candidates.data(), candidates.size());
   SinkKeys sink_key(sink, prefix);
   // Grouped dispatch: falling_discharge_weight is cheap relative to a
   // pool task handoff, so each task takes one commit group of candidates,
@@ -722,17 +828,16 @@ std::vector<VectorPair> screen_vectors(const netlist::Netlist& nl,
   // run_item still runs per item (scope stamps, checkpoint keys
   // unchanged), so the ranking is identical for any thread count or
   // group size.
-  std::vector<Outcome<double>> weights(candidates.size());
   std::vector<std::pair<double, std::size_t>> scored;
   scored.reserve(candidates.size());
-  run_chunks(
+  run_chunks<double>(
       run, keys, std::min(session.batch == 0 ? kDefaultBatch : session.batch, kMaxCommitGroup),
-      weights, [](std::size_t, std::size_t) { return 0; },
+      candidates.size(), [](std::size_t, std::size_t) { return 0; },
       [&](int, std::size_t i) { return falling_discharge_weight(nl, candidates[i]); },
-      [&](std::size_t i) {
-        if (!run.keep(i, weights[i])) return;
-        if (sink != nullptr) sink->on_value(sink_key(candidates[i]), *weights[i].value);
-        scored.emplace_back(*weights[i].value, i);
+      [&](std::size_t i, const Outcome<double>& o) {
+        if (!run.keep(i, o)) return;
+        if (sink != nullptr) sink->on_value(sink_key(candidates[i]), *o.value);
+        scored.emplace_back(*o.value, i);
       });
   if (sink != nullptr) sink->flush();
   std::sort(scored.begin(), scored.end(),

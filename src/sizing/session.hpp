@@ -146,6 +146,46 @@ std::size_t rank_vectors_stream(const EvalBackend& backend,
                                 const std::vector<VectorPair>& vectors, double wl,
                                 const EvalSession& session);
 
+/// One pass of rank_vectors_passes: rank_vectors_stream over the pass's
+/// transitions at `vectors` on `backend` at `wl`, rows into `sink`.
+struct RankPass {
+  const EvalBackend* backend = nullptr;
+  const VectorPair* vectors = nullptr;  ///< the pass's transitions, referenced, not copied
+  double wl = 0.0;
+  ResultSink* sink = nullptr;     ///< required
+  SweepReport* report = nullptr;  ///< nullptr = the session's report
+};
+
+/// The caller's side of rank_vectors_passes.
+class RankPasses {
+ public:
+  virtual ~RankPasses() = default;
+  /// Pass k's work.  Called once per pass, from the pool thread that
+  /// starts the pass's first task (the calling thread for pass 0 and for
+  /// an empty pass); what it points at must stay valid until close(k).
+  virtual RankPass open(std::size_t k) = 0;
+  /// Called from the calling thread, in pass order, once pass k's last
+  /// row is emitted and its sink flushed; `rows` counts them.  Returning
+  /// false stops the run: no later pass emits a row or closes.  A pass
+  /// opened but never closed (the run stopped or threw first) is
+  /// dropped.
+  virtual bool close(std::size_t k, std::size_t rows) = 0;
+};
+
+/// rank_vectors_stream over an ordered list of passes -- pass k ranks
+/// `sizes[k]` transitions -- run as one pool job, so pass k + 1 computes
+/// while pass k finishes and no thread idles at a pass boundary.  Each
+/// pass's rows come from the calling thread in input order, pass after
+/// pass, exactly as running the passes one at a time would emit them;
+/// a pass's keys exist only from its first task until it is closed, and
+/// a chunk's Outcome slots only until the chunk is emitted.  An
+/// exception from a sink or from close() stops emission there, like a
+/// sink throw in rank_vectors_stream, skips every later pass's tasks not
+/// yet started, and is rethrown.  Every pass's backend must agree on
+/// supports_batch().  Returns the number of rows emitted.
+std::size_t rank_vectors_passes(const std::vector<std::size_t>& sizes, RankPasses& passes,
+                                const EvalSession& session);
+
 /// Smallest W/L (within bounds, resolved to wl_tol) whose worst
 /// degradation over `vectors` is <= target_pct.  Failed vectors are
 /// skipped in each probe's worst-degradation reduction and recorded in

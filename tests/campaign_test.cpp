@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -18,8 +21,11 @@
 #include "models/technology.hpp"
 #include "sizing/campaign.hpp"
 #include "util/cancel.hpp"
+#include "util/columnar.hpp"
 #include "util/error.hpp"
 #include "util/faultinject.hpp"
+#include "util/journal.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mtcmos {
 namespace {
@@ -341,31 +347,36 @@ TEST_F(CampaignTest, ResumeWithAnEditedSpecIsRejected) {
 
 TEST_F(CampaignTest, ResumedAndShardedRunsEmitByteIdenticalTables) {
   const auto spec = CampaignSpec::parse(kTinySpec);
-
-  CampaignDriver fresh(spec, subdir("fresh"), false);
-  fresh.run();
-  const std::string reference = table_of(fresh);
-  EXPECT_NE(reference.find("\"format\": \"mtcmos-campaign-table-1\""), std::string::npos);
-  EXPECT_NE(reference.find("\"name\": \"slow\""), std::string::npos);
-
-  // Interrupted run: a parallel thread raises the cancel token almost
-  // immediately, so some prefix of the chunks completes.  However many
-  // that was, the resumed run must converge to the same table bytes.
+  std::string reference;
   {
-    util::CancelToken token;
-    CampaignDriver interrupted(spec, subdir("resumed"), false);
-    std::thread canceller([&token] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      token.request();
-    });
-    const CampaignStats stats = interrupted.run(1, nullptr, &token);
-    canceller.join();
-    EXPECT_EQ(stats.chunks_replayed + stats.chunks_run, interrupted.chunks_done());
+    // The in-process runs use a pool of their own, joined before the
+    // sharded run forks: TSan cannot follow a fork from a threaded process.
+    util::ThreadPool pool(4);
+    CampaignDriver fresh(spec, subdir("fresh"), false);
+    fresh.run(1, nullptr, nullptr, &pool);
+    reference = table_of(fresh);
+    EXPECT_NE(reference.find("\"format\": \"mtcmos-campaign-table-1\""), std::string::npos);
+    EXPECT_NE(reference.find("\"name\": \"slow\""), std::string::npos);
+
+    // Interrupted run: a parallel thread raises the cancel token almost
+    // immediately, so some prefix of the chunks completes.  However many
+    // that was, the resumed run must converge to the same table bytes.
+    {
+      util::CancelToken token;
+      CampaignDriver interrupted(spec, subdir("resumed"), false);
+      std::thread canceller([&token] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        token.request();
+      });
+      const CampaignStats stats = interrupted.run(1, nullptr, &token, &pool);
+      canceller.join();
+      EXPECT_EQ(stats.chunks_replayed + stats.chunks_run, interrupted.chunks_done());
+    }
+    CampaignDriver resumed(spec, subdir("resumed"), true);
+    const CampaignStats rstats = resumed.run(1, nullptr, nullptr, &pool);
+    EXPECT_TRUE(rstats.complete);
+    EXPECT_EQ(table_of(resumed), reference);
   }
-  CampaignDriver resumed(spec, subdir("resumed"), true);
-  const CampaignStats rstats = resumed.run();
-  EXPECT_TRUE(rstats.complete);
-  EXPECT_EQ(table_of(resumed), reference);
 
   // Sharded run: two supervised worker processes, shard journals and
   // shard columnar stores merged back.
@@ -441,6 +452,270 @@ TEST_F(CampaignTest, TableContainsSizingAndCornerPhysics) {
   EXPECT_NE(table.find("\"sizing\""), std::string::npos);
   EXPECT_NE(table.find("\"worst_vector\""), std::string::npos);
   EXPECT_NE(table.find("\"histogram_pct\""), std::string::npos);
+}
+
+// --- The pipelined in-process run ---------------------------------------
+//
+// In-process, every remaining chunk is one pass of a single pool job, so
+// chunk k + 1 computes while chunk k commits.  Blocks and records must
+// still commit in chunk order, and a run must stop at the first chunk it
+// interrupts.
+
+// adder3 (4096 transitions) cut into 600-row chunks: 7 chunks per sweep,
+// 28 in all, each several pool tasks long and the last one shorter.
+const char* kPipelineSpec = R"({
+  "circuit": "builtin:adder3",
+  "target_pct": 10.0,
+  "wl_grid": [10, 80],
+  "corners": [
+    { "name": "nominal" },
+    { "name": "slow", "vdd_scale": 0.95, "vt_high_shift": 0.05, "temp": 358.15 }
+  ],
+  "chunk": 600
+})";
+
+/// A store read back tag by tag: each tag's first block, row by row (key
+/// and exact value bits), and how many blocks carry the tag.
+struct StoreBlocks {
+  std::map<std::uint64_t, std::string> rows;
+  std::map<std::uint64_t, int> blocks;
+};
+
+StoreBlocks read_blocks(const std::string& path) {
+  StoreBlocks out;
+  util::scan_columnar_file(
+      path,
+      [&](const util::ColumnarRow& row) {
+        std::string& text = out.rows[row.tag];
+        text.append(row.key);
+        for (std::size_t c = 0; c < row.n_cols; ++c) {
+          text += ' ' + std::to_string(std::bit_cast<std::uint64_t>(row.values[c]));
+        }
+        text += '\n';
+      },
+      [&](std::uint64_t tag) { return ++out.blocks[tag] == 1; });
+  return out;
+}
+
+std::vector<std::uint64_t> tags_of(const StoreBlocks& store) {
+  std::vector<std::uint64_t> tags;
+  for (const auto& [tag, n] : store.blocks) {
+    tags.push_back(tag);
+    EXPECT_EQ(n, 1) << "tag " << tag << " has " << n << " blocks";
+  }
+  return tags;
+}
+
+std::vector<std::uint64_t> first_tags(std::size_t k) {
+  std::vector<std::uint64_t> tags(k);
+  for (std::size_t c = 0; c < k; ++c) tags[c] = c;
+  return tags;
+}
+
+/// Chunk ids journaled in `driver`'s campaign.
+std::vector<std::uint64_t> journaled_chunks(CampaignDriver& driver) {
+  std::vector<std::uint64_t> out;
+  for (std::size_t c = 0; c < driver.n_chunks(); ++c) {
+    if (driver.checkpoint().journal().contains("chunk:" + std::to_string(c))) out.push_back(c);
+  }
+  return out;
+}
+
+/// Lay out in `to` what a run stopped after its first `k` chunks leaves
+/// behind, copied from the completed campaign in `from`: the meta records
+/// and chunk records 0..k-1, and those chunks' blocks.  Without
+/// `netlist_record` the journal is one written before the netlist was
+/// bound.
+void copy_prefix(const std::filesystem::path& from, const std::filesystem::path& to,
+                 std::size_t k, std::size_t rows_per_block, bool netlist_record) {
+  std::filesystem::create_directories(to);
+  util::Journal source;
+  source.open((from / "campaign.mtj").string());
+  util::Journal journal;
+  journal.open((to / "campaign.mtj").string());
+  source.for_each_text([&](const std::string& key, const std::string& value) {
+    const bool chunk = key.rfind("chunk:", 0) == 0;
+    if (chunk && std::stoul(key.substr(6)) >= k) return;
+    if (key == "meta:campaign-netlist" && !netlist_record) return;
+    journal.append(key, value);
+  });
+  journal.close();
+  util::ColumnarWriter store;
+  util::ColumnarOptions options;
+  options.rows_per_block = rows_per_block;
+  store.open((to / "campaign.mtc").string(), options);
+  util::scan_columnar_file((from / "campaign.mtc").string(), [&](const util::ColumnarRow& row) {
+    if (row.tag >= k) return;
+    store.set_tag(row.tag);
+    store.append(std::string(row.key), row.values, row.n_cols);
+  });
+  store.close();
+}
+
+TEST_F(CampaignTest, PipelinedRunsMatchEveryPoolSizeAndTheShardedRun) {
+  const auto spec = CampaignSpec::parse(kPipelineSpec);
+  // The sharded run goes first, while this process has no pool threads
+  // to fork under.
+  CampaignDriver sharded(spec, subdir("sharded"), false);
+  ASSERT_TRUE(sharded.run(2).complete);
+  const std::string reference = table_of(sharded);
+  const StoreBlocks blocks = read_blocks(sharded.store_path());
+  ASSERT_EQ(blocks.rows.size(), sharded.n_chunks());
+
+  for (const int threads : {1, 2, 4}) {
+    util::ThreadPool pool(threads);
+    CampaignDriver driver(spec, subdir("pool" + std::to_string(threads)), false);
+    const CampaignStats stats = driver.run(1, nullptr, nullptr, &pool);
+    EXPECT_TRUE(stats.complete) << threads << " threads";
+    EXPECT_EQ(stats.chunks_run, driver.n_chunks()) << threads << " threads";
+    EXPECT_EQ(stats.rows_emitted, driver.n_vectors() * 4) << threads << " threads";
+    EXPECT_EQ(table_of(driver), reference) << threads << " threads";
+    const StoreBlocks mine = read_blocks(driver.store_path());
+    EXPECT_EQ(tags_of(mine), first_tags(driver.n_chunks())) << threads << " threads";
+    EXPECT_EQ(mine.rows, blocks.rows) << threads << " threads";
+  }
+}
+
+TEST_F(CampaignTest, CancelAfterACommittedChunkLeavesAJournaledPrefix) {
+  const auto spec = CampaignSpec::parse(kPipelineSpec);
+  std::string reference;
+  {
+    CampaignDriver fresh(spec, subdir("fresh"), false);
+    fresh.run();
+    reference = table_of(fresh);
+  }
+  constexpr std::size_t kCommitted = 2;
+  for (const int threads : {1, 2, 4}) {
+    const std::string dir = subdir("cancelled" + std::to_string(threads));
+    util::ThreadPool pool(threads);
+    {
+      // The watcher raises the token once chunk kCommitted - 1 is
+      // journaled; however many chunks commit before the run sees it,
+      // the journal must hold a prefix of them, each with its block.
+      util::CancelToken token;
+      CampaignDriver driver(spec, dir, false);
+      std::thread watcher([&] {
+        while (driver.chunks_done() < kCommitted) std::this_thread::yield();
+        token.request();
+      });
+      driver.run(1, nullptr, &token, &pool);
+      watcher.join();
+      const std::vector<std::uint64_t> journaled = journaled_chunks(driver);
+      ASSERT_GE(journaled.size(), kCommitted) << threads << " threads";
+      EXPECT_EQ(journaled, first_tags(journaled.size())) << threads << " threads";
+      EXPECT_EQ(tags_of(read_blocks(driver.store_path())), journaled) << threads << " threads";
+    }
+    CampaignDriver resumed(spec, dir, true);
+    EXPECT_TRUE(resumed.run(1, nullptr, nullptr, &pool).complete) << threads << " threads";
+    EXPECT_EQ(table_of(resumed), reference) << threads << " threads";
+  }
+}
+
+TEST_F(CampaignTest, AppendFaultInALaterChunkLeavesNoBlockOrRecordFromIt) {
+  const auto spec = CampaignSpec::parse(kPipelineSpec);
+  std::string reference;
+  {
+    CampaignDriver fresh(spec, subdir("fresh"), false);
+    fresh.run();
+    reference = table_of(fresh);
+  }
+  constexpr std::size_t kFailing = 5;
+  for (const int threads : {1, 2, 4}) {
+    // Chunks 0..kFailing-1 are done, so the run's first block is chunk
+    // kFailing's: its third append fails while the chunks behind it
+    // compute.
+    const std::filesystem::path dir = dir_ / ("failed" + std::to_string(threads));
+    copy_prefix(dir_ / "fresh", dir, kFailing, spec.chunk, true);
+    util::ThreadPool pool(threads);
+    {
+      CampaignDriver failing(spec, dir.string(), true);
+      faultinject::arm(faultinject::Site::kColumnarAppend, 2, 1);
+      try {
+        failing.run(1, nullptr, nullptr, &pool);
+        ADD_FAILURE() << "the injected append failure did not propagate";
+      } catch (const NumericalError& e) {
+        EXPECT_EQ(e.info().code, FailureCode::kInjected);
+      }
+      faultinject::disarm_all();
+      EXPECT_EQ(journaled_chunks(failing), first_tags(kFailing)) << threads << " threads";
+    }
+    // Read after the driver closed its writer: nothing buffered may land.
+    EXPECT_EQ(tags_of(read_blocks((dir / "campaign.mtc").string())), first_tags(kFailing))
+        << threads << " threads";
+    CampaignDriver resumed(spec, dir.string(), true);
+    EXPECT_TRUE(resumed.run(1, nullptr, nullptr, &pool).complete) << threads << " threads";
+    EXPECT_EQ(table_of(resumed), reference) << threads << " threads";
+  }
+}
+
+// --- The netlist guard ----------------------------------------------------
+
+void write_mtn(const std::string& path, const std::string& body) {
+  std::ofstream os(path);
+  os << "tech paper-0.7um\n" << body;
+}
+
+std::string mtn_spec(const std::string& mtn) {
+  return R"({"circuit": ")" + mtn + R"(", "wl_grid": [10, 40], "chunk": 4})";
+}
+
+TEST_F(CampaignTest, ResumeOverAnEditedNetlistIsRefused) {
+  const std::string mtn = (dir_ / "blk.mtn").string();
+  write_mtn(mtn, "input a b\nnand2 g1 a b\ninv g2 g1.out\noutput g2.out\n");
+  const auto spec = CampaignSpec::parse(mtn_spec(mtn));
+  {
+    CampaignDriver driver(spec, subdir("guard"), false);
+    ASSERT_TRUE(driver.run().complete);
+  }
+  // Same path, same spec, another circuit: the resume must not finish
+  // (or report as finished) a campaign over different rows.
+  write_mtn(mtn, "input a b\nnor2 g1 a b\nload g1.out 500f\noutput g1.out\n");
+  try {
+    CampaignDriver resumed(spec, subdir("guard"), true);
+    ADD_FAILURE() << "a resume over an edited netlist was accepted";
+  } catch (const NumericalError& e) {
+    EXPECT_EQ(e.info().code, FailureCode::kInvalidArgument);
+  }
+}
+
+TEST_F(CampaignTest, TableDescribesTheNetlistTheDriverBound) {
+  const std::string mtn = (dir_ / "blk.mtn").string();
+  write_mtn(mtn, "input a b\nnand2 g1 a b\ninv g2 g1.out\noutput g2.out\n");
+  const auto spec = CampaignSpec::parse(mtn_spec(mtn));
+  CampaignDriver driver(spec, subdir("t"), false);
+  ASSERT_TRUE(driver.run().complete);
+  const std::string table = table_of(driver);
+  EXPECT_NE(table.find("\"vdd\": 1.2,"), std::string::npos);
+  // An edit after the run changes neither the rows nor the corner
+  // physics the table reports.
+  {
+    std::ofstream os(mtn);
+    os << "tech paper-0.3um\ninput a b\nnand2 g1 a b\ninv g2 g1.out\noutput g2.out\n";
+  }
+  EXPECT_EQ(table_of(driver), table);
+}
+
+TEST_F(CampaignTest, JournalWithoutTheNetlistRecordResumesByteIdentically) {
+  const std::string mtn = (dir_ / "blk.mtn").string();
+  write_mtn(mtn, "input b a\nnand2 g1 a b\ninv g2 g1.out\nload g2.out 50f\noutput g2.out\n");
+  const auto spec = CampaignSpec::parse(mtn_spec(mtn));
+  std::string reference;
+  {
+    CampaignDriver fresh(spec, subdir("fresh"), false);
+    ASSERT_TRUE(fresh.run().complete);
+    reference = table_of(fresh);
+    ASSERT_TRUE(fresh.checkpoint().journal().contains("meta:campaign-netlist"));
+  }
+  copy_prefix(dir_ / "fresh", dir_ / "older", 3, spec.chunk, false);
+  {
+    CampaignDriver resumed(spec, subdir("older"), true);
+    EXPECT_EQ(resumed.chunks_done(), 3u);
+    EXPECT_TRUE(resumed.run().complete);
+    EXPECT_EQ(table_of(resumed), reference);
+  }
+  // The resume bound the netlist: an edit is refused from now on.
+  write_mtn(mtn, "input b a\nnor2 g1 a b\noutput g1.out\n");
+  EXPECT_THROW(CampaignDriver(spec, subdir("older"), true), NumericalError);
 }
 
 }  // namespace

@@ -11,6 +11,8 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -308,6 +310,124 @@ TEST_F(EmissionContractTest, WorkerThrowLeavesOnlyWholeInOrderChunksEmitted) {
     const std::vector<std::string> prefix(expected.begin(), expected.begin() + sink.rows.size());
     EXPECT_EQ(sink.rows, prefix) << threads << " threads";
     expect_caller_only(sink);
+  }
+}
+
+// --- Several passes as one pool job (rank_vectors_passes) ---------------
+//
+// Pass k + 1 computes while pass k emits, yet rows and close() calls come
+// from the calling thread in exactly the order that running the passes one
+// at a time produces.
+
+class PassSchedulerTest : public ParallelDeterminismTest {
+ protected:
+  static constexpr std::size_t kBatch = 16;
+
+  struct Plan {
+    std::size_t begin = 0;
+    std::size_t n = 0;
+    double wl = 0.0;
+  };
+
+  /// Uneven slices of the pair set at three W/Ls, one of them empty, so
+  /// passes end mid-chunk and a pass boundary falls inside a pool round.
+  static std::vector<Plan> plan() {
+    return {{0, 100, 8.0}, {100, 0, 8.0}, {100, 37, 20.0}, {137, 250, 8.0}, {387, 125, 50.0}};
+  }
+
+  static std::string close_line(std::size_t k, std::size_t rows) {
+    return "close " + std::to_string(k) + " after " + std::to_string(rows);
+  }
+
+  /// The passes run one at a time on the serial pool, each closed by a
+  /// marker line after its rows.
+  std::vector<std::string> one_at_a_time(const std::vector<VectorPair>& pairs) {
+    std::vector<std::string> log;
+    const std::vector<Plan> passes = plan();
+    for (std::size_t k = 0; k < passes.size(); ++k) {
+      const std::vector<VectorPair> slice(pairs.begin() + passes[k].begin,
+                                          pairs.begin() + passes[k].begin + passes[k].n);
+      RecordingSink sink;
+      EvalSession session;
+      session.pool = &serial_;
+      session.sink = &sink;
+      session.batch = kBatch;
+      const std::size_t rows = rank_vectors_stream(eval_, slice, passes[k].wl, session);
+      log.insert(log.end(), sink.rows.begin(), sink.rows.end());
+      log.push_back(close_line(k, rows));
+    }
+    return log;
+  }
+
+  /// Every pass into one shared sink; close() appends the marker line to
+  /// the same log and returns false at pass `stop_at`.
+  class LoggedPasses final : public RankPasses {
+   public:
+    LoggedPasses(const EvalBackend& backend, const std::vector<VectorPair>& pairs,
+                 std::size_t stop_at)
+        : backend_(backend), pairs_(pairs), stop_at_(stop_at) {}
+
+    RankPass open(std::size_t k) override {
+      opens.fetch_add(1);
+      const Plan p = plan()[k];
+      return {&backend_, pairs_.data() + p.begin, p.wl, &sink, nullptr};
+    }
+    bool close(std::size_t k, std::size_t rows) override {
+      sink.rows.push_back(close_line(k, rows));
+      sink.threads.push_back(std::this_thread::get_id());
+      return k != stop_at_;
+    }
+
+    RecordingSink sink;
+    std::atomic<int> opens{0};
+
+   private:
+    const EvalBackend& backend_;
+    const std::vector<VectorPair>& pairs_;
+    std::size_t stop_at_;
+  };
+
+  static std::vector<std::size_t> sizes() {
+    std::vector<std::size_t> out;
+    for (const Plan& p : plan()) out.push_back(p.n);
+    return out;
+  }
+};
+
+TEST_F(PassSchedulerTest, RowsAndClosesMatchRunningThePassesOneAtATime) {
+  const auto pairs = adder_pairs();
+  const std::vector<std::string> expected = one_at_a_time(pairs);
+  for (const int threads : {1, 2, 4}) {
+    util::ThreadPool pool(threads);
+    LoggedPasses passes(eval_, pairs, static_cast<std::size_t>(-1));
+    EvalSession session;
+    session.pool = &pool;
+    session.batch = kBatch;
+    const std::size_t rows = rank_vectors_passes(sizes(), passes, session);
+    EXPECT_EQ(passes.sink.rows, expected) << threads << " threads";
+    EXPECT_EQ(rows, expected.size() - plan().size()) << threads << " threads";
+    EXPECT_EQ(passes.opens.load(), static_cast<int>(plan().size())) << threads << " threads";
+    for (const std::thread::id id : passes.sink.threads) {
+      ASSERT_EQ(id, std::this_thread::get_id()) << threads << " threads";
+    }
+  }
+}
+
+TEST_F(PassSchedulerTest, CloseThatReturnsFalseStopsEveryLaterPass) {
+  const auto pairs = adder_pairs();
+  const std::vector<std::string> all = one_at_a_time(pairs);
+  constexpr std::size_t kStop = 2;
+  const auto end = std::find(all.begin(), all.end(), close_line(kStop, plan()[kStop].n));
+  ASSERT_NE(end, all.end());
+  const std::vector<std::string> expected(all.begin(), end + 1);
+  for (const int threads : {1, 2, 4}) {
+    util::ThreadPool pool(threads);
+    LoggedPasses passes(eval_, pairs, kStop);
+    EvalSession session;
+    session.pool = &pool;
+    session.batch = kBatch;
+    rank_vectors_passes(sizes(), passes, session);
+    EXPECT_EQ(passes.sink.rows, expected) << threads << " threads";
   }
 }
 
