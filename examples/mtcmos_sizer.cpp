@@ -8,16 +8,19 @@
 // the expanded circuit as a SPICE deck for external cross-checking.
 //
 // Usage:
-//   mtcmos_sizer <netlist.mtn | builtin:adderN> [--target PCT] [--vectors N]
-//                [--seed S] [--sweep WL1,WL2,...] [--backend vbs|spice]
-//                [--verify] [--screen N] [--export-deck out.sp]
-//                [--export-vcd out.vcd] [--wl X]
+//   mtcmos_sizer <netlist.mtn | builtin:adderN|multN|wallaceN> [--target PCT]
+//                [--vectors N] [--seed S] [--sweep WL1,WL2,...]
+//                [--backend vbs|spice] [--verify] [--screen N]
+//                [--export-deck out.sp] [--export-vcd out.vcd] [--wl X]
 //                [--checkpoint DIR] [--resume] [--watchdog MULT]
 //                [--shards N]
 //
 // The netlist must declare `input` nets and at least one `output` net;
-// builtin:adderN generates the paper's N-bit ripple-carry adder instead
-// (Section 6.2 uses N = 3).  With <= 8 inputs the vector space is
+// a builtin is generated instead, from the table the daemon and campaigns
+// read (sizing/campaign.cpp): adderN is the paper's ripple-carry adder
+// (N = 1..4; Section 6.2 uses N = 3), multN and wallaceN its N x N
+// carry-save and Wallace-tree multipliers (N = 2..4).  With <= 8 inputs
+// (sizing::kMaxExhaustiveInputs) the vector space is
 // enumerated exhaustively; larger blocks are sampled (N transitions) plus
 // greedy worst-vector refinement.  --backend picks the evaluation engine:
 // the fast switch-level simulator (vbs, default) or the transistor-level
@@ -66,19 +69,16 @@
 // some chunks were quarantined as poisoned.  See
 // docs/architecture.md "Result pipeline".
 
-#include <cstring>
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <sstream>
 
-#include "circuits/generators.hpp"
 #include "core/vbs.hpp"
-#include "sizing/campaign.hpp"
 #include "models/sleep_transistor.hpp"
 #include "netlist/expand.hpp"
-#include "netlist/io.hpp"
+#include "sizing/campaign.hpp"
 #include "sizing/checkpoint.hpp"
 #include "sizing/daemon.hpp"
 #include "sizing/session.hpp"
@@ -103,10 +103,10 @@ int usage() {
   // section 7 carries the same table with the full semantics -- keep the
   // two in sync (tests/daemon_test.cpp pins the daemon rows).
   std::cerr
-      << "usage: mtcmos_sizer <netlist.mtn | builtin:adderN> [--target PCT] [--vectors N]\n"
-         "                    [--seed S] [--sweep WL1,WL2,...] [--backend vbs|spice]\n"
-         "                    [--verify] [--screen N] [--export-deck out.sp]\n"
-         "                    [--export-vcd out.vcd] [--wl X]\n"
+      << "usage: mtcmos_sizer <netlist.mtn | builtin:adderN|multN|wallaceN> [--target PCT]\n"
+         "                    [--vectors N] [--seed S] [--sweep WL1,WL2,...]\n"
+         "                    [--backend vbs|spice] [--verify] [--screen N]\n"
+         "                    [--export-deck out.sp] [--export-vcd out.vcd] [--wl X]\n"
          "                    [--checkpoint DIR] [--resume] [--watchdog MULT]\n"
          "                    [--shards N]\n"
          "       mtcmos_sizer --campaign spec.json --checkpoint DIR [--table PATH]\n"
@@ -149,28 +149,6 @@ std::vector<double> parse_list(const std::string& csv) {
   std::string item;
   while (std::getline(ss, item, ',')) out.push_back(std::stod(item));
   return out;
-}
-
-/// Load the named .mtn file, or generate a built-in benchmark circuit
-/// ("builtin:adderN" = the paper's N-bit ripple-carry adder).
-netlist::ParsedNetlist load_circuit(const std::string& path) {
-  if (path.rfind("builtin:", 0) == 0) {
-    const std::string name = path.substr(std::strlen("builtin:"));
-    if (name.rfind("adder", 0) == 0) {
-      const int nbits = std::stoi(name.substr(std::strlen("adder")));
-      if (nbits < 1 || nbits > 4) {
-        throw std::invalid_argument("builtin:adderN supports N = 1..4 (2N inputs)");
-      }
-      auto adder = circuits::make_ripple_adder(tech07(), nbits);
-      std::vector<std::string> outs;
-      for (const auto s : adder.sum) outs.push_back(adder.netlist.net_name(s));
-      outs.push_back(adder.netlist.net_name(adder.cout));
-      return {std::move(adder.netlist), std::move(outs)};
-    }
-    throw std::invalid_argument("unknown builtin circuit '" + name +
-                                "' (supported: adderN)");
-  }
-  return netlist::read_netlist_file(path);
 }
 
 /// --campaign mode: stream a corner-crossed characterization campaign
@@ -464,12 +442,10 @@ int main(int argc, char** argv) {
   }
 
   try {
-    const netlist::ParsedNetlist parsed = load_circuit(path);
-    const netlist::Netlist& nl = parsed.nl;
-    if (parsed.outputs.empty()) {
-      std::cerr << "error: netlist declares no `output` nets\n";
-      return 1;
-    }
+    // Every sweep below runs through this one circuit and backend.
+    const sizing::Evaluator evaluator(sizing::build_campaign_circuit(path, nullptr), backend_name);
+    const netlist::Netlist& nl = evaluator.circuit().nl;
+    const sizing::EvalBackend& eval = evaluator.backend();
     std::cout << "Netlist: " << nl.gate_count() << " gates, " << nl.transistor_count()
               << " transistors, " << nl.inputs().size() << " inputs, technology "
               << nl.tech().name << "\n";
@@ -520,7 +496,7 @@ int main(int argc, char** argv) {
     const int n_in = static_cast<int>(nl.inputs().size());
     Rng rng(seed);
     std::vector<sizing::VectorPair> vectors;
-    if (n_in <= 8) {
+    if (n_in <= sizing::kMaxExhaustiveInputs) {
       vectors = sizing::all_vector_pairs(n_in);
       std::cout << "Exhaustive vector space: " << vectors.size() << " transitions\n";
     } else {
@@ -536,15 +512,9 @@ int main(int argc, char** argv) {
                 << " transitions with the largest simultaneous-discharge weight\n";
     }
 
-    // Evaluation backend: every sweep below runs through this interface.
-    std::unique_ptr<sizing::EvalBackend> backend;
     if (backend_name == "spice") {
-      backend = std::make_unique<sizing::SpiceBackend>(nl, parsed.outputs);
       std::cout << "Backend: transistor-level MNA engine (expect ~1000x the vbs runtime)\n";
-    } else {
-      backend = std::make_unique<sizing::VbsBackend>(nl, parsed.outputs);
     }
-    const sizing::EvalBackend& eval = *backend;
 
     // Degradation sweep through the session, so the table rows are
     // parallel, fault-isolated, checkpointed, and cancellable like every
@@ -578,9 +548,9 @@ int main(int argc, char** argv) {
     table.print(std::cout);
 
     // Refined worst vector (sampled spaces benefit from the greedy pass).
-    if (n_in > 8) {
-      const auto worst =
-          sizing::search_worst_vector(eval, sweep.front(), n_vectors / 2, rng, session);
+    if (n_in > sizing::kMaxExhaustiveInputs) {
+      const auto worst = sizing::search_worst_vector(eval, sweep.front(),
+                                                     std::max(1, n_vectors / 2), rng, session);
       vectors.push_back(worst.pair);
       std::cout << "Greedy-refined worst vector adds " << worst.degradation_pct
                 << "% degradation at W/L = " << sweep.front() << "\n";
@@ -597,7 +567,7 @@ int main(int argc, char** argv) {
     if (verify) {
       // Paper Section 6 methodology: size with the fast engine, re-measure
       // the binding vector on the transistor-level reference.
-      const sizing::SpiceBackend reference(nl, parsed.outputs);
+      const sizing::SpiceBackend reference(nl, evaluator.circuit().outputs);
       const auto vr = sizing::verify_sizing(eval, reference, sized, target, session);
       std::cout << "\nCross-backend verification (" << eval.name() << " -> "
                 << reference.name() << ") of the binding vector at W/L = " << vr.wl << ":\n";

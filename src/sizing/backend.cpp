@@ -137,11 +137,11 @@ VbsBackend::VbsBackend(const Netlist& nl, std::vector<std::string> outputs,
     : nl_(nl),
       outputs_(std::move(outputs)),
       base_(base),
-      limits_(limits),
       baseline_sim_(nl, with_resistance(base, 0.0)),
+      sims_(limits.max_simulators),
       baselines_(nl.inputs().size(), limits.max_baseline_delays) {
   require(!outputs_.empty(), "VbsBackend: need at least one output net");
-  require(limits_.max_simulators >= 1 && limits_.max_baseline_delays >= 1,
+  require(limits.max_simulators >= 1 && limits.max_baseline_delays >= 1,
           "VbsBackend: cache limits must be >= 1");
   for (const std::string& name : outputs_) {
     require(nl_.find_net(name).has_value(), "VbsBackend: unknown net " + name);
@@ -154,26 +154,10 @@ double VbsBackend::delay_baseline(const VectorPair& vp) const {
 }
 
 std::shared_ptr<const core::VbsSimulator> VbsBackend::simulator_at_wl(double wl) const {
-  const std::lock_guard<std::mutex> lock(sim_mutex_);
-  auto it = sim_cache_.find(wl);
-  if (it != sim_cache_.end()) {
-    ++sim_hits_;
-    it->second.last_use = ++sim_clock_;
-    return it->second.sim;
-  }
-  ++sim_misses_;
-  if (sim_cache_.size() >= limits_.max_simulators) {
-    auto victim = sim_cache_.begin();
-    for (auto cand = sim_cache_.begin(); cand != sim_cache_.end(); ++cand) {
-      if (cand->second.last_use < victim->second.last_use) victim = cand;
-    }
-    sim_cache_.erase(victim);
-    ++sim_evictions_;
-  }
-  const double r = SleepTransistor(nl_.tech(), wl).reff();
-  SimEntry entry{std::make_shared<const core::VbsSimulator>(nl_, with_resistance(base_, r)),
-                 ++sim_clock_};
-  return sim_cache_.emplace(wl, std::move(entry)).first->second.sim;
+  return sims_.get(wl, [&] {
+    const double r = SleepTransistor(nl_.tech(), wl).reff();
+    return std::make_shared<const core::VbsSimulator>(nl_, with_resistance(base_, r));
+  });
 }
 
 double VbsBackend::delay_at_wl(const VectorPair& vp, double wl) const {
@@ -209,12 +193,7 @@ void VbsBackend::delay_baseline_batch(const VectorPair* const* vps, std::size_t 
 
 CacheStats VbsBackend::cache_stats() const {
   CacheStats s = baselines_.stats();
-  const std::lock_guard<std::mutex> lock(sim_mutex_);
-  s.sim_entries = sim_cache_.size();
-  s.sim_capacity = limits_.max_simulators;
-  s.sim_hits = sim_hits_;
-  s.sim_misses = sim_misses_;
-  s.sim_evictions = sim_evictions_;
+  sims_.stats(s);
   return s;
 }
 
@@ -225,6 +204,7 @@ SpiceBackend::SpiceBackend(const Netlist& nl, std::vector<std::string> outputs,
     : nl_(nl),
       outputs_(std::move(outputs)),
       options_(options),
+      engines_(options.max_engines),
       baselines_(nl.inputs().size(), options.max_baseline_delays) {
   require(!outputs_.empty(), "SpiceBackend: need at least one output net");
   require(options_.max_engines >= 1 && options_.max_baseline_delays >= 1,
@@ -257,31 +237,15 @@ SpiceRefOptions SpiceBackend::ref_options_for_wl(double wl) const {
 }
 
 std::shared_ptr<SpiceBackend::Entry> SpiceBackend::entry_at_wl(double wl) const {
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
-  auto it = engines_.find(wl);
-  if (it != engines_.end()) {
-    ++sim_hits_;
-    it->second->last_use = ++clock_;
-    return it->second;
-  }
-  ++sim_misses_;
-  if (engines_.size() >= options_.max_engines) {
-    auto victim = engines_.begin();
-    for (auto cand = engines_.begin(); cand != engines_.end(); ++cand) {
-      if (cand->second->last_use < victim->second->last_use) victim = cand;
-    }
-    // In-flight measurements keep the evicted entry (and its pool) alive
-    // through their shared_ptr; only the cache's reference drops here.
-    engines_.erase(victim);
-    ++sim_evictions_;
-  }
   // An entry is just the build recipe plus an empty pool, so creating it
   // is cheap; the expensive expansion happens in acquire(), per instance,
-  // outside any lock.
-  auto entry = std::make_shared<Entry>();
-  entry->ropt = ref_options_for_wl(wl);
-  entry->last_use = ++clock_;
-  return engines_.emplace(wl, std::move(entry)).first->second;
+  // outside any lock.  In-flight measurements keep an evicted entry (and
+  // its pool) alive through their shared_ptr.
+  return engines_.get(wl, [&] {
+    auto entry = std::make_shared<Entry>();
+    entry->ropt = ref_options_for_wl(wl);
+    return entry;
+  });
 }
 
 SpiceBackend::Lease SpiceBackend::acquire(const std::shared_ptr<Entry>& entry) const {
@@ -341,25 +305,14 @@ spice::EngineStats SpiceBackend::engine_stats() const {
       total.workspace_bytes += s.workspace_bytes;
     }
   };
-  std::vector<std::shared_ptr<Entry>> entries;
-  {
-    const std::lock_guard<std::mutex> lock(cache_mutex_);
-    entries.reserve(engines_.size());
-    for (const auto& [wl, entry] : engines_) entries.push_back(entry);
-  }
-  for (const auto& entry : entries) add_pool(*entry);
+  for (const auto& entry : engines_.entries()) add_pool(*entry);
   add_pool(*baseline_);
   return total;
 }
 
 CacheStats SpiceBackend::cache_stats() const {
   CacheStats s = baselines_.stats();
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
-  s.sim_entries = engines_.size();
-  s.sim_capacity = options_.max_engines;
-  s.sim_hits = sim_hits_;
-  s.sim_misses = sim_misses_;
-  s.sim_evictions = sim_evictions_;
+  engines_.stats(s);
   return s;
 }
 

@@ -28,6 +28,7 @@
 //   * cache_stats() exposes cache occupancy/hit counters so long design-
 //     space sweeps can watch their memory footprint.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -124,6 +125,69 @@ class BaselineMemo {
   mutable std::atomic<std::size_t> hits_{0}, misses_{0};
 };
 
+/// The per-W/L engine cache of both backends: one shared T per distinct
+/// sleep W/L, built on first use under the cache lock and LRU-bounded at
+/// `capacity`.  Eviction drops only the cache's reference, so a caller
+/// holding the shared_ptr keeps its entry alive.  Feeds the sim_*
+/// counters of CacheStats.
+template <typename T>
+class WlCache {
+ public:
+  explicit WlCache(std::size_t capacity) : capacity_(capacity) {}
+
+  /// The entry for `wl`, else build() -- returning a shared_ptr<T> --
+  /// cached after evicting the least recently used entry at the cap.
+  template <typename Build>
+  std::shared_ptr<T> get(double wl, const Build& build) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    auto it = slots_.find(wl);
+    if (it != slots_.end()) {
+      ++hits_;
+      it->second.last_use = ++clock_;
+      return it->second.value;
+    }
+    ++misses_;
+    if (slots_.size() >= capacity_) {
+      slots_.erase(std::min_element(slots_.begin(), slots_.end(), [](const auto& a, const auto& b) {
+        return a.second.last_use < b.second.last_use;
+      }));
+      ++evictions_;
+    }
+    return slots_.emplace(wl, Slot{build(), ++clock_}).first->second.value;
+  }
+
+  /// Every cached entry.
+  std::vector<std::shared_ptr<T>> entries() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    std::vector<std::shared_ptr<T>> out;
+    out.reserve(slots_.size());
+    for (const auto& [wl, slot] : slots_) out.push_back(slot.value);
+    return out;
+  }
+
+  /// Fill the sim_* fields of `s`.
+  void stats(CacheStats& s) const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    s.sim_entries = slots_.size();
+    s.sim_capacity = capacity_;
+    s.sim_hits = hits_;
+    s.sim_misses = misses_;
+    s.sim_evictions = evictions_;
+  }
+
+ private:
+  struct Slot {
+    std::shared_ptr<T> value;
+    std::uint64_t last_use = 0;
+  };
+
+  const std::size_t capacity_;
+  mutable std::mutex mutex_;  ///< everything below
+  std::map<double, Slot> slots_;
+  std::uint64_t clock_ = 0;
+  std::size_t hits_ = 0, misses_ = 0, evictions_ = 0;
+};
+
 /// Abstract "delay of (VectorPair, W/L)" evaluator.  See the header
 /// comment for the implementation contract.
 class EvalBackend {
@@ -182,7 +246,7 @@ class EvalBackend {
 /// Caches aggressively, because it is the engine behind every sweep:
 ///   * one immutable VbsSimulator per distinct sleep W/L (equivalent-
 ///     inverter reduction and topological order are derived once, not per
-///     delay call), LRU-bounded by EvalCacheLimits::max_simulators, plus
+///     delay call) in a WlCache bounded by EvalCacheLimits::max_simulators, plus
 ///     a dedicated never-evicted R = 0 baseline simulator;
 ///   * the baseline (CMOS) delay per vector pair in a BaselineMemo,
 ///     bounded by EvalCacheLimits::max_baseline_delays.
@@ -223,20 +287,11 @@ class VbsBackend : public EvalBackend {
   std::shared_ptr<const core::VbsSimulator> simulator_at_wl(double wl) const;
 
  private:
-  struct SimEntry {
-    std::shared_ptr<const core::VbsSimulator> sim;
-    std::uint64_t last_use = 0;
-  };
-
   const Netlist& nl_;
   std::vector<std::string> outputs_;
   core::VbsOptions base_;
-  EvalCacheLimits limits_;
   core::VbsSimulator baseline_sim_;  ///< R = 0 (ideal ground) reference
-  mutable std::mutex sim_mutex_;
-  mutable std::map<double, SimEntry> sim_cache_;
-  mutable std::uint64_t sim_clock_ = 0;
-  mutable std::size_t sim_hits_ = 0, sim_misses_ = 0, sim_evictions_ = 0;
+  mutable WlCache<const core::VbsSimulator> sims_;
   mutable BaselineMemo baselines_;
 };
 
@@ -311,7 +366,6 @@ class SpiceBackend : public EvalBackend {
     std::mutex pool_mutex;
     std::vector<std::unique_ptr<SpiceRef>> refs;  ///< owners, grow-only
     std::vector<SpiceRef*> idle;                  ///< currently leasable
-    std::uint64_t last_use = 0;
   };
   /// RAII lease of one pool instance; returns it on destruction.
   class Lease {
@@ -339,10 +393,7 @@ class SpiceBackend : public EvalBackend {
   const Netlist& nl_;
   std::vector<std::string> outputs_;
   SpiceBackendOptions options_;
-  mutable std::mutex cache_mutex_;
-  mutable std::map<double, std::shared_ptr<Entry>> engines_;
-  mutable std::uint64_t clock_ = 0;
-  mutable std::size_t sim_hits_ = 0, sim_misses_ = 0, sim_evictions_ = 0;
+  mutable WlCache<Entry> engines_;
   std::shared_ptr<Entry> baseline_;  ///< ideal-ground reference pool
   mutable BaselineMemo baselines_;
 };

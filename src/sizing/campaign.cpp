@@ -8,6 +8,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "circuits/generators.hpp"
 #include "models/sleep_transistor.hpp"
@@ -61,21 +62,64 @@ netlist::Netlist retech(const netlist::Netlist& src, const Technology& t) {
   return out;
 }
 
-/// "builtin:<family><N>" -> N, or -1 when `name` is not that family.
-int builtin_width(const std::string& name, const char* family) {
-  const std::string prefix(family);
-  if (name.rfind(prefix, 0) != 0) return -1;
-  const std::string digits = name.substr(prefix.size());
-  if (digits.empty() || digits.find_first_not_of("0123456789") != std::string::npos) return -1;
-  return std::stoi(digits);
+/// A generated circuit observed at `outs`.
+CornerCircuit observed(netlist::Netlist nl, const std::vector<netlist::NetId>& outs) {
+  std::vector<std::string> names;
+  for (const netlist::NetId id : outs) names.push_back(nl.net_name(id));
+  return {std::move(nl), std::move(names)};
 }
 
-std::vector<std::string> net_names(const netlist::Netlist& nl,
-                                   const std::vector<netlist::NetId>& ids) {
-  std::vector<std::string> out;
-  out.reserve(ids.size());
-  for (const netlist::NetId id : ids) out.push_back(nl.net_name(id));
-  return out;
+/// The builtin circuits: "builtin:<family>N" for N in [min_n, max_n],
+/// generated on the family's paper process.
+struct Builtin {
+  const char* family;
+  int min_n, max_n;
+  Technology (*nominal)();
+  CornerCircuit (*make)(const Technology&, int);
+};
+
+constexpr Builtin kBuiltins[] = {
+    {"adder", 1, 4, tech07,  // ripple-carry adder (Section 6.2): sum bits, then carry-out
+     [](const Technology& t, int n) {
+       auto adder = circuits::make_ripple_adder(t, n);
+       std::vector<netlist::NetId> outs = adder.sum;
+       outs.push_back(adder.cout);
+       return observed(std::move(adder.netlist), outs);
+     }},
+    {"mult", 2, 4, tech03,  // carry-save array multiplier: product bits
+     [](const Technology& t, int n) {
+       auto mult = circuits::make_csa_multiplier(t, n);
+       return observed(std::move(mult.netlist), mult.p);
+     }},
+    {"wallace", 2, 4, tech03,  // Wallace-tree multiplier: product bits
+     [](const Technology& t, int n) {
+       auto mult = circuits::make_wallace_multiplier(t, n);
+       return observed(std::move(mult.netlist), mult.p);
+     }},
+};
+
+/// The kBuiltins row and N that `circuit` names; {nullptr, 0} when it is
+/// not "builtin:...".  Throws std::invalid_argument for an unknown builtin
+/// or one outside its family's N range.
+std::pair<const Builtin*, int> find_builtin(const std::string& circuit) {
+  const std::string prefix = "builtin:";
+  if (circuit.rfind(prefix, 0) != 0) return {nullptr, 0};
+  const std::string name = circuit.substr(prefix.size());
+  for (const Builtin& b : kBuiltins) {
+    const std::string family(b.family);
+    if (name.rfind(family, 0) != 0) continue;
+    const std::string digits = name.substr(family.size());
+    if (digits.empty() || digits.find_first_not_of("0123456789") != std::string::npos) continue;
+    // More digits than any range holds is out of range, not an overflow.
+    const int n = digits.size() > 3 ? b.max_n + 1 : std::stoi(digits);
+    if (n < b.min_n || n > b.max_n) {
+      throw std::invalid_argument("circuit: builtin:" + family + "N supports N = " +
+                                  std::to_string(b.min_n) + ".." + std::to_string(b.max_n));
+    }
+    return {&b, n};
+  }
+  throw std::invalid_argument("circuit: unknown builtin '" + name +
+                              "' (supported: adderN, multN, wallaceN)");
 }
 
 }  // namespace
@@ -229,43 +273,13 @@ std::string CampaignSpec::canonical() const {
 }
 
 Technology campaign_nominal_tech(const std::string& circuit) {
-  if (circuit.rfind("builtin:", 0) == 0) {
-    const std::string name = circuit.substr(8);
-    if (builtin_width(name, "adder") > 0) return tech07();
-    if (builtin_width(name, "mult") > 0 || builtin_width(name, "wallace") > 0) return tech03();
-    throw std::invalid_argument("campaign: unknown builtin circuit '" + name +
-                                "' (supported: adderN, multN, wallaceN)");
-  }
+  if (const Builtin* builtin = find_builtin(circuit).first) return builtin->nominal();
   return netlist::read_netlist_file(circuit).nl.tech();
 }
 
 CornerCircuit build_campaign_circuit(const std::string& circuit, const Technology* tech) {
-  if (circuit.rfind("builtin:", 0) == 0) {
-    const std::string name = circuit.substr(8);
-    const Technology t = tech != nullptr ? *tech : campaign_nominal_tech(circuit);
-    if (const int n = builtin_width(name, "adder"); n > 0) {
-      if (n > 4) throw std::invalid_argument("campaign: builtin:adderN supports N = 1..4");
-      auto adder = circuits::make_ripple_adder(t, n);
-      std::vector<std::string> outs = net_names(adder.netlist, adder.sum);
-      outs.push_back(adder.netlist.net_name(adder.cout));
-      return {std::move(adder.netlist), std::move(outs)};
-    }
-    if (const int n = builtin_width(name, "mult"); n > 0) {
-      if (n < 2 || n > 4) throw std::invalid_argument("campaign: builtin:multN supports N = 2..4");
-      auto mult = circuits::make_csa_multiplier(t, n);
-      std::vector<std::string> outs = net_names(mult.netlist, mult.p);
-      return {std::move(mult.netlist), std::move(outs)};
-    }
-    if (const int n = builtin_width(name, "wallace"); n > 0) {
-      if (n < 2 || n > 4) {
-        throw std::invalid_argument("campaign: builtin:wallaceN supports N = 2..4");
-      }
-      auto mult = circuits::make_wallace_multiplier(t, n);
-      std::vector<std::string> outs = net_names(mult.netlist, mult.p);
-      return {std::move(mult.netlist), std::move(outs)};
-    }
-    throw std::invalid_argument("campaign: unknown builtin circuit '" + name +
-                                "' (supported: adderN, multN, wallaceN)");
+  if (const auto [builtin, n] = find_builtin(circuit); builtin != nullptr) {
+    return builtin->make(tech != nullptr ? *tech : builtin->nominal(), n);
   }
   return campaign_circuit_from(circuit, netlist::read_netlist_file(circuit), tech);
 }
@@ -273,12 +287,23 @@ CornerCircuit build_campaign_circuit(const std::string& circuit, const Technolog
 CornerCircuit campaign_circuit_from(const std::string& circuit, netlist::ParsedNetlist parsed,
                                     const Technology* tech) {
   if (parsed.outputs.empty()) {
-    throw std::invalid_argument("campaign: " + circuit + " declares no `output` nets");
+    throw std::invalid_argument("circuit: " + circuit + " declares no `output` nets");
   }
   if (tech != nullptr) {
     return {retech(parsed.nl, *tech), std::move(parsed.outputs)};
   }
   return {std::move(parsed.nl), std::move(parsed.outputs)};
+}
+
+Evaluator::Evaluator(CornerCircuit circuit, const std::string& backend)
+    : circuit_(std::move(circuit)) {
+  if (backend == "vbs") {
+    backend_ = std::make_unique<VbsBackend>(circuit_.nl, circuit_.outputs);
+  } else if (backend == "spice") {
+    backend_ = std::make_unique<SpiceBackend>(circuit_.nl, circuit_.outputs);
+  } else {
+    throw std::invalid_argument("unknown backend '" + backend + "' (expected vbs or spice)");
+  }
 }
 
 namespace {
@@ -339,9 +364,10 @@ CampaignDriver::CampaignDriver(CampaignSpec spec, std::string dir, bool resume,
                   util::hex16(netlist_fingerprint(nominal_->nl, nominal_->outputs)));
   const int n_in = static_cast<int>(nominal_->nl.inputs().size());
   if (spec_.vector_mode == CampaignSpec::VectorMode::kExhaustive) {
-    if (n_in > 8) {
+    if (n_in > kMaxExhaustiveInputs) {
       throw std::invalid_argument(
-          "campaign: exhaustive vectors need <= 8 inputs (" + std::to_string(n_in) +
+          "campaign: exhaustive vectors need <= " + std::to_string(kMaxExhaustiveInputs) +
+          " inputs (" + std::to_string(n_in) +
           " declared); use {\"mode\": \"sampled\", \"count\": N}");
     }
     vectors_ = all_vector_pairs(n_in);
@@ -378,24 +404,15 @@ std::string CampaignDriver::chunk_key(std::size_t chunk_id) {
   return "chunk:" + std::to_string(chunk_id);
 }
 
-std::shared_ptr<const CampaignDriver::CornerBackend> CampaignDriver::corner_backend(
-    std::size_t corner) {
+std::shared_ptr<const Evaluator> CampaignDriver::corner_evaluator(std::size_t corner) {
   const std::lock_guard<std::mutex> lock(corner_mutex_);
   if (corner_ != nullptr && cached_corner_ == corner) return corner_;
   corner_.reset();
+  // Every corner is re-bound from the circuit built (and fingerprinted)
+  // at construction; a .mtn file is not read again.
   const Technology t = corner_technology(nominal_->nl.tech(), spec_.corners[corner]);
-  // A .mtn circuit is re-bound from the netlist parsed (and fingerprinted)
-  // at construction, not read again.
-  auto built = std::make_shared<CornerBackend>(
-      spec_.circuit.rfind("builtin:", 0) == 0
-          ? build_campaign_circuit(spec_.circuit, &t)
-          : CornerCircuit{retech(nominal_->nl, t), nominal_->outputs});
-  if (spec_.backend == "spice") {
-    built->backend = std::make_unique<SpiceBackend>(built->circuit.nl, built->circuit.outputs);
-  } else {
-    built->backend = std::make_unique<VbsBackend>(built->circuit.nl, built->circuit.outputs);
-  }
-  corner_ = std::move(built);
+  corner_ = std::make_shared<const Evaluator>(
+      CornerCircuit{retech(nominal_->nl, t), nominal_->outputs}, spec_.backend);
   cached_corner_ = corner;
   return corner_;
 }
@@ -409,12 +426,11 @@ std::size_t CampaignDriver::run_chunks(const std::vector<std::size_t>& ids, Chec
   // completion -- and the block lands on disk strictly before the
   // journal record, so a journaled chunk always has its rows.
   struct Chunk {
-    Chunk(util::ColumnarWriter& store, std::size_t id,
-          std::shared_ptr<const CornerBackend> corner)
+    Chunk(util::ColumnarWriter& store, std::size_t id, std::shared_ptr<const Evaluator> corner)
         : sink(store, id), corner(std::move(corner)) {}
     ChunkSink sink;
     SweepReport report;
-    std::shared_ptr<const CornerBackend> corner;
+    std::shared_ptr<const Evaluator> corner;
   };
   class Passes final : public RankPasses {
    public:
@@ -425,9 +441,9 @@ std::size_t CampaignDriver::run_chunks(const std::vector<std::size_t>& ids, Chec
 
     RankPass open(std::size_t k) override {
       const ChunkPlan p = d_.plan(ids_[k]);
-      chunks_[k] = std::make_unique<Chunk>(store_, ids_[k], d_.corner_backend(p.corner));
+      chunks_[k] = std::make_unique<Chunk>(store_, ids_[k], d_.corner_evaluator(p.corner));
       Chunk& c = *chunks_[k];
-      return {c.corner->backend.get(), d_.vectors_.data() + p.begin, d_.spec_.wl_grid[p.wl_idx],
+      return {&c.corner->backend(), d_.vectors_.data() + p.begin, d_.spec_.wl_grid[p.wl_idx],
               &c.sink, &c.report};
     }
 

@@ -69,6 +69,7 @@
 #include "models/technology.hpp"
 #include "netlist/io.hpp"
 #include "netlist/netlist.hpp"
+#include "sizing/backend.hpp"
 #include "sizing/checkpoint.hpp"
 #include "sizing/eval_types.hpp"
 #include "sizing/supervisor.hpp"
@@ -143,8 +144,28 @@ CornerCircuit campaign_circuit_from(const std::string& circuit, netlist::ParsedN
                                     const Technology* tech);
 
 /// Nominal process of the spec's circuit (builtins pick their paper
-/// process; a .mtn file supplies its own).
+/// process; a .mtn file supplies its own).  Throws std::invalid_argument
+/// for an unknown builtin or one outside its N range.
 Technology campaign_nominal_tech(const std::string& circuit);
+
+/// A circuit and the backend that evaluates it -- the one place a backend
+/// name becomes an EvalBackend, shared by the CLI, the daemon's warm
+/// contexts and campaign corners.  Neither copyable nor movable: the
+/// backend refers into the circuit.  Thread-safe like its backend.
+class Evaluator {
+ public:
+  /// `backend` is "vbs" or "spice"; anything else throws std::invalid_argument.
+  Evaluator(CornerCircuit circuit, const std::string& backend);
+  Evaluator(const Evaluator&) = delete;
+  Evaluator& operator=(const Evaluator&) = delete;
+
+  const CornerCircuit& circuit() const { return circuit_; }
+  const EvalBackend& backend() const { return *backend_; }
+
+ private:
+  CornerCircuit circuit_;
+  std::unique_ptr<EvalBackend> backend_;  ///< over circuit_
+};
 
 struct CampaignStats {
   std::size_t chunks_total = 0;
@@ -174,7 +195,6 @@ class CampaignDriver {
   CampaignDriver(CampaignSpec spec, std::string dir, bool resume,
                  util::JournalOptions journal_options = {});
 
-  const CampaignSpec& spec() const { return spec_; }
   std::size_t n_vectors() const { return vectors_.size(); }
   std::size_t n_chunks() const { return n_chunks_; }
   std::size_t chunks_done() const;
@@ -217,17 +237,11 @@ class CampaignDriver {
                          util::ColumnarWriter& store, SweepReport* report,
                          util::CancelToken* cancel, util::ThreadPool* pool);
 
-  /// One corner's circuit and backend (the backend points into the circuit).
-  struct CornerBackend {
-    explicit CornerBackend(CornerCircuit c) : circuit(std::move(c)) {}
-    CornerCircuit circuit;
-    std::unique_ptr<EvalBackend> backend;
-  };
-  /// The backend of `corner`, built on first use.  Only the most recent
+  /// The evaluator of `corner`, built on first use.  Only the most recent
   /// corner is cached (chunks are corner-major, so a walk in chunk order
   /// builds each corner once); a chunk in flight holds its own reference,
   /// so a corner is freed once its last chunk is done with it.
-  std::shared_ptr<const CornerBackend> corner_backend(std::size_t corner);
+  std::shared_ptr<const Evaluator> corner_evaluator(std::size_t corner);
 
   CampaignSpec spec_;
   std::string dir_;
@@ -241,7 +255,7 @@ class CampaignDriver {
   std::size_t n_chunks_ = 0;
   std::mutex corner_mutex_;  ///< guards the two fields below
   std::size_t cached_corner_ = 0;
-  std::shared_ptr<const CornerBackend> corner_;
+  std::shared_ptr<const Evaluator> corner_;
 };
 
 }  // namespace mtcmos::sizing

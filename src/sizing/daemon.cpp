@@ -201,8 +201,9 @@ Request parse_request(const util::JsonValue& doc) {
 /// what keeps a wedged client from pinning the executor (and the write
 /// mutex) past deadlines, drain, and SIGTERM.
 struct Connection {
-  Connection(int fd_in, int write_stall_ms_in)
-      : fd(fd_in), reader(fd_in), write_stall_ms(write_stall_ms_in) {}
+  static constexpr int kWriteStallMs = 5000;  ///< the write-stall grace [ms]
+
+  explicit Connection(int fd_in) : fd(fd_in), reader(fd_in) {}
   ~Connection() { util::close_fd(fd); }
 
   void send(const std::string& line) { send_frame(line + '\n'); }
@@ -225,7 +226,6 @@ struct Connection {
 
   int fd;
   util::LineReader reader;
-  int write_stall_ms;
   std::mutex write_mutex;
   std::atomic<bool> alive{true};
   /// Admitted requests whose terminal line is not sent yet.  Only a
@@ -236,7 +236,7 @@ struct Connection {
  private:
   void write_locked(const std::string& bytes) {
     if (!alive.load(std::memory_order_relaxed)) return;
-    if (!util::write_bytes(fd, bytes.data(), bytes.size(), write_stall_ms)) {
+    if (!util::write_bytes(fd, bytes.data(), bytes.size(), kWriteStallMs)) {
       alive.store(false, std::memory_order_relaxed);
     }
   }
@@ -330,25 +330,20 @@ class SocketRowSink final : public ResultSink {
 std::string bool_json(bool v) { return v ? "true" : "false"; }
 
 /// What a rank/size/verify request evaluates against, apart from its W/L
-/// and its sampled vectors: a circuit, its backend and its exhaustive
+/// and its sampled vectors: an Evaluator and the circuit's exhaustive
 /// vector set.  Kept warm across requests, the backend's memos carry
 /// over -- above all the baseline (R = 0) delays, which do not depend on
 /// W/L -- so a fresh W/L on a known circuit simulates only the sized
 /// circuit.  Immutable once built; the backend is thread-safe.
 struct EvalContext {
-  EvalContext(CornerCircuit cc, const std::string& backend_kind) : circuit(std::move(cc)) {
-    if (backend_kind == "spice") {
-      backend = std::make_unique<SpiceBackend>(circuit.nl, circuit.outputs);
-    } else {
-      backend = std::make_unique<VbsBackend>(circuit.nl, circuit.outputs);
-    }
-    const int n_in = static_cast<int>(circuit.nl.inputs().size());
-    if (n_in <= 8) exhaustive = all_vector_pairs(n_in);
+  EvalContext(CornerCircuit cc, const std::string& backend_kind)
+      : eval(std::move(cc), backend_kind) {
+    const int n_in = static_cast<int>(eval.circuit().nl.inputs().size());
+    if (n_in <= kMaxExhaustiveInputs) exhaustive = all_vector_pairs(n_in);
   }
 
-  CornerCircuit circuit;
-  std::unique_ptr<EvalBackend> backend;  ///< over `circuit`
-  std::vector<VectorPair> exhaustive;    ///< all transitions; empty above 8 inputs
+  Evaluator eval;
+  std::vector<VectorPair> exhaustive;  ///< all transitions; empty above kMaxExhaustiveInputs
 };
 
 using ContextPtr = std::shared_ptr<const EvalContext>;
@@ -583,7 +578,7 @@ class DaemonImpl {
       if (fd < 0) break;
       const faultinject::ScopedScope scope(static_cast<std::int64_t>(conn_seq_++));
       if (faultinject::fired(faultinject::Site::kDaemonAccept)) ::raise(SIGKILL);
-      conns.emplace(fd, std::make_shared<Connection>(fd, options_.write_stall_ms));
+      conns.emplace(fd, std::make_shared<Connection>(fd));
     }
   }
 
@@ -919,17 +914,18 @@ class DaemonImpl {
                         util::ThreadPool* replay_pool, bool& answerable) {
     const Request& req = p.req;
     const ContextPtr ctx = contexts_.get(req.circuit, req.backend);
-    const CornerCircuit& cc = ctx->circuit;
-    const EvalBackend& backend = *ctx->backend;
+    const CornerCircuit& cc = ctx->eval.circuit();
+    const EvalBackend& backend = ctx->eval.backend();
 
     // Sampled sets can be large, so they stay per request.
     const int n_in = static_cast<int>(cc.nl.inputs().size());
     std::vector<VectorPair> sampled;
-    if (n_in > 8) {
+    if (n_in > kMaxExhaustiveInputs) {
       Rng rng(req.seed);
       sampled = sampled_vector_pairs(n_in, req.vectors, rng);
     }
-    const std::vector<VectorPair>& vectors = n_in > 8 ? sampled : ctx->exhaustive;
+    const std::vector<VectorPair>& vectors =
+        n_in > kMaxExhaustiveInputs ? sampled : ctx->exhaustive;
 
     EvalSession session;
     session.report = &report;

@@ -66,7 +66,7 @@
 // Threading: serve() runs the poll loop on the calling thread, one
 // executor thread for request bodies, and the replay-lane thread (on a
 // private one-thread pool).  The executor and the lane share a small LRU
-// of warm evaluation contexts (circuit, backend, exhaustive vectors), so
+// of warm evaluation contexts (an Evaluator plus exhaustive vectors), so
 // a fresh W/L on a known circuit reuses its W/L-invariant baselines.  All are created after any fork of the
 // daemon itself; the executor forks supervisor workers only via the
 // established supervisor contract.
@@ -97,12 +97,6 @@ struct DaemonOptions {
   /// Poll-loop tick [ms]: socket poll timeout, deadline check period,
   /// and global-cancel forwarding latency.
   int poll_interval_ms = 50;
-  /// Grace [ms] a client may stall a row-stream write (connection open
-  /// but not reading, send buffer full) before the daemon declares the
-  /// connection dead and finishes the work headless into the checkpoint
-  /// store -- the same path as an outright hang-up.  Keeps a stalled
-  /// client from pinning the executor past deadlines and drain.
-  int write_stall_ms = 5000;
   util::JournalOptions journal = {};  ///< durability for both journals
   /// Cancellation source the poll loop watches for drain; nullptr = the
   /// process-global token (what SIGTERM raises).  Tests pass their own.

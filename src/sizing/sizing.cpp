@@ -24,9 +24,9 @@ double measure_peak_current(const Netlist& nl, const VectorPair& vp, core::VbsOp
 }
 
 std::vector<VectorPair> all_vector_pairs(int n_inputs) {
-  require(n_inputs >= 1 && n_inputs <= 8,
-          "all_vector_pairs: exhaustive enumeration limited to 8 inputs (65536 pairs); "
-          "use sampled_vector_pairs for larger spaces");
+  require(n_inputs >= 1 && n_inputs <= kMaxExhaustiveInputs,
+          "all_vector_pairs: too many inputs to enumerate exhaustively; use "
+          "sampled_vector_pairs for larger spaces");
   const std::uint64_t space = 1ull << n_inputs;
   std::vector<VectorPair> pairs;
   pairs.reserve(static_cast<std::size_t>(space * space));

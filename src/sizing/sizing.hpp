@@ -56,7 +56,11 @@ double measure_peak_current(const Netlist& nl, const VectorPair& vp,
 
 // --- Vector-space exploration ---
 
-/// All 2^n * 2^n transitions of an n-input circuit (n <= 8 guard).
+/// Largest input count whose vector space is enumerated exhaustively
+/// (65536 transitions) by the CLI, the daemon and campaigns; wider ones are sampled.
+constexpr int kMaxExhaustiveInputs = 8;
+
+/// All 2^n * 2^n transitions of an n-input circuit (n <= kMaxExhaustiveInputs).
 std::vector<VectorPair> all_vector_pairs(int n_inputs);
 
 /// `count` transitions sampled uniformly (deterministic under the seed).

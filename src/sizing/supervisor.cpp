@@ -198,7 +198,7 @@ SupervisorStats Supervisor::run(Checkpoint& merged, util::ColumnarWriter* column
   // Global fork backstop: even a pathological restart ladder (every
   // worker dying immediately, orphans bouncing between finishers) ends.
   const int spawn_cap =
-      static_cast<int>(ranges.size()) * (std::max(0, options_.max_restarts) + 2);
+      static_cast<int>(ranges.size()) * (kMaxRestarts + 2);
 
   const auto spawn = [&](std::size_t s) {
     Slot& slot = slots[s];
@@ -308,7 +308,7 @@ SupervisorStats Supervisor::run(Checkpoint& merged, util::ColumnarWriter* column
       slot.state = Slot::State::Done;
       return;
     }
-    if (slot.restarts < options_.max_restarts && stats.workers_spawned < spawn_cap) {
+    if (slot.restarts < kMaxRestarts && stats.workers_spawned < spawn_cap) {
       slot.assigned = std::move(pending);
       ++slot.restarts;
       ++stats.restarts;
@@ -332,7 +332,7 @@ SupervisorStats Supervisor::run(Checkpoint& merged, util::ColumnarWriter* column
     if (!cancel_seen && cancel.requested()) {
       cancel_seen = true;
       stats.cancelled = true;
-      drain_deadline = now + to_duration(options_.drain_timeout_s);
+      drain_deadline = now + to_duration(kDrainTimeoutS);
       for (Slot& slot : slots) {
         if (slot.state == Slot::State::Live) util::send_signal(slot.pid, SIGTERM);
         if (slot.state == Slot::State::Backoff) slot.state = Slot::State::Done;

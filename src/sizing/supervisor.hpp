@@ -18,8 +18,8 @@
 //   polls the pipes and judges liveness from them alone: a worker silent
 //   past liveness_timeout_s is SIGKILLed; a dead worker (crash, signal,
 //   stall-kill) is restarted on the same shard with exponential backoff
-//   under a per-slot restart budget.  Restarted workers replay their shard journal, so a death
-//   costs at most the one in-flight item.
+//   under a per-slot budget of kMaxRestarts restarts.  Restarted workers
+//   replay their shard journal, so a death costs at most the one in-flight item.
 //
 //   Blame and quarantine: the item a dead worker started ("S") but
 //   never finished ("F") gets a strike.  An item with poison_strikes
@@ -34,7 +34,7 @@
 //   the caller's in-process pass (SupervisorStats::abandoned).
 //
 //   Cancellation (SIGINT/SIGTERM raising the session's CancelToken)
-//   SIGTERMs every worker, waits drain_timeout_s for graceful exits
+//   SIGTERMs every worker, waits kDrainTimeoutS for graceful exits
 //   (workers drain like any cancelled sweep), then SIGKILLs stragglers.
 //
 //   run() finally merges every shard journal into the caller's
@@ -79,6 +79,11 @@
 
 namespace mtcmos::sizing {
 
+/// Restarts per worker slot before its remaining items are orphaned.
+constexpr int kMaxRestarts = 3;
+/// Graceful-exit window [s] after SIGTERM before stragglers are SIGKILLed.
+constexpr double kDrainTimeoutS = 5.0;
+
 struct SupervisorOptions {
   int shards = 2;                   ///< worker process count (>= 1)
   std::string dir;                  ///< REQUIRED: directory for shard<k>.mtj journals
@@ -87,11 +92,9 @@ struct SupervisorOptions {
   /// long is declared hung and SIGKILLed (then restarted like any other
   /// death).  Must comfortably exceed the slowest single item.
   double liveness_timeout_s = 5.0;
-  int max_restarts = 3;             ///< per worker slot
   double backoff_initial_s = 0.05;  ///< doubles per restart, capped below
   double backoff_max_s = 1.0;
   int poison_strikes = 2;           ///< strikes before an item is quarantined
-  double drain_timeout_s = 5.0;     ///< graceful-exit window after SIGTERM
   util::CancelToken* cancel_token = nullptr;  ///< nullptr = global token
   util::JournalOptions journal = {};          ///< worker journal durability
 };

@@ -5,6 +5,7 @@
 #include <map>
 #include <ostream>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "util/error.hpp"
@@ -12,6 +13,9 @@
 namespace mtcmos {
 
 namespace {
+
+constexpr double kTimeUnit = 1e-12;     ///< seconds per VCD tick ("1ps")
+constexpr double kValueEpsilon = 1e-9;  ///< smaller changes are not emitted [V/A]
 
 /// Compact printable VCD identifier for variable index i.
 std::string vcd_id(std::size_t i) {
@@ -33,14 +37,13 @@ std::string sanitize(const std::string& name) {
 
 }  // namespace
 
-void write_vcd(std::ostream& os, const Trace& trace, const VcdOptions& options) {
-  require(options.time_unit > 0.0, "write_vcd: time_unit must be positive");
+void write_vcd(std::ostream& os, const Trace& trace) {
   const auto names = trace.names();
   require(!names.empty(), "write_vcd: trace has no channels");
 
   os << "$date mtcmos-kit export $end\n";
-  os << "$timescale " << options.timescale << " $end\n";
-  os << "$scope module " << options.module << " $end\n";
+  os << "$timescale 1ps $end\n";
+  os << "$scope module mtcmos $end\n";
   std::vector<std::string> ids;
   for (std::size_t i = 0; i < names.size(); ++i) {
     ids.push_back(vcd_id(i));
@@ -53,18 +56,18 @@ void write_vcd(std::ostream& os, const Trace& trace, const VcdOptions& options) 
   for (const auto& name : names) {
     const Pwl& w = trace.get(name);
     for (std::size_t i = 0; i < w.size(); ++i) {
-      ticks.insert(static_cast<long long>(std::llround(w.time_at(i) / options.time_unit)));
+      ticks.insert(static_cast<long long>(std::llround(w.time_at(i) / kTimeUnit)));
     }
   }
   if (ticks.empty()) ticks.insert(0);
 
   std::vector<double> last(names.size(), std::nan(""));
   for (const long long tick : ticks) {
-    const double t = static_cast<double>(tick) * options.time_unit;
+    const double t = static_cast<double>(tick) * kTimeUnit;
     std::string block;
     for (std::size_t i = 0; i < names.size(); ++i) {
       const double v = trace.get(names[i]).sample(t);
-      if (std::isnan(last[i]) || std::abs(v - last[i]) > options.value_epsilon) {
+      if (std::isnan(last[i]) || std::abs(v - last[i]) > kValueEpsilon) {
         block += 'r' + std::to_string(v) + ' ' + ids[i] + '\n';
         last[i] = v;
       }

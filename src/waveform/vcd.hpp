@@ -4,23 +4,16 @@
 // Writes a Trace as a `real`-typed VCD file viewable in GTKWave & co,
 // so simulator runs (both engines produce Trace objects) can be
 // inspected with standard waveform tooling.  Channels are sampled on the
-// union of their breakpoints; values are emitted only when they change.
+// union of their breakpoints, on a 1 ps timescale, under one scope
+// `mtcmos`; a value is emitted only when it moves by more than 1e-9.
 
 #include <iosfwd>
-#include <string>
 
 #include "waveform/trace.hpp"
 
 namespace mtcmos {
 
-struct VcdOptions {
-  std::string timescale = "1ps";  ///< VCD timescale declaration
-  double time_unit = 1e-12;       ///< seconds per VCD tick (must match timescale)
-  std::string module = "mtcmos";  ///< scope name
-  double value_epsilon = 1e-9;    ///< suppress changes smaller than this [V/A]
-};
-
 /// Write every channel of `trace` as a real-valued VCD variable.
-void write_vcd(std::ostream& os, const Trace& trace, const VcdOptions& options = {});
+void write_vcd(std::ostream& os, const Trace& trace);
 
 }  // namespace mtcmos

@@ -243,6 +243,42 @@ TEST(CampaignCircuit, BuiltinsPickTheirPaperProcess) {
   EXPECT_THROW(campaign_nominal_tech("builtin:rom4"), std::invalid_argument);
 }
 
+TEST(CampaignCircuit, BuiltinRangesAreCheckedByBothLookups) {
+  for (const char* name : {"builtin:adder0", "builtin:adder5", "builtin:mult1", "builtin:wallace5",
+                           "builtin:adder99999999999", "builtin:adder", "builtin:nosuch9"}) {
+    EXPECT_THROW(campaign_nominal_tech(name), std::invalid_argument) << name;
+    EXPECT_THROW(build_campaign_circuit(name, nullptr), std::invalid_argument) << name;
+  }
+}
+
+TEST(CampaignCircuit, BuiltinFingerprintsArePinned) {
+  // The fingerprint is part of every checkpoint key prefix: if a builtin
+  // generates a different netlist or output list, no existing journal of
+  // it replays.
+  const std::map<std::string, std::uint64_t> pinned = {
+      {"builtin:adder1", 0x5e666ab2ff37e869ull},   {"builtin:adder2", 0xaef938c0190e8782ull},
+      {"builtin:adder3", 0xc20ab7248a7fa7ddull},   {"builtin:adder4", 0x1286a703a674e18aull},
+      {"builtin:mult2", 0x5a72cc0a53954b00ull},    {"builtin:mult3", 0x942fcf10089248bfull},
+      {"builtin:mult4", 0x6c4dbf28b76a0e03ull},    {"builtin:wallace2", 0x017dec6e01e42934ull},
+      {"builtin:wallace3", 0x918bc9aebb804b49ull}, {"builtin:wallace4", 0x156c53810bcdcfc6ull},
+  };
+  for (const auto& [name, fp] : pinned) {
+    const auto c = build_campaign_circuit(name, nullptr);
+    EXPECT_EQ(sizing::netlist_fingerprint(c.nl, c.outputs), fp) << name;
+  }
+}
+
+TEST(CampaignCircuit, EvaluatorBuildsTheNamedBackend) {
+  const sizing::Evaluator vbs(build_campaign_circuit("builtin:adder1", nullptr), "vbs");
+  EXPECT_STREQ(vbs.backend().name(), "vbs");
+  EXPECT_EQ(&vbs.backend().netlist(), &vbs.circuit().nl);
+  EXPECT_EQ(vbs.backend().outputs(), vbs.circuit().outputs);
+  const sizing::Evaluator spice(build_campaign_circuit("builtin:adder1", nullptr), "spice");
+  EXPECT_STREQ(spice.backend().name(), "spice");
+  EXPECT_THROW(sizing::Evaluator(build_campaign_circuit("builtin:adder1", nullptr), "hspice"),
+               std::invalid_argument);
+}
+
 TEST(CampaignCircuit, MultiplierBuiltinsNameTheirProductBits) {
   // Regression: the multiplier branches once read output names from a
   // netlist that had already been moved into the return value.

@@ -1,0 +1,60 @@
+# One-shot checks of the mtcmos_sizer CLI, run by ctest (label `examples`):
+#
+#   cmake -DSIZER=<exe> -DEXPECT=<code> -DARGS=<arg|arg|...> -P cli_check.cmake
+#     runs SIZER ARGS and passes when it exits with EXPECT.
+#   cmake -DSIZER=<exe> -DMODE=resume -DDIR=<dir> -DARGS=<...> -P cli_check.cmake
+#     runs SIZER ARGS --checkpoint DIR into a fresh DIR, then again with
+#     --resume, and passes when both exit 0 and print the same
+#     "Recommended sleep W/L" line.
+#   cmake -DSIZER=<exe> -DMODE=refuse -DDIR=<dir> -DARGS=<...> -P cli_check.cmake
+#     runs SIZER ARGS --checkpoint DIR into a fresh DIR, then again without
+#     --resume, and passes when the second run exits 2 (usage error).
+
+string(REPLACE "|" ";" ARGS "${ARGS}")
+
+function(run_sizer out_var code_var)
+  execute_process(COMMAND ${SIZER} ${ARGN} RESULT_VARIABLE code OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err)
+  message(STATUS "mtcmos_sizer ${ARGN} -> ${code}\n${out}${err}")
+  set(${out_var} "${out}" PARENT_SCOPE)
+  set(${code_var} "${code}" PARENT_SCOPE)
+endfunction()
+
+function(expect_code code want)
+  if(NOT code STREQUAL want)
+    message(FATAL_ERROR "expected exit ${want}, got ${code}")
+  endif()
+endfunction()
+
+function(recommended_line out var)
+  string(REGEX MATCH "Recommended sleep W/L[^\n]*" line "${out}")
+  if(line STREQUAL "")
+    message(FATAL_ERROR "no \"Recommended sleep W/L\" line in the output")
+  endif()
+  set(${var} "${line}" PARENT_SCOPE)
+endfunction()
+
+if(NOT DEFINED MODE)
+  run_sizer(out code ${ARGS})
+  expect_code("${code}" "${EXPECT}")
+  return()
+endif()
+
+file(REMOVE_RECURSE "${DIR}")
+run_sizer(first code ${ARGS} --checkpoint "${DIR}")
+expect_code("${code}" 0)
+if(MODE STREQUAL "resume")
+  run_sizer(second code ${ARGS} --checkpoint "${DIR}" --resume)
+  expect_code("${code}" 0)
+  recommended_line("${first}" fresh)
+  recommended_line("${second}" resumed)
+  if(NOT fresh STREQUAL resumed)
+    message(FATAL_ERROR "resume changed the result:\n  ${fresh}\n  ${resumed}")
+  endif()
+elseif(MODE STREQUAL "refuse")
+  run_sizer(second code ${ARGS} --checkpoint "${DIR}")
+  expect_code("${code}" 2)
+else()
+  message(FATAL_ERROR "unknown MODE '${MODE}'")
+endif()
+file(REMOVE_RECURSE "${DIR}")
