@@ -70,6 +70,7 @@
 // docs/architecture.md "Result pipeline".
 
 #include <algorithm>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -143,11 +144,24 @@ void print_sweep_health(const mtcmos::SweepReport& report) {
   }
 }
 
-std::vector<double> parse_list(const std::string& csv) {
+/// The whole of `text` as a number for `flag`; anything else -- a
+/// malformed or out-of-range value -- is a usage error (exit 2).
+template <typename T>
+T parse_number(const std::string& flag, const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc() && ptr == end) return value;
+  std::cerr << (ec == std::errc::result_out_of_range ? "out-of-range" : "malformed")
+            << " value '" << text << "' for " << flag << "\n";
+  std::exit(2);
+}
+
+std::vector<double> parse_list(const std::string& flag, const std::string& csv) {
   std::vector<double> out;
   std::stringstream ss(csv);
   std::string item;
-  while (std::getline(ss, item, ',')) out.push_back(std::stod(item));
+  while (std::getline(ss, item, ',')) out.push_back(parse_number<double>(flag, item));
   return out;
 }
 
@@ -304,21 +318,21 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--target") {
-      target = std::stod(next());
+      target = parse_number<double>(arg, next());
     } else if (arg == "--vectors") {
-      n_vectors = std::stoi(next());
+      n_vectors = parse_number<int>(arg, next());
     } else if (arg == "--seed") {
-      seed = std::stoull(next());
+      seed = parse_number<std::uint64_t>(arg, next());
     } else if (arg == "--sweep") {
-      sweep = parse_list(next());
+      sweep = parse_list(arg, next());
     } else if (arg == "--export-deck") {
       deck_path = next();
     } else if (arg == "--export-vcd") {
       vcd_path = next();
     } else if (arg == "--screen") {
-      screen_keep = std::stoi(next());
+      screen_keep = parse_number<int>(arg, next());
     } else if (arg == "--wl") {
-      deck_wl = std::stod(next());
+      deck_wl = parse_number<double>(arg, next());
     } else if (arg == "--backend") {
       backend_name = next();
       if (backend_name != "vbs" && backend_name != "spice") {
@@ -332,9 +346,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--resume") {
       resume = true;
     } else if (arg == "--watchdog") {
-      watchdog_multiple = std::stod(next());
+      watchdog_multiple = parse_number<double>(arg, next());
     } else if (arg == "--shards") {
-      shards = std::stoi(next());
+      shards = parse_number<int>(arg, next());
     } else if (arg == "--campaign") {
       campaign_path = next();
     } else if (arg == "--table") {
@@ -346,9 +360,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--request") {
       request_json = next();
     } else if (arg == "--max-queue") {
-      max_queue = std::stoi(next());
+      max_queue = parse_number<int>(arg, next());
     } else if (arg == "--deadline") {
-      serve_deadline_s = std::stod(next());
+      serve_deadline_s = parse_number<double>(arg, next());
     } else if (arg[0] == '-') {
       std::cerr << "unknown option: " << arg << "\n";
       return usage();

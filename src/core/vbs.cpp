@@ -1,7 +1,6 @@
 #include "core/vbs.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 
@@ -73,9 +72,6 @@ VbsSimulator::VbsSimulator(const netlist::Netlist& nl, VbsOptions options,
     bad_option("t_max " + std::to_string(options_.t_max) + " must exceed t_switch " +
                std::to_string(options_.t_switch));
   }
-  if (!(options_.deadline_s >= 0.0)) {
-    bad_option("negative deadline_s " + std::to_string(options_.deadline_s));
-  }
   // A rising output's pull-up sees the full supply, so its slope is a
   // per-gate constant.
   const double pull_up_drive = std::max(nl_.tech().vdd - nl_.tech().pmos_low.vt0, 0.0);
@@ -120,7 +116,6 @@ VbsResult VbsSimulator::run(const std::vector<bool>& v0, const std::vector<bool>
   require(v0.size() == nl_.inputs().size() && v1.size() == nl_.inputs().size(),
           "VbsSimulator::run: input vector size mismatch");
   faultinject::check(faultinject::Site::kVbsRun, "VbsSimulator::run");
-  const auto start_time = std::chrono::steady_clock::now();
   const Technology& tech = nl_.tech();
   const double vdd = tech.vdd;
   const double th = 0.5 * vdd;
@@ -252,14 +247,6 @@ VbsResult VbsSimulator::run(const std::vector<bool>& v0, const std::vector<bool>
       throw NumericalError({FailureCode::kDeadlineExceeded, "VbsSimulator::run",
                             "breakpoint budget of " + std::to_string(options_.max_breakpoints) +
                                 " exhausted at t=" + std::to_string(t_now)});
-    }
-    if (options_.deadline_s > 0.0) {
-      const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start_time;
-      if (elapsed.count() > options_.deadline_s) {
-        throw NumericalError({FailureCode::kDeadlineExceeded, "VbsSimulator::run",
-                              "wall-clock deadline of " + std::to_string(options_.deadline_s) +
-                                  " s exceeded at t=" + std::to_string(t_now)});
-      }
     }
     // --- Solve each domain's virtual ground for its discharger set.
     std::fill(beta_dom.begin(), beta_dom.end(), 0.0);

@@ -59,9 +59,6 @@ struct VbsOptions {
   /// NumericalError with FailureCode::kDeadlineExceeded, so a breakpoint
   /// cascade degrades to a classified failure instead of spinning.
   std::size_t max_breakpoints = 0;
-  /// Per-run wall-clock budget [s]; 0 disables.  Same kDeadlineExceeded
-  /// semantics as max_breakpoints.
-  double deadline_s = 0.0;
 };
 
 namespace detail {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <optional>
@@ -177,7 +176,6 @@ void VbsBatchSimulator::run(const VbsBatchItem* items, std::size_t count,
   const VbsOptions& opt = sim_.options_;
   const std::size_t n_in = nl.inputs().size();
 
-  const auto start_time = std::chrono::steady_clock::now();
   const Technology& tech = nl.tech();
   const double vdd = tech.vdd;
   const double th = 0.5 * vdd;
@@ -554,16 +552,11 @@ void VbsBatchSimulator::run(const VbsBatchItem* items, std::size_t count,
     }
     const std::size_t L = live;
 
-    // Scalar loop top: fault injection and budget guards.  When nothing is
-    // armed and no budget is set, every check below is a no-op for every
-    // lane, so the whole scan is skipped.
-    double elapsed_s = 0.0;
-    if (opt.deadline_s > 0.0) {
-      const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start_time;
-      elapsed_s = elapsed.count();
-    }
-    const bool need_guards = opt.max_breakpoints > 0 || opt.deadline_s > 0.0 ||
-                             faultinject::armed(faultinject::Site::kVbsBreakpoint);
+    // Scalar loop top: fault injection and the breakpoint budget.  When
+    // neither is armed, every check below is a no-op for every lane, so
+    // the whole scan is skipped.
+    const bool need_guards =
+        opt.max_breakpoints > 0 || faultinject::armed(faultinject::Site::kVbsBreakpoint);
     for (std::size_t l = 0; need_guards && l < L; ++l) {
       if (!ws.running[l]) continue;
       try {
@@ -572,11 +565,6 @@ void VbsBatchSimulator::run(const VbsBatchItem* items, std::size_t count,
           throw NumericalError({FailureCode::kDeadlineExceeded, "VbsSimulator::run",
                                 "breakpoint budget of " + std::to_string(opt.max_breakpoints) +
                                     " exhausted at t=" + std::to_string(ws.t_now[l])});
-        }
-        if (opt.deadline_s > 0.0 && elapsed_s > opt.deadline_s) {
-          throw NumericalError({FailureCode::kDeadlineExceeded, "VbsSimulator::run",
-                                "wall-clock deadline of " + std::to_string(opt.deadline_s) +
-                                    " s exceeded at t=" + std::to_string(ws.t_now[l])});
         }
       } catch (const NumericalError& e) {
         fail_lane(l, e.info());

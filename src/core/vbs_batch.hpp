@@ -44,11 +44,7 @@
 // virtual_ground_cap, reverse_conduction, alpha, input_slope_factor) and
 // any domain partition.  A lane whose scalar run would throw
 // NumericalError reports that failure in its result slot instead; the
-// other lanes are unaffected.  The only intentional divergence is
-// options.deadline_s, which is wall-clock-based and therefore not
-// bit-reproducible on either path; the batch kernel applies the shared
-// deadline to every live lane each round.  vbs_batch_test.cpp enforces
-// the contract.
+// other lanes are unaffected.  vbs_batch_test.cpp enforces the contract.
 
 #include <cstddef>
 #include <cstdint>

@@ -239,11 +239,7 @@ template bool Checkpoint::lookup_as(const Key&, Outcome<VectorDelay>&) const;
 
 bool Checkpoint::should_persist(const FailureInfo& failure) {
   if (failure.code == FailureCode::kCancelled) return false;
-  if (failure.code == FailureCode::kDeadlineExceeded &&
-      (failure.site == "sizing::sweep_item" || failure.site == "sizing::watchdog")) {
-    return false;
-  }
-  return true;
+  return !(failure.code == FailureCode::kDeadlineExceeded && failure.site == "sizing::watchdog");
 }
 
 std::uint64_t netlist_fingerprint(const netlist::Netlist& nl,

@@ -26,9 +26,11 @@
 //
 // What is persisted: successes and genuine numerical failures.  Outcomes
 // that only describe the *interruption itself* -- kCancelled, and
-// kDeadlineExceeded raised by the session deadline or the watchdog --
-// are deliberately not persisted, so resuming after a Ctrl-C re-runs the
-// cancelled items instead of replaying the cancellation forever.
+// kDeadlineExceeded raised by the watchdog -- are deliberately not
+// persisted, so resuming after a Ctrl-C re-runs the cancelled items
+// instead of replaying the cancellation forever.  The step and
+// breakpoint budgets are deterministic, so their kDeadlineExceeded
+// verdicts are persisted like any other numerical failure.
 //
 // Run-configuration guard: bind_meta() records named configuration
 // strings (target, bounds, seed, ...) on first use and throws a coded
@@ -144,8 +146,8 @@ class Checkpoint {
   }
 
   /// Whether a failed outcome belongs in the journal: interruption
-  /// artifacts (kCancelled; session-deadline / watchdog
-  /// kDeadlineExceeded) must be re-run on resume, not replayed.
+  /// artifacts (kCancelled; watchdog kDeadlineExceeded) must be re-run
+  /// on resume, not replayed.
   static bool should_persist(const FailureInfo& failure);
 
  private:

@@ -508,7 +508,6 @@ class DaemonImpl {
         requests_.append("done:" + id, "{\"type\":\"error\",\"code\":\"bad-request\"}");
         continue;
       }
-      p.req.deadline_s = 0.0;  // headless resumes run to completion
       {
         const std::lock_guard<std::mutex> lock(queue_mutex_);
         queue_.push_back(std::move(p));
@@ -792,8 +791,10 @@ class DaemonImpl {
   bool run_request(const Pending& p, std::shared_ptr<ActiveState>& slot,
                    util::ThreadPool* replay_pool) {
     auto active = std::make_shared<ActiveState>();
-    const double deadline_s =
-        p.req.deadline_s > 0.0 ? p.req.deadline_s : options_.default_deadline_s;
+    // A headless resume has no client waiting: it runs to completion.
+    const double deadline_s = p.conn == nullptr      ? 0.0
+                              : p.req.deadline_s > 0.0 ? p.req.deadline_s
+                                                       : options_.default_deadline_s;
     if (deadline_s > 0.0) {
       active->deadline =
           Clock::now() + std::chrono::microseconds(static_cast<std::int64_t>(deadline_s * 1e6));
@@ -827,8 +828,7 @@ class DaemonImpl {
       } else if (p.req.op == "campaign") {
         done_fields = run_campaign(p, report, active->token, hits, misses);
       } else {
-        done_fields = run_sweep(p, report, sink, active->token, deadline_s, replay_pool,
-                                answerable);
+        done_fields = run_sweep(p, report, sink, active->token, replay_pool, answerable);
       }
     } catch (const NumericalError& e) {
       if (e.info().code != FailureCode::kCancelled) fail_message = e.what();
@@ -858,19 +858,12 @@ class DaemonImpl {
     dedup_hits_.fetch_add(hits);
     dedup_misses_.fetch_add(misses);
 
-    if (!fail_message.empty()) {
-      // A terminal, non-cancellation failure is an *answer*: journal it
-      // done so the daemon does not re-run a deterministic failure on
-      // every boot.  Re-sending the request re-runs it on demand.
-      failed_.fetch_add(1);
-      requests_.append("done:" + p.key, "error");
-      send_error(p, "failed", fail_message);
-      return true;
-    }
     if (active->token.requested()) {
       // Interrupted (deadline or drain): completed items are in the
       // store, the request stays journaled, and the next boot finishes
-      // it headless.
+      // it headless.  Checked before any failure, because a sweep cut
+      // short reduces over the items that beat the token, so its failure
+      // (or result) is not a verdict on the request.
       if (active->deadline_fired.load()) {
         send_error(p, "deadline",
                    "deadline of " + util::json_double(deadline_s) +
@@ -880,6 +873,15 @@ class DaemonImpl {
         interrupted_.store(true);
         send_error(p, "cancelled", "daemon is shutting down; request journaled for restart");
       }
+      return true;
+    }
+    if (!fail_message.empty()) {
+      // A terminal failure of an uninterrupted run is an *answer*: journal
+      // it done so the daemon does not re-run a deterministic failure on
+      // every boot.  Re-sending the request re-runs it on demand.
+      failed_.fetch_add(1);
+      requests_.append("done:" + p.key, "error");
+      send_error(p, "failed", fail_message);
       return true;
     }
 
@@ -910,8 +912,8 @@ class DaemonImpl {
   /// a `replay_pool` the sweep runs on it, and a rank whose items are not
   /// all in the store clears `answerable` and returns without running.
   std::string run_sweep(const Pending& p, SweepReport& report, SocketRowSink& sink,
-                        util::CancelToken& token, double deadline_s,
-                        util::ThreadPool* replay_pool, bool& answerable) {
+                        util::CancelToken& token, util::ThreadPool* replay_pool,
+                        bool& answerable) {
     const Request& req = p.req;
     const ContextPtr ctx = contexts_.get(req.circuit, req.backend);
     const CornerCircuit& cc = ctx->eval.circuit();
@@ -931,7 +933,6 @@ class DaemonImpl {
     session.report = &report;
     session.checkpoint = &store_;
     session.cancel_token = &token;
-    session.deadline_s = deadline_s;
     session.sink = &sink;
     session.pool = replay_pool;
 

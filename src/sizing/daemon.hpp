@@ -43,13 +43,15 @@
 //    lane hands it to the executor queue if any of its items is missing
 //    from the store.  Rows and done lines are byte-identical either way.
 //
-//  * Deadlines: a request's deadline_s (or the daemon default) both
-//    bounds the sweep via EvalSession::deadline_s and raises the
-//    request's private CancelToken from the poll loop, so in-flight
-//    items drain and the client gets a coded `deadline` error.  The
-//    partial work is checkpointed (deadline failures are never
-//    persisted); the request stays journaled and finishes headless on
-//    the next restart.
+//  * Deadlines: a request's deadline_s (or the daemon default) is
+//    enforced at the poll tick (poll_interval_ms) by raising the
+//    request's private CancelToken -- the one way any sweep stops early
+//    -- so in-flight items drain and the client gets a coded `deadline`
+//    error.  The completed items are checkpointed (cancelled ones are
+//    never persisted); the request stays journaled and finishes
+//    headless, with no deadline, on the next restart.  So a `done` line
+//    is always a complete answer, and no wall-clock verdict reaches a
+//    journal.
 //
 //  * Graceful drain: SIGTERM/SIGINT (the global CancelToken) stops
 //    admission (`draining` rejections), cancels the in-flight requests,
@@ -91,7 +93,7 @@ struct DaemonOptions {
   /// rejections start (>= 0; 0 = reject whenever one request is active).
   int max_queue = 8;
   /// Default per-request deadline [s] when a request names none; 0 = no
-  /// deadline.
+  /// deadline.  Checked at the poll tick; headless resumes run without.
   double default_deadline_s = 0.0;
   int shards = 1;  ///< supervisor worker processes for rank/campaign (>1 enables)
   /// Poll-loop tick [ms]: socket poll timeout, deadline check period,

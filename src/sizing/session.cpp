@@ -29,24 +29,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Wall-clock budget for one entry-point call.  Disarmed (the default) it
-// never samples the clock, keeping default sweeps bit-reproducible.
-struct Deadline {
-  Clock::time_point end = {};
-  bool armed = false;
-
-  static Deadline start(double budget_s) {
-    Deadline d;
-    if (budget_s > 0.0) {
-      d.armed = true;
-      d.end = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                 std::chrono::duration<double>(budget_s));
-    }
-    return d;
-  }
-  bool expired() const { return armed && Clock::now() >= end; }
-};
-
 // Running-median latency tracker behind WatchdogConfig.  Two balanced
 // multisets give O(log n) insert and O(1) median; all completed attempts
 // feed the median (a median is robust to the pathological outliers the
@@ -98,15 +80,14 @@ class Watchdog {
 
 // Everything an entry-point call resolves once from its EvalSession and
 // run_item reads per item: the pool, the report (the session's, or a
-// scratch one when per-item outcomes are discarded), the deadline clock,
-// the cancel token, the checkpoint (armed or null, so the hot path tests
+// scratch one when per-item outcomes are discarded), the cancel token,
+// the checkpoint (armed or null, so the hot path tests
 // one pointer) and the optional watchdog.  Never copied: `report` may refer
 // to `scratch`.
 struct RunContext {
   explicit RunContext(const EvalSession& s)
       : pool(s.pool_ref()),
         report(s.report != nullptr ? *s.report : scratch),
-        deadline(Deadline::start(s.deadline_s)),
         cancel(s.cancel_ref()),
         checkpoint(s.checkpoint != nullptr && s.checkpoint->armed() ? s.checkpoint : nullptr) {
     if (s.watchdog.armed()) watchdog.emplace(s.watchdog);
@@ -129,7 +110,6 @@ struct RunContext {
   util::ThreadPool& pool;
   SweepReport scratch;
   SweepReport& report;
-  const Deadline deadline;
   util::CancelToken& cancel;
   Checkpoint* const checkpoint;
   /// Fed by run_item through a const context; it locks internally.
@@ -144,7 +124,7 @@ struct RunContext {
 //
 // Ordering per attempt: checkpoint replay (a journaled outcome skips the
 // work entirely), then cancellation (kCancelled, never journaled), then
-// the session deadline (kDeadlineExceeded), then the body.  With the
+// the body.  With the
 // watchdog armed, a completed attempt slower than the running-median
 // budget is discarded as kDeadlineExceeded and the item requeued exactly
 // once; a second over-budget attempt fails the item.  Completed outcomes
@@ -169,13 +149,6 @@ Outcome<T> run_item(const RunContext& ctx, std::size_t index, const ItemKeys& ke
       last.context = "cancelled before item " + std::to_string(index);
       last.attempts = attempt;
       return Outcome<T>::fail(last);  // interruption artifact: never journaled
-    }
-    if (ctx.deadline.expired()) {
-      last.code = FailureCode::kDeadlineExceeded;
-      last.site = "sizing::sweep_item";
-      last.context = "session deadline exceeded before item " + std::to_string(index);
-      last.attempts = attempt;
-      return Outcome<T>::fail(last);
     }
     std::optional<T> value;
     try {
@@ -267,9 +240,9 @@ constexpr std::size_t kMaxCommitGroup = 64;
 // slots live from its run to its emission, so memory holds the tasks in
 // flight, not the list.  A task builds its memo (presence tests and
 // batch kernel), then runs each item through run_item, committing after
-// every kMaxCommitGroup items and at its end, also when cancellation or
-// the deadline cut its items short, so an entry point returns with every
-// completed item journaled.  A task that throws (a journal fault, a
+// every kMaxCommitGroup items and at its end, also when cancellation cut
+// its items short, so an entry point returns with every completed item
+// journaled.  A task that throws (a journal fault, a
 // precondition bug) drops its uncommitted group, as a crash would, and
 // propagates once the pool drains; emission stops at the last whole
 // chunk before it.
@@ -380,12 +353,12 @@ void run_chunks(const RunContext& run, const ItemKeys& keys, std::size_t chunk, 
 
 // The items of [begin, end) for the chunk's batch kernel: those not yet
 // journaled, so a resumed run batches only the rest; none when the kernel
-// stands down (chunk 0) or the run is cancelled or out of time (run_item
-// classifies those items itself).
+// stands down (chunk 0) or the run is cancelled (run_item classifies
+// those items itself).
 std::vector<std::size_t> chunk_todo(const RunContext& run, const ItemKeys& keys,
                                     std::size_t chunk, std::size_t begin, std::size_t end) {
   std::vector<std::size_t> todo;
-  if (chunk == 0 || run.cancel.requested() || run.deadline.expired()) return todo;
+  if (chunk == 0 || run.cancel.requested()) return todo;
   for (std::size_t i = begin; i < end; ++i) {
     if (run.checkpoint == nullptr || !run.checkpoint->contains(keys[i])) todo.push_back(i);
   }

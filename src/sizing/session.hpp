@@ -2,10 +2,11 @@
 // Session-scoped sweep entry points over EvalBackend.
 //
 // EvalSession collapses the run context -- thread pool, report sink,
-// wall-clock budget, checkpoint, cancellation -- into one value, and each
-// sweep below has exactly one implementation taking it.  Because they are written against EvalBackend, the same
-// ranking / bisection / search code runs on the switch-level simulator
-// (VbsBackend) or the transistor-level engine (SpiceBackend) unchanged.
+// checkpoint, cancellation -- into one value, and each sweep below has
+// exactly one implementation taking it.  Because they are written against
+// EvalBackend, the same ranking / bisection / search code runs on the
+// switch-level simulator (VbsBackend) or the transistor-level engine
+// (SpiceBackend) unchanged.
 //
 // verify_sizing() is the paper's Section 6 methodology as a function:
 // size with the fast backend, then re-measure the binding vector on the
@@ -36,10 +37,10 @@ class ResultSink;   // sizing/result_sink.hpp
 /// treated as kDeadlineExceeded: the item is requeued once (transient
 /// slowness -- a cold cache, a scheduling hiccup -- usually clears), and
 /// if the requeue is also over budget the item fails as
-/// kDeadlineExceeded with site "sizing::watchdog".  Like the session
-/// deadline, arming the watchdog trades bit-identical results for
-/// bounded tail latency: verdicts depend on wall-clock timing.  Watchdog
-/// failures are never persisted to a checkpoint -- a resume re-runs them.
+/// kDeadlineExceeded with site "sizing::watchdog".  It is the one
+/// wall-clock verdict a sweep can reach: arming it trades bit-identical
+/// results for bounded tail latency.  Watchdog failures are never
+/// persisted to a checkpoint -- a resume re-runs them.
 struct WatchdogConfig {
   double multiple = 0.0;         ///< flag attempts slower than this x median; 0 disables
   std::size_t min_samples = 16;  ///< completed attempts before the median is trusted
@@ -51,20 +52,12 @@ struct WatchdogConfig {
 /// Run context shared by every sweep call in a sizing session.
 ///
 /// A default-constructed session runs on the global thread pool, discards
-/// per-item outcomes, and arms no deadline, checkpoint or watchdog;
-/// cancellation polls the process-global token.  Every session isolates
-/// per-item numerical failures under the kItemAttempts retry budget.
+/// per-item outcomes, and arms no checkpoint or watchdog; cancellation
+/// polls the process-global token.  Every session isolates per-item
+/// numerical failures under the kItemAttempts retry budget.
 struct EvalSession {
   util::ThreadPool* pool = nullptr;  ///< nullptr = the process-global pool
   SweepReport* report = nullptr;  ///< nullptr = per-item outcomes discarded
-  /// Wall-clock budget [s] for one entry-point call; 0 disables.  When
-  /// the budget runs out, items not yet started fail with
-  /// kDeadlineExceeded (isolated like any other per-item failure), so a
-  /// sweep degrades to a partial, classified result instead of running
-  /// long.  Arming a deadline trades the bit-identical-results guarantee
-  /// for bounded latency: which items beat the clock depends on thread
-  /// scheduling.
-  double deadline_s = 0.0;
   /// Crash-safe journal of per-item outcomes (sizing/checkpoint.hpp).
   /// When armed, every entry point records completed items and skips
   /// items whose deterministic key is already journaled, so an
@@ -74,10 +67,13 @@ struct EvalSession {
   /// Cooperative cancellation.  nullptr polls the process-global token
   /// (what SIGINT/SIGTERM raise once util::install_cancel_signal_handlers
   /// ran), so Ctrl-C drains default sessions gracefully; tests pass their
-  /// own token for isolation.  Once raised, items not yet started fail
-  /// with kCancelled (recorded in the report, never checkpointed),
-  /// in-flight items drain, and the entry point returns its partial
-  /// result instead of dying mid-write.
+  /// own token for isolation.  This token is the only way to stop a
+  /// sweep early; the daemon enforces a request deadline by raising it
+  /// at its poll tick.  Once raised, items not yet started fail with
+  /// kCancelled (recorded in the report, never checkpointed), in-flight
+  /// items drain, and the entry point returns its partial result instead
+  /// of dying mid-write; a caller that raised the token treats that
+  /// result as interrupted, not as an answer.
   util::CancelToken* cancel_token = nullptr;
   WatchdogConfig watchdog = {};
   /// Streaming row sink (sizing/result_sink.hpp).  When set, every entry

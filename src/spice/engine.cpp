@@ -1,7 +1,6 @@
 #include "spice/engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
@@ -573,7 +572,6 @@ double Engine::dc_device_current(const std::string& name,
 TransientResult Engine::run_transient(const TransientOptions& options) {
   require(options.tstop > 0.0, "run_transient: tstop must be positive");
   require(options.dt > 0.0 && options.dt <= options.tstop, "run_transient: bad dt");
-  require(options.deadline_s >= 0.0, "run_transient: deadline_s must be non-negative");
   require(options.bypass_tol >= 0.0, "run_transient: bypass_tol must be non-negative");
 
   TransientResult result;
@@ -585,22 +583,12 @@ TransientResult Engine::run_transient(const TransientOptions& options) {
   const bool allow_bypass = options.bypass_tol > 0.0;
   const bool reuse_jacobian = options.jacobian_reuse;
 
-  // Per-run budgets: sample the clock only when a wall-clock deadline is
-  // armed, so budget-free runs stay bit-reproducible and syscall-free.
-  const auto start_time = std::chrono::steady_clock::now();
-  const auto check_deadline = [&](double t_now) {
+  // Per-run step budget.
+  const auto check_budget = [&](double t_now) {
     if (options.max_steps > 0 && result.steps >= options.max_steps) {
       throw NumericalError({FailureCode::kDeadlineExceeded, "Engine::run_transient",
                             "step budget of " + std::to_string(options.max_steps) +
                                 " exhausted at t=" + std::to_string(t_now)});
-    }
-    if (options.deadline_s > 0.0) {
-      const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start_time;
-      if (elapsed.count() > options.deadline_s) {
-        throw NumericalError({FailureCode::kDeadlineExceeded, "Engine::run_transient",
-                              "wall-clock deadline of " + std::to_string(options.deadline_s) +
-                                  " s exceeded at t=" + std::to_string(t_now)});
-      }
     }
   };
 
@@ -723,7 +711,7 @@ TransientResult Engine::run_transient(const TransientOptions& options) {
     double t = 0.0;
     bool first = true;
     while (t < options.tstop - 1e-18) {
-      check_deadline(t);
+      check_budget(t);
       const double dt = std::min(options.dt, options.tstop - t);
       advance(advance, t, dt, /*force_be=*/first || options.backward_euler, 0);
       first = false;
@@ -740,7 +728,7 @@ TransientResult Engine::run_transient(const TransientOptions& options) {
   std::vector<double> v_prev;  // previous accepted solution (for the predictor)
   double dt_prev = 0.0;
   while (t < options.tstop - 1e-18) {
-    check_deadline(t);
+    check_budget(t);
     faultinject::check(faultinject::Site::kTransientStep, "Engine::run_transient");
     dt = std::min({dt, options.tstop - t, dt_max});
     if (dt < options.dt_min) {

@@ -69,13 +69,10 @@ struct TransientOptions {
   /// More damped (no trapezoidal ringing) at the cost of accuracy; the
   /// recovery ladder's first escalation rung.
   bool backward_euler = false;
-  /// Per-run wall-clock budget [s]; 0 disables.  When exhausted the run
+  /// Per-run accepted-step budget; 0 disables.  When exhausted the run
   /// throws NumericalError with FailureCode::kDeadlineExceeded, so a
   /// runaway transient degrades to a classified failure instead of
   /// hanging a sweep worker.
-  double deadline_s = 0.0;
-  /// Per-run accepted-step budget; 0 disables.  Exhaustion also reports
-  /// kDeadlineExceeded.
   std::size_t max_steps = 0;
   /// Device-evaluation bypass threshold [V]; 0 disables (default, bit-
   /// reproducible).  When > 0, a MOSFET whose four terminal voltages all

@@ -38,7 +38,6 @@ Outcome<TransientResult> run_transient_recovered(Engine& engine, const Transient
   const GminGuard gmin_guard(engine);
 
   TransientOptions options = base;
-  if (options.deadline_s == 0.0) options.deadline_s = policy.deadline_s;
   if (options.max_steps == 0) options.max_steps = policy.max_steps;
 
   const std::vector<RecoveryRung> rungs =
@@ -83,8 +82,9 @@ Outcome<TransientResult> run_transient_recovered(Engine& engine, const Transient
     } catch (const NumericalError& e) {
       last = e.info();
       last.attempts = attempt;
-      // A deadline failure means the run was too *slow*, not too unstable;
-      // escalating to an even more damped setup only multiplies the loss.
+      // An exhausted step budget means the run was too *long*, not too
+      // unstable; escalating to an even more damped setup only multiplies
+      // the loss.
       if (last.code == FailureCode::kDeadlineExceeded) break;
     }
   }

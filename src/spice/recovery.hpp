@@ -16,9 +16,9 @@
 // The attempt count is recorded in the returned Outcome so SweepReport's
 // per-rung histogram shows exactly how hard each item had to fight.
 //
-// kDeadlineExceeded is terminal: a run that exhausted its wall-clock or
-// step budget will not finish faster with a more damped integrator, so
-// the ladder stops escalating instead of multiplying the wasted time.
+// kDeadlineExceeded is terminal: a run that exhausted its step budget
+// will not finish faster with a more damped integrator, so the ladder
+// stops escalating instead of multiplying the wasted time.
 
 #include <string>
 #include <vector>
@@ -45,9 +45,8 @@ std::vector<RecoveryRung> default_recovery_rungs();
 struct RecoveryPolicy {
   bool enabled = true;  ///< false = single attempt, failures classified as-is
   std::vector<RecoveryRung> rungs;  ///< empty + enabled => default ladder
-  /// Per-attempt budgets copied into TransientOptions when the base
-  /// options leave them unset (0).  See TransientOptions for semantics.
-  double deadline_s = 0.0;
+  /// Per-attempt step budget copied into TransientOptions when the base
+  /// options leave it unset (0).  See TransientOptions for semantics.
   std::size_t max_steps = 0;
   /// Cooperative cancellation, polled before every attempt: a raised
   /// token fails the run with kCancelled instead of starting (or

@@ -29,7 +29,7 @@ enum class FailureCode : std::uint8_t {
   kSingularMatrix,      ///< zero/vanishing pivot during factorization
   kTimestepUnderflow,   ///< step halving hit dt_min
   kBreakpointRunaway,   ///< switch-level breakpoint stalled or beyond t_max
-  kDeadlineExceeded,    ///< per-run wall-clock or iteration budget exhausted
+  kDeadlineExceeded,    ///< per-run step/breakpoint budget or item watchdog exhausted
   kInjected,            ///< deterministic fault from mtcmos::faultinject
   kCancelled,           ///< cooperative cancellation (signal or EvalSession::cancel)
   kInvalidArgument,     ///< coded precondition failure (degenerate bounds, ...)
@@ -58,7 +58,7 @@ struct FailureInfo {
   std::string site;     ///< where it happened, e.g. "Engine::newton_solve"
   std::string context;  ///< free-form detail (scale, node, budget, ...)
   int attempts = 1;     ///< attempts consumed when this failure became final
-  /// Timing audit for deadline/watchdog verdicts, so a SweepReport entry
+  /// Timing audit for watchdog verdicts, so a SweepReport entry
   /// shows *how far* over budget the item was, not just that it was
   /// flagged.  elapsed_s is the attempt's wall time; median_s the running
   /// median the watchdog compared against.  0 = not a timed verdict.

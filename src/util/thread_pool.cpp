@@ -105,19 +105,4 @@ void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_
   if (error) std::rethrow_exception(error);
 }
 
-std::vector<std::exception_ptr> ThreadPool::parallel_for_collect(
-    std::size_t n, const std::function<void(std::size_t)>& fn) {
-  std::vector<std::exception_ptr> errors(n);
-  // The wrapper never lets an exception escape, so the cancellation path
-  // in run_current_job never triggers and every index executes.
-  parallel_for(n, [&](std::size_t i) {
-    try {
-      fn(i);
-    } catch (...) {
-      errors[i] = std::current_exception();
-    }
-  });
-  return errors;
-}
-
 }  // namespace mtcmos::util

@@ -21,9 +21,6 @@
 // on the calling thread after the loop drains; once an exception is
 // captured the job is cancelled, so indices not yet started are skipped
 // (iterations already in flight on other workers run to completion).
-// Batch drivers that must never lose the whole job use
-// parallel_for_collect, which records per-index exceptions instead of
-// cancelling.
 
 #include <atomic>
 #include <condition_variable>
@@ -56,13 +53,6 @@ class ThreadPool {
   /// from different threads serialize; calling parallel_for on the same
   /// pool from inside fn deadlocks (use a separate pool for nesting).
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-  /// Fault-isolating variant: runs ALL n iterations even if some throw.
-  /// Returns an n-slot vector where slot i holds the exception fn(i)
-  /// threw, or nullptr if it succeeded.  Never cancels and never throws
-  /// from fn's failures, so one bad item cannot tear down the batch.
-  std::vector<std::exception_ptr> parallel_for_collect(
-      std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// parallel_for that collects fn(i) into an index-addressed vector, so
   /// the result order is independent of thread scheduling.

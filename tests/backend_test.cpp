@@ -102,22 +102,6 @@ TEST_F(Backend, RankVectorsRunsOnSpiceBackend) {
   }
 }
 
-TEST_F(Backend, SessionDeadlineFailsItemsInsteadOfThrowing) {
-  const auto adder = make_ripple_adder(tech07(), 2);
-  const VbsBackend vbs(adder.netlist, adder_outputs(adder));
-  const auto vectors = sizing::all_vector_pairs(4);
-  SweepReport report;
-  EvalSession session;
-  session.deadline_s = 1e-12;  // expired before the first item starts
-  session.report = &report;
-  const auto ranked = sizing::rank_vectors(vbs, vectors, 10.0, session);
-  EXPECT_TRUE(ranked.empty());
-  EXPECT_EQ(report.failed, vectors.size());
-  for (const auto& [index, failure] : report.failures) {
-    EXPECT_EQ(failure.code, FailureCode::kDeadlineExceeded) << index;
-  }
-}
-
 // --- verify_sizing ---
 
 TEST_F(Backend, VerifySizingRoundTripsOnTheReferenceBackend) {

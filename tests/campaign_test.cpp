@@ -67,6 +67,16 @@ class CampaignTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
+// Every in-process run in this file uses a pool of its own, joined
+// before the run returns, and never the global pool: no pool thread then
+// outlives a run, so the sharded legs fork a single-threaded process
+// even when the whole binary runs as one process (TSan cannot follow a
+// fork from a threaded process).
+CampaignStats run_in_process(CampaignDriver& driver) {
+  util::ThreadPool pool;
+  return driver.run(1, nullptr, nullptr, &pool);
+}
+
 std::string table_of(CampaignDriver& driver) {
   std::ostringstream os;
   driver.write_table(os);
@@ -351,7 +361,7 @@ TEST_F(CampaignTest, FreshRunCompletesAndAccountsChunks) {
   EXPECT_EQ(driver.n_chunks(), 16u);   // 4 chunks/sweep x 2 W/L x 2 corners
   EXPECT_THROW(driver.write_table(std::cout), std::runtime_error);  // not complete yet
 
-  const CampaignStats stats = driver.run();
+  const CampaignStats stats = run_in_process(driver);
   EXPECT_TRUE(stats.complete);
   EXPECT_FALSE(stats.cancelled);
   EXPECT_EQ(stats.chunks_replayed, 0u);
@@ -365,7 +375,7 @@ TEST_F(CampaignTest, FreshDriverOnAUsedDirectoryThrows) {
   const auto spec = CampaignSpec::parse(kTinySpec);
   {
     CampaignDriver driver(spec, subdir("used"), false);
-    driver.run();
+    run_in_process(driver);
   }
   EXPECT_THROW(CampaignDriver(spec, subdir("used"), false), std::invalid_argument);
 }
@@ -374,7 +384,7 @@ TEST_F(CampaignTest, ResumeWithAnEditedSpecIsRejected) {
   const auto spec = CampaignSpec::parse(kTinySpec);
   {
     CampaignDriver driver(spec, subdir("guard"), false);
-    driver.run();
+    run_in_process(driver);
   }
   auto edited = spec;
   edited.target_pct = 7.5;
@@ -385,8 +395,6 @@ TEST_F(CampaignTest, ResumedAndShardedRunsEmitByteIdenticalTables) {
   const auto spec = CampaignSpec::parse(kTinySpec);
   std::string reference;
   {
-    // The in-process runs use a pool of their own, joined before the
-    // sharded run forks: TSan cannot follow a fork from a threaded process.
     util::ThreadPool pool(4);
     CampaignDriver fresh(spec, subdir("fresh"), false);
     fresh.run(1, nullptr, nullptr, &pool);
@@ -426,7 +434,7 @@ TEST_F(CampaignTest, ResumedAndShardedRunsEmitByteIdenticalTables) {
   // And a resumed handle over the finished sharded directory replays
   // everything without running a single chunk.
   CampaignDriver replayed(spec, subdir("sharded"), true);
-  const CampaignStats pstats = replayed.run();
+  const CampaignStats pstats = run_in_process(replayed);
   EXPECT_EQ(pstats.chunks_run, 0u);
   EXPECT_EQ(pstats.chunks_replayed, replayed.n_chunks());
   EXPECT_EQ(table_of(replayed), reference);
@@ -439,7 +447,7 @@ TEST_F(CampaignTest, ResumedAndShardedRunsEmitByteIdenticalTables) {
 TEST_F(CampaignTest, ChunkThatThrowsMidStreamLeavesNoPartialBlock) {
   const auto spec = CampaignSpec::parse(kTinySpec);
   CampaignDriver fresh(spec, subdir("fresh"), false);
-  fresh.run();
+  run_in_process(fresh);
   const std::string reference = table_of(fresh);
 
   {
@@ -447,7 +455,7 @@ TEST_F(CampaignTest, ChunkThatThrowsMidStreamLeavesNoPartialBlock) {
     faultinject::arm(faultinject::Site::kColumnarAppend, 2, 1);
     CampaignDriver failing(spec, subdir("failed"), false);
     try {
-      failing.run();
+      run_in_process(failing);
       ADD_FAILURE() << "the injected append failure did not propagate";
     } catch (const NumericalError& e) {
       EXPECT_EQ(e.info().code, FailureCode::kInjected);
@@ -456,7 +464,7 @@ TEST_F(CampaignTest, ChunkThatThrowsMidStreamLeavesNoPartialBlock) {
     EXPECT_EQ(failing.chunks_done(), 0u);
   }
   CampaignDriver resumed(spec, subdir("failed"), true);
-  EXPECT_TRUE(resumed.run().complete);
+  EXPECT_TRUE(run_in_process(resumed).complete);
   EXPECT_EQ(table_of(resumed), reference);
 }
 
@@ -468,9 +476,9 @@ TEST_F(CampaignTest, SampledVectorModeIsDeterministic) {
     "chunk": 8
   })");
   CampaignDriver a(spec, subdir("a"), false);
-  a.run();
+  run_in_process(a);
   CampaignDriver b(spec, subdir("b"), false);
-  b.run();
+  run_in_process(b);
   EXPECT_EQ(a.n_vectors(), 24u);
   EXPECT_EQ(table_of(a), table_of(b));
 }
@@ -478,7 +486,7 @@ TEST_F(CampaignTest, SampledVectorModeIsDeterministic) {
 TEST_F(CampaignTest, TableContainsSizingAndCornerPhysics) {
   const auto spec = CampaignSpec::parse(kTinySpec);
   CampaignDriver driver(spec, subdir("t"), false);
-  driver.run();
+  run_in_process(driver);
   const std::string table = table_of(driver);
   // Each corner reports its shifted physics and a W/L curve with a
   // sizing verdict against target_pct.
@@ -590,8 +598,6 @@ void copy_prefix(const std::filesystem::path& from, const std::filesystem::path&
 
 TEST_F(CampaignTest, PipelinedRunsMatchEveryPoolSizeAndTheShardedRun) {
   const auto spec = CampaignSpec::parse(kPipelineSpec);
-  // The sharded run goes first, while this process has no pool threads
-  // to fork under.
   CampaignDriver sharded(spec, subdir("sharded"), false);
   ASSERT_TRUE(sharded.run(2).complete);
   const std::string reference = table_of(sharded);
@@ -617,7 +623,7 @@ TEST_F(CampaignTest, CancelAfterACommittedChunkLeavesAJournaledPrefix) {
   std::string reference;
   {
     CampaignDriver fresh(spec, subdir("fresh"), false);
-    fresh.run();
+    run_in_process(fresh);
     reference = table_of(fresh);
   }
   constexpr std::size_t kCommitted = 2;
@@ -652,7 +658,7 @@ TEST_F(CampaignTest, AppendFaultInALaterChunkLeavesNoBlockOrRecordFromIt) {
   std::string reference;
   {
     CampaignDriver fresh(spec, subdir("fresh"), false);
-    fresh.run();
+    run_in_process(fresh);
     reference = table_of(fresh);
   }
   constexpr std::size_t kFailing = 5;
@@ -701,7 +707,7 @@ TEST_F(CampaignTest, ResumeOverAnEditedNetlistIsRefused) {
   const auto spec = CampaignSpec::parse(mtn_spec(mtn));
   {
     CampaignDriver driver(spec, subdir("guard"), false);
-    ASSERT_TRUE(driver.run().complete);
+    ASSERT_TRUE(run_in_process(driver).complete);
   }
   // Same path, same spec, another circuit: the resume must not finish
   // (or report as finished) a campaign over different rows.
@@ -719,7 +725,7 @@ TEST_F(CampaignTest, TableDescribesTheNetlistTheDriverBound) {
   write_mtn(mtn, "input a b\nnand2 g1 a b\ninv g2 g1.out\noutput g2.out\n");
   const auto spec = CampaignSpec::parse(mtn_spec(mtn));
   CampaignDriver driver(spec, subdir("t"), false);
-  ASSERT_TRUE(driver.run().complete);
+  ASSERT_TRUE(run_in_process(driver).complete);
   const std::string table = table_of(driver);
   EXPECT_NE(table.find("\"vdd\": 1.2,"), std::string::npos);
   // An edit after the run changes neither the rows nor the corner
@@ -738,7 +744,7 @@ TEST_F(CampaignTest, JournalWithoutTheNetlistRecordResumesByteIdentically) {
   std::string reference;
   {
     CampaignDriver fresh(spec, subdir("fresh"), false);
-    ASSERT_TRUE(fresh.run().complete);
+    ASSERT_TRUE(run_in_process(fresh).complete);
     reference = table_of(fresh);
     ASSERT_TRUE(fresh.checkpoint().journal().contains("meta:campaign-netlist"));
   }
@@ -746,7 +752,7 @@ TEST_F(CampaignTest, JournalWithoutTheNetlistRecordResumesByteIdentically) {
   {
     CampaignDriver resumed(spec, subdir("older"), true);
     EXPECT_EQ(resumed.chunks_done(), 3u);
-    EXPECT_TRUE(resumed.run().complete);
+    EXPECT_TRUE(run_in_process(resumed).complete);
     EXPECT_EQ(table_of(resumed), reference);
   }
   // The resume bound the netlist: an edit is refused from now on.

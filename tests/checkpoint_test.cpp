@@ -542,14 +542,12 @@ TEST_F(CheckpointTest, MalformedCrcValidRecordsAreRejected) {
 
 TEST_F(CheckpointTest, InterruptionArtifactsAreNeverPersisted) {
   FailureInfo cancelled{FailureCode::kCancelled, "sizing::sweep_item", "ctrl-c"};
-  FailureInfo session_deadline{FailureCode::kDeadlineExceeded, "sizing::sweep_item", "late"};
   FailureInfo watchdog{FailureCode::kDeadlineExceeded, "sizing::watchdog", "slow"};
-  FailureInfo engine_deadline{FailureCode::kDeadlineExceeded, "spice::transient", "wall"};
+  FailureInfo engine_budget{FailureCode::kDeadlineExceeded, "spice::transient", "steps"};
   FailureInfo diverged{FailureCode::kNewtonDiverged, "spice::newton", "boom"};
   EXPECT_FALSE(Checkpoint::should_persist(cancelled));
-  EXPECT_FALSE(Checkpoint::should_persist(session_deadline));
   EXPECT_FALSE(Checkpoint::should_persist(watchdog));
-  EXPECT_TRUE(Checkpoint::should_persist(engine_deadline));
+  EXPECT_TRUE(Checkpoint::should_persist(engine_budget));
   EXPECT_TRUE(Checkpoint::should_persist(diverged));
 
   Checkpoint ckpt;

@@ -306,6 +306,16 @@ class DaemonTest : public ::testing::Test {
     });
   }
 
+  /// The request journal's `done:` record for `key` in `state_dir`, or
+  /// nullopt while the request is unanswered.
+  static std::optional<std::string> done_record(const std::string& state_dir,
+                                                const std::string& key) {
+    util::Journal journal;
+    journal.open(state_dir + "/requests.mtj");
+    EXPECT_TRUE(journal.contains("req:" + key)) << key;
+    return journal.find("done:" + key);
+  }
+
   fs::path dir_;
   std::vector<pid_t> running_;
 };
@@ -529,6 +539,76 @@ TEST_F(DaemonTest, DeadlineCancelsTheInFlightRequestWithACodedError) {
   EXPECT_LT(std::chrono::duration_cast<std::chrono::seconds>(elapsed).count(), 10);
   EXPECT_TRUE(ch->send("{\"op\":\"drain\"}"));
   // A deadline is not an interruption of the daemon itself: drain exits 0.
+  EXPECT_EQ(wait_exit(child).exit_code, 0);
+}
+
+// A sizing cut short by its deadline is not an answer: the client gets a
+// coded `deadline` error, the request stays journaled without a done
+// record, and the next boot finishes it headless.
+TEST_F(DaemonTest, SizeCutShortByItsDeadlineFinishesHeadlessAtTheNextBoot) {
+  const std::string size =
+      "{\"op\":\"size\",\"circuit\":\"builtin:adder3\",\"backend\":\"vbs\",\"target_pct\":5";
+  const ChildProcess first = start(state("a"));
+  auto ch = connect();
+  const Stream cut = exchange(*ch, size + ",\"deadline_s\":0.003}");
+  EXPECT_TRUE(has(cut.terminal, "\"code\":\"deadline\"")) << cut.terminal;
+  ASSERT_TRUE(has(cut.ack, "\"type\":\"ack\"")) << cut.ack;
+  const std::string key = util::parse_json(cut.ack)->require("req")->as_string();
+  EXPECT_TRUE(ch->send("{\"op\":\"drain\"}"));
+  EXPECT_EQ(wait_exit(first).exit_code, 0);
+  EXPECT_EQ(done_record(state("a"), key), std::nullopt)
+      << "a request cut short by its deadline was journaled as answered";
+
+  const ChildProcess second = start(state("a"));
+  ch = connect();
+  EXPECT_TRUE(ch->send("{\"op\":\"status\"}"));
+  EXPECT_TRUE(has(recv_line(*ch), "\"resumed\":1"));
+  const Stream again = exchange(*ch, size + "}");
+  EXPECT_TRUE(has(again.ack, "\"req\":\"" + key + "\"")) << again.ack;
+  EXPECT_TRUE(has(again.terminal, "\"type\":\"done\"")) << again.terminal;
+  EXPECT_TRUE(has(again.terminal, "\"failed\":0")) << again.terminal;
+  EXPECT_TRUE(ch->send("{\"op\":\"drain\"}"));
+  EXPECT_EQ(wait_exit(second).exit_code, 0);
+}
+
+// A headless resume has no client waiting for it: it runs to completion
+// even under a daemon-wide default deadline.
+TEST_F(DaemonTest, HeadlessResumeRunsPastTheDefaultDeadline) {
+  constexpr double kDefaultDeadlineS = 0.003;
+  const ChildProcess first = start(state("a"), 8, 1, kDefaultDeadlineS);
+  auto ch = connect();
+  const Stream cut = exchange(
+      *ch, "{\"op\":\"size\",\"circuit\":\"builtin:adder3\",\"backend\":\"vbs\"}");
+  EXPECT_TRUE(has(cut.terminal, "\"code\":\"deadline\"")) << cut.terminal;
+  ASSERT_TRUE(has(cut.ack, "\"type\":\"ack\"")) << cut.ack;
+  const std::string key = util::parse_json(cut.ack)->require("req")->as_string();
+  EXPECT_TRUE(ch->send("{\"op\":\"drain\"}"));
+  EXPECT_EQ(wait_exit(first).exit_code, 0);
+
+  // The drain finishes the queue, which holds the resumed request.
+  const ChildProcess second = start(state("a"), 8, 1, kDefaultDeadlineS);
+  ch = connect();
+  EXPECT_TRUE(ch->send("{\"op\":\"drain\"}"));
+  EXPECT_EQ(wait_exit(second).exit_code, 0);
+  EXPECT_EQ(done_record(state("a"), key), std::optional<std::string>("ok"));
+}
+
+// A deadline can only cut a sweep short through its cancel token, so a
+// done line is always the complete answer: a rank that beats its
+// deadline streams every row, one that does not ends in `deadline`.
+TEST_F(DaemonTest, DeadlinedRankIsCompleteOrACodedDeadline) {
+  const ChildProcess child = start(state("a"));
+  auto ch = connect();
+  const Stream s = exchange(
+      *ch, "{\"op\":\"rank\",\"circuit\":\"builtin:adder3\",\"wl\":7,\"deadline_s\":1e-6}");
+  if (has(s.terminal, "\"type\":\"done\"")) {
+    EXPECT_TRUE(has(s.terminal, "\"failed\":0")) << s.terminal;
+    EXPECT_EQ(json_field(s.terminal, "rows"), json_field(s.terminal, "total")) << s.terminal;
+    EXPECT_EQ(json_field(s.terminal, "rows"), static_cast<long>(s.rows.size()));
+  } else {
+    EXPECT_TRUE(has(s.terminal, "\"code\":\"deadline\"")) << s.terminal;
+  }
+  EXPECT_TRUE(ch->send("{\"op\":\"drain\"}"));
   EXPECT_EQ(wait_exit(child).exit_code, 0);
 }
 
@@ -767,8 +847,8 @@ TEST_F(DaemonTest, RowsOfADeadlinedRequestArriveBeforeItsErrorLine) {
   const ChildProcess child = start(state("a"));
   auto ch = connect();
   // The 4096 SPICE transitions of adder3 take far longer than the 2 s
-  // deadline; the items finished by then stream as rows, the rest fail
-  // the deadline.
+  // deadline; the items finished by then stream as rows, the rest are
+  // cancelled when the poll tick raises the request's token.
   const Stream s = exchange(*ch,
                             "{\"op\":\"rank\",\"circuit\":\"builtin:adder3\",\"backend\":"
                             "\"spice\",\"wl\":6,\"deadline_s\":2}",

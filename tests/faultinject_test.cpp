@@ -259,22 +259,6 @@ TEST_F(FaultInject, RunawayTransientHitsDeadlineWithoutEscalation) {
   EXPECT_EQ(outcome.failure.code, FailureCode::kDeadlineExceeded);
 }
 
-TEST_F(FaultInject, WallClockDeadlineReportsDeadlineExceeded) {
-  spice::Circuit ckt = rc_circuit();
-  spice::Engine eng(ckt);
-  spice::TransientOptions opt = rc_options();
-  opt.tstop = 1.0;
-  opt.deadline_s = 50e-3;
-
-  try {
-    eng.run_transient(opt);
-    FAIL() << "expected kDeadlineExceeded";
-  } catch (const NumericalError& e) {
-    EXPECT_EQ(e.info().code, FailureCode::kDeadlineExceeded);
-    EXPECT_NE(e.info().context.find("wall-clock"), std::string::npos);
-  }
-}
-
 // The recovery policy's budgets flow into sweeps through TransientOptions
 // left at their defaults -- and a deadline inside a fault-isolated sweep
 // only loses that item, not the pool.

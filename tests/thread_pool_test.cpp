@@ -96,37 +96,6 @@ TEST(ThreadPoolTest, ExceptionCancelsRemainingIterations) {
   EXPECT_LT(executed.load(), 100);
 }
 
-TEST(ThreadPoolTest, CollectRunsEveryIndexDespiteFailures) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(512);
-  const auto errors = pool.parallel_for_collect(512, [&](std::size_t i) {
-    hits[i].fetch_add(1);
-    if (i % 7 == 0) throw std::runtime_error("item " + std::to_string(i));
-  });
-  ASSERT_EQ(errors.size(), 512u);
-  for (std::size_t i = 0; i < 512; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-    if (i % 7 == 0) {
-      ASSERT_TRUE(errors[i]) << "index " << i;
-      try {
-        std::rethrow_exception(errors[i]);
-      } catch (const std::runtime_error& e) {
-        EXPECT_EQ(std::string(e.what()), "item " + std::to_string(i));
-      }
-    } else {
-      EXPECT_FALSE(errors[i]) << "index " << i;
-    }
-  }
-}
-
-TEST(ThreadPoolTest, CollectSerialPool) {
-  ThreadPool pool(1);
-  const auto errors = pool.parallel_for_collect(10, [](std::size_t i) {
-    if (i == 4) throw std::invalid_argument("four");
-  });
-  for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(static_cast<bool>(errors[i]), i == 4);
-}
-
 TEST(ThreadPoolTest, BackToBackJobs) {
   ThreadPool pool(4);
   for (int round = 0; round < 50; ++round) {

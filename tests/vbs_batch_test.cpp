@@ -519,9 +519,6 @@ TEST(VbsBatch, OptionValidationIsCoded) {
   opt = VbsOptions{};
   opt.input_slope_factor = -0.1;
   expect_invalid(opt);
-  opt = VbsOptions{};
-  opt.deadline_s = -1.0;
-  expect_invalid(opt);
 }
 
 // --- EvalSession integration: batched sweeps vs scalar sweeps ---
