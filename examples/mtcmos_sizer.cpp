@@ -12,8 +12,7 @@
 //                [--vectors N] [--seed S] [--sweep WL1,WL2,...]
 //                [--backend vbs|spice] [--verify] [--screen N]
 //                [--export-deck out.sp] [--export-vcd out.vcd] [--wl X]
-//                [--checkpoint DIR] [--resume] [--watchdog MULT]
-//                [--shards N]
+//                [--checkpoint DIR] [--resume] [--shards N]
 //
 // The netlist must declare `input` nets and at least one `output` net;
 // a builtin is generated instead, from the table the daemon and campaigns
@@ -40,9 +39,7 @@
 // already journaled replay without simulating and the final results are
 // bit-identical to an uninterrupted run.  SIGINT/SIGTERM drain in-flight
 // items, flush the journal, print the partial sweep health, and exit
-// with code 3 (0 = success, 1 = error, 2 = usage).  --watchdog M flags
-// items slower than M x the running-median item time, requeues them
-// once, then fails them as deadline-exceeded (see docs/robustness.md).
+// with code 3 (0 = success, 1 = error, 2 = usage).
 //
 // Process-level fault tolerance: --shards N (requires --checkpoint) runs
 // each degradation-sweep row across N supervised worker *processes*,
@@ -53,7 +50,7 @@
 // poisoned-item failures instead of looping.  Results are bit-identical
 // to a single-process run (quarantined items excepted).  Exit code 4 =
 // the run completed but quarantined items were recorded.  See
-// docs/robustness.md section 9 for the full contract.
+// docs/robustness.md section 8 for the full contract.
 //
 // Characterization campaigns: --campaign spec.json (requires
 // --checkpoint DIR; the positional netlist argument is replaced by the
@@ -108,8 +105,7 @@ int usage() {
          "                    [--vectors N] [--seed S] [--sweep WL1,WL2,...]\n"
          "                    [--backend vbs|spice] [--verify] [--screen N]\n"
          "                    [--export-deck out.sp] [--export-vcd out.vcd] [--wl X]\n"
-         "                    [--checkpoint DIR] [--resume] [--watchdog MULT]\n"
-         "                    [--shards N]\n"
+         "                    [--checkpoint DIR] [--resume] [--shards N]\n"
          "       mtcmos_sizer --campaign spec.json --checkpoint DIR [--table PATH]\n"
          "                    [--resume] [--shards N]\n"
          "       mtcmos_sizer --serve --socket PATH --checkpoint DIR [--shards N]\n"
@@ -211,7 +207,7 @@ int run_campaign(const std::string& spec_path, const std::string& dir, bool resu
   }
   if (stats.chunks_poisoned > 0) {
     std::cerr << "completed with quarantined (poisoned) chunks -- their rows are absent from "
-                 "the table; see docs/robustness.md section 9\n";
+                 "the table; see docs/robustness.md section 8\n";
     return 4;
   }
   return 0;
@@ -298,7 +294,6 @@ int main(int argc, char** argv) {
   int screen_keep = 0;
   std::string checkpoint_dir;
   bool resume = false;
-  double watchdog_multiple = 0.0;
   int shards = 1;
   std::string campaign_path;
   std::string table_path;
@@ -345,8 +340,6 @@ int main(int argc, char** argv) {
       checkpoint_dir = next();
     } else if (arg == "--resume") {
       resume = true;
-    } else if (arg == "--watchdog") {
-      watchdog_multiple = parse_number<double>(arg, next());
     } else if (arg == "--shards") {
       shards = parse_number<int>(arg, next());
     } else if (arg == "--campaign") {
@@ -430,7 +423,6 @@ int main(int argc, char** argv) {
   sizing::Checkpoint checkpoint;
   sizing::EvalSession session;
   session.report = &report;
-  session.watchdog.multiple = watchdog_multiple;
 
   if (!campaign_path.empty()) {
     try {
@@ -677,7 +669,7 @@ int main(int argc, char** argv) {
     (void)index;
     if (info.code == FailureCode::kPoisonedItem) {
       std::cerr << "completed with quarantined (poisoned) items -- each killed a worker "
-                << "process repeatedly and was excluded; see docs/robustness.md section 9\n";
+                << "process repeatedly and was excluded; see docs/robustness.md section 8\n";
       return 4;
     }
   }

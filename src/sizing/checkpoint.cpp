@@ -238,8 +238,7 @@ template bool Checkpoint::lookup_as(const Key&, Outcome<double>&) const;
 template bool Checkpoint::lookup_as(const Key&, Outcome<VectorDelay>&) const;
 
 bool Checkpoint::should_persist(const FailureInfo& failure) {
-  if (failure.code == FailureCode::kCancelled) return false;
-  return !(failure.code == FailureCode::kDeadlineExceeded && failure.site == "sizing::watchdog");
+  return failure.code != FailureCode::kCancelled;
 }
 
 std::uint64_t netlist_fingerprint(const netlist::Netlist& nl,

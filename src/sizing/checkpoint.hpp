@@ -24,13 +24,13 @@
 // "rank:...:<bits>-<bits>" -> "ok ...") is refused at open() with a
 // kInvalidArgument NumericalError and left untouched.
 //
-// What is persisted: successes and genuine numerical failures.  Outcomes
-// that only describe the *interruption itself* -- kCancelled, and
-// kDeadlineExceeded raised by the watchdog -- are deliberately not
-// persisted, so resuming after a Ctrl-C re-runs the cancelled items
-// instead of replaying the cancellation forever.  The step and
-// breakpoint budgets are deterministic, so their kDeadlineExceeded
-// verdicts are persisted like any other numerical failure.
+// What is persisted: successes and genuine numerical failures.  The one
+// outcome that only describes the *interruption itself* -- kCancelled --
+// is deliberately not persisted, so resuming after a Ctrl-C re-runs the
+// cancelled items instead of replaying the cancellation forever.  The
+// step and breakpoint budgets are deterministic, so their
+// kDeadlineExceeded verdicts are persisted like any other numerical
+// failure.
 //
 // Run-configuration guard: bind_meta() records named configuration
 // strings (target, bounds, seed, ...) on first use and throws a coded
@@ -145,9 +145,8 @@ class Checkpoint {
     view_record(key, outcome);
   }
 
-  /// Whether a failed outcome belongs in the journal: interruption
-  /// artifacts (kCancelled; watchdog kDeadlineExceeded) must be re-run
-  /// on resume, not replayed.
+  /// Whether a failed outcome belongs in the journal: an interruption
+  /// artifact (kCancelled) must be re-run on resume, not replayed.
   static bool should_persist(const FailureInfo& failure);
 
  private:

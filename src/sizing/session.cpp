@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <exception>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -27,71 +24,17 @@ namespace mtcmos::sizing {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-// Running-median latency tracker behind WatchdogConfig.  Two balanced
-// multisets give O(log n) insert and O(1) median; all completed attempts
-// feed the median (a median is robust to the pathological outliers the
-// watchdog exists to flag).
-class Watchdog {
- public:
-  explicit Watchdog(const WatchdogConfig& config) : config_(config) {}
-
-  /// Record one completed attempt; true when it blew the budget.
-  /// `median_out` receives the running median the verdict compared
-  /// against (pre-insert), so failure entries can carry the evidence.
-  bool over_budget(double seconds, double& median_out) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    median_out = median_locked();
-    const bool flagged = seconds > config_.floor_s && count() >= config_.min_samples &&
-                         seconds > config_.multiple * median_out;
-    insert_locked(seconds);
-    return flagged;
-  }
-
- private:
-  std::size_t count() const { return lower_.size() + upper_.size(); }
-
-  double median_locked() const {
-    if (lower_.empty()) return 0.0;
-    if (lower_.size() > upper_.size()) return *lower_.rbegin();
-    return 0.5 * (*lower_.rbegin() + *upper_.begin());
-  }
-
-  void insert_locked(double s) {
-    if (lower_.empty() || s <= *lower_.rbegin()) {
-      lower_.insert(s);
-    } else {
-      upper_.insert(s);
-    }
-    if (lower_.size() > upper_.size() + 1) {
-      upper_.insert(*lower_.rbegin());
-      lower_.erase(std::prev(lower_.end()));
-    } else if (upper_.size() > lower_.size()) {
-      lower_.insert(*upper_.begin());
-      upper_.erase(upper_.begin());
-    }
-  }
-
-  WatchdogConfig config_;
-  std::mutex mutex_;
-  std::multiset<double> lower_, upper_;
-};
-
 // Everything an entry-point call resolves once from its EvalSession and
 // run_item reads per item: the pool, the report (the session's, or a
 // scratch one when per-item outcomes are discarded), the cancel token,
-// the checkpoint (armed or null, so the hot path tests
-// one pointer) and the optional watchdog.  Never copied: `report` may refer
-// to `scratch`.
+// and the checkpoint (armed or null, so the hot path tests one pointer).
+// Never copied: `report` may refer to `scratch`.
 struct RunContext {
   explicit RunContext(const EvalSession& s)
       : pool(s.pool_ref()),
         report(s.report != nullptr ? *s.report : scratch),
         cancel(s.cancel_ref()),
-        checkpoint(s.checkpoint != nullptr && s.checkpoint->armed() ? s.checkpoint : nullptr) {
-    if (s.watchdog.armed()) watchdog.emplace(s.watchdog);
-  }
+        checkpoint(s.checkpoint != nullptr && s.checkpoint->armed() ? s.checkpoint : nullptr) {}
   RunContext(const RunContext&) = delete;
   RunContext& operator=(const RunContext&) = delete;
 
@@ -112,8 +55,6 @@ struct RunContext {
   SweepReport& report;
   util::CancelToken& cancel;
   Checkpoint* const checkpoint;
-  /// Fed by run_item through a const context; it locks internally.
-  mutable std::optional<Watchdog> watchdog;
 };
 
 // Run one sweep item under the kItemAttempts retry budget, stamping the item
@@ -124,13 +65,10 @@ struct RunContext {
 //
 // Ordering per attempt: checkpoint replay (a journaled outcome skips the
 // work entirely), then cancellation (kCancelled, never journaled), then
-// the body.  With the
-// watchdog armed, a completed attempt slower than the running-median
-// budget is discarded as kDeadlineExceeded and the item requeued exactly
-// once; a second over-budget attempt fails the item.  Completed outcomes
-// (successes and persistable failures) are staged into `stage` before
-// being returned; the caller commits the stage, so a crash can lose at
-// most the items still in flight and each worker's uncommitted group.
+// the body.  Completed outcomes (successes and persistable failures) are
+// staged into `stage` before being returned; the caller commits the
+// stage, so a crash can lose at most the items still in flight and each
+// worker's uncommitted group.
 template <typename T, typename Fn>
 Outcome<T> run_item(const RunContext& ctx, std::size_t index, const ItemKeys& keys,
                     std::size_t k, Checkpoint::Stage& stage, Fn&& body) {
@@ -139,10 +77,8 @@ Outcome<T> run_item(const RunContext& ctx, std::size_t index, const ItemKeys& ke
     if (ctx.checkpoint->lookup(keys[k], cached)) return cached;
   }
   const faultinject::ScopedScope scope(static_cast<std::int64_t>(index));
-  int budget = kItemAttempts;
-  bool requeued = false;
   FailureInfo last;
-  for (int attempt = 1; attempt <= budget; ++attempt) {
+  for (int attempt = 1; attempt <= kItemAttempts; ++attempt) {
     if (ctx.cancel.requested()) {
       last.code = FailureCode::kCancelled;
       last.site = "sizing::sweep_item";
@@ -153,30 +89,7 @@ Outcome<T> run_item(const RunContext& ctx, std::size_t index, const ItemKeys& ke
     std::optional<T> value;
     try {
       faultinject::check(faultinject::Site::kSweepItem, "sizing::sweep_item");
-      if (!ctx.watchdog) {
-        value = body();
-      } else {
-        const auto t0 = Clock::now();
-        value = body();
-        const double seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-        double median = 0.0;
-        if (ctx.watchdog->over_budget(seconds, median)) {
-          last.code = FailureCode::kDeadlineExceeded;
-          last.site = "sizing::watchdog";
-          last.context = "item " + std::to_string(index) + " took " + std::to_string(seconds) +
-                         " s, over the running-median budget (median " +
-                         std::to_string(median) + " s)";
-          last.attempts = attempt;
-          last.elapsed_s = seconds;
-          last.median_s = median;
-          if (!requeued) {
-            requeued = true;
-            if (attempt == budget) ++budget;  // the single watchdog requeue
-            continue;
-          }
-          break;  // second strike: genuinely pathological, fail the item
-        }
-      }
+      value = body();
     } catch (const NumericalError& e) {
       last = e.info();
       last.attempts = attempt;
@@ -213,13 +126,10 @@ constexpr std::size_t kDefaultBatch = 256;
 
 // Chunk size for this entry-point call, or 0 when the batch kernel must
 // stand down: the backend has no batch kernel, the caller forced scalar
-// (batch == 1), the watchdog is armed (it times individual item bodies,
-// which a precomputed memo would reduce to nothing), or a fault-injection
-// plan targets a VBS site (such plans address per-item scopes, which a
-// batch-wide kernel run cannot honor).
+// (batch == 1), or a fault-injection plan targets a VBS site (such plans
+// address per-item scopes, which a batch-wide kernel run cannot honor).
 std::size_t batch_chunk(const EvalSession& session, const EvalBackend& backend) {
   if (session.batch == 1 || !backend.supports_batch()) return 0;
-  if (session.watchdog.armed()) return 0;
   if (faultinject::armed(faultinject::Site::kVbsRun) ||
       faultinject::armed(faultinject::Site::kVbsBreakpoint)) {
     return 0;

@@ -28,32 +28,11 @@ namespace mtcmos::sizing {
 class Checkpoint;   // sizing/checkpoint.hpp
 class ResultSink;   // sizing/result_sink.hpp
 
-/// Item-latency watchdog.  A sweep over thousands of similar simulations
-/// has a well-defined typical item time; an item that blows past a
-/// multiple of the running median is usually a pathological solve (a
-/// near-singular operating point grinding through every recovery rung),
-/// not representative work.  When armed (multiple > 0), an attempt
-/// slower than `multiple` x the running median of completed attempts is
-/// treated as kDeadlineExceeded: the item is requeued once (transient
-/// slowness -- a cold cache, a scheduling hiccup -- usually clears), and
-/// if the requeue is also over budget the item fails as
-/// kDeadlineExceeded with site "sizing::watchdog".  It is the one
-/// wall-clock verdict a sweep can reach: arming it trades bit-identical
-/// results for bounded tail latency.  Watchdog failures are never
-/// persisted to a checkpoint -- a resume re-runs them.
-struct WatchdogConfig {
-  double multiple = 0.0;         ///< flag attempts slower than this x median; 0 disables
-  std::size_t min_samples = 16;  ///< completed attempts before the median is trusted
-  double floor_s = 0.01;         ///< never flag attempts faster than this [s]
-
-  bool armed() const { return multiple > 0.0; }
-};
-
 /// Run context shared by every sweep call in a sizing session.
 ///
 /// A default-constructed session runs on the global thread pool, discards
-/// per-item outcomes, and arms no checkpoint or watchdog; cancellation
-/// polls the process-global token.  Every session isolates per-item
+/// per-item outcomes, and arms no checkpoint; cancellation polls the
+/// process-global token.  Every session isolates per-item
 /// numerical failures under the kItemAttempts retry budget.
 struct EvalSession {
   util::ThreadPool* pool = nullptr;  ///< nullptr = the process-global pool
@@ -75,7 +54,6 @@ struct EvalSession {
   /// of dying mid-write; a caller that raised the token treats that
   /// result as interrupted, not as an answer.
   util::CancelToken* cancel_token = nullptr;
-  WatchdogConfig watchdog = {};
   /// Streaming row sink (sizing/result_sink.hpp).  When set, every entry
   /// point emits each successfully measured row -- computed or replayed
   /// from the checkpoint alike -- into the sink in input order while the
@@ -96,10 +74,8 @@ struct EvalSession {
   /// checkpoint keys and records are untouched (journaled items replay
   /// before batches form, so a resumed run batches only the remaining
   /// items), and per-item retries fall back to the scalar backend.  The
-  /// batch path stands down automatically when it would change
-  /// observable behavior: when the watchdog is armed (it times
-  /// individual item bodies) or while a fault-injection plan targets a
-  /// VBS site (those plans address per-item scopes).
+  /// batch path stands down automatically while a fault-injection plan
+  /// targets a VBS site (those plans address per-item scopes).
   std::size_t batch = 0;
 
   util::ThreadPool& pool_ref() const { return util::pool_or_global(pool); }

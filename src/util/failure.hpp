@@ -29,7 +29,7 @@ enum class FailureCode : std::uint8_t {
   kSingularMatrix,      ///< zero/vanishing pivot during factorization
   kTimestepUnderflow,   ///< step halving hit dt_min
   kBreakpointRunaway,   ///< switch-level breakpoint stalled or beyond t_max
-  kDeadlineExceeded,    ///< per-run step/breakpoint budget or item watchdog exhausted
+  kDeadlineExceeded,    ///< per-run step/breakpoint budget exhausted
   kInjected,            ///< deterministic fault from mtcmos::faultinject
   kCancelled,           ///< cooperative cancellation (signal or EvalSession::cancel)
   kInvalidArgument,     ///< coded precondition failure (degenerate bounds, ...)
@@ -58,14 +58,6 @@ struct FailureInfo {
   std::string site;     ///< where it happened, e.g. "Engine::newton_solve"
   std::string context;  ///< free-form detail (scale, node, budget, ...)
   int attempts = 1;     ///< attempts consumed when this failure became final
-  /// Timing audit for watchdog verdicts, so a SweepReport entry
-  /// shows *how far* over budget the item was, not just that it was
-  /// flagged.  elapsed_s is the attempt's wall time; median_s the running
-  /// median the watchdog compared against.  0 = not a timed verdict.
-  /// These fields are in-memory diagnostics only: watchdog failures are
-  /// never persisted to a checkpoint, so the journal encoding ignores them.
-  double elapsed_s = 0.0;
-  double median_s = 0.0;
 
   /// One-line rendering used as the NumericalError what() string.
   std::string message() const {
@@ -111,7 +103,7 @@ struct Outcome {
 /// `failures` preserves item indices in the order the serial reduction
 /// visited them, so reports are deterministic for any thread count.
 ///
-/// Retention is bounded: only the first `max_failures` FailureInfo
+/// Retention is bounded: only the first `kMaxFailureDetails` FailureInfo
 /// details are kept (a million-item campaign where a corner collapses
 /// must not grow an unbounded in-RAM failure list); `failures_dropped`
 /// counts the rest.  Counts stay exact regardless -- `failed`, the rung
@@ -124,10 +116,9 @@ struct SweepReport {
   std::size_t failed = 0;     ///< never ok
   std::vector<std::size_t> rung_histogram;
   std::vector<std::pair<std::size_t, FailureInfo>> failures;
-  /// Cap on retained FailureInfo details (not on counts).  Mutable
-  /// per-report so campaign drivers can tighten it; the default keeps
-  /// every failure of a normal sweep while bounding pathological runs.
-  std::size_t max_failures = 1024;
+  /// Cap on retained FailureInfo details (not on counts): every failure
+  /// of a normal sweep is kept while pathological runs stay bounded.
+  static constexpr std::size_t kMaxFailureDetails = 1024;
   /// Failures counted in `failed` but whose details were not retained.
   std::size_t failures_dropped = 0;
   /// Exact per-code failure counts (enum order), independent of retention.
@@ -149,7 +140,7 @@ struct SweepReport {
     } else {
       ++failed;
       count_code(outcome.failure.code);
-      if (failures.size() < max_failures) {
+      if (failures.size() < kMaxFailureDetails) {
         failures.emplace_back(index, outcome.failure);
       } else {
         ++failures_dropped;
@@ -181,7 +172,7 @@ struct SweepReport {
     }
     failures_dropped += other.failures_dropped;
     for (const auto& entry : other.failures) {
-      if (failures.size() < max_failures) {
+      if (failures.size() < kMaxFailureDetails) {
         failures.push_back(entry);
       } else {
         ++failures_dropped;
@@ -215,7 +206,7 @@ struct SweepReport {
     }
     if (failures_dropped > 0) {
       out += "; " + std::to_string(failures_dropped) + " failure details dropped (cap " +
-             std::to_string(max_failures) + ", counts exact)";
+             std::to_string(kMaxFailureDetails) + ", counts exact)";
     }
     return out;
   }

@@ -15,6 +15,7 @@
 #include "sizing/campaign.hpp"
 #include "util/cancel.hpp"
 #include "util/rng.hpp"
+#include "scratch_dir.hpp"
 
 namespace mtcmos {
 namespace {
@@ -43,9 +44,7 @@ std::string table_of(CampaignDriver& driver) {
 
 TEST(CampaignSoak, RandomizedInterruptionsAndShardsConverge) {
   const auto spec = CampaignSpec::parse(kSoakSpec);
-  const auto root = std::filesystem::temp_directory_path() /
-                    ("campaign_soak." +
-                     std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
+  const auto root = test::scratch_dir("campaign_soak");
   std::filesystem::remove_all(root);
   std::filesystem::create_directories(root);
 

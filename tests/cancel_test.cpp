@@ -26,6 +26,7 @@
 #include "util/journal.hpp"
 #include "util/thread_pool.hpp"
 #include "util/units.hpp"
+#include "scratch_dir.hpp"
 
 namespace mtcmos {
 namespace {
@@ -158,9 +159,7 @@ TEST_F(Cancel, SigtermDuringAppendsLeavesAValidJournal) {
   // gives the signal a window.
   util::install_cancel_signal_handlers();
   util::CancelToken::global().reset();
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("cancel_append." +
-                    std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
+  const auto dir = test::scratch_dir("cancel_append");
   std::filesystem::create_directories(dir);
   const std::string jpath = (dir / "append.mtj").string();
   {
@@ -195,9 +194,7 @@ TEST_F(Cancel, KillDuringBindMetaWriteIsResumable) {
   // record (the injected-kill half) or a torn one (the sheared-tail
   // half).  Reopening must truncate the torn tail, rebind the meta
   // cleanly, and resume the sweep to the uninterrupted result.
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("cancel_bind_meta." +
-                    std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
+  const auto dir = test::scratch_dir("cancel_bind_meta");
   std::filesystem::create_directories(dir);
   const std::string cpath = (dir / "meta.mtj").string();
 

@@ -1,11 +1,10 @@
 // Tests for crash-safe sweep orchestration (sizing/checkpoint.hpp plus
-// the checkpoint/cancellation/watchdog paths of sizing/session.hpp):
-// typed record round-trips at full double precision, the persistence
-// filter for interruption artifacts, the bind_meta run-configuration
-// guard, SizingBounds validation, watchdog requeue semantics, and -- the
-// core guarantee -- kill-and-resume merging bit-identically with an
-// uninterrupted run on both the switch-level and transistor-level
-// backends.
+// the checkpoint/cancellation paths of sizing/session.hpp): typed record
+// round-trips at full double precision, the persistence filter for
+// interruption artifacts, the bind_meta run-configuration guard,
+// SizingBounds validation, and -- the core guarantee -- kill-and-resume
+// merging bit-identically with an uninterrupted run on both the
+// switch-level and transistor-level backends.
 
 #include "sizing/checkpoint.hpp"
 
@@ -13,7 +12,6 @@
 
 #include <atomic>
 #include <bit>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
@@ -24,7 +22,6 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "circuits/generators.hpp"
@@ -36,6 +33,7 @@
 #include "util/journal.hpp"
 #include "util/thread_pool.hpp"
 #include "util/units.hpp"
+#include "scratch_dir.hpp"
 
 namespace mtcmos {
 namespace {
@@ -59,10 +57,7 @@ using units::ns;
 class CheckpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("checkpoint_test." +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) + "." +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    dir_ = test::scratch_dir("checkpoint_test");
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override {
@@ -88,8 +83,8 @@ std::vector<std::string> adder_outputs(const circuits::RippleAdder& adder) {
 
 /// Deterministic pure-function backend with call counters: lets tests
 /// assert that a resumed sweep *replays* instead of re-simulating, and
-/// (via an injectable hook) make chosen items pathologically slow for the
-/// watchdog tests.  The netlist is only identity for fingerprinting.
+/// (via an injectable hook) act inside chosen items, e.g. raise a cancel
+/// token mid-sweep.  The netlist is only identity for fingerprinting.
 class FakeBackend : public EvalBackend {
  public:
   FakeBackend(const netlist::Netlist& nl, std::vector<std::string> outputs)
@@ -542,22 +537,18 @@ TEST_F(CheckpointTest, MalformedCrcValidRecordsAreRejected) {
 
 TEST_F(CheckpointTest, InterruptionArtifactsAreNeverPersisted) {
   FailureInfo cancelled{FailureCode::kCancelled, "sizing::sweep_item", "ctrl-c"};
-  FailureInfo watchdog{FailureCode::kDeadlineExceeded, "sizing::watchdog", "slow"};
   FailureInfo engine_budget{FailureCode::kDeadlineExceeded, "spice::transient", "steps"};
   FailureInfo diverged{FailureCode::kNewtonDiverged, "spice::newton", "boom"};
   EXPECT_FALSE(Checkpoint::should_persist(cancelled));
-  EXPECT_FALSE(Checkpoint::should_persist(watchdog));
   EXPECT_TRUE(Checkpoint::should_persist(engine_budget));
   EXPECT_TRUE(Checkpoint::should_persist(diverged));
 
   Checkpoint ckpt;
   ckpt.open(path());
   ckpt.record("c", Outcome<double>::fail(cancelled));
-  ckpt.record("w", Outcome<double>::fail(watchdog));
   ckpt.record("d", Outcome<double>::fail(diverged));
   Outcome<double> back;
   EXPECT_FALSE(ckpt.lookup("c", back));
-  EXPECT_FALSE(ckpt.lookup("w", back));
   EXPECT_TRUE(ckpt.lookup("d", back));
 }
 
@@ -1001,93 +992,6 @@ TEST_F(CheckpointTest, RecoveryLadderHonorsThePolicyToken) {
   const auto r = spice.measure_at_wl(vp, 20.0);  // uncached W/L
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.failure.code, FailureCode::kCancelled);
-}
-
-// --- Watchdog ---
-
-TEST_F(CheckpointTest, WatchdogFailsAPathologicallySlowItemAfterOneRequeue) {
-  const auto adder = make_ripple_adder(tech07(), 1);
-  const auto outs = adder_outputs(adder);
-  FakeBackend fake(adder.netlist, outs);
-  const std::size_t slow = 17;
-  const auto vectors = flagged_vectors(20, slow);
-  fake.hook = [](const VectorPair& vp) {
-    if (vp.v1[0]) std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  };
-
-  util::ThreadPool serial(1);  // deterministic order: median is warm by item 17
-  SweepReport report;
-  EvalSession session;
-  session.pool = &serial;
-  session.report = &report;
-  session.watchdog.multiple = 3.0;
-  session.watchdog.min_samples = 8;
-  session.watchdog.floor_s = 0.001;
-  const auto ranked = sizing::rank_vectors(fake, vectors, 10.0, session);
-  EXPECT_EQ(ranked.size(), vectors.size() - 1);
-  EXPECT_EQ(report.failed, 1u);
-  ASSERT_EQ(report.failures.size(), 1u);
-  EXPECT_EQ(report.failures[0].first, slow);
-  EXPECT_EQ(report.failures[0].second.code, FailureCode::kDeadlineExceeded);
-  EXPECT_EQ(report.failures[0].second.site, "sizing::watchdog");
-  // One requeue: the slow item ran exactly twice before failing.
-  EXPECT_EQ(fake.delay_calls.load(), static_cast<int>(vectors.size() + 1));
-}
-
-TEST_F(CheckpointTest, WatchdogRequeueRecoversATransientlySlowItem) {
-  const auto adder = make_ripple_adder(tech07(), 1);
-  const auto outs = adder_outputs(adder);
-  FakeBackend fake(adder.netlist, outs);
-  const std::size_t slow = 17;
-  const auto vectors = flagged_vectors(20, slow);
-  std::atomic<bool> already_slowed{false};
-  fake.hook = [&already_slowed](const VectorPair& vp) {
-    if (vp.v1[0] && !already_slowed.exchange(true)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    }
-  };
-
-  util::ThreadPool serial(1);
-  SweepReport report;
-  EvalSession session;
-  session.pool = &serial;
-  session.report = &report;
-  session.watchdog.multiple = 3.0;
-  session.watchdog.min_samples = 8;
-  session.watchdog.floor_s = 0.001;
-  const auto ranked = sizing::rank_vectors(fake, vectors, 10.0, session);
-  EXPECT_EQ(ranked.size(), vectors.size());  // nothing lost
-  EXPECT_EQ(report.failed, 0u);
-  EXPECT_EQ(report.recovered, 1u);  // succeeded on the requeued attempt
-  EXPECT_EQ(report.succeeded, vectors.size() - 1);
-}
-
-TEST_F(CheckpointTest, WatchdogFailuresAreNotJournaled) {
-  const auto adder = make_ripple_adder(tech07(), 1);
-  const auto outs = adder_outputs(adder);
-  FakeBackend fake(adder.netlist, outs);
-  const std::size_t slow = 17;
-  const auto vectors = flagged_vectors(20, slow);
-  fake.hook = [](const VectorPair& vp) {
-    if (vp.v1[0]) std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  };
-
-  util::ThreadPool serial(1);
-  Checkpoint ckpt;
-  ckpt.open(path());
-  SweepReport report;
-  EvalSession session;
-  session.pool = &serial;
-  session.report = &report;
-  session.checkpoint = &ckpt;
-  session.watchdog.multiple = 3.0;
-  session.watchdog.min_samples = 8;
-  session.watchdog.floor_s = 0.001;
-  (void)sizing::rank_vectors(fake, vectors, 10.0, session);
-  ASSERT_EQ(report.failed, 1u);
-  // 19 successes journaled; the watchdog verdict is timing-dependent, so
-  // it is re-run on resume rather than replayed.
-  EXPECT_EQ(ckpt.journal().size(), vectors.size() - 1);
 }
 
 }  // namespace

@@ -9,6 +9,12 @@
 #   cmake -DSIZER=<exe> -DMODE=refuse -DDIR=<dir> -DARGS=<...> -P cli_check.cmake
 #     runs SIZER ARGS --checkpoint DIR into a fresh DIR, then again without
 #     --resume, and passes when the second run exits 2 (usage error).
+#   cmake -DSIZER=<exe> -DMODE=shards -DDIR=<dir> -DARGS=<...> -P cli_check.cmake
+#     runs SIZER ARGS --checkpoint DIR into a fresh DIR, then SIZER ARGS
+#     --checkpoint DIR.sharded --shards 2 into another, and passes when
+#     both exit 0 and print the same W/L table rows and the same
+#     "Recommended sleep W/L" line (the per-row "supervision:" lines,
+#     which count worker restarts, are not compared).
 
 string(REPLACE "|" ";" ARGS "${ARGS}")
 
@@ -24,6 +30,15 @@ function(expect_code code want)
   if(NOT code STREQUAL want)
     message(FATAL_ERROR "expected exit ${want}, got ${code}")
   endif()
+endfunction()
+
+# The W/L sweep table: every output line that starts with "|".
+function(table_rows out var)
+  string(REGEX MATCHALL "\n\\|[^\n]*" rows "${out}")
+  if(rows STREQUAL "")
+    message(FATAL_ERROR "no W/L table in the output")
+  endif()
+  set(${var} "${rows}" PARENT_SCOPE)
 endfunction()
 
 function(recommended_line out var)
@@ -51,6 +66,18 @@ if(MODE STREQUAL "resume")
   if(NOT fresh STREQUAL resumed)
     message(FATAL_ERROR "resume changed the result:\n  ${fresh}\n  ${resumed}")
   endif()
+elseif(MODE STREQUAL "shards")
+  file(REMOVE_RECURSE "${DIR}.sharded")
+  run_sizer(second code ${ARGS} --checkpoint "${DIR}.sharded" --shards 2)
+  expect_code("${code}" 0)
+  table_rows("${first}" serial_rows)
+  table_rows("${second}" sharded_rows)
+  recommended_line("${first}" serial_line)
+  recommended_line("${second}" sharded_line)
+  if(NOT serial_rows STREQUAL sharded_rows OR NOT serial_line STREQUAL sharded_line)
+    message(FATAL_ERROR "--shards 2 changed the result:\n  ${serial_line}\n  ${sharded_line}")
+  endif()
+  file(REMOVE_RECURSE "${DIR}.sharded")
 elseif(MODE STREQUAL "refuse")
   run_sizer(second code ${ARGS} --checkpoint "${DIR}")
   expect_code("${code}" 2)

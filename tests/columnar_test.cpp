@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "util/columnar.hpp"
+#include "scratch_dir.hpp"
 
 namespace mtcmos {
 namespace {
@@ -39,10 +40,7 @@ std::vector<Row> scan_all(const std::string& path) {
 class ColumnarTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("columnar_test." +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) + "." +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    dir_ = test::scratch_dir("columnar_test");
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

@@ -25,6 +25,7 @@
 #include "util/error.hpp"
 #include "util/faultinject.hpp"
 #include "util/units.hpp"
+#include "scratch_dir.hpp"
 
 namespace mtcmos {
 namespace {
@@ -42,10 +43,7 @@ using units::ns;
 class CrashResumeSoak : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("crash_resume_soak." +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) + "." +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    dir_ = test::scratch_dir("crash_resume_soak");
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override {

@@ -6,8 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -19,6 +17,7 @@
 #include "sizing/daemon.hpp"
 #include "util/cancel.hpp"
 #include "util/socket.hpp"
+#include "scratch_dir.hpp"
 
 namespace mtcmos {
 namespace {
@@ -57,7 +56,7 @@ std::string rank(const std::string& circuit, double wl) {
 }
 
 TEST(DaemonReplayLane, RepeatsBesideFreshSweepsReplayExactlyAndDrainClean) {
-  const fs::path dir = fs::temp_directory_path() / ("lane." + std::to_string(::getpid()));
+  const fs::path dir = test::scratch_dir("lane");
   fs::remove_all(dir);
   fs::create_directories(dir);
   util::CancelToken token;
@@ -165,17 +164,13 @@ class Served {
   std::thread server_;
 };
 
-fs::path scratch(const std::string& name) {
-  return fs::temp_directory_path() / (name + "." + std::to_string(::getpid()));
-}
-
 std::string rank_circuit(const std::string& path, double wl) {
   return "{\"op\":\"rank\",\"circuit\":\"" + path + "\",\"wl\":" + std::to_string(wl) + "}";
 }
 
 /// `request` answered by a newly started daemon.
 Answer cold_answer(const std::string& request) {
-  Served cold(scratch("lane.cold"));
+  Served cold(test::scratch_dir("lane.cold"));
   auto ch = cold.connect();
   Answer a = ask(*ch, request);
   cold.drain(*ch);
@@ -188,7 +183,7 @@ void write_file(const fs::path& path, const std::string& text) {
 }
 
 TEST(DaemonWarmContext, FreshWlOnAWarmCircuitMatchesANewDaemon) {
-  Served warm(scratch("lane.warm"));
+  Served warm(test::scratch_dir("lane.warm"));
   auto ch = warm.connect();
   for (const double wl : {5.0, 7.0}) {
     const Answer a = ask(*ch, rank("adder2", wl));
@@ -205,7 +200,7 @@ TEST(DaemonWarmContext, FreshWlOnAWarmCircuitMatchesANewDaemon) {
 }
 
 TEST(DaemonWarmContext, EditedMtnFileIsReadAgain) {
-  const fs::path dir = scratch("lane.mtn");
+  const fs::path dir = test::scratch_dir("lane.mtn");
   fs::remove_all(dir);
   fs::create_directories(dir);
   const std::string mtn = (dir / "blk.mtn").string();
@@ -215,7 +210,7 @@ TEST(DaemonWarmContext, EditedMtnFileIsReadAgain) {
 
   Answer before, after;
   {
-    Served warm(scratch("lane.mtnwarm"));
+    Served warm(test::scratch_dir("lane.mtnwarm"));
     auto ch = warm.connect();
     before = ask(*ch, rank_circuit(mtn, 10.0));
     ASSERT_TRUE(has(before.terminal, "\"type\":\"done\"")) << before.terminal;
@@ -231,7 +226,7 @@ TEST(DaemonWarmContext, EditedMtnFileIsReadAgain) {
 }
 
 TEST(DaemonWarmContext, MoreCircuitsThanTheBoundStayCorrect) {
-  const fs::path dir = scratch("lane.many");
+  const fs::path dir = test::scratch_dir("lane.many");
   fs::remove_all(dir);
   fs::create_directories(dir);
   const std::string mtn = (dir / "blk.mtn").string();
@@ -243,7 +238,7 @@ TEST(DaemonWarmContext, MoreCircuitsThanTheBoundStayCorrect) {
                                              "builtin:wallace2", "builtin:adder2", mtn};
   std::vector<Answer> warm_answers;
   {
-    Served warm(scratch("lane.manywarm"));
+    Served warm(test::scratch_dir("lane.manywarm"));
     auto ch = warm.connect();
     for (const double wl : {10.0, 20.0, 30.0}) {
       for (const std::string& c : circuits) warm_answers.push_back(ask(*ch, rank_circuit(c, wl)));
@@ -266,7 +261,7 @@ TEST(DaemonWarmContext, MoreCircuitsThanTheBoundStayCorrect) {
 // One circuit under both request threads: the executor's fresh sweeps
 // and the lane's repeats share one warm backend (and its memos).
 TEST(DaemonWarmContext, ExecutorAndLaneShareOneCircuit) {
-  Served served(scratch("lane.shared"));
+  Served served(test::scratch_dir("lane.shared"));
   auto replayer = served.connect();
   auto computer = served.connect();
   const Answer first = ask(*replayer, rank("adder3", 6.0));

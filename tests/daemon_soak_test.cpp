@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <signal.h>
-#include <unistd.h>
 
 #include <chrono>
 #include <filesystem>
@@ -27,6 +26,7 @@
 #include "util/faultinject.hpp"
 #include "util/socket.hpp"
 #include "util/subprocess.hpp"
+#include "scratch_dir.hpp"
 
 namespace mtcmos {
 namespace {
@@ -43,7 +43,7 @@ constexpr char kRank[] = "{\"op\":\"rank\",\"circuit\":\"builtin:adder2\",\"wl\"
 class DaemonSoak : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / ("daemon_soak." + std::to_string(::getpid()));
+    dir_ = test::scratch_dir("daemon_soak");
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }

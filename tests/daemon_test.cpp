@@ -45,6 +45,7 @@
 #include "util/json.hpp"
 #include "util/socket.hpp"
 #include "util/subprocess.hpp"
+#include "scratch_dir.hpp"
 
 namespace mtcmos {
 namespace {
@@ -183,9 +184,7 @@ TEST(UnixListenerOwnership, LivePathIsRefusedStaleFileIsReclaimed) {
 class DaemonTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("daemon_test." + std::to_string(::getpid()) + "." +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    dir_ = test::scratch_dir("daemon_test");
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }

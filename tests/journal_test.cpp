@@ -27,6 +27,7 @@
 
 #include "util/error.hpp"
 #include "util/faultinject.hpp"
+#include "scratch_dir.hpp"
 
 namespace {
 
@@ -41,10 +42,7 @@ using JournalRecord = std::pair<std::string, std::string>;
 class JournalTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("journal_test." +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) + "." +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    dir_ = mtcmos::test::scratch_dir("journal_test");
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override {

@@ -9,8 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -29,6 +27,7 @@
 #include "util/faultinject.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
+#include "scratch_dir.hpp"
 
 namespace mtcmos::sizing {
 namespace {
@@ -173,9 +172,7 @@ class EmissionContractTest : public ParallelDeterminismTest {
   static constexpr std::size_t kBatch = 16;  // 32 chunks over the 512 pairs
 
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("emission." + std::to_string(::getpid()) + "." +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    dir_ = test::scratch_dir("emission");
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }

@@ -18,6 +18,7 @@
 #include "sizing/sizing.hpp"
 #include "util/cancel.hpp"
 #include "util/columnar.hpp"
+#include "scratch_dir.hpp"
 
 namespace mtcmos {
 namespace {
@@ -37,10 +38,7 @@ using util::ColumnarWriter;
 class ResultSinkTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("result_sink_test." +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) + "." +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    dir_ = test::scratch_dir("result_sink_test");
     std::filesystem::create_directories(dir_);
 
     adder_ = std::make_unique<circuits::RippleAdder>(circuits::make_ripple_adder(tech07(), 2));

@@ -26,6 +26,7 @@
 #include "util/cancel.hpp"
 #include "util/faultinject.hpp"
 #include "util/subprocess.hpp"
+#include "scratch_dir.hpp"
 
 namespace mtcmos {
 namespace {
@@ -41,10 +42,7 @@ using sizing::VectorPair;
 class SupervisorTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("supervisor_test." +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) + "." +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    dir_ = test::scratch_dir("supervisor_test");
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override {

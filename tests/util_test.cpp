@@ -400,36 +400,38 @@ Outcome<double> failed_outcome(FailureCode code) {
 }
 
 TEST(SweepReport, BoundedRetentionKeepsCountsExact) {
+  constexpr std::size_t cap = SweepReport::kMaxFailureDetails;
   SweepReport report;
-  report.max_failures = 3;
-  for (std::size_t i = 0; i < 10; ++i) {
+  for (std::size_t i = 0; i < cap + 7; ++i) {
     report.add(i, failed_outcome(FailureCode::kNewtonDiverged));
   }
-  report.add(10, Outcome<double>::success(1.0));
-  EXPECT_EQ(report.failed, 10u);             // exact
-  EXPECT_EQ(report.failures.size(), 3u);     // detail capped
+  report.add(cap + 7, Outcome<double>::success(1.0));
+  EXPECT_EQ(report.failed, cap + 7);         // exact
+  EXPECT_EQ(report.failures.size(), cap);    // detail capped
   EXPECT_EQ(report.failures_dropped, 7u);
   const auto histogram = report.code_histogram();
   ASSERT_EQ(histogram.size(), 1u);
   EXPECT_EQ(histogram[0].first, FailureCode::kNewtonDiverged);
-  EXPECT_EQ(histogram[0].second, 10u);       // histogram unaffected by the cap
+  EXPECT_EQ(histogram[0].second, cap + 7);   // histogram unaffected by the cap
   EXPECT_NE(report.summary().find("7 failure details dropped"), std::string::npos);
 }
 
 TEST(SweepReport, MergeHonorsTheDestinationCap) {
+  constexpr std::size_t cap = SweepReport::kMaxFailureDetails;
   SweepReport src;
-  for (std::size_t i = 0; i < 5; ++i) src.add(i, failed_outcome(FailureCode::kSingularMatrix));
+  for (std::size_t i = 0; i < cap / 2 + 4; ++i) {
+    src.add(i, failed_outcome(FailureCode::kSingularMatrix));
+  }
 
   SweepReport dst;
-  dst.max_failures = 2;
   dst.merge(src);
   dst.merge(src);
-  EXPECT_EQ(dst.failed, 10u);
-  EXPECT_EQ(dst.failures.size(), 2u);
+  EXPECT_EQ(dst.failed, cap + 8);
+  EXPECT_EQ(dst.failures.size(), cap);
   EXPECT_EQ(dst.failures_dropped, 8u);
   const auto histogram = dst.code_histogram();
   ASSERT_EQ(histogram.size(), 1u);
-  EXPECT_EQ(histogram[0].second, 10u);
+  EXPECT_EQ(histogram[0].second, cap + 8);
 }
 
 TEST(SweepReport, MergeAggregatesMixedCodesAndRungs) {

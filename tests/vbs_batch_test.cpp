@@ -33,6 +33,7 @@
 #include "util/faultinject.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
+#include "scratch_dir.hpp"
 
 namespace mtcmos::core {
 namespace {
@@ -615,9 +616,7 @@ TEST(VbsBatchSession, KilledBatchedRankResumesBitIdentically) {
   // bit-identical to an uninterrupted scalar run.
   const AdderFixture fx(2);
   const VbsBackend backend(fx.adder.netlist, fx.outs);
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("vbs_batch_session." +
-                    std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
+  const auto dir = test::scratch_dir("vbs_batch_session");
   std::filesystem::create_directories(dir);
   const std::string path = (dir / "rank.mtj").string();
 
@@ -670,9 +669,7 @@ TEST(VbsBatchSession, KilledRandomizedRankResumesBitIdentically) {
   pairs.resize(96);
   for (std::size_t i = 0; i < 96; i += 16) pairs[i].v1 = pairs[i].v0;  // no-op lanes
 
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("vbs_batch_rand." +
-                    std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
+  const auto dir = test::scratch_dir("vbs_batch_rand");
   std::filesystem::create_directories(dir);
   const std::string path = (dir / "rank.mtj").string();
 
@@ -733,9 +730,7 @@ TEST(VbsBatchSession, GroupCommittedJournalMatchesSerialScalarJournal) {
   // must hold exactly the same (key, value) set, for every entry point.
   const AdderFixture fx(2);
   const VbsBackend backend(fx.adder.netlist, fx.outs);
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("vbs_batch_group." +
-                    std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
+  const auto dir = test::scratch_dir("vbs_batch_group");
   std::filesystem::create_directories(dir);
 
   const auto sweep_all = [&](util::ThreadPool& pool, std::size_t batch, const std::string& name) {
@@ -783,9 +778,7 @@ TEST(VbsBatchSession, MoreThanSixtyFourInputsResumeBitIdentically) {
   }
   const VbsBackend backend(adder.netlist, outs);
   const auto reference = sizing::rank_vectors(backend, pairs, 10.0);
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("vbs_batch_wide." +
-                    std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
+  const auto dir = test::scratch_dir("vbs_batch_wide");
   std::filesystem::create_directories(dir);
   const std::string path = (dir / "wide.mtj").string();
   util::ThreadPool serial(1);
@@ -830,9 +823,7 @@ TEST(VbsBatchSession, RepeatedTransitionsRaceNoJournalReader) {
   plain.batch = 1;
   const auto reference = sizing::rank_vectors(backend, repeated, 10.0, plain);
 
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("vbs_batch_repeat." +
-                    std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
+  const auto dir = test::scratch_dir("vbs_batch_repeat");
   std::filesystem::create_directories(dir);
   util::ThreadPool pool(4);
   for (int run = 0; run < 8; ++run) {
