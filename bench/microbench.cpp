@@ -11,8 +11,8 @@
 // Next comes the batch VBS kernel benchmark: the full 4096-vector adder
 // sweep through the scalar per-vector path and through the SoA batch
 // kernel single-threaded, 4096 sampled 4-bit multiplier transitions
-// through the batch kernel (ungated timing), plus a multi-threaded batch
-// leg on min(4, threads) threads, verifying bit-identity of every leg and
+// through both paths (mult4_speedup), plus a multi-threaded batch leg on
+// min(4, threads) threads, verifying bit-identity of every leg and
 // writing BENCH_vbs.json (including the MTCMOS_NATIVE flag and
 // compile-time SIMD ISA, so perf baselines are never compared across
 // instruction sets).  --only vbs.<sub> narrows the run to one leg.
@@ -395,13 +395,15 @@ int vbs_benchmark(std::size_t batch, int threads, const std::string& sub,
 
   // Wide-circuit leg: 4096 seeded sampled transitions of the 4-bit CSA
   // multiplier (96 gates, a few of them driving per lane at each
-  // breakpoint) through the batch kernel on one thread at the same batch
-  // size.  Its timing is reported but not gated; the scalar reference
-  // covers the first 512 lanes only, to keep the suite short, and its
-  // bit-identity folds into `identical`.
+  // breakpoint) through the scalar path and through the batch kernel on
+  // one thread at the same batch size, both timed best-of-3.  Every lane
+  // must be bit-identical to the scalar reference (folded into
+  // `identical`), and mult4_speedup (scalar / batch) is gated like the
+  // adder's speedup.
   const double mult4_wl = 50.0;
-  const std::size_t mult4_n = 4096, mult4_ref = 512;
+  const std::size_t mult4_n = 4096;
   Leg mult4;
+  double mult4_scalar_s = 0.0;
   if (all || sub == "cohort") {
     const auto mult = circuits::make_csa_multiplier(tech03(), 4);
     std::vector<std::string> mouts;
@@ -424,9 +426,14 @@ int vbs_benchmark(std::size_t batch, int threads, const std::string& sub,
                               mlanes.data() + off);
       }
     });
-    for (std::size_t i = 0; i < mult4_ref; ++i) {
-      const double ref = msim.critical_delay(mpairs[i].v0, mpairs[i].v1, mouts, ws);
-      if (!mlanes[i].ok || mlanes[i].delay != ref) mult4.identical = false;
+    std::vector<double> mref(mult4_n);
+    mult4_scalar_s = best_of(3, [&] {
+      for (std::size_t i = 0; i < mult4_n; ++i) {
+        mref[i] = msim.critical_delay(mpairs[i].v0, mpairs[i].v1, mouts, ws);
+      }
+    });
+    for (std::size_t i = 0; i < mult4_n; ++i) {
+      if (!mlanes[i].ok || mlanes[i].delay != mref[i]) mult4.identical = false;
     }
     mult4.ran = true;
   }
@@ -456,6 +463,8 @@ int vbs_benchmark(std::size_t batch, int threads, const std::string& sub,
 #endif
   const bool identical = cohort.identical && mt.identical && mult4.identical;
   const double speedup = cohort.ran ? scalar_s / cohort.seconds : 1.0;
+  const double mult4_us = mult4.seconds / static_cast<double>(mult4_n) * 1e6;
+  const double mult4_scalar_us = mult4_scalar_s / static_cast<double>(mult4_n) * 1e6;
 
   std::cout << "VBS batch kernel, 3-bit adder, " << n << " vector pairs, W/L = " << wl
             << ", batch = " << batch << "\n  scalar   (1 thread): " << scalar_s << " s  ("
@@ -465,10 +474,10 @@ int vbs_benchmark(std::size_t batch, int threads, const std::string& sub,
               << " us/vector)" << (cohort.identical ? "" : "  NOT IDENTICAL") << "\n";
   }
   if (mult4.ran) {
-    std::cout << "  mult4    (1 thread): " << mult4.seconds << " s  ("
-              << mult4.seconds / static_cast<double>(mult4_n) * 1e6 << " us/vector, "
-              << mult4_n << " sampled, W/L = " << mult4_wl << ", scalar check on "
-              << mult4_ref << ")" << (mult4.identical ? "" : "  NOT IDENTICAL") << "\n";
+    std::cout << "  mult4    (1 thread): scalar " << mult4_scalar_us << " us/vector, batch "
+              << mult4_us << " us/vector  (" << mult4_n << " sampled, W/L = " << mult4_wl
+              << ", speedup " << mult4_scalar_us / mult4_us << "x)"
+              << (mult4.identical ? "" : "  NOT IDENTICAL") << "\n";
   }
   if (mt.ran) {
     std::cout << "  cohort   (" << mt_threads
@@ -501,8 +510,9 @@ int vbs_benchmark(std::size_t batch, int threads, const std::string& sub,
          << "  \"sweep_ms\": " << cohort.seconds * 1e3 << ",\n";
   }
   if (mult4.ran) {
-    json << "  \"mult4_batch_us_per_vector\": "
-         << mult4.seconds / static_cast<double>(mult4_n) * 1e6 << ",\n";
+    json << "  \"mult4_scalar_us_per_vector\": " << mult4_scalar_us << ",\n"
+         << "  \"mult4_batch_us_per_vector\": " << mult4_us << ",\n"
+         << "  \"mult4_speedup\": " << mult4_scalar_us / mult4_us << ",\n";
   }
   if (mt.ran) {
     json << "  \"mt_threads\": " << mt_threads << ",\n"

@@ -16,6 +16,8 @@ Suites:
   vbs    Batch VBS kernel (BENCH_vbs.json).  The in-binary reference is the
          scalar VbsSimulator sweep; single-threaded on both legs.  The
          batch/scalar ratio cancels host speed, so this suite gates at 2x.
+         The 4-bit multiplier leg's mult4_speedup is gated the same way
+         whenever the baseline has that key.
   campaign
          Streaming columnar campaign (BENCH_campaign.json, produced by the
          campaign_bench binary -- pass it as --microbench).  Gates on
@@ -35,7 +37,8 @@ Common checks:
   * fresh "identical" is true;
   * the fresh figure of merit (speedup, or rows_per_second for the
     campaign and daemon suites) >= baseline / threshold (default threshold
-    2x for vbs, 3x for the other suites).
+    2x for vbs, 3x for the other suites); for vbs, also mult4_speedup
+    when the baseline has it.
     Skipped with a warning when the fresh and baseline builds disagree on
     march_native -- ISA-specific baselines must not gate generic builds or
     vice versa.
@@ -155,13 +158,20 @@ def main() -> int:
               "to re-arm it")
     else:
         unit = " rows/s" if suite in ("campaign", "daemon") else "x"
-        floor = baseline[merit] / threshold
-        if fresh[merit] < floor:
-            failures.append(
-                f"{merit} {fresh[merit]:.2f}{unit} fell below {floor:.2f}{unit} "
-                f"(baseline {baseline[merit]:.2f}{unit} / threshold {threshold:g})")
-        print(f"{merit}: fresh {fresh[merit]:.2f}{unit} vs baseline "
-              f"{baseline[merit]:.2f}{unit} (floor {floor:.2f}{unit})")
+        gated = [merit]
+        if suite == "vbs" and "mult4_speedup" in baseline:
+            gated.append("mult4_speedup")
+        for key in gated:
+            if not isinstance(fresh.get(key), (int, float)):
+                failures.append(f"fresh run has no numeric '{key}' field")
+                continue
+            floor = baseline[key] / threshold
+            if fresh[key] < floor:
+                failures.append(
+                    f"{key} {fresh[key]:.2f}{unit} fell below {floor:.2f}{unit} "
+                    f"(baseline {baseline[key]:.2f}{unit} / threshold {threshold:g})")
+            print(f"{key}: fresh {fresh[key]:.2f}{unit} vs baseline "
+                  f"{baseline[key]:.2f}{unit} (floor {floor:.2f}{unit})")
     if suite == "spice":
         print(f"bypass hit rate {fresh.get('bypass_hit_rate', 0.0):.1%}")
     if suite == "daemon":

@@ -4,7 +4,6 @@
 #include <array>
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <optional>
 
 #include "core/simd.hpp"
@@ -14,7 +13,7 @@
 
 // SoA replay of VbsSimulator::run (vbs.cpp): one kernel (see
 // vbs_batch.hpp) combining the batched Eq. 5 solve, live-lane compaction,
-// a per-round list of driving cells, Eq. 5 dedup, and Hamming-incremental
+// a carried list of driving cells, Eq. 5 dedup, and Hamming-incremental
 // v0 settling.  Every stage below names the scalar passage it mirrors; the
 // per-lane floating-point sequence must stay operation-for-operation
 // identical, because the determinism contract (vbs_batch.hpp) promises
@@ -157,11 +156,15 @@ void VbsBatchSimulator::critical_delays(const VbsBatchItem* items, std::size_t c
 //     by column swaps at the top of each round, so every pass runs over
 //     live lanes only (per-lane FP sequences are independent, so moving a
 //     lane's column preserves its bit pattern);
-//   * lists the round's driving (gate, lane) cells once, from per-gate
-//     non-idle counts maintained at every drive transition, and runs the
-//     beta, slope/candidate, advance and crossing passes over that list.
-//     Idle cells are bit-exact no-ops in every pass: they add no beta,
-//     emit no candidates, and the scalar kernel does not advance them;
+//   * keeps one list of the driving (gate, lane) cells and runs the beta,
+//     slope/candidate, advance and crossing passes over it.  The list is
+//     carried across rounds and updated only where drives changed: the
+//     advance drops cells that retire to a rail, reevaluate records each
+//     idle -> driving cell, and compaction renumbers moved lanes; run
+//     extents come from per-gate non-idle counts maintained at every drive
+//     transition.  Idle cells are bit-exact no-ops in every pass: they add
+//     no beta, emit no candidates, and the scalar kernel does not advance
+//     them;
 //   * dedups the iterative Eq. 5 solves (body effect / alpha != 2) per
 //     domain per round: bit-equal beta totals give bit-equal solutions;
 //   * settles each new v0 group incrementally from its Hamming-nearest
@@ -205,6 +208,12 @@ void VbsBatchSimulator::run(const VbsBatchItem* items, std::size_t count,
   ws.gate_active.assign(static_cast<std::size_t>(n_gate), 0);
   ws.lane_active.assign(B, 0);
   ws.group_key.clear();
+  // Every drive starts idle, so the carried cell list starts empty.
+  ws.cell_runs.clear();
+  ws.activations.clear();
+  ws.run_of_gate.resize(static_cast<std::size_t>(n_gate));
+  ws.slot_remap.resize(B);
+  for (std::size_t l = 0; l < B; ++l) ws.slot_remap[l] = static_cast<std::uint32_t>(l);
 
   // Pulldown-conducts for gate g given a per-net logic lookup.  Logic
   // settling and re-evaluation are the hottest scalar remnants, so gates
@@ -511,25 +520,12 @@ void VbsBatchSimulator::run(const VbsBatchItem* items, std::size_t count,
       next = Drive::kDown;
     }
     set_drive(g, l, next);
-    if (next != before) record_gate(g, l);
-  };
-
-  // Visit the non-idle lanes of a drive row in ascending order, skipping
-  // idle lanes eight at a time: kIdle == 0, so an all-idle block is a zero
-  // uint64.
-  const auto for_each_driving = [](const Drive* row, std::size_t n, auto&& fn) {
-    std::size_t l = 0;
-    for (; l + 8 <= n; l += 8) {
-      std::uint64_t w;
-      std::memcpy(&w, row + l, sizeof w);
-      while (w != 0) {
-        const unsigned b = static_cast<unsigned>(std::countr_zero(w)) >> 3;
-        fn(l + b);
-        w &= ~(std::uint64_t{0xff} << (b << 3));
-      }
-    }
-    for (; l < n; ++l) {
-      if (row[l] != Drive::kIdle) fn(l);
+    if (next == before) return;
+    record_gate(g, l);
+    // The only idle -> driving transition: the next round adds the cell.
+    if (before == Drive::kIdle) {
+      ws.activations.push_back((static_cast<std::uint64_t>(l) << 32) |
+                               static_cast<std::uint32_t>(g));
     }
   };
   // Eq. 5 at R = 0 never reads beta (solve_vx and solve_vx_batch both
@@ -541,14 +537,21 @@ void VbsBatchSimulator::run(const VbsBatchItem* items, std::size_t count,
   while (lanes_running > 0) {
     // Swap-retire finished lanes out of the dense live prefix.  Order
     // within the prefix is not preserved; per-lane sequences are
-    // independent, so this cannot change any lane's bits.
+    // independent, so this cannot change any lane's bits.  A live lane
+    // moves at most once, from slot `live` to slot l; slot_remap carries
+    // that move to the carried cells' lane numbers.  A retired lane has
+    // no carried cells (see the advance sweep), so its slot needs none.
+    const std::size_t prev_live = live;
     for (std::size_t l = 0; l < live;) {
       if (ws.running[l]) {
         ++l;
         continue;
       }
       --live;
-      if (l != live) swap_lanes(l, live);
+      if (l != live) {
+        swap_lanes(l, live);
+        ws.slot_remap[live] = static_cast<std::uint32_t>(l);
+      }
     }
     const std::size_t L = live;
 
@@ -572,38 +575,64 @@ void VbsBatchSimulator::run(const VbsBatchItem* items, std::size_t count,
     }
     if (lanes_running == 0) break;
 
-    // --- The round's driving cells, from one scan of the active gates'
-    // drive rows.  gate_active[g] is the exact non-idle count of the live
-    // prefix, so each run's extent is known before its row is scanned:
-    // falling lanes fill it from the front, rising lanes from the back.
-    // Every pass below visits these cells only; an idle (gate, lane) is a
-    // bit-exact no-op in each of them (it adds no beta, has no candidate,
-    // and the scalar kernel does not advance it).
-    ws.cell_runs.clear();
+    // --- The round's driving cells, from the last round's survivors and
+    // activations; no drive row is scanned.  gate_active[g] is the exact
+    // non-idle count of the live prefix, so each run's extent is known
+    // before it is filled: falling lanes fill it from the front, rising
+    // lanes from the back.  Every non-idle cell is either a survivor (it
+    // drove through last round's advance) or an activation (reevaluate
+    // started it), never both, and a cell is placed only if its drive is
+    // still non-idle: reevaluate may have idled or reversed a survivor,
+    // and a budget guard above may have idled a whole lane.  Every pass
+    // below visits these cells only; an idle (gate, lane) is a bit-exact
+    // no-op in each of them (it adds no beta, has no candidate, and the
+    // scalar kernel does not advance it).
+    ws.next_runs.clear();
     std::uint32_t n_cells = 0;
     for (int g = 0; g < n_gate; ++g) {
       const std::uint32_t n = ws.gate_active[static_cast<std::size_t>(g)];
       if (n == 0) continue;
-      ws.cell_runs.push_back({g, n_cells, n_cells, n_cells + n});
+      ws.run_of_gate[static_cast<std::size_t>(g)] =
+          static_cast<std::uint32_t>(ws.next_runs.size());
+      ws.next_runs.push_back({g, n_cells, n_cells, n_cells + n, n_cells + n});
       n_cells += n;
     }
-    if (ws.cell_lane.size() < n_cells) {
-      ws.cell_lane.resize(n_cells);
-      ws.cell_slope.resize(n_cells);
+    if (ws.next_lane.size() < n_cells) ws.next_lane.resize(n_cells);
+    if (ws.cell_slope.size() < n_cells) ws.cell_slope.resize(n_cells);
+    {
+      std::uint32_t* const next_lane = ws.next_lane.data();
+      const std::uint32_t* const remap = ws.slot_remap.data();
+      const auto place = [&](VbsBatchWorkspace::CellRun& run, Drive d, std::uint32_t l) {
+        if (d == Drive::kDown) {
+          next_lane[run.split++] = l;
+        } else if (d == Drive::kUp) {
+          next_lane[--run.rise] = l;
+        }
+      };
+      for (const VbsBatchWorkspace::CellRun& prev : ws.cell_runs) {
+        const std::size_t g = static_cast<std::size_t>(prev.gate);
+        if (ws.gate_active[g] == 0) continue;  // every survivor went idle
+        VbsBatchWorkspace::CellRun& run = ws.next_runs[ws.run_of_gate[g]];
+        const Drive* drive_row = ws.drive.data() + gidx(prev.gate, 0);
+        for (std::uint32_t i = prev.begin; i < prev.end; ++i) {
+          const std::uint32_t l = remap[ws.cell_lane[i]];
+          place(run, drive_row[l], l);
+        }
+      }
+      for (const std::uint64_t a : ws.activations) {
+        const int g = static_cast<int>(a & 0xffffffffu);
+        const std::uint32_t l = remap[a >> 32];
+        const Drive d = ws.drive[gidx(g, l)];
+        if (d == Drive::kIdle) continue;  // run_of_gate[g] may be stale
+        place(ws.next_runs[ws.run_of_gate[static_cast<std::size_t>(g)]], d, l);
+      }
     }
+    ws.activations.clear();
+    for (std::size_t l = L; l < prev_live; ++l) ws.slot_remap[l] = static_cast<std::uint32_t>(l);
+    ws.cell_runs.swap(ws.next_runs);
+    ws.cell_lane.swap(ws.next_lane);
     std::uint32_t* const cell_lane = ws.cell_lane.data();
     double* const cell_slope = ws.cell_slope.data();
-    for (VbsBatchWorkspace::CellRun& run : ws.cell_runs) {
-      const Drive* drive_row = ws.drive.data() + gidx(run.gate, 0);
-      std::uint32_t rise = run.end;
-      for_each_driving(drive_row, L, [&](std::size_t l) {
-        if (drive_row[l] == Drive::kDown) {
-          cell_lane[run.split++] = static_cast<std::uint32_t>(l);
-        } else {
-          cell_lane[--rise] = static_cast<std::uint32_t>(l);
-        }
-      });
-    }
 
     // --- Solve each domain's virtual ground for its discharger set.  Each
     // lane accumulates its falling gates' beta in ascending gate order, as
@@ -812,6 +841,12 @@ void VbsBatchSimulator::run(const VbsBatchItem* items, std::size_t count,
     // termination this round still has cells, but its drives are idle and
     // its result is recorded, so its cells are skipped.
     //
+    // The sweep also carries the list to the next round: each run keeps
+    // its surviving cells in place as cell_lane[begin, end).  A cell that
+    // retires to a rail is dropped, and so is every cell of a lane that
+    // is no longer running: compaction will hand that lane's slot to
+    // another lane, whose drive row a stale cell would misread.
+    //
     // Running the crossing scan ahead of the input-event phase (the
     // scalar order is input events first) is sound: crossings read and
     // write gate-output logic only, input events write primary-input
@@ -834,8 +869,9 @@ void VbsBatchSimulator::run(const VbsBatchItem* items, std::size_t count,
     // activation; it is only consumed when a logic crossing fires, so its
     // division stays inside the branch.
     const auto t_tr = [vdd](double sl) { return (sl != 0.0) ? vdd / std::abs(sl) : 0.0; };
-    for (const VbsBatchWorkspace::CellRun& run : ws.cell_runs) {
+    for (VbsBatchWorkspace::CellRun& run : ws.cell_runs) {
       const int g = run.gate;
+      std::uint32_t keep = run.begin;
       double* vout_row = ws.vout.data() + gidx(g, 0);
       const bool monitored = ws.mon_of_gate[static_cast<std::size_t>(g)] >= 0;
       const netlist::NetId out = nl.gate(g).output;
@@ -857,7 +893,9 @@ void VbsBatchSimulator::run(const VbsBatchItem* items, std::size_t count,
           vout_row[l] = low;
           set_drive(g, l, Drive::kIdle);
           record_gate(g, l);
+          continue;
         }
+        cell_lane[keep++] = static_cast<std::uint32_t>(l);
       }
       const double su = sim_.slope_up_[static_cast<std::size_t>(g)];
       for (std::uint32_t i = run.split; i < run.end; ++i) {
@@ -874,8 +912,11 @@ void VbsBatchSimulator::run(const VbsBatchItem* items, std::size_t count,
           vout_row[l] = vdd;
           set_drive(g, l, Drive::kIdle);
           record_gate(g, l);
+          continue;
         }
+        cell_lane[keep++] = static_cast<std::uint32_t>(l);
       }
+      run.end = keep;
     }
     if (cx > 0.0) {
       for (int d = 0; d < n_dom; ++d) {

@@ -19,11 +19,14 @@
 //     replays Pwl::append / Pwl::last_crossing online against the V_dd/2
 //     level for just the monitored output nets, which is where the scalar
 //     path's time actually goes;
-//   * each round builds one list of its driving (gate, lane) cells --
-//     gate-ascending, falling before rising within a gate -- and the
-//     beta, slope/candidate, advance and crossing passes walk only that
-//     list, so idle cells cost nothing; beta is not accumulated in an
-//     R = 0 domain, whose Eq. 5 solve never reads it;
+//   * the driving (gate, lane) cells are one list -- gate-ascending,
+//     falling before rising within a gate -- carried from round to round:
+//     the advance drops cells that reach a rail, re-evaluation records
+//     cells that start driving, and compaction renumbers moved lanes, so
+//     no round scans the drive rows.  The beta, slope/candidate, advance
+//     and crossing passes walk only that list, so idle cells cost
+//     nothing; beta is not accumulated in an R = 0 domain, whose Eq. 5
+//     solve never reads it;
 //   * the Eq. 5 re-solve goes through the batched closed form
 //     (solve_vx_batch) when alpha == 2 without body effect;
 //   * lanes that finish or fail are swap-retired out of a dense live
@@ -128,17 +131,27 @@ struct VbsBatchWorkspace {
   std::vector<std::size_t> slot_item;     ///< live slot -> original item index
   std::vector<std::uint32_t> gate_active; ///< per gate: live lanes with a non-idle drive
   std::vector<std::uint32_t> lane_active; ///< per lane: gates with a non-idle drive
-  // The round's driving (gate, lane) cells, rebuilt each round: one run
-  // per gate with a driving lane, in ascending gate order; a run's lanes
-  // are cell_lane[begin, split) falling, then cell_lane[split, end)
-  // rising.
+  // The round's driving (gate, lane) cells: one run per gate with a
+  // driving lane, in ascending gate order; a run's lanes are
+  // cell_lane[begin, split) falling, then cell_lane[split, end) rising.
+  // The list is carried across rounds, not rebuilt from the drive rows:
+  // the advance keeps each run's surviving cells in place as
+  // cell_lane[begin, end), and the next round refills the runs from those
+  // survivors plus the round's activations, re-checking each against its
+  // drive.
   struct CellRun {
     int gate = -1;
     std::uint32_t begin = 0, split = 0, end = 0;
+    std::uint32_t rise = 0;  ///< rising-lane fill cursor while the run is built
   };
   std::vector<CellRun> cell_runs;
   std::vector<std::uint32_t> cell_lane;
+  std::vector<CellRun> next_runs;         ///< the run list being built
+  std::vector<std::uint32_t> next_lane;   ///< its cells, swapped into cell_lane
   std::vector<double> cell_slope;         ///< falling cells: the round's slope
+  std::vector<std::uint64_t> activations; ///< idle -> driving, packed (lane << 32 | gate)
+  std::vector<std::uint32_t> run_of_gate; ///< per gate: its run in next_runs
+  std::vector<std::uint32_t> slot_remap;  ///< per slot: the lane's slot after compaction
   std::vector<std::uint64_t> group_key;   ///< packed v0 per settle group (n_in <= 64)
   std::vector<std::uint8_t> net_dirty;    ///< incremental-settle cone scratch
 };

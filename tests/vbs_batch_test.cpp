@@ -2,10 +2,11 @@
 // the scalar VbsSimulator across every VbsOptions extension, multi-domain
 // partitions (an ideal-ground domain among them) and batch sizes, on the
 // 3-bit adder and the 4-bit CSA and Wallace multipliers, the R = 0
-// baseline, wide netlists (> 64 inputs, > 6 fanins),
-// workspace reuse across netlists, per-lane failure isolation, coded
-// option validation, and (through EvalSession) parallel sweeps and
-// checkpoint kill-and-resume with the batch path enabled.
+// baseline, wide netlists (> 64 inputs, > 6 fanins), workspace reuse
+// across netlists and after a failing batch, per-lane failure isolation
+// at both of the kernel's failure stages, coded option validation, and
+// (through EvalSession) parallel sweeps and checkpoint kill-and-resume
+// with the batch path enabled.
 
 #include <gtest/gtest.h>
 
@@ -488,6 +489,147 @@ TEST(VbsBatch, PerLaneFailuresMatchScalarThrows) {
   // test proves nothing about isolation.
   EXPECT_GT(failures, 0u);
   EXPECT_LT(failures, sample.size());
+}
+
+/// The scalar outcome of one transition: its delay, or the failure the
+/// scalar path throws.
+struct ScalarOutcome {
+  bool threw = false;
+  double delay = 0.0;
+  FailureInfo info;
+};
+
+std::vector<ScalarOutcome> scalar_outcomes(const VbsSimulator& sim,
+                                           const std::vector<VectorPair>& pairs,
+                                           const std::vector<std::string>& outs) {
+  VbsWorkspace ws;
+  std::vector<ScalarOutcome> out(pairs.size());
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    try {
+      out[i].delay = sim.critical_delay(pairs[i].v0, pairs[i].v1, outs, ws);
+    } catch (const NumericalError& e) {
+      out[i].threw = true;
+      out[i].info = e.info();
+    }
+  }
+  return out;
+}
+
+/// Runs `pairs` through the batch kernel in chunks of `batch` on `bws` and
+/// requires every lane to match the scalar outcome: the same delay bits,
+/// or the same failure code and context.
+void expect_lanes_match_scalar(const VbsSimulator& sim, const std::vector<VectorPair>& pairs,
+                               const std::vector<std::string>& outs,
+                               const std::vector<ScalarOutcome>& scalar, std::size_t batch,
+                               VbsBatchWorkspace& bws) {
+  const VbsBatchSimulator batch_sim(sim);
+  const std::vector<VbsBatchItem> items = make_items(pairs);
+  std::vector<VbsLaneResult> results(items.size());
+  for (std::size_t off = 0; off < items.size(); off += batch) {
+    const std::size_t n = std::min(batch, items.size() - off);
+    batch_sim.critical_delays(items.data() + off, n, outs, bws, results.data() + off);
+  }
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (scalar[i].threw) {
+      ASSERT_FALSE(results[i].ok) << "lane " << i << " should fail like the scalar path";
+      EXPECT_EQ(static_cast<int>(results[i].failure.code),
+                static_cast<int>(scalar[i].info.code))
+          << "lane " << i;
+      EXPECT_EQ(results[i].failure.context, scalar[i].info.context) << "lane " << i;
+    } else {
+      ASSERT_TRUE(results[i].ok) << "lane " << i << ": " << results[i].failure.message();
+      EXPECT_EQ(results[i].delay, scalar[i].delay) << "lane " << i;
+    }
+  }
+}
+
+std::size_t count_failures(const std::vector<ScalarOutcome>& scalar) {
+  return static_cast<std::size_t>(std::count_if(
+      scalar.begin(), scalar.end(), [](const ScalarOutcome& o) { return o.threw; }));
+}
+
+TEST(VbsBatch, WideCircuitLaneFailuresMatchScalarAtEveryStage) {
+  // Lanes fail at both places the kernel checks: the breakpoint budget at
+  // the top of a round (before the round's cells are listed), and a
+  // breakpoint beyond t_max at termination (after they are listed, so the
+  // failed lane still has driving cells when compaction gives its slot to
+  // another lane).  Every other lane must be unaffected.
+  const double r = SleepTransistor(tech03(), 10.0).reff();
+  std::vector<std::pair<std::string, VbsOptions>> configs;
+  VbsOptions budget;
+  budget.sleep_resistance = r;
+  budget.max_breakpoints = 40;  // about the median transition's count
+  configs.emplace_back("max_breakpoints", budget);
+  VbsOptions horizon;
+  horizon.sleep_resistance = r;
+  horizon.t_max = 1.4e-9;  // about the median transition's last breakpoint
+  configs.emplace_back("t_max", horizon);
+  for (const WideFixture& fx : wide_fixtures()) {
+    for (const auto& [name, opt] : configs) {
+      SCOPED_TRACE(fx.name + " " + name);
+      const VbsSimulator sim(fx.nl, opt);
+      const std::vector<ScalarOutcome> scalar = scalar_outcomes(sim, fx.pairs, fx.outs);
+      const std::size_t failures = count_failures(scalar);
+      EXPECT_GT(failures, 0u);
+      EXPECT_LT(failures, fx.pairs.size());
+      if (name == "t_max") {
+        for (const ScalarOutcome& o : scalar) {
+          if (o.threw) {
+            EXPECT_EQ(o.info.context.rfind("breakpoint beyond t_max", 0), 0u) << o.info.context;
+          }
+        }
+      }
+      VbsBatchWorkspace bws;
+      for (const std::size_t batch : {std::size_t{256}, std::size_t{7}}) {
+        SCOPED_TRACE(batch);
+        expect_lanes_match_scalar(sim, fx.pairs, fx.outs, scalar, batch, bws);
+      }
+    }
+  }
+}
+
+TEST(VbsBatch, WorkspaceReusedAfterAFailingBatchIsBitIdentical) {
+  // A batch whose lanes fail mid-run leaves the workspace's carried cell
+  // list and scratch in a mid-round state; the next batches on the same
+  // workspace must not see any of it.
+  const std::vector<WideFixture> fxs = wide_fixtures();
+  const WideFixture& mult4 = fxs.front();
+  const double r = SleepTransistor(tech03(), 10.0).reff();
+  VbsOptions failing;
+  failing.sleep_resistance = r;
+  failing.t_max = 1.4e-9;
+  const VbsSimulator failing_sim(mult4.nl, failing);
+  const std::vector<ScalarOutcome> failing_scalar =
+      scalar_outcomes(failing_sim, mult4.pairs, mult4.outs);
+  ASSERT_GT(count_failures(failing_scalar), 0u);
+
+  VbsOptions clean;
+  clean.sleep_resistance = r;
+  const VbsSimulator clean_sim(mult4.nl, clean);
+  const AdderFixture adder;
+  VbsOptions adder_opt;
+  adder_opt.sleep_resistance = 2000.0;
+  const VbsSimulator adder_sim(adder.adder.netlist, adder_opt);
+
+  VbsBatchWorkspace bws;
+  {
+    SCOPED_TRACE("failing mult4");
+    expect_lanes_match_scalar(failing_sim, mult4.pairs, mult4.outs, failing_scalar, 256, bws);
+  }
+  {
+    SCOPED_TRACE("clean adder3");
+    const std::vector<ScalarOutcome> scalar =
+        scalar_outcomes(adder_sim, adder.pairs, adder.outs);
+    ASSERT_EQ(count_failures(scalar), 0u);
+    expect_lanes_match_scalar(adder_sim, adder.pairs, adder.outs, scalar, 256, bws);
+  }
+  {
+    SCOPED_TRACE("clean mult4");
+    const std::vector<ScalarOutcome> scalar =
+        scalar_outcomes(clean_sim, mult4.pairs, mult4.outs);
+    ASSERT_EQ(count_failures(scalar), 0u);
+    expect_lanes_match_scalar(clean_sim, mult4.pairs, mult4.outs, scalar, 256, bws);
+  }
 }
 
 TEST(VbsBatch, OptionValidationIsCoded) {
