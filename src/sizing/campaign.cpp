@@ -342,13 +342,12 @@ class ChunkSink final : public ResultSink {
 
 }  // namespace
 
-CampaignDriver::CampaignDriver(CampaignSpec spec, std::string dir, bool resume,
-                               util::JournalOptions journal_options)
+CampaignDriver::CampaignDriver(CampaignSpec spec, std::string dir, bool resume)
     : spec_(std::move(spec)), dir_(std::move(dir)) {
   fs::create_directories(dir_);
   journal_path_ = (fs::path(dir_) / "campaign.mtj").string();
   store_path_ = (fs::path(dir_) / "campaign.mtc").string();
-  ckpt_.open(journal_path_, journal_options);
+  ckpt_.open(journal_path_);
   if (!resume && ckpt_.journal().size() > 0) {
     throw std::invalid_argument(journal_path_ + " already holds " +
                                 std::to_string(ckpt_.journal().size()) +

@@ -76,7 +76,6 @@
 #include "util/cancel.hpp"
 #include "util/columnar.hpp"
 #include "util/failure.hpp"
-#include "util/journal.hpp"
 #include "util/thread_pool.hpp"
 
 namespace mtcmos::sizing {
@@ -192,8 +191,7 @@ class CampaignDriver {
   /// usual coded kInvalidArgument error when a resume presents a
   /// different spec or a .mtn circuit whose netlist was edited.  A
   /// journal that predates the netlist record resumes and is bound then.
-  CampaignDriver(CampaignSpec spec, std::string dir, bool resume,
-                 util::JournalOptions journal_options = {});
+  CampaignDriver(CampaignSpec spec, std::string dir, bool resume);
 
   std::size_t n_vectors() const { return vectors_.size(); }
   std::size_t n_chunks() const { return n_chunks_; }

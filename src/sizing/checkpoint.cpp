@@ -132,10 +132,10 @@ ItemKeys::ItemKeys(std::uint64_t context, const VectorPair* vectors, std::size_t
   }
 }
 
-void Checkpoint::open(const std::string& path, util::JournalOptions options) {
+void Checkpoint::open(const std::string& path) {
   // The legacy check runs before open() truncates a torn tail, so a
   // refused file keeps every byte.
-  journal_.open(path, options, [&](const util::Journal& replayed) {
+  journal_.open(path, {}, [&](const util::Journal& replayed) {
     std::string legacy;
     replayed.for_each_text([&](const std::string& key, const std::string&) {
       VectorPair vp;

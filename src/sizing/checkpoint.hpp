@@ -92,7 +92,7 @@ class Checkpoint {
   /// std::runtime_error on I/O failure, and a kInvalidArgument
   /// NumericalError -- leaving the file untouched -- if it holds text item
   /// records of the old format.
-  void open(const std::string& path, util::JournalOptions options = {});
+  void open(const std::string& path);
   bool armed() const { return journal_.is_open(); }
   util::Journal& journal() { return journal_; }
   const util::Journal& journal() const { return journal_; }

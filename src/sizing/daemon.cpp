@@ -421,8 +421,8 @@ class DaemonImpl {
     if (options_.cancel_token == nullptr) util::install_cancel_signal_handlers();
 
     fs::create_directories(options_.state_dir);
-    requests_.open((fs::path(options_.state_dir) / "requests.mtj").string(), options_.journal);
-    store_.open((fs::path(options_.state_dir) / "store.mtj").string(), options_.journal);
+    requests_.open((fs::path(options_.state_dir) / "requests.mtj").string());
+    store_.open((fs::path(options_.state_dir) / "store.mtj").string());
 
     // Boot counter: the process generation for kDaemon* faultinject
     // plans.  A plan pinned to generation 0 kills only the first daemon
@@ -949,7 +949,6 @@ class DaemonImpl {
         sopt.shards = options_.shards;
         sopt.dir = (fs::path(options_.state_dir) / "shards" / p.key).string();
         sopt.cancel_token = &token;
-        sopt.journal = options_.journal;
         sharded_rank_vectors(backend, vectors, req.wl, sopt, &store_);
       }
       rank_vectors_stream(backend, vectors, req.wl, session);
@@ -998,7 +997,7 @@ class DaemonImpl {
     const CampaignSpec spec = CampaignSpec::parse(p.req.spec);
     const std::string dir = (fs::path(options_.state_dir) / "campaigns" / p.key).string();
     const bool resume = fs::exists(fs::path(dir) / "campaign.mtj");
-    CampaignDriver driver(spec, dir, resume, options_.journal);
+    CampaignDriver driver(spec, dir, resume);
     const CampaignStats stats = driver.run(options_.shards, &report, &token);
     hits = stats.chunks_replayed;
     misses = stats.chunks_run;

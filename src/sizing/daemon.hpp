@@ -79,7 +79,6 @@
 
 #include "sizing/eval_types.hpp"
 #include "util/cancel.hpp"
-#include "util/journal.hpp"
 
 namespace mtcmos::sizing {
 
@@ -99,7 +98,6 @@ struct DaemonOptions {
   /// Poll-loop tick [ms]: socket poll timeout, deadline check period,
   /// and global-cancel forwarding latency.
   int poll_interval_ms = 50;
-  util::JournalOptions journal = {};  ///< durability for both journals
   /// Cancellation source the poll loop watches for drain; nullptr = the
   /// process-global token (what SIGTERM raises).  Tests pass their own.
   util::CancelToken* cancel_token = nullptr;

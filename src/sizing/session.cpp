@@ -681,10 +681,22 @@ VectorDelay search_worst_vector(const EvalBackend& backend, double wl, int sampl
     }
   }
 
+  // The winner's baseline is an item too, so a rerun over a finished
+  // journal replays it; a failed or cancelled item falls back to the
+  // plain call, which throws the failure.
+  const ItemKeys base_key =
+      run.checkpoint != nullptr
+          ? ItemKeys(run.checkpoint->context(checkpoint_prefix_nowl(
+                         "search-baseline", backend.name(),
+                         netlist_fingerprint(backend.netlist(), backend.outputs()))),
+                     {best})
+          : ItemKeys();
+  const Outcome<double> base = run_item_committed<double>(
+      run, cand_index, base_key, [&] { return backend.delay_baseline(best); });
   VectorDelay out;
   out.pair = best;
   out.delay_mtcmos = best_score;
-  out.delay_cmos = backend.delay_baseline(best);
+  out.delay_cmos = base.ok() ? *base.value : backend.delay_baseline(best);
   out.degradation_pct = (out.delay_cmos > 0.0)
                             ? (out.delay_mtcmos - out.delay_cmos) / out.delay_cmos * 100.0
                             : -1.0;

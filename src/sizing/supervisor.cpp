@@ -63,7 +63,7 @@ int worker_main(int wfd, const std::string& journal_path, const std::string& col
   util::CancelToken& cancel = util::CancelToken::global();
 
   Checkpoint ckpt;
-  ckpt.open(journal_path, options.journal);
+  ckpt.open(journal_path);
   // Shard columnar store, append-reopened so blocks flushed by a prior
   // life of this slot survive the restart (a torn tail from a mid-write
   // SIGKILL is sheared off by open()).
@@ -447,7 +447,7 @@ ShardedRankResult sharded_rank_vectors(const EvalBackend& backend,
   Checkpoint local;
   if (merged == nullptr) {
     std::filesystem::create_directories(options.dir);
-    local.open(options.dir + "/merged.mtj", options.journal);
+    local.open(options.dir + "/merged.mtj");
     merged = &local;
   }
   // Registering the pass context in the merged journal up front also

@@ -75,7 +75,6 @@
 #include "util/cancel.hpp"
 #include "util/columnar.hpp"
 #include "util/failure.hpp"
-#include "util/journal.hpp"
 
 namespace mtcmos::sizing {
 
@@ -96,7 +95,6 @@ struct SupervisorOptions {
   double backoff_max_s = 1.0;
   int poison_strikes = 2;           ///< strikes before an item is quarantined
   util::CancelToken* cancel_token = nullptr;  ///< nullptr = global token
-  util::JournalOptions journal = {};          ///< worker journal durability
 };
 
 struct SupervisorStats {

@@ -295,11 +295,6 @@ void ColumnarWriter::flush_locked() {
   // One write() per block: a crash can tear only the file's tail, never an
   // already-flushed block.
   write_all(fd_, block.data(), block.size(), path_);
-  if (options_.fsync_blocks) {
-    while (::fsync(fd_) != 0) {
-      if (errno != EINTR) throw_errno("fsync failed", path_);
-    }
-  }
   ++blocks_written_;
   key_lens_.clear();
   key_blob_.clear();

@@ -59,11 +59,6 @@ struct ColumnarOptions {
   /// ceiling.  Callers with a natural work unit (a campaign chunk)
   /// usually flush explicitly at unit boundaries instead.
   std::size_t rows_per_block = 4096;
-  /// fsync after every block write.  Off by default: a block lost to a
-  /// kernel crash is re-produced on resume (its unit was never
-  /// journaled as complete), so process-death durability -- which plain
-  /// write() already gives -- is enough.
-  bool fsync_blocks = false;
 };
 
 /// One decoded row handed to scan callbacks.  `values` points into the

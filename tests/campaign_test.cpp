@@ -1,12 +1,13 @@
 // Corner-crossed characterization campaigns: spec parsing and
-// validation, deterministic corner transforms, chunk accounting, and
-// the headline invariant -- fresh, killed-and-resumed, and sharded
-// campaigns of the same spec emit byte-identical tables.
+// validation, deterministic corner transforms, chunk accounting, the
+// netlist guard, and what an interrupted or failing chunk leaves behind.
+// The headline invariant -- fresh, pipelined on any pool, cancelled and
+// resumed, and sharded campaigns of one (sampled-vector) spec emit
+// byte-identical tables and stores -- is the campaign row of the contract
+// matrix (contract_test.cpp).
 
 #include <gtest/gtest.h>
 
-#include <bit>
-#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -389,55 +390,6 @@ TEST_F(CampaignTest, ResumeWithAnEditedSpecIsRejected) {
   EXPECT_THROW(CampaignDriver(edited, subdir("guard"), true), NumericalError);
 }
 
-TEST_F(CampaignTest, ResumedAndShardedRunsEmitByteIdenticalTables) {
-  const auto spec = CampaignSpec::parse(kTinySpec);
-  std::string reference;
-  {
-    util::ThreadPool pool(4);
-    CampaignDriver fresh(spec, subdir("fresh"), false);
-    fresh.run(1, nullptr, nullptr, &pool);
-    reference = table_of(fresh);
-    EXPECT_NE(reference.find("\"format\": \"mtcmos-campaign-table-1\""), std::string::npos);
-    EXPECT_NE(reference.find("\"name\": \"slow\""), std::string::npos);
-
-    // Interrupted run: a parallel thread raises the cancel token almost
-    // immediately, so some prefix of the chunks completes.  However many
-    // that was, the resumed run must converge to the same table bytes.
-    {
-      util::CancelToken token;
-      CampaignDriver interrupted(spec, subdir("resumed"), false);
-      std::thread canceller([&token] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        token.request();
-      });
-      const CampaignStats stats = interrupted.run(1, nullptr, &token, &pool);
-      canceller.join();
-      EXPECT_EQ(stats.chunks_replayed + stats.chunks_run, interrupted.chunks_done());
-    }
-    CampaignDriver resumed(spec, subdir("resumed"), true);
-    const CampaignStats rstats = resumed.run(1, nullptr, nullptr, &pool);
-    EXPECT_TRUE(rstats.complete);
-    EXPECT_EQ(table_of(resumed), reference);
-  }
-
-  // Sharded run: two supervised worker processes, shard journals and
-  // shard columnar stores merged back.
-  CampaignDriver sharded(spec, subdir("sharded"), false);
-  const CampaignStats sstats = sharded.run(2);
-  EXPECT_TRUE(sstats.complete);
-  EXPECT_EQ(sstats.chunks_poisoned, 0u);
-  EXPECT_GE(sstats.supervisor.workers_spawned, 2);
-  EXPECT_EQ(table_of(sharded), reference);
-
-  // And a resumed handle over the finished sharded directory replays
-  // everything without running a single chunk.
-  CampaignDriver replayed(spec, subdir("sharded"), true);
-  const CampaignStats pstats = run_in_process(replayed);
-  EXPECT_EQ(pstats.chunks_run, 0u);
-  EXPECT_EQ(pstats.chunks_replayed, replayed.n_chunks());
-  EXPECT_EQ(table_of(replayed), reference);
-}
-
 // Rows stream into a chunk's block while its pass computes, so a pass
 // that throws after emitting some rows leaves them buffered.  The driver
 // must drop them: flushed under the chunk's tag (the writer flushes on
@@ -464,21 +416,6 @@ TEST_F(CampaignTest, ChunkThatThrowsMidStreamLeavesNoPartialBlock) {
   CampaignDriver resumed(spec, subdir("failed"), true);
   EXPECT_TRUE(run_in_process(resumed).complete);
   EXPECT_EQ(table_of(resumed), reference);
-}
-
-TEST_F(CampaignTest, SampledVectorModeIsDeterministic) {
-  const auto spec = CampaignSpec::parse(R"({
-    "circuit": "builtin:adder2",
-    "wl_grid": [20],
-    "vectors": { "mode": "sampled", "count": 24, "seed": 9 },
-    "chunk": 8
-  })");
-  CampaignDriver a(spec, subdir("a"), false);
-  run_in_process(a);
-  CampaignDriver b(spec, subdir("b"), false);
-  run_in_process(b);
-  EXPECT_EQ(a.n_vectors(), 24u);
-  EXPECT_EQ(table_of(a), table_of(b));
 }
 
 TEST_F(CampaignTest, TableContainsSizingAndCornerPhysics) {
@@ -516,32 +453,13 @@ const char* kPipelineSpec = R"({
   "chunk": 600
 })";
 
-/// A store read back tag by tag: each tag's first block, row by row (key
-/// and exact value bits), and how many blocks carry the tag.
-struct StoreBlocks {
-  std::map<std::uint64_t, std::string> rows;
+/// The tags of a store's blocks, in tag order; every tag must have one.
+std::vector<std::uint64_t> block_tags(const std::string& path) {
   std::map<std::uint64_t, int> blocks;
-};
-
-StoreBlocks read_blocks(const std::string& path) {
-  StoreBlocks out;
   util::scan_columnar_file(
-      path,
-      [&](const util::ColumnarRow& row) {
-        std::string& text = out.rows[row.tag];
-        text.append(row.key);
-        for (std::size_t c = 0; c < row.n_cols; ++c) {
-          text += ' ' + std::to_string(std::bit_cast<std::uint64_t>(row.values[c]));
-        }
-        text += '\n';
-      },
-      [&](std::uint64_t tag) { return ++out.blocks[tag] == 1; });
-  return out;
-}
-
-std::vector<std::uint64_t> tags_of(const StoreBlocks& store) {
+      path, [](const util::ColumnarRow&) {}, [&](std::uint64_t tag) { return ++blocks[tag] == 1; });
   std::vector<std::uint64_t> tags;
-  for (const auto& [tag, n] : store.blocks) {
+  for (const auto& [tag, n] : blocks) {
     tags.push_back(tag);
     EXPECT_EQ(n, 1) << "tag " << tag << " has " << n << " blocks";
   }
@@ -594,28 +512,6 @@ void copy_prefix(const std::filesystem::path& from, const std::filesystem::path&
   store.close();
 }
 
-TEST_F(CampaignTest, PipelinedRunsMatchEveryPoolSizeAndTheShardedRun) {
-  const auto spec = CampaignSpec::parse(kPipelineSpec);
-  CampaignDriver sharded(spec, subdir("sharded"), false);
-  ASSERT_TRUE(sharded.run(2).complete);
-  const std::string reference = table_of(sharded);
-  const StoreBlocks blocks = read_blocks(sharded.store_path());
-  ASSERT_EQ(blocks.rows.size(), sharded.n_chunks());
-
-  for (const int threads : {1, 2, 4}) {
-    util::ThreadPool pool(threads);
-    CampaignDriver driver(spec, subdir("pool" + std::to_string(threads)), false);
-    const CampaignStats stats = driver.run(1, nullptr, nullptr, &pool);
-    EXPECT_TRUE(stats.complete) << threads << " threads";
-    EXPECT_EQ(stats.chunks_run, driver.n_chunks()) << threads << " threads";
-    EXPECT_EQ(stats.rows_emitted, driver.n_vectors() * 4) << threads << " threads";
-    EXPECT_EQ(table_of(driver), reference) << threads << " threads";
-    const StoreBlocks mine = read_blocks(driver.store_path());
-    EXPECT_EQ(tags_of(mine), first_tags(driver.n_chunks())) << threads << " threads";
-    EXPECT_EQ(mine.rows, blocks.rows) << threads << " threads";
-  }
-}
-
 TEST_F(CampaignTest, CancelAfterACommittedChunkLeavesAJournaledPrefix) {
   const auto spec = CampaignSpec::parse(kPipelineSpec);
   std::string reference;
@@ -643,7 +539,7 @@ TEST_F(CampaignTest, CancelAfterACommittedChunkLeavesAJournaledPrefix) {
       const std::vector<std::uint64_t> journaled = journaled_chunks(driver);
       ASSERT_GE(journaled.size(), kCommitted) << threads << " threads";
       EXPECT_EQ(journaled, first_tags(journaled.size())) << threads << " threads";
-      EXPECT_EQ(tags_of(read_blocks(driver.store_path())), journaled) << threads << " threads";
+      EXPECT_EQ(block_tags(driver.store_path()), journaled) << threads << " threads";
     }
     CampaignDriver resumed(spec, dir, true);
     EXPECT_TRUE(resumed.run(1, nullptr, nullptr, &pool).complete) << threads << " threads";
@@ -680,7 +576,7 @@ TEST_F(CampaignTest, AppendFaultInALaterChunkLeavesNoBlockOrRecordFromIt) {
       EXPECT_EQ(journaled_chunks(failing), first_tags(kFailing)) << threads << " threads";
     }
     // Read after the driver closed its writer: nothing buffered may land.
-    EXPECT_EQ(tags_of(read_blocks((dir / "campaign.mtc").string())), first_tags(kFailing))
+    EXPECT_EQ(block_tags((dir / "campaign.mtc").string()), first_tags(kFailing))
         << threads << " threads";
     CampaignDriver resumed(spec, dir.string(), true);
     EXPECT_TRUE(resumed.run(1, nullptr, nullptr, &pool).complete) << threads << " threads";

@@ -25,6 +25,7 @@
 #include "util/error.hpp"
 #include "util/faultinject.hpp"
 #include "util/units.hpp"
+#include "contract.hpp"
 #include "scratch_dir.hpp"
 
 namespace mtcmos {
@@ -63,18 +64,6 @@ std::vector<std::string> adder_outputs(const circuits::RippleAdder& adder) {
   for (const auto s : adder.sum) outs.push_back(adder.netlist.net_name(s));
   outs.push_back(adder.netlist.net_name(adder.cout));
   return outs;
-}
-
-void expect_rank_identical(const std::vector<VectorDelay>& got,
-                           const std::vector<VectorDelay>& want, const std::string& what) {
-  ASSERT_EQ(got.size(), want.size()) << what;
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got[i].pair.v0, want[i].pair.v0) << what << " item " << i;
-    EXPECT_EQ(got[i].pair.v1, want[i].pair.v1) << what << " item " << i;
-    EXPECT_EQ(got[i].delay_cmos, want[i].delay_cmos) << what << " item " << i;
-    EXPECT_EQ(got[i].delay_mtcmos, want[i].delay_mtcmos) << what << " item " << i;
-    EXPECT_EQ(got[i].degradation_pct, want[i].degradation_pct) << what << " item " << i;
-  }
 }
 
 /// Kill one checkpointed rank_vectors at `kill_scope` (the journal append
@@ -140,7 +129,7 @@ TEST_F(CrashResumeSoak, RandomizedKillOffsetsMergeBitIdenticallyOnVbs) {
     const auto merged = resumed_rank(vbs, vectors, 10.0, journal, &report);
     EXPECT_EQ(report.succeeded + report.recovered, vectors.size()) << "round " << round;
     EXPECT_EQ(report.failed, 0u) << "round " << round;
-    expect_rank_identical(merged, reference, "round " + std::to_string(round));
+    EXPECT_TRUE(test::same(merged, reference)) << "round " << round;
   }
 }
 
@@ -168,7 +157,7 @@ TEST_F(CrashResumeSoak, RepeatedKillsOfOneJournalStillMerge) {
   SweepReport report;
   const auto merged = resumed_rank(vbs, vectors, 10.0, journal, &report);
   EXPECT_EQ(report.failed, 0u);
-  expect_rank_identical(merged, reference, "after 5 kills");
+  EXPECT_TRUE(test::same(merged, reference)) << "after 5 kills";
 }
 
 TEST_F(CrashResumeSoak, RandomizedKillOffsetsMergeBitIdenticallyOnSpice) {
@@ -192,7 +181,7 @@ TEST_F(CrashResumeSoak, RandomizedKillOffsetsMergeBitIdenticallyOnSpice) {
     SweepReport report;
     const auto merged = resumed_rank(spice, vectors, 10.0, journal, &report);
     EXPECT_EQ(report.failed, 0u) << "round " << round;
-    expect_rank_identical(merged, reference, "round " + std::to_string(round));
+    EXPECT_TRUE(test::same(merged, reference)) << "round " << round;
   }
 }
 
@@ -265,7 +254,7 @@ TEST_F(CrashResumeSoak, ReopenBetweenKillsDoesNotDisturbResume) {
   SweepReport report;
   const auto merged = resumed_rank(vbs, vectors, 10.0, journal, &report);
   EXPECT_EQ(report.failed, 0u);
-  expect_rank_identical(merged, reference, "reopen between kills");
+  EXPECT_TRUE(test::same(merged, reference)) << "reopen between kills";
 }
 
 // ---------------------------------------------------------------------------
@@ -305,7 +294,7 @@ TEST_F(CrashResumeSoak, SupervisedSweepSurvivesRandomizedWorkerSigkills) {
     faultinject::disarm_all();
     EXPECT_EQ(sharded.stats.quarantined, 0u) << "round " << round;
     EXPECT_EQ(sharded.report.failed, 0u) << "round " << round;
-    expect_rank_identical(sharded.ranked, reference, "supervised round " + std::to_string(round));
+    EXPECT_TRUE(test::same(sharded.ranked, reference)) << "supervised round " << round;
   }
 }
 
@@ -346,7 +335,7 @@ TEST_F(CrashResumeSoak, SupervisedSweepQuarantinesDeterministicKillers) {
     std::vector<VectorPair> pruned = vectors;
     pruned.erase(pruned.begin() + static_cast<std::ptrdiff_t>(killer));
     const auto expected = sizing::rank_vectors(vbs, pruned, 10.0);
-    expect_rank_identical(sharded.ranked, expected, "poison round " + std::to_string(round));
+    EXPECT_TRUE(test::same(sharded.ranked, expected)) << "poison round " << round;
   }
 }
 

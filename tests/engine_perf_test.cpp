@@ -6,8 +6,6 @@
 //     has populated the bypass/factorization caches;
 //   * bypass + reuse stay inside a bounded voltage band (<= 0.5 mV on the
 //     fig05 inverter tree);
-//   * the pooled SpiceBackend returns bit-identical delays regardless of
-//     thread count;
 //   * EngineStats counters actually count (bypass hits accumulate on a
 //     settling tail, Jacobian reuse factorizes less than it solves).
 
@@ -23,7 +21,6 @@
 #include "sizing/backend.hpp"
 #include "sizing/spice_ref.hpp"
 #include "spice/engine.hpp"
-#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 namespace mtcmos {
@@ -31,7 +28,6 @@ namespace {
 
 using sizing::SpiceBackend;
 using sizing::SpiceBackendOptions;
-using sizing::VectorPair;
 using units::ns;
 using units::ps;
 
@@ -116,35 +112,6 @@ TEST(EnginePerf, BypassAndReuseStayInsideHalfMillivoltOnFig05Tree) {
     }
   }
   EXPECT_LE(worst, 0.5e-3) << "bypass/reuse drifted " << worst * 1e3 << " mV from the exact run";
-}
-
-TEST(EnginePerf, PooledSpiceBackendBitIdenticalForAnyThreadCount) {
-  circuits::InverterTreeOptions topt;
-  topt.fanout = 1;
-  topt.stages = 2;
-  const auto chain = circuits::make_inverter_tree(tech07(), topt);
-  const std::string leaf = chain.netlist.net_name(chain.leaves[0]);
-  SpiceBackendOptions sopt;
-  sopt.tstop = 8.0 * ns;
-  const SpiceBackend backend(chain.netlist, {leaf}, sopt);
-  const VectorPair pairs[2] = {{{false}, {true}}, {{true}, {false}}};
-  const double wl = 8.0;
-
-  const auto sweep = [&](int threads) {
-    util::ThreadPool pool(threads);
-    return pool.parallel_map(8, [&](std::size_t i) {
-      return backend.delay_at_wl(pairs[i % 2], wl);
-    });
-  };
-  const std::vector<double> serial = sweep(1);
-  for (const int threads : {2, 4, 8}) {
-    const std::vector<double> parallel = sweep(threads);
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(serial[i], parallel[i]) << "threads=" << threads << " i=" << i;
-    }
-  }
-  EXPECT_GT(serial[0], 0.0);
 }
 
 TEST(EnginePerf, StatsCountBypassHitsOnSettlingTail) {

@@ -205,6 +205,34 @@ TEST_F(FaultInject, RecoveryLadderRecoversSeededNewtonDivergence) {
   EXPECT_EQ(report.rung_histogram[1], 1u);
 }
 
+// The transient step site, fixed-step and adaptive: a one-hit fault
+// recovers on the ladder's first rung, and a fault that never stops
+// firing fails every rung with the injected code and the step's site.
+TEST_F(FaultInject, TransientStepFaultsRecoverOrExhaustTheLadder) {
+  const int rungs = static_cast<int>(spice::default_recovery_rungs().size());
+  for (const bool adaptive : {false, true}) {
+    SCOPED_TRACE(adaptive ? "adaptive" : "fixed-step");
+    spice::Circuit ckt = rc_circuit();
+    spice::Engine eng(ckt);
+    spice::TransientOptions opt = rc_options();
+    opt.adaptive = adaptive;
+    const auto run = [&](int fail_hits) {
+      faultinject::arm(faultinject::Site::kTransientStep, faultinject::kAnyScope, fail_hits);
+      auto outcome = spice::run_transient_recovered(eng, opt);
+      faultinject::disarm_all();
+      return outcome;
+    };
+    const auto recovered = run(1);
+    EXPECT_TRUE(recovered.ok());
+    EXPECT_EQ(recovered.attempts, 2);
+    const auto exhausted = run(-1);
+    ASSERT_FALSE(exhausted.ok());
+    EXPECT_EQ(exhausted.failure.code, FailureCode::kInjected);
+    EXPECT_EQ(exhausted.failure.site, "Engine::run_transient");
+    EXPECT_EQ(exhausted.attempts, 1 + rungs);
+  }
+}
+
 TEST_F(FaultInject, LadderOffReportsNewtonDiverged) {
   spice::Circuit ckt = rc_circuit();
   spice::Engine eng(ckt);

@@ -16,10 +16,10 @@
 #include "netlist/expand.hpp"
 #include "netlist/io.hpp"
 #include "spice/engine.hpp"
-#include "util/dense_matrix.hpp"
 #include "util/rng.hpp"
 #include "util/sparse_lu.hpp"
 #include "util/units.hpp"
+#include "dense_matrix.hpp"
 
 namespace mtcmos {
 namespace {

@@ -1,7 +1,8 @@
 // Streaming result path: sinks observe exactly the rows the legacy
 // return values are built from, spilled rows decode back bit-identical,
-// checkpoint replay feeds a sink the same bytes the original run did,
-// and sharded spills merge into the same store a single process writes.
+// and keys reach only the sinks that want them.  That checkpoint replay
+// feeds a sink the same keyed rows as the original run is the stream
+// row's fresh == resumed cell of the contract matrix (contract_test.cpp).
 
 #include <gtest/gtest.h>
 
@@ -12,18 +13,16 @@
 
 #include "circuits/generators.hpp"
 #include "sizing/backend.hpp"
-#include "sizing/checkpoint.hpp"
 #include "sizing/result_sink.hpp"
 #include "sizing/session.hpp"
 #include "sizing/sizing.hpp"
-#include "util/cancel.hpp"
 #include "util/columnar.hpp"
+#include "contract.hpp"
 #include "scratch_dir.hpp"
 
 namespace mtcmos {
 namespace {
 
-using sizing::Checkpoint;
 using sizing::ColumnarSpillSink;
 using sizing::EvalSession;
 using sizing::MemorySink;
@@ -70,11 +69,6 @@ class KeyedMemorySink final : public sizing::ResultSink {
   void on_value(const std::string& key, double value) override { inner.on_value(key, value); }
 };
 
-bool same_delay(const VectorDelay& a, const VectorDelay& b) {
-  return a.pair.v0 == b.pair.v0 && a.pair.v1 == b.pair.v1 && a.delay_cmos == b.delay_cmos &&
-         a.delay_mtcmos == b.delay_mtcmos && a.degradation_pct == b.degradation_pct;
-}
-
 TEST_F(ResultSinkTest, StreamRequiresASink) {
   EvalSession session;
   EXPECT_THROW(sizing::rank_vectors_stream(*backend_, vectors_, 10.0, session),
@@ -86,11 +80,7 @@ TEST_F(ResultSinkTest, AttachingASinkDoesNotChangeRankVectorsReturn) {
   MemorySink sink;
   EvalSession session;
   session.sink = &sink;
-  const auto observed = sizing::rank_vectors(*backend_, vectors_, 10.0, session);
-  ASSERT_EQ(observed.size(), plain.size());
-  for (std::size_t i = 0; i < plain.size(); ++i) {
-    EXPECT_TRUE(same_delay(observed[i], plain[i])) << "row " << i;
-  }
+  EXPECT_TRUE(test::same(sizing::rank_vectors(*backend_, vectors_, 10.0, session), plain));
   // The sink sees the full universe (non-switching rows included), the
   // return value only the switching subset.
   EXPECT_EQ(sink.delays.size(), vectors_.size());
@@ -121,7 +111,7 @@ TEST_F(ResultSinkTest, MemoryAndColumnarSinksObserveIdenticalRows) {
     ASSERT_LT(i, memory.delays.size());
     EXPECT_EQ(row.key, memory.delays[i].key);
     const VectorDelay decoded = ColumnarSpillSink::decode_delay(row);
-    EXPECT_TRUE(same_delay(decoded, memory.delays[i].row)) << "row " << i;
+    EXPECT_TRUE(test::same(decoded, memory.delays[i].row)) << "row " << i;
     ++i;
   });
   EXPECT_EQ(i, n_mem);
@@ -151,7 +141,7 @@ TEST_F(ResultSinkTest, SizingEmitsValueRowsIdenticallyOnBothSinks) {
     if (row.n_cols == ColumnarSpillSink::kDelayCols) {
       ASSERT_LT(d, memory.delays.size());
       EXPECT_EQ(row.key, memory.delays[d].key);
-      EXPECT_TRUE(same_delay(ColumnarSpillSink::decode_delay(row), memory.delays[d].row));
+      EXPECT_TRUE(test::same(ColumnarSpillSink::decode_delay(row), memory.delays[d].row));
       ++d;
     } else {
       ASSERT_EQ(row.n_cols, 1u);
@@ -165,52 +155,6 @@ TEST_F(ResultSinkTest, SizingEmitsValueRowsIdenticallyOnBothSinks) {
   EXPECT_EQ(v, memory.values.size());
 }
 
-TEST_F(ResultSinkTest, CheckpointReplayFeedsTheSinkTheSameBytes) {
-  // Key-carrying sinks: only those receive row keys, checkpoint or not,
-  // so the key comparison below checks real keys.  Uninterrupted
-  // reference emission.
-  KeyedMemorySink keyed_reference;
-  MemorySink& reference = keyed_reference.inner;
-  {
-    Checkpoint ckpt;
-    ckpt.open(path("ref.mtj"));
-    EvalSession session;
-    session.checkpoint = &ckpt;
-    session.sink = &keyed_reference;
-    sizing::rank_vectors_stream(*backend_, vectors_, 10.0, session);
-  }
-
-  // "Killed" run: only the first half of the vector set completes.
-  Checkpoint ckpt;
-  ckpt.open(path("resume.mtj"));
-  const std::vector<VectorPair> half(vectors_.begin(),
-                                     vectors_.begin() + static_cast<std::ptrdiff_t>(
-                                                            vectors_.size() / 2));
-  {
-    KeyedMemorySink partial;
-    EvalSession session;
-    session.checkpoint = &ckpt;
-    session.sink = &partial;
-    sizing::rank_vectors_stream(*backend_, half, 10.0, session);
-  }
-
-  // Resumed run over the full set: half replays, half computes -- the
-  // emission stream must match the uninterrupted run byte for byte.
-  KeyedMemorySink keyed_resumed;
-  MemorySink& resumed = keyed_resumed.inner;
-  EvalSession session;
-  session.checkpoint = &ckpt;
-  session.sink = &keyed_resumed;
-  sizing::rank_vectors_stream(*backend_, vectors_, 10.0, session);
-
-  ASSERT_FALSE(reference.delays.front().key.empty());
-  ASSERT_EQ(resumed.delays.size(), reference.delays.size());
-  for (std::size_t i = 0; i < reference.delays.size(); ++i) {
-    EXPECT_EQ(resumed.delays[i].key, reference.delays[i].key);
-    EXPECT_TRUE(same_delay(resumed.delays[i].row, reference.delays[i].row)) << "row " << i;
-  }
-}
-
 TEST_F(ResultSinkTest, TeeSinkFansOutToBothTargets) {
   MemorySink a, b;
   TeeSink tee(a, b);
@@ -222,7 +166,7 @@ TEST_F(ResultSinkTest, TeeSinkFansOutToBothTargets) {
   ASSERT_EQ(a.delays.size(), vectors_.size());
   for (std::size_t i = 0; i < a.delays.size(); ++i) {
     EXPECT_EQ(a.delays[i].key, b.delays[i].key);
-    EXPECT_TRUE(same_delay(a.delays[i].row, b.delays[i].row));
+    EXPECT_TRUE(test::same(a.delays[i].row, b.delays[i].row));
   }
 }
 

@@ -11,17 +11,21 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 
 namespace mtcmos::test {
 
-/// temp_directory_path() / "<fixture>.<pid>.<current test name>".  Not
-/// created; callers create (and remove) it.
+/// temp_directory_path() / "<fixture>.<pid>.<current test name>", with
+/// the '/' of a parameterized test's name turned into '.' so the
+/// directory is one level deep.  Not created; callers create (and
+/// remove) it.
 inline std::filesystem::path scratch_dir(const std::string& fixture) {
+  std::string test = ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  std::replace(test.begin(), test.end(), '/', '.');
   return std::filesystem::temp_directory_path() /
-         (fixture + "." + std::to_string(::getpid()) + "." +
-          ::testing::UnitTest::GetInstance()->current_test_info()->name());
+         (fixture + "." + std::to_string(::getpid()) + "." + test);
 }
 
 }  // namespace mtcmos::test

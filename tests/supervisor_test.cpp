@@ -3,7 +3,7 @@
 // heartbeat, torn journal tail), restart/backoff, poisoned-item
 // quarantine, cancellation drain, and the journal merge -- all asserted
 // against the single-process result, which the merged run must match
-// bit for bit.
+// bit for bit.  The fault-free sharded run is a contract_test cell.
 //
 // These tests fork real worker processes, so they carry the
 // `faultinject` ctest label rather than `tsan`: ThreadSanitizer cannot
@@ -26,6 +26,7 @@
 #include "util/cancel.hpp"
 #include "util/faultinject.hpp"
 #include "util/subprocess.hpp"
+#include "contract.hpp"
 #include "scratch_dir.hpp"
 
 namespace mtcmos {
@@ -36,7 +37,6 @@ using sizing::EvalSession;
 using sizing::ShardedRankResult;
 using sizing::SupervisorOptions;
 using sizing::VbsBackend;
-using sizing::VectorDelay;
 using sizing::VectorPair;
 
 class SupervisorTest : public ::testing::Test {
@@ -68,18 +68,6 @@ std::vector<std::string> adder_outputs(const circuits::RippleAdder& adder) {
   for (const auto s : adder.sum) outs.push_back(adder.netlist.net_name(s));
   outs.push_back(adder.netlist.net_name(adder.cout));
   return outs;
-}
-
-void expect_rank_identical(const std::vector<VectorDelay>& got,
-                           const std::vector<VectorDelay>& want, const std::string& what) {
-  ASSERT_EQ(got.size(), want.size()) << what;
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got[i].pair.v0, want[i].pair.v0) << what << " item " << i;
-    EXPECT_EQ(got[i].pair.v1, want[i].pair.v1) << what << " item " << i;
-    EXPECT_EQ(got[i].delay_cmos, want[i].delay_cmos) << what << " item " << i;
-    EXPECT_EQ(got[i].delay_mtcmos, want[i].delay_mtcmos) << what << " item " << i;
-    EXPECT_EQ(got[i].degradation_pct, want[i].degradation_pct) << what << " item " << i;
-  }
 }
 
 TEST(PlanShards, ContiguousNearEqualCoverage) {
@@ -153,24 +141,6 @@ TEST(Subprocess, SpawnLineProtocolAndReap) {
   util::close_fd(child.pipe_fd);
 }
 
-TEST_F(SupervisorTest, NoFaultShardedRankMatchesSingleProcess) {
-  const auto adder = circuits::make_ripple_adder(tech07(), 2);
-  const VbsBackend vbs(adder.netlist, adder_outputs(adder));
-  const auto vectors = sizing::all_vector_pairs(4);
-  const auto reference = sizing::rank_vectors(vbs, vectors, 10.0);
-
-  const ShardedRankResult sharded =
-      sizing::sharded_rank_vectors(vbs, vectors, 10.0, fast_options(3));
-  EXPECT_EQ(sharded.stats.workers_spawned, 3);
-  EXPECT_EQ(sharded.stats.restarts, 0);
-  EXPECT_EQ(sharded.stats.quarantined, 0u);
-  EXPECT_EQ(sharded.stats.abandoned, 0u);
-  EXPECT_FALSE(sharded.stats.cancelled);
-  EXPECT_EQ(sharded.report.failed, 0u);
-  EXPECT_EQ(sharded.report.total, vectors.size());
-  expect_rank_identical(sharded.ranked, reference, "3 shards, no faults");
-}
-
 TEST_F(SupervisorTest, SigkilledWorkerRestartsAndMergesBitIdentically) {
   const auto adder = circuits::make_ripple_adder(tech07(), 2);
   const VbsBackend vbs(adder.netlist, adder_outputs(adder));
@@ -187,7 +157,7 @@ TEST_F(SupervisorTest, SigkilledWorkerRestartsAndMergesBitIdentically) {
   EXPECT_GE(sharded.stats.restarts, 1);
   EXPECT_EQ(sharded.stats.quarantined, 0u);
   EXPECT_EQ(sharded.report.failed, 0u);
-  expect_rank_identical(sharded.ranked, reference, "SIGKILL at item 5");
+  EXPECT_TRUE(test::same(sharded.ranked, reference)) << "SIGKILL at item 5";
 }
 
 TEST_F(SupervisorTest, AbortedWorkerRestartsAndMergesBitIdentically) {
@@ -203,7 +173,7 @@ TEST_F(SupervisorTest, AbortedWorkerRestartsAndMergesBitIdentically) {
   EXPECT_GE(sharded.stats.restarts, 1);
   EXPECT_EQ(sharded.stats.quarantined, 0u);
   EXPECT_EQ(sharded.report.failed, 0u);
-  expect_rank_identical(sharded.ranked, reference, "abort at item 3");
+  EXPECT_TRUE(test::same(sharded.ranked, reference)) << "abort at item 3";
 }
 
 TEST_F(SupervisorTest, TornJournalTailIsTruncatedOnRestart) {
@@ -221,7 +191,7 @@ TEST_F(SupervisorTest, TornJournalTailIsTruncatedOnRestart) {
       sizing::sharded_rank_vectors(vbs, vectors, 10.0, fast_options(3));
   EXPECT_GE(sharded.stats.restarts, 1);
   EXPECT_EQ(sharded.report.failed, 0u);
-  expect_rank_identical(sharded.ranked, reference, "torn tail at item 9");
+  EXPECT_TRUE(test::same(sharded.ranked, reference)) << "torn tail at item 9";
 }
 
 TEST_F(SupervisorTest, StalledWorkerIsKilledByLivenessTimeoutAndRestarted) {
@@ -239,7 +209,7 @@ TEST_F(SupervisorTest, StalledWorkerIsKilledByLivenessTimeoutAndRestarted) {
   EXPECT_GE(sharded.stats.restarts, 1);
   EXPECT_EQ(sharded.stats.quarantined, 0u);
   EXPECT_EQ(sharded.report.failed, 0u);
-  expect_rank_identical(sharded.ranked, reference, "stall at item 2");
+  EXPECT_TRUE(test::same(sharded.ranked, reference)) << "stall at item 2";
 }
 
 TEST_F(SupervisorTest, DeterministicKillerIsQuarantinedNotLooped) {
@@ -273,7 +243,7 @@ TEST_F(SupervisorTest, DeterministicKillerIsQuarantinedNotLooped) {
   EXPECT_EQ(sharded.report.failures[0].first, killer);
   EXPECT_EQ(sharded.report.failures[0].second.code, FailureCode::kPoisonedItem);
   EXPECT_EQ(sharded.report.failures[0].second.site, "sizing::supervisor");
-  expect_rank_identical(sharded.ranked, expected, "quarantined killer");
+  EXPECT_TRUE(test::same(sharded.ranked, expected)) << "quarantined killer";
 
   // The quarantine is durable: a fresh in-process pass over the merged
   // journal replays the kPoisonedItem failure without executing the item
@@ -286,7 +256,7 @@ TEST_F(SupervisorTest, DeterministicKillerIsQuarantinedNotLooped) {
   const auto replayed = sizing::rank_vectors(vbs, vectors, 10.0, session);
   ASSERT_EQ(replay_report.failed, 1u);
   EXPECT_EQ(replay_report.failures[0].second.code, FailureCode::kPoisonedItem);
-  expect_rank_identical(replayed, expected, "replay after quarantine");
+  EXPECT_TRUE(test::same(replayed, expected)) << "replay after quarantine";
 }
 
 TEST_F(SupervisorTest, CancellationDrainsWorkersGracefully) {
@@ -354,7 +324,7 @@ TEST_F(SupervisorTest, ResumingAMergedCampaignSkipsAllWork) {
       sizing::sharded_rank_vectors(vbs, vectors, 10.0, fast_options(3), &merged);
   EXPECT_EQ(merged.journal().size(), before);
   EXPECT_EQ(again.report.failed, 0u);
-  expect_rank_identical(again.ranked, reference, "resumed campaign");
+  EXPECT_TRUE(test::same(again.ranked, reference)) << "resumed campaign";
 }
 
 TEST_F(SupervisorTest, DeathAfterJournalingTheLastItemIsNoStrikeAndNoRestart) {

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "util/dense_matrix.hpp"
 #include "util/error.hpp"
 #include "util/failure.hpp"
 #include "util/json.hpp"
@@ -23,6 +22,7 @@
 #include "util/sparse_lu.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
+#include "dense_matrix.hpp"
 
 namespace mtcmos {
 namespace {
