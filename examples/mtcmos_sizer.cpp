@@ -525,27 +525,21 @@ int main(int argc, char** argv) {
     // Degradation sweep through the session, so the table rows are
     // parallel, fault-isolated, checkpointed, and cancellable like every
     // other sweep (rank_vectors returns worst-first).  With --shards the
-    // row's items run in supervised worker processes whose journals merge
-    // back into the session checkpoint; everything downstream replays
-    // from it in-process.
+    // row's items first run in supervised worker processes whose journals
+    // merge into the session checkpoint, which the row's pass replays.
     Table table({"sleep W/L", "R_eff [kOhm]", "worst degr [%]"});
     for (const double wl : sweep) {
-      std::vector<sizing::VectorDelay> ranked;
       if (shards > 1) {
         sizing::SupervisorOptions sopt;
         sopt.shards = shards;
         sopt.dir = (std::filesystem::path(checkpoint_dir) / "shards").string();
-        auto sharded = sizing::sharded_rank_vectors(eval, vectors, wl, sopt, &checkpoint);
-        report.merge(sharded.report);
-        std::cout << "W/L " << wl << " supervision: " << sharded.stats.workers_spawned
-                  << " workers, " << sharded.stats.restarts << " restarts, "
-                  << sharded.stats.stall_kills << " stall kills, "
-                  << sharded.stats.quarantined << " quarantined, " << sharded.stats.abandoned
-                  << " abandoned\n";
-        ranked = std::move(sharded.ranked);
-      } else {
-        ranked = sizing::rank_vectors(eval, vectors, wl, session);
+        const sizing::SupervisorStats stats =
+            sizing::sharded_rank_vectors(eval, vectors, wl, sopt, checkpoint);
+        std::cout << "W/L " << wl << " supervision: " << stats.workers_spawned << " workers, "
+                  << stats.restarts << " restarts, " << stats.stall_kills << " stall kills, "
+                  << stats.quarantined << " quarantined, " << stats.abandoned << " abandoned\n";
       }
+      const auto ranked = sizing::rank_vectors(eval, vectors, wl, session);
       const double worst = ranked.empty() ? -1.0 : ranked.front().degradation_pct;
       table.add_row({Table::num(wl, 4),
                      Table::num(SleepTransistor(nl.tech(), wl).reff() / 1e3, 4),

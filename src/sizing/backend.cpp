@@ -45,6 +45,15 @@ void run_vbs_batch(const core::VbsSimulator& sim, const std::vector<std::string>
 
 }  // namespace
 
+void pack_transition(const VectorPair& vp, std::uint64_t* words) {
+  const std::size_t bits = vp.v0.size();
+  const std::size_t half = util::item_words(static_cast<std::uint32_t>(bits));
+  for (std::size_t b = 0; b < bits; ++b) {
+    words[b / 64] |= std::uint64_t{vp.v0[b]} << (b % 64);
+    words[half + b / 64] |= std::uint64_t{vp.v1[b]} << (b % 64);
+  }
+}
+
 // --- BaselineMemo ---
 
 std::size_t BaselineMemo::KeyHash::operator()(const Key& key) const {
@@ -54,12 +63,8 @@ std::size_t BaselineMemo::KeyHash::operator()(const Key& key) const {
 const BaselineMemo::Key* BaselineMemo::pack(const VectorPair& vp) const {
   if (vp.v0.size() != width_ || vp.v1.size() != width_) return nullptr;
   thread_local Key key;
-  const std::size_t half = util::item_words(static_cast<std::uint32_t>(width_));
-  key.assign(2 * half, 0);
-  for (std::size_t b = 0; b < width_; ++b) {
-    key[b / 64] |= std::uint64_t{vp.v0[b]} << (b % 64);
-    key[half + b / 64] |= std::uint64_t{vp.v1[b]} << (b % 64);
-  }
+  key.assign(2 * util::item_words(static_cast<std::uint32_t>(width_)), 0);
+  pack_transition(vp, key.data());
   return &key;
 }
 

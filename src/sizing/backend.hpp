@@ -80,6 +80,11 @@ struct EvalCacheLimits {
   std::size_t max_baseline_delays = 1u << 20;  ///< per-vector baseline memos kept
 };
 
+/// OR `vp` (two equal-width vectors) into 2 * util::item_words(width)
+/// words: bit b of v0 at word b / 64, bit b % 64, then v1's words -- the
+/// transition of a journal item key and of a baseline-memo key.
+void pack_transition(const VectorPair& vp, std::uint64_t* words);
+
 /// The baseline-delay memo of both backends: keys are v0 and v1 packed
 /// into 64-bit words (any input count; a transition not `width` bits wide
 /// is never stored), packed into thread-local scratch, so a hit allocates

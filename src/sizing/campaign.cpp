@@ -416,9 +416,9 @@ std::shared_ptr<const Evaluator> CampaignDriver::corner_evaluator(std::size_t co
   return corner_;
 }
 
-std::size_t CampaignDriver::run_chunks(const std::vector<std::size_t>& ids, Checkpoint& ckpt,
-                                       util::ColumnarWriter& store, SweepReport* report,
-                                       util::CancelToken* cancel, util::ThreadPool* pool) {
+void CampaignDriver::run_chunks(const std::vector<std::size_t>& ids, Checkpoint& ckpt,
+                                util::ColumnarWriter& store, SweepReport* report,
+                                util::CancelToken* cancel, util::ThreadPool* pool) {
   util::CancelToken& tok = cancel != nullptr ? *cancel : util::CancelToken::global();
   // One pass per chunk.  Block discipline: one tag, rows buffered by the
   // no-op-flush sink, committed by close() only if the chunk ran to
@@ -459,11 +459,8 @@ std::size_t CampaignDriver::run_chunks(const std::vector<std::size_t>& ids, Chec
       }
       store_.flush();
       ckpt_.record(chunk_key(ids_[k]), Outcome<double>::success(static_cast<double>(rows)));
-      committed += rows;
       return true;
     }
-
-    std::size_t committed = 0;  ///< rows of the committed chunks
 
    private:
     CampaignDriver& d_;
@@ -492,7 +489,6 @@ std::size_t CampaignDriver::run_chunks(const std::vector<std::size_t>& ids, Chec
     store.discard();
     throw;
   }
-  return passes.committed;
 }
 
 std::size_t CampaignDriver::chunks_done() const {
@@ -521,7 +517,7 @@ CampaignStats CampaignDriver::run(int shards, SweepReport* report, util::CancelT
   util::CancelToken& tok = cancel != nullptr ? *cancel : util::CancelToken::global();
   if (!remaining.empty() && !tok.requested()) {
     if (shards <= 1) {
-      st.rows_emitted = run_chunks(remaining, ckpt_, store_, report, cancel, pool);
+      run_chunks(remaining, ckpt_, store_, report, cancel, pool);
       const std::lock_guard<std::mutex> lock(corner_mutex_);
       corner_.reset();
     } else {
@@ -542,21 +538,18 @@ CampaignStats CampaignDriver::run(int shards, SweepReport* report, util::CancelT
         util::ThreadPool inline_pool(1);
         run_chunks({remaining[i]}, ckpt, *columnar, nullptr, cancel, &inline_pool);
       };
-      Supervisor supervisor(sopt, remaining.size(), run_one, key_of);
-      st.supervisor = supervisor.run(ckpt_, &store_);
+      st.supervisor = supervise(sopt, remaining.size(), run_one, key_of, ckpt_, &store_);
     }
   }
 
-  // Final accounting from the merged journal.  In-process runs summed
-  // rows as they landed; supervised runs read them back from the chunk
-  // records the workers wrote.
-  if (shards > 1) st.rows_emitted = 0;
+  // Final accounting from the journal: each chunk record this call wrote
+  // holds the chunk's row count, whichever process committed it.
   for (std::size_t c = 0; c < n_chunks_; ++c) {
     Outcome<double> out;
     if (!ckpt_.lookup(chunk_key(c), out)) continue;
     if (replayed[c] == 0) {
       ++st.chunks_run;
-      if (shards > 1 && out.ok()) st.rows_emitted += static_cast<std::size_t>(*out.value);
+      if (out.ok()) st.rows_emitted += static_cast<std::size_t>(*out.value);
     }
     if (!out.ok() && out.failure.code == FailureCode::kPoisonedItem) ++st.chunks_poisoned;
   }

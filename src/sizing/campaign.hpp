@@ -231,9 +231,9 @@ class CampaignDriver {
   };
   ChunkPlan plan(std::size_t chunk_id) const;
   static std::string chunk_key(std::size_t chunk_id);
-  std::size_t run_chunks(const std::vector<std::size_t>& ids, Checkpoint& ckpt,
-                         util::ColumnarWriter& store, SweepReport* report,
-                         util::CancelToken* cancel, util::ThreadPool* pool);
+  void run_chunks(const std::vector<std::size_t>& ids, Checkpoint& ckpt,
+                  util::ColumnarWriter& store, SweepReport* report, util::CancelToken* cancel,
+                  util::ThreadPool* pool);
 
   /// The evaluator of `corner`, built on first use.  Only the most recent
   /// corner is cached (chunks are corner-major, so a walk in chunk order

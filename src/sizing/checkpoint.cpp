@@ -124,11 +124,7 @@ ItemKeys::ItemKeys(std::uint64_t context, const VectorPair* vectors, std::size_t
       throw std::invalid_argument("checkpoint: every transition of a pass must be " +
                                   std::to_string(bits_) + " bits wide");
     }
-    std::uint64_t* w = words_.data() + i * stride_;
-    for (std::size_t b = 0; b < bits_; ++b) {
-      w[b / 64] |= std::uint64_t{vp.v0[b]} << (b % 64);
-      w[stride_ / 2 + b / 64] |= std::uint64_t{vp.v1[b]} << (b % 64);
-    }
+    pack_transition(vp, words_.data() + i * stride_);
   }
 }
 

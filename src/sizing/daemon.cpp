@@ -943,13 +943,13 @@ class DaemonImpl {
       }
       if (options_.shards > 1 && !all_keys_present(backend, vectors, req.wl)) {
         // Fan the missing items across supervised worker processes; their
-        // shard journals merge into the shared store, then the streaming
-        // pass below replays everything without simulating.
+        // shard journals merge into the shared store, which the streaming
+        // pass below replays.
         SupervisorOptions sopt;
         sopt.shards = options_.shards;
         sopt.dir = (fs::path(options_.state_dir) / "shards" / p.key).string();
         sopt.cancel_token = &token;
-        sharded_rank_vectors(backend, vectors, req.wl, sopt, &store_);
+        sharded_rank_vectors(backend, vectors, req.wl, sopt, store_);
       }
       rank_vectors_stream(backend, vectors, req.wl, session);
       return "";

@@ -17,6 +17,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "sizing/session.hpp"
 #include "util/faultinject.hpp"
 #include "util/subprocess.hpp"
 #include "util/thread_pool.hpp"
@@ -48,8 +49,8 @@ void write_torn_tail(const std::string& journal_path) {
 
 /// Worker body, run in the forked child.  Walks its (item, strikes)
 /// assignment serially, skipping items its shard journal already holds,
-/// announcing "S <idx>" / "F <idx>" around each and heartbeating "H" on
-/// the pipe from a side thread.  With a `columnar_path`, item bodies also
+/// announcing "S <idx>" before each and heartbeating "H" on the pipe
+/// from a side thread.  With a `columnar_path`, item bodies also
 /// get a shard store of `rows_per_block`-row blocks.  The
 /// kWorker* fault sites are consulted between "S" and the item body,
 /// under the item's scope and with the item's prior strike count as the
@@ -57,8 +58,7 @@ void write_torn_tail(const std::string& journal_path) {
 /// two attempts" deterministically.
 int worker_main(int wfd, const std::string& journal_path, const std::string& columnar_path,
                 std::size_t rows_per_block, const std::vector<std::pair<std::size_t, int>>& items,
-                const SupervisorOptions& options, const Supervisor::SinkItemFn& run_one,
-                const Supervisor::KeyFn& key_of) {
+                const SupervisorOptions& options, const ItemFn& run_one, const KeyFn& key_of) {
   util::install_cancel_signal_handlers();
   util::CancelToken& cancel = util::CancelToken::global();
 
@@ -120,12 +120,9 @@ int worker_main(int wfd, const std::string& journal_path, const std::string& col
     }
 
     run_one(idx, ckpt, columnar.is_open() ? &columnar : nullptr);
-    if (!ckpt.contains(key)) {
-      // The item completed nothing durable -- a cancellation drained it
-      // mid-body.  Report the drain instead of claiming completion.
-      return finish(3);
-    }
-    if (!util::write_line(wfd, "F " + std::to_string(idx))) return finish(3);
+    // An item that journaled nothing was drained mid-body by a
+    // cancellation: report the drain instead of claiming completion.
+    if (!ckpt.contains(key)) return finish(3);
   }
   return finish(cancel.requested() ? 3 : 0);
 }
@@ -144,7 +141,7 @@ struct Slot {
   Clock::time_point respawn_at = {};
   double backoff_s = 0.0;
   int restarts = 0;
-  std::int64_t current = -1;  ///< "S"-announced, not yet "F"-finished
+  std::int64_t current = -1;  ///< the item last announced with "S"
 };
 
 }  // namespace
@@ -165,32 +162,27 @@ std::vector<std::pair<std::size_t, std::size_t>> plan_shards(std::size_t n_items
   return out;
 }
 
-Supervisor::Supervisor(SupervisorOptions options, std::size_t n_items, SinkItemFn run_one,
-                       KeyFn key_of)
-    : options_(std::move(options)),
-      n_items_(n_items),
-      run_one_(std::move(run_one)),
-      key_of_(std::move(key_of)) {}
-
-SupervisorStats Supervisor::run(Checkpoint& merged, util::ColumnarWriter* columnar) {
-  if (options_.dir.empty()) {
+SupervisorStats supervise(const SupervisorOptions& options, std::size_t n_items,
+                          const ItemFn& run_one, const KeyFn& key_of, Checkpoint& merged,
+                          util::ColumnarWriter* columnar) {
+  if (options.dir.empty()) {
     throw std::invalid_argument("supervisor: options.dir must name a journal directory");
   }
   if (!merged.armed()) {
     throw std::invalid_argument("supervisor: the merged checkpoint must be armed");
   }
-  if (options_.shards < 1) throw std::invalid_argument("supervisor: shards must be >= 1");
+  if (options.shards < 1) throw std::invalid_argument("supervisor: shards must be >= 1");
   if (columnar != nullptr && !columnar->is_open()) {
     throw std::invalid_argument("supervisor: the columnar merge destination must be open");
   }
   const std::size_t rows_per_block = columnar != nullptr ? columnar->rows_per_block() : 0;
-  std::filesystem::create_directories(options_.dir);
+  std::filesystem::create_directories(options.dir);
 
   SupervisorStats stats;
   util::CancelToken& cancel =
-      options_.cancel_token != nullptr ? *options_.cancel_token : util::CancelToken::global();
+      options.cancel_token != nullptr ? *options.cancel_token : util::CancelToken::global();
 
-  const auto ranges = plan_shards(n_items_, options_.shards);
+  const auto ranges = plan_shards(n_items, options.shards);
   std::vector<Slot> slots(ranges.size());
   std::unordered_map<std::size_t, int> strikes;
   std::unordered_set<std::size_t> quarantined;
@@ -210,7 +202,7 @@ SupervisorStats Supervisor::run(Checkpoint& merged, util::ColumnarWriter* column
     }
     const util::ChildProcess child = util::spawn_child([&, s, items](int wfd) {
       return worker_main(wfd, slots[s].journal_path, slots[s].columnar_path, rows_per_block,
-                         items, options_, run_one_, key_of_);
+                         items, options, run_one, key_of);
     });
     slot.pid = child.pid;
     slot.fd = child.pipe_fd;
@@ -223,11 +215,10 @@ SupervisorStats Supervisor::run(Checkpoint& merged, util::ColumnarWriter* column
 
   for (std::size_t s = 0; s < ranges.size(); ++s) {
     Slot& slot = slots[s];
-    slot.journal_path = options_.dir + "/shard" + std::to_string(s) + ".mtj";
+    slot.journal_path = options.dir + "/shard" + std::to_string(s) + ".mtj";
     if (columnar != nullptr) {
-      slot.columnar_path = options_.dir + "/shard" + std::to_string(s) + ".mtc";
+      slot.columnar_path = options.dir + "/shard" + std::to_string(s) + ".mtc";
     }
-    slot.assigned.clear();
     for (std::size_t i = ranges[s].first; i < ranges[s].second; ++i) slot.assigned.push_back(i);
     spawn(s);
   }
@@ -236,13 +227,9 @@ SupervisorStats Supervisor::run(Checkpoint& merged, util::ColumnarWriter* column
     std::vector<std::string> lines;
     slot.reader->poll(lines);
     for (const std::string& line : lines) {
+      // Every line is a sign of life; an "S" line also names the item.
       slot.last_beat = Clock::now();
-      if (line.empty()) continue;
-      if (line[0] == 'S' || line[0] == 'F') {
-        const long long idx = std::atoll(line.c_str() + 1);
-        slot.current = line[0] == 'S' ? idx : -1;
-      }
-      // 'H' only refreshes last_beat.
+      if (!line.empty() && line[0] == 'S') slot.current = std::atoll(line.c_str() + 1);
     }
   };
 
@@ -265,7 +252,6 @@ SupervisorStats Supervisor::run(Checkpoint& merged, util::ColumnarWriter* column
       // A clean finisher adopts the orphan queue (abandoned shards'
       // leftovers) if the fork budget still allows another worker.
       if (!cancel_seen && !orphans.empty() && stats.workers_spawned < spawn_cap) {
-        slot.assigned.clear();
         for (const std::size_t idx : orphans) {
           if (quarantined.count(idx) == 0) slot.assigned.push_back(idx);
         }
@@ -284,16 +270,16 @@ SupervisorStats Supervisor::run(Checkpoint& merged, util::ColumnarWriter* column
     }
 
     // Crash (abort, SIGKILL, stall self-exit, body exception).  Blame
-    // the in-flight item unless its outcome actually reached the
-    // journal (death between journaling and the "F" line).
+    // the last announced item unless its outcome reached the journal
+    // (a death after journaling it, before the next "S").
     Checkpoint done_log;
     done_log.open(slot.journal_path);
     done_log.journal().close();
     if (slot.current >= 0) {
       const std::size_t idx = static_cast<std::size_t>(slot.current);
-      if (!done_log.contains(key_of_(idx))) {
+      if (!done_log.contains(key_of(idx))) {
         const int s_count = ++strikes[idx];
-        if (s_count >= options_.poison_strikes && quarantined.insert(idx).second) {
+        if (s_count >= options.poison_strikes && quarantined.insert(idx).second) {
           ++stats.quarantined;
         }
       }
@@ -301,7 +287,7 @@ SupervisorStats Supervisor::run(Checkpoint& merged, util::ColumnarWriter* column
     std::vector<std::size_t> pending;
     for (const std::size_t idx : slot.assigned) {
       if (quarantined.count(idx) != 0) continue;
-      if (done_log.contains(key_of_(idx))) continue;
+      if (done_log.contains(key_of(idx))) continue;
       pending.push_back(idx);
     }
     if (pending.empty()) {
@@ -313,8 +299,8 @@ SupervisorStats Supervisor::run(Checkpoint& merged, util::ColumnarWriter* column
       ++slot.restarts;
       ++stats.restarts;
       slot.backoff_s = slot.backoff_s <= 0.0
-                           ? options_.backoff_initial_s
-                           : std::min(slot.backoff_s * 2.0, options_.backoff_max_s);
+                           ? options.backoff_initial_s
+                           : std::min(slot.backoff_s * 2.0, options.backoff_max_s);
       slot.respawn_at = Clock::now() + to_duration(slot.backoff_s);
       slot.state = Slot::State::Backoff;
       return;
@@ -375,8 +361,8 @@ SupervisorStats Supervisor::run(Checkpoint& merged, util::ColumnarWriter* column
       }
       // Liveness: a worker silent past the timeout is hung -- kill it
       // and let the reap path restart it like any other death.
-      if (options_.liveness_timeout_s > 0.0 &&
-          Clock::now() - slot.last_beat > to_duration(options_.liveness_timeout_s)) {
+      if (options.liveness_timeout_s > 0.0 &&
+          Clock::now() - slot.last_beat > to_duration(options.liveness_timeout_s)) {
         ++stats.stall_kills;
         util::send_signal(slot.pid, SIGKILL);
         slot.last_beat = Clock::now();  // one kill per timeout window
@@ -425,13 +411,13 @@ SupervisorStats Supervisor::run(Checkpoint& merged, util::ColumnarWriter* column
   }
   Checkpoint::Stage quarantine_records;
   for (const std::size_t idx : quarantined) {
-    const Checkpoint::Key key = key_of_(idx);
+    const Checkpoint::Key key = key_of(idx);
     if (merged.contains(key)) continue;
     FailureInfo info;
     info.code = FailureCode::kPoisonedItem;
     info.site = "sizing::supervisor";
     const auto it = strikes.find(idx);
-    info.attempts = it == strikes.end() ? options_.poison_strikes : it->second;
+    info.attempts = it == strikes.end() ? options.poison_strikes : it->second;
     info.context = "item " + std::to_string(idx) + " killed " +
                    std::to_string(info.attempts) + " worker(s); quarantined";
     merged.record_failure(key, info, quarantine_records);
@@ -441,50 +427,25 @@ SupervisorStats Supervisor::run(Checkpoint& merged, util::ColumnarWriter* column
   return stats;
 }
 
-ShardedRankResult sharded_rank_vectors(const EvalBackend& backend,
-                                       const std::vector<VectorPair>& vectors, double wl,
-                                       const SupervisorOptions& options, Checkpoint* merged) {
-  Checkpoint local;
-  if (merged == nullptr) {
-    std::filesystem::create_directories(options.dir);
-    local.open(options.dir + "/merged.mtj");
-    merged = &local;
-  }
+SupervisorStats sharded_rank_vectors(const EvalBackend& backend,
+                                     const std::vector<VectorPair>& vectors, double wl,
+                                     const SupervisorOptions& options, Checkpoint& merged) {
   // Registering the pass context in the merged journal up front also
   // covers items only a quarantine stamp ever records.
-  const ItemKeys keys(merged->context(rank_prefix(backend, wl)), vectors);
+  const ItemKeys keys(merged.context(rank_prefix(backend, wl)), vectors);
   const auto key_of = [&keys](std::size_t i) { return Checkpoint::Key(keys[i]); };
   const auto run_one = [&backend, &vectors, wl](std::size_t i, Checkpoint& ckpt,
                                                 util::ColumnarWriter*) {
     // One item per call, on an inline pool (a forked worker must not
     // spawn sweep threads), scalar path (a 1-item batch gains nothing).
     util::ThreadPool inline_pool(1);
-    SweepReport discard;
     EvalSession session;
     session.pool = &inline_pool;
-    session.report = &discard;
     session.checkpoint = &ckpt;
     session.batch = 1;
     rank_vectors(backend, {vectors[i]}, wl, session);
   };
-
-  ShardedRankResult out;
-  Supervisor supervisor(options, vectors.size(), run_one, key_of);
-  out.stats = supervisor.run(*merged);
-
-  // Final in-process pass over the merged checkpoint: worker-completed
-  // items replay, quarantined items replay as kPoisonedItem failures,
-  // abandoned items run here.  Serial scalar execution makes the result
-  // bit-identical to a single-process, single-thread rank_vectors.
-  util::ThreadPool serial(1);
-  EvalSession session;
-  session.pool = &serial;
-  session.report = &out.report;
-  session.checkpoint = merged;
-  session.cancel_token = options.cancel_token;
-  session.batch = 1;
-  out.ranked = rank_vectors(backend, vectors, wl, session);
-  return out;
+  return supervise(options, vectors.size(), run_one, key_of, merged);
 }
 
 }  // namespace mtcmos::sizing

@@ -4,29 +4,35 @@
 // A characterization campaign at library scale outlives any single
 // process: solvers crash on pathological operating points, the OOM
 // killer reaps workers, and one poisoned vector must never cost more
-// than itself.  The Supervisor runs a sweep's item range across worker
+// than itself.  supervise() runs a sweep's item range across worker
 // *processes* -- crash isolation the thread pool cannot give -- and
-// merges their journals back into one campaign checkpoint:
+// merges their journals into the caller's checkpoint.  It only fills
+// that checkpoint: every result then comes from the caller's ordinary
+// in-process pass over it, the same pass that resumes an interrupted
+// run, so a sharded run is a resumed run.
 //
 //   plan_shards() splits [0, n) into contiguous near-equal shards; one
 //   worker process per shard journals outcomes to a private
 //   shard<k>.mtj checkpoint under SupervisorOptions::dir, using the
 //   same content-derived item keys as a single-process sweep.
 //
-//   Workers speak a line protocol on a pipe -- "H" heartbeats,
-//   "S <idx>" before an item, "F <idx>" after journaling it.  The parent
-//   polls the pipes and judges liveness from them alone: a worker silent
-//   past liveness_timeout_s is SIGKILLed; a dead worker (crash, signal,
+//   Workers speak a two-line protocol on a pipe: "H" heartbeats from a
+//   side thread, and "S <idx>" before each item.  The parent polls the
+//   pipes and judges liveness from them alone: a worker silent past
+//   liveness_timeout_s is SIGKILLed; a dead worker (crash, signal,
 //   stall-kill) is restarted on the same shard with exponential backoff
 //   under a per-slot budget of kMaxRestarts restarts.  Restarted workers
-//   replay their shard journal, so a death costs at most the one in-flight item.
+//   replay their shard journal, so a death costs at most the one
+//   in-flight item.
 //
-//   Blame and quarantine: the item a dead worker started ("S") but
-//   never finished ("F") gets a strike.  An item with poison_strikes
-//   strikes is quarantined -- excluded from every later assignment and
-//   stamped into the merged journal as a kPoisonedItem failure (site
-//   "sizing::supervisor") -- so a deterministic worker-killer shows up
-//   as one classified failure instead of an infinite restart loop.
+//   Blame and quarantine: when a worker dies, the item it last announced
+//   ("S") gets a strike unless its record is in the shard journal (a
+//   death after journaling the item is no fault of the item).  An item
+//   with poison_strikes strikes is quarantined -- excluded from every
+//   later assignment and stamped into the merged journal as a
+//   kPoisonedItem failure (site "sizing::supervisor") -- so a
+//   deterministic worker-killer shows up as one classified failure
+//   instead of an infinite restart loop.
 //
 //   When a slot exhausts its restart budget its remaining items move to
 //   an orphan queue, reassigned to the next worker slot that finishes
@@ -37,22 +43,23 @@
 //   SIGTERMs every worker, waits kDrainTimeoutS for graceful exits
 //   (workers drain like any cancelled sweep), then SIGKILLs stragglers.
 //
-//   run() finally merges every shard journal into the caller's
+//   supervise() finally merges every shard journal into the caller's
 //   checkpoint by key (util::merge_journal_file).  Because keys are
 //   content-derived and workers are deterministic, duplicated records
-//   agree and the merged journal replays into results and a SweepReport
-//   bit-identical to a single-process, single-thread run.
+//   agree, and the caller's pass over the merged checkpoint returns
+//   results and a SweepReport bit-identical to a single-process run.
 //
 //   Given a columnar merge destination, each worker also spills result
 //   rows into a private columnar store shard<k>.mtc next to its journal,
 //   in blocks of the destination's rows_per_block (append-reopened
 //   across restarts, so a restart keeps every block an earlier life
-//   flushed), and run() merges the shard stores into the destination
-//   like the shard journals -- first block per tag wins.  The item body
-//   must then (1) flush at most one block per tag, so rows_per_block must
-//   be >= the most rows one item emits, and (2) flush the block *before*
-//   journaling the item's completion, so a journaled item always has its
-//   rows on disk and a re-run duplicate is bitwise identical.
+//   flushed), and supervise() merges the shard stores into the
+//   destination like the shard journals -- first block per tag wins.
+//   The item body must then (1) flush at most one block per tag, so
+//   rows_per_block must be >= the most rows one item emits, and (2)
+//   flush the block *before* journaling the item's completion, so a
+//   journaled item always has its rows on disk and a re-run duplicate is
+//   bitwise identical.
 //
 // Fork-safety: workers are forked directly (no exec) and must not touch
 // threads or locks created before the fork -- they run their sweep on a
@@ -71,10 +78,8 @@
 
 #include "sizing/checkpoint.hpp"
 #include "sizing/eval_types.hpp"
-#include "sizing/session.hpp"
 #include "util/cancel.hpp"
 #include "util/columnar.hpp"
-#include "util/failure.hpp"
 
 namespace mtcmos::sizing {
 
@@ -110,55 +115,38 @@ struct SupervisorStats {
 /// `shards` entries, empty shards dropped (n < shards yields n shards).
 std::vector<std::pair<std::size_t, std::size_t>> plan_shards(std::size_t n_items, int shards);
 
-class Supervisor {
- public:
-  /// `run_one(idx, ckpt, columnar)` evaluates item `idx` inside a worker
-  /// process, journaling its outcome into `ckpt` under `key_of(idx)`; it
-  /// runs on a 1-thread pool and must be deterministic.  `columnar` is
-  /// the worker's shard store, or nullptr when run() has no columnar
-  /// destination; the body tags and flushes its blocks itself (see the
-  /// header for the contract).  `key_of` must match the record `run_one`
-  /// journals -- a typed item for sweeps, a text key for campaign chunks
-  /// -- and is used for replay skips and quarantine stamps.
-  using SinkItemFn =
-      std::function<void(std::size_t idx, Checkpoint& ckpt, util::ColumnarWriter* columnar)>;
-  using KeyFn = std::function<Checkpoint::Key(std::size_t idx)>;
+/// Evaluates item `idx` inside a worker process, journaling its outcome
+/// into `ckpt` under `key_of(idx)`; it runs on a 1-thread pool and must
+/// be deterministic.  `columnar` is the worker's shard store, or nullptr
+/// without a columnar destination; the body tags and flushes its blocks
+/// itself (see the header for the contract).
+using ItemFn =
+    std::function<void(std::size_t idx, Checkpoint& ckpt, util::ColumnarWriter* columnar)>;
+/// The record `run_one` journals for item `idx` -- a typed item for
+/// sweeps, a text key for campaign chunks -- used for replay skips,
+/// blame and quarantine stamps.
+using KeyFn = std::function<Checkpoint::Key(std::size_t idx)>;
 
-  Supervisor(SupervisorOptions options, std::size_t n_items, SinkItemFn run_one, KeyFn key_of);
+/// Supervise `options.shards` worker processes over items [0, n_items)
+/// to completion (or cancellation), then merge every shard journal into
+/// `merged` and stamp quarantined items as kPoisonedItem records; with a
+/// non-null `columnar` (open for append), workers get shard stores that
+/// are merged into it.  Items no worker completed stay absent from
+/// `merged` (SupervisorStats::abandoned) for the caller's pass to run.
+/// Throws std::invalid_argument on an unusable configuration (empty dir,
+/// shards < 1, an unarmed `merged`, a columnar destination that is not
+/// open) and std::runtime_error on fork/pipe failure.
+SupervisorStats supervise(const SupervisorOptions& options, std::size_t n_items,
+                          const ItemFn& run_one, const KeyFn& key_of, Checkpoint& merged,
+                          util::ColumnarWriter* columnar = nullptr);
 
-  /// Supervise the sharded sweep to completion (or cancellation), then
-  /// merge every shard journal into `merged` and stamp quarantined
-  /// items as kPoisonedItem records; with a non-null `columnar` (open
-  /// for append), workers get shard stores and run() merges them into
-  /// it.  `merged` must be armed.  Throws std::invalid_argument on an
-  /// unusable configuration (empty dir, shards < 1, unarmed checkpoint,
-  /// a columnar destination that is not open) and std::runtime_error on
-  /// fork/pipe failure.
-  SupervisorStats run(Checkpoint& merged, util::ColumnarWriter* columnar = nullptr);
-
- private:
-  SupervisorOptions options_;
-  std::size_t n_items_;
-  SinkItemFn run_one_;
-  KeyFn key_of_;
-};
-
-/// Sharded counterpart of rank_vectors(): supervise `options.shards`
-/// worker processes over the vector range, merge their journals into
-/// `merged` (or a fresh merged.mtj under options.dir when nullptr), then
-/// replay the merged checkpoint through an in-process rank_vectors to
-/// produce the ranking and report.  Results are bit-identical to a
-/// single-process, single-thread rank_vectors over the same inputs,
-/// except that quarantined items appear as kPoisonedItem failures.
-struct ShardedRankResult {
-  std::vector<VectorDelay> ranked;
-  SweepReport report;
-  SupervisorStats stats;
-};
-
-ShardedRankResult sharded_rank_vectors(const EvalBackend& backend,
-                                       const std::vector<VectorPair>& vectors, double wl,
-                                       const SupervisorOptions& options,
-                                       Checkpoint* merged = nullptr);
+/// supervise() over the items of rank_vectors(backend, vectors, wl):
+/// fills the armed `merged` with their records.  The caller's
+/// rank_vectors over `merged` then replays them -- bit-identical to a
+/// single-process run, except that quarantined items appear as
+/// kPoisonedItem failures -- and runs the abandoned ones.
+SupervisorStats sharded_rank_vectors(const EvalBackend& backend,
+                                     const std::vector<VectorPair>& vectors, double wl,
+                                     const SupervisorOptions& options, Checkpoint& merged);
 
 }  // namespace mtcmos::sizing

@@ -9,7 +9,7 @@
 #include <stdexcept>
 
 #include "util/faultinject.hpp"
-#include "util/journal.hpp"  // crc32
+#include "util/journal.hpp"  // crc32, write_all
 
 namespace mtcmos::util {
 
@@ -17,18 +17,6 @@ namespace {
 
 [[noreturn]] void throw_errno(const std::string& what, const std::string& path) {
   throw std::runtime_error("columnar: " + what + " '" + path + "': " + std::strerror(errno));
-}
-
-void write_all(int fd, const char* data, std::size_t size, const std::string& path) {
-  std::size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::write(fd, data + done, size - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("write failed", path);
-    }
-    done += static_cast<std::size_t>(n);
-  }
 }
 
 /// read() exactly `size` bytes unless EOF lands first; returns bytes read.
@@ -294,7 +282,7 @@ void ColumnarWriter::flush_locked() {
   block += payload;
   // One write() per block: a crash can tear only the file's tail, never an
   // already-flushed block.
-  write_all(fd_, block.data(), block.size(), path_);
+  if (!write_all(fd_, block.data(), block.size())) throw_errno("write failed", path_);
   ++blocks_written_;
   key_lens_.clear();
   key_blob_.clear();
@@ -368,7 +356,9 @@ std::size_t merge_columnar_file(ColumnarWriter& dest, const std::string& source_
           }
           seen_tags->push_back(info.tag);
           // Verbatim block copy -- CRCs and row bytes carry over untouched.
-          write_all(dest.fd_, raw.data(), raw.size(), dest.path());
+          if (!write_all(dest.fd_, raw.data(), raw.size())) {
+            throw_errno("write failed", dest.path());
+          }
           ++dest.blocks_written_;
           ++appended;
         },

@@ -11,6 +11,7 @@
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "util/error.hpp"
@@ -38,20 +39,6 @@ constexpr std::array<std::array<std::uint32_t, 256>, 8> kCrcTables = [] {
 
 [[noreturn]] void throw_errno(const std::string& what, const std::string& path) {
   throw std::runtime_error("journal: " + what + " '" + path + "': " + std::strerror(errno));
-}
-
-/// write() the whole buffer, retrying short writes and EINTR (the cancel
-/// signal handlers install without SA_RESTART).
-void write_all(int fd, const char* data, std::size_t size, const std::string& path) {
-  std::size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::write(fd, data + done, size - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("write failed", path);
-    }
-    done += static_cast<std::size_t>(n);
-  }
 }
 
 void fsync_retry(int fd, const std::string& path) {
@@ -239,6 +226,15 @@ std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
   }
   for (; size > 0; --size, ++p) crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   return ~crc;
+}
+
+bool write_all(int fd, const char* data, std::size_t size) {
+  for (std::size_t done = 0; done < size;) {
+    const ssize_t n = ::write(fd, data + done, size - done);
+    if (n < 0 && errno != EINTR) return false;
+    if (n > 0) done += static_cast<std::size_t>(n);
+  }
+  return true;
 }
 
 std::string hex16(std::uint64_t v) {
@@ -458,8 +454,7 @@ void Journal::append(const std::string& key, const std::string& value) {
   append_batch(std::move(batch));
 }
 
-void Journal::append_batch(JournalBatch batch) {
-  if (batch.empty()) return;
+std::string Journal::format_batch(const JournalBatch& batch) {
   std::string bytes;
   bytes.reserve(batch.bytes_.size() + (batch.items_.size() / kMaxGroup + 1) * kMaxHeader);
   for (const auto& [key, value] : batch.text_) {
@@ -473,23 +468,78 @@ void Journal::append_batch(JournalBatch batch) {
     }
     format_group(bytes, batch, begin, end);
   }
+  return bytes;
+}
 
+bool Journal::drop_held_items_locked(JournalBatch& batch) const {
+  const auto& items = batch.items_;
+  const char* const bytes = batch.bytes_.data();
+  const auto entry = [&](std::size_t i) {
+    return std::string_view(bytes + items[i].at, batch.entry_end(i) - items[i].at);
+  };
+  std::uint64_t seen[4] = {};  // a 256-bit filter of the batch's hashes so far
+  std::vector<char> drop;      // allocated on the first drop
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const JournalBatch::Item& it = items[i];
+    const char* const key = bytes + it.at;
+    // The item's latest record: its last earlier item in the batch (j < i
+    // once found), else the journal's.
+    std::size_t j = i;
+    const unsigned bit = static_cast<unsigned>(it.hash >> 56);
+    if ((seen[bit / 64] >> (bit % 64) & 1) != 0) {
+      while (j-- > 0 && (items[j].hash != it.hash || items[j].bits != it.bits ||
+                         std::memcmp(bytes + items[j].at, key, key_size(it.bits)) != 0)) {
+      }
+    }
+    seen[bit / 64] |= std::uint64_t{1} << (bit % 64);
+    const char* held = j < i ? bytes + items[j].at : find_locked(it.hash, it.bits, key);
+    if (held == nullptr) continue;
+    std::size_t text = 0;
+    parse_tail(held + key_size(it.bits), ~std::uint64_t{0}, nullptr, text);
+    if (std::string_view(held, record_size(it.bits) + text) != entry(i)) continue;
+    drop.resize(items.size());
+    drop[i] = 1;
+  }
+  if (drop.empty()) return false;
+  JournalBatch kept;
+  kept.text_ = std::move(batch.text_);
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (drop[i] != 0) continue;
+    kept.items_.push_back({kept.bytes_.size(), items[i].hash, items[i].bits});
+    kept.bytes_.append(entry(i));
+  }
+  batch = std::move(kept);
+  return true;
+}
+
+std::size_t Journal::append_batch(JournalBatch batch) {
+  if (batch.empty()) return 0;
+  std::string bytes = format_batch(batch);
   const std::lock_guard<std::mutex> write_lock(write_mutex_);
+  // Only writers change the tables, and they hold the write lock: the
+  // check needs no table lock, and no other append can land between it
+  // and the write.
+  if (drop_held_items_locked(batch)) {
+    if (batch.empty()) return 0;
+    bytes = format_batch(batch);
+  }
   write_locked(bytes, batch.size());
   const std::lock_guard<std::shared_mutex> lock(mutex_);
   for (const auto& [key, value] : batch.text_) apply_text_locked(key, value);
-  if (items.empty()) return;
+  const std::size_t written = batch.size();
+  if (batch.items_.empty()) return written;
   // The table points into the batch's bytes from now on: no copy.
   const char* bytes_at = chunks_.emplace_front(std::move(batch.bytes_)).data();
-  for (const JournalBatch::Item& item : items) {
+  for (const JournalBatch::Item& item : batch.items_) {
     insert_locked(bytes_at + item.at, item.hash, item.bits);
   }
+  return written;
 }
 
 void Journal::write_locked(const std::string& bytes, std::size_t records) {
   if (fd_ < 0) throw std::runtime_error("journal: append on a closed journal");
   try {
-    write_all(fd_, bytes.data(), bytes.size(), path_);
+    if (!write_all(fd_, bytes.data(), bytes.size())) throw_errno("write failed", path_);
   } catch (...) {
     // A short write leaves torn bytes: cut them off, or the next append
     // would land after them and the next open() would truncate it away.
@@ -566,10 +616,13 @@ std::size_t Journal::probe_locked(std::uint64_t hash, std::uint32_t bits, const 
 }
 
 const char* Journal::find_locked(const ItemKey& key) const {
-  if (slots_.empty()) return nullptr;
   const KeyBytes kb(key);
-  const std::uint64_t hash = hash_key(kb.data(), kb.size());
-  const std::uint64_t slot = slots_[probe_locked(hash, key.bits, kb.data())];
+  return find_locked(hash_key(kb.data(), kb.size()), key.bits, kb.data());
+}
+
+const char* Journal::find_locked(std::uint64_t hash, std::uint32_t bits, const char* key) const {
+  if (slots_.empty()) return nullptr;
+  const std::uint64_t slot = slots_[probe_locked(hash, bits, key)];
   return slot == 0 ? nullptr : items_[(slot & kSlotIndex) - 1].at;
 }
 
@@ -702,23 +755,18 @@ std::size_t merge_journal_file(Journal& dest, const std::string& source_path) {
     if (items[a].bits != items[b].bits) return items[a].bits < items[b].bits;
     return std::memcmp(items[a].at, items[b].at, key_size(items[a].bits)) < 0;
   });
+  // append_batch drops the items `dest` already holds unchanged.
   std::vector<std::uint64_t> words;
-  ItemValue value, existing;
+  ItemValue value;
   for (const std::size_t i : order) {
     const char* p = items[i].at;
     words.resize(2 * item_words(items[i].bits));
     for (std::size_t w = 0; w < words.size(); ++w) words[w] = get_u64(p + 8 + 8 * w);
-    const ItemKey key{get_u64(p), items[i].bits, words.data()};
     std::size_t text = 0;
     parse_tail(p + key_size(items[i].bits), ~std::uint64_t{0}, &value, text);
-    if (dest.find_item(key, existing) && encode_item_value(existing) == encode_item_value(value)) {
-      continue;
-    }
-    batch.add(key, value);
+    batch.add(ItemKey{get_u64(p), items[i].bits, words.data()}, value);
   }
-  const std::size_t appended = batch.size() - registrations;
-  dest.append_batch(std::move(batch));
-  return appended;
+  return dest.append_batch(std::move(batch)) - registrations;
 }
 
 }  // namespace mtcmos::util

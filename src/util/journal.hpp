@@ -33,7 +33,8 @@
 // sign or leading zero) or a length that does not fit in the bytes
 // remaining -- marks the torn tail, which is truncated away before any
 // new append.  A group is validated whole before any of it is applied.
-// Later records for the same key or item win.  In memory, text records
+// Later records for the same key or item win, and an item record equal
+// to the item's latest one is not written again.  In memory, text records
 // live in a string map and items in an open-addressed table of fixed
 // slots that starts small and doubles.
 //
@@ -71,6 +72,10 @@ std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed = 0);
 /// 64-bit FNV-1a.
 std::uint64_t fnv1a64(const void* data, std::size_t size,
                       std::uint64_t seed = 1469598103934665603ull);
+
+/// write() all of `data`, retrying short writes and EINTR (the cancel
+/// signal handlers install without SA_RESTART); false, errno set, on error.
+bool write_all(int fd, const char* data, std::size_t size);
 
 /// `v` as 16 lowercase hex digits.
 std::string hex16(std::uint64_t v);
@@ -160,13 +165,18 @@ class Journal {
   void append(const std::string& key, const std::string& value);
 
   /// Append `batch` with a single write() (formatted outside the lock);
-  /// fsync per the options.  No fault-injection check -- callers that
-  /// stage records (sizing::Checkpoint) check each one as they stage it.
-  /// Throws std::invalid_argument on an empty text key (nothing written)
-  /// and std::runtime_error if the write fails.  A failed write leaves no
-  /// torn bytes behind: the file is cut back to its last whole record,
-  /// or, if that fails too, the journal is closed so later appends throw.
-  void append_batch(JournalBatch batch);
+  /// fsync per the options.  An item record equal byte for byte to the
+  /// item's latest record -- an earlier one in the batch, else the
+  /// journal's -- is dropped, as it changes no lookup: a transition a
+  /// pass draws twice, or two threads commit at once, is journaled once.
+  /// Returns the records written.  No fault-injection check -- callers
+  /// that stage records (sizing::Checkpoint) check each one as they stage
+  /// it.  Throws std::invalid_argument on an empty text key (nothing
+  /// written) and std::runtime_error if the write fails.  A failed write
+  /// leaves no torn bytes behind: the file is cut back to its last whole
+  /// record, or, if that fails too, the journal is closed so later
+  /// appends throw.
+  std::size_t append_batch(JournalBatch batch);
 
   /// Id of the pass context `prefix` (its FNV-1a hash), registered with a
   /// "ctx:" record on first use.  Throws a
@@ -218,6 +228,10 @@ class Journal {
   /// group: their records, then their failure text.
   static void format_group(std::string& out, const JournalBatch& batch, std::size_t begin,
                            std::size_t end);
+  /// `batch`'s text records, then its items as J2 groups.
+  static std::string format_batch(const JournalBatch& batch);
+  /// Drop the items append_batch() must not write; true when any was.
+  bool drop_held_items_locked(JournalBatch& batch) const;
   bool replay_record(const std::string& data, std::size_t& pos);
   void clear_tables();
   void write_locked(const std::string& bytes, std::size_t records);
@@ -232,6 +246,7 @@ class Journal {
   /// where it would go.
   std::size_t probe_locked(std::uint64_t hash, std::uint32_t bits, const char* key) const;
   const char* find_locked(const ItemKey& key) const;
+  const char* find_locked(std::uint64_t hash, std::uint32_t bits, const char* key) const;
 
   std::string path_;
   JournalOptions options_;

@@ -336,27 +336,29 @@ void Contract::sweep_cell(const Row& row, Column column) {
   const std::vector<VectorPair>& pairs = sweep.pairs;
 
   // Sharded first: it forks, and no pool thread may be alive then.  The
-  // workers simulate in their own processes; the parent only replays.
+  // workers simulate in their own processes and fill the checkpoint; the
+  // parent's pass over it only replays.
   Lines got;
+  util::ThreadPool serial(1);
   if (column == kSharded) {
     sizing::SupervisorOptions options;
     options.shards = 3;
     options.dir = path("shards");
     options.cancel_token = &token_;
     const CountingBackend counted(backend);
-    const sizing::ShardedRankResult sharded =
-        sizing::sharded_rank_vectors(counted, pairs, kWl, options);
+    Checkpoint merged;
+    merged.open(path("sharded.mtj"));
+    const sizing::SupervisorStats stats =
+        sizing::sharded_rank_vectors(counted, pairs, kWl, options, merged);
+    EXPECT_EQ(stats.workers_spawned, 3);
+    EXPECT_EQ(stats.restarts, 0);
+    EXPECT_EQ(stats.quarantined, 0u);
+    EXPECT_EQ(stats.abandoned, 0u);
+    EXPECT_FALSE(stats.cancelled);
+    got = run(row, counted, pairs, {.pool = &serial, .checkpoint = &merged});
     EXPECT_EQ(counted.calls.load(), 0u);
-    EXPECT_EQ(sharded.stats.workers_spawned, 3);
-    EXPECT_EQ(sharded.stats.restarts, 0);
-    EXPECT_EQ(sharded.stats.quarantined, 0u);
-    EXPECT_EQ(sharded.stats.abandoned, 0u);
-    EXPECT_FALSE(sharded.stats.cancelled);
-    got = test::lines(sharded.ranked);
-    test::append(got, test::lines(sharded.report));
   }
 
-  util::ThreadPool serial(1);
   Checkpoint reference;
   reference.open(path("reference.mtj"));
   const Lines want =
@@ -420,8 +422,7 @@ void Contract::sweep_cell(const Row& row, Column column) {
       counted.calls = 0;
       Checkpoint again;
       again.open(path("replayed.mtj"));
-      // Every record replays (a transition sampled twice was recorded twice).
-      EXPECT_GE(again.journal().replayed_records(), items);
+      EXPECT_EQ(again.journal().replayed_records(), items);
       session.checkpoint = &again;
       got = run(row, counted, pairs, session);
       EXPECT_EQ(counted.calls.load(), 0u);

@@ -24,6 +24,7 @@
 #include "sizing/supervisor.hpp"
 #include "util/error.hpp"
 #include "util/faultinject.hpp"
+#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 #include "contract.hpp"
 #include "scratch_dir.hpp"
@@ -64,6 +65,25 @@ std::vector<std::string> adder_outputs(const circuits::RippleAdder& adder) {
   for (const auto s : adder.sum) outs.push_back(adder.netlist.net_name(s));
   outs.push_back(adder.netlist.net_name(adder.cout));
   return outs;
+}
+
+/// A supervised rank as a caller runs one: sharded_rank_vectors fills
+/// options.dir/merged.mtj, then an in-process rank_vectors on a 1-thread
+/// pool replays it into `report`.
+std::vector<VectorDelay> supervised_rank(const EvalBackend& backend,
+                                         const std::vector<VectorPair>& vectors,
+                                         const sizing::SupervisorOptions& options,
+                                         sizing::SupervisorStats& stats, SweepReport& report) {
+  std::filesystem::create_directories(options.dir);
+  Checkpoint merged;
+  merged.open(options.dir + "/merged.mtj");
+  stats = sizing::sharded_rank_vectors(backend, vectors, 10.0, options, merged);
+  util::ThreadPool serial(1);
+  EvalSession session;
+  session.pool = &serial;
+  session.report = &report;
+  session.checkpoint = &merged;
+  return sizing::rank_vectors(backend, vectors, 10.0, session);
 }
 
 /// Kill one checkpointed rank_vectors at `kill_scope` (the journal append
@@ -289,12 +309,13 @@ TEST_F(CrashResumeSoak, SupervisedSweepSurvivesRandomizedWorkerSigkills) {
     options.heartbeat_interval_s = 0.01;
     options.backoff_initial_s = 0.01;
     options.backoff_max_s = 0.05;
-    const sizing::ShardedRankResult sharded =
-        sizing::sharded_rank_vectors(vbs, vectors, 10.0, options);
+    sizing::SupervisorStats stats;
+    SweepReport report;
+    const auto ranked = supervised_rank(vbs, vectors, options, stats, report);
     faultinject::disarm_all();
-    EXPECT_EQ(sharded.stats.quarantined, 0u) << "round " << round;
-    EXPECT_EQ(sharded.report.failed, 0u) << "round " << round;
-    EXPECT_TRUE(test::same(sharded.ranked, reference)) << "supervised round " << round;
+    EXPECT_EQ(stats.quarantined, 0u) << "round " << round;
+    EXPECT_EQ(report.failed, 0u) << "round " << round;
+    EXPECT_TRUE(test::same(ranked, reference)) << "supervised round " << round;
   }
 }
 
@@ -322,20 +343,19 @@ TEST_F(CrashResumeSoak, SupervisedSweepQuarantinesDeterministicKillers) {
     options.heartbeat_interval_s = 0.01;
     options.backoff_initial_s = 0.01;
     options.backoff_max_s = 0.05;
-    const sizing::ShardedRankResult sharded =
-        sizing::sharded_rank_vectors(vbs, vectors, 10.0, options);
+    sizing::SupervisorStats stats;
+    SweepReport report;
+    const auto ranked = supervised_rank(vbs, vectors, options, stats, report);
     faultinject::disarm_all();
-    EXPECT_EQ(sharded.stats.quarantined, 1u) << "round " << round;
-    ASSERT_EQ(sharded.report.failed, 1u) << "round " << round;
-    EXPECT_EQ(sharded.report.failures[0].first, static_cast<std::size_t>(killer))
-        << "round " << round;
-    EXPECT_EQ(sharded.report.failures[0].second.code, FailureCode::kPoisonedItem)
-        << "round " << round;
+    EXPECT_EQ(stats.quarantined, 1u) << "round " << round;
+    ASSERT_EQ(report.failed, 1u) << "round " << round;
+    EXPECT_EQ(report.failures[0].first, static_cast<std::size_t>(killer)) << "round " << round;
+    EXPECT_EQ(report.failures[0].second.code, FailureCode::kPoisonedItem) << "round " << round;
     // Bit-identity with a single-process run over the same surviving set.
     std::vector<VectorPair> pruned = vectors;
     pruned.erase(pruned.begin() + static_cast<std::ptrdiff_t>(killer));
     const auto expected = sizing::rank_vectors(vbs, pruned, 10.0);
-    EXPECT_TRUE(test::same(sharded.ranked, expected)) << "poison round " << round;
+    EXPECT_TRUE(test::same(ranked, expected)) << "poison round " << round;
   }
 }
 

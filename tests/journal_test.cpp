@@ -737,6 +737,45 @@ TEST_F(JournalTest, ItemRecordsRoundTripAndLaterRecordsWin) {
   EXPECT_TRUE(same_value(decoded, value_of(3)));
 }
 
+TEST_F(JournalTest, AnItemRecordEqualToItsLatestIsNotWrittenAgain) {
+  std::uint64_t ctx = 0;
+  std::uintmax_t bytes = 0;
+  {
+    Journal j;
+    j.open(path());
+    ctx = j.register_context(kPrefix);
+    JournalBatch batch;
+    batch.add(test_item(0).key(ctx), value_of(0));
+    batch.add(test_item(0).key(ctx), value_of(0));  // a twice-drawn transition
+    batch.add(test_item(1).key(ctx), value_of(3));
+    batch.add(test_item(1).key(ctx), value_of(3));  // a failure, text and all
+    batch.add(test_item(2).key(ctx), value_of(1));
+    batch.add(test_item(2).key(ctx), value_of(2));  // later records still win...
+    batch.add(test_item(2).key(ctx), value_of(1));  // ...against the batch's latest
+    EXPECT_EQ(j.append_batch(batch), 5u);
+    bytes = std::filesystem::file_size(path());
+    JournalBatch again;
+    again.add(test_item(0).key(ctx), value_of(0));  // held by the journal: dropped
+    again.add(test_item(2).key(ctx), value_of(1));
+    EXPECT_EQ(j.append_batch(again), 0u);
+    EXPECT_EQ(std::filesystem::file_size(path()), bytes) << "nothing written";
+    JournalBatch changed;
+    changed.add(test_item(0).key(ctx), value_of(1));
+    EXPECT_EQ(j.append_batch(changed), 1u);
+  }
+  Journal j;
+  j.open(path());
+  EXPECT_EQ(j.replayed_records(), 6u);
+  EXPECT_EQ(j.item_count(), 3u);
+  ItemValue back;
+  ASSERT_TRUE(j.find_item(test_item(0).key(ctx), back));
+  EXPECT_TRUE(same_value(back, value_of(1)));
+  ASSERT_TRUE(j.find_item(test_item(1).key(ctx), back));
+  EXPECT_TRUE(same_value(back, value_of(3)));
+  ASSERT_TRUE(j.find_item(test_item(2).key(ctx), back));
+  EXPECT_TRUE(same_value(back, value_of(1)));
+}
+
 TEST_F(JournalTest, ItemsWiderThanOneWordAndManyGroupsRoundTrip) {
   // 130-bit transitions (three words per vector) in one batch larger than
   // a commit group, with a 6-bit item every 50: the writer splits the

@@ -26,6 +26,7 @@
 #include "util/cancel.hpp"
 #include "util/faultinject.hpp"
 #include "util/subprocess.hpp"
+#include "util/thread_pool.hpp"
 #include "contract.hpp"
 #include "scratch_dir.hpp"
 
@@ -34,7 +35,6 @@ namespace {
 
 using sizing::Checkpoint;
 using sizing::EvalSession;
-using sizing::ShardedRankResult;
 using sizing::SupervisorOptions;
 using sizing::VbsBackend;
 using sizing::VectorPair;
@@ -58,6 +58,33 @@ class SupervisorTest : public ::testing::Test {
     o.backoff_initial_s = 0.01;
     o.backoff_max_s = 0.05;
     return o;
+  }
+
+  /// A sharded rank as a caller runs one: sharded_rank_vectors fills
+  /// `merged` (a fresh merged.mtj when nullptr), then an in-process
+  /// rank_vectors on a 1-thread pool replays it.
+  struct Sharded {
+    std::vector<sizing::VectorDelay> ranked;
+    SweepReport report;
+    sizing::SupervisorStats stats;
+  };
+  Sharded sharded_rank(const VbsBackend& vbs, const std::vector<VectorPair>& vectors,
+                       const SupervisorOptions& options, Checkpoint* merged = nullptr) const {
+    Checkpoint local;
+    if (merged == nullptr) {
+      local.open((dir_ / "merged.mtj").string());
+      merged = &local;
+    }
+    Sharded out;
+    out.stats = sizing::sharded_rank_vectors(vbs, vectors, 10.0, options, *merged);
+    util::ThreadPool serial(1);
+    EvalSession session;
+    session.pool = &serial;
+    session.report = &out.report;
+    session.checkpoint = merged;
+    session.cancel_token = options.cancel_token;
+    out.ranked = sizing::rank_vectors(vbs, vectors, 10.0, session);
+    return out;
   }
 
   std::filesystem::path dir_;
@@ -152,8 +179,7 @@ TEST_F(SupervisorTest, SigkilledWorkerRestartsAndMergesBitIdentically) {
   // match the generation-0 plan it re-inherits at fork.
   faultinject::arm_generation(faultinject::Site::kWorkerKill, /*scope=*/5, /*generation=*/0,
                               /*fail_hits=*/1);
-  const ShardedRankResult sharded =
-      sizing::sharded_rank_vectors(vbs, vectors, 10.0, fast_options(3));
+  const Sharded sharded = sharded_rank(vbs, vectors, fast_options(3));
   EXPECT_GE(sharded.stats.restarts, 1);
   EXPECT_EQ(sharded.stats.quarantined, 0u);
   EXPECT_EQ(sharded.report.failed, 0u);
@@ -168,8 +194,7 @@ TEST_F(SupervisorTest, AbortedWorkerRestartsAndMergesBitIdentically) {
 
   faultinject::arm_generation(faultinject::Site::kWorkerAbort, /*scope=*/3, /*generation=*/0,
                               /*fail_hits=*/1);
-  const ShardedRankResult sharded =
-      sizing::sharded_rank_vectors(vbs, vectors, 10.0, fast_options(2));
+  const Sharded sharded = sharded_rank(vbs, vectors, fast_options(2));
   EXPECT_GE(sharded.stats.restarts, 1);
   EXPECT_EQ(sharded.stats.quarantined, 0u);
   EXPECT_EQ(sharded.report.failed, 0u);
@@ -187,8 +212,7 @@ TEST_F(SupervisorTest, TornJournalTailIsTruncatedOnRestart) {
   // only the unjournaled items.
   faultinject::arm_generation(faultinject::Site::kWorkerTornTail, /*scope=*/9,
                               /*generation=*/0, /*fail_hits=*/1);
-  const ShardedRankResult sharded =
-      sizing::sharded_rank_vectors(vbs, vectors, 10.0, fast_options(3));
+  const Sharded sharded = sharded_rank(vbs, vectors, fast_options(3));
   EXPECT_GE(sharded.stats.restarts, 1);
   EXPECT_EQ(sharded.report.failed, 0u);
   EXPECT_TRUE(test::same(sharded.ranked, reference)) << "torn tail at item 9";
@@ -204,7 +228,7 @@ TEST_F(SupervisorTest, StalledWorkerIsKilledByLivenessTimeoutAndRestarted) {
                               /*fail_hits=*/1);
   SupervisorOptions options = fast_options(2);
   options.liveness_timeout_s = 0.3;  // the stalled worker goes silent; kill it fast
-  const ShardedRankResult sharded = sizing::sharded_rank_vectors(vbs, vectors, 10.0, options);
+  const Sharded sharded = sharded_rank(vbs, vectors, options);
   EXPECT_GE(sharded.stats.stall_kills, 1);
   EXPECT_GE(sharded.stats.restarts, 1);
   EXPECT_EQ(sharded.stats.quarantined, 0u);
@@ -236,8 +260,7 @@ TEST_F(SupervisorTest, DeterministicKillerIsQuarantinedNotLooped) {
 
   Checkpoint merged;
   merged.open((dir_ / "merged.mtj").string());
-  const ShardedRankResult sharded =
-      sizing::sharded_rank_vectors(vbs, vectors, 10.0, fast_options(3), &merged);
+  const Sharded sharded = sharded_rank(vbs, vectors, fast_options(3), &merged);
   EXPECT_EQ(sharded.stats.quarantined, 1u);
   ASSERT_EQ(sharded.report.failed, 1u);
   EXPECT_EQ(sharded.report.failures[0].first, killer);
@@ -268,7 +291,7 @@ TEST_F(SupervisorTest, CancellationDrainsWorkersGracefully) {
   token.request();  // cancelled before supervision starts
   SupervisorOptions options = fast_options(2);
   options.cancel_token = &token;
-  const ShardedRankResult sharded = sizing::sharded_rank_vectors(vbs, vectors, 10.0, options);
+  const Sharded sharded = sharded_rank(vbs, vectors, options);
   EXPECT_TRUE(sharded.stats.cancelled);
   EXPECT_EQ(sharded.stats.quarantined, 0u);
   // The final pass classifies unjournaled items as kCancelled; whatever
@@ -287,7 +310,7 @@ TEST_F(SupervisorTest, MergedJournalDropsHeartbeatRecords) {
 
   Checkpoint merged;
   merged.open((dir_ / "merged.mtj").string());
-  (void)sizing::sharded_rank_vectors(vbs, vectors, 10.0, fast_options(2), &merged);
+  (void)sizing::sharded_rank_vectors(vbs, vectors, 10.0, fast_options(2), merged);
   std::size_t heartbeat_keys = 0;
   merged.journal().for_each([&](const std::string& key, const std::string&) {
     if (key.rfind("hb:", 0) == 0) ++heartbeat_keys;
@@ -313,15 +336,14 @@ TEST_F(SupervisorTest, ResumingAMergedCampaignSkipsAllWork) {
   {
     Checkpoint merged;
     merged.open(merged_path);
-    (void)sizing::sharded_rank_vectors(vbs, vectors, 10.0, fast_options(3), &merged);
+    (void)sizing::sharded_rank_vectors(vbs, vectors, 10.0, fast_options(3), merged);
   }
   // A second sharded run against the same merged journal finds every item
   // journaled: workers spawn, replay, and exit without re-simulating.
   Checkpoint merged;
   merged.open(merged_path);
   const std::size_t before = merged.journal().size();
-  const ShardedRankResult again =
-      sizing::sharded_rank_vectors(vbs, vectors, 10.0, fast_options(3), &merged);
+  const Sharded again = sharded_rank(vbs, vectors, fast_options(3), &merged);
   EXPECT_EQ(merged.journal().size(), before);
   EXPECT_EQ(again.report.failed, 0u);
   EXPECT_TRUE(test::same(again.ranked, reference)) << "resumed campaign";
@@ -329,7 +351,7 @@ TEST_F(SupervisorTest, ResumingAMergedCampaignSkipsAllWork) {
 
 TEST_F(SupervisorTest, DeathAfterJournalingTheLastItemIsNoStrikeAndNoRestart) {
   // The worker dies after its last item's outcome reached the shard
-  // journal but before the "F" line.  The parent must find that outcome
+  // journal, before any further "S" line.  The parent must find that outcome
   // in the journal it reopens: no strike (so no quarantine, even at one
   // strike), and nothing pending, so no restart.
   const std::string prefix = "test:vbs:0:";
@@ -342,7 +364,7 @@ TEST_F(SupervisorTest, DeathAfterJournalingTheLastItemIsNoStrikeAndNoRestart) {
 
   SupervisorOptions options = fast_options(1);
   options.poison_strikes = 1;
-  sizing::Supervisor supervisor(
+  const sizing::SupervisorStats stats = sizing::supervise(
       options, vectors.size(),
       [&](std::size_t idx, Checkpoint& ckpt, util::ColumnarWriter*) {
         const sizing::ItemKeys worker_keys(ckpt.context(prefix), vectors);
@@ -354,8 +376,7 @@ TEST_F(SupervisorTest, DeathAfterJournalingTheLastItemIsNoStrikeAndNoRestart) {
           ::raise(SIGKILL);
         }
       },
-      [&](std::size_t idx) { return Checkpoint::Key(keys[idx]); });
-  const sizing::SupervisorStats stats = supervisor.run(merged);
+      [&](std::size_t idx) { return Checkpoint::Key(keys[idx]); }, merged);
   EXPECT_TRUE(std::filesystem::exists(died));
   EXPECT_EQ(stats.quarantined, 0u);
   EXPECT_EQ(stats.restarts, 0);
