@@ -44,7 +44,8 @@
 // Process-level fault tolerance: --shards N (requires --checkpoint) runs
 // each degradation-sweep row across N supervised worker *processes*,
 // each journaling to a private shard journal that is merged back into
-// DIR/journal.mtj by content key.  Dead workers are restarted with
+// DIR/journal.mtj by content key; the row's in-process pass then replays
+// it and runs whatever the workers left.  Dead workers are restarted with
 // exponential backoff, hung workers are detected by heartbeat and
 // killed, and items that repeatedly kill workers are quarantined as
 // poisoned-item failures instead of looping.  Results are bit-identical

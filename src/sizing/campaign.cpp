@@ -503,43 +503,44 @@ CampaignStats CampaignDriver::run(int shards, SweepReport* report, util::CancelT
                                   util::ThreadPool* pool) {
   CampaignStats st;
   st.chunks_total = n_chunks_;
-  std::vector<std::size_t> remaining;
   std::vector<char> replayed(n_chunks_, 0);
   for (std::size_t c = 0; c < n_chunks_; ++c) {
     if (ckpt_.journal().contains(chunk_key(c))) {
       ++st.chunks_replayed;
       replayed[c] = 1;
-    } else {
-      remaining.push_back(c);
     }
   }
 
   util::CancelToken& tok = cancel != nullptr ? *cancel : util::CancelToken::global();
+  if (shards > 1 && !tok.requested()) {
+    SupervisorOptions sopt;
+    sopt.shards = shards;
+    sopt.dir = (fs::path(dir_) / "shards").string();
+    sopt.cancel_token = cancel;
+    // Runs inside a forked worker: its own lazily built corner backends
+    // (this object was copied by the fork), a 1-thread inline pool, and
+    // the worker's private shard journal + store.  Per-item health inside
+    // a chunk is not reported back -- only the chunk's row count survives
+    // in its journal record.
+    const auto run_one = [this, cancel](std::size_t c, Checkpoint& ckpt,
+                                        util::ColumnarWriter* columnar) {
+      util::ThreadPool inline_pool(1);
+      run_chunks({c}, ckpt, *columnar, nullptr, cancel, &inline_pool);
+    };
+    st.supervisor =
+        supervise(sopt, n_chunks_, run_one,
+                  [](std::size_t c) { return Checkpoint::Key(chunk_key(c)); }, ckpt_, &store_);
+  }
+  // The in-process pass finishes whatever is still unjournaled, exactly
+  // as a resume does: the whole campaign, or what the workers left.
+  std::vector<std::size_t> remaining;
+  for (std::size_t c = 0; c < n_chunks_; ++c) {
+    if (!ckpt_.journal().contains(chunk_key(c))) remaining.push_back(c);
+  }
   if (!remaining.empty() && !tok.requested()) {
-    if (shards <= 1) {
-      run_chunks(remaining, ckpt_, store_, report, cancel, pool);
-      const std::lock_guard<std::mutex> lock(corner_mutex_);
-      corner_.reset();
-    } else {
-      SupervisorOptions sopt;
-      sopt.shards = shards;
-      sopt.dir = (fs::path(dir_) / "shards").string();
-      sopt.cancel_token = cancel;
-      const auto key_of = [&remaining](std::size_t i) {
-        return Checkpoint::Key(chunk_key(remaining[i]));
-      };
-      // Runs inside a forked worker: its own lazily built corner
-      // backends (this object was copied by the fork), a 1-thread
-      // inline pool, and the worker's private shard journal + store.
-      // Per-item health inside a chunk is not reported back -- only the
-      // chunk's row count survives in its journal record.
-      const auto run_one = [this, &remaining, cancel](std::size_t i, Checkpoint& ckpt,
-                                                      util::ColumnarWriter* columnar) {
-        util::ThreadPool inline_pool(1);
-        run_chunks({remaining[i]}, ckpt, *columnar, nullptr, cancel, &inline_pool);
-      };
-      st.supervisor = supervise(sopt, remaining.size(), run_one, key_of, ckpt_, &store_);
-    }
+    run_chunks(remaining, ckpt_, store_, report, cancel, pool);
+    const std::lock_guard<std::mutex> lock(corner_mutex_);
+    corner_.reset();
   }
 
   // Final accounting from the journal: each chunk record this call wrote

@@ -27,9 +27,10 @@
 //     (sizing::rank_vectors_passes) so no core idles at a chunk
 //     boundary, yet blocks and records still commit in chunk order and
 //     a run stops at the first chunk it interrupts;
-//   * sharding: with shards > 1 the remaining chunks run across
+//   * sharding: with shards > 1 the remaining chunks first run across
 //     supervised worker processes (sizing/supervisor.hpp) whose shard
-//     journals and shard columnar stores merge back by identity.
+//     journals and shard columnar stores merge back by identity; the
+//     in-process pass then finishes what the workers left, as a resume.
 // Chunks are deterministic, so fresh, killed-and-resumed, and sharded
 // campaigns all converge to the same store contents -- and because the
 // table is built from order-independent aggregates (counts, integer
@@ -201,15 +202,15 @@ class CampaignDriver {
   const std::string& store_path() const { return store_path_; }
   Checkpoint& checkpoint() { return ckpt_; }
 
-  /// Execute every not-yet-journaled chunk.  shards <= 1 runs them
-  /// in-process as one job on `pool` (nullptr = the global pool): each
-  /// chunk is one pass of rank_vectors_passes, so chunk k + 1 computes
-  /// while chunk k commits, and chunks still commit in order.  shards > 1
-  /// supervises worker processes with the full restart/quarantine
-  /// machinery.  `report` (optional) accumulates per-item sweep health of
-  /// the chunks this call committed or stopped at; `cancel` (nullptr =
-  /// the process-global token) makes the campaign stop at the first
-  /// chunk it interrupts.
+  /// Execute every not-yet-journaled chunk.  shards > 1 first supervises
+  /// worker processes over them with the full restart/quarantine
+  /// machinery.  The chunks still unjournaled then run in-process as one
+  /// job on `pool` (nullptr = the global pool): each chunk is one pass of
+  /// rank_vectors_passes, so chunk k + 1 computes while chunk k commits,
+  /// and chunks still commit in order.  `report` (optional) accumulates
+  /// per-item sweep health of the chunks the in-process pass committed or
+  /// stopped at; `cancel` (nullptr = the process-global token) makes the
+  /// campaign stop at the first chunk it interrupts.
   CampaignStats run(int shards = 1, SweepReport* report = nullptr,
                     util::CancelToken* cancel = nullptr, util::ThreadPool* pool = nullptr);
 

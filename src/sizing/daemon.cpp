@@ -941,10 +941,10 @@ class DaemonImpl {
         answerable = false;
         return "";
       }
-      if (options_.shards > 1 && !all_keys_present(backend, vectors, req.wl)) {
+      if (options_.shards > 1) {
         // Fan the missing items across supervised worker processes; their
         // shard journals merge into the shared store, which the streaming
-        // pass below replays.
+        // pass below replays and finishes.
         SupervisorOptions sopt;
         sopt.shards = options_.shards;
         sopt.dir = (fs::path(options_.state_dir) / "shards" / p.key).string();
@@ -1004,8 +1004,7 @@ class DaemonImpl {
     if (!stats.complete) {
       if (stats.cancelled || token.requested()) return "";  // classified by the caller
       throw std::runtime_error("campaign incomplete: " + std::to_string(driver.chunks_done()) +
-                               "/" + std::to_string(driver.n_chunks()) +
-                               " chunks journaled (quarantined chunks?)");
+                               "/" + std::to_string(driver.n_chunks()) + " chunks journaled");
     }
     const std::string table_path = (fs::path(dir) / "table.json").string();
     std::ofstream os(table_path, std::ios::binary);

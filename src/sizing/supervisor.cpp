@@ -58,7 +58,7 @@ void write_torn_tail(const std::string& journal_path) {
 /// two attempts" deterministically.
 int worker_main(int wfd, const std::string& journal_path, const std::string& columnar_path,
                 std::size_t rows_per_block, const std::vector<std::pair<std::size_t, int>>& items,
-                const SupervisorOptions& options, const ItemFn& run_one, const KeyFn& key_of) {
+                const ItemFn& run_one, const KeyFn& key_of) {
   util::install_cancel_signal_handlers();
   util::CancelToken& cancel = util::CancelToken::global();
 
@@ -83,7 +83,7 @@ int worker_main(int wfd, const std::string& journal_path, const std::string& col
         parent_gone.store(true, std::memory_order_relaxed);
         break;
       }
-      std::this_thread::sleep_for(to_duration(options.heartbeat_interval_s));
+      std::this_thread::sleep_for(to_duration(kHeartbeatIntervalS));
     }
   });
   const auto finish = [&](int code) {
@@ -112,7 +112,7 @@ int worker_main(int wfd, const std::string& journal_path, const std::string& col
       // timeout must SIGKILL us; the self-exit below is a backstop so a
       // supervisor-less test leak cannot hang forever.
       stalled.store(true, std::memory_order_relaxed);
-      const auto give_up = Clock::now() + to_duration(options.liveness_timeout_s * 4.0 + 1.0);
+      const auto give_up = Clock::now() + to_duration(kLivenessTimeoutS * 4.0 + 1.0);
       while (Clock::now() < give_up && !cancel.requested()) {
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
       }
@@ -176,21 +176,25 @@ SupervisorStats supervise(const SupervisorOptions& options, std::size_t n_items,
     throw std::invalid_argument("supervisor: the columnar merge destination must be open");
   }
   const std::size_t rows_per_block = columnar != nullptr ? columnar->rows_per_block() : 0;
-  std::filesystem::create_directories(options.dir);
 
+  // Plan only the items the caller's checkpoint lacks.
   SupervisorStats stats;
+  std::vector<std::size_t> todo;
+  for (std::size_t i = 0; i < n_items; ++i) {
+    if (!merged.contains(key_of(i))) todo.push_back(i);
+  }
+  if (todo.empty()) return stats;
+  std::filesystem::create_directories(options.dir);
   util::CancelToken& cancel =
       options.cancel_token != nullptr ? *options.cancel_token : util::CancelToken::global();
 
-  const auto ranges = plan_shards(n_items, options.shards);
+  const auto ranges = plan_shards(todo.size(), options.shards);
   std::vector<Slot> slots(ranges.size());
   std::unordered_map<std::size_t, int> strikes;
   std::unordered_set<std::size_t> quarantined;
-  std::vector<std::size_t> orphans;
-  // Global fork backstop: even a pathological restart ladder (every
-  // worker dying immediately, orphans bouncing between finishers) ends.
-  const int spawn_cap =
-      static_cast<int>(ranges.size()) * (kMaxRestarts + 2);
+  const auto quarantine = [&](std::size_t idx) {
+    if (quarantined.insert(idx).second) ++stats.quarantined;
+  };
 
   const auto spawn = [&](std::size_t s) {
     Slot& slot = slots[s];
@@ -202,7 +206,7 @@ SupervisorStats supervise(const SupervisorOptions& options, std::size_t n_items,
     }
     const util::ChildProcess child = util::spawn_child([&, s, items](int wfd) {
       return worker_main(wfd, slots[s].journal_path, slots[s].columnar_path, rows_per_block,
-                         items, options, run_one, key_of);
+                         items, run_one, key_of);
     });
     slot.pid = child.pid;
     slot.fd = child.pipe_fd;
@@ -219,7 +223,8 @@ SupervisorStats supervise(const SupervisorOptions& options, std::size_t n_items,
     if (columnar != nullptr) {
       slot.columnar_path = options.dir + "/shard" + std::to_string(s) + ".mtc";
     }
-    for (std::size_t i = ranges[s].first; i < ranges[s].second; ++i) slot.assigned.push_back(i);
+    slot.assigned.assign(todo.begin() + static_cast<std::ptrdiff_t>(ranges[s].first),
+                         todo.begin() + static_cast<std::ptrdiff_t>(ranges[s].second));
     spawn(s);
   }
 
@@ -245,26 +250,10 @@ SupervisorStats supervise(const SupervisorOptions& options, std::size_t n_items,
     slot.reader.reset();
     slot.pid = -1;
 
-    const bool clean = st.exited && !st.signaled && st.exit_code == 0;
-    const bool drained = st.exited && !st.signaled && st.exit_code == 3;
-    if (clean) {
-      slot.assigned.clear();
-      // A clean finisher adopts the orphan queue (abandoned shards'
-      // leftovers) if the fork budget still allows another worker.
-      if (!cancel_seen && !orphans.empty() && stats.workers_spawned < spawn_cap) {
-        for (const std::size_t idx : orphans) {
-          if (quarantined.count(idx) == 0) slot.assigned.push_back(idx);
-        }
-        orphans.clear();
-        if (!slot.assigned.empty()) {
-          spawn(s);
-          return;
-        }
-      }
-      slot.state = Slot::State::Done;
-      return;
-    }
-    if (drained || cancel_seen) {
+    // A clean exit (0) or a drain (3) ends the slot, as does any death
+    // once the run is cancelled.
+    const bool finished = st.exited && !st.signaled && (st.exit_code == 0 || st.exit_code == 3);
+    if (finished || cancel_seen) {
       slot.state = Slot::State::Done;
       return;
     }
@@ -278,10 +267,8 @@ SupervisorStats supervise(const SupervisorOptions& options, std::size_t n_items,
     if (slot.current >= 0) {
       const std::size_t idx = static_cast<std::size_t>(slot.current);
       if (!done_log.contains(key_of(idx))) {
-        const int s_count = ++strikes[idx];
-        if (s_count >= options.poison_strikes && quarantined.insert(idx).second) {
-          ++stats.quarantined;
-        }
+        ++stats.strikes;
+        if (++strikes[idx] >= kPoisonStrikes) quarantine(idx);
       }
     }
     std::vector<std::size_t> pending;
@@ -294,20 +281,27 @@ SupervisorStats supervise(const SupervisorOptions& options, std::size_t n_items,
       slot.state = Slot::State::Done;
       return;
     }
-    if (slot.restarts < kMaxRestarts && stats.workers_spawned < spawn_cap) {
+    if (slot.restarts < kMaxRestarts) {
       slot.assigned = std::move(pending);
       ++slot.restarts;
       ++stats.restarts;
       slot.backoff_s = slot.backoff_s <= 0.0
-                           ? options.backoff_initial_s
-                           : std::min(slot.backoff_s * 2.0, options.backoff_max_s);
+                           ? kBackoffInitialS
+                           : std::min(slot.backoff_s * 2.0, kBackoffMaxS);
       slot.respawn_at = Clock::now() + to_duration(slot.backoff_s);
       slot.state = Slot::State::Backoff;
       return;
     }
-    // Restart budget exhausted: abandon the shard, queue its leftovers
-    // for the next clean finisher.
-    orphans.insert(orphans.end(), pending.begin(), pending.end());
+    // Restart budget exhausted: the shard's pending items go to the
+    // caller's in-process pass -- except any that already drew blood,
+    // which are quarantined, so the parent never runs a suspected killer.
+    for (const std::size_t idx : pending) {
+      if (strikes.count(idx) != 0) {
+        quarantine(idx);
+      } else {
+        ++stats.abandoned;
+      }
+    }
     slot.state = Slot::State::Done;
   };
 
@@ -361,8 +355,7 @@ SupervisorStats supervise(const SupervisorOptions& options, std::size_t n_items,
       }
       // Liveness: a worker silent past the timeout is hung -- kill it
       // and let the reap path restart it like any other death.
-      if (options.liveness_timeout_s > 0.0 &&
-          Clock::now() - slot.last_beat > to_duration(options.liveness_timeout_s)) {
+      if (Clock::now() - slot.last_beat > to_duration(kLivenessTimeoutS)) {
         ++stats.stall_kills;
         util::send_signal(slot.pid, SIGKILL);
         slot.last_beat = Clock::now();  // one kill per timeout window
@@ -374,23 +367,6 @@ SupervisorStats supervise(const SupervisorOptions& options, std::size_t n_items,
     if (!any_open && !any_backoff) break;
   }
 
-  // Give-up policy for items no worker completed: an orphan that already
-  // drew blood (>= 1 strike) is quarantined rather than handed to the
-  // caller's in-process pass -- the whole point of process isolation is
-  // that the parent never runs a suspected killer.  Clean orphans are
-  // merely abandoned; the caller's pass re-runs them in-process.
-  if (!cancel_seen) {
-    for (const std::size_t idx : orphans) {
-      if (quarantined.count(idx) != 0) continue;
-      const auto it = strikes.find(idx);
-      if (it != strikes.end() && it->second > 0) {
-        if (quarantined.insert(idx).second) ++stats.quarantined;
-      } else {
-        ++stats.abandoned;
-      }
-    }
-  }
-
   // Merge: every shard journal's records into the campaign checkpoint,
   // then stamp quarantined items so replay shows a classified failure
   // instead of re-running the killer.
@@ -399,8 +375,8 @@ SupervisorStats supervise(const SupervisorOptions& options, std::size_t n_items,
     util::merge_journal_file(merged.journal(), slot.journal_path);
   }
   // Shard columnar stores merge like the shard journals: by identity,
-  // first block per tag wins (a tag re-flushed by a restarted worker or
-  // duplicated across an orphan reassignment holds bit-identical rows).
+  // first block per tag wins (a tag re-flushed by a restarted worker
+  // holds bit-identical rows).
   if (columnar != nullptr) {
     std::vector<std::uint64_t> seen_tags;
     for (const Slot& slot : slots) {
@@ -416,14 +392,21 @@ SupervisorStats supervise(const SupervisorOptions& options, std::size_t n_items,
     FailureInfo info;
     info.code = FailureCode::kPoisonedItem;
     info.site = "sizing::supervisor";
-    const auto it = strikes.find(idx);
-    info.attempts = it == strikes.end() ? options.poison_strikes : it->second;
+    info.attempts = strikes[idx];
     info.context = "item " + std::to_string(idx) + " killed " +
                    std::to_string(info.attempts) + " worker(s); quarantined";
     merged.record_failure(key, info, quarantine_records);
   }
   merged.commit(quarantine_records);
   merged.journal().flush();
+  // Every shard record is durable in `merged` now: the shard files (and
+  // the directory, once empty) have served their purpose.
+  for (const Slot& slot : slots) {
+    std::filesystem::remove(slot.journal_path);
+    if (!slot.columnar_path.empty()) std::filesystem::remove(slot.columnar_path);
+  }
+  std::error_code not_empty;
+  std::filesystem::remove(options.dir, not_empty);
   return stats;
 }
 

@@ -11,43 +11,47 @@
 // in-process pass over it, the same pass that resumes an interrupted
 // run, so a sharded run is a resumed run.
 //
-//   plan_shards() splits [0, n) into contiguous near-equal shards; one
+//   Only the items the caller's checkpoint lacks are planned:
+//   plan_shards() splits them into contiguous near-equal shards; one
 //   worker process per shard journals outcomes to a private
 //   shard<k>.mtj checkpoint under SupervisorOptions::dir, using the
 //   same content-derived item keys as a single-process sweep.
 //
-//   Workers speak a two-line protocol on a pipe: "H" heartbeats from a
-//   side thread, and "S <idx>" before each item.  The parent polls the
-//   pipes and judges liveness from them alone: a worker silent past
-//   liveness_timeout_s is SIGKILLed; a dead worker (crash, signal,
-//   stall-kill) is restarted on the same shard with exponential backoff
-//   under a per-slot budget of kMaxRestarts restarts.  Restarted workers
-//   replay their shard journal, so a death costs at most the one
-//   in-flight item.
+//   Workers speak a two-line protocol on a pipe: "H" heartbeats (every
+//   kHeartbeatIntervalS) from a side thread, and "S <idx>" before each
+//   item.  The parent polls the pipes and judges liveness from them
+//   alone: a worker silent past kLivenessTimeoutS is SIGKILLed; a dead
+//   worker (crash, signal, stall-kill) is restarted on the same shard
+//   with exponential backoff (kBackoffInitialS doubling up to
+//   kBackoffMaxS) under a per-slot budget of kMaxRestarts restarts.
+//   Restarted workers replay their shard journal, so a death costs at
+//   most the one in-flight item.
 //
 //   Blame and quarantine: when a worker dies, the item it last announced
 //   ("S") gets a strike unless its record is in the shard journal (a
 //   death after journaling the item is no fault of the item).  An item
-//   with poison_strikes strikes is quarantined -- excluded from every
+//   with kPoisonStrikes strikes is quarantined -- excluded from every
 //   later assignment and stamped into the merged journal as a
 //   kPoisonedItem failure (site "sizing::supervisor") -- so a
 //   deterministic worker-killer shows up as one classified failure
 //   instead of an infinite restart loop.
 //
-//   When a slot exhausts its restart budget its remaining items move to
-//   an orphan queue, reassigned to the next worker slot that finishes
-//   its own shard cleanly; items still orphaned at the end are left to
-//   the caller's in-process pass (SupervisorStats::abandoned).
+//   When a slot exhausts its restart budget, its pending items with a
+//   strike are quarantined and the rest are left to the caller's
+//   in-process pass (SupervisorStats::abandoned): the parent never runs
+//   an item that killed a worker, and every caller finishes with the
+//   same pass that resumes an interrupted run.
 //
 //   Cancellation (SIGINT/SIGTERM raising the session's CancelToken)
 //   SIGTERMs every worker, waits kDrainTimeoutS for graceful exits
 //   (workers drain like any cancelled sweep), then SIGKILLs stragglers.
 //
 //   supervise() finally merges every shard journal into the caller's
-//   checkpoint by key (util::merge_journal_file).  Because keys are
-//   content-derived and workers are deterministic, duplicated records
-//   agree, and the caller's pass over the merged checkpoint returns
-//   results and a SweepReport bit-identical to a single-process run.
+//   checkpoint by key (util::merge_journal_file), flushes it, and deletes
+//   the shard files.  Because keys are content-derived and workers are
+//   deterministic, duplicated records agree, and the caller's pass over
+//   the merged checkpoint returns results and a SweepReport
+//   bit-identical to a single-process run.
 //
 //   Given a columnar merge destination, each worker also spills result
 //   rows into a private columnar store shard<k>.mtc next to its journal,
@@ -83,31 +87,32 @@
 
 namespace mtcmos::sizing {
 
-/// Restarts per worker slot before its remaining items are orphaned.
+/// Restarts per worker slot before its pending items go to the caller.
 constexpr int kMaxRestarts = 3;
 /// Graceful-exit window [s] after SIGTERM before stragglers are SIGKILLed.
 constexpr double kDrainTimeoutS = 5.0;
+constexpr double kHeartbeatIntervalS = 0.05;
+/// A worker with no pipe traffic (heartbeat or item line) for this long
+/// [s] is declared hung and SIGKILLed (then restarted like any other
+/// death).  Must comfortably exceed the slowest single item.
+constexpr double kLivenessTimeoutS = 5.0;
+constexpr double kBackoffInitialS = 0.05;  ///< doubles per restart, capped below
+constexpr double kBackoffMaxS = 1.0;
+constexpr int kPoisonStrikes = 2;  ///< strikes before an item is quarantined
 
 struct SupervisorOptions {
-  int shards = 2;                   ///< worker process count (>= 1)
-  std::string dir;                  ///< REQUIRED: directory for shard<k>.mtj journals
-  double heartbeat_interval_s = 0.05;
-  /// A worker with no pipe traffic (heartbeat or item line) for this
-  /// long is declared hung and SIGKILLed (then restarted like any other
-  /// death).  Must comfortably exceed the slowest single item.
-  double liveness_timeout_s = 5.0;
-  double backoff_initial_s = 0.05;  ///< doubles per restart, capped below
-  double backoff_max_s = 1.0;
-  int poison_strikes = 2;           ///< strikes before an item is quarantined
+  int shards = 2;   ///< worker process count (>= 1)
+  std::string dir;  ///< REQUIRED: directory for the shard files
   util::CancelToken* cancel_token = nullptr;  ///< nullptr = global token
 };
 
 struct SupervisorStats {
-  int workers_spawned = 0;  ///< total forks (initial + restarts + reassignments)
+  int workers_spawned = 0;  ///< total forks (initial + restarts)
   int restarts = 0;         ///< respawns after a worker death
   int stall_kills = 0;      ///< workers SIGKILLed for missed heartbeats
+  int strikes = 0;          ///< worker deaths blamed on their announced item
   std::size_t quarantined = 0;  ///< items stamped kPoisonedItem
-  std::size_t abandoned = 0;    ///< items no worker completed (caller re-runs)
+  std::size_t abandoned = 0;    ///< items left to the caller's pass
   bool cancelled = false;       ///< the run was cancelled while supervising
 };
 
@@ -127,12 +132,14 @@ using ItemFn =
 /// blame and quarantine stamps.
 using KeyFn = std::function<Checkpoint::Key(std::size_t idx)>;
 
-/// Supervise `options.shards` worker processes over items [0, n_items)
-/// to completion (or cancellation), then merge every shard journal into
-/// `merged` and stamp quarantined items as kPoisonedItem records; with a
-/// non-null `columnar` (open for append), workers get shard stores that
-/// are merged into it.  Items no worker completed stay absent from
-/// `merged` (SupervisorStats::abandoned) for the caller's pass to run.
+/// Supervise `options.shards` worker processes over the items of
+/// [0, n_items) that `merged` lacks (none lacking: no worker spawns) to
+/// completion (or cancellation), then merge every shard journal into
+/// `merged`, stamp quarantined items as kPoisonedItem records and delete
+/// the shard files; with a non-null `columnar` (open for append),
+/// workers get shard stores that are merged into it.  Items no worker
+/// completed stay absent from `merged` (SupervisorStats::abandoned) for
+/// the caller's pass to run.
 /// Throws std::invalid_argument on an unusable configuration (empty dir,
 /// shards < 1, an unarmed `merged`, a columnar destination that is not
 /// open) and std::runtime_error on fork/pipe failure.

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -652,6 +653,68 @@ TEST_F(CampaignTest, JournalWithoutTheNetlistRecordResumesByteIdentically) {
   // The resume bound the netlist: an edit is refused from now on.
   write_mtn(mtn, "input b a\nnor2 g1 a b\noutput g1.out\n");
   EXPECT_THROW(CampaignDriver(spec, subdir("older"), true), NumericalError);
+}
+
+/// Every row of a store as "key value value ...", by chunk tag, first
+/// block per tag winning as in write_table().
+std::map<std::uint64_t, std::vector<std::string>> rows_by_chunk(const std::string& path) {
+  std::map<std::uint64_t, std::vector<std::string>> out;
+  std::map<std::uint64_t, int> blocks;
+  util::scan_columnar_file(
+      path,
+      [&](const util::ColumnarRow& row) {
+        std::ostringstream line;
+        line << row.key << std::hexfloat;
+        for (std::size_t c = 0; c < row.n_cols; ++c) line << ' ' << row.values[c];
+        out[row.tag].push_back(line.str());
+      },
+      [&](std::uint64_t tag) { return ++blocks[tag] == 1; });
+  return out;
+}
+
+// Two chunks of each shard kill their worker at generations 0 and 1, so
+// both slots spend every restart on them and no slot finishes its shard
+// cleanly.  The run still completes in one call: the killers are
+// quarantined, and the in-process pass finishes the chunks the workers
+// left, as a resume would.
+TEST_F(CampaignTest, ShardedRunWhoseSlotsExhaustTheirRestartsCompletesInProcess) {
+  const auto spec = CampaignSpec::parse(kTinySpec);
+  const int shards = 2;
+  CampaignDriver sharded(spec, subdir("sharded"), false);
+  std::vector<std::uint64_t> killers;
+  for (const auto& [begin, end] : sizing::plan_shards(sharded.n_chunks(), shards)) {
+    for (const std::size_t chunk : {begin, begin + 1}) {
+      killers.push_back(chunk);
+      for (const int generation : {0, 1}) {
+        faultinject::arm_generation(faultinject::Site::kWorkerKill,
+                                    static_cast<std::int64_t>(chunk), generation, 1);
+      }
+    }
+  }
+  // A 1-thread pool spawns no thread, so the run forks a single-threaded
+  // process; the kill plans fire only in workers.
+  util::ThreadPool serial(1);
+  const CampaignStats stats = sharded.run(shards, nullptr, nullptr, &serial);
+  faultinject::disarm_all();
+  EXPECT_TRUE(stats.complete);
+  EXPECT_EQ(stats.chunks_poisoned, 4u);
+  EXPECT_EQ(stats.chunks_run, sharded.n_chunks());
+  EXPECT_EQ(stats.supervisor.workers_spawned, shards * (1 + sizing::kMaxRestarts));
+  EXPECT_EQ(stats.supervisor.quarantined, 4u);
+  EXPECT_EQ(stats.supervisor.abandoned, sharded.n_chunks() - 4);
+  EXPECT_EQ(stats.rows_emitted, (sharded.n_chunks() - 4) * 4);  // 4 vectors per chunk
+
+  CampaignDriver fresh(spec, subdir("fresh"), false);
+  run_in_process(fresh);
+  const auto want = rows_by_chunk(fresh.store_path());
+  const auto got = rows_by_chunk(sharded.store_path());
+  for (std::uint64_t c = 0; c < sharded.n_chunks(); ++c) {
+    const bool killer = std::find(killers.begin(), killers.end(), c) != killers.end();
+    EXPECT_EQ(got.count(c), killer ? 0u : 1u) << "chunk " << c;
+    if (!killer && got.count(c) != 0) {
+      EXPECT_EQ(got.at(c), want.at(c)) << "chunk " << c;
+    }
+  }
 }
 
 }  // namespace

@@ -15,6 +15,10 @@
 #     both exit 0 and print the same W/L table rows and the same
 #     "Recommended sleep W/L" line (the per-row "supervision:" lines,
 #     which count worker restarts, are not compared).
+#   cmake -DSIZER=<exe> -DMODE=campaign -DDIR=<dir> -DARGS=--campaign|<spec> -P cli_check.cmake
+#     runs the campaign into a fresh DIR, again with --resume over the
+#     finished run, and with --shards 2 into a fresh DIR.sharded, and
+#     passes when all three exit 0 and write byte-identical table.json.
 
 string(REPLACE "|" ";" ARGS "${ARGS}")
 
@@ -76,6 +80,20 @@ elseif(MODE STREQUAL "shards")
   recommended_line("${second}" sharded_line)
   if(NOT serial_rows STREQUAL sharded_rows OR NOT serial_line STREQUAL sharded_line)
     message(FATAL_ERROR "--shards 2 changed the result:\n  ${serial_line}\n  ${sharded_line}")
+  endif()
+  file(REMOVE_RECURSE "${DIR}.sharded")
+elseif(MODE STREQUAL "campaign")
+  file(SHA256 "${DIR}/table.json" fresh)
+  run_sizer(second code ${ARGS} --checkpoint "${DIR}" --resume)
+  expect_code("${code}" 0)
+  file(SHA256 "${DIR}/table.json" resumed)
+  file(REMOVE_RECURSE "${DIR}.sharded")
+  run_sizer(third code ${ARGS} --checkpoint "${DIR}.sharded" --shards 2)
+  expect_code("${code}" 0)
+  file(SHA256 "${DIR}.sharded/table.json" sharded)
+  if(NOT fresh STREQUAL resumed OR NOT fresh STREQUAL sharded)
+    message(FATAL_ERROR "table.json differs: fresh ${fresh}, resumed ${resumed}, "
+                        "--shards 2 ${sharded}")
   endif()
   file(REMOVE_RECURSE "${DIR}.sharded")
 elseif(MODE STREQUAL "refuse")

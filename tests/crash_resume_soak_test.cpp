@@ -306,9 +306,6 @@ TEST_F(CrashResumeSoak, SupervisedSweepSurvivesRandomizedWorkerSigkills) {
     sizing::SupervisorOptions options;
     options.shards = shard_of(rng);
     options.dir = (dir_ / ("supervised" + std::to_string(round))).string();
-    options.heartbeat_interval_s = 0.01;
-    options.backoff_initial_s = 0.01;
-    options.backoff_max_s = 0.05;
     sizing::SupervisorStats stats;
     SweepReport report;
     const auto ranked = supervised_rank(vbs, vectors, options, stats, report);
@@ -330,7 +327,7 @@ TEST_F(CrashResumeSoak, SupervisedSweepQuarantinesDeterministicKillers) {
                                                            1);
   for (int round = 0; round < 6; ++round) {
     // An item that kills its worker on every attempt: strikes at
-    // generations 0 and 1 cross the default poison threshold, so the
+    // generations 0 and 1 reach kPoisonStrikes, so the
     // supervisor must quarantine it instead of looping restarts.
     const std::int64_t killer = scope_of(rng);
     faultinject::arm_generation(faultinject::Site::kWorkerKill, killer, /*generation=*/0,
@@ -340,9 +337,6 @@ TEST_F(CrashResumeSoak, SupervisedSweepQuarantinesDeterministicKillers) {
     sizing::SupervisorOptions options;
     options.shards = 3;
     options.dir = (dir_ / ("poison" + std::to_string(round))).string();
-    options.heartbeat_interval_s = 0.01;
-    options.backoff_initial_s = 0.01;
-    options.backoff_max_s = 0.05;
     sizing::SupervisorStats stats;
     SweepReport report;
     const auto ranked = supervised_rank(vbs, vectors, options, stats, report);

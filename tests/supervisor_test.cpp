@@ -1,7 +1,8 @@
 // Sharded sweep supervisor: shard planning, the worker line protocol,
 // deterministic process-level fault injection (SIGKILL, abort, stalled
 // heartbeat, torn journal tail), restart/backoff, poisoned-item
-// quarantine, cancellation drain, and the journal merge -- all asserted
+// quarantine, restart exhaustion, cancellation drain, planning only what
+// the checkpoint lacks, and the journal merge -- all asserted
 // against the single-process result, which the merged run must match
 // bit for bit.  The fault-free sharded run is a contract_test cell.
 //
@@ -50,13 +51,10 @@ class SupervisorTest : public ::testing::Test {
     std::filesystem::remove_all(dir_);
   }
 
-  SupervisorOptions fast_options(int shards) const {
+  SupervisorOptions shard_options(int shards) const {
     SupervisorOptions o;
     o.shards = shards;
     o.dir = (dir_ / "shards").string();
-    o.heartbeat_interval_s = 0.01;
-    o.backoff_initial_s = 0.01;
-    o.backoff_max_s = 0.05;
     return o;
   }
 
@@ -179,7 +177,7 @@ TEST_F(SupervisorTest, SigkilledWorkerRestartsAndMergesBitIdentically) {
   // match the generation-0 plan it re-inherits at fork.
   faultinject::arm_generation(faultinject::Site::kWorkerKill, /*scope=*/5, /*generation=*/0,
                               /*fail_hits=*/1);
-  const Sharded sharded = sharded_rank(vbs, vectors, fast_options(3));
+  const Sharded sharded = sharded_rank(vbs, vectors, shard_options(3));
   EXPECT_GE(sharded.stats.restarts, 1);
   EXPECT_EQ(sharded.stats.quarantined, 0u);
   EXPECT_EQ(sharded.report.failed, 0u);
@@ -194,7 +192,7 @@ TEST_F(SupervisorTest, AbortedWorkerRestartsAndMergesBitIdentically) {
 
   faultinject::arm_generation(faultinject::Site::kWorkerAbort, /*scope=*/3, /*generation=*/0,
                               /*fail_hits=*/1);
-  const Sharded sharded = sharded_rank(vbs, vectors, fast_options(2));
+  const Sharded sharded = sharded_rank(vbs, vectors, shard_options(2));
   EXPECT_GE(sharded.stats.restarts, 1);
   EXPECT_EQ(sharded.stats.quarantined, 0u);
   EXPECT_EQ(sharded.report.failed, 0u);
@@ -212,7 +210,7 @@ TEST_F(SupervisorTest, TornJournalTailIsTruncatedOnRestart) {
   // only the unjournaled items.
   faultinject::arm_generation(faultinject::Site::kWorkerTornTail, /*scope=*/9,
                               /*generation=*/0, /*fail_hits=*/1);
-  const Sharded sharded = sharded_rank(vbs, vectors, fast_options(3));
+  const Sharded sharded = sharded_rank(vbs, vectors, shard_options(3));
   EXPECT_GE(sharded.stats.restarts, 1);
   EXPECT_EQ(sharded.report.failed, 0u);
   EXPECT_TRUE(test::same(sharded.ranked, reference)) << "torn tail at item 9";
@@ -226,9 +224,8 @@ TEST_F(SupervisorTest, StalledWorkerIsKilledByLivenessTimeoutAndRestarted) {
 
   faultinject::arm_generation(faultinject::Site::kWorkerStall, /*scope=*/2, /*generation=*/0,
                               /*fail_hits=*/1);
-  SupervisorOptions options = fast_options(2);
-  options.liveness_timeout_s = 0.3;  // the stalled worker goes silent; kill it fast
-  const Sharded sharded = sharded_rank(vbs, vectors, options);
+  // The stalled worker goes silent; kLivenessTimeoutS later it is killed.
+  const Sharded sharded = sharded_rank(vbs, vectors, shard_options(2));
   EXPECT_GE(sharded.stats.stall_kills, 1);
   EXPECT_GE(sharded.stats.restarts, 1);
   EXPECT_EQ(sharded.stats.quarantined, 0u);
@@ -251,8 +248,8 @@ TEST_F(SupervisorTest, DeterministicKillerIsQuarantinedNotLooped) {
   const auto expected = sizing::rank_vectors(vbs, pruned, 10.0);
 
   // Item 6 kills its worker on the first attempt (generation 0) and on
-  // the restart (generation 1): two strikes = quarantine under the
-  // default poison_strikes.
+  // the restart (generation 1): two strikes = quarantine under
+  // kPoisonStrikes.
   faultinject::arm_generation(faultinject::Site::kWorkerKill, static_cast<std::int64_t>(killer),
                               /*generation=*/0, /*fail_hits=*/1);
   faultinject::arm_generation(faultinject::Site::kWorkerKill, static_cast<std::int64_t>(killer),
@@ -260,7 +257,7 @@ TEST_F(SupervisorTest, DeterministicKillerIsQuarantinedNotLooped) {
 
   Checkpoint merged;
   merged.open((dir_ / "merged.mtj").string());
-  const Sharded sharded = sharded_rank(vbs, vectors, fast_options(3), &merged);
+  const Sharded sharded = sharded_rank(vbs, vectors, shard_options(3), &merged);
   EXPECT_EQ(sharded.stats.quarantined, 1u);
   ASSERT_EQ(sharded.report.failed, 1u);
   EXPECT_EQ(sharded.report.failures[0].first, killer);
@@ -289,7 +286,7 @@ TEST_F(SupervisorTest, CancellationDrainsWorkersGracefully) {
 
   util::CancelToken token;
   token.request();  // cancelled before supervision starts
-  SupervisorOptions options = fast_options(2);
+  SupervisorOptions options = shard_options(2);
   options.cancel_token = &token;
   const Sharded sharded = sharded_rank(vbs, vectors, options);
   EXPECT_TRUE(sharded.stats.cancelled);
@@ -310,20 +307,113 @@ TEST_F(SupervisorTest, MergedJournalDropsHeartbeatRecords) {
 
   Checkpoint merged;
   merged.open((dir_ / "merged.mtj").string());
-  (void)sizing::sharded_rank_vectors(vbs, vectors, 10.0, fast_options(2), merged);
+  (void)sizing::sharded_rank_vectors(vbs, vectors, 10.0, shard_options(2), merged);
   std::size_t heartbeat_keys = 0;
   merged.journal().for_each([&](const std::string& key, const std::string&) {
     if (key.rfind("hb:", 0) == 0) ++heartbeat_keys;
   });
   EXPECT_EQ(heartbeat_keys, 0u);
-  // Heartbeats travel on the pipe only: the shard journals hold none.
-  for (int s = 0; s < 2; ++s) {
-    util::Journal shard;
-    shard.open((dir_ / "shards" / ("shard" + std::to_string(s) + ".mtj")).string());
-    shard.for_each([&](const std::string& key, const std::string&) {
-      EXPECT_NE(key.rfind("hb:", 0), 0u) << "shard " << s << " holds " << key;
-    });
+}
+
+TEST_F(SupervisorTest, CleanRunLeavesNoShardFile) {
+  const auto adder = circuits::make_ripple_adder(tech07(), 2);
+  const VbsBackend vbs(adder.netlist, adder_outputs(adder));
+  const auto vectors = sizing::all_vector_pairs(4);
+  const auto reference = sizing::rank_vectors(vbs, vectors, 10.0);
+
+  const SupervisorOptions options = shard_options(2);
+  const Sharded sharded = sharded_rank(vbs, vectors, options);
+  EXPECT_EQ(sharded.stats.workers_spawned, 2);
+  EXPECT_TRUE(test::same(sharded.ranked, reference));
+  // The merged journal holds every shard record: the shard files are gone.
+  EXPECT_TRUE(!std::filesystem::exists(options.dir) || std::filesystem::is_empty(options.dir))
+      << options.dir;
+}
+
+TEST_F(SupervisorTest, ShardedRunOverAFilledCheckpointSpawnsNoWorker) {
+  const auto adder = circuits::make_ripple_adder(tech07(), 2);
+  const VbsBackend vbs(adder.netlist, adder_outputs(adder));
+  const auto vectors = sizing::all_vector_pairs(4);
+  const auto reference = sizing::rank_vectors(vbs, vectors, 10.0);
+
+  Checkpoint merged;
+  merged.open((dir_ / "merged.mtj").string());
+  {
+    util::ThreadPool serial(1);
+    EvalSession session;
+    session.pool = &serial;
+    session.checkpoint = &merged;
+    (void)sizing::rank_vectors(vbs, vectors, 10.0, session);
   }
+  const std::size_t before = merged.journal().size();
+  const Sharded sharded = sharded_rank(vbs, vectors, shard_options(2), &merged);
+  EXPECT_EQ(sharded.stats.workers_spawned, 0);
+  EXPECT_EQ(merged.journal().size(), before);
+  EXPECT_EQ(sharded.report.failed, 0u);
+  EXPECT_TRUE(test::same(sharded.ranked, reference));
+}
+
+TEST_F(SupervisorTest, ExhaustedSlotsQuarantineTheirKillersAndLeaveTheRestToTheCaller) {
+  const auto adder = circuits::make_ripple_adder(tech07(), 2);
+  const VbsBackend vbs(adder.netlist, adder_outputs(adder));
+  const auto vectors = sizing::all_vector_pairs(4);
+  const int shards = 2;
+  const auto ranges = sizing::plan_shards(vectors.size(), shards);
+  ASSERT_EQ(ranges.size(), 2u);
+
+  // Items 1 and 2 of each shard kill their worker at generations 0 and 1:
+  // four deaths, each striking the item it announced, spend a slot's
+  // kMaxRestarts restarts with the rest of its shard still pending.
+  std::vector<std::size_t> killers;
+  for (const auto& [begin, end] : ranges) {
+    for (const std::size_t idx : {begin + 1, begin + 2}) {
+      killers.push_back(idx);
+      for (const int generation : {0, 1}) {
+        faultinject::arm_generation(faultinject::Site::kWorkerKill,
+                                    static_cast<std::int64_t>(idx), generation, /*fail_hits=*/1);
+      }
+    }
+  }
+  std::vector<VectorPair> pruned;
+  for (std::size_t i = 0; i < vectors.size(); ++i) {
+    if (std::find(killers.begin(), killers.end(), i) == killers.end()) {
+      pruned.push_back(vectors[i]);
+    }
+  }
+  const auto expected = sizing::rank_vectors(vbs, pruned, 10.0);
+
+  Checkpoint merged;
+  merged.open((dir_ / "merged.mtj").string());
+  const sizing::SupervisorStats stats =
+      sizing::sharded_rank_vectors(vbs, vectors, 10.0, shard_options(shards), merged);
+  EXPECT_EQ(stats.workers_spawned, shards * (1 + sizing::kMaxRestarts));
+  EXPECT_EQ(stats.restarts, shards * sizing::kMaxRestarts);
+  EXPECT_EQ(stats.strikes, 2 * static_cast<int>(killers.size()));
+  EXPECT_EQ(stats.quarantined, killers.size());
+  // Each shard journaled its item 0 before the first death; everything
+  // after its second killer is left to the caller's pass.
+  EXPECT_EQ(stats.abandoned, vectors.size() - 3 * ranges.size());
+  const sizing::ItemKeys keys(merged.context(sizing::rank_prefix(vbs, 10.0)), vectors);
+  std::size_t journaled = 0;
+  for (std::size_t i = 0; i < vectors.size(); ++i) journaled += merged.contains(keys[i]) ? 1 : 0;
+  EXPECT_EQ(journaled, vectors.size() - stats.abandoned) << "items and quarantine stamps";
+
+  util::ThreadPool serial(1);
+  SweepReport report;
+  EvalSession session;
+  session.pool = &serial;
+  session.report = &report;
+  session.checkpoint = &merged;
+  const auto ranked = sizing::rank_vectors(vbs, vectors, 10.0, session);
+  ASSERT_EQ(report.failed, killers.size());
+  for (std::size_t k = 0; k < killers.size(); ++k) {
+    EXPECT_EQ(report.failures[k].first, killers[k]);
+    EXPECT_EQ(report.failures[k].second.code, FailureCode::kPoisonedItem);
+  }
+  for (std::size_t i = 0; i < vectors.size(); ++i) {
+    EXPECT_TRUE(merged.contains(keys[i])) << "item " << i;
+  }
+  EXPECT_TRUE(test::same(ranked, expected)) << "killers quarantined, the rest run by the caller";
 }
 
 TEST_F(SupervisorTest, ResumingAMergedCampaignSkipsAllWork) {
@@ -336,14 +426,15 @@ TEST_F(SupervisorTest, ResumingAMergedCampaignSkipsAllWork) {
   {
     Checkpoint merged;
     merged.open(merged_path);
-    (void)sizing::sharded_rank_vectors(vbs, vectors, 10.0, fast_options(3), merged);
+    (void)sizing::sharded_rank_vectors(vbs, vectors, 10.0, shard_options(3), merged);
   }
   // A second sharded run against the same merged journal finds every item
-  // journaled: workers spawn, replay, and exit without re-simulating.
+  // journaled: no worker spawns and nothing is re-simulated.
   Checkpoint merged;
   merged.open(merged_path);
   const std::size_t before = merged.journal().size();
-  const Sharded again = sharded_rank(vbs, vectors, fast_options(3), &merged);
+  const Sharded again = sharded_rank(vbs, vectors, shard_options(3), &merged);
+  EXPECT_EQ(again.stats.workers_spawned, 0);
   EXPECT_EQ(merged.journal().size(), before);
   EXPECT_EQ(again.report.failed, 0u);
   EXPECT_TRUE(test::same(again.ranked, reference)) << "resumed campaign";
@@ -352,8 +443,8 @@ TEST_F(SupervisorTest, ResumingAMergedCampaignSkipsAllWork) {
 TEST_F(SupervisorTest, DeathAfterJournalingTheLastItemIsNoStrikeAndNoRestart) {
   // The worker dies after its last item's outcome reached the shard
   // journal, before any further "S" line.  The parent must find that outcome
-  // in the journal it reopens: no strike (so no quarantine, even at one
-  // strike), and nothing pending, so no restart.
+  // in the journal it reopens: no strike, and nothing pending, so no
+  // restart.
   const std::string prefix = "test:vbs:0:";
   const auto vectors = sizing::all_vector_pairs(1);
   const std::size_t last = vectors.size() - 1;
@@ -362,10 +453,8 @@ TEST_F(SupervisorTest, DeathAfterJournalingTheLastItemIsNoStrikeAndNoRestart) {
   merged.open((dir_ / "merged.mtj").string());
   const sizing::ItemKeys keys(merged.context(prefix), vectors);
 
-  SupervisorOptions options = fast_options(1);
-  options.poison_strikes = 1;
   const sizing::SupervisorStats stats = sizing::supervise(
-      options, vectors.size(),
+      shard_options(1), vectors.size(),
       [&](std::size_t idx, Checkpoint& ckpt, util::ColumnarWriter*) {
         const sizing::ItemKeys worker_keys(ckpt.context(prefix), vectors);
         Checkpoint::Stage stage;
@@ -378,6 +467,7 @@ TEST_F(SupervisorTest, DeathAfterJournalingTheLastItemIsNoStrikeAndNoRestart) {
       },
       [&](std::size_t idx) { return Checkpoint::Key(keys[idx]); }, merged);
   EXPECT_TRUE(std::filesystem::exists(died));
+  EXPECT_EQ(stats.strikes, 0);
   EXPECT_EQ(stats.quarantined, 0u);
   EXPECT_EQ(stats.restarts, 0);
   EXPECT_EQ(stats.workers_spawned, 1);
