@@ -25,9 +25,8 @@ namespace {
                             " (journal written by an incompatible run?)"});
 }
 
-std::string describe(const Checkpoint::Key& key) {
-  return key.text.empty() ? "an item of context " + util::hex16(key.item.context)
-                          : "key '" + key.text + "'";
+std::string describe(const util::ItemKey& key) {
+  return "an item of context " + util::hex16(key.context);
 }
 
 /// Item form of a string key: its prefix and transition, or false.
@@ -117,15 +116,16 @@ ItemKeys::ItemKeys(std::uint64_t context, const VectorPair* vectors, std::size_t
   if (n == 0) return;
   bits_ = static_cast<std::uint32_t>(vectors[0].v0.size());
   stride_ = 2 * util::item_words(bits_);
-  words_.assign(n * stride_, 0);
+  const std::shared_ptr<std::uint64_t[]> words = std::make_shared<std::uint64_t[]>(n * stride_);
   for (std::size_t i = 0; i < n; ++i) {
     const VectorPair& vp = vectors[i];
     if (vp.v0.size() != bits_ || vp.v1.size() != bits_) {
       throw std::invalid_argument("checkpoint: every transition of a pass must be " +
                                   std::to_string(bits_) + " bits wide");
     }
-    pack_transition(vp, words_.data() + i * stride_);
+    pack_transition(vp, words.get() + i * stride_);
   }
+  words_ = words;
 }
 
 void Checkpoint::open(const std::string& path) {
@@ -162,21 +162,54 @@ void Checkpoint::bind_meta(const std::string& name, const std::string& value) {
   journal_.append(key, value);
 }
 
-bool Checkpoint::contains(const Key& key) const {
-  return key.text.empty() ? journal_.contains_item(key.item) : journal_.contains(key.text);
+std::vector<char> Checkpoint::contains(const std::vector<Key>& keys) const {
+  std::vector<char> found(keys.size(), 0);
+  std::vector<util::ItemKey> items;
+  std::vector<std::size_t> at;  // keys index of items[j]
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (keys[i].text.empty()) {
+      items.push_back(keys[i].item);
+      at.push_back(i);
+    } else {
+      found[i] = journal_.contains(keys[i].text) ? 1 : 0;
+    }
+  }
+  const util::ItemRecords held = journal_.find_items(items.data(), items.size());
+  for (std::size_t j = 0; j < items.size(); ++j) found[at[j]] = held.found(j) ? 1 : 0;
+  return found;
+}
+
+template <typename T>
+std::vector<char> Checkpoint::lookup_items(const util::ItemKey* keys, std::size_t n,
+                                           Outcome<T>* out) const {
+  std::vector<char> found(n, 0);
+  const util::ItemRecords held = journal_.find_items(keys, n);
+  util::ItemValue v;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!held.get(i, v)) continue;
+    if (!decode(v, out[i])) throw_corrupt(describe(keys[i]));
+    found[i] = 1;
+  }
+  return found;
+}
+
+template <typename T>
+std::vector<char> Checkpoint::lookup(const ItemKeys& keys, std::size_t begin, std::size_t end,
+                                     Outcome<T>* out) const {
+  std::vector<util::ItemKey> items(end - begin);
+  for (std::size_t i = begin; i < end; ++i) items[i - begin] = keys[i];
+  return lookup_items(items.data(), items.size(), out);
 }
 
 template <typename T>
 bool Checkpoint::lookup_as(const Key& key, Outcome<T>& out) const {
+  if (key.text.empty()) return lookup_items(&key.item, 1, &out)[0] != 0;
+  const std::optional<std::string> bytes = journal_.find(key.text);
+  if (!bytes) return false;
   util::ItemValue v;
-  if (key.text.empty()) {
-    if (!journal_.find_item(key.item, v)) return false;
-  } else {
-    const std::optional<std::string> bytes = journal_.find(key.text);
-    if (!bytes) return false;
-    if (!util::decode_item_value(*bytes, v)) throw_corrupt(describe(key));
+  if (!util::decode_item_value(*bytes, v) || !decode(v, out)) {
+    throw_corrupt("key '" + key.text + "'");
   }
-  if (!decode(v, out)) throw_corrupt(describe(key));
   return true;
 }
 
@@ -232,6 +265,10 @@ template void Checkpoint::view_record(const std::string&, const Outcome<double>&
 template void Checkpoint::view_record(const std::string&, const Outcome<VectorDelay>&);
 template bool Checkpoint::lookup_as(const Key&, Outcome<double>&) const;
 template bool Checkpoint::lookup_as(const Key&, Outcome<VectorDelay>&) const;
+template std::vector<char> Checkpoint::lookup(const ItemKeys&, std::size_t, std::size_t,
+                                              Outcome<double>*) const;
+template std::vector<char> Checkpoint::lookup(const ItemKeys&, std::size_t, std::size_t,
+                                              Outcome<VectorDelay>*) const;
 
 bool Checkpoint::should_persist(const FailureInfo& failure) {
   return failure.code != FailureCode::kCancelled;

@@ -38,6 +38,7 @@
 // values, so a journal can never silently mix two different runs.
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -52,8 +53,10 @@ namespace mtcmos::sizing {
 
 /// Typed keys of one sweep pass: its context id and every transition
 /// packed into 64-bit words once, so the per-item path hashes words
-/// instead of formatting strings.  Every transition of a pass must have
-/// the same width (std::invalid_argument otherwise).
+/// instead of formatting strings.  Copies share the packed words, so
+/// with_context() keys the same transitions in another pass (a
+/// bisection's next probe) without repacking them.  Every transition of
+/// a pass must have the same width (std::invalid_argument otherwise).
 class ItemKeys {
  public:
   ItemKeys() = default;
@@ -61,15 +64,20 @@ class ItemKeys {
   ItemKeys(std::uint64_t context, const std::vector<VectorPair>& vectors)
       : ItemKeys(context, vectors.data(), vectors.size()) {}
 
+  ItemKeys with_context(std::uint64_t context) const {
+    ItemKeys keys = *this;
+    keys.context_ = context;
+    return keys;
+  }
   util::ItemKey operator[](std::size_t i) const {
-    return {context_, bits_, words_.data() + i * stride_};
+    return {context_, bits_, words_.get() + i * stride_};
   }
 
  private:
   std::uint64_t context_ = 0;
   std::uint32_t bits_ = 0;
   std::size_t stride_ = 0;
-  std::vector<std::uint64_t> words_;
+  std::shared_ptr<const std::uint64_t[]> words_;
 };
 
 class Checkpoint {
@@ -116,6 +124,13 @@ class Checkpoint {
   /// the item (see header), and record_failure stages a bare failure that
   /// either lookup type replays (the supervisor's kPoisonedItem stamps).
   ///
+  /// Range reads are the unit of lookup: the item keys of a call are
+  /// read from the journal in one range (util::Journal::find_items, one
+  /// reader lock) and decoded outside its lock.  They return a mask, 1
+  /// where the key's record is present; the range lookup also decodes
+  /// item i of [begin, end) into out[i - begin] where it is.  The
+  /// one-key contains/lookup are their one-key case.
+  ///
   /// Group commit: record() encodes into the caller's stage, and commit()
   /// writes the whole stage with one write().  Staged records are
   /// invisible to lookup until committed.  The kJournalAppend fault check
@@ -123,7 +138,12 @@ class Checkpoint {
   /// fault-injection scope: a kill plan aimed at item N fires while item N
   /// is staged, and the uncommitted group is lost exactly as a crash
   /// would lose it.
-  bool contains(const Key& key) const;
+  std::vector<char> contains(const std::vector<Key>& keys) const;
+  /// T is double or VectorDelay.
+  template <typename T>
+  std::vector<char> lookup(const ItemKeys& keys, std::size_t begin, std::size_t end,
+                           Outcome<T>* out) const;
+  bool contains(const Key& key) const { return contains(std::vector<Key>{key})[0] != 0; }
   bool lookup(const Key& key, Outcome<double>& out) const { return lookup_as(key, out); }
   bool lookup(const Key& key, Outcome<VectorDelay>& out) const { return lookup_as(key, out); }
   void record(const Key& key, const Outcome<double>& outcome, Stage& stage) const;
@@ -152,6 +172,9 @@ class Checkpoint {
  private:
   template <typename T>
   bool lookup_as(const Key& key, Outcome<T>& out) const;
+  /// The range read under every item lookup: keys[0, n) into out[0, n).
+  template <typename T>
+  std::vector<char> lookup_items(const util::ItemKey* keys, std::size_t n, Outcome<T>* out) const;
   template <typename T>
   bool view_lookup(const std::string& key, Outcome<T>& out) const;
   template <typename T>

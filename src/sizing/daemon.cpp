@@ -51,6 +51,9 @@ using Clock = std::chrono::steady_clock;
 /// range, so now() plus it cannot overflow.
 constexpr double kMaxWaitS = std::chrono::duration<double>(Clock::duration::max()).count() / 2;
 
+/// Keys per range read of the replay lane's presence check: a sweep chunk.
+constexpr std::size_t kPresenceChunk = 256;
+
 /// `seconds`, checked against kMaxWaitS.
 double wait_seconds(double seconds, const std::string& what) {
   if (seconds > kMaxWaitS) {
@@ -981,9 +984,15 @@ class DaemonImpl {
     if (!store_.journal().find_context(rank_prefix(backend, wl), context)) {
       return false;  // never ranked
     }
-    const ItemKeys keys(context, vectors);
-    for (std::size_t i = 0; i < vectors.size(); ++i) {
-      if (!store_.contains(keys[i])) return false;
+    const ItemKeys items(context, vectors);
+    std::vector<Checkpoint::Key> keys;
+    for (std::size_t begin = 0; begin < vectors.size(); begin += kPresenceChunk) {
+      keys.clear();
+      for (std::size_t i = begin; i < std::min(vectors.size(), begin + kPresenceChunk); ++i) {
+        keys.emplace_back(items[i]);
+      }
+      const std::vector<char> held = store_.contains(keys);
+      if (std::find(held.begin(), held.end(), 0) != held.end()) return false;
     }
     return true;
   }

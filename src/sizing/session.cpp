@@ -63,19 +63,16 @@ struct RunContext {
 // (std::invalid_argument and friends) propagate -- they indicate caller
 // bugs, not numerical bad luck.
 //
-// Ordering per attempt: checkpoint replay (a journaled outcome skips the
-// work entirely), then cancellation (kCancelled, never journaled), then
-// the body.  Completed outcomes (successes and persistable failures) are
-// staged into `stage` before being returned; the caller commits the
-// stage, so a crash can lose at most the items still in flight and each
-// worker's uncommitted group.
+// The caller replays a journaled item instead (its outcome skips the work
+// entirely), so run_item makes no journal read.  Ordering per attempt:
+// cancellation (kCancelled, never journaled), then the body.  Completed
+// outcomes (successes and persistable failures) are staged into `stage`
+// before being returned; the caller commits the stage, so a crash can
+// lose at most the items still in flight and each worker's uncommitted
+// group.
 template <typename T, typename Fn>
 Outcome<T> run_item(const RunContext& ctx, std::size_t index, const ItemKeys& keys,
                     std::size_t k, Checkpoint::Stage& stage, Fn&& body) {
-  if (ctx.checkpoint != nullptr) {
-    Outcome<T> cached;
-    if (ctx.checkpoint->lookup(keys[k], cached)) return cached;
-  }
   const faultinject::ScopedScope scope(static_cast<std::int64_t>(index));
   FailureInfo last;
   for (int attempt = 1; attempt <= kItemAttempts; ++attempt) {
@@ -110,12 +107,15 @@ Outcome<T> run_item(const RunContext& ctx, std::size_t index, const ItemKeys& ke
   return out;
 }
 
-// run_item for the serial call sites: the item's record commits at once.
+// run_item for the serial call sites: a one-key lookup, then the item,
+// whose record commits at once.
 template <typename T, typename Fn>
 Outcome<T> run_item_committed(const RunContext& ctx, std::size_t index, const ItemKeys& key,
                               Fn&& body) {
+  Outcome<T> out;
+  if (ctx.checkpoint != nullptr && ctx.checkpoint->lookup(key[0], out)) return out;
   Checkpoint::Stage stage;
-  Outcome<T> out = run_item<T>(ctx, index, key, 0, stage, std::forward<Fn>(body));
+  out = run_item<T>(ctx, index, key, 0, stage, std::forward<Fn>(body));
   if (ctx.checkpoint != nullptr) ctx.checkpoint->commit(stage);
   return out;
 }
@@ -148,14 +148,15 @@ constexpr std::size_t kMaxCommitGroup = 64;
 // its memo, body and emit read -- once, when the pass's first task
 // starts; the state is freed once the pass is emitted.  A task's Outcome
 // slots live from its run to its emission, so memory holds the tasks in
-// flight, not the list.  A task builds its memo (presence tests and
-// batch kernel), then runs each item through run_item, committing after
-// every kMaxCommitGroup items and at its end, also when cancellation cut
-// its items short, so an entry point returns with every completed item
-// journaled.  A task that throws (a journal fault, a
-// precondition bug) drops its uncommitted group, as a crash would, and
-// propagates once the pool drains; emission stops at the last whole
-// chunk before it.
+// flight, not the list.  A task reads its chunk's journaled items in one
+// range (Checkpoint::lookup, straight into its slots), builds its memo
+// (batch kernel) from the presence mask, then runs each other item
+// through run_item, committing after every kMaxCommitGroup items and at
+// its end, also when cancellation cut its items short, so an entry point
+// returns with every completed item journaled.  A task that throws (a
+// journal fault, a precondition bug) drops its uncommitted group, as a
+// crash would, and propagates once the pool drains; emission stops at
+// the last whole chunk before it.
 //
 // emit(state, i, outcome) is the caller's per-item reduction (report,
 // sink, running maximum), called for every item in input order, pass
@@ -228,12 +229,17 @@ void run_passes(const RunContext& run, std::size_t chunk, const std::vector<std:
       auto& s = state(k);
       const std::size_t begin = (t - first[k]) * span;
       const std::size_t end = std::min(sizes[k], begin + span);
-      auto memo = make_memo(s, begin, end);
       std::vector<Outcome<T>>& out = outs[t];
       out.resize(end - begin);
+      const std::vector<char> replayed =
+          run.checkpoint != nullptr ? run.checkpoint->lookup(s.keys, begin, end, out.data())
+                                    : std::vector<char>();
+      auto memo = make_memo(s, begin, end, replayed);
       Checkpoint::Stage stage;
       for (std::size_t i = begin; i < end; ++i) {
-        out[i - begin] = run_item<T>(run, i, s.keys, i, stage, [&] { return body(s, memo, i); });
+        if (replayed.empty() || replayed[i - begin] == 0) {
+          out[i - begin] = run_item<T>(run, i, s.keys, i, stage, [&] { return body(s, memo, i); });
+        }
         if (run.checkpoint != nullptr && ((i + 1 - begin) % group == 0 || i + 1 == end)) {
           run.checkpoint->commit(stage);
         }
@@ -255,22 +261,25 @@ void run_chunks(const RunContext& run, const ItemKeys& keys, std::size_t chunk, 
   };
   run_passes<T>(
       run, chunk, {n}, [&](std::size_t) { return std::make_unique<Pass>(Pass{keys}); },
-      [&](Pass&, std::size_t begin, std::size_t end) { return make_memo(begin, end); },
+      [&](Pass&, std::size_t begin, std::size_t end, const std::vector<char>& replayed) {
+        return make_memo(begin, end, replayed);
+      },
       [&](Pass&, auto& memo, std::size_t i) { return body(memo, i); },
       [&](Pass&, std::size_t i, Outcome<T>& o) { emit(i, o); },
       [](std::size_t, Pass&) { return true; });
 }
 
-// The items of [begin, end) for the chunk's batch kernel: those not yet
-// journaled, so a resumed run batches only the rest; none when the kernel
+// The items of [begin, end) for the chunk's batch kernel: those the
+// chunk's range read did not replay (`replayed`, empty when no checkpoint
+// is armed), so a resumed run batches only the rest; none when the kernel
 // stands down (chunk 0) or the run is cancelled (run_item classifies
 // those items itself).
-std::vector<std::size_t> chunk_todo(const RunContext& run, const ItemKeys& keys,
+std::vector<std::size_t> chunk_todo(const RunContext& run, const std::vector<char>& replayed,
                                     std::size_t chunk, std::size_t begin, std::size_t end) {
   std::vector<std::size_t> todo;
   if (chunk == 0 || run.cancel.requested()) return todo;
   for (std::size_t i = begin; i < end; ++i) {
-    if (run.checkpoint == nullptr || !run.checkpoint->contains(keys[i])) todo.push_back(i);
+    if (replayed.empty() || replayed[i - begin] == 0) todo.push_back(i);
   }
   return todo;
 }
@@ -413,9 +422,9 @@ std::size_t rank_vectors_passes(const std::vector<std::size_t>& sizes, RankPasse
   // failed item only removes itself from the stream.
   run_passes<VectorDelay>(
       run, chunk, sizes, [&](std::size_t k) { return k == 0 ? std::move(first) : open(k); },
-      [&](RankState& s, std::size_t begin, std::size_t end) {
+      [&](RankState& s, std::size_t begin, std::size_t end, const std::vector<char>& replayed) {
         return DegradationMemo(*s.pass.backend, s.pass.vectors, s.pass.wl,
-                               chunk_todo(run, s.keys, chunk, begin, end));
+                               chunk_todo(run, replayed, chunk, begin, end));
       },
       [&](RankState& s, DegradationMemo& memo, std::size_t i) {
         return memo.measure(i, *s.pass.backend, s.pass.vectors[i], s.pass.wl);
@@ -522,12 +531,16 @@ SizingResult size_for_degradation(const EvalBackend& backend,
   // Parallel map into per-item Outcome slots, reduced in input
   // order by a first-maximum that skips failed items: identical result to
   // the serial loop for any thread count, regardless of which items fail.
+  // The transitions are packed once; each probe keys them in its own
+  // context.
   const std::size_t chunk = batch_chunk(session, backend);
+  const ItemKeys packed = ckpt != nullptr ? ItemKeys(0, vectors) : ItemKeys();
   auto worst_at = [&](double wl) {
     if (!run.cancel.requested()) backend.prepare_wl(wl);
     std::string prefix;
     if (run.needs_keys(sink)) prefix = checkpoint_prefix("probe", backend.name(), fp, wl);
-    const ItemKeys keys = pass_keys(ckpt, prefix, vectors.data(), vectors.size());
+    const ItemKeys keys =
+        ckpt != nullptr ? packed.with_context(ckpt->context(prefix)) : ItemKeys();
     SinkKeys sink_key(sink, prefix);
     double worst = -1.0;
     std::size_t worst_idx = 0;
@@ -538,9 +551,9 @@ SizingResult size_for_degradation(const EvalBackend& backend,
     // failures), which should cancel and propagate.
     run_chunks<double>(
         run, keys, chunk, vectors.size(),
-        [&](std::size_t begin, std::size_t end) {
+        [&](std::size_t begin, std::size_t end, const std::vector<char>& replayed) {
           return DegradationMemo(backend, vectors.data(), wl,
-                                 chunk_todo(run, keys, chunk, begin, end));
+                                 chunk_todo(run, replayed, chunk, begin, end));
         },
         [&](DegradationMemo& memo, std::size_t i) {
           const VectorDelay vd = memo.measure(i, backend, vectors[i], wl);
@@ -629,8 +642,8 @@ VectorDelay search_worst_vector(const EvalBackend& backend, double wl, int sampl
   double best_score = -1.0;
   run_chunks<double>(
       run, keys, chunk, sampled.size(),
-      [&](std::size_t begin, std::size_t end) {
-        return ChunkMemo(chunk_todo(run, keys, chunk, begin, end), sampled.data(),
+      [&](std::size_t begin, std::size_t end, const std::vector<char>& replayed) {
+        return ChunkMemo(chunk_todo(run, replayed, chunk, begin, end), sampled.data(),
                          [&](auto vps, auto m, auto out) {
                            backend.delay_at_wl_batch(vps, m, wl, out);
                          });
@@ -727,7 +740,7 @@ std::vector<VectorPair> screen_vectors(const netlist::Netlist& nl,
   scored.reserve(candidates.size());
   run_chunks<double>(
       run, keys, std::min(session.batch == 0 ? kDefaultBatch : session.batch, kMaxCommitGroup),
-      candidates.size(), [](std::size_t, std::size_t) { return 0; },
+      candidates.size(), [](std::size_t, std::size_t, const std::vector<char>&) { return 0; },
       [&](int, std::size_t i) { return falling_discharge_weight(nl, candidates[i]); },
       [&](std::size_t i, const Outcome<double>& o) {
         if (!run.keep(i, o)) return;

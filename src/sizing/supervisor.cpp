@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
@@ -144,6 +145,20 @@ struct Slot {
   std::int64_t current = -1;  ///< the item last announced with "S"
 };
 
+/// The items of `idx` whose key `ckpt` lacks, in order: one range read.
+std::vector<std::size_t> absent(const Checkpoint& ckpt, const std::vector<std::size_t>& idx,
+                                const KeyFn& key_of) {
+  std::vector<Checkpoint::Key> keys;
+  keys.reserve(idx.size());
+  for (const std::size_t i : idx) keys.push_back(key_of(i));
+  const std::vector<char> held = ckpt.contains(keys);
+  std::vector<std::size_t> out;
+  for (std::size_t j = 0; j < idx.size(); ++j) {
+    if (held[j] == 0) out.push_back(idx[j]);
+  }
+  return out;
+}
+
 }  // namespace
 
 std::vector<std::pair<std::size_t, std::size_t>> plan_shards(std::size_t n_items, int shards) {
@@ -179,10 +194,9 @@ SupervisorStats supervise(const SupervisorOptions& options, std::size_t n_items,
 
   // Plan only the items the caller's checkpoint lacks.
   SupervisorStats stats;
-  std::vector<std::size_t> todo;
-  for (std::size_t i = 0; i < n_items; ++i) {
-    if (!merged.contains(key_of(i))) todo.push_back(i);
-  }
+  std::vector<std::size_t> all(n_items);
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  std::vector<std::size_t> todo = absent(merged, all, key_of);
   if (todo.empty()) return stats;
   std::filesystem::create_directories(options.dir);
   util::CancelToken& cancel =
@@ -272,10 +286,8 @@ SupervisorStats supervise(const SupervisorOptions& options, std::size_t n_items,
       }
     }
     std::vector<std::size_t> pending;
-    for (const std::size_t idx : slot.assigned) {
-      if (quarantined.count(idx) != 0) continue;
-      if (done_log.contains(key_of(idx))) continue;
-      pending.push_back(idx);
+    for (const std::size_t idx : absent(done_log, slot.assigned, key_of)) {
+      if (quarantined.count(idx) == 0) pending.push_back(idx);
     }
     if (pending.empty()) {
       slot.state = Slot::State::Done;
@@ -386,9 +398,9 @@ SupervisorStats supervise(const SupervisorOptions& options, std::size_t n_items,
     columnar->flush();
   }
   Checkpoint::Stage quarantine_records;
-  for (const std::size_t idx : quarantined) {
+  for (const std::size_t idx :
+       absent(merged, std::vector<std::size_t>(quarantined.begin(), quarantined.end()), key_of)) {
     const Checkpoint::Key key = key_of(idx);
-    if (merged.contains(key)) continue;
     FailureInfo info;
     info.code = FailureCode::kPoisonedItem;
     info.site = "sizing::supervisor";

@@ -1,10 +1,12 @@
 #include "util/journal.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -359,10 +361,11 @@ bool Journal::replay_record(const std::string& data, std::size_t& pos) {
   if (count > left / rec || text >= left - count * rec) return false;
   const std::size_t body = count * rec;
   if (p[body + text] != '\n' || crc32(p, body + text, crc32(dims, dims_len)) != crc) return false;
-  std::size_t used = 0, t = 0;
+  std::size_t texts[kMaxGroup] = {};
+  std::size_t used = 0;
   for (std::size_t i = 0; i < count; ++i) {
-    if (!parse_tail(p + (i + 1) * rec - kTail, text - used, nullptr, t)) return false;
-    used += t;
+    if (!parse_tail(p + (i + 1) * rec - kTail, text - used, nullptr, texts[i])) return false;
+    used += texts[i];
   }
   if (used != text) return false;
   // Items point into the replayed file bytes; a failure's record is
@@ -370,14 +373,32 @@ bool Journal::replay_record(const std::string& data, std::size_t& pos) {
   used = 0;
   for (std::size_t i = 0; i < count; ++i) {
     const char* r = p + i * rec;
-    parse_tail(r + rec - kTail, text - used, nullptr, t);
-    if (t != 0) r = chunks_.emplace_front(r, rec).append(p + body + used, t).data();
-    used += t;
-    insert_locked(r, hash_key(r, rec - kTail), static_cast<std::uint32_t>(bits));
+    if (texts[i] != 0) r = chunks_.emplace_front(r, rec).append(p + body + used, texts[i]).data();
+    used += texts[i];
+    items_.push_back({r, hash_key(r, rec - kTail), static_cast<std::uint32_t>(bits)});
   }
   replayed_records_ += count;
   pos = static_cast<std::size_t>(p - data.data()) + body + text + 1;
   return true;
+}
+
+void Journal::index_replayed_locked() {
+  if (items_.empty()) return;
+  // A load factor of at most 1/2 even if no key repeats; insert_locked()
+  // doubles from here as appends add items.
+  slots_.assign(std::max<std::size_t>(64, std::bit_ceil(2 * items_.size())), 0);
+  std::size_t kept = 0;
+  for (std::size_t r = 0; r < items_.size(); ++r) {
+    const Item it = items_[r];
+    const std::size_t s = probe_locked(it.hash, it.bits, it.at);
+    if (slots_[s] == 0) {
+      slots_[s] = (it.hash & kSlotTag) | (kept + 1);
+      items_[kept++] = it;
+    } else {
+      items_[(slots_[s] & kSlotIndex) - 1].at = it.at;  // a later record wins
+    }
+  }
+  items_.resize(kept);
 }
 
 void Journal::clear_tables() {
@@ -408,25 +429,26 @@ void Journal::open(const std::string& path, JournalOptions options,
   fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
   if (fd_ < 0) throw_errno("cannot open", path);
 
-  // Replay: slurp the file into a chunk (replayed items point into it),
-  // parse records until the first torn one.
-  std::string& data = chunks_.emplace_front();
-  {
-    char buf[1 << 16];
-    while (true) {
-      const ssize_t n = ::read(fd_, buf, sizeof(buf));
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        throw_errno("read failed", path);
-      }
-      if (n == 0) break;
-      data.append(buf, static_cast<std::size_t>(n));
+  // Replay: read the file into a chunk sized by fstat (replayed items
+  // point into it), parse records until the first torn one, then index
+  // the items.
+  struct stat st {};
+  if (::fstat(fd_, &st) != 0) throw_errno("stat failed", path);
+  std::string& data = chunks_.emplace_front(static_cast<std::size_t>(st.st_size), '\0');
+  for (std::size_t got = 0; got < data.size();) {
+    const ssize_t n = ::read(fd_, data.data() + got, data.size() - got);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      throw_errno("read failed", path);
     }
+    if (n == 0) data.resize(got);  // the file shrank since fstat
+    got += static_cast<std::size_t>(n);
   }
   std::size_t pos = 0;
   while (pos < data.size() && replay_record(data, pos)) {
   }
   truncated_bytes_ = data.size() - pos;
+  index_replayed_locked();
   if (accept) {
     try {
       accept(*this);
@@ -669,17 +691,31 @@ bool Journal::contains(const std::string& key) const {
   return latest_.count(key) != 0;
 }
 
-bool Journal::find_item(const ItemKey& key, ItemValue& out) const {
-  const std::shared_lock<std::shared_mutex> lock(mutex_);
-  const char* record = find_locked(key);
+bool ItemRecords::get(std::size_t i, ItemValue& out) const {
+  if (!found(i)) return false;
   std::size_t text = 0;
-  return record != nullptr &&
-         parse_tail(record + key_size(key.bits), ~std::uint64_t{0}, &out, text);
+  return parse_tail(bytes_.data() + at_[i], bytes_.size() - at_[i] - kTail, &out, text);
 }
 
-bool Journal::contains_item(const ItemKey& key) const {
+ItemRecords Journal::find_items(const ItemKey* keys, std::size_t n) const {
+  ItemRecords out;
+  out.at_.assign(n, ItemRecords::kAbsent);
   const std::shared_lock<std::shared_mutex> lock(mutex_);
-  return find_locked(key) != nullptr;
+  for (std::size_t i = 0; i < n; ++i) {
+    const char* record = find_locked(keys[i]);
+    if (record == nullptr) continue;
+    const char* tail = record + key_size(keys[i].bits);
+    std::size_t text = 0;
+    parse_tail(tail, ~std::uint64_t{0}, nullptr, text);
+    if (out.bytes_.empty()) out.bytes_.reserve((n - i) * kTail);
+    out.at_[i] = out.bytes_.size();
+    out.bytes_.append(tail, kTail + text);
+  }
+  return out;
+}
+
+bool Journal::find_item(const ItemKey& key, ItemValue& out) const {
+  return find_items(&key, 1).get(0, out);
 }
 
 std::size_t Journal::size() const {

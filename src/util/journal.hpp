@@ -36,7 +36,8 @@
 // Later records for the same key or item win, and an item record equal
 // to the item's latest one is not written again.  In memory, text records
 // live in a string map and items in an open-addressed table of fixed
-// slots that starts small and doubles.
+// slots: open() reads the file with one read() and sizes the table once
+// for the item records it replayed; appends double it as needed.
 //
 // Durability: a write() survives process death without any flush; fsync
 // only narrows the kernel-crash / power-loss window, so it is batched by
@@ -47,9 +48,13 @@
 // Thread safety: appends, register_context() and flush() serialize on a
 // write mutex and are safe from pool workers.  The in-memory tables have
 // their own reader-writer lock, held exclusively only while a written
-// batch is applied, so readers never wait on write() or fsync(); they
-// return copies, so a reader never sees a value a concurrent append is
-// overwriting.  open/replay are owner-thread operations.
+// batch is applied, so readers never wait on write() or fsync().  Item
+// reads are range reads (find_items): one reader lock per range and one
+// table probe per key, so a sweep chunk of 256 items takes the lock once.
+// Each held outcome is copied out under the lock, so a reader never sees
+// a value a concurrent append is overwriting, and a range sees a
+// committed batch's items all or none.  open/replay are owner-thread
+// operations.
 
 #include <chrono>
 #include <cstddef>
@@ -109,6 +114,23 @@ struct ItemValue {
 /// decode returns false on bytes encode() cannot have produced.
 std::string encode_item_value(const ItemValue& value);
 bool decode_item_value(std::string_view bytes, ItemValue& out);
+
+/// The outcomes Journal::find_items copied out, one slot per key asked
+/// about: a held item's outcome tail and failure text, decoded by get()
+/// outside the journal's lock.
+class ItemRecords {
+ public:
+  std::size_t size() const { return at_.size(); }
+  bool found(std::size_t i) const { return at_[i] != kAbsent; }
+  /// Key i's outcome into `out`; false when the journal does not hold it.
+  bool get(std::size_t i, ItemValue& out) const;
+
+ private:
+  friend class Journal;
+  static constexpr std::size_t kAbsent = ~std::size_t{0};
+  std::vector<std::size_t> at_;  ///< key i's outcome in bytes_, or kAbsent
+  std::string bytes_;            ///< outcome tails, each followed by its failure text
+};
 
 /// Records for one Journal::append_batch: text records, then items
 /// (written as J2 groups of up to 64 of equal width), in one write().
@@ -195,9 +217,12 @@ class Journal {
   /// Latest value of text record `key`.
   std::optional<std::string> find(const std::string& key) const;
   bool contains(const std::string& key) const;
-  /// Latest outcome of item `key` into `out`; false when absent.
+  /// Range read: the latest outcome of each of keys[0, n), copied out
+  /// under one reader lock with one table probe per key.
+  ItemRecords find_items(const ItemKey* keys, std::size_t n) const;
+  /// The one-key case of find_items: item `key`'s latest outcome into
+  /// `out`; false when absent.
   bool find_item(const ItemKey& key, ItemValue& out) const;
-  bool contains_item(const ItemKey& key) const;
 
   std::size_t size() const;        ///< distinct text keys + distinct items
   std::size_t item_count() const;  ///< distinct items
@@ -232,7 +257,12 @@ class Journal {
   static std::string format_batch(const JournalBatch& batch);
   /// Drop the items append_batch() must not write; true when any was.
   bool drop_held_items_locked(JournalBatch& batch) const;
+  /// Replay the record at `pos` and advance past it; false, with nothing
+  /// applied, if it is torn.  Its items join items_ unindexed.
   bool replay_record(const std::string& data, std::size_t& pos);
+  /// Index the replayed items_ in a table sized once for all of them,
+  /// folding repeats of a key into its first entry (a later record wins).
+  void index_replayed_locked();
   void clear_tables();
   void write_locked(const std::string& bytes, std::size_t records);
   /// fsync the file, and its directory if open() created it.

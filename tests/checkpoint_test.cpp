@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstddef>
@@ -438,6 +439,146 @@ TEST_F(CheckpointTest, TypedDecoderRejectsUnknownCodesAndNegativeAttempts) {
   ASSERT_TRUE(ckpt.lookup(keys[6], edge));
   EXPECT_EQ(edge.failure.code, FailureCode::kPoisonedItem);
   EXPECT_EQ(edge.attempts, 0);
+}
+
+/// `n` distinct transitions of `bits` bits: v0 holds i in its low bits
+/// and sets the top bit, v1 is i's complement in its top byte.
+std::vector<VectorPair> wide_pairs(std::size_t n, std::size_t bits) {
+  std::vector<VectorPair> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i].v0.assign(bits, false);
+    out[i].v1.assign(bits, false);
+    for (std::size_t b = 0; b < 8; ++b) {
+      out[i].v0[b] = ((i >> b) & 1u) != 0;
+      out[i].v1[bits - 1 - b] = ((i >> b) & 1u) == 0;
+    }
+    out[i].v0[bits - 1] = true;
+  }
+  return out;
+}
+
+TEST_F(CheckpointTest, RangeLookupMatchesOneKeyLookups) {
+  // A range lookup decodes what the one-key lookup decodes, key by key:
+  // absent items, failures with site and context text, items a later
+  // record overwrote, and 70-bit (two-word) transitions -- also after the
+  // journal is closed.  The mixed-key contains agrees, text keys too.
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const FailureInfo info{FailureCode::kSingularMatrix, "spice::lu", "pivot 0 at node n3"};
+  const std::vector<VectorPair> narrow = wide_pairs(40, 8), wide = wide_pairs(20, 70);
+  Checkpoint ckpt;
+  ckpt.open(path());
+  const sizing::ItemKeys nkeys(ckpt.context(kDoublePass), narrow);
+  const sizing::ItemKeys wkeys(ckpt.context(kDelayPass), wide);
+  Checkpoint::Stage stage;
+  for (std::size_t i = 0; i < narrow.size(); ++i) {
+    if (i % 3 == 0) continue;  // absent
+    ckpt.record(nkeys[i],
+                i % 5 == 1 ? Outcome<double>::fail(info)
+                           : Outcome<double>::success(0.5 * static_cast<double>(i), 1 + i % 2),
+                stage);
+  }
+  for (std::size_t i = 0; i < wide.size(); ++i) {
+    if (i % 4 != 0) ckpt.record(wkeys[i], Outcome<double>::success(-static_cast<double>(i)), stage);
+  }
+  ckpt.record_failure(std::string("chunk:q"), info, stage);
+  ckpt.commit(stage);
+  Checkpoint::Stage later;
+  ckpt.record(nkeys[1], Outcome<double>::success(99.0), later);  // was a failure
+  ckpt.record(nkeys[2], Outcome<double>::fail(info), later);     // was a success
+  ckpt.commit(later);
+
+  const auto check = [&](const sizing::ItemKeys& keys, std::size_t begin, std::size_t end) {
+    SCOPED_TRACE(std::to_string(begin) + ".." + std::to_string(end));
+    std::vector<Outcome<double>> out(end - begin);
+    const std::vector<char> found = ckpt.lookup(keys, begin, end, out.data());
+    ASSERT_EQ(found.size(), end - begin);
+    std::vector<Checkpoint::Key> mixed;
+    for (std::size_t i = begin; i < end; ++i) {
+      Outcome<double> one;
+      const bool held = ckpt.lookup(keys[i], one);
+      EXPECT_EQ(found[i - begin] != 0, held) << i;
+      EXPECT_EQ(ckpt.contains(keys[i]), held) << i;
+      mixed.emplace_back(keys[i]);
+      if (!held) continue;
+      const Outcome<double>& ranged = out[i - begin];
+      EXPECT_EQ(ranged.attempts, one.attempts) << i;
+      ASSERT_EQ(ranged.ok(), one.ok()) << i;
+      if (one.ok()) {
+        EXPECT_EQ(bits(*ranged.value), bits(*one.value)) << i;
+      } else {
+        EXPECT_EQ(ranged.failure.code, one.failure.code) << i;
+        EXPECT_EQ(ranged.failure.site, one.failure.site) << i;
+        EXPECT_EQ(ranged.failure.context, one.failure.context) << i;
+      }
+    }
+    mixed.emplace_back(std::string("chunk:q"));
+    mixed.emplace_back(std::string("chunk:none"));
+    const std::vector<char> present = ckpt.contains(mixed);
+    ASSERT_EQ(present.size(), found.size() + 2);
+    for (std::size_t j = 0; j < found.size(); ++j) EXPECT_EQ(present[j], found[j]) << j;
+    EXPECT_EQ(present[found.size()], 1);
+    EXPECT_EQ(present[found.size() + 1], 0);
+  };
+  for (int pass = 0; pass < 2; ++pass) {
+    check(nkeys, 0, narrow.size());
+    check(nkeys, 5, 17);
+    check(wkeys, 0, wide.size());
+    ckpt.journal().close();  // reads answer from the replayed tables
+  }
+  std::vector<Outcome<double>> out(3);
+  const std::vector<char> found = ckpt.lookup(nkeys, 0, 3, out.data());
+  EXPECT_EQ(found, (std::vector<char>{0, 1, 1}));
+  EXPECT_EQ(*out[1].value, 99.0);
+  EXPECT_EQ(out[2].failure.context, info.context);
+}
+
+TEST_F(CheckpointTest, CorruptRecordInARangeIsACodedError) {
+  // A CRC-valid record no writer produces (a failure code past
+  // kPoisonedItem) amid well-formed records: the range lookup of either
+  // type throws the coded error; a range that stops short of it reads.
+  Checkpoint ckpt;
+  ckpt.open(path());
+  const std::vector<VectorPair> pairs = wide_pairs(16, 8);
+  const sizing::ItemKeys dkeys(ckpt.context(kDoublePass), pairs);
+  const sizing::ItemKeys vkeys(ckpt.context(kDelayPass), pairs);
+  Checkpoint::Stage stage;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    VectorDelay vd;
+    vd.delay_cmos = static_cast<double>(i);
+    ckpt.record(dkeys[i], Outcome<double>::success(static_cast<double>(i)), stage);
+    ckpt.record(vkeys[i], Outcome<VectorDelay>::success(vd), stage);
+  }
+  ckpt.commit(stage);
+  util::ItemValue bad;
+  bad.attempts = 1;
+  bad.code = 200;
+  util::JournalBatch batch;
+  batch.add(dkeys[9], bad);
+  batch.add(vkeys[9], bad);
+  ckpt.journal().append_batch(batch);
+  const auto expect_corrupt = [](const std::function<void()>& lookup) {
+    try {
+      lookup();
+      ADD_FAILURE() << "range lookup accepted a malformed record";
+    } catch (const NumericalError& e) {
+      EXPECT_EQ(e.info().code, FailureCode::kInvalidArgument);
+    }
+  };
+  expect_corrupt([&] {
+    std::vector<Outcome<double>> out(pairs.size());
+    ckpt.lookup(dkeys, 0, pairs.size(), out.data());
+  });
+  expect_corrupt([&] {
+    std::vector<Outcome<VectorDelay>> out(8);
+    ckpt.lookup(vkeys, 4, 12, out.data());
+  });
+  std::vector<Outcome<double>> out(9);
+  const std::vector<char> found = ckpt.lookup(dkeys, 0, 9, out.data());
+  EXPECT_EQ(std::count(found.begin(), found.end(), 1), 9);
+  EXPECT_EQ(*out[8].value, 8.0);
+  std::vector<Outcome<VectorDelay>> vout(6);
+  EXPECT_EQ(ckpt.lookup(vkeys, 10, 16, vout.data()), std::vector<char>(6, 1));
+  EXPECT_EQ(vout[5].value->delay_cmos, 15.0);
 }
 
 TEST_F(CheckpointTest, LegacyTextItemJournalIsRefusedUntouched) {

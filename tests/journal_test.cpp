@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <array>
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cstring>
@@ -33,6 +34,7 @@ namespace {
 
 using mtcmos::util::format_journal_record;
 using mtcmos::util::ItemKey;
+using mtcmos::util::ItemRecords;
 using mtcmos::util::ItemValue;
 using mtcmos::util::Journal;
 using mtcmos::util::JournalBatch;
@@ -936,6 +938,218 @@ TEST_F(JournalTest, MergedItemBytesDependOnlyOnTheRecordSet) {
   ItemValue back;
   ASSERT_TRUE(merged.find_item(test_item(4).key(ctx), back));
   EXPECT_TRUE(same_value(back, value_of(4)));
+}
+
+
+// --- Range reads and replay sizing ---
+
+TEST_F(JournalTest, RangeReadMatchesPerKeyFinds) {
+  // One range over absent keys, failures with site/detail text, items a
+  // later record overwrote and 130-bit keys reads what find_item reads
+  // key by key: while open, after close(), and after a reopen.
+  std::vector<std::array<std::uint64_t, 6>> wide(10);
+  Journal j;
+  j.open(path());
+  const std::uint64_t ctx = j.register_context(kPrefix);
+  JournalBatch batch;
+  for (unsigned i = 0; i < 12; ++i) {
+    if (i % 3 != 2) batch.add(test_item(i).key(ctx), value_of(i));  // 2, 5, 8, 11 stay absent
+  }
+  for (std::uint64_t i = 0; i < wide.size(); ++i) {
+    wide[i] = {i, ~i, i & 3, i * 5, i ^ 7, 1};
+    batch.add({ctx, 130, wide[i].data()}, value_of(static_cast<unsigned>(i) + 3));
+  }
+  j.append_batch(batch);
+  JournalBatch later;
+  later.add(test_item(0).key(ctx), value_of(7));  // a success becomes a failure
+  later.add(test_item(3).key(ctx), value_of(4));  // and a failure a success
+  j.append_batch(later);
+
+  std::vector<TestItem> narrow;
+  for (unsigned i = 0; i < 12; ++i) narrow.push_back(test_item(i));
+  std::vector<ItemKey> keys;
+  for (const TestItem& t : narrow) keys.push_back(t.key(ctx));
+  for (const auto& w : wide) keys.push_back({ctx, 130, w.data()});
+  keys.push_back(narrow[1].key(ctx + 1));  // other context
+  keys.push_back(narrow[1].key(ctx, 5));   // other width
+  const auto check = [&](const Journal& reader, const char* when) {
+    SCOPED_TRACE(when);
+    const ItemRecords range = reader.find_items(keys.data(), keys.size());
+    ASSERT_EQ(range.size(), keys.size());
+    std::size_t held = 0;
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+      ItemValue one, ranged;
+      const bool found = reader.find_item(keys[k], one);
+      EXPECT_EQ(range.found(k), found) << k;
+      EXPECT_EQ(range.get(k, ranged), found) << k;
+      if (!found) continue;
+      EXPECT_TRUE(same_value(ranged, one)) << k;
+      ++held;
+    }
+    EXPECT_EQ(held, 8 + wide.size());
+    ItemValue v;
+    ASSERT_TRUE(range.get(0, v));
+    EXPECT_TRUE(same_value(v, value_of(7)));
+    ASSERT_TRUE(range.get(3, v));
+    EXPECT_TRUE(same_value(v, value_of(4)));
+    ASSERT_TRUE(range.get(7, v));
+    EXPECT_TRUE(same_value(v, value_of(7)));
+    ASSERT_TRUE(range.get(12 + 4, v));  // wide item 4: a failure
+    EXPECT_TRUE(same_value(v, value_of(7)));
+    EXPECT_FALSE(range.get(2, v));
+    EXPECT_EQ(reader.find_items(keys.data(), 0).size(), 0u);
+  };
+  check(j, "open");
+  j.close();
+  check(j, "closed");
+  Journal back;
+  back.open(path());
+  check(back, "reopened");
+}
+
+TEST_F(JournalTest, ConcurrentRangeReadsSeeWholeGroups) {
+  // Four readers range-read every group while one writer appends
+  // 64-item groups: a reader sees each group all or none, and every item
+  // it sees holds its committed value.
+  constexpr std::size_t kGroups = 16, kGroup = 64;
+  JournalOptions no_sync;
+  no_sync.fsync_interval_s = 0.0;
+  Journal j;
+  j.open(path(), no_sync);
+  const std::uint64_t ctx = j.register_context(kPrefix);
+  std::vector<std::array<std::uint64_t, 2>> words(kGroups * kGroup);
+  std::vector<ItemKey> keys(words.size());
+  for (std::uint64_t i = 0; i < words.size(); ++i) {
+    words[i] = {i, ~i & 0x3FFu};
+    keys[i] = {ctx, 10, words[i].data()};
+  }
+  std::atomic<bool> done{false};
+  std::atomic<int> torn{0}, wrong{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        for (std::size_t g = 0; g < kGroups; ++g) {
+          const ItemRecords range = j.find_items(keys.data() + g * kGroup, kGroup);
+          std::size_t present = 0;
+          for (std::size_t k = 0; k < kGroup; ++k) {
+            ItemValue v;
+            if (!range.get(k, v)) continue;
+            ++present;
+            if (!same_value(v, value_of(static_cast<unsigned>(g * kGroup + k)))) ++wrong;
+          }
+          if (present != 0 && present != kGroup) ++torn;
+        }
+      }
+    });
+  }
+  for (std::size_t g = 0; g < kGroups; ++g) {
+    JournalBatch batch;
+    for (std::size_t k = 0; k < kGroup; ++k) {
+      batch.add(keys[g * kGroup + k], value_of(static_cast<unsigned>(g * kGroup + k)));
+    }
+    j.append_batch(batch);
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& r : readers) r.join();
+  EXPECT_EQ(torn.load(), 0);
+  EXPECT_EQ(wrong.load(), 0);
+  const ItemRecords all = j.find_items(keys.data(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) EXPECT_TRUE(all.found(i)) << i;
+}
+
+TEST_F(JournalTest, TextHeavyJournalReplaysEveryRecord) {
+  // A daemon request log in miniature: hundreds of text records (one
+  // overwritten), registrations, and a few items, one of them
+  // overwritten by a later group.
+  {
+    Journal j;
+    j.open(path());
+    const std::uint64_t ctx = j.register_context(kPrefix);
+    (void)j.register_context("probe:vbs:00000000000000aa:4024000000000000:");
+    JournalBatch batch;
+    for (int i = 0; i < 300; ++i) {
+      batch.add(std::string("req:").append(std::to_string(i)),
+                "{\"op\":\"rank\",\"wl\":" + std::to_string(i) + "}");
+    }
+    for (unsigned i = 0; i < 5; ++i) batch.add(test_item(i).key(ctx), value_of(i));
+    j.append_batch(batch);
+    JournalBatch later;
+    later.add("req:7", "{\"op\":\"size\"}");
+    later.add(test_item(2).key(ctx), value_of(3));
+    later.add(test_item(9).key(ctx), value_of(9));
+    j.append_batch(later);
+  }
+  Journal j;
+  j.open(path());
+  EXPECT_EQ(j.replayed_records(), 300u + 5 + 3);
+  EXPECT_EQ(j.item_count(), 6u);
+  EXPECT_EQ(j.size(), 306u);
+  EXPECT_EQ(j.truncated_bytes(), 0u);
+  EXPECT_EQ(*j.find("req:7"), "{\"op\":\"size\"}");
+  EXPECT_EQ(*j.find("req:299"), "{\"op\":\"rank\",\"wl\":299}");
+  std::uint64_t ctx = 0;
+  ASSERT_TRUE(j.find_context(kPrefix, ctx));
+  for (unsigned i = 0; i < 10; ++i) {
+    SCOPED_TRACE(i);
+    ItemValue back;
+    const bool held = i < 5 || i == 9;
+    ASSERT_EQ(j.find_item(test_item(i).key(ctx), back), held);
+    if (held) {
+      EXPECT_TRUE(same_value(back, value_of(i == 2 ? 3 : i)));
+    }
+  }
+  // Items appended after a replay land in the table sized at open().
+  JournalBatch more;
+  for (unsigned i = 10; i < 40; ++i) more.add(test_item(i).key(ctx), value_of(i));
+  j.append_batch(more);
+  EXPECT_EQ(j.item_count(), 36u);
+  ItemValue back;
+  ASSERT_TRUE(j.find_item(test_item(39).key(ctx), back));
+  EXPECT_TRUE(same_value(back, value_of(39)));
+}
+
+TEST_F(JournalTest, TornMidGroupJournalKeepsItsWholeGroups) {
+  // Three 64-item groups, the file cut halfway through the third: replay
+  // keeps the first two groups and the text record between them, and
+  // truncates the half group.
+  constexpr unsigned kGroup = 64;
+  std::vector<std::array<std::uint64_t, 2>> words(3 * kGroup);
+  std::uint64_t ctx = 0;
+  std::uintmax_t whole = 0;
+  const auto key = [&](std::size_t i) { return ItemKey{ctx, 8, words[i].data()}; };
+  {
+    Journal j;
+    j.open(path());
+    ctx = j.register_context(kPrefix);
+    for (std::uint64_t i = 0; i < words.size(); ++i) words[i] = {i, ~i & 0xFFu};
+    for (unsigned g = 0; g < 3; ++g) {
+      JournalBatch batch;
+      for (unsigned k = 0; k < kGroup; ++k) {
+        batch.add(key(g * kGroup + k), value_of(g * kGroup + k));
+      }
+      if (g == 1) batch.add("meta:between", "groups");
+      j.append_batch(batch);
+      if (g == 1) whole = std::filesystem::file_size(path());
+    }
+  }
+  const std::string full = slurp(path());
+  const std::size_t cut = whole + (full.size() - whole) / 2;
+  write_file(path(), full.substr(0, cut));
+  Journal j;
+  j.open(path());
+  EXPECT_EQ(j.replayed_records(), 2u * kGroup + 1);
+  EXPECT_EQ(j.item_count(), 2u * kGroup);
+  EXPECT_EQ(j.truncated_bytes(), cut - whole);
+  EXPECT_EQ(std::filesystem::file_size(path()), whole);
+  EXPECT_EQ(*j.find("meta:between"), "groups");
+  for (unsigned i = 0; i < 3 * kGroup; ++i) {
+    ItemValue back;
+    ASSERT_EQ(j.find_item(key(i), back), i < 2 * kGroup) << i;
+    if (i < 2 * kGroup) {
+      EXPECT_TRUE(same_value(back, value_of(i))) << i;
+    }
+  }
 }
 
 }  // namespace
