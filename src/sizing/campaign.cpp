@@ -309,7 +309,7 @@ Evaluator::Evaluator(CornerCircuit circuit, const std::string& backend)
 namespace {
 
 /// ColumnarSpillSink whose flush() is a no-op: the chunk driver decides
-/// between commit (writer flush, then journal record) and abandon
+/// between commit (writer sync, then journal record) and abandon
 /// (writer discard) *after* inspecting the chunk's health, so a
 /// cancelled or failed chunk never leaves a partial block behind.  The
 /// chunk's tag is set at its first row: the writer still buffers the
@@ -422,8 +422,9 @@ void CampaignDriver::run_chunks(const std::vector<std::size_t>& ids, Checkpoint&
   util::CancelToken& tok = cancel != nullptr ? *cancel : util::CancelToken::global();
   // One pass per chunk.  Block discipline: one tag, rows buffered by the
   // no-op-flush sink, committed by close() only if the chunk ran to
-  // completion -- and the block lands on disk strictly before the
-  // journal record, so a journaled chunk always has its rows.
+  // completion -- and the block is written and synced strictly before
+  // the journal record, so a journaled chunk always has its rows, also
+  // after a power loss.
   struct Chunk {
     Chunk(util::ColumnarWriter& store, std::size_t id, std::shared_ptr<const Evaluator> corner)
         : sink(store, id), corner(std::move(corner)) {}
@@ -457,7 +458,7 @@ void CampaignDriver::run_chunks(const std::vector<std::size_t>& ids, Checkpoint&
         store_.discard();
         return false;
       }
-      store_.flush();
+      store_.sync();
       ckpt_.record(chunk_key(ids_[k]), Outcome<double>::success(static_cast<double>(rows)));
       return true;
     }

@@ -21,7 +21,7 @@
 //     can never shadow the complete re-run under first-block-wins
 //     merge);
 //   * checkpoint: one journal record per completed chunk ("chunk:<id>",
-//     written strictly *after* the block), so the journal stays
+//     written strictly *after* the block is synced), so the journal stays
 //     item-count-independent and a resume re-runs only incomplete
 //     chunks.  In-process, the remaining chunks run as one pool job
 //     (sizing::rank_vectors_passes) so no core idles at a chunk
@@ -29,8 +29,9 @@
 //     a run stops at the first chunk it interrupts;
 //   * sharding: with shards > 1 the remaining chunks first run across
 //     supervised worker processes (sizing/supervisor.hpp) whose shard
-//     journals and shard columnar stores merge back by identity; the
-//     in-process pass then finishes what the workers left, as a resume.
+//     columnar stores, then their shard journals, merge back by
+//     identity; the in-process pass then finishes what the workers left,
+//     as a resume.
 // Chunks are deterministic, so fresh, killed-and-resumed, and sharded
 // campaigns all converge to the same store contents -- and because the
 // table is built from order-independent aggregates (counts, integer

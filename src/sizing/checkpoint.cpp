@@ -25,10 +25,6 @@ namespace {
                             " (journal written by an incompatible run?)"});
 }
 
-std::string describe(const util::ItemKey& key) {
-  return "an item of context " + util::hex16(key.context);
-}
-
 /// Item form of a string key: its prefix and transition, or false.
 bool split_item_key(const std::string& key, std::string& prefix, VectorPair& vp) {
   if (!parse_item_key_transition(key, vp)) return false;
@@ -131,7 +127,7 @@ ItemKeys::ItemKeys(std::uint64_t context, const VectorPair* vectors, std::size_t
 void Checkpoint::open(const std::string& path) {
   // The legacy check runs before open() truncates a torn tail, so a
   // refused file keeps every byte.
-  journal_.open(path, {}, [&](const util::Journal& replayed) {
+  journal_.open(path, [&](const util::Journal& replayed) {
     std::string legacy;
     replayed.for_each_text([&](const std::string& key, const std::string&) {
       VectorPair vp;
@@ -162,48 +158,24 @@ void Checkpoint::bind_meta(const std::string& name, const std::string& value) {
   journal_.append(key, value);
 }
 
-std::vector<char> Checkpoint::contains(const std::vector<Key>& keys) const {
-  std::vector<char> found(keys.size(), 0);
-  std::vector<util::ItemKey> items;
-  std::vector<std::size_t> at;  // keys index of items[j]
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    if (keys[i].text.empty()) {
-      items.push_back(keys[i].item);
-      at.push_back(i);
-    } else {
-      found[i] = journal_.contains(keys[i].text) ? 1 : 0;
-    }
-  }
-  const util::ItemRecords held = journal_.find_items(items.data(), items.size());
-  for (std::size_t j = 0; j < items.size(); ++j) found[at[j]] = held.found(j) ? 1 : 0;
-  return found;
+bool Checkpoint::contains(const Key& key) const {
+  if (!key.text.empty()) return journal_.contains(key.text);
+  return journal_.find_items(key.item, 1)[0] != 0;
 }
 
 template <typename T>
-std::vector<char> Checkpoint::lookup_items(const util::ItemKey* keys, std::size_t n,
+std::vector<char> Checkpoint::lookup_items(const util::ItemKey& first, std::size_t n,
                                            Outcome<T>* out) const {
-  std::vector<char> found(n, 0);
-  const util::ItemRecords held = journal_.find_items(keys, n);
-  util::ItemValue v;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!held.get(i, v)) continue;
-    if (!decode(v, out[i])) throw_corrupt(describe(keys[i]));
-    found[i] = 1;
-  }
-  return found;
-}
-
-template <typename T>
-std::vector<char> Checkpoint::lookup(const ItemKeys& keys, std::size_t begin, std::size_t end,
-                                     Outcome<T>* out) const {
-  std::vector<util::ItemKey> items(end - begin);
-  for (std::size_t i = begin; i < end; ++i) items[i - begin] = keys[i];
-  return lookup_items(items.data(), items.size(), out);
+  if (out == nullptr) return journal_.find_items(first, n);
+  const std::uint64_t context = first.context;
+  return journal_.find_items(first, n, [out, context](std::size_t i, const util::ItemValue& v) {
+    if (!decode(v, out[i])) throw_corrupt("an item of context " + util::hex16(context));
+  });
 }
 
 template <typename T>
 bool Checkpoint::lookup_as(const Key& key, Outcome<T>& out) const {
-  if (key.text.empty()) return lookup_items(&key.item, 1, &out)[0] != 0;
+  if (key.text.empty()) return lookup_items(key.item, 1, &out)[0] != 0;
   const std::optional<std::string> bytes = journal_.find(key.text);
   if (!bytes) return false;
   util::ItemValue v;
@@ -265,10 +237,10 @@ template void Checkpoint::view_record(const std::string&, const Outcome<double>&
 template void Checkpoint::view_record(const std::string&, const Outcome<VectorDelay>&);
 template bool Checkpoint::lookup_as(const Key&, Outcome<double>&) const;
 template bool Checkpoint::lookup_as(const Key&, Outcome<VectorDelay>&) const;
-template std::vector<char> Checkpoint::lookup(const ItemKeys&, std::size_t, std::size_t,
-                                              Outcome<double>*) const;
-template std::vector<char> Checkpoint::lookup(const ItemKeys&, std::size_t, std::size_t,
-                                              Outcome<VectorDelay>*) const;
+template std::vector<char> Checkpoint::lookup_items(const util::ItemKey&, std::size_t,
+                                                    Outcome<double>*) const;
+template std::vector<char> Checkpoint::lookup_items(const util::ItemKey&, std::size_t,
+                                                    Outcome<VectorDelay>*) const;
 
 bool Checkpoint::should_persist(const FailureInfo& failure) {
   return failure.code != FailureCode::kCancelled;

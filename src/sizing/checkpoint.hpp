@@ -124,12 +124,14 @@ class Checkpoint {
   /// the item (see header), and record_failure stages a bare failure that
   /// either lookup type replays (the supervisor's kPoisonedItem stamps).
   ///
-  /// Range reads are the unit of lookup: the item keys of a call are
-  /// read from the journal in one range (util::Journal::find_items, one
-  /// reader lock) and decoded outside its lock.  They return a mask, 1
-  /// where the key's record is present; the range lookup also decodes
-  /// item i of [begin, end) into out[i - begin] where it is.  The
-  /// one-key contains/lookup are their one-key case.
+  /// Range reads are the unit of item lookup: lookup(keys, begin, end,
+  /// out) reads items [begin, end) from the journal in one range
+  /// (util::Journal::find_items: one reader lock, the packed words read in
+  /// place), decoding each held record under that lock into
+  /// out[i - begin].  It returns a mask, 1 where the item's record is
+  /// present; a null `out` reads presence only.  The one-key
+  /// contains/lookup of an item key are its one-key case; those of a text
+  /// key read the text record.
   ///
   /// Group commit: record() encodes into the caller's stage, and commit()
   /// writes the whole stage with one write().  Staged records are
@@ -138,12 +140,13 @@ class Checkpoint {
   /// fault-injection scope: a kill plan aimed at item N fires while item N
   /// is staged, and the uncommitted group is lost exactly as a crash
   /// would lose it.
-  std::vector<char> contains(const std::vector<Key>& keys) const;
   /// T is double or VectorDelay.
   template <typename T>
   std::vector<char> lookup(const ItemKeys& keys, std::size_t begin, std::size_t end,
-                           Outcome<T>* out) const;
-  bool contains(const Key& key) const { return contains(std::vector<Key>{key})[0] != 0; }
+                           Outcome<T>* out) const {
+    return lookup_items(keys[begin], end - begin, out);
+  }
+  bool contains(const Key& key) const;
   bool lookup(const Key& key, Outcome<double>& out) const { return lookup_as(key, out); }
   bool lookup(const Key& key, Outcome<VectorDelay>& out) const { return lookup_as(key, out); }
   void record(const Key& key, const Outcome<double>& outcome, Stage& stage) const;
@@ -172,9 +175,10 @@ class Checkpoint {
  private:
   template <typename T>
   bool lookup_as(const Key& key, Outcome<T>& out) const;
-  /// The range read under every item lookup: keys[0, n) into out[0, n).
+  /// The range read under every item lookup: the `n` items packed from
+  /// `first` on (util::Journal::find_items) into out[0, n).
   template <typename T>
-  std::vector<char> lookup_items(const util::ItemKey* keys, std::size_t n, Outcome<T>* out) const;
+  std::vector<char> lookup_items(const util::ItemKey& first, std::size_t n, Outcome<T>* out) const;
   template <typename T>
   bool view_lookup(const std::string& key, Outcome<T>& out) const;
   template <typename T>

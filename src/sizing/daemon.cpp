@@ -678,10 +678,13 @@ class DaemonImpl {
     // A repeat of a rank request that already completed is answered
     // from the store alone, so it may take the replay lane instead of
     // queueing behind computing work -- when the lane is free and this
-    // connection has nothing else in flight.
+    // connection has nothing else in flight.  A sharded daemon has no
+    // lane: the executor forks shard workers, and a fork while the lane
+    // holds a backend lock (WlCache builds simulators under its mutex)
+    // would leave the child that lock held forever.
     const std::optional<std::string> done = requests_.find("done:" + p.key);
-    const bool repeat =
-        p.req.op == "rank" && conn->in_flight.load() == 0 && done && *done == "ok";
+    const bool repeat = options_.shards <= 1 && p.req.op == "rank" &&
+                        conn->in_flight.load() == 0 && done && *done == "ok";
     conn->in_flight.fetch_add(1);
     {
       const std::lock_guard<std::mutex> lock(queue_mutex_);
@@ -984,14 +987,10 @@ class DaemonImpl {
     if (!store_.journal().find_context(rank_prefix(backend, wl), context)) {
       return false;  // never ranked
     }
-    const ItemKeys items(context, vectors);
-    std::vector<Checkpoint::Key> keys;
+    const ItemKeys keys(context, vectors);
     for (std::size_t begin = 0; begin < vectors.size(); begin += kPresenceChunk) {
-      keys.clear();
-      for (std::size_t i = begin; i < std::min(vectors.size(), begin + kPresenceChunk); ++i) {
-        keys.emplace_back(items[i]);
-      }
-      const std::vector<char> held = store_.contains(keys);
+      const std::size_t end = std::min(vectors.size(), begin + kPresenceChunk);
+      const std::vector<char> held = store_.lookup<VectorDelay>(keys, begin, end, nullptr);
       if (std::find(held.begin(), held.end(), 0) != held.end()) return false;
     }
     return true;

@@ -63,7 +63,10 @@
 // Sharding: the daemon inherits the supervisor (`--serve --shards N`) --
 // rank requests fan their vectors across supervised worker processes
 // whose journals merge into the shared store, and campaign requests pass
-// the shard count straight to CampaignDriver::run.
+// the shard count straight to CampaignDriver::run.  A sharded daemon
+// sends no request to the replay lane: the executor forks, and a child
+// must not inherit a backend lock the lane holds.  Repeats queue on the
+// executor instead.
 //
 // Threading: serve() runs the poll loop on the calling thread, one
 // executor thread for request bodies, and the replay-lane thread (on a

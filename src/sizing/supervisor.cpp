@@ -145,16 +145,12 @@ struct Slot {
   std::int64_t current = -1;  ///< the item last announced with "S"
 };
 
-/// The items of `idx` whose key `ckpt` lacks, in order: one range read.
+/// The items of `idx` whose key `ckpt` lacks, in order.
 std::vector<std::size_t> absent(const Checkpoint& ckpt, const std::vector<std::size_t>& idx,
                                 const KeyFn& key_of) {
-  std::vector<Checkpoint::Key> keys;
-  keys.reserve(idx.size());
-  for (const std::size_t i : idx) keys.push_back(key_of(i));
-  const std::vector<char> held = ckpt.contains(keys);
   std::vector<std::size_t> out;
-  for (std::size_t j = 0; j < idx.size(); ++j) {
-    if (held[j] == 0) out.push_back(idx[j]);
+  for (const std::size_t i : idx) {
+    if (!ckpt.contains(key_of(i))) out.push_back(i);
   }
   return out;
 }
@@ -379,23 +375,26 @@ SupervisorStats supervise(const SupervisorOptions& options, std::size_t n_items,
     if (!any_open && !any_backoff) break;
   }
 
-  // Merge: every shard journal's records into the campaign checkpoint,
-  // then stamp quarantined items so replay shows a classified failure
-  // instead of re-running the killer.
-  for (const Slot& slot : slots) {
-    if (!std::filesystem::exists(slot.journal_path)) continue;
-    util::merge_journal_file(merged.journal(), slot.journal_path);
-  }
-  // Shard columnar stores merge like the shard journals: by identity,
-  // first block per tag wins (a tag re-flushed by a restarted worker
-  // holds bit-identical rows).
+  // Merge the shard columnar stores first, by identity: first block per
+  // tag wins (a tag re-flushed by a restarted worker holds bit-identical
+  // rows).  They are on disk and synced before any shard journal record
+  // says their rows exist, so a merge that throws, or a parent that dies
+  // here, leaves a resume to re-run those items instead of trusting
+  // records whose rows are missing.
   if (columnar != nullptr) {
     std::vector<std::uint64_t> seen_tags;
     for (const Slot& slot : slots) {
       if (slot.columnar_path.empty() || !std::filesystem::exists(slot.columnar_path)) continue;
       util::merge_columnar_file(*columnar, slot.columnar_path, &seen_tags);
     }
-    columnar->flush();
+    columnar->sync();
+  }
+  // Then every shard journal's records into the caller's checkpoint, and
+  // the quarantine stamps, so replay shows a classified failure instead
+  // of re-running the killer.
+  for (const Slot& slot : slots) {
+    if (!std::filesystem::exists(slot.journal_path)) continue;
+    util::merge_journal_file(merged.journal(), slot.journal_path);
   }
   Checkpoint::Stage quarantine_records;
   for (const std::size_t idx :

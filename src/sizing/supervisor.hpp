@@ -58,12 +58,12 @@
 //   in blocks of the destination's rows_per_block (append-reopened
 //   across restarts, so a restart keeps every block an earlier life
 //   flushed), and supervise() merges the shard stores into the
-//   destination like the shard journals -- first block per tag wins.
-//   The item body must then (1) flush at most one block per tag, so
-//   rows_per_block must be >= the most rows one item emits, and (2)
-//   flush the block *before* journaling the item's completion, so a
-//   journaled item always has its rows on disk and a re-run duplicate is
-//   bitwise identical.
+//   destination -- first block per tag wins -- and syncs it *before* it
+//   merges the shard journals.  The item body must then (1) flush at most
+//   one block per tag, so rows_per_block must be >= the most rows one
+//   item emits, and (2) sync the block *before* journaling the item's
+//   completion, so a journaled item always has its rows on disk and a
+//   re-run duplicate is bitwise identical.
 //
 // Fork-safety: workers are forked directly (no exec) and must not touch
 // threads or locks created before the fork -- they run their sweep on a
@@ -123,7 +123,7 @@ std::vector<std::pair<std::size_t, std::size_t>> plan_shards(std::size_t n_items
 /// Evaluates item `idx` inside a worker process, journaling its outcome
 /// into `ckpt` under `key_of(idx)`; it runs on a 1-thread pool and must
 /// be deterministic.  `columnar` is the worker's shard store, or nullptr
-/// without a columnar destination; the body tags and flushes its blocks
+/// without a columnar destination; the body tags and syncs its blocks
 /// itself (see the header for the contract).
 using ItemFn =
     std::function<void(std::size_t idx, Checkpoint& ckpt, util::ColumnarWriter* columnar)>;
@@ -137,9 +137,10 @@ using KeyFn = std::function<Checkpoint::Key(std::size_t idx)>;
 /// completion (or cancellation), then merge every shard journal into
 /// `merged`, stamp quarantined items as kPoisonedItem records and delete
 /// the shard files; with a non-null `columnar` (open for append),
-/// workers get shard stores that are merged into it.  Items no worker
-/// completed stay absent from `merged` (SupervisorStats::abandoned) for
-/// the caller's pass to run.
+/// workers get shard stores that are merged into it (and synced) first,
+/// so a store merge that throws leaves `merged` without their records.
+/// Items no worker completed stay absent from `merged`
+/// (SupervisorStats::abandoned) for the caller's pass to run.
 /// Throws std::invalid_argument on an unusable configuration (empty dir,
 /// shards < 1, an unarmed `merged`, a columnar destination that is not
 /// open) and std::runtime_error on fork/pipe failure.

@@ -9,7 +9,7 @@
 #include <stdexcept>
 
 #include "util/faultinject.hpp"
-#include "util/journal.hpp"  // crc32, write_all
+#include "util/journal.hpp"  // crc32, write_all, fsync_parent_dir
 
 namespace mtcmos::util {
 
@@ -199,6 +199,7 @@ void ColumnarWriter::open(const std::string& path, ColumnarOptions options) {
   if (options_.rows_per_block == 0) {
     throw std::invalid_argument("columnar: rows_per_block must be positive");
   }
+  dir_sync_pending_ = ::access(path.c_str(), F_OK) != 0;
   fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
   if (fd_ < 0) throw_errno("cannot open", path);
   // Append-reopen: walk the existing block sequence and shear off any torn
@@ -248,6 +249,17 @@ void ColumnarWriter::set_tag(std::uint64_t tag) {
 void ColumnarWriter::flush() {
   const std::lock_guard<std::mutex> lock(mutex_);
   flush_locked();
+}
+
+void ColumnarWriter::sync() {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (fd_ < 0) throw std::runtime_error("columnar: sync on a closed writer");
+  flush_locked();
+  while (::fdatasync(fd_) != 0) {
+    if (errno != EINTR) throw_errno("fdatasync failed", path_);
+  }
+  if (dir_sync_pending_) fsync_parent_dir(path_);
+  dir_sync_pending_ = false;
 }
 
 void ColumnarWriter::discard() {

@@ -31,7 +31,9 @@
 // write(), so a crash can only leave a truncated or checksum-failing
 // *tail* block.  open() for append scans the existing file and truncates
 // the torn tail away before new blocks land; readers stop at the first
-// bad block and report the discarded bytes.
+// bad block and report the discarded bytes.  Nothing is fsynced until
+// sync(): a caller that journals "these rows exist" syncs first, so a
+// power loss cannot keep the record and drop the rows.
 //
 // Block identity and merge: the `tag` field names the unit of work that
 // produced a block (a campaign chunk, a shard row range).  Work units
@@ -102,6 +104,10 @@ class ColumnarWriter {
 
   /// Write the buffered rows out as one block (no-op when empty).
   void flush();
+  /// flush(), then fdatasync the file (and, the first time after open()
+  /// created it, its directory), so every block written survives a power
+  /// loss.  Throws std::runtime_error on failure or a closed writer.
+  void sync();
   /// Drop the buffered (unflushed) rows without writing them -- the
   /// abandon path for an interrupted work unit, so a cancelled chunk
   /// never leaves a partial block whose tag would shadow the complete
@@ -124,6 +130,7 @@ class ColumnarWriter {
   std::string path_;
   ColumnarOptions options_;
   int fd_ = -1;
+  bool dir_sync_pending_ = false;  ///< open() created the file; its entry is not synced yet
   mutable std::mutex mutex_;
   std::uint64_t tag_ = 0;
   std::vector<std::uint32_t> key_lens_;

@@ -49,23 +49,6 @@ void fsync_retry(int fd, const std::string& path) {
   }
 }
 
-/// fsync the containing directory so a newly created journal's
-/// directory entry is durable.  EINTR is retried (the cancel signal
-/// handlers install without SA_RESTART); other errors stay best-effort
-/// since not every filesystem supports directory fsync.
-void fsync_parent_dir(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash + 1);
-  int dfd;
-  do {
-    dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  } while (dfd < 0 && errno == EINTR);
-  if (dfd < 0) return;  // best effort: not all filesystems allow it
-  while (::fsync(dfd) != 0 && errno == EINTR) {
-  }
-  ::close(dfd);
-}
-
 void put_u64(char* p, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) p[i] = static_cast<char>(v >> (8 * i));
 }
@@ -82,6 +65,10 @@ std::size_t key_size(std::uint32_t bits) { return 8 + 16 * item_words(bits); }
 constexpr std::size_t kTail = 32;
 std::size_t record_size(std::uint32_t bits) { return key_size(bits) + kTail; }
 constexpr std::size_t kMaxGroup = 64;  ///< items per J2 group: the commit unit
+/// Longest time appends go without an fsync.  A kernel crash or power
+/// loss can lose at most this much of the most recent work (process death
+/// alone loses nothing).
+constexpr std::chrono::milliseconds kFsyncInterval{500};
 
 /// Write an item's key bytes: context, then the v0/v1 words.
 void put_key(char* p, const ItemKey& key) {
@@ -127,10 +114,20 @@ bool parse_tail(const char* p, std::uint64_t left, ItemValue* out, std::size_t& 
   return true;
 }
 
-std::uint64_t hash_key(const char* key, std::size_t size) {
-  std::uint64_t h = 0x9E3779B97F4A7C15ull * size;
-  for (std::size_t i = 0; i < size; i += 8) {
-    h ^= get_u64(key + i);
+/// Word i of an item key -- its context, then its v0/v1 words -- from
+/// its stored bytes at `at` or from an ItemKey.
+std::uint64_t key_word(const char* at, std::size_t i) { return get_u64(at + 8 * i); }
+std::uint64_t key_word(const ItemKey& key, std::size_t i) {
+  return i == 0 ? key.context : key.words[i - 1];
+}
+
+/// Hash of an item key of width `bits`, folded in word by word, so a
+/// key's stored bytes and its ItemKey hash alike.
+template <typename Key>
+std::uint64_t hash_key(const Key& key, std::uint32_t bits) {
+  std::uint64_t h = 0x9E3779B97F4A7C15ull * key_size(bits);
+  for (std::size_t i = 0; i < key_size(bits) / 8; ++i) {
+    h ^= key_word(key, i);
     h *= 0xBF58476D1CE4E5B9ull;
     h ^= h >> 31;
   }
@@ -138,21 +135,14 @@ std::uint64_t hash_key(const char* key, std::size_t size) {
   return h ^ (h >> 33);
 }
 
-/// An ItemKey's on-disk bytes, on the stack up to 128 bits per vector.
-class KeyBytes {
- public:
-  explicit KeyBytes(const ItemKey& key) : size_(key_size(key.bits)) {
-    if (size_ > sizeof(small_)) big_.resize(size_);
-    put_key(big_.empty() ? small_ : big_.data(), key);
+/// Whether the stored key bytes at `at` are `key`'s, both `bits` wide.
+template <typename Key>
+bool same_key(const char* at, const Key& key, std::uint32_t bits) {
+  for (std::size_t i = 0; i < key_size(bits) / 8; ++i) {
+    if (key_word(at, i) != key_word(key, i)) return false;
   }
-  const char* data() const { return big_.empty() ? small_ : big_.data(); }
-  std::size_t size() const { return size_; }
-
- private:
-  std::size_t size_;
-  char small_[8 + 4 * 8];
-  std::string big_;
-};
+  return true;
+}
 
 constexpr std::uint64_t kSlotIndex = 0xFFFFFFFFull;
 constexpr std::uint64_t kSlotTag = ~kSlotIndex;
@@ -230,6 +220,21 @@ std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
   return ~crc;
 }
 
+void fsync_parent_dir(const std::string& path) {
+  const std::size_t slash = path.find_last_of('/');
+  const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash + 1);
+  int dfd;
+  do {
+    dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  } while (dfd < 0 && errno == EINTR);
+  if (dfd < 0) return;  // best effort: not all filesystems allow it
+  // EINTR is retried (the cancel signal handlers install without
+  // SA_RESTART); other errors stay best-effort, like the open.
+  while (::fsync(dfd) != 0 && errno == EINTR) {
+  }
+  ::close(dfd);
+}
+
 bool write_all(int fd, const char* data, std::size_t size) {
   for (std::size_t done = 0; done < size;) {
     const ssize_t n = ::write(fd, data + done, size - done);
@@ -278,7 +283,7 @@ void JournalBatch::add(const ItemKey& key, const ItemValue& value) {
   const std::size_t at = bytes_.size();
   bytes_.resize(at + key_size(key.bits));
   put_key(bytes_.data() + at, key);
-  items_.push_back({at, hash_key(bytes_.data() + at, key_size(key.bits)), key.bits});
+  items_.push_back({at, hash_key(key, key.bits), key.bits});
   append_value(bytes_, value);
 }
 
@@ -324,6 +329,26 @@ Journal::~Journal() {
   }
 }
 
+template <typename Key>
+std::size_t Journal::probe_locked(std::uint64_t hash, std::uint32_t bits, const Key& key) const {
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t s = hash & mask;; s = (s + 1) & mask) {
+    const std::uint64_t slot = slots_[s];
+    if (slot == 0) return s;
+    const Item& it = items_[(slot & kSlotIndex) - 1];
+    if ((slot & kSlotTag) == (hash & kSlotTag) && it.bits == bits && same_key(it.at, key, bits)) {
+      return s;
+    }
+  }
+}
+
+template <typename Key>
+const char* Journal::find_locked(std::uint64_t hash, std::uint32_t bits, const Key& key) const {
+  if (slots_.empty()) return nullptr;
+  const std::uint64_t slot = slots_[probe_locked(hash, bits, key)];
+  return slot == 0 ? nullptr : items_[(slot & kSlotIndex) - 1].at;
+}
+
 bool Journal::replay_record(const std::string& data, std::size_t& pos) {
   const char* p = data.data() + pos;
   const char* const end = data.data() + data.size();
@@ -357,7 +382,8 @@ bool Journal::replay_record(const std::string& data, std::size_t& pos) {
   if (bits > 0xFFFFFFFFull || count == 0 || count > kMaxGroup || bits / 64 >= left / 16) {
     return false;
   }
-  const std::size_t rec = record_size(static_cast<std::uint32_t>(bits));
+  const auto width = static_cast<std::uint32_t>(bits);
+  const std::size_t rec = record_size(width);
   if (count > left / rec || text >= left - count * rec) return false;
   const std::size_t body = count * rec;
   if (p[body + text] != '\n' || crc32(p, body + text, crc32(dims, dims_len)) != crc) return false;
@@ -375,7 +401,7 @@ bool Journal::replay_record(const std::string& data, std::size_t& pos) {
     const char* r = p + i * rec;
     if (texts[i] != 0) r = chunks_.emplace_front(r, rec).append(p + body + used, texts[i]).data();
     used += texts[i];
-    items_.push_back({r, hash_key(r, rec - kTail), static_cast<std::uint32_t>(bits)});
+    items_.push_back({r, hash_key(r, width), width});
   }
   replayed_records_ += count;
   pos = static_cast<std::size_t>(p - data.data()) + body + text + 1;
@@ -409,15 +435,13 @@ void Journal::clear_tables() {
   slots_.clear();
 }
 
-void Journal::open(const std::string& path, JournalOptions options,
-                   const std::function<void(const Journal&)>& accept) {
+void Journal::open(const std::string& path, const std::function<void(const Journal&)>& accept) {
   close();
   path_ = path;
-  options_ = options;
   clear_tables();
   replayed_records_ = 0;
   truncated_bytes_ = 0;
-  appended_since_sync_ = 0;
+  unsynced_ = false;
   last_sync_ = std::chrono::steady_clock::now();
 
   // O_EXCL-free create-or-open, then probe whether we made the file: a
@@ -545,7 +569,7 @@ std::size_t Journal::append_batch(JournalBatch batch) {
     if (batch.empty()) return 0;
     bytes = format_batch(batch);
   }
-  write_locked(bytes, batch.size());
+  write_locked(bytes);
   const std::lock_guard<std::shared_mutex> lock(mutex_);
   for (const auto& [key, value] : batch.text_) apply_text_locked(key, value);
   const std::size_t written = batch.size();
@@ -558,7 +582,7 @@ std::size_t Journal::append_batch(JournalBatch batch) {
   return written;
 }
 
-void Journal::write_locked(const std::string& bytes, std::size_t records) {
+void Journal::write_locked(const std::string& bytes) {
   if (fd_ < 0) throw std::runtime_error("journal: append on a closed journal");
   try {
     if (!write_all(fd_, bytes.data(), bytes.size())) throw_errno("write failed", path_);
@@ -574,23 +598,18 @@ void Journal::write_locked(const std::string& bytes, std::size_t records) {
     throw;
   }
   end_ += static_cast<std::int64_t>(bytes.size());
-  appended_since_sync_ += records;
+  unsynced_ = true;
   // fsync narrows kernel-crash exposure only (the write() above already
-  // survives process death), so it is rate-limited: the count trigger is
-  // opt-in, the time trigger caps both exposure and overhead.
-  bool sync = options_.fsync_every > 0 && appended_since_sync_ >= options_.fsync_every;
-  if (!sync && options_.fsync_interval_s > 0.0) {
-    const auto now = std::chrono::steady_clock::now();
-    sync = std::chrono::duration<double>(now - last_sync_).count() >= options_.fsync_interval_s;
-  }
-  if (sync) sync_locked();
+  // survives process death), so it is rate-limited by time, which caps
+  // both the exposure and the overhead.
+  if (std::chrono::steady_clock::now() - last_sync_ >= kFsyncInterval) sync_locked();
 }
 
 void Journal::sync_locked() {
   fsync_retry(fd_, path_);
   if (dir_sync_pending_) fsync_parent_dir(path_);
   dir_sync_pending_ = false;
-  appended_since_sync_ = 0;
+  unsynced_ = false;
   last_sync_ = std::chrono::steady_clock::now();
 }
 
@@ -624,35 +643,11 @@ void Journal::insert_locked(const char* at, std::uint64_t hash, std::uint32_t bi
   }
 }
 
-std::size_t Journal::probe_locked(std::uint64_t hash, std::uint32_t bits, const char* key) const {
-  const std::size_t mask = slots_.size() - 1;
-  for (std::size_t s = hash & mask;; s = (s + 1) & mask) {
-    const std::uint64_t slot = slots_[s];
-    if (slot == 0) return s;
-    const Item& it = items_[(slot & kSlotIndex) - 1];
-    if ((slot & kSlotTag) == (hash & kSlotTag) && it.bits == bits &&
-        std::memcmp(it.at, key, key_size(bits)) == 0) {
-      return s;
-    }
-  }
-}
-
-const char* Journal::find_locked(const ItemKey& key) const {
-  const KeyBytes kb(key);
-  return find_locked(hash_key(kb.data(), kb.size()), key.bits, kb.data());
-}
-
-const char* Journal::find_locked(std::uint64_t hash, std::uint32_t bits, const char* key) const {
-  if (slots_.empty()) return nullptr;
-  const std::uint64_t slot = slots_[probe_locked(hash, bits, key)];
-  return slot == 0 ? nullptr : items_[(slot & kSlotIndex) - 1].at;
-}
-
 std::uint64_t Journal::register_context(const std::string& prefix) {
   const std::lock_guard<std::mutex> write_lock(write_mutex_);
   std::uint64_t id = 0;
   if (find_context(prefix, id)) return id;
-  write_locked(format_journal_record("ctx:" + hex16(id), prefix), 1);
+  write_locked(format_journal_record("ctx:" + hex16(id), prefix));
   const std::lock_guard<std::shared_mutex> lock(mutex_);
   contexts_.emplace(id, prefix);
   return id;
@@ -668,13 +663,13 @@ bool Journal::find_context(const std::string& prefix, std::uint64_t& id) const {
 
 void Journal::flush() {
   const std::lock_guard<std::mutex> write_lock(write_mutex_);
-  if (fd_ >= 0 && (appended_since_sync_ > 0 || dir_sync_pending_)) sync_locked();
+  if (fd_ >= 0 && (unsynced_ || dir_sync_pending_)) sync_locked();
 }
 
 void Journal::close() {
   const std::lock_guard<std::mutex> write_lock(write_mutex_);
   if (fd_ < 0) return;
-  if (appended_since_sync_ > 0 || dir_sync_pending_) sync_locked();
+  if (unsynced_ || dir_sync_pending_) sync_locked();
   ::close(fd_);
   fd_ = -1;
 }
@@ -691,31 +686,23 @@ bool Journal::contains(const std::string& key) const {
   return latest_.count(key) != 0;
 }
 
-bool ItemRecords::get(std::size_t i, ItemValue& out) const {
-  if (!found(i)) return false;
-  std::size_t text = 0;
-  return parse_tail(bytes_.data() + at_[i], bytes_.size() - at_[i] - kTail, &out, text);
-}
-
-ItemRecords Journal::find_items(const ItemKey* keys, std::size_t n) const {
-  ItemRecords out;
-  out.at_.assign(n, ItemRecords::kAbsent);
+std::vector<char> Journal::find_items(const ItemKey& first, std::size_t n,
+                                      const ItemVisitor& fn) const {
+  std::vector<char> held(n, 0);
+  const std::size_t stride = 2 * item_words(first.bits);
+  ItemKey key = first;
+  ItemValue value;
   const std::shared_lock<std::shared_mutex> lock(mutex_);
-  for (std::size_t i = 0; i < n; ++i) {
-    const char* record = find_locked(keys[i]);
+  for (std::size_t i = 0; i < n; ++i, key.words += stride) {
+    const char* record = find_locked(hash_key(key, key.bits), key.bits, key);
     if (record == nullptr) continue;
-    const char* tail = record + key_size(keys[i].bits);
+    held[i] = 1;
+    if (!fn) continue;
     std::size_t text = 0;
-    parse_tail(tail, ~std::uint64_t{0}, nullptr, text);
-    if (out.bytes_.empty()) out.bytes_.reserve((n - i) * kTail);
-    out.at_[i] = out.bytes_.size();
-    out.bytes_.append(tail, kTail + text);
+    parse_tail(record + key_size(key.bits), ~std::uint64_t{0}, &value, text);
+    fn(i, value);
   }
-  return out;
-}
-
-bool Journal::find_item(const ItemKey& key, ItemValue& out) const {
-  return find_items(&key, 1).get(0, out);
+  return held;
 }
 
 std::size_t Journal::size() const {

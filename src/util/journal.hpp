@@ -41,9 +41,8 @@
 //
 // Durability: a write() survives process death without any flush; fsync
 // only narrows the kernel-crash / power-loss window, so it is batched by
-// time (JournalOptions::fsync_interval_s, plus flush()/close), with an
-// optional count trigger (fsync_every records, checked once per write).
-// The first fsync of a journal open() created also fsyncs its directory.
+// time (at most every 0.5 s while appending, plus flush()/close).  The
+// first fsync of a journal open() created also fsyncs its directory.
 //
 // Thread safety: appends, register_context() and flush() serialize on a
 // write mutex and are safe from pool workers.  The in-memory tables have
@@ -51,10 +50,10 @@
 // batch is applied, so readers never wait on write() or fsync().  Item
 // reads are range reads (find_items): one reader lock per range and one
 // table probe per key, so a sweep chunk of 256 items takes the lock once.
-// Each held outcome is copied out under the lock, so a reader never sees
-// a value a concurrent append is overwriting, and a range sees a
-// committed batch's items all or none.  open/replay are owner-thread
-// operations.
+// Each held outcome is decoded under the lock, straight into the caller's
+// visitor, so a reader never sees a value a concurrent append is
+// overwriting, and a range sees a committed batch's items all or none.
+// open/replay are owner-thread operations.
 
 #include <chrono>
 #include <cstddef>
@@ -81,6 +80,10 @@ std::uint64_t fnv1a64(const void* data, std::size_t size,
 /// write() all of `data`, retrying short writes and EINTR (the cancel
 /// signal handlers install without SA_RESTART); false, errno set, on error.
 bool write_all(int fd, const char* data, std::size_t size);
+
+/// fsync the directory holding `path`, so the entry of a file just
+/// created there is durable.  Best effort: not every filesystem allows it.
+void fsync_parent_dir(const std::string& path);
 
 /// `v` as 16 lowercase hex digits.
 std::string hex16(std::uint64_t v);
@@ -115,23 +118,6 @@ struct ItemValue {
 std::string encode_item_value(const ItemValue& value);
 bool decode_item_value(std::string_view bytes, ItemValue& out);
 
-/// The outcomes Journal::find_items copied out, one slot per key asked
-/// about: a held item's outcome tail and failure text, decoded by get()
-/// outside the journal's lock.
-class ItemRecords {
- public:
-  std::size_t size() const { return at_.size(); }
-  bool found(std::size_t i) const { return at_[i] != kAbsent; }
-  /// Key i's outcome into `out`; false when the journal does not hold it.
-  bool get(std::size_t i, ItemValue& out) const;
-
- private:
-  friend class Journal;
-  static constexpr std::size_t kAbsent = ~std::size_t{0};
-  std::vector<std::size_t> at_;  ///< key i's outcome in bytes_, or kAbsent
-  std::string bytes_;            ///< outcome tails, each followed by its failure text
-};
-
 /// Records for one Journal::append_batch: text records, then items
 /// (written as J2 groups of up to 64 of equal width), in one write().
 class JournalBatch {
@@ -156,14 +142,6 @@ class JournalBatch {
   std::string bytes_;
 };
 
-struct JournalOptions {
-  /// Max seconds between fsyncs while appending; 0 disables the timer.
-  /// A kernel crash or power loss can lose at most this much of the most
-  /// recent work (process death alone loses nothing).
-  double fsync_interval_s = 0.5;
-  std::size_t fsync_every = 0;  ///< also fsync every N records; 0 = timer only
-};
-
 class Journal {
  public:
   Journal() = default;
@@ -177,8 +155,7 @@ class Journal {
   /// truncation; if it throws, the journal is left closed and empty, the
   /// file unchanged, and the exception propagates.  Throws
   /// std::runtime_error on I/O errors.
-  void open(const std::string& path, JournalOptions options = {},
-            const std::function<void(const Journal&)>& accept = {});
+  void open(const std::string& path, const std::function<void(const Journal&)>& accept = {});
   bool is_open() const { return fd_ >= 0; }
   const std::string& path() const { return path_; }
 
@@ -217,12 +194,16 @@ class Journal {
   /// Latest value of text record `key`.
   std::optional<std::string> find(const std::string& key) const;
   bool contains(const std::string& key) const;
-  /// Range read: the latest outcome of each of keys[0, n), copied out
-  /// under one reader lock with one table probe per key.
-  ItemRecords find_items(const ItemKey* keys, std::size_t n) const;
-  /// The one-key case of find_items: item `key`'s latest outcome into
-  /// `out`; false when absent.
-  bool find_item(const ItemKey& key, ItemValue& out) const;
+  using ItemVisitor = std::function<void(std::size_t i, const ItemValue& value)>;
+  /// Range read of `n` items of `first`'s context and width whose words
+  /// are packed back to back: key i's words start at
+  /// first.words + i * 2 * item_words(first.bits).  One reader lock, one
+  /// table probe per key; `fn`, when set, sees each held key's latest
+  /// outcome, decoded under the lock (so it must not call back into the
+  /// journal).  Returns a mask, 1 where key i is held.  n == 1 is the
+  /// one-key read.
+  std::vector<char> find_items(const ItemKey& first, std::size_t n,
+                               const ItemVisitor& fn = {}) const;
 
   std::size_t size() const;        ///< distinct text keys + distinct items
   std::size_t item_count() const;  ///< distinct items
@@ -264,7 +245,7 @@ class Journal {
   /// folding repeats of a key into its first entry (a later record wins).
   void index_replayed_locked();
   void clear_tables();
-  void write_locked(const std::string& bytes, std::size_t records);
+  void write_locked(const std::string& bytes);
   /// fsync the file, and its directory if open() created it.
   void sync_locked();
   /// Apply a text record; false for a context registration.
@@ -272,14 +253,15 @@ class Journal {
   /// Make the record at `at` (then any failure text), which chunks_
   /// owns, the item's latest value.
   void insert_locked(const char* at, std::uint64_t hash, std::uint32_t bits);
-  /// Slot holding the item whose key bytes are `key`, or the empty slot
-  /// where it would go.
-  std::size_t probe_locked(std::uint64_t hash, std::uint32_t bits, const char* key) const;
-  const char* find_locked(const ItemKey& key) const;
-  const char* find_locked(std::uint64_t hash, std::uint32_t bits, const char* key) const;
+  /// Slot holding the item of width `bits` keyed `key` -- an ItemKey or
+  /// stored key bytes -- or the empty slot where it would go.
+  template <typename Key>
+  std::size_t probe_locked(std::uint64_t hash, std::uint32_t bits, const Key& key) const;
+  /// The latest record of the item probe_locked() finds, or nullptr.
+  template <typename Key>
+  const char* find_locked(std::uint64_t hash, std::uint32_t bits, const Key& key) const;
 
   std::string path_;
-  JournalOptions options_;
   int fd_ = -1;
   std::mutex write_mutex_;  ///< fd_ writes and the fsync state; taken before mutex_
   std::int64_t end_ = 0;    ///< file size after the last whole record
@@ -293,7 +275,7 @@ class Journal {
   std::vector<Item> items_;
   std::forward_list<std::string> chunks_;
   std::vector<std::uint64_t> slots_;
-  std::size_t appended_since_sync_ = 0;
+  bool unsynced_ = false;  ///< written since the last fsync
   std::chrono::steady_clock::time_point last_sync_ = {};
   std::size_t replayed_records_ = 0;
   std::size_t truncated_bytes_ = 0;

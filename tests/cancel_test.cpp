@@ -156,23 +156,22 @@ TEST_F(Cancel, SigtermDuringAppendsLeavesAValidJournal) {
   // mid-append can EINTR its write() or fsync().  Both are retried, so
   // every append completes and the journal on disk replays with every
   // latest value intact.  A concurrent SIGTERM during per-record fsyncs
-  // gives the signal a window.
+  // (a flush() after each append) gives the signal a window.
   util::install_cancel_signal_handlers();
   util::CancelToken::global().reset();
   const auto dir = test::scratch_dir("cancel_append");
   std::filesystem::create_directories(dir);
   const std::string jpath = (dir / "append.mtj").string();
   {
-    util::JournalOptions every;
-    every.fsync_every = 1;
     util::Journal j;
-    j.open(jpath, every);
+    j.open(jpath);
     std::thread signaller([] {
       std::this_thread::sleep_for(std::chrono::microseconds(100));
       std::raise(SIGTERM);
     });
     for (int i = 0; i < 200; ++i) {
       j.append(numbered("key", i % 50), numbered("v", i));
+      j.flush();
     }
     signaller.join();
     j.close();

@@ -461,7 +461,8 @@ TEST_F(CheckpointTest, RangeLookupMatchesOneKeyLookups) {
   // A range lookup decodes what the one-key lookup decodes, key by key:
   // absent items, failures with site and context text, items a later
   // record overwrote, and 70-bit (two-word) transitions -- also after the
-  // journal is closed.  The mixed-key contains agrees, text keys too.
+  // journal is closed.  The presence-only range read agrees, and so do
+  // the one-key contains of item and text keys.
   const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   const FailureInfo info{FailureCode::kSingularMatrix, "spice::lu", "pivot 0 at node n3"};
   const std::vector<VectorPair> narrow = wide_pairs(40, 8), wide = wide_pairs(20, 70);
@@ -492,13 +493,11 @@ TEST_F(CheckpointTest, RangeLookupMatchesOneKeyLookups) {
     std::vector<Outcome<double>> out(end - begin);
     const std::vector<char> found = ckpt.lookup(keys, begin, end, out.data());
     ASSERT_EQ(found.size(), end - begin);
-    std::vector<Checkpoint::Key> mixed;
     for (std::size_t i = begin; i < end; ++i) {
       Outcome<double> one;
       const bool held = ckpt.lookup(keys[i], one);
       EXPECT_EQ(found[i - begin] != 0, held) << i;
       EXPECT_EQ(ckpt.contains(keys[i]), held) << i;
-      mixed.emplace_back(keys[i]);
       if (!held) continue;
       const Outcome<double>& ranged = out[i - begin];
       EXPECT_EQ(ranged.attempts, one.attempts) << i;
@@ -511,13 +510,9 @@ TEST_F(CheckpointTest, RangeLookupMatchesOneKeyLookups) {
         EXPECT_EQ(ranged.failure.context, one.failure.context) << i;
       }
     }
-    mixed.emplace_back(std::string("chunk:q"));
-    mixed.emplace_back(std::string("chunk:none"));
-    const std::vector<char> present = ckpt.contains(mixed);
-    ASSERT_EQ(present.size(), found.size() + 2);
-    for (std::size_t j = 0; j < found.size(); ++j) EXPECT_EQ(present[j], found[j]) << j;
-    EXPECT_EQ(present[found.size()], 1);
-    EXPECT_EQ(present[found.size() + 1], 0);
+    EXPECT_EQ(ckpt.lookup<double>(keys, begin, end, nullptr), found);
+    EXPECT_TRUE(ckpt.contains(std::string("chunk:q")));
+    EXPECT_FALSE(ckpt.contains(std::string("chunk:none")));
   };
   for (int pass = 0; pass < 2; ++pass) {
     check(nkeys, 0, narrow.size());

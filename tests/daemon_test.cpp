@@ -815,6 +815,11 @@ TEST_F(DaemonTest, ShardedRankMatchesSerialByteForByte) {
   const Stream got = exchange(*ch, kRank, 300000);
   EXPECT_EQ(got.rows, want.rows);
   EXPECT_TRUE(has(got.terminal, "\"type\":\"done\"")) << got.terminal;
+  // A sharded daemon has no replay lane: the repeat queues on the
+  // executor and replays the same bytes from the store.
+  const Stream again = exchange(*ch, kRank, 300000);
+  EXPECT_EQ(again.rows, want.rows);
+  EXPECT_TRUE(has(again.terminal, "\"type\":\"done\"")) << again.terminal;
   EXPECT_TRUE(ch->send("{\"op\":\"drain\"}"));
   EXPECT_EQ(wait_exit(sharded).exit_code, 0);
 }

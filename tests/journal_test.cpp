@@ -11,6 +11,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -34,11 +35,9 @@ namespace {
 
 using mtcmos::util::format_journal_record;
 using mtcmos::util::ItemKey;
-using mtcmos::util::ItemRecords;
 using mtcmos::util::ItemValue;
 using mtcmos::util::Journal;
 using mtcmos::util::JournalBatch;
-using mtcmos::util::JournalOptions;
 using JournalRecord = std::pair<std::string, std::string>;
 
 class JournalTest : public ::testing::Test {
@@ -173,7 +172,7 @@ TEST_F(JournalTest, RefusedReplayLeavesTheFileWholeAndTheJournalClosed) {
   }
   Journal j;
   std::size_t seen = 0;
-  EXPECT_THROW(j.open(path(), {},
+  EXPECT_THROW(j.open(path(),
                       [&](const Journal& replayed) {
                         seen = replayed.size();
                         throw std::invalid_argument("refused");
@@ -184,7 +183,7 @@ TEST_F(JournalTest, RefusedReplayLeavesTheFileWholeAndTheJournalClosed) {
   EXPECT_FALSE(j.contains("a"));
   EXPECT_EQ(slurp(path()), torn);
   // An accepting check changes nothing: the tail is truncated as usual.
-  j.open(path(), {}, [](const Journal&) {});
+  j.open(path(), [](const Journal&) {});
   EXPECT_EQ(*j.find("a"), "AA");
   EXPECT_EQ(j.truncated_bytes(), 5u);
   j.close();
@@ -371,19 +370,18 @@ TEST_F(JournalTest, FailedWriteLeavesNoTornBytesForTheNextAppend) {
 }
 
 TEST_F(JournalTest, FsyncEveryRecordAndNeverBothWork) {
-  JournalOptions every;
-  every.fsync_every = 1;
+  // An fsync after every record, and one for the whole journal.
   Journal j1;
-  j1.open(path("every.mtj"), every);
+  j1.open(path("every.mtj"));
   j1.append("a", "1");
+  j1.flush();
   j1.append("b", "2");
+  j1.flush();
+  j1.flush();  // nothing appended since: a no-op
   j1.close();
 
-  JournalOptions never;
-  never.fsync_every = 0;
-  never.fsync_interval_s = 0.0;
   Journal j2;
-  j2.open(path("never.mtj"), never);
+  j2.open(path("never.mtj"));
   j2.append("a", "1");
   j2.flush();
   j2.close();
@@ -650,15 +648,46 @@ TEST_F(JournalTest, ItemGroupHeadersAreBoundedByTheBytesLeft) {
 
 // --- Item records ---
 
-/// Item i of a 6-bit transition space: v0 = i, v1 = ~i.
+/// Item i of a 6-bit transition space: v0 = i, v1 = ~i.  A key views
+/// the item's words, so key() is for items that outlive it: a temporary's
+/// key would dangle, and does not compile.
 struct TestItem {
   std::uint64_t words[2];
-  ItemKey key(std::uint64_t context, std::uint32_t bits = 6) const {
+  ItemKey key(std::uint64_t context, std::uint32_t bits = 6) const& {
     return {context, bits, words};
   }
+  ItemKey key(std::uint64_t context, std::uint32_t bits = 6) && = delete;
 };
 
-TestItem test_item(unsigned i) { return {{i & 63u, ~i & 63u}}; }
+/// Item i (mod 64), held for the whole test run.
+const TestItem& test_item(unsigned i) {
+  static const std::array<TestItem, 64> items = [] {
+    std::array<TestItem, 64> all{};
+    for (unsigned k = 0; k < all.size(); ++k) all[k] = {{k, ~k & 63u}};
+    return all;
+  }();
+  return items[i & 63u];
+}
+
+/// A one-key range read: item `key`'s latest outcome into `out`; false
+/// when the journal does not hold it.
+bool find_one(const Journal& j, const ItemKey& key, ItemValue& out) {
+  return j.find_items(key, 1, [&out](std::size_t, const ItemValue& v) { out = v; })[0] != 0;
+}
+
+/// A range read of the `n` keys packed from `first` on: key i's outcome,
+/// or nullopt where the journal does not hold it.
+std::vector<std::optional<ItemValue>> read_range(const Journal& j, const ItemKey& first,
+                                                 std::size_t n) {
+  std::vector<std::optional<ItemValue>> out(n);
+  const std::vector<char> held =
+      j.find_items(first, n, [&out](std::size_t i, const ItemValue& v) { out[i] = v; });
+  EXPECT_EQ(held.size(), n);
+  for (std::size_t i = 0; i < std::min(n, held.size()); ++i) {
+    EXPECT_EQ(held[i] != 0, out[i].has_value()) << i;
+  }
+  return out;
+}
 
 ItemValue ok_value(int attempts, double a, double b, double c) {
   ItemValue v;
@@ -720,13 +749,13 @@ TEST_F(JournalTest, ItemRecordsRoundTripAndLaterRecordsWin) {
   for (unsigned i = 0; i < 8; ++i) {
     SCOPED_TRACE(i);
     ItemValue back;
-    ASSERT_TRUE(j.find_item(test_item(i).key(ctx), back));
+    ASSERT_TRUE(find_one(j, test_item(i).key(ctx), back));
     EXPECT_TRUE(same_value(back, value_of(i == 1 ? 3 : i == 3 ? 0 : i)));
   }
   ItemValue back;
-  EXPECT_FALSE(j.find_item(test_item(9).key(ctx), back));
-  EXPECT_FALSE(j.find_item(test_item(1).key(ctx + 1), back));  // other context
-  EXPECT_FALSE(j.find_item(test_item(1).key(ctx, 5), back));    // other width
+  EXPECT_FALSE(find_one(j, test_item(9).key(ctx), back));
+  EXPECT_FALSE(find_one(j, test_item(1).key(ctx + 1), back));  // other context
+  EXPECT_FALSE(find_one(j, test_item(1).key(ctx, 5), back));    // other width
   // The cold view renders the registered prefix plus the transition bits
   // (bit 0 first) and the value bytes.
   std::optional<std::string> rendered;
@@ -770,11 +799,11 @@ TEST_F(JournalTest, AnItemRecordEqualToItsLatestIsNotWrittenAgain) {
   EXPECT_EQ(j.replayed_records(), 6u);
   EXPECT_EQ(j.item_count(), 3u);
   ItemValue back;
-  ASSERT_TRUE(j.find_item(test_item(0).key(ctx), back));
+  ASSERT_TRUE(find_one(j, test_item(0).key(ctx), back));
   EXPECT_TRUE(same_value(back, value_of(1)));
-  ASSERT_TRUE(j.find_item(test_item(1).key(ctx), back));
+  ASSERT_TRUE(find_one(j, test_item(1).key(ctx), back));
   EXPECT_TRUE(same_value(back, value_of(3)));
-  ASSERT_TRUE(j.find_item(test_item(2).key(ctx), back));
+  ASSERT_TRUE(find_one(j, test_item(2).key(ctx), back));
   EXPECT_TRUE(same_value(back, value_of(1)));
 }
 
@@ -810,10 +839,10 @@ TEST_F(JournalTest, ItemsWiderThanOneWordAndManyGroupsRoundTrip) {
   EXPECT_EQ(j.item_count(), words.size() + 3);
   for (std::size_t i = 0; i < words.size(); ++i) {
     ItemValue back;
-    ASSERT_TRUE(j.find_item({ctx, 130, words[i].data()}, back)) << i;
+    ASSERT_TRUE(find_one(j, {ctx, 130, words[i].data()}, back)) << i;
     EXPECT_TRUE(same_value(back, value_of(static_cast<unsigned>(i)))) << i;
     if (i % 50 != 0) continue;
-    ASSERT_TRUE(j.find_item(test_item(static_cast<unsigned>(i)).key(ctx), back)) << i;
+    ASSERT_TRUE(find_one(j, test_item(static_cast<unsigned>(i)).key(ctx), back)) << i;
     EXPECT_TRUE(same_value(back, value_of(7))) << i;
   }
 }
@@ -877,7 +906,7 @@ TEST_F(JournalTest, ItemGroupsTearOrFlipOnlyToAWholeGroupPrefix) {
     std::size_t present = 0;
     for (unsigned i = 0; i < kGroups * kPerGroup; ++i) {
       ItemValue back;
-      if (!j.find_item(test_item(i).key(ctx), back)) continue;
+      if (!find_one(j, test_item(i).key(ctx), back)) continue;
       EXPECT_EQ(i, present) << "item " << i << " replayed after a missing one";
       EXPECT_TRUE(same_value(back, value_of(i))) << "item " << i << " changed";
       ++present;
@@ -936,7 +965,7 @@ TEST_F(JournalTest, MergedItemBytesDependOnlyOnTheRecordSet) {
   std::uint64_t ctx = 0;
   ASSERT_TRUE(merged.find_context(kPrefix, ctx));
   ItemValue back;
-  ASSERT_TRUE(merged.find_item(test_item(4).key(ctx), back));
+  ASSERT_TRUE(find_one(merged, test_item(4).key(ctx), back));
   EXPECT_TRUE(same_value(back, value_of(4)));
 }
 
@@ -944,10 +973,18 @@ TEST_F(JournalTest, MergedItemBytesDependOnlyOnTheRecordSet) {
 // --- Range reads and replay sizing ---
 
 TEST_F(JournalTest, RangeReadMatchesPerKeyFinds) {
-  // One range over absent keys, failures with site/detail text, items a
-  // later record overwrote and 130-bit keys reads what find_item reads
+  // Ranges over absent keys, failures with site/detail text, items a
+  // later record overwrote and 130-bit keys read what one-key reads read
   // key by key: while open, after close(), and after a reopen.
-  std::vector<std::array<std::uint64_t, 6>> wide(10);
+  std::vector<std::uint64_t> narrow(2 * 12), wide(6 * 10);
+  for (std::uint64_t i = 0; i < 12; ++i) {
+    narrow[2 * i] = test_item(static_cast<unsigned>(i)).words[0];
+    narrow[2 * i + 1] = test_item(static_cast<unsigned>(i)).words[1];
+  }
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    const std::uint64_t w[6] = {i, ~i, i & 3, i * 5, i ^ 7, 1};
+    std::copy(w, w + 6, wide.begin() + static_cast<std::ptrdiff_t>(6 * i));
+  }
   Journal j;
   j.open(path());
   const std::uint64_t ctx = j.register_context(kPrefix);
@@ -955,49 +992,53 @@ TEST_F(JournalTest, RangeReadMatchesPerKeyFinds) {
   for (unsigned i = 0; i < 12; ++i) {
     if (i % 3 != 2) batch.add(test_item(i).key(ctx), value_of(i));  // 2, 5, 8, 11 stay absent
   }
-  for (std::uint64_t i = 0; i < wide.size(); ++i) {
-    wide[i] = {i, ~i, i & 3, i * 5, i ^ 7, 1};
-    batch.add({ctx, 130, wide[i].data()}, value_of(static_cast<unsigned>(i) + 3));
-  }
+  for (unsigned i = 0; i < 10; ++i) batch.add({ctx, 130, &wide[6 * i]}, value_of(i + 3));
   j.append_batch(batch);
   JournalBatch later;
   later.add(test_item(0).key(ctx), value_of(7));  // a success becomes a failure
   later.add(test_item(3).key(ctx), value_of(4));  // and a failure a success
   j.append_batch(later);
 
-  std::vector<TestItem> narrow;
-  for (unsigned i = 0; i < 12; ++i) narrow.push_back(test_item(i));
-  std::vector<ItemKey> keys;
-  for (const TestItem& t : narrow) keys.push_back(t.key(ctx));
-  for (const auto& w : wide) keys.push_back({ctx, 130, w.data()});
-  keys.push_back(narrow[1].key(ctx + 1));  // other context
-  keys.push_back(narrow[1].key(ctx, 5));   // other width
+  struct Range {
+    ItemKey first;
+    std::size_t n;
+  };
+  const Range ranges[] = {
+      {{ctx, 6, narrow.data()}, 12},
+      {{ctx, 130, wide.data()}, 10},
+      {{ctx + 1, 6, &narrow[2]}, 1},  // other context
+      {{ctx, 5, &narrow[2]}, 1},      // other width
+  };
   const auto check = [&](const Journal& reader, const char* when) {
     SCOPED_TRACE(when);
-    const ItemRecords range = reader.find_items(keys.data(), keys.size());
-    ASSERT_EQ(range.size(), keys.size());
+    std::vector<std::vector<std::optional<ItemValue>>> read;
     std::size_t held = 0;
-    for (std::size_t k = 0; k < keys.size(); ++k) {
-      ItemValue one, ranged;
-      const bool found = reader.find_item(keys[k], one);
-      EXPECT_EQ(range.found(k), found) << k;
-      EXPECT_EQ(range.get(k, ranged), found) << k;
-      if (!found) continue;
-      EXPECT_TRUE(same_value(ranged, one)) << k;
-      ++held;
+    for (const Range& r : ranges) {
+      read.push_back(read_range(reader, r.first, r.n));
+      ASSERT_EQ(read.back().size(), r.n);
+      const std::size_t stride = 2 * mtcmos::util::item_words(r.first.bits);
+      for (std::size_t k = 0; k < r.n; ++k) {
+        ItemKey key = r.first;
+        key.words += k * stride;
+        ItemValue one;
+        const bool found = find_one(reader, key, one);
+        EXPECT_EQ(read.back()[k].has_value(), found) << k;
+        if (!found) continue;
+        EXPECT_TRUE(same_value(*read.back()[k], one)) << k;
+        ++held;
+      }
     }
-    EXPECT_EQ(held, 8 + wide.size());
-    ItemValue v;
-    ASSERT_TRUE(range.get(0, v));
-    EXPECT_TRUE(same_value(v, value_of(7)));
-    ASSERT_TRUE(range.get(3, v));
-    EXPECT_TRUE(same_value(v, value_of(4)));
-    ASSERT_TRUE(range.get(7, v));
-    EXPECT_TRUE(same_value(v, value_of(7)));
-    ASSERT_TRUE(range.get(12 + 4, v));  // wide item 4: a failure
-    EXPECT_TRUE(same_value(v, value_of(7)));
-    EXPECT_FALSE(range.get(2, v));
-    EXPECT_EQ(reader.find_items(keys.data(), 0).size(), 0u);
+    EXPECT_EQ(held, 8u + 10u);
+    ASSERT_TRUE(read[0][0].has_value());
+    EXPECT_TRUE(same_value(*read[0][0], value_of(7)));
+    ASSERT_TRUE(read[0][3].has_value());
+    EXPECT_TRUE(same_value(*read[0][3], value_of(4)));
+    ASSERT_TRUE(read[0][7].has_value());
+    EXPECT_TRUE(same_value(*read[0][7], value_of(7)));
+    ASSERT_TRUE(read[1][4].has_value());  // wide item 4: a failure
+    EXPECT_TRUE(same_value(*read[1][4], value_of(7)));
+    EXPECT_FALSE(read[0][2].has_value());
+    EXPECT_EQ(reader.find_items(ranges[0].first, 0).size(), 0u);
   };
   check(j, "open");
   j.close();
@@ -1012,33 +1053,33 @@ TEST_F(JournalTest, ConcurrentRangeReadsSeeWholeGroups) {
   // 64-item groups: a reader sees each group all or none, and every item
   // it sees holds its committed value.
   constexpr std::size_t kGroups = 16, kGroup = 64;
-  JournalOptions no_sync;
-  no_sync.fsync_interval_s = 0.0;
   Journal j;
-  j.open(path(), no_sync);
+  j.open(path());
   const std::uint64_t ctx = j.register_context(kPrefix);
-  std::vector<std::array<std::uint64_t, 2>> words(kGroups * kGroup);
-  std::vector<ItemKey> keys(words.size());
-  for (std::uint64_t i = 0; i < words.size(); ++i) {
-    words[i] = {i, ~i & 0x3FFu};
-    keys[i] = {ctx, 10, words[i].data()};
+  std::vector<std::uint64_t> words(2 * kGroups * kGroup);
+  std::vector<ItemKey> keys(kGroups * kGroup);
+  for (std::uint64_t i = 0; i < keys.size(); ++i) {
+    words[2 * i] = i;
+    words[2 * i + 1] = ~i & 0x3FFu;
+    keys[i] = {ctx, 10, &words[2 * i]};
   }
   std::atomic<bool> done{false};
   std::atomic<int> torn{0}, wrong{0};
   std::vector<std::thread> readers;
   for (int t = 0; t < 4; ++t) {
     readers.emplace_back([&] {
+      // The visitor runs under the journal's reader lock: it only copies
+      // the values out, and they are checked after the read.
+      std::vector<ItemValue> seen(kGroup);
       while (!done.load(std::memory_order_acquire)) {
         for (std::size_t g = 0; g < kGroups; ++g) {
-          const ItemRecords range = j.find_items(keys.data() + g * kGroup, kGroup);
-          std::size_t present = 0;
-          for (std::size_t k = 0; k < kGroup; ++k) {
-            ItemValue v;
-            if (!range.get(k, v)) continue;
-            ++present;
-            if (!same_value(v, value_of(static_cast<unsigned>(g * kGroup + k)))) ++wrong;
-          }
+          const std::vector<char> held = j.find_items(
+              keys[g * kGroup], kGroup, [&](std::size_t k, const ItemValue& v) { seen[k] = v; });
+          const auto present = static_cast<std::size_t>(std::count(held.begin(), held.end(), 1));
           if (present != 0 && present != kGroup) ++torn;
+          for (std::size_t k = 0; k < kGroup && present != 0; ++k) {
+            if (!same_value(seen[k], value_of(static_cast<unsigned>(g * kGroup + k)))) ++wrong;
+          }
         }
       }
     });
@@ -1054,8 +1095,8 @@ TEST_F(JournalTest, ConcurrentRangeReadsSeeWholeGroups) {
   for (auto& r : readers) r.join();
   EXPECT_EQ(torn.load(), 0);
   EXPECT_EQ(wrong.load(), 0);
-  const ItemRecords all = j.find_items(keys.data(), keys.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) EXPECT_TRUE(all.found(i)) << i;
+  const std::vector<char> all = j.find_items(keys[0], keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) EXPECT_EQ(all[i], 1) << i;
 }
 
 TEST_F(JournalTest, TextHeavyJournalReplaysEveryRecord) {
@@ -1094,7 +1135,7 @@ TEST_F(JournalTest, TextHeavyJournalReplaysEveryRecord) {
     SCOPED_TRACE(i);
     ItemValue back;
     const bool held = i < 5 || i == 9;
-    ASSERT_EQ(j.find_item(test_item(i).key(ctx), back), held);
+    ASSERT_EQ(find_one(j, test_item(i).key(ctx), back), held);
     if (held) {
       EXPECT_TRUE(same_value(back, value_of(i == 2 ? 3 : i)));
     }
@@ -1105,7 +1146,7 @@ TEST_F(JournalTest, TextHeavyJournalReplaysEveryRecord) {
   j.append_batch(more);
   EXPECT_EQ(j.item_count(), 36u);
   ItemValue back;
-  ASSERT_TRUE(j.find_item(test_item(39).key(ctx), back));
+  ASSERT_TRUE(find_one(j, test_item(39).key(ctx), back));
   EXPECT_TRUE(same_value(back, value_of(39)));
 }
 
@@ -1145,7 +1186,7 @@ TEST_F(JournalTest, TornMidGroupJournalKeepsItsWholeGroups) {
   EXPECT_EQ(*j.find("meta:between"), "groups");
   for (unsigned i = 0; i < 3 * kGroup; ++i) {
     ItemValue back;
-    ASSERT_EQ(j.find_item(key(i), back), i < 2 * kGroup) << i;
+    ASSERT_EQ(find_one(j, key(i), back), i < 2 * kGroup) << i;
     if (i < 2 * kGroup) {
       EXPECT_TRUE(same_value(back, value_of(i))) << i;
     }

@@ -2,7 +2,7 @@
 // deterministic process-level fault injection (SIGKILL, abort, stalled
 // heartbeat, torn journal tail), restart/backoff, poisoned-item
 // quarantine, restart exhaustion, cancellation drain, planning only what
-// the checkpoint lacks, and the journal merge -- all asserted
+// the checkpoint lacks, and the store and journal merges -- all asserted
 // against the single-process result, which the merged run must match
 // bit for bit.  The fault-free sharded run is a contract_test cell.
 //
@@ -16,6 +16,7 @@
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -478,6 +479,32 @@ TEST_F(SupervisorTest, DeathAfterJournalingTheLastItemIsNoStrikeAndNoRestart) {
     ASSERT_TRUE(out.ok()) << "item " << i;
     EXPECT_EQ(*out.value, static_cast<double>(i));
   }
+}
+
+TEST_F(SupervisorTest, ShardStoreThatCannotMergeLeavesNoRecordOfItsRows) {
+  // Each worker chunk syncs its block, then journals its chunk record, and
+  // then the test swaps its shard store for a directory, which the parent
+  // cannot merge.  The run must fail before any shard record reaches the
+  // caller's checkpoint: a record there would tell a resume that rows the
+  // store lacks are done.
+  Checkpoint merged;
+  merged.open((dir_ / "merged.mtj").string());
+  util::ColumnarWriter store;
+  store.open((dir_ / "merged.mtc").string());
+  const auto key_of = [](std::size_t c) { return Checkpoint::Key("chunk:" + std::to_string(c)); };
+  const auto run_one = [&](std::size_t c, Checkpoint& ckpt, util::ColumnarWriter* columnar) {
+    const double row = static_cast<double>(c);
+    columnar->set_tag(c);
+    columnar->append("row" + std::to_string(c), &row, 1);
+    columnar->sync();
+    ckpt.record(key_of(c).text, Outcome<double>::success(1.0));
+    std::filesystem::remove(columnar->path());
+    std::filesystem::create_directory(columnar->path());
+  };
+  EXPECT_THROW(sizing::supervise(shard_options(1), 2, run_one, key_of, merged, &store),
+               std::runtime_error);
+  EXPECT_FALSE(merged.contains(key_of(0)));
+  EXPECT_FALSE(merged.contains(key_of(1)));
 }
 
 }  // namespace
