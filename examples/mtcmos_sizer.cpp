@@ -198,12 +198,17 @@ int run_campaign(const std::string& spec_path, const std::string& dir, bool resu
     return 3;
   }
 
+  // A full disk or a closed pipe shows only as a failed stream: check it
+  // after the last byte is handed over, so a lost table is exit 1.
   if (table_path == "-") {
     driver.write_table(std::cout);
+    if (!std::cout.flush()) throw std::runtime_error("cannot write the table to stdout");
   } else {
     std::ofstream os(table_path, std::ios::binary);
     if (!os) throw std::runtime_error("cannot open " + table_path + " for writing");
     driver.write_table(os);
+    os.close();
+    if (!os) throw std::runtime_error("cannot write the table to " + table_path);
     std::cout << "Wrote characterization table to " << table_path << "\n";
   }
   if (stats.chunks_poisoned > 0) {

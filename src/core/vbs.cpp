@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 #include "models/level1.hpp"
 #include "util/error.hpp"
@@ -79,7 +80,10 @@ VbsSimulator::VbsSimulator(const netlist::Netlist& nl, VbsOptions options,
     beta_n_.push_back(nl_.beta_n_eff(g));
     beta_p_.push_back(nl_.beta_p_eff(g));
     const double cl = nl_.output_load(g);
-    require(cl > 0.0, "VbsSimulator: gate " + nl_.gate(g).name + " drives zero capacitance");
+    if (!(cl > 0.0)) {
+      throw std::invalid_argument("VbsSimulator: gate " + nl_.gate(g).name +
+                                  " drives zero capacitance");
+    }
     cload_.push_back(cl);
     slope_up_.push_back(drive_current(beta_p_.back(), pull_up_drive, options_.alpha) / cl);
   }

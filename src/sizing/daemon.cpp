@@ -892,7 +892,10 @@ class DaemonImpl {
     }
 
     completed_.fetch_add(1);
-    requests_.append("done:" + p.key, "ok");
+    // A repeat whose latest record already says ok journals nothing: the
+    // record would change no lookup, only grow what every boot replays.
+    const std::string done_key = "done:" + p.key;
+    if (requests_.find(done_key) != "ok") requests_.append(done_key, "ok");
     if (p.conn != nullptr) {
       std::string line = "{\"type\":\"done\",\"req\":\"" + p.key + "\",\"op\":\"" + p.req.op +
                          "\",\"rows\":" + std::to_string(sink.rows()) +
@@ -1018,6 +1021,8 @@ class DaemonImpl {
     std::ofstream os(table_path, std::ios::binary);
     if (!os) throw std::runtime_error("cannot open " + table_path + " for writing");
     driver.write_table(os);
+    os.close();
+    if (!os) throw std::runtime_error("cannot write the table to " + table_path);
     return ",\"table_path\":" + util::json_string(table_path) +
            ",\"chunks_total\":" + std::to_string(stats.chunks_total) +
            ",\"chunks_replayed\":" + std::to_string(stats.chunks_replayed) +

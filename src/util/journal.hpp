@@ -71,6 +71,15 @@
 
 namespace mtcmos::util {
 
+/// Reflected IEEE 802.3 CRC-32 (zlib's crc32): `seed` is the CRC of the
+/// bytes before `data`, so crc32(b, nb, crc32(a, na)) is the CRC of a then
+/// b.  Two paths, one polynomial, the same result for every input: on
+/// x86-64 CPUs with PCLMULQDQ and SSE4.1 (checked once per process) an
+/// input of 64 bytes or more is folded 64 bytes a step by carry-less
+/// multiplication, its last size % 16 bytes by the table loop; shorter
+/// inputs and every other CPU take the slicing-by-8 table loop alone.
+/// Journals and columnar stores therefore hold the same bytes whichever
+/// path wrote or checks them.
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed = 0);
 
 /// 64-bit FNV-1a.

@@ -1,5 +1,7 @@
 #include "waveform/trace.hpp"
 
+#include <stdexcept>
+
 #include "util/error.hpp"
 
 namespace mtcmos {
@@ -10,7 +12,9 @@ bool Trace::has(const std::string& name) const { return channels_.count(name) !=
 
 const Pwl& Trace::get(const std::string& name) const {
   const auto it = channels_.find(name);
-  require(it != channels_.end(), "Trace::get: no channel named '" + name + "'");
+  if (it == channels_.end()) {
+    throw std::invalid_argument("Trace::get: no channel named '" + name + "'");
+  }
   return it->second;
 }
 

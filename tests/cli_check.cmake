@@ -19,6 +19,9 @@
 #     runs the campaign into a fresh DIR, again with --resume over the
 #     finished run, and with --shards 2 into a fresh DIR.sharded, and
 #     passes when all three exit 0 and write byte-identical table.json.
+#   cmake -DSIZER=<exe> -DMODE=fresh -DDIR=<dir> -DEXPECT=<code> -DARGS=<...> -P cli_check.cmake
+#     runs SIZER ARGS --checkpoint DIR into a fresh DIR and passes when it
+#     exits with EXPECT.
 
 string(REPLACE "|" ";" ARGS "${ARGS}")
 
@@ -61,6 +64,11 @@ endif()
 
 file(REMOVE_RECURSE "${DIR}")
 run_sizer(first code ${ARGS} --checkpoint "${DIR}")
+if(MODE STREQUAL "fresh")
+  expect_code("${code}" "${EXPECT}")
+  file(REMOVE_RECURSE "${DIR}")
+  return()
+endif()
 expect_code("${code}" 0)
 if(MODE STREQUAL "resume")
   run_sizer(second code ${ARGS} --checkpoint "${DIR}" --resume)

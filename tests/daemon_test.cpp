@@ -320,6 +320,9 @@ class DaemonTest : public ::testing::Test {
 };
 
 constexpr char kRank[] = "{\"op\":\"rank\",\"circuit\":\"builtin:adder2\",\"wl\":6}";
+constexpr char kCampaign[] =
+    "{\"op\":\"campaign\",\"spec\":{\"circuit\":\"builtin:adder1\",\"target_pct\":10.0,"
+    "\"wl_grid\":[10,80],\"chunk\":4}}";
 
 // ------------------------------------------------------------- protocol
 
@@ -372,9 +375,13 @@ TEST_F(DaemonTest, RankStreamsRowsAndDuplicateRequestIsAllDedupHits) {
       << first.terminal;
 
   // Same request again: answered entirely from the shared checkpoint
-  // store, with byte-identical rows.
+  // store, with byte-identical rows, and journaled nothing: its req: and
+  // done: records already hold.
+  const fs::path requests = state("a") + "/requests.mtj";
+  const auto journaled = fs::file_size(requests);
   const Stream second = exchange(*ch, kRank);
   EXPECT_EQ(second.rows, first.rows);
+  EXPECT_EQ(fs::file_size(requests), journaled);
   EXPECT_TRUE(has(second.terminal,
                   "\"dedup_hits\":" + std::to_string(first.rows.size())))
       << second.terminal;
@@ -453,10 +460,7 @@ TEST_F(DaemonTest, SizeAndVerifyReturnSizingFields) {
 TEST_F(DaemonTest, CampaignRunsToATableAndRepeatReplaysChunks) {
   const ChildProcess child = start(state("a"));
   auto ch = connect();
-  const std::string request =
-      "{\"op\":\"campaign\",\"spec\":{\"circuit\":\"builtin:adder1\",\"target_pct\":10.0,"
-      "\"wl_grid\":[10,80],\"chunk\":4}}";
-  const Stream first = exchange(*ch, request, 300000);
+  const Stream first = exchange(*ch, kCampaign, 300000);
   ASSERT_TRUE(has(first.terminal, "\"type\":\"done\"")) << first.terminal;
   EXPECT_TRUE(has(first.terminal, "\"table_path\":")) << first.terminal;
   EXPECT_TRUE(has(first.terminal, "\"chunks_replayed\":0")) << first.terminal;
@@ -468,13 +472,37 @@ TEST_F(DaemonTest, CampaignRunsToATableAndRepeatReplaysChunks) {
       << first.terminal;
 
   // Same spec again: the campaign checkpoint replays every chunk.
-  const Stream second = exchange(*ch, request, 300000);
+  const Stream second = exchange(*ch, kCampaign, 300000);
   ASSERT_TRUE(has(second.terminal, "\"type\":\"done\"")) << second.terminal;
   EXPECT_TRUE(has(second.terminal, "\"chunks_run\":0")) << second.terminal;
   EXPECT_EQ(json_field(second.terminal, "dedup_misses"), 0) << second.terminal;
   EXPECT_EQ(json_field(second.terminal, "dedup_hits"),
             json_field(second.terminal, "chunks_replayed"))
       << second.terminal;
+
+  EXPECT_TRUE(ch->send("{\"op\":\"drain\"}"));
+  EXPECT_EQ(wait_exit(child).exit_code, 0);
+}
+
+TEST_F(DaemonTest, CampaignWhoseTableWriteFailsIsAFailedAnswer) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const ChildProcess child = start(state("a"));
+  auto ch = connect();
+  const Stream first = exchange(*ch, kCampaign, 300000);
+  ASSERT_TRUE(has(first.terminal, "\"type\":\"done\"")) << first.terminal;
+  const std::string field = "\"table_path\":\"";
+  const std::size_t at = first.terminal.find(field);
+  ASSERT_NE(at, std::string::npos) << first.terminal;
+  const std::size_t begin = at + field.size();
+  const fs::path table = first.terminal.substr(begin, first.terminal.find('"', begin) - begin);
+  ASSERT_TRUE(fs::remove(table)) << table;
+  fs::create_symlink("/dev/full", table);  // every write to it fails with ENOSPC
+
+  // The repeat replays every chunk, then its table write fails: a coded
+  // failure, not a done line that names a table nobody holds.
+  const Stream second = exchange(*ch, kCampaign, 300000);
+  EXPECT_TRUE(has(second.terminal, "\"code\":\"failed\"")) << second.terminal;
+  EXPECT_FALSE(has(second.terminal, "table_path")) << second.terminal;
 
   EXPECT_TRUE(ch->send("{\"op\":\"drain\"}"));
   EXPECT_EQ(wait_exit(child).exit_code, 0);

@@ -29,6 +29,7 @@
 
 #include "util/error.hpp"
 #include "util/faultinject.hpp"
+#include "util/rng.hpp"
 #include "scratch_dir.hpp"
 
 namespace {
@@ -1190,6 +1191,67 @@ TEST_F(JournalTest, TornMidGroupJournalKeepsItsWholeGroups) {
     if (i < 2 * kGroup) {
       EXPECT_TRUE(same_value(back, value_of(i))) << i;
     }
+  }
+}
+
+
+// util::crc32 against a bitwise reference of the reflected IEEE 802.3
+// CRC-32.  Inputs of 64 bytes or more take the carry-less-multiply fold
+// where the CPU has one (its tail, and shorter inputs, the table loop),
+// so lengths and start offsets cover both paths and unaligned loads.
+std::uint32_t crc32_bitwise(const unsigned char* p, std::size_t n, std::uint32_t seed = 0) {
+  std::uint32_t crc = ~seed;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int b = 0; b < 8; ++b) crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+  }
+  return ~crc;
+}
+
+std::vector<unsigned char> random_bytes(std::size_t n, std::uint64_t seed) {
+  mtcmos::Rng rng(seed);
+  std::vector<unsigned char> out(n);
+  for (auto& b : out) b = static_cast<unsigned char>(rng.engine()());
+  return out;
+}
+
+TEST(Crc32, KnownAnswer) {
+  EXPECT_EQ(mtcmos::util::crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(mtcmos::util::crc32("", 0), 0u);
+}
+
+TEST(Crc32, MatchesBitwiseAtEveryLengthAndOffset) {
+  const std::vector<unsigned char> buf = random_bytes(1100 + 16, 1);
+  for (std::size_t off = 0; off < 16; ++off) {
+    for (std::size_t len = 0; len <= 1100; ++len) {
+      ASSERT_EQ(mtcmos::util::crc32(buf.data() + off, len), crc32_bitwise(buf.data() + off, len))
+          << "offset " << off << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32, MatchesBitwiseOnLargeInputsWithSeeds) {
+  const std::vector<unsigned char> buf = random_bytes(std::size_t{1} << 20, 2);
+  mtcmos::Rng rng(3);
+  for (int trial = 0; trial < 8; ++trial) {
+    const std::size_t len = rng.uniform_int(0, buf.size());
+    const std::size_t off = rng.uniform_int(0, buf.size() - len);
+    const auto seed = static_cast<std::uint32_t>(rng.engine()());
+    ASSERT_EQ(mtcmos::util::crc32(buf.data() + off, len, seed),
+              crc32_bitwise(buf.data() + off, len, seed))
+        << "offset " << off << " length " << len << " seed " << seed;
+  }
+}
+
+TEST(Crc32, ChainsAtEverySplit) {
+  const std::vector<unsigned char> buf = random_bytes(300, 4);
+  const std::uint32_t whole = mtcmos::util::crc32(buf.data(), buf.size());
+  ASSERT_EQ(whole, crc32_bitwise(buf.data(), buf.size()));
+  for (std::size_t split = 0; split <= buf.size(); ++split) {
+    EXPECT_EQ(mtcmos::util::crc32(buf.data() + split, buf.size() - split,
+                                  mtcmos::util::crc32(buf.data(), split)),
+              whole)
+        << "split " << split;
   }
 }
 
