@@ -71,6 +71,7 @@
 #include <charconv>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <sstream>
 
@@ -162,6 +163,18 @@ std::vector<double> parse_list(const std::string& flag, const std::string& csv) 
   return out;
 }
 
+/// Write `what` to the file `path` in place through `write` -- no temp
+/// file and no rename, so devices and symlinked targets keep working --
+/// and check the stream after the last byte: a path that cannot be opened
+/// or a full disk throws "cannot write <what> to <path>" (exit 1).
+void write_checked(const std::string& path, const std::string& what,
+                   const std::function<void(std::ostream&)>& write) {
+  std::ofstream os(path, std::ios::binary);
+  if (os) write(os);
+  os.close();
+  if (!os) throw std::runtime_error("cannot write " + what + " to " + path);
+}
+
 /// --campaign mode: stream a corner-crossed characterization campaign
 /// through the columnar result pipeline and emit the aggregated table.
 int run_campaign(const std::string& spec_path, const std::string& dir, bool resume, int shards,
@@ -204,11 +217,7 @@ int run_campaign(const std::string& spec_path, const std::string& dir, bool resu
     driver.write_table(std::cout);
     if (!std::cout.flush()) throw std::runtime_error("cannot write the table to stdout");
   } else {
-    std::ofstream os(table_path, std::ios::binary);
-    if (!os) throw std::runtime_error("cannot open " + table_path + " for writing");
-    driver.write_table(os);
-    os.close();
-    if (!os) throw std::runtime_error("cannot write the table to " + table_path);
+    write_checked(table_path, "the table", [&](std::ostream& os) { driver.write_table(os); });
     std::cout << "Wrote characterization table to " << table_path << "\n";
   }
   if (stats.chunks_poisoned > 0) {
@@ -600,8 +609,7 @@ int main(int argc, char** argv) {
       const core::VbsSimulator sim(nl, vopt);
       auto res = sim.run(sized.binding_vector.v0, sized.binding_vector.v1);
       res.outputs.channel("vgnd") = res.virtual_ground;
-      std::ofstream os(vcd_path);
-      write_vcd(os, res.outputs);
+      write_checked(vcd_path, "the VCD", [&](std::ostream& os) { write_vcd(os, res.outputs); });
       std::cout << "Wrote VCD of the binding vector at W/L=" << sized.wl << " to " << vcd_path
                 << "\n";
     }
@@ -611,10 +619,10 @@ int main(int argc, char** argv) {
       opt.sleep_wl = deck_wl;
       const auto zeros = std::vector<bool>(nl.inputs().size(), false);
       const auto ex = netlist::to_spice(nl, opt, zeros, zeros);
-      std::ofstream os(deck_path);
       spice::DeckOptions dopt;
       dopt.title = "mtcmos_sizer export of " + path + " at W/L=" + std::to_string(deck_wl);
-      spice::write_spice_deck(os, ex.circuit, dopt);
+      write_checked(deck_path, "the SPICE deck",
+                    [&](std::ostream& os) { spice::write_spice_deck(os, ex.circuit, dopt); });
       std::cout << "Wrote SPICE deck to " << deck_path << "\n";
     }
   } catch (const NumericalError& e) {

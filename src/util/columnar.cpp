@@ -1,38 +1,15 @@
 #include "util/columnar.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstring>
 #include <stdexcept>
 
 #include "util/faultinject.hpp"
-#include "util/journal.hpp"  // crc32, write_all, fsync_parent_dir
+#include "util/journal.hpp"  // crc32
 
 namespace mtcmos::util {
 
 namespace {
-
-[[noreturn]] void throw_errno(const std::string& what, const std::string& path) {
-  throw std::runtime_error("columnar: " + what + " '" + path + "': " + std::strerror(errno));
-}
-
-/// read() exactly `size` bytes unless EOF lands first; returns bytes read.
-std::size_t read_upto(int fd, char* data, std::size_t size, const std::string& path) {
-  std::size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::read(fd, data + done, size - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("read failed", path);
-    }
-    if (n == 0) break;
-    done += static_cast<std::size_t>(n);
-  }
-  return done;
-}
 
 // Little-endian field codec: the store must scan identically wherever a
 // shard file is merged, independent of host byte order.
@@ -103,56 +80,31 @@ bool decode_header(const char* buf, BlockInfo& info, std::uint32_t& payload_crc)
   return info.payload_bytes == expected;
 }
 
-/// Walk the block sequence at `fd` from its current offset.  For each
+/// Walk the block sequence of `file` from its current offset.  For each
 /// structurally valid block, `on_block` receives the decoded info plus the
 /// raw header+payload bytes (so callers can re-emit blocks verbatim).
 /// Stops at the first torn/corrupt block; returns the byte offset of the
-/// end of the last valid block.  `tail_bytes`, when non-null, receives the
-/// count of unreadable bytes left after that offset.
-std::size_t walk_blocks(int fd, const std::string& path,
-                        const std::function<void(const BlockInfo&, const std::string& raw)>& on_block,
-                        std::size_t* tail_bytes) {
-  std::size_t offset = 0;
+/// end of the last valid block.
+std::uint64_t walk_blocks(
+    AppendFile& file,
+    const std::function<void(const BlockInfo&, const std::string& raw)>& on_block) {
+  std::uint64_t offset = 0;
   std::string raw;
-  while (true) {
-    char header_buf[kHeaderSize];
-    const std::size_t got = read_upto(fd, header_buf, kHeaderSize, path);
-    if (got < kHeaderSize) {
-      if (tail_bytes != nullptr) *tail_bytes = got;
-      return offset;
-    }
-    BlockInfo info;
-    std::uint32_t payload_crc = 0;
-    if (!decode_header(header_buf, info, payload_crc)) {
-      // Header bytes are unreadable; everything from here to EOF is tail.
-      if (tail_bytes != nullptr) {
-        const off_t end = ::lseek(fd, 0, SEEK_END);
-        if (end < 0) throw_errno("seek failed", path);
-        *tail_bytes = static_cast<std::size_t>(end) - offset;
-      }
-      return offset;
-    }
-    raw.assign(header_buf, kHeaderSize);
+  char header[kHeaderSize];
+  BlockInfo info;
+  std::uint32_t payload_crc = 0;
+  while (file.read(header, kHeaderSize) == kHeaderSize &&
+         decode_header(header, info, payload_crc)) {
+    raw.assign(header, kHeaderSize);
     raw.resize(kHeaderSize + info.payload_bytes);
-    const std::size_t payload_got =
-        read_upto(fd, raw.data() + kHeaderSize, info.payload_bytes, path);
-    if (payload_got < info.payload_bytes ||
+    if (file.read(raw.data() + kHeaderSize, info.payload_bytes) < info.payload_bytes ||
         crc32(raw.data() + kHeaderSize, info.payload_bytes) != payload_crc) {
-      if (tail_bytes != nullptr) *tail_bytes = payload_got + kHeaderSize;
-      return offset;
+      break;
     }
     if (on_block) on_block(info, raw);
     offset += raw.size();
   }
-}
-
-int open_readonly(const std::string& path) {
-  int fd;
-  do {
-    fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  } while (fd < 0 && errno == EINTR);
-  if (fd < 0) throw_errno("cannot open", path);
-  return fd;
+  return offset;
 }
 
 /// Decode one raw block into per-row callbacks.
@@ -192,30 +144,21 @@ ColumnarWriter::~ColumnarWriter() {
 
 void ColumnarWriter::open(const std::string& path, ColumnarOptions options) {
   close();
-  path_ = path;
   options_ = options;
   truncated_bytes_ = 0;
   blocks_written_ = 0;
   if (options_.rows_per_block == 0) {
     throw std::invalid_argument("columnar: rows_per_block must be positive");
   }
-  dir_sync_pending_ = ::access(path.c_str(), F_OK) != 0;
-  fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-  if (fd_ < 0) throw_errno("cannot open", path);
-  // Append-reopen: walk the existing block sequence and shear off any torn
-  // tail so new blocks extend a clean file (same discipline as Journal).
-  std::size_t tail = 0;
-  const std::size_t valid_end = walk_blocks(fd_, path_, nullptr, &tail);
-  if (tail > 0) {
-    truncated_bytes_ = tail;
-    if (::ftruncate(fd_, static_cast<off_t>(valid_end)) != 0) throw_errno("truncate failed", path);
-  }
-  if (::lseek(fd_, static_cast<off_t>(valid_end), SEEK_SET) < 0) throw_errno("seek failed", path);
+  file_.open(path);
+  // Append-reopen: walk the existing block sequence and cut off any torn
+  // tail so new blocks extend a clean file.
+  truncated_bytes_ = file_.keep(walk_blocks(file_, nullptr));
 }
 
 void ColumnarWriter::append(const std::string& key, const double* values, std::size_t n) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (fd_ < 0) throw std::runtime_error("columnar: append on a closed writer");
+  if (!file_.is_open()) throw std::runtime_error("columnar: append on a closed writer");
   if (n == 0) throw std::invalid_argument("columnar: rows need at least one value column");
   if (key.size() > 0xFFFFFFFFull) throw std::invalid_argument("columnar: key too long");
   {
@@ -253,13 +196,8 @@ void ColumnarWriter::flush() {
 
 void ColumnarWriter::sync() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (fd_ < 0) throw std::runtime_error("columnar: sync on a closed writer");
   flush_locked();
-  while (::fdatasync(fd_) != 0) {
-    if (errno != EINTR) throw_errno("fdatasync failed", path_);
-  }
-  if (dir_sync_pending_) fsync_parent_dir(path_);
-  dir_sync_pending_ = false;
+  file_.sync();  // a closed file throws
 }
 
 void ColumnarWriter::discard() {
@@ -292,94 +230,61 @@ void ColumnarWriter::flush_locked() {
   }
   std::string block = encode_header(info, crc32(payload.data(), payload.size()));
   block += payload;
-  // One write() per block: a crash can tear only the file's tail, never an
-  // already-flushed block.
-  if (!write_all(fd_, block.data(), block.size())) throw_errno("write failed", path_);
-  ++blocks_written_;
+  append_block(block);
   key_lens_.clear();
   key_blob_.clear();
   value_bits_.clear();
   block_cols_ = 0;
 }
 
+void ColumnarWriter::append_block(const std::string& block) {
+  file_.append(block.data(), block.size());
+  ++blocks_written_;
+}
+
 void ColumnarWriter::close() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (fd_ < 0) return;
+  if (!file_.is_open()) return;
   flush_locked();
-  ::close(fd_);
-  fd_ = -1;
+  file_.close();
 }
 
 std::size_t scan_columnar_file(const std::string& path,
                                const std::function<void(const ColumnarRow&)>& fn,
                                const std::function<bool(std::uint64_t tag)>& block_filter) {
-  const int fd = open_readonly(path);
-  std::size_t tail = 0;
-  try {
-    walk_blocks(
-        fd, path,
-        [&](const BlockInfo& info, const std::string& raw) {
-          if (block_filter && !block_filter(info.tag)) return;
-          emit_rows(info, raw, fn);
-        },
-        &tail);
-  } catch (...) {
-    ::close(fd);
-    throw;
-  }
-  ::close(fd);
-  return tail;
+  AppendFile file;
+  file.open_readonly(path);
+  const std::uint64_t end = walk_blocks(file, [&](const BlockInfo& info, const std::string& raw) {
+    if (!block_filter || block_filter(info.tag)) emit_rows(info, raw, fn);
+  });
+  return file.size() - end;
 }
 
 std::size_t merge_columnar_file(ColumnarWriter& dest, const std::string& source_path,
                                 std::vector<std::uint64_t>* seen_tags) {
   if (!dest.is_open()) throw std::runtime_error("columnar: merge into a closed writer");
   if (seen_tags == nullptr) throw std::invalid_argument("columnar: merge needs a seen_tags set");
-  if (::access(source_path.c_str(), F_OK) != 0) {
-    throw std::runtime_error("merge_columnar_file: no such store: " + source_path);
-  }
+  AppendFile source;
+  source.open_readonly(source_path);  // a missing source throws here
   // First call with an empty dedup set: charge dest's existing blocks into
   // it so re-merging after a crash-mid-merge stays first-block-wins.
   if (seen_tags->empty()) {
-    const int dfd = open_readonly(dest.path());
-    try {
-      walk_blocks(
-          dfd, dest.path(),
-          [&](const BlockInfo& info, const std::string&) { seen_tags->push_back(info.tag); },
-          nullptr);
-    } catch (...) {
-      ::close(dfd);
-      throw;
-    }
-    ::close(dfd);
+    AppendFile held;
+    held.open_readonly(dest.path());
+    walk_blocks(held,
+                [&](const BlockInfo& info, const std::string&) { seen_tags->push_back(info.tag); });
   }
   // Blocks with the same tag hold bit-identical rows (work units are
   // deterministic), so first-wins dedup both drops cross-shard duplicates
   // and makes the merge idempotent.
   dest.flush();
-  const int sfd = open_readonly(source_path);
   std::size_t appended = 0;
-  try {
-    walk_blocks(
-        sfd, source_path,
-        [&](const BlockInfo& info, const std::string& raw) {
-          if (std::find(seen_tags->begin(), seen_tags->end(), info.tag) != seen_tags->end()) {
-            return;
-          }
-          seen_tags->push_back(info.tag);
-          // Verbatim block copy -- CRCs and row bytes carry over untouched.
-          if (!write_all(dest.fd_, raw.data(), raw.size())) {
-            throw_errno("write failed", dest.path());
-          }
-          ++dest.blocks_written_;
-          ++appended;
-        },
-        nullptr);
-  } catch (...) {
-    ::close(sfd);
-    throw;
-  }
-  ::close(sfd);
+  walk_blocks(source, [&](const BlockInfo& info, const std::string& raw) {
+    if (std::find(seen_tags->begin(), seen_tags->end(), info.tag) != seen_tags->end()) return;
+    seen_tags->push_back(info.tag);
+    dest.append_block(raw);  // verbatim: CRCs and row bytes carry over untouched
+    ++appended;
+  });
   return appended;
 }
 

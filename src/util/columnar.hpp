@@ -27,13 +27,12 @@
 // are stored as their 64-bit patterns: a replayed row is bit-identical
 // to the run that produced it.
 //
-// Crash safety mirrors the journal: each block is written with a single
-// write(), so a crash can only leave a truncated or checksum-failing
-// *tail* block.  open() for append scans the existing file and truncates
-// the torn tail away before new blocks land; readers stop at the first
-// bad block and report the discarded bytes.  Nothing is fsynced until
-// sync(): a caller that journals "these rows exist" syncs first, so a
-// power loss cannot keep the record and drop the rows.
+// Crash safety is util/append_file.hpp's, with a block as the unit:
+// open() for append scans the existing file and cuts a torn or
+// checksum-failing tail block away before new blocks land; readers stop
+// at the first bad block and report the discarded bytes.  Nothing is
+// synced until sync(): a caller that journals "these rows exist" syncs
+// first, so a power loss cannot keep the record and drop the rows.
 //
 // Block identity and merge: the `tag` field names the unit of work that
 // produced a block (a campaign chunk, a shard row range).  Work units
@@ -53,6 +52,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "util/append_file.hpp"
 
 namespace mtcmos::util {
 
@@ -85,8 +86,8 @@ class ColumnarWriter {
   /// away, so appends always extend a clean block sequence.  Throws
   /// std::runtime_error on I/O failure.
   void open(const std::string& path, ColumnarOptions options = {});
-  bool is_open() const { return fd_ >= 0; }
-  const std::string& path() const { return path_; }
+  bool is_open() const { return file_.is_open(); }
+  const std::string& path() const { return file_.path(); }
   std::size_t rows_per_block() const { return options_.rows_per_block; }
 
   /// Buffer one row under the current tag.  Flushes automatically when
@@ -102,11 +103,11 @@ class ColumnarWriter {
   void set_tag(std::uint64_t tag);
   std::uint64_t tag() const { return tag_; }
 
-  /// Write the buffered rows out as one block (no-op when empty).
+  /// Write the buffered rows out as one block (no-op when empty).  A
+  /// failed write throws, keeps the rows and leaves no torn bytes.
   void flush();
-  /// flush(), then fdatasync the file (and, the first time after open()
-  /// created it, its directory), so every block written survives a power
-  /// loss.  Throws std::runtime_error on failure or a closed writer.
+  /// flush(), then AppendFile::sync(), so every block written survives a
+  /// power loss.  Throws std::runtime_error on failure or a closed writer.
   void sync();
   /// Drop the buffered (unflushed) rows without writing them -- the
   /// abandon path for an interrupted work unit, so a cancelled chunk
@@ -114,7 +115,7 @@ class ColumnarWriter {
   /// re-run under first-block-wins dedup.  Blocks already on disk are
   /// untouched.
   void discard();
-  /// Flush and close the fd.
+  /// Flush and close the file.
   void close();
 
   /// Bytes of torn tail discarded by open() (0 for a clean file).
@@ -126,11 +127,10 @@ class ColumnarWriter {
   friend std::size_t merge_columnar_file(ColumnarWriter&, const std::string&,
                                          std::vector<std::uint64_t>*);
   void flush_locked();
+  void append_block(const std::string& block);
 
-  std::string path_;
   ColumnarOptions options_;
-  int fd_ = -1;
-  bool dir_sync_pending_ = false;  ///< open() created the file; its entry is not synced yet
+  AppendFile file_;
   mutable std::mutex mutex_;
   std::uint64_t tag_ = 0;
   std::vector<std::uint32_t> key_lens_;

@@ -1,13 +1,10 @@
 #include "util/journal.hpp"
 
-#include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <mutex>
@@ -109,16 +106,6 @@ bool have_clmul() {
 #undef MTCMOS_CLMUL
 #endif
 
-[[noreturn]] void throw_errno(const std::string& what, const std::string& path) {
-  throw std::runtime_error("journal: " + what + " '" + path + "': " + std::strerror(errno));
-}
-
-void fsync_retry(int fd, const std::string& path) {
-  while (::fsync(fd) != 0) {
-    if (errno != EINTR) throw_errno("fsync failed", path);
-  }
-}
-
 void put_u64(char* p, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) p[i] = static_cast<char>(v >> (8 * i));
 }
@@ -135,10 +122,10 @@ std::size_t key_size(std::uint32_t bits) { return 8 + 16 * item_words(bits); }
 constexpr std::size_t kTail = 32;
 std::size_t record_size(std::uint32_t bits) { return key_size(bits) + kTail; }
 constexpr std::size_t kMaxGroup = 64;  ///< items per J2 group: the commit unit
-/// Longest time appends go without an fsync.  A kernel crash or power
+/// Longest time appends go without a sync.  A kernel crash or power
 /// loss can lose at most this much of the most recent work (process death
 /// alone loses nothing).
-constexpr std::chrono::milliseconds kFsyncInterval{500};
+constexpr std::chrono::milliseconds kSyncInterval{500};
 
 /// Write an item's key bytes: context, then the v0/v1 words.
 void put_key(char* p, const ItemKey& key) {
@@ -296,30 +283,6 @@ std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
   }
   for (; size > 0; --size, ++p) crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   return ~crc;
-}
-
-void fsync_parent_dir(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash + 1);
-  int dfd;
-  do {
-    dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  } while (dfd < 0 && errno == EINTR);
-  if (dfd < 0) return;  // best effort: not all filesystems allow it
-  // EINTR is retried (the cancel signal handlers install without
-  // SA_RESTART); other errors stay best-effort, like the open.
-  while (::fsync(dfd) != 0 && errno == EINTR) {
-  }
-  ::close(dfd);
-}
-
-bool write_all(int fd, const char* data, std::size_t size) {
-  for (std::size_t done = 0; done < size;) {
-    const ssize_t n = ::write(fd, data + done, size - done);
-    if (n < 0 && errno != EINTR) return false;
-    if (n > 0) done += static_cast<std::size_t>(n);
-  }
-  return true;
 }
 
 std::string hex16(std::uint64_t v) {
@@ -515,37 +478,16 @@ void Journal::clear_tables() {
 
 void Journal::open(const std::string& path, const std::function<void(const Journal&)>& accept) {
   close();
-  path_ = path;
   clear_tables();
   replayed_records_ = 0;
   truncated_bytes_ = 0;
-  unsynced_ = false;
   last_sync_ = std::chrono::steady_clock::now();
+  file_.open(path);
 
-  // O_EXCL-free create-or-open, then probe whether we made the file: a
-  // brand-new journal's directory entry must be fsynced too, or a power
-  // cut could drop synced records with the file.  sync_locked() does it
-  // with the first data fsync -- nothing is durable before that anyway --
-  // which keeps a directory fsync out of open().
-  dir_sync_pending_ = ::access(path.c_str(), F_OK) != 0;
-  fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-  if (fd_ < 0) throw_errno("cannot open", path);
-
-  // Replay: read the file into a chunk sized by fstat (replayed items
-  // point into it), parse records until the first torn one, then index
-  // the items.
-  struct stat st {};
-  if (::fstat(fd_, &st) != 0) throw_errno("stat failed", path);
-  std::string& data = chunks_.emplace_front(static_cast<std::size_t>(st.st_size), '\0');
-  for (std::size_t got = 0; got < data.size();) {
-    const ssize_t n = ::read(fd_, data.data() + got, data.size() - got);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("read failed", path);
-    }
-    if (n == 0) data.resize(got);  // the file shrank since fstat
-    got += static_cast<std::size_t>(n);
-  }
+  // Replay: read the file into one chunk (replayed items point into it),
+  // parse records until the first torn one, then index the items.
+  std::string& data = chunks_.emplace_front(file_.size(), '\0');
+  data.resize(file_.read(data.data(), data.size()));
   std::size_t pos = 0;
   while (pos < data.size() && replay_record(data, pos)) {
   }
@@ -555,20 +497,13 @@ void Journal::open(const std::string& path, const std::function<void(const Journ
     try {
       accept(*this);
     } catch (...) {
-      ::close(fd_);
-      fd_ = -1;
+      file_.close();
       clear_tables();
       throw;
     }
   }
-  if (truncated_bytes_ > 0) {
-    // Torn tail from a crash mid-append: drop it so the file is a clean
-    // record sequence again before anything is appended after it.
-    if (::ftruncate(fd_, static_cast<off_t>(pos)) != 0) throw_errno("truncate failed", path);
-  }
+  file_.keep(pos);  // cut a torn tail off before anything lands after it
   if (items_.empty()) chunks_.clear();  // text records were copied out
-  end_ = ::lseek(fd_, 0, SEEK_END);
-  if (end_ < 0) throw_errno("seek failed", path);
 }
 
 void Journal::append(const std::string& key, const std::string& value) {
@@ -661,33 +596,15 @@ std::size_t Journal::append_batch(JournalBatch batch) {
 }
 
 void Journal::write_locked(const std::string& bytes) {
-  if (fd_ < 0) throw std::runtime_error("journal: append on a closed journal");
-  try {
-    if (!write_all(fd_, bytes.data(), bytes.size())) throw_errno("write failed", path_);
-  } catch (...) {
-    // A short write leaves torn bytes: cut them off, or the next append
-    // would land after them and the next open() would truncate it away.
-    // If that fails too, close, so later appends throw instead.
-    if (::ftruncate(fd_, static_cast<off_t>(end_)) != 0 ||
-        ::lseek(fd_, static_cast<off_t>(end_), SEEK_SET) < 0) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-    throw;
-  }
-  end_ += static_cast<std::int64_t>(bytes.size());
-  unsynced_ = true;
-  // fsync narrows kernel-crash exposure only (the write() above already
+  file_.append(bytes.data(), bytes.size());
+  // A sync narrows kernel-crash exposure only (the append already
   // survives process death), so it is rate-limited by time, which caps
   // both the exposure and the overhead.
-  if (std::chrono::steady_clock::now() - last_sync_ >= kFsyncInterval) sync_locked();
+  if (std::chrono::steady_clock::now() - last_sync_ >= kSyncInterval) sync_locked();
 }
 
 void Journal::sync_locked() {
-  fsync_retry(fd_, path_);
-  if (dir_sync_pending_) fsync_parent_dir(path_);
-  dir_sync_pending_ = false;
-  unsynced_ = false;
+  file_.sync();
   last_sync_ = std::chrono::steady_clock::now();
 }
 
@@ -735,21 +652,20 @@ bool Journal::find_context(const std::string& prefix, std::uint64_t& id) const {
   id = fnv1a64(prefix.data(), prefix.size());
   const std::shared_lock<std::shared_mutex> lock(mutex_);
   const auto it = contexts_.find(id);
-  if (it != contexts_.end() && it->second != prefix) throw_collision(prefix, it->second, path_);
+  if (it != contexts_.end() && it->second != prefix) throw_collision(prefix, it->second, file_.path());
   return it != contexts_.end();
 }
 
 void Journal::flush() {
   const std::lock_guard<std::mutex> write_lock(write_mutex_);
-  if (fd_ >= 0 && (unsynced_ || dir_sync_pending_)) sync_locked();
+  if (file_.is_open() && file_.unsynced()) sync_locked();
 }
 
 void Journal::close() {
   const std::lock_guard<std::mutex> write_lock(write_mutex_);
-  if (fd_ < 0) return;
-  if (unsynced_ || dir_sync_pending_) sync_locked();
-  ::close(fd_);
-  fd_ = -1;
+  if (!file_.is_open()) return;
+  if (file_.unsynced()) sync_locked();
+  file_.close();
 }
 
 std::optional<std::string> Journal::find(const std::string& key) const {

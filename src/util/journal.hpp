@@ -25,29 +25,26 @@
 // "ctx:<16-hex id>" -> key prefix, so items need no key text yet can be
 // rendered back into "<prefix><v0 bits>-<v1 bits>" keys.
 //
-// Each append is one write() of whole records (a JournalBatch of text
-// records and item groups), so a crash can only leave a *truncated
-// tail*, never a half-updated interior.  open() replays record by
-// record; the first malformed or checksum-failing record -- including a
-// non-canonical header (a lowercase 8-digit crc, decimal lengths with no
-// sign or leading zero) or a length that does not fit in the bytes
-// remaining -- marks the torn tail, which is truncated away before any
-// new append.  A group is validated whole before any of it is applied.
+// Each append is one AppendFile::append() of whole records (a
+// JournalBatch of text records and item groups).  open() replays record
+// by record; the first malformed or checksum-failing record -- including
+// a non-canonical header (a lowercase 8-digit crc, decimal lengths with
+// no sign or leading zero) or a length that does not fit in the bytes
+// remaining -- marks the torn tail, which is cut away before any new
+// append.  A group is validated whole before any of it is applied.
 // Later records for the same key or item win, and an item record equal
 // to the item's latest one is not written again.  In memory, text records
 // live in a string map and items in an open-addressed table of fixed
 // slots: open() reads the file with one read() and sizes the table once
 // for the item records it replayed; appends double it as needed.
 //
-// Durability: a write() survives process death without any flush; fsync
-// only narrows the kernel-crash / power-loss window, so it is batched by
-// time (at most every 0.5 s while appending, plus flush()/close).  The
-// first fsync of a journal open() created also fsyncs its directory.
+// Durability is util/append_file.hpp's; the journal syncs at most every
+// 0.5 s while appending, plus at flush() and close().
 //
 // Thread safety: appends, register_context() and flush() serialize on a
 // write mutex and are safe from pool workers.  The in-memory tables have
 // their own reader-writer lock, held exclusively only while a written
-// batch is applied, so readers never wait on write() or fsync().  Item
+// batch is applied, so readers never wait on a write or a sync.  Item
 // reads are range reads (find_items): one reader lock per range and one
 // table probe per key, so a sweep chunk of 256 items takes the lock once.
 // Each held outcome is decoded under the lock, straight into the caller's
@@ -69,6 +66,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/append_file.hpp"
+
 namespace mtcmos::util {
 
 /// Reflected IEEE 802.3 CRC-32 (zlib's crc32): `seed` is the CRC of the
@@ -85,14 +84,6 @@ std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed = 0);
 /// 64-bit FNV-1a.
 std::uint64_t fnv1a64(const void* data, std::size_t size,
                       std::uint64_t seed = 1469598103934665603ull);
-
-/// write() all of `data`, retrying short writes and EINTR (the cancel
-/// signal handlers install without SA_RESTART); false, errno set, on error.
-bool write_all(int fd, const char* data, std::size_t size);
-
-/// fsync the directory holding `path`, so the entry of a file just
-/// created there is durable.  Best effort: not every filesystem allows it.
-void fsync_parent_dir(const std::string& path);
 
 /// `v` as 16 lowercase hex digits.
 std::string hex16(std::uint64_t v);
@@ -165,25 +156,23 @@ class Journal {
   /// file unchanged, and the exception propagates.  Throws
   /// std::runtime_error on I/O errors.
   void open(const std::string& path, const std::function<void(const Journal&)>& accept = {});
-  bool is_open() const { return fd_ >= 0; }
-  const std::string& path() const { return path_; }
+  bool is_open() const { return file_.is_open(); }
+  const std::string& path() const { return file_.path(); }
 
   /// Append one text record: the kJournalAppend fault-injection check,
   /// then append_batch() of that single record.
   void append(const std::string& key, const std::string& value);
 
-  /// Append `batch` with a single write() (formatted outside the lock);
-  /// fsync per the options.  An item record equal byte for byte to the
+  /// Append `batch` as one AppendFile::append() (formatted outside the
+  /// lock), syncing at most every 0.5 s.  An item record equal byte for byte to the
   /// item's latest record -- an earlier one in the batch, else the
   /// journal's -- is dropped, as it changes no lookup: a transition a
   /// pass draws twice, or two threads commit at once, is journaled once.
   /// Returns the records written.  No fault-injection check -- callers
   /// that stage records (sizing::Checkpoint) check each one as they stage
   /// it.  Throws std::invalid_argument on an empty text key (nothing
-  /// written) and std::runtime_error if the write fails.  A failed write
-  /// leaves no torn bytes behind: the file is cut back to its last whole
-  /// record, or, if that fails too, the journal is closed so later
-  /// appends throw.
+  /// written) and std::runtime_error if the write fails, leaving no torn
+  /// bytes behind (see AppendFile::append()).
   std::size_t append_batch(JournalBatch batch);
 
   /// Id of the pass context `prefix` (its FNV-1a hash), registered with a
@@ -194,10 +183,10 @@ class Journal {
   std::uint64_t register_context(const std::string& prefix);
   bool find_context(const std::string& prefix, std::uint64_t& id) const;
 
-  /// fsync the fd (no-op when nothing was appended since the last sync).
+  /// Sync the file (no-op when nothing was appended since the last sync).
   void flush();
 
-  /// Close the fd (flushing first).  Replayed state stays queryable.
+  /// Close the file (flushing first).  Replayed state stays queryable.
   void close();
 
   /// Latest value of text record `key`.
@@ -255,7 +244,6 @@ class Journal {
   void index_replayed_locked();
   void clear_tables();
   void write_locked(const std::string& bytes);
-  /// fsync the file, and its directory if open() created it.
   void sync_locked();
   /// Apply a text record; false for a context registration.
   bool apply_text_locked(const std::string& key, const std::string& value);
@@ -270,11 +258,8 @@ class Journal {
   template <typename Key>
   const char* find_locked(std::uint64_t hash, std::uint32_t bits, const Key& key) const;
 
-  std::string path_;
-  int fd_ = -1;
-  std::mutex write_mutex_;  ///< fd_ writes and the fsync state; taken before mutex_
-  std::int64_t end_ = 0;    ///< file size after the last whole record
-  bool dir_sync_pending_ = false;  ///< open() created the file; its entry is not synced yet
+  AppendFile file_;
+  std::mutex write_mutex_;  ///< file_ and last_sync_; taken before mutex_
   mutable std::shared_mutex mutex_;  ///< the tables below
   std::unordered_map<std::string, std::string> latest_;
   std::unordered_map<std::uint64_t, std::string> contexts_;
@@ -284,7 +269,6 @@ class Journal {
   std::vector<Item> items_;
   std::forward_list<std::string> chunks_;
   std::vector<std::uint64_t> slots_;
-  bool unsynced_ = false;  ///< written since the last fsync
   std::chrono::steady_clock::time_point last_sync_ = {};
   std::size_t replayed_records_ = 0;
   std::size_t truncated_bytes_ = 0;

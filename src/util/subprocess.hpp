@@ -84,10 +84,10 @@ void close_fd(int fd);
 /// reading mid-stream is declared dead instead of pinning the executor.
 bool write_line(int fd, const std::string& line, int stall_timeout_ms = -1);
 
-/// The bytes-level writer under write_line(): writes all `size` bytes of
-/// `data` with the same EINTR, short-write, EPIPE and stall-budget
-/// semantics.  The daemon sends whole frames of pre-terminated lines
-/// through it without copying them.
+/// The one fd writer, under write_line() and util::AppendFile: writes all
+/// `size` bytes of `data` with the same EINTR, short-write, EPIPE and
+/// stall-budget semantics (on a blocking file fd, a plain write loop).
+/// The daemon sends whole frames of pre-terminated lines through it.
 bool write_bytes(int fd, const char* data, std::size_t size, int stall_timeout_ms = -1);
 
 /// Incremental line splitter over a nonblocking fd (worker status pipes,

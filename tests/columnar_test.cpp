@@ -1,13 +1,18 @@
 // Columnar block store: roundtrip, width changes, tagging, torn-tail
-// truncation on append-reopen, CRC rejection, first-block-wins merge
-// dedup, and the discard() abandon path.
+// truncation on append-reopen, no torn bytes after a failed flush, CRC
+// rejection, first-block-wins merge dedup, and the discard() abandon path.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <csignal>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -158,6 +163,65 @@ TEST_F(ColumnarTest, TornTailIsTruncatedOnReopenAndSkippedByScan) {
   ASSERT_EQ(after.size(), 2u);
   EXPECT_EQ(after[0].key, "good");
   EXPECT_EQ(after[1].key, "after");
+}
+
+TEST_F(ColumnarTest, FailedFlushLeavesNoTornBytesForTheNextBlock) {
+  // A block write cut short (here by RLIMIT_FSIZE, 10 bytes past the
+  // first block) must not leave torn bytes for the next block to land
+  // after: the next open() would cut that whole block away.  The limit is
+  // set in a forked child, so this process keeps its own; the child exits
+  // with the number of the first check that failed.
+  const std::string p = path();
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    int failed = 0;
+    try {
+      const double v[2] = {1.0, 2.0};
+      ColumnarWriter w;
+      w.open(p);
+      w.set_tag(1);
+      w.append("a", v, 2);
+      w.flush();
+      const std::uintmax_t size = std::filesystem::file_size(p);
+      ::signal(SIGXFSZ, SIG_IGN);
+      rlimit lifted{};
+      ::getrlimit(RLIMIT_FSIZE, &lifted);
+      rlimit capped = lifted;
+      capped.rlim_cur = static_cast<rlim_t>(size + 10);
+      w.set_tag(2);
+      w.append("b", v, 2);
+      bool threw = false;
+      if (::setrlimit(RLIMIT_FSIZE, &capped) != 0) _exit(1);
+      try {
+        w.flush();
+      } catch (const std::runtime_error&) {
+        threw = true;
+      }
+      if (::setrlimit(RLIMIT_FSIZE, &lifted) != 0) _exit(2);
+      if (!threw) _exit(3);
+      if (std::filesystem::file_size(p) != size) _exit(4);
+      w.flush();  // the rows the failed flush kept, as one whole block
+      w.set_tag(3);
+      w.append("c", v, 2);
+      w.close();
+      ColumnarWriter back;
+      back.open(p);
+      if (back.truncated_bytes() != 0) _exit(5);
+      back.close();
+      const std::vector<Row> rows = scan_all(p);
+      if (rows.size() != 3) _exit(6);
+      if (rows[0].key != "a" || rows[1].key != "b" || rows[2].key != "c") _exit(7);
+      if (rows[0].tag != 1 || rows[1].tag != 2 || rows[2].tag != 3) _exit(8);
+    } catch (...) {
+      failed = 9;
+    }
+    _exit(failed);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 TEST_F(ColumnarTest, CorruptedPayloadStopsTheScanAtTheBadBlock) {
