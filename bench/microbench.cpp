@@ -24,8 +24,13 @@
 // delays are bit-identical to a 1-thread run of the same configuration,
 // and writes BENCH_spice.json including the EngineStats counters.
 //
+// --only journal (never part of the default run, and gated by nothing)
+// times the checkpoint journal's commit: Journal::append_batch of one
+// 64-item commit group while 0, 1 or 4 threads range-read held items,
+// and writes BENCH_journal.json.
+//
 //   microbench [--threads N] [--json PATH]
-//              [--only sweep|backend|vbs[.scalar|.cohort]|spice]
+//              [--only sweep|backend|vbs[.scalar|.cohort]|spice|journal]
 //              [--batch N] [--gbench [gbench args...]]
 //
 // --only restricts the run to one of the four benchmarks (the perf
@@ -38,9 +43,14 @@
 // google-benchmark.  See bench/README.md.
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -58,6 +68,7 @@
 #include "netlist/bits.hpp"
 #include "sizing/sizing.hpp"
 #include "sizing/spice_ref.hpp"
+#include "util/journal.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "util/units.hpp"
@@ -626,6 +637,125 @@ int spice_benchmark(int threads, const std::string& json_path) {
   return identical ? 0 : 1;
 }
 
+// Commit latency of the checkpoint journal: the wall time of
+// Journal::append_batch for one 64-item commit group (sizing's group
+// size), with 0, 1 and 4 threads meanwhile reading 256-key find_items
+// ranges of held items in a loop.  A commit applies its batch under the
+// table's writer lock, so readers can stretch it; the journal's 0.5 s
+// sync lands in the tail.  Commits are paced 250 us apart, roughly one
+// adder3 commit group of compute.  Each leg stops at a 3 s budget: the
+// readers stop then, so a commit they starve completes, and the leg
+// reports how many of its commits ran.  Every committed item must read
+// back.
+int journal_benchmark(const std::string& json_path) {
+  using Clock = std::chrono::steady_clock;
+  constexpr std::uint32_t kBits = 12;  // v0 and v1 of a 12-input transition, one word each
+  constexpr std::size_t kGroup = 64;
+  constexpr std::size_t kHeld = 4096;  // items the readers range over
+  constexpr std::size_t kCommits = 2048;
+  constexpr std::size_t kRange = 256;
+  constexpr std::size_t kTotal = kHeld + kCommits * kGroup;
+  std::vector<std::uint64_t> words(2 * kTotal);
+  for (std::size_t i = 0; i < kTotal; ++i) {
+    words[2 * i] = i & 0xfff;
+    words[2 * i + 1] = i >> 12;
+  }
+  const std::filesystem::path dir = std::filesystem::temp_directory_path() /
+                                    ("microbench_journal." + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+
+  struct Leg {
+    int readers;
+    std::size_t commits;
+    double p50_us, p99_us, max_us, reads_per_s;
+  };
+  std::vector<Leg> legs;
+  bool identical = true;
+  for (const int readers : {0, 1, 4}) {
+    util::Journal journal;
+    journal.open((dir / ("leg" + std::to_string(readers) + ".mtj")).string());
+    const std::uint64_t context = journal.register_context("bench:journal:");
+    const auto batch_of = [&](std::size_t begin, std::size_t n) {
+      util::JournalBatch batch;
+      util::ItemValue value;
+      value.attempts = 1;
+      value.values = 1;
+      for (std::size_t i = begin; i < begin + n; ++i) {
+        value.value[0] = i;
+        batch.add(util::ItemKey{context, kBits, words.data() + 2 * i}, value);
+      }
+      return batch;
+    };
+    journal.append_batch(batch_of(0, kHeld));
+
+    const auto t0 = Clock::now();
+    const auto deadline = t0 + std::chrono::seconds(3);
+    std::atomic<bool> stop{false};
+    std::atomic<bool> held{true};
+    std::atomic<std::size_t> reads{0};
+    std::vector<std::thread> threads;
+    for (int r = 0; r < readers; ++r) {
+      threads.emplace_back([&, r] {
+        for (std::size_t k = static_cast<std::size_t>(r); !stop.load() && Clock::now() < deadline;
+             ++k) {
+          const std::size_t at = (k * kRange) % (kHeld - kRange + 1);
+          const std::vector<char> mask =
+              journal.find_items(util::ItemKey{context, kBits, words.data() + 2 * at}, kRange);
+          if (std::find(mask.begin(), mask.end(), 0) != mask.end()) held.store(false);
+          reads.fetch_add(1);
+        }
+      });
+    }
+    std::vector<double> us;
+    while (us.size() < kCommits && Clock::now() < deadline) {
+      util::JournalBatch batch = batch_of(kHeld + us.size() * kGroup, kGroup);
+      const auto start = Clock::now();
+      journal.append_batch(std::move(batch));
+      us.push_back(std::chrono::duration<double, std::micro>(Clock::now() - start).count());
+      std::this_thread::sleep_for(std::chrono::microseconds(250));
+    }
+    const double seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+    stop.store(true);
+    for (std::thread& t : threads) t.join();
+    const std::size_t committed = kHeld + us.size() * kGroup;
+    const std::vector<char> all = journal.find_items({context, kBits, words.data()}, committed);
+    identical = identical && held.load() && std::find(all.begin(), all.end(), 0) == all.end();
+    journal.close();
+    std::sort(us.begin(), us.end());
+    legs.push_back({readers, us.size(), us[us.size() / 2], us[us.size() * 99 / 100], us.back(),
+                    static_cast<double>(reads.load()) / seconds});
+  }
+  std::filesystem::remove_all(dir);
+
+  std::cout << "JOURNAL append_batch of " << kGroup << " items, up to " << kCommits
+            << " commits paced 250 us apart in 3 s, readers doing " << kRange
+            << "-key find_items:\n";
+  for (const Leg& l : legs) {
+    std::cout << "  " << l.readers << " readers: " << l.commits << " commits, p50 " << l.p50_us
+              << " us  p99 " << l.p99_us
+              << " us  max " << l.max_us << " us  (" << l.reads_per_s << " range reads/s)\n";
+  }
+  std::cout << "  every item read back: " << (identical ? "yes" : "NO") << "\n";
+
+  std::ofstream json(json_path);
+  if (!json) {
+    std::cerr << "microbench: cannot write " << json_path << "\n";
+    return 1;
+  }
+  json << "{\n  \"bench\": \"journal_commit\",\n  \"group\": " << kGroup
+       << ",\n  \"range\": " << kRange << ",\n  \"legs\": [";
+  for (std::size_t i = 0; i < legs.size(); ++i) {
+    const Leg& l = legs[i];
+    json << (i == 0 ? "\n" : ",\n") << "    {\"readers\": " << l.readers
+         << ", \"commits\": " << l.commits << ", \"p50_us\": " << l.p50_us
+         << ", \"p99_us\": " << l.p99_us
+         << ", \"max_us\": " << l.max_us << ", \"reads_per_s\": " << l.reads_per_s << "}";
+  }
+  json << "\n  ],\n  \"identical\": " << (identical ? "true" : "false") << "\n}\n";
+  std::cout << "wrote " << json_path << "\n";
+  return identical ? 0 : 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -657,8 +787,10 @@ int main(int argc, char** argv) {
           std::cerr << "microbench: --only vbs.<sub> expects scalar or cohort\n";
           return 2;
         }
-      } else if (only != "sweep" && only != "backend" && only != "vbs" && only != "spice") {
-        std::cerr << "microbench: --only expects sweep, backend, vbs[.<sub>], or spice\n";
+      } else if (only != "sweep" && only != "backend" && only != "vbs" && only != "spice" &&
+                 only != "journal") {
+        std::cerr << "microbench: --only expects sweep, backend, vbs[.<sub>], spice, or "
+                     "journal\n";
         return 2;
       }
     } else if (arg == "--gbench") {
@@ -667,7 +799,7 @@ int main(int argc, char** argv) {
       gbench_args.push_back(argv[i]);  // forward to google-benchmark
     } else {
       std::cerr << "usage: microbench [--threads N] [--json PATH] "
-                   "[--only sweep|backend|vbs[.scalar|.cohort]|spice] [--batch N] "
+                   "[--only sweep|backend|vbs[.scalar|.cohort]|spice|journal] [--batch N] "
                    "[--gbench [gbench args...]]\n"
                    "  --only also filters the --gbench micro-suite (see bench/README.md)\n";
       return 2;
@@ -690,6 +822,10 @@ int main(int argc, char** argv) {
     const int src = spice_benchmark(threads, "BENCH_spice.json");
     if (src != 0) return src;
   }
+  if (only == "journal") {
+    const int jrc = journal_benchmark("BENCH_journal.json");
+    if (jrc != 0) return jrc;
+  }
 
   if (gbench) {
     // --only also restricts the micro-suite: map the suite to its BM_*
@@ -705,8 +841,10 @@ int main(int argc, char** argv) {
         pattern = "BM_Vbs.*|BM_VxSolve.*";
       } else if (only == "spice") {
         pattern = "BM_Spice.*|BM_Engine.*";
-      } else {  // backend: the two per-vector backend paths
+      } else if (only == "backend") {  // the two per-vector backend paths
         pattern = "BM_VbsAdderVector|BM_SpiceAdderVector";
+      } else {  // journal: no micro-suite of its own
+        pattern = "BM_Journal.*";
       }
       filter_arg = "--benchmark_filter=" + pattern;
       gbench_args.push_back(filter_arg.data());

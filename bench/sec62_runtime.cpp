@@ -52,14 +52,8 @@ SweepRun timed_sweep(const sizing::EvalBackend& backend,
                      util::ThreadPool& pool, sizing::Checkpoint* ckpt) {
   backend.prepare_wl(wl);
   const bool journaled = ckpt != nullptr && ckpt->armed();
-  sizing::ItemKeys keys;
-  if (journaled) {
-    keys = sizing::ItemKeys(
-        ckpt->context(sizing::checkpoint_prefix(
-            "sec62-delay", backend.name(),
-            sizing::netlist_fingerprint(backend.netlist(), backend.outputs()), wl)),
-        pairs);
-  }
+  const sizing::ItemKeys keys =
+      sizing::PassKeys(ckpt, nullptr, "sec62-delay", backend, wl, pairs).items();
   SweepRun out;
   const auto t0 = Clock::now();
   out.delays = pool.parallel_map(pairs.size(), [&](std::size_t i) {

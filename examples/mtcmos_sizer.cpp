@@ -69,6 +69,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -142,24 +143,31 @@ void print_sweep_health(const mtcmos::SweepReport& report) {
   }
 }
 
-/// The whole of `text` as a number for `flag`; anything else -- a
-/// malformed or out-of-range value -- is a usage error (exit 2).
+/// The whole of `text` as a number for `flag`, finite and > 0 when
+/// `positive`; anything else -- a malformed, out-of-range or (when
+/// `positive`) non-positive value -- is a usage error (exit 2), raised
+/// before any checkpoint is opened or bound.
 template <typename T>
-T parse_number(const std::string& flag, const std::string& text) {
+T parse_number(const std::string& flag, const std::string& text, bool positive = false) {
   T value{};
   const char* end = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec == std::errc() && ptr == end) return value;
-  std::cerr << (ec == std::errc::result_out_of_range ? "out-of-range" : "malformed")
-            << " value '" << text << "' for " << flag << "\n";
+  if (ec == std::errc() && ptr == end) {
+    if (!positive || (value > 0 && std::isfinite(static_cast<double>(value)))) return value;
+    std::cerr << "value '" << text << "' for " << flag << " must be finite and positive\n";
+  } else {
+    std::cerr << (ec == std::errc::result_out_of_range ? "out-of-range" : "malformed")
+              << " value '" << text << "' for " << flag << "\n";
+  }
   std::exit(2);
 }
 
+/// A comma-separated list of W/Ls, each finite and positive.
 std::vector<double> parse_list(const std::string& flag, const std::string& csv) {
   std::vector<double> out;
   std::stringstream ss(csv);
   std::string item;
-  while (std::getline(ss, item, ',')) out.push_back(parse_number<double>(flag, item));
+  while (std::getline(ss, item, ',')) out.push_back(parse_number<double>(flag, item, true));
   return out;
 }
 
@@ -328,9 +336,9 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--target") {
-      target = parse_number<double>(arg, next());
+      target = parse_number<double>(arg, next(), true);
     } else if (arg == "--vectors") {
-      n_vectors = parse_number<int>(arg, next());
+      n_vectors = parse_number<int>(arg, next(), true);
     } else if (arg == "--seed") {
       seed = parse_number<std::uint64_t>(arg, next());
     } else if (arg == "--sweep") {
@@ -342,7 +350,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--screen") {
       screen_keep = parse_number<int>(arg, next());
     } else if (arg == "--wl") {
-      deck_wl = parse_number<double>(arg, next());
+      deck_wl = parse_number<double>(arg, next(), true);
     } else if (arg == "--backend") {
       backend_name = next();
       if (backend_name != "vbs" && backend_name != "spice") {

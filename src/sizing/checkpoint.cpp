@@ -124,6 +124,47 @@ ItemKeys::ItemKeys(std::uint64_t context, const VectorPair* vectors, std::size_t
   words_ = words;
 }
 
+PassKeys::PassKeys(Checkpoint* checkpoint, const ResultSink* sink, const char* backend,
+                   const netlist::Netlist& nl, const std::vector<std::string>& outputs,
+                   Context mode)
+    : checkpoint_(checkpoint != nullptr && checkpoint->armed() ? checkpoint : nullptr),
+      row_keys_(sink != nullptr && sink->wants_keys()),
+      mode_(mode),
+      backend_(backend),
+      fingerprint_(checkpoint_ != nullptr || row_keys_ ? netlist_fingerprint(nl, outputs) : 0) {}
+
+PassKeys::PassKeys(Checkpoint* checkpoint, const ResultSink* sink, const char* op,
+                   const EvalBackend& backend, std::optional<double> wl,
+                   std::span<const VectorPair> vectors, Context mode)
+    : PassKeys(checkpoint, sink, backend.name(), backend.netlist(), backend.outputs(), mode) {
+  *this = rekey(op, wl).over(vectors);
+}
+
+PassKeys::PassKeys(Checkpoint* checkpoint, const ResultSink* sink, const char* op,
+                   const netlist::Netlist& nl, std::span<const VectorPair> vectors)
+    : PassKeys(checkpoint, sink, "logic", nl, {}, Context::kRegister) {
+  *this = rekey(op, std::nullopt).over(vectors);
+}
+
+PassKeys PassKeys::rekey(const char* op, std::optional<double> wl) const {
+  PassKeys keys = *this;
+  if (checkpoint_ == nullptr && !row_keys_) return keys;
+  keys.prefix_ = wl ? checkpoint_prefix(op, backend_, fingerprint_, *wl)
+                    : checkpoint_prefix_nowl(op, backend_, fingerprint_);
+  if (checkpoint_ == nullptr) return keys;
+  std::uint64_t& context = keys.items_.context_;
+  keys.found_ = mode_ == Context::kRegister ||
+                checkpoint_->journal().find_context(keys.prefix_, context);
+  if (mode_ == Context::kRegister) context = checkpoint_->context(keys.prefix_);
+  return keys;
+}
+
+PassKeys PassKeys::over(std::span<const VectorPair> vectors) const {
+  PassKeys keys = *this;
+  if (found_) keys.items_ = ItemKeys(items_.context_, vectors.data(), vectors.size());
+  return keys;
+}
+
 void Checkpoint::open(const std::string& path) {
   // The legacy check runs before open() truncates a torn tail, so a
   // refused file keeps every byte.

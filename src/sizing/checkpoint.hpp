@@ -12,14 +12,12 @@
 // an uninterrupted run.  Doubles are stored as their exact 64-bit
 // patterns, so replayed values round-trip without losing a single ulp.
 //
-// Items: a sweep pass registers its context once (context(): the
-// prefix "<op>:<backend>:<fp>:<wl-bits>:" hashed to a 64-bit id, with a
-// "ctx:" record mapping the id back to the prefix, so an id collision is
-// a coded error instead of a wrong replay).  Each item is then a
-// fixed-width journal item record (util/journal.hpp) committed in
-// CRC-checked groups of up to 64, one write() per group: the crash-loss
-// unit is one commit group.  Key strings exist only for sinks that want
-// row keys (checkpoint_item_key) and for the cold string-keyed view.
+// Items: PassKeys (below) keys every sweep pass; its context's "ctx:"
+// record maps the 64-bit id back to the pass prefix, so an id collision
+// is a coded error instead of a wrong replay.  Each item is a fixed-width
+// journal item record (util/journal.hpp) committed in CRC-checked groups
+// of up to 64, one write() per group: the crash-loss unit is one commit
+// group.  Key strings exist only for row keys and the cold string view.
 // A journal written before the item record kind (text item records,
 // "rank:...:<bits>-<bits>" -> "ok ...") is refused at open() with a
 // kInvalidArgument NumericalError and left untouched.
@@ -39,6 +37,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -51,10 +51,12 @@
 
 namespace mtcmos::sizing {
 
+class ResultSink;  // sizing/result_sink.hpp
+
 /// Typed keys of one sweep pass: its context id and every transition
 /// packed into 64-bit words once, so the per-item path hashes words
 /// instead of formatting strings.  Copies share the packed words, so
-/// with_context() keys the same transitions in another pass (a
+/// PassKeys::rekey() keys the same transitions in another pass (a
 /// bisection's next probe) without repacking them.  Every transition of
 /// a pass must have the same width (std::invalid_argument otherwise).
 class ItemKeys {
@@ -64,16 +66,12 @@ class ItemKeys {
   ItemKeys(std::uint64_t context, const std::vector<VectorPair>& vectors)
       : ItemKeys(context, vectors.data(), vectors.size()) {}
 
-  ItemKeys with_context(std::uint64_t context) const {
-    ItemKeys keys = *this;
-    keys.context_ = context;
-    return keys;
-  }
   util::ItemKey operator[](std::size_t i) const {
     return {context_, bits_, words_.get() + i * stride_};
   }
 
  private:
+  friend class PassKeys;
   std::uint64_t context_ = 0;
   std::uint32_t bits_ = 0;
   std::size_t stride_ = 0;
@@ -193,19 +191,60 @@ class Checkpoint {
 std::uint64_t netlist_fingerprint(const netlist::Netlist& nl,
                                   const std::vector<std::string>& outputs);
 
-/// Key prefix for one sweep operation: "<op>:<backend>:<fp>:<wl-bits>:".
-/// Pass NaN-free wl; operations without a W/L dimension use
-/// checkpoint_prefix_nowl.
+/// The key formats PassKeys builds, public for tests: a pass prefix with
+/// (NaN-free) or without W/L bits, rank_prefix for op "rank", and an item
+/// key -- the prefix, then the transition's v0/v1 bit strings.
 std::string checkpoint_prefix(const char* op, const char* backend_name, std::uint64_t fingerprint,
                               double wl);
 std::string checkpoint_prefix_nowl(const char* op, const char* backend_name,
                                    std::uint64_t fingerprint);
-/// Prefix of a rank_vectors pass over `backend` at `wl` (op "rank").
 std::string rank_prefix(const EvalBackend& backend, double wl);
+std::string checkpoint_item_key(const std::string& prefix, const VectorPair& vp);
 /// Append `bits` as '0'/'1' characters, bit 0 first.
 void append_bits(std::string& out, const std::vector<bool>& bits);
-/// Item key string: prefix + the v0/v1 bit strings of the transition --
-/// the row key of key-carrying sinks (the columnar spill).
-std::string checkpoint_item_key(const std::string& prefix, const VectorPair& vp);
+
+/// The identity of one sweep pass, and the one place a sweep's keys are
+/// built: the prefix "<op>:<backend>:<netlist fingerprint>:[<W/L bits>:]",
+/// its context in an armed checkpoint (registered, or with kFind only
+/// found), the transitions packed once as ItemKeys in that context, and
+/// the row keys of a sink that wants_keys().  Nothing is fingerprinted or
+/// formatted unless one of those two reads it; rekey() and over() reuse
+/// the fingerprint and the packing for an entry point's other passes.
+class PassKeys {
+ public:
+  enum class Context { kRegister, kFind };
+
+  /// `op` over `backend` at `wl` (nullopt: no W/L dimension); either pointer may be null.
+  PassKeys(Checkpoint* checkpoint, const ResultSink* sink, const char* op,
+           const EvalBackend& backend, std::optional<double> wl,
+           std::span<const VectorPair> vectors, Context mode = Context::kRegister);
+  /// Logic-level screening: the bare netlist, no outputs, backend "logic".
+  PassKeys(Checkpoint* checkpoint, const ResultSink* sink, const char* op,
+           const netlist::Netlist& nl, std::span<const VectorPair> vectors);
+  PassKeys rekey(const char* op, std::optional<double> wl) const;  ///< same transitions
+  PassKeys over(std::span<const VectorPair> vectors) const;        ///< same pass
+
+  const ItemKeys& items() const { return items_; }  ///< empty unless found()
+  bool found() const { return found_; }  ///< an armed checkpoint holds the context
+  /// The row key of `vp`, empty unless the sink wants keys; valid until the next call.
+  const std::string& row_key(const VectorPair& vp) {
+    if (row_keys_) key_ = checkpoint_item_key(prefix_, vp);
+    return key_;
+  }
+
+ private:
+  PassKeys(Checkpoint* checkpoint, const ResultSink* sink, const char* backend,
+           const netlist::Netlist& nl, const std::vector<std::string>& outputs, Context mode);
+
+  Checkpoint* checkpoint_;  ///< armed, or null
+  bool row_keys_;
+  Context mode_;
+  const char* backend_;
+  std::uint64_t fingerprint_;
+  std::string prefix_;
+  ItemKeys items_;
+  bool found_ = false;
+  std::string key_;  ///< row_key()'s buffer
+};
 
 }  // namespace mtcmos::sizing

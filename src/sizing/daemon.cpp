@@ -185,6 +185,8 @@ Request parse_request(const util::JsonValue& doc) {
   req.wl = doc.number_or("wl", 10.0);
   if (!(req.wl > 0.0)) throw std::invalid_argument("wl must be > 0");
   req.target_pct = doc.number_or("target_pct", 5.0);
+  const bool sizes = req.op == "size" || req.op == "verify";
+  if (sizes && !(req.target_pct > 0.0)) throw std::invalid_argument("target_pct must be > 0");
   req.vectors = doc.integer_or("vectors", 200);
   if (req.vectors < 1) throw std::invalid_argument("vectors must be >= 1");
   req.seed = doc.integer_or<std::uint64_t>("seed", 1);
@@ -986,14 +988,11 @@ class DaemonImpl {
 
   bool all_keys_present(const EvalBackend& backend, const std::vector<VectorPair>& vectors,
                         double wl) {
-    std::uint64_t context = 0;
-    if (!store_.journal().find_context(rank_prefix(backend, wl), context)) {
-      return false;  // never ranked
-    }
-    const ItemKeys keys(context, vectors);
+    const PassKeys pass(&store_, nullptr, "rank", backend, wl, vectors, PassKeys::Context::kFind);
+    if (!pass.found()) return false;  // never ranked
     for (std::size_t begin = 0; begin < vectors.size(); begin += kPresenceChunk) {
       const std::size_t end = std::min(vectors.size(), begin + kPresenceChunk);
-      const std::vector<char> held = store_.lookup<VectorDelay>(keys, begin, end, nullptr);
+      const std::vector<char> held = store_.lookup<VectorDelay>(pass.items(), begin, end, nullptr);
       if (std::find(held.begin(), held.end(), 0) != held.end()) return false;
     }
     return true;

@@ -38,11 +38,6 @@ struct RunContext {
   RunContext(const RunContext&) = delete;
   RunContext& operator=(const RunContext&) = delete;
 
-  /// Item keys have a consumer: the checkpoint, or a key-carrying sink.
-  bool needs_keys(const ResultSink* sink) const {
-    return checkpoint != nullptr || (sink != nullptr && sink->wants_keys());
-  }
-
   /// Add item i's outcome to the report; true when it carries a value.
   template <typename T>
   bool keep(std::size_t i, const Outcome<T>& o) const {
@@ -144,7 +139,7 @@ constexpr std::size_t kMaxCommitGroup = 64;
 // items, run as one pool job of one task per `chunk` items of a pass (per
 // item when the kernel stands down, chunk 0).  Tasks are claimed in
 // (pass, chunk) order, so pass k + 1's tasks start while pass k's last
-// ones finish.  open(k) builds pass k's state -- its `keys`, and whatever
+// ones finish.  open(k) builds pass k's state -- a PassKeys, plus whatever
 // its memo, body and emit read -- once, when the pass's first task
 // starts; the state is freed once the pass is emitted.  A task's Outcome
 // slots live from its run to its emission, so memory holds the tasks in
@@ -232,13 +227,14 @@ void run_passes(const RunContext& run, std::size_t chunk, const std::vector<std:
       std::vector<Outcome<T>>& out = outs[t];
       out.resize(end - begin);
       const std::vector<char> replayed =
-          run.checkpoint != nullptr ? run.checkpoint->lookup(s.keys, begin, end, out.data())
+          run.checkpoint != nullptr ? run.checkpoint->lookup(s.items(), begin, end, out.data())
                                     : std::vector<char>();
       auto memo = make_memo(s, begin, end, replayed);
       Checkpoint::Stage stage;
       for (std::size_t i = begin; i < end; ++i) {
         if (replayed.empty() || replayed[i - begin] == 0) {
-          out[i - begin] = run_item<T>(run, i, s.keys, i, stage, [&] { return body(s, memo, i); });
+          out[i - begin] =
+              run_item<T>(run, i, s.items(), i, stage, [&] { return body(s, memo, i); });
         }
         if (run.checkpoint != nullptr && ((i + 1 - begin) % group == 0 || i + 1 == end)) {
           run.checkpoint->commit(stage);
@@ -254,19 +250,16 @@ void run_passes(const RunContext& run, std::size_t chunk, const std::vector<std:
 
 // run_passes over one pass of `n` items keyed by `keys`; emit(i, outcome).
 template <typename T, typename MakeMemo, typename Body, typename Emit>
-void run_chunks(const RunContext& run, const ItemKeys& keys, std::size_t chunk, std::size_t n,
+void run_chunks(const RunContext& run, const PassKeys& keys, std::size_t chunk, std::size_t n,
                 const MakeMemo& make_memo, const Body& body, const Emit& emit) {
-  struct Pass {
-    const ItemKeys& keys;
-  };
   run_passes<T>(
-      run, chunk, {n}, [&](std::size_t) { return std::make_unique<Pass>(Pass{keys}); },
-      [&](Pass&, std::size_t begin, std::size_t end, const std::vector<char>& replayed) {
+      run, chunk, {n}, [&](std::size_t) { return std::make_unique<PassKeys>(keys); },
+      [&](PassKeys&, std::size_t begin, std::size_t end, const std::vector<char>& replayed) {
         return make_memo(begin, end, replayed);
       },
-      [&](Pass&, auto& memo, std::size_t i) { return body(memo, i); },
-      [&](Pass&, std::size_t i, Outcome<T>& o) { emit(i, o); },
-      [](std::size_t, Pass&) { return true; });
+      [&](PassKeys&, auto& memo, std::size_t i) { return body(memo, i); },
+      [&](PassKeys&, std::size_t i, Outcome<T>& o) { emit(i, o); },
+      [](std::size_t, PassKeys&) { return true; });
 }
 
 // The items of [begin, end) for the chunk's batch kernel: those the
@@ -325,30 +318,6 @@ class ChunkMemo {
   std::size_t next_ = 0;
 };
 
-// Typed checkpoint keys of one pass over `vectors` in the context
-// `prefix`, registering it; empty (and unused) when no checkpoint is armed.
-ItemKeys pass_keys(Checkpoint* ckpt, const std::string& prefix, const VectorPair* vectors,
-                   std::size_t n) {
-  return ckpt != nullptr ? ItemKeys(ckpt->context(prefix), vectors, n) : ItemKeys();
-}
-
-// Row keys for a key-carrying sink (the columnar spill), formatted one at
-// a time as rows are emitted; empty for every other sink.
-class SinkKeys {
- public:
-  SinkKeys(const ResultSink* sink, const std::string& prefix)
-      : prefix_(sink != nullptr && sink->wants_keys() ? &prefix : nullptr) {}
-
-  const std::string& operator()(const VectorPair& vp) {
-    if (prefix_ != nullptr) key_ = checkpoint_item_key(*prefix_, vp);
-    return key_;
-  }
-
- private:
-  const std::string* prefix_;
-  std::string key_;
-};
-
 // One chunk of a degradation sweep (rank_vectors, size_for_degradation
 // probes): baseline delays of the `todo` items (memo hits after a
 // bisection's first probe), then sized delays only where the baseline
@@ -376,26 +345,17 @@ struct DegradationMemo {
   }
 };
 
-// One rank pass while it is in flight: its keys and the row-key
-// formatter of its sink.  The pass prefix is formatted when
-// anyone consumes it -- the checkpoint registers it as the pass context,
-// a key-carrying sink (columnar spill) builds row keys from it; the plain
-// in-RAM path skips the fingerprint entirely.
-struct RankState {
+// One rank pass while it is in flight: its keys, pass and report.
+struct RankState : PassKeys {
   RankState(const RunContext& run, const RankPass& p, std::size_t n)
-      : pass(p),
-        report(p.report != nullptr ? *p.report : run.report),
-        prefix(run.needs_keys(p.sink) ? rank_prefix(*p.backend, p.wl) : std::string()),
-        keys(pass_keys(run.checkpoint, prefix, p.vectors, n)),
-        sink_key(p.sink, prefix) {
+      : PassKeys(run.checkpoint, p.sink, "rank", *p.backend, p.wl, {p.vectors, n}),
+        pass(p),
+        report(p.report != nullptr ? *p.report : run.report) {
     if (!run.cancel.requested()) p.backend->prepare_wl(p.wl);
   }
 
   const RankPass pass;
   SweepReport& report;
-  const std::string prefix;
-  const ItemKeys keys;
-  SinkKeys sink_key;
   std::size_t rows = 0;
 };
 
@@ -435,7 +395,7 @@ std::size_t rank_vectors_passes(const std::vector<std::size_t>& sizes, RankPasse
         // The transition itself lives in the checkpoint key, not the
         // record; re-attach it for computed and replayed outcomes alike.
         o.value->pair = s.pass.vectors[i];
-        s.pass.sink->on_delay(s.sink_key(s.pass.vectors[i]), *o.value);
+        s.pass.sink->on_delay(s.row_key(s.pass.vectors[i]), *o.value);
         ++s.rows;
       },
       [&](std::size_t k, RankState& s) {
@@ -520,28 +480,19 @@ SizingResult size_for_degradation(const EvalBackend& backend,
   if (!(bounds.wl_tol > 0.0)) bad_bounds("wl_tol must be positive");
 
   const RunContext run(session);
-  Checkpoint* ckpt = run.checkpoint;
-
-  // A resume re-derives the same probe sequence: the item records replay
-  // each completed probe without simulating.
   ResultSink* sink = session.sink;
-  std::uint64_t fp = 0;
-  if (run.needs_keys(sink)) fp = netlist_fingerprint(backend.netlist(), backend.outputs());
 
   // Parallel map into per-item Outcome slots, reduced in input
   // order by a first-maximum that skips failed items: identical result to
   // the serial loop for any thread count, regardless of which items fail.
-  // The transitions are packed once; each probe keys them in its own
-  // context.
+  // A resume re-derives the same probe sequence, whose item records
+  // replay each completed probe without simulating; the first probe's
+  // keys pack the transitions, and every probe re-keys them at its W/L.
   const std::size_t chunk = batch_chunk(session, backend);
-  const ItemKeys packed = ckpt != nullptr ? ItemKeys(0, vectors) : ItemKeys();
+  const PassKeys first_probe(run.checkpoint, sink, "probe", backend, bounds.wl_max, vectors);
   auto worst_at = [&](double wl) {
     if (!run.cancel.requested()) backend.prepare_wl(wl);
-    std::string prefix;
-    if (run.needs_keys(sink)) prefix = checkpoint_prefix("probe", backend.name(), fp, wl);
-    const ItemKeys keys =
-        ckpt != nullptr ? packed.with_context(ckpt->context(prefix)) : ItemKeys();
-    SinkKeys sink_key(sink, prefix);
+    PassKeys keys = first_probe.rekey("probe", wl);
     double worst = -1.0;
     std::size_t worst_idx = 0;
     bool any_ok = false;
@@ -562,7 +513,7 @@ SizingResult size_for_degradation(const EvalBackend& backend,
         [&](std::size_t i, const Outcome<double>& o) {
           if (i == 0) first_failure = o.failure;
           if (!run.keep(i, o)) return;
-          if (sink != nullptr) sink->on_value(sink_key(vectors[i]), *o.value);
+          if (sink != nullptr) sink->on_value(keys.row_key(vectors[i]), *o.value);
           any_ok = true;
           if (*o.value > worst) {
             worst = *o.value;
@@ -614,13 +565,6 @@ VectorDelay search_worst_vector(const EvalBackend& backend, double wl, int sampl
   const RunContext run(session);
   const int n = static_cast<int>(backend.netlist().inputs().size());
   ResultSink* sink = session.sink;
-  std::string prefix;
-  if (run.needs_keys(sink)) {
-    prefix = checkpoint_prefix("search", backend.name(),
-                               netlist_fingerprint(backend.netlist(), backend.outputs()), wl);
-  }
-  const std::uint64_t context = run.checkpoint != nullptr ? run.checkpoint->context(prefix) : 0;
-  SinkKeys sink_key(sink, prefix);
   if (!run.cancel.requested()) backend.prepare_wl(wl);
 
   auto score = [&](const VectorPair& vp) -> double {
@@ -636,7 +580,7 @@ VectorDelay search_worst_vector(const EvalBackend& backend, double wl, int sampl
   // candidate is derived from the current best and so depends on the
   // previous candidate's verdict.
   const std::vector<VectorPair> sampled = sampled_vector_pairs(n, samples, rng);
-  const ItemKeys keys = run.checkpoint != nullptr ? ItemKeys(context, sampled) : ItemKeys();
+  PassKeys keys(run.checkpoint, sink, "search", backend, wl, sampled);
   const std::size_t chunk = batch_chunk(session, backend);
   VectorPair best;
   double best_score = -1.0;
@@ -653,7 +597,7 @@ VectorDelay search_worst_vector(const EvalBackend& backend, double wl, int sampl
       },
       [&](std::size_t i, const Outcome<double>& o) {
         if (!run.keep(i, o)) return;
-        if (sink != nullptr) sink->on_value(sink_key(sampled[i]), *o.value);
+        if (sink != nullptr) sink->on_value(keys.row_key(sampled[i]), *o.value);
         if (*o.value > best_score) {
           best_score = *o.value;
           best = sampled[i];
@@ -680,11 +624,10 @@ VectorDelay search_worst_vector(const EvalBackend& backend, double wl, int sampl
         VectorPair cand = best;
         auto& vec = (side == 0) ? cand.v0 : cand.v1;
         vec[static_cast<std::size_t>(bit)] = !vec[static_cast<std::size_t>(bit)];
-        const ItemKeys key = run.checkpoint != nullptr ? ItemKeys(context, {cand}) : ItemKeys();
-        const Outcome<double> s =
-            run_item_committed<double>(run, cand_index, key, [&] { return score(cand); });
+        const Outcome<double> s = run_item_committed<double>(
+            run, cand_index, keys.over({&cand, 1}).items(), [&] { return score(cand); });
         if (!run.keep(cand_index++, s)) continue;
-        if (sink != nullptr) sink->on_value(sink_key(cand), *s.value);
+        if (sink != nullptr) sink->on_value(keys.row_key(cand), *s.value);
         if (*s.value > best_score) {
           best_score = *s.value;
           best = std::move(cand);
@@ -697,15 +640,9 @@ VectorDelay search_worst_vector(const EvalBackend& backend, double wl, int sampl
   // The winner's baseline is an item too, so a rerun over a finished
   // journal replays it; a failed or cancelled item falls back to the
   // plain call, which throws the failure.
-  const ItemKeys base_key =
-      run.checkpoint != nullptr
-          ? ItemKeys(run.checkpoint->context(checkpoint_prefix_nowl(
-                         "search-baseline", backend.name(),
-                         netlist_fingerprint(backend.netlist(), backend.outputs()))),
-                     {best})
-          : ItemKeys();
   const Outcome<double> base = run_item_committed<double>(
-      run, cand_index, base_key, [&] { return backend.delay_baseline(best); });
+      run, cand_index, keys.over({&best, 1}).rekey("search-baseline", std::nullopt).items(),
+      [&] { return backend.delay_baseline(best); });
   VectorDelay out;
   out.pair = best;
   out.delay_mtcmos = best_score;
@@ -723,13 +660,7 @@ std::vector<VectorPair> screen_vectors(const netlist::Netlist& nl,
   require(keep >= 1, "screen_vectors: keep must be >= 1");
   const RunContext run(session);
   ResultSink* sink = session.sink;
-  std::string prefix;
-  if (run.needs_keys(sink)) {
-    // Logic-level screening involves no backend: key on the bare netlist.
-    prefix = checkpoint_prefix_nowl("screen", "logic", netlist_fingerprint(nl, {}));
-  }
-  const ItemKeys keys = pass_keys(run.checkpoint, prefix, candidates.data(), candidates.size());
-  SinkKeys sink_key(sink, prefix);
+  PassKeys keys(run.checkpoint, sink, "screen", nl, candidates);
   // Grouped dispatch: falling_discharge_weight is cheap relative to a
   // pool task handoff, so each task takes one commit group of candidates,
   // with no kernel and so no memo.  Slots stay index-addressed and
@@ -744,7 +675,7 @@ std::vector<VectorPair> screen_vectors(const netlist::Netlist& nl,
       [&](int, std::size_t i) { return falling_discharge_weight(nl, candidates[i]); },
       [&](std::size_t i, const Outcome<double>& o) {
         if (!run.keep(i, o)) return;
-        if (sink != nullptr) sink->on_value(sink_key(candidates[i]), *o.value);
+        if (sink != nullptr) sink->on_value(keys.row_key(candidates[i]), *o.value);
         scored.emplace_back(*o.value, i);
       });
   if (sink != nullptr) sink->flush();
@@ -770,32 +701,20 @@ VerifyResult verify_sizing(const EvalBackend& fast, const EvalBackend& reference
   out.ok = true;
 
   // Four measurements, item-indexed 0..3 so fault-injection plans and the
-  // session report can address each one.
-  struct Probe {
-    const EvalBackend* backend;
-    bool baseline;
-    double* slot;
-  };
-  const Probe probes[] = {
-      {&fast, true, &out.fast_baseline_delay},
-      {&fast, false, &out.fast_delay},
-      {&reference, true, &out.reference_baseline_delay},
-      {&reference, false, &out.reference_delay},
-  };
+  // session report can address each one: each backend's baseline, then
+  // its delay at the sized W/L, whose keys re-key the baseline's.
+  double* const slots[] = {&out.fast_baseline_delay, &out.fast_delay,
+                           &out.reference_baseline_delay, &out.reference_delay};
   ResultSink* sink = session.sink;
+  std::optional<PassKeys> keys;
   for (std::size_t i = 0; i < 4; ++i) {
-    const Probe& p = probes[i];
-    std::string prefix;
-    if (run.needs_keys(sink)) {
-      prefix = checkpoint_prefix(p.baseline ? "verify-baseline" : "verify-wl", p.backend->name(),
-                                 netlist_fingerprint(p.backend->netlist(), p.backend->outputs()),
-                                 result.wl);
-    }
-    const ItemKeys key =
-        run.checkpoint != nullptr ? ItemKeys(run.checkpoint->context(prefix), {vp}) : ItemKeys();
-    const Outcome<double> o = run_item_committed<double>(run, i, key, [&] {
-      return p.baseline ? p.backend->delay_baseline(vp)
-                        : p.backend->delay_at_wl(vp, result.wl);
+    const EvalBackend& backend = i < 2 ? fast : reference;
+    const bool baseline = i % 2 == 0;
+    keys = baseline
+               ? PassKeys(run.checkpoint, sink, "verify-baseline", backend, result.wl, {&vp, 1})
+               : keys->rekey("verify-wl", result.wl);
+    const Outcome<double> o = run_item_committed<double>(run, i, keys->items(), [&] {
+      return baseline ? backend.delay_baseline(vp) : backend.delay_at_wl(vp, result.wl);
     });
     if (!run.keep(i, o)) {
       if (out.ok) {
@@ -804,8 +723,8 @@ VerifyResult verify_sizing(const EvalBackend& fast, const EvalBackend& reference
       }
       continue;
     }
-    if (sink != nullptr) sink->on_value(SinkKeys(sink, prefix)(vp), *o.value);
-    *p.slot = *o.value;
+    if (sink != nullptr) sink->on_value(keys->row_key(vp), *o.value);
+    *slots[i] = *o.value;
   }
   if (sink != nullptr) sink->flush();
 

@@ -426,8 +426,8 @@ SupervisorStats sharded_rank_vectors(const EvalBackend& backend,
                                      const SupervisorOptions& options, Checkpoint& merged) {
   // Registering the pass context in the merged journal up front also
   // covers items only a quarantine stamp ever records.
-  const ItemKeys keys(merged.context(rank_prefix(backend, wl)), vectors);
-  const auto key_of = [&keys](std::size_t i) { return Checkpoint::Key(keys[i]); };
+  const PassKeys keys(&merged, nullptr, "rank", backend, wl, vectors);
+  const auto key_of = [&keys](std::size_t i) { return Checkpoint::Key(keys.items()[i]); };
   const auto run_one = [&backend, &vectors, wl](std::size_t i, Checkpoint& ckpt,
                                                 util::ColumnarWriter*) {
     // One item per call, on an inline pool (a forked worker must not

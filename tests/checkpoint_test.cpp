@@ -24,10 +24,13 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "circuits/generators.hpp"
+#include "sizing/campaign.hpp"
+#include "sizing/result_sink.hpp"
 #include "sizing/session.hpp"
 #include "sizing/sizing.hpp"
 #include "util/cancel.hpp"
@@ -1047,6 +1050,96 @@ TEST_F(CheckpointTest, RecoveryLadderHonorsThePolicyToken) {
   const auto r = spice.measure_at_wl(vp, 20.0);  // uncached W/L
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.failure.code, FailureCode::kCancelled);
+}
+
+/// A sink that asks for row keys and drops every row.
+class KeySink final : public sizing::ResultSink {
+ public:
+  bool wants_keys() const override { return true; }
+  void on_delay(const std::string&, const VectorDelay&) override {}
+  void on_value(const std::string&, double) override {}
+};
+
+// The pass identity of every sweep op, built through PassKeys on
+// builtin:adder2, against the prefix, context id and smallest item key a
+// full checkpointed run (screen, rank at W/L 10, search at W/L 10,
+// size_for_degradation, verify_sizing) wrote to its journal.  A drift in
+// the key format would orphan every journal already on disk; only
+// cross-run resume tests would notice it otherwise.
+TEST_F(CheckpointTest, PassKeysPinEveryOpsIdentity) {
+  const sizing::CornerCircuit c = sizing::build_campaign_circuit("builtin:adder2", nullptr);
+  const VbsBackend vbs(c.nl, c.outputs);
+  const SpiceBackend spice(c.nl, c.outputs);
+  Checkpoint ckpt;
+  ckpt.open(path());
+  KeySink sink;
+  const auto bits = [](const char* text) {
+    std::vector<bool> out;
+    for (const char* p = text; *p != '\0'; ++p) out.push_back(*p == '1');
+    return out;
+  };
+  const auto pair = [&](const char* v0, const char* v1) { return VectorPair{bits(v0), bits(v1)}; };
+  const std::vector<VectorPair> zero = {pair("0000", "0000")};
+  const VectorPair binding = pair("0100", "1111");
+  const double sized_wl = std::bit_cast<double>(std::uint64_t{0x40594ae5c39cd0f7});
+
+  // A pass's context id, the row key of `vp`, and the "ctx:" record that
+  // maps the row key's prefix back to the id.
+  const auto expect = [&](sizing::PassKeys keys, std::uint64_t context,
+                          const VectorPair& vp, const std::string& key) {
+    EXPECT_EQ(keys.items()[0].context, context) << key;
+    EXPECT_EQ(keys.row_key(vp), key);
+    std::uint64_t id = 0;
+    EXPECT_TRUE(ckpt.journal().find_context(key.substr(0, key.find_last_of(':') + 1), id));
+    EXPECT_EQ(id, context) << key;
+  };
+  const std::string fp = ":aef938c0190e8782:";
+
+  expect(sizing::PassKeys(&ckpt, &sink, "rank", vbs, 10.0, zero), 0x29ba74596cfefe2b, zero[0],
+         "rank:vbs" + fp + "4024000000000000:0000-0000");
+
+  const sizing::PassKeys probe(&ckpt, &sink, "probe", vbs, 4000.0, zero);
+  expect(probe, 0xa5d8548cfbf6f0f6, zero[0], "probe:vbs" + fp + "40af400000000000:0000-0000");
+  expect(probe.rekey("probe", 1.0), 0xe09e82f5dcf25162, zero[0],
+         "probe:vbs" + fp + "3ff0000000000000:0000-0000");
+
+  const VectorPair searched = pair("0010", "0011");
+  const sizing::PassKeys search(&ckpt, &sink, "search", vbs, 10.0, {&searched, 1});
+  expect(search, 0x25c0272c77d9d255, searched, "search:vbs" + fp + "4024000000000000:0010-0011");
+  const VectorPair best = pair("1010", "0011");
+  expect(search.over({&best, 1}).rekey("search-baseline", std::nullopt), 0x5da2a4a8cd011eb5, best,
+         "search-baseline:vbs" + fp + "1010-0011");
+
+  expect(sizing::PassKeys(&ckpt, &sink, "screen", c.nl, zero), 0x95e993e0b502edf7, zero[0],
+         "screen:logic:97d442655bea8f75:0000-0000");
+
+  const struct {
+    const EvalBackend* backend;
+    std::uint64_t baseline_context;
+    std::uint64_t wl_context;
+  } verified[] = {{&vbs, 0x222d30523d3d2b56, 0x5189ae1f9c3c3ed2},
+                  {&spice, 0xe6753d1873964d7b, 0x5cd733d51f910177}};
+  for (const auto& v : verified) {
+    const std::string name = v.backend->name();
+    const sizing::PassKeys base(&ckpt, &sink, "verify-baseline", *v.backend, sized_wl,
+                                {&binding, 1});
+    expect(base, v.baseline_context, binding,
+           "verify-baseline:" + name + fp + "40594ae5c39cd0f7:0100-1111");
+    expect(base.rekey("verify-wl", sized_wl), v.wl_context, binding,
+           "verify-wl:" + name + fp + "40594ae5c39cd0f7:0100-1111");
+  }
+
+  // The daemon's read-only lane only finds a context: never writes one.
+  const sizing::PassKeys unranked(&ckpt, nullptr, "rank", vbs, 20.0, zero,
+                                  sizing::PassKeys::Context::kFind);
+  EXPECT_FALSE(unranked.found());
+  std::uint64_t id = 0;
+  EXPECT_FALSE(ckpt.journal().find_context("rank:vbs" + fp + "4034000000000000:", id));
+  sizing::PassKeys ranked(&ckpt, nullptr, "rank", vbs, 10.0, zero,
+                          sizing::PassKeys::Context::kFind);
+  EXPECT_TRUE(ranked.found());
+  EXPECT_EQ(ranked.items()[0].context, 0x29ba74596cfefe2b);
+  EXPECT_EQ(ranked.row_key(zero[0]), "");  // no key-carrying sink
 }
 
 }  // namespace

@@ -434,6 +434,12 @@ TEST_F(DaemonTest, SeedOutsideUint64IsABadRequest) {
   expect_rejected_unjournaled(R"({"op":"rank","circuit":"builtin:adder2","wl":6,"seed":-1})");
 }
 
+TEST_F(DaemonTest, NonPositiveTargetIsABadRequest) {
+  expect_rejected_unjournaled(R"({"op":"size","circuit":"builtin:adder2","target_pct":-5})");
+  fs::remove_all(state("a"));
+  expect_rejected_unjournaled(R"({"op":"verify","circuit":"builtin:adder2","target_pct":0})");
+}
+
 TEST_F(DaemonTest, SleepTooLongForTheClockIsABadRequest) {
   expect_rejected_unjournaled(R"({"op":"sleep","seconds":1e300})");
 }
