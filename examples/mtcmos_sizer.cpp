@@ -349,6 +349,10 @@ int main(int argc, char** argv) {
       vcd_path = next();
     } else if (arg == "--screen") {
       screen_keep = parse_number<int>(arg, next());
+      if (screen_keep < 0) {  // 0 = no screening
+        std::cerr << "value '" << screen_keep << "' for --screen must be >= 0\n";
+        return 2;
+      }
     } else if (arg == "--wl") {
       deck_wl = parse_number<double>(arg, next(), true);
     } else if (arg == "--backend") {
@@ -364,7 +368,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--resume") {
       resume = true;
     } else if (arg == "--shards") {
-      shards = parse_number<int>(arg, next());
+      shards = parse_number<int>(arg, next(), true);
     } else if (arg == "--campaign") {
       campaign_path = next();
     } else if (arg == "--table") {

@@ -2,6 +2,7 @@
 // Bit-vector helpers for driving netlist inputs from integer operands.
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "util/error.hpp"
@@ -10,7 +11,10 @@ namespace mtcmos::netlist {
 
 /// LSB-first bits of `value`, `width` wide.
 inline std::vector<bool> bits_from_uint(std::uint64_t value, int width) {
-  require(width > 0 && width <= 64, "bits_from_uint: width must be in [1, 64]");
+  // Built only on failure: a transition set calls this twice per row.
+  if (width <= 0 || width > 64) {
+    throw std::invalid_argument("bits_from_uint: width must be in [1, 64]");
+  }
   std::vector<bool> bits(static_cast<std::size_t>(width));
   for (int i = 0; i < width; ++i) bits[static_cast<std::size_t>(i)] = ((value >> i) & 1u) != 0;
   return bits;

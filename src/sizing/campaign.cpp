@@ -361,7 +361,13 @@ CampaignDriver::CampaignDriver(CampaignSpec spec, std::string dir, bool resume)
   // of two circuits in one table.
   ckpt_.bind_meta("campaign-netlist",
                   util::hex16(netlist_fingerprint(nominal_->nl, nominal_->outputs)));
+  // The geometry comes from the spec alone; the transition set itself is
+  // drawn by prepare(), only once a chunk has to run.
   const int n_in = static_cast<int>(nominal_->nl.inputs().size());
+  if (n_in < 1 || n_in > 64) {
+    throw std::invalid_argument("campaign: vectors need 1..64 inputs (" + std::to_string(n_in) +
+                                " declared)");
+  }
   if (spec_.vector_mode == CampaignSpec::VectorMode::kExhaustive) {
     if (n_in > kMaxExhaustiveInputs) {
       throw std::invalid_argument(
@@ -369,14 +375,23 @@ CampaignDriver::CampaignDriver(CampaignSpec spec, std::string dir, bool resume)
           " inputs (" + std::to_string(n_in) +
           " declared); use {\"mode\": \"sampled\", \"count\": N}");
     }
+    n_vectors_ = std::size_t{1} << (2 * n_in);  // every (v0, v1) pair: 4^n
+  } else {
+    n_vectors_ = static_cast<std::size_t>(spec_.sample_count);
+  }
+  chunks_per_sweep_ = (n_vectors_ + spec_.chunk - 1) / spec_.chunk;
+  n_chunks_ = chunks_per_sweep_ * spec_.wl_grid.size() * spec_.corners.size();
+}
+
+void CampaignDriver::prepare() {
+  if (store_.is_open()) return;
+  const int n_in = static_cast<int>(nominal_->nl.inputs().size());
+  if (spec_.vector_mode == CampaignSpec::VectorMode::kExhaustive) {
     vectors_ = all_vector_pairs(n_in);
   } else {
     Rng rng(spec_.seed);
     vectors_ = sampled_vector_pairs(n_in, spec_.sample_count, rng);
   }
-  chunks_per_sweep_ = (vectors_.size() + spec_.chunk - 1) / spec_.chunk;
-  n_chunks_ = chunks_per_sweep_ * spec_.wl_grid.size() * spec_.corners.size();
-
   // One row more than a chunk holds: a block is written only by its
   // chunk's commit, never by the writer filling up, so a chunk the run
   // stops at leaves no block even when every one of its rows was emitted.
@@ -392,7 +407,7 @@ CampaignDriver::ChunkPlan CampaignDriver::plan(std::size_t chunk_id) const {
   p.corner = sweep / spec_.wl_grid.size();
   p.wl_idx = sweep % spec_.wl_grid.size();
   p.begin = within * spec_.chunk;
-  p.end = std::min(p.begin + spec_.chunk, vectors_.size());
+  p.end = std::min(p.begin + spec_.chunk, n_vectors_);
   return p;
 }
 
@@ -513,7 +528,12 @@ CampaignStats CampaignDriver::run(int shards, SweepReport* report, util::CancelT
   }
 
   util::CancelToken& tok = cancel != nullptr ? *cancel : util::CancelToken::global();
-  if (shards > 1 && !tok.requested()) {
+  // A complete campaign never draws its transitions or walks its store.
+  // Otherwise prepare before any fork, so workers inherit the set and
+  // shard merges find an open writer.
+  const bool pending = st.chunks_replayed < n_chunks_ && !tok.requested();
+  if (pending) prepare();
+  if (pending && shards > 1) {
     SupervisorOptions sopt;
     sopt.shards = shards;
     sopt.dir = (fs::path(dir_) / "shards").string();
@@ -588,7 +608,7 @@ void CampaignDriver::write_table(std::ostream& os) {
   std::vector<char> seen(n_chunks_, 0);
   // First-block-wins across resume/shard duplicates: work units are
   // deterministic, so same-tag blocks are bit-identical and any one of
-  // them represents the chunk.
+  // them represents the chunk.  A missing store throws here.
   util::scan_columnar_file(
       store_path_,
       [&](const util::ColumnarRow& row) {
@@ -615,6 +635,17 @@ void CampaignDriver::write_table(std::ostream& os) {
         seen[id] = 1;
         return true;
       });
+  // A journaled chunk with rows must have its block: a deleted or cut
+  // store would otherwise print as a table of failed rows.
+  for (std::size_t c = 0; c < n_chunks_; ++c) {
+    Outcome<double> out;
+    if (seen[c] != 0 || !ckpt_.lookup(chunk_key(c), out) || !out.ok() || *out.value <= 0.0) {
+      continue;
+    }
+    throw std::runtime_error("campaign: " + chunk_key(c) + " is journaled with " +
+                             util::json_double(*out.value) + " rows but " + store_path_ +
+                             " holds no block for it");
+  }
 
   const Technology& nominal = nominal_->nl.tech();
   os << "{\n";
@@ -622,7 +653,7 @@ void CampaignDriver::write_table(std::ostream& os) {
   os << "  \"circuit\": " << util::json_string(spec_.circuit) << ",\n";
   os << "  \"backend\": " << util::json_string(spec_.backend) << ",\n";
   os << "  \"target_pct\": " << util::json_double(spec_.target_pct) << ",\n";
-  os << "  \"vectors\": " << vectors_.size() << ",\n";
+  os << "  \"vectors\": " << n_vectors_ << ",\n";
   os << "  \"vector_mode\": "
      << (spec_.vector_mode == CampaignSpec::VectorMode::kExhaustive ? "\"exhaustive\""
                                                                     : "\"sampled\"")
@@ -657,7 +688,7 @@ void CampaignDriver::write_table(std::ostream& os) {
          << ",\n";
       os << "          \"rows\": " << agg.rows << ",\n";
       os << "          \"switching\": " << agg.switching << ",\n";
-      os << "          \"failed\": " << (vectors_.size() - agg.rows) << ",\n";
+      os << "          \"failed\": " << (n_vectors_ - agg.rows) << ",\n";
       if (agg.has_worst) {
         VectorPair vp;
         std::string worst_vector = "?";

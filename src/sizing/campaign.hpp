@@ -182,10 +182,13 @@ struct CampaignStats {
 /// Orchestrates one campaign under a checkpoint directory:
 /// DIR/campaign.mtj journals chunk completions, DIR/campaign.mtc holds
 /// the spilled rows, DIR/shards/ hosts supervised workers.  Construction
-/// opens (or resumes) both files and binds the canonical spec and the
-/// circuit's netlist fingerprint into the journal; run() executes the
-/// remaining chunks; write_table() streams the aggregated
-/// characterization table once the campaign is complete.
+/// opens (or resumes) the journal, binds the canonical spec and the
+/// circuit's netlist fingerprint into it, and derives the chunk geometry
+/// from the spec; run() draws the transition set and opens the store
+/// only when some chunk is still unjournaled, then executes the remaining
+/// chunks; write_table() streams the aggregated characterization table
+/// once the campaign is complete, reading the store once.  A resume of a
+/// complete campaign thus neither draws a transition nor writes the store.
 class CampaignDriver {
  public:
   /// Throws std::invalid_argument when `resume` is false but the journal
@@ -195,7 +198,9 @@ class CampaignDriver {
   /// journal that predates the netlist record resumes and is bound then.
   CampaignDriver(CampaignSpec spec, std::string dir, bool resume);
 
-  std::size_t n_vectors() const { return vectors_.size(); }
+  /// Transitions per (corner, W/L) sweep, from the spec: 4^n inputs
+  /// exhaustive, `sample_count` sampled.
+  std::size_t n_vectors() const { return n_vectors_; }
   std::size_t n_chunks() const { return n_chunks_; }
   std::size_t chunks_done() const;
   bool complete() const { return chunks_done() == n_chunks_; }
@@ -221,7 +226,9 @@ class CampaignDriver {
   /// histogram, and the smallest grid W/L meeting target_pct -- then the
   /// document prints with round-trip-exact doubles.  Byte-identical
   /// across fresh, resumed, and sharded runs of the same spec.  Throws
-  /// std::runtime_error when the campaign is not complete.
+  /// std::runtime_error when the campaign is not complete, when the store
+  /// cannot be read, and when a chunk journaled with rows has no block in
+  /// it (a deleted or truncated store), naming that chunk.
   void write_table(std::ostream& os);
 
  private:
@@ -232,6 +239,9 @@ class CampaignDriver {
     std::size_t end = 0;
   };
   ChunkPlan plan(std::size_t chunk_id) const;
+  /// Draw (or enumerate) vectors_ and open store_, cutting a torn tail;
+  /// a no-op once the store is open.
+  void prepare();
   static std::string chunk_key(std::size_t chunk_id);
   void run_chunks(const std::vector<std::size_t>& ids, Checkpoint& ckpt,
                   util::ColumnarWriter& store, SweepReport* report, util::CancelToken* cancel,
@@ -248,9 +258,10 @@ class CampaignDriver {
   std::string journal_path_;
   std::string store_path_;
   Checkpoint ckpt_;
-  util::ColumnarWriter store_;
+  util::ColumnarWriter store_;  ///< opened by prepare()
   std::unique_ptr<const CornerCircuit> nominal_;  ///< the circuit bound into the journal
-  std::vector<VectorPair> vectors_;
+  std::size_t n_vectors_ = 0;
+  std::vector<VectorPair> vectors_;  ///< empty until prepare()
   std::size_t chunks_per_sweep_ = 0;
   std::size_t n_chunks_ = 0;
   std::mutex corner_mutex_;  ///< guards the two fields below

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <random>
+#include <stdexcept>
 
 #include "util/error.hpp"
 
@@ -18,7 +19,8 @@ class Rng {
 
   /// Uniform integer in [lo, hi] inclusive.
   std::uint64_t uniform_int(std::uint64_t lo, std::uint64_t hi) {
-    require(lo <= hi, "Rng::uniform_int: lo must be <= hi");
+    // Built only on failure: a sampled transition set draws twice per row.
+    if (lo > hi) throw std::invalid_argument("Rng::uniform_int: lo must be <= hi");
     return std::uniform_int_distribution<std::uint64_t>(lo, hi)(engine_);
   }
 

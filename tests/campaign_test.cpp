@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -715,6 +716,80 @@ TEST_F(CampaignTest, ShardedRunWhoseSlotsExhaustTheirRestartsCompletesInProcess)
       EXPECT_EQ(got.at(c), want.at(c)) << "chunk " << c;
     }
   }
+}
+
+// --- Resuming a complete campaign -----------------------------------------
+//
+// A resume of a finished campaign runs no chunk, so it neither draws the
+// transition set nor opens the store for writing: the table comes from one
+// read-only scan, and that scan must find a block for every chunk the
+// journal says produced rows.
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
+
+TEST_F(CampaignTest, ResumeOverADeletedStoreRefusesTheTable) {
+  const auto spec = CampaignSpec::parse(kTinySpec);
+  {
+    CampaignDriver fresh(spec, subdir("c"), false);
+    ASSERT_TRUE(run_in_process(fresh).complete);
+    std::filesystem::remove(fresh.store_path());
+  }
+  CampaignDriver resumed(spec, subdir("c"), true);
+  const CampaignStats stats = run_in_process(resumed);
+  EXPECT_TRUE(stats.complete);
+  EXPECT_EQ(stats.chunks_run, 0u);
+  EXPECT_FALSE(std::filesystem::exists(resumed.store_path()));  // not re-created empty
+  EXPECT_THROW(table_of(resumed), std::runtime_error);
+}
+
+TEST_F(CampaignTest, ResumeOverAStoreCutToItsFirstBlockRefusesTheTable) {
+  const auto spec = CampaignSpec::parse(kTinySpec);
+  {
+    CampaignDriver fresh(spec, subdir("c"), false);
+    ASSERT_TRUE(run_in_process(fresh).complete);
+  }
+  // The size of chunk 0's block alone: the same rows re-spilled on their own.
+  copy_prefix(dir_ / "c", dir_ / "first", 1, spec.chunk, true);
+  const std::filesystem::path store = dir_ / "c" / "campaign.mtc";
+  std::filesystem::resize_file(store, std::filesystem::file_size(dir_ / "first" / "campaign.mtc"));
+  ASSERT_EQ(block_tags(store.string()), first_tags(1));
+
+  CampaignDriver resumed(spec, subdir("c"), true);
+  EXPECT_EQ(run_in_process(resumed).chunks_run, 0u);
+  try {
+    table_of(resumed);
+    ADD_FAILURE() << "a table was printed from a store missing 15 of 16 blocks";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("chunk:1 "), std::string::npos) << e.what();
+  }
+}
+
+TEST_F(CampaignTest, ResumeOfACompleteCampaignLeavesTheStoreUntouched) {
+  const auto spec = CampaignSpec::parse(kTinySpec);
+  std::string reference;
+  {
+    CampaignDriver fresh(spec, subdir("c"), false);
+    ASSERT_TRUE(run_in_process(fresh).complete);
+    reference = table_of(fresh);
+  }
+  // Junk after the last block reads as a torn tail.  Only a writer cuts
+  // it, and a resume with nothing to run opens none.
+  const std::string store = (dir_ / "c" / "campaign.mtc").string();
+  {
+    std::ofstream os(store, std::ios::binary | std::ios::app);
+    os << "torn tail";
+  }
+  const std::string before = file_bytes(store);
+
+  CampaignDriver resumed(spec, subdir("c"), true);
+  const CampaignStats stats = run_in_process(resumed);
+  EXPECT_TRUE(stats.complete);
+  EXPECT_EQ(stats.chunks_replayed, resumed.n_chunks());
+  EXPECT_EQ(table_of(resumed), reference);
+  EXPECT_EQ(file_bytes(store), before);
 }
 
 }  // namespace

@@ -155,6 +155,32 @@ TEST(VectorSpace, SamplingIsDeterministic) {
   }
 }
 
+/// FNV-1a over every pair's bits ("v0>v1;" per pair).
+std::uint64_t vector_hash(const std::vector<VectorPair>& pairs) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&](unsigned char byte) { h = (h ^ byte) * 0x100000001b3ull; };
+  for (const VectorPair& vp : pairs) {
+    for (const bool b : vp.v0) mix(b ? '1' : '0');
+    mix('>');
+    for (const bool b : vp.v1) mix(b ? '1' : '0');
+    mix(';');
+  }
+  return h;
+}
+
+// Campaign chunk keys, journals and tables all follow from these draws, so
+// any change to the sequence (or to the bits each draw becomes) breaks
+// every existing checkpoint.  The literals were taken from the code before
+// its checks were made throw-only.
+TEST(VectorSpace, DrawSequenceIsPinned) {
+  Rng rng(1);
+  EXPECT_EQ(vector_hash(sampled_vector_pairs(8, 16384, rng)), 0x3564a6d50684dab4ull);
+  EXPECT_EQ(vector_hash(all_vector_pairs(3)), 0x2d77239bc408b745ull);
+  EXPECT_THROW(rng.uniform_int(5, 3), std::invalid_argument);
+  EXPECT_THROW(bits_from_uint(1, 0), std::invalid_argument);
+  EXPECT_THROW(bits_from_uint(1, 65), std::invalid_argument);
+}
+
 TEST(VectorSpace, RankingIsSortedAndFiltered) {
   const auto adder = make_ripple_adder(tech07(), 2);
   const VbsBackend eval(adder.netlist, adder_outputs(adder));
