@@ -431,7 +431,7 @@ std::shared_ptr<const Evaluator> CampaignDriver::corner_evaluator(std::size_t co
   return corner_;
 }
 
-void CampaignDriver::run_chunks(const std::vector<std::size_t>& ids, Checkpoint& ckpt,
+void CampaignDriver::run_chunks(std::span<const std::size_t> ids, Checkpoint& ckpt,
                                 util::ColumnarWriter& store, SweepReport* report,
                                 util::CancelToken* cancel, util::ThreadPool* pool) {
   util::CancelToken& tok = cancel != nullptr ? *cancel : util::CancelToken::global();
@@ -449,7 +449,7 @@ void CampaignDriver::run_chunks(const std::vector<std::size_t>& ids, Checkpoint&
   };
   class Passes final : public RankPasses {
    public:
-    Passes(CampaignDriver& driver, const std::vector<std::size_t>& ids, Checkpoint& ckpt,
+    Passes(CampaignDriver& driver, std::span<const std::size_t> ids, Checkpoint& ckpt,
            util::ColumnarWriter& store, SweepReport* report, util::CancelToken& tok)
         : d_(driver), ids_(ids), ckpt_(ckpt), store_(store), report_(report), tok_(tok),
           chunks_(ids.size()) {}
@@ -480,7 +480,7 @@ void CampaignDriver::run_chunks(const std::vector<std::size_t>& ids, Checkpoint&
 
    private:
     CampaignDriver& d_;
-    const std::vector<std::size_t>& ids_;
+    const std::span<const std::size_t> ids_;
     Checkpoint& ckpt_;
     util::ColumnarWriter& store_;
     SweepReport* const report_;
@@ -539,17 +539,18 @@ CampaignStats CampaignDriver::run(int shards, SweepReport* report, util::CancelT
     sopt.dir = (fs::path(dir_) / "shards").string();
     sopt.cancel_token = cancel;
     // Runs inside a forked worker: its own lazily built corner backends
-    // (this object was copied by the fork), a 1-thread inline pool, and
-    // the worker's private shard journal + store.  Per-item health inside
-    // a chunk is not reported back -- only the chunk's row count survives
-    // in its journal record.
-    const auto run_one = [this, cancel](std::size_t c, Checkpoint& ckpt,
-                                        util::ColumnarWriter* columnar) {
+    // (this object was copied by the fork), a 1-thread inline pool, the
+    // worker's private shard journal + store, and the global cancel token,
+    // which SIGTERM raises there.  Per-item health inside a chunk is not
+    // reported back -- only the chunk's row count survives in its journal
+    // record.
+    const auto run_shard = [this](std::span<const std::size_t> chunks, Checkpoint& ckpt,
+                                  util::ColumnarWriter* columnar) {
       util::ThreadPool inline_pool(1);
-      run_chunks({c}, ckpt, *columnar, nullptr, cancel, &inline_pool);
+      run_chunks(chunks, ckpt, *columnar, nullptr, nullptr, &inline_pool);
     };
     st.supervisor =
-        supervise(sopt, n_chunks_, run_one,
+        supervise(sopt, n_chunks_, run_shard,
                   [](std::size_t c) { return Checkpoint::Key(chunk_key(c)); }, ckpt_, &store_);
   }
   // The in-process pass finishes whatever is still unjournaled, exactly

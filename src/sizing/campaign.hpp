@@ -65,6 +65,7 @@
 #include <iosfwd>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -243,7 +244,7 @@ class CampaignDriver {
   /// a no-op once the store is open.
   void prepare();
   static std::string chunk_key(std::size_t chunk_id);
-  void run_chunks(const std::vector<std::size_t>& ids, Checkpoint& ckpt,
+  void run_chunks(std::span<const std::size_t> ids, Checkpoint& ckpt,
                   util::ColumnarWriter& store, SweepReport* report, util::CancelToken* cancel,
                   util::ThreadPool* pool);
 

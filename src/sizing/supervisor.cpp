@@ -9,11 +9,14 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <stop_token>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -48,87 +51,16 @@ void write_torn_tail(const std::string& journal_path) {
   ::close(fd);
 }
 
-/// Worker body, run in the forked child.  Walks its (item, strikes)
-/// assignment serially, skipping items its shard journal already holds,
-/// announcing "S <idx>" before each and heartbeating "H" on the pipe
-/// from a side thread.  With a `columnar_path`, item bodies also
-/// get a shard store of `rows_per_block`-row blocks.  The
-/// kWorker* fault sites are consulted between "S" and the item body,
-/// under the item's scope and with the item's prior strike count as the
-/// process generation, so tests can script "die on this item's first
-/// two attempts" deterministically.
-int worker_main(int wfd, const std::string& journal_path, const std::string& columnar_path,
-                std::size_t rows_per_block, const std::vector<std::pair<std::size_t, int>>& items,
-                const ItemFn& run_one, const KeyFn& key_of) {
-  util::install_cancel_signal_handlers();
-  util::CancelToken& cancel = util::CancelToken::global();
-
-  Checkpoint ckpt;
-  ckpt.open(journal_path);
-  // Shard columnar store, append-reopened so blocks flushed by a prior
-  // life of this slot survive the restart (a torn tail from a mid-write
-  // SIGKILL is sheared off by open()).
-  util::ColumnarWriter columnar;
-  if (!columnar_path.empty()) {
-    util::ColumnarOptions copts;
-    copts.rows_per_block = rows_per_block;
-    columnar.open(columnar_path, copts);
-  }
-
-  std::atomic<bool> stop{false};
-  std::atomic<bool> stalled{false};
-  std::atomic<bool> parent_gone{false};
-  std::thread heartbeat([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      if (!stalled.load(std::memory_order_relaxed) && !util::write_line(wfd, "H")) {
-        parent_gone.store(true, std::memory_order_relaxed);
-        break;
-      }
-      std::this_thread::sleep_for(to_duration(kHeartbeatIntervalS));
-    }
-  });
-  const auto finish = [&](int code) {
-    stop.store(true, std::memory_order_relaxed);
-    heartbeat.join();
-    return code;  // ckpt destructor flushes + closes the journal
-  };
-
-  for (const auto& [idx, strikes] : items) {
-    if (cancel.requested() || parent_gone.load(std::memory_order_relaxed)) return finish(3);
-    const Checkpoint::Key key = key_of(idx);
-    if (ckpt.contains(key)) continue;  // replayed from a prior life
-    if (!util::write_line(wfd, "S " + std::to_string(idx))) return finish(3);
-
-    faultinject::set_generation(strikes);
-    const faultinject::ScopedScope scope(static_cast<std::int64_t>(idx));
-    if (faultinject::fired(faultinject::Site::kWorkerAbort)) std::abort();
-    if (faultinject::fired(faultinject::Site::kWorkerKill)) ::raise(SIGKILL);
-    if (faultinject::fired(faultinject::Site::kWorkerTornTail)) {
-      ckpt.journal().flush();
-      write_torn_tail(journal_path);
-      ::raise(SIGKILL);
-    }
-    if (faultinject::fired(faultinject::Site::kWorkerStall)) {
-      // Go silent: no heartbeats, no progress.  The parent's liveness
-      // timeout must SIGKILL us; the self-exit below is a backstop so a
-      // supervisor-less test leak cannot hang forever.
-      stalled.store(true, std::memory_order_relaxed);
-      const auto give_up = Clock::now() + to_duration(kLivenessTimeoutS * 4.0 + 1.0);
-      while (Clock::now() < give_up && !cancel.requested()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      }
-      return finish(2);
-    }
-
-    run_one(idx, ckpt, columnar.is_open() ? &columnar : nullptr);
-    // An item that journaled nothing was drained mid-body by a
-    // cancellation: report the drain instead of claiming completion.
-    if (!ckpt.contains(key)) return finish(3);
-  }
-  return finish(cancel.requested() ? 3 : 0);
+/// True while a kWorker* plan is armed: such plans address per-item
+/// scopes, so every worker life then runs its items one per call.
+bool worker_faults_armed() {
+  using faultinject::Site;
+  return faultinject::armed(Site::kWorkerAbort) || faultinject::armed(Site::kWorkerKill) ||
+         faultinject::armed(Site::kWorkerStall) || faultinject::armed(Site::kWorkerTornTail);
 }
 
-/// Parent-side view of one worker slot.
+/// One worker slot as the parent sees it; a forked worker reads its life
+/// from its copy.
 struct Slot {
   enum class State { Live, Backoff, Done };
   State state = State::Done;
@@ -142,8 +74,81 @@ struct Slot {
   Clock::time_point respawn_at = {};
   double backoff_s = 0.0;
   int restarts = 0;
-  std::int64_t current = -1;  ///< the item last announced with "S"
+  bool one_call = false;  ///< this life runs its assignment as one body call
 };
+
+/// Worker body, run in the forked child: runs the slot's assignment with
+/// one call of `run`, or with one call per item, heartbeating "H" on the
+/// pipe from a side thread.  With a columnar path, the body also gets a
+/// shard store of `rows_per_block`-row blocks.  Per item, the kWorker*
+/// fault sites are consulted before the body, under the item's scope and
+/// with its prior strike count as the process generation, so tests can
+/// script "die on this item's first two attempts" deterministically.
+int worker_main(int wfd, const Slot& slot, std::size_t rows_per_block,
+                const std::unordered_map<std::size_t, int>& strikes, const ItemFn& run) {
+  util::install_cancel_signal_handlers();
+  util::CancelToken& cancel = util::CancelToken::global();
+
+  Checkpoint ckpt;
+  ckpt.open(slot.journal_path);
+  // Shard columnar store, append-reopened so blocks flushed by a prior
+  // life of this slot survive the restart (a torn tail from a mid-write
+  // SIGKILL is sheared off by open()).
+  util::ColumnarWriter columnar;
+  if (!slot.columnar_path.empty()) {
+    util::ColumnarOptions copts;
+    copts.rows_per_block = rows_per_block;
+    columnar.open(slot.columnar_path, copts);
+  }
+  util::ColumnarWriter* const store = columnar.is_open() ? &columnar : nullptr;
+
+  // Declared after the journal and the store, so it stops and joins
+  // before they close.  A parent that is gone (EPIPE) drains the body.
+  std::atomic<bool> stalled{false};
+  const std::jthread heartbeat([&](std::stop_token stop) {
+    std::mutex mutex;
+    std::condition_variable_any wake;
+    std::unique_lock lock(mutex);
+    while (!stop.stop_requested()) {
+      if (!stalled.load(std::memory_order_relaxed) && !util::write_line(wfd, "H")) {
+        cancel.request();
+        return;
+      }
+      wake.wait_for(lock, stop, to_duration(kHeartbeatIntervalS), [] { return false; });
+    }
+  });
+
+  if (slot.one_call) {
+    run(slot.assigned, ckpt, store);
+    return cancel.requested() ? 3 : 0;
+  }
+  for (const std::size_t& idx : slot.assigned) {
+    if (cancel.requested()) return 3;
+    const auto it = strikes.find(idx);
+    faultinject::set_generation(it == strikes.end() ? 0 : it->second);
+    const faultinject::ScopedScope scope(static_cast<std::int64_t>(idx));
+    if (faultinject::fired(faultinject::Site::kWorkerAbort)) std::abort();
+    if (faultinject::fired(faultinject::Site::kWorkerKill)) ::raise(SIGKILL);
+    if (faultinject::fired(faultinject::Site::kWorkerTornTail)) {
+      ckpt.journal().flush();
+      write_torn_tail(slot.journal_path);
+      ::raise(SIGKILL);
+    }
+    if (faultinject::fired(faultinject::Site::kWorkerStall)) {
+      // Go silent: no heartbeats, no progress.  The parent's liveness
+      // timeout must SIGKILL us; the self-exit below is a backstop so a
+      // supervisor-less test leak cannot hang forever.
+      stalled.store(true, std::memory_order_relaxed);
+      const auto give_up = Clock::now() + to_duration(kLivenessTimeoutS * 4.0 + 1.0);
+      while (Clock::now() < give_up && !cancel.requested()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      }
+      return 2;
+    }
+    run({&idx, 1}, ckpt, store);
+  }
+  return cancel.requested() ? 3 : 0;
+}
 
 /// The items of `idx` whose key `ckpt` lacks, in order.
 std::vector<std::size_t> absent(const Checkpoint& ckpt, const std::vector<std::size_t>& idx,
@@ -174,7 +179,7 @@ std::vector<std::pair<std::size_t, std::size_t>> plan_shards(std::size_t n_items
 }
 
 SupervisorStats supervise(const SupervisorOptions& options, std::size_t n_items,
-                          const ItemFn& run_one, const KeyFn& key_of, Checkpoint& merged,
+                          const ItemFn& run, const KeyFn& key_of, Checkpoint& merged,
                           util::ColumnarWriter* columnar) {
   if (options.dir.empty()) {
     throw std::invalid_argument("supervisor: options.dir must name a journal directory");
@@ -208,21 +213,13 @@ SupervisorStats supervise(const SupervisorOptions& options, std::size_t n_items,
 
   const auto spawn = [&](std::size_t s) {
     Slot& slot = slots[s];
-    std::vector<std::pair<std::size_t, int>> items;
-    items.reserve(slot.assigned.size());
-    for (const std::size_t idx : slot.assigned) {
-      const auto it = strikes.find(idx);
-      items.emplace_back(idx, it == strikes.end() ? 0 : it->second);
-    }
-    const util::ChildProcess child = util::spawn_child([&, s, items](int wfd) {
-      return worker_main(wfd, slots[s].journal_path, slots[s].columnar_path, rows_per_block,
-                         items, run_one, key_of);
-    });
+    slot.one_call = slot.restarts == 0 && !worker_faults_armed();
+    const util::ChildProcess child = util::spawn_child(
+        [&](int wfd) { return worker_main(wfd, slot, rows_per_block, strikes, run); });
     slot.pid = child.pid;
     slot.fd = child.pipe_fd;
     slot.reader = std::make_unique<util::LineReader>(child.pipe_fd);
     slot.last_beat = Clock::now();
-    slot.current = -1;
     slot.state = Slot::State::Live;
     ++stats.workers_spawned;
   };
@@ -241,11 +238,7 @@ SupervisorStats supervise(const SupervisorOptions& options, std::size_t n_items,
   const auto process_lines = [&](Slot& slot) {
     std::vector<std::string> lines;
     slot.reader->poll(lines);
-    for (const std::string& line : lines) {
-      // Every line is a sign of life; an "S" line also names the item.
-      slot.last_beat = Clock::now();
-      if (!line.empty() && line[0] == 'S') slot.current = std::atoll(line.c_str() + 1);
-    }
+    if (!lines.empty()) slot.last_beat = Clock::now();  // heartbeats
   };
 
   bool cancel_seen = false;
@@ -268,23 +261,18 @@ SupervisorStats supervise(const SupervisorOptions& options, std::size_t n_items,
       return;
     }
 
-    // Crash (abort, SIGKILL, stall self-exit, body exception).  Blame
-    // the last announced item unless its outcome reached the journal
-    // (a death after journaling it, before the next "S").
+    // Crash (abort, SIGKILL, stall self-exit, body exception).  A life
+    // that ran one item per call died in the first item its journal
+    // lacks; a one-call life's death names no item.
     Checkpoint done_log;
     done_log.open(slot.journal_path);
     done_log.journal().close();
-    if (slot.current >= 0) {
-      const std::size_t idx = static_cast<std::size_t>(slot.current);
-      if (!done_log.contains(key_of(idx))) {
-        ++stats.strikes;
-        if (++strikes[idx] >= kPoisonStrikes) quarantine(idx);
-      }
+    std::vector<std::size_t> pending = absent(done_log, slot.assigned, key_of);
+    if (!slot.one_call && !pending.empty()) {
+      ++stats.strikes;
+      if (++strikes[pending.front()] >= kPoisonStrikes) quarantine(pending.front());
     }
-    std::vector<std::size_t> pending;
-    for (const std::size_t idx : absent(done_log, slot.assigned, key_of)) {
-      if (quarantined.count(idx) == 0) pending.push_back(idx);
-    }
+    std::erase_if(pending, [&](std::size_t idx) { return quarantined.count(idx) != 0; });
     if (pending.empty()) {
       slot.state = Slot::State::Done;
       return;
@@ -428,18 +416,19 @@ SupervisorStats sharded_rank_vectors(const EvalBackend& backend,
   // covers items only a quarantine stamp ever records.
   const PassKeys keys(&merged, nullptr, "rank", backend, wl, vectors);
   const auto key_of = [&keys](std::size_t i) { return Checkpoint::Key(keys.items()[i]); };
-  const auto run_one = [&backend, &vectors, wl](std::size_t i, Checkpoint& ckpt,
-                                                util::ColumnarWriter*) {
-    // One item per call, on an inline pool (a forked worker must not
-    // spawn sweep threads), scalar path (a 1-item batch gains nothing).
+  const auto run = [&backend, &vectors, wl](std::span<const std::size_t> items, Checkpoint& ckpt,
+                                            util::ColumnarWriter*) {
+    // One pass on an inline pool: a forked worker must not spawn sweep threads.
+    std::vector<VectorPair> shard;
+    shard.reserve(items.size());
+    for (const std::size_t i : items) shard.push_back(vectors[i]);
     util::ThreadPool inline_pool(1);
     EvalSession session;
     session.pool = &inline_pool;
     session.checkpoint = &ckpt;
-    session.batch = 1;
-    rank_vectors(backend, {vectors[i]}, wl, session);
+    rank_vectors(backend, shard, wl, session);
   };
-  return supervise(options, vectors.size(), run_one, key_of, merged);
+  return supervise(options, vectors.size(), run, key_of, merged);
 }
 
 }  // namespace mtcmos::sizing

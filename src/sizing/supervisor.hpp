@@ -17,24 +17,28 @@
 //   shard<k>.mtj checkpoint under SupervisorOptions::dir, using the
 //   same content-derived item keys as a single-process sweep.
 //
-//   Workers speak a two-line protocol on a pipe: "H" heartbeats (every
-//   kHeartbeatIntervalS) from a side thread, and "S <idx>" before each
-//   item.  The parent polls the pipes and judges liveness from them
-//   alone: a worker silent past kLivenessTimeoutS is SIGKILLed; a dead
-//   worker (crash, signal, stall-kill) is restarted on the same shard
-//   with exponential backoff (kBackoffInitialS doubling up to
-//   kBackoffMaxS) under a per-slot budget of kMaxRestarts restarts.
-//   Restarted workers replay their shard journal, so a death costs at
-//   most the one in-flight item.
+//   A worker's first life runs its whole assignment as one call of the
+//   item body, so a sweep shard is one batched pass.  A restarted life,
+//   and any life while a kWorker* fault plan is armed (those plans
+//   address per-item scopes), calls the body once per item, in order.
 //
-//   Blame and quarantine: when a worker dies, the item it last announced
-//   ("S") gets a strike unless its record is in the shard journal (a
-//   death after journaling the item is no fault of the item).  An item
-//   with kPoisonStrikes strikes is quarantined -- excluded from every
-//   later assignment and stamped into the merged journal as a
-//   kPoisonedItem failure (site "sizing::supervisor") -- so a
-//   deterministic worker-killer shows up as one classified failure
-//   instead of an infinite restart loop.
+//   Workers heartbeat "H" on a pipe every kHeartbeatIntervalS from a
+//   side thread; the shard journal, not a line, says an item finished.
+//   The parent judges liveness from the pipe alone: a worker silent
+//   past kLivenessTimeoutS is SIGKILLed; a dead worker (crash, signal,
+//   stall-kill) is restarted on its shard's unjournaled items with
+//   exponential backoff (kBackoffInitialS doubling up to kBackoffMaxS)
+//   under a per-slot budget of kMaxRestarts restarts.
+//
+//   Blame and quarantine come from the shard journal alone: when a life
+//   that ran one item per call dies, the first item of its assignment
+//   the journal lacks gets a strike; a one-call life's death blames
+//   nobody, and its restart runs item by item.  An item with
+//   kPoisonStrikes strikes is quarantined -- excluded from every later
+//   assignment and stamped into the merged journal as a kPoisonedItem
+//   failure (site "sizing::supervisor") -- so a deterministic
+//   worker-killer shows up as one classified failure instead of an
+//   infinite restart loop.
 //
 //   When a slot exhausts its restart budget, its pending items with a
 //   strike are quarantined and the rest are left to the caller's
@@ -69,13 +73,16 @@
 // threads or locks created before the fork -- they run their sweep on a
 // 1-thread ThreadPool (inline, spawns nothing) and open their journal
 // after the fork.  Spawn only while the parent's pools are quiescent.
-// Worker deaths are injectable via the faultinject kWorker* sites with
-// generation addressing (a worker stamps each item's prior strike count
-// as the process generation), so restart-vs-quarantine ladders are
+// Inside a worker, SIGTERM (and a vanished parent) raises the global
+// CancelToken, which item bodies must poll.  Worker deaths are
+// injectable via the faultinject kWorker* sites with generation
+// addressing (a worker stamps each item's prior strike count as the
+// process generation), so restart-vs-quarantine ladders are
 // deterministic in tests.
 
 #include <cstddef>
 #include <functional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -92,9 +99,8 @@ constexpr int kMaxRestarts = 3;
 /// Graceful-exit window [s] after SIGTERM before stragglers are SIGKILLed.
 constexpr double kDrainTimeoutS = 5.0;
 constexpr double kHeartbeatIntervalS = 0.05;
-/// A worker with no pipe traffic (heartbeat or item line) for this long
-/// [s] is declared hung and SIGKILLed (then restarted like any other
-/// death).  Must comfortably exceed the slowest single item.
+/// A worker with no heartbeat for this long [s] is declared hung and
+/// SIGKILLed (then restarted like any other death).
 constexpr double kLivenessTimeoutS = 5.0;
 constexpr double kBackoffInitialS = 0.05;  ///< doubles per restart, capped below
 constexpr double kBackoffMaxS = 1.0;
@@ -110,7 +116,7 @@ struct SupervisorStats {
   int workers_spawned = 0;  ///< total forks (initial + restarts)
   int restarts = 0;         ///< respawns after a worker death
   int stall_kills = 0;      ///< workers SIGKILLed for missed heartbeats
-  int strikes = 0;          ///< worker deaths blamed on their announced item
+  int strikes = 0;          ///< worker deaths blamed on an item (see the header)
   std::size_t quarantined = 0;  ///< items stamped kPoisonedItem
   std::size_t abandoned = 0;    ///< items left to the caller's pass
   bool cancelled = false;       ///< the run was cancelled while supervising
@@ -120,16 +126,17 @@ struct SupervisorStats {
 /// `shards` entries, empty shards dropped (n < shards yields n shards).
 std::vector<std::pair<std::size_t, std::size_t>> plan_shards(std::size_t n_items, int shards);
 
-/// Evaluates item `idx` inside a worker process, journaling its outcome
-/// into `ckpt` under `key_of(idx)`; it runs on a 1-thread pool and must
-/// be deterministic.  `columnar` is the worker's shard store, or nullptr
-/// without a columnar destination; the body tags and syncs its blocks
-/// itself (see the header for the contract).
-using ItemFn =
-    std::function<void(std::size_t idx, Checkpoint& ckpt, util::ColumnarWriter* columnar)>;
-/// The record `run_one` journals for item `idx` -- a typed item for
-/// sweeps, a text key for campaign chunks -- used for replay skips,
-/// blame and quarantine stamps.
+/// Evaluates `items` (ascending indices) inside a worker process,
+/// journaling each one's outcome into `ckpt` under `key_of(idx)`; it
+/// runs on a 1-thread pool, polls the global CancelToken and must be
+/// deterministic.  `columnar` is the worker's shard store, or
+/// nullptr without a columnar destination; the body tags and syncs its
+/// blocks itself (see the header for the contract).
+using ItemFn = std::function<void(std::span<const std::size_t> items, Checkpoint& ckpt,
+                                  util::ColumnarWriter* columnar)>;
+/// The record the body journals for item `idx` -- a typed item for
+/// sweeps, a text key for campaign chunks -- used for planning, blame
+/// and quarantine stamps.
 using KeyFn = std::function<Checkpoint::Key(std::size_t idx)>;
 
 /// Supervise `options.shards` worker processes over the items of
@@ -145,7 +152,7 @@ using KeyFn = std::function<Checkpoint::Key(std::size_t idx)>;
 /// shards < 1, an unarmed `merged`, a columnar destination that is not
 /// open) and std::runtime_error on fork/pipe failure.
 SupervisorStats supervise(const SupervisorOptions& options, std::size_t n_items,
-                          const ItemFn& run_one, const KeyFn& key_of, Checkpoint& merged,
+                          const ItemFn& run, const KeyFn& key_of, Checkpoint& merged,
                           util::ColumnarWriter* columnar = nullptr);
 
 /// supervise() over the items of rank_vectors(backend, vectors, wl):

@@ -1,7 +1,9 @@
 // Sharded sweep supervisor: shard planning, the worker line protocol,
+// one body call per first life and one per item after a restart,
 // deterministic process-level fault injection (SIGKILL, abort, stalled
-// heartbeat, torn journal tail), restart/backoff, poisoned-item
-// quarantine, restart exhaustion, cancellation drain, planning only what
+// heartbeat, torn journal tail), blame from the shard journal alone,
+// restart/backoff, poisoned-item quarantine, restart exhaustion,
+// cancellation drain of a sharded campaign, planning only what
 // the checkpoint lacks, and the store and journal merges -- all asserted
 // against the single-process result, which the merged run must match
 // bit for bit.  The fault-free sharded run is a contract_test cell.
@@ -11,16 +13,23 @@
 // follow threads started after a multi-threaded fork.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "circuits/generators.hpp"
+#include "sizing/campaign.hpp"
 #include "sizing/checkpoint.hpp"
 #include "sizing/session.hpp"
 #include "sizing/sizing.hpp"
@@ -94,6 +103,48 @@ std::vector<std::string> adder_outputs(const circuits::RippleAdder& adder) {
   for (const auto s : adder.sum) outs.push_back(adder.netlist.net_name(s));
   outs.push_back(adder.netlist.net_name(adder.cout));
   return outs;
+}
+
+// Text-keyed items for the tests that drive supervise() with a body of
+// their own: item i journals success(i) under "item:<i>".
+Checkpoint::Key item_key(std::size_t i) { return Checkpoint::Key("item:" + std::to_string(i)); }
+
+void journal_item(Checkpoint& ckpt, std::size_t i) {
+  Checkpoint::Stage stage;
+  ckpt.record(item_key(i), Outcome<double>::success(static_cast<double>(i)), stage);
+  ckpt.commit(stage);
+}
+
+// One line per body call, "<pid> <item>...", appended with one write(),
+// so the lines of concurrent workers do not interleave.
+struct Call {
+  long pid = 0;
+  std::vector<std::size_t> items;
+};
+
+void log_call(const std::string& path, std::span<const std::size_t> items) {
+  std::string line = std::to_string(::getpid());
+  for (const std::size_t i : items) line.append(" ").append(std::to_string(i));
+  std::ofstream(path, std::ios::app) << line + "\n";
+}
+
+std::vector<Call> read_calls(const std::string& path) {
+  std::vector<Call> calls;
+  std::ifstream is(path);
+  for (std::string line; std::getline(is, line);) {
+    std::istringstream fields(line);
+    Call call;
+    fields >> call.pid;
+    for (std::size_t i = 0; fields >> i;) call.items.push_back(i);
+    calls.push_back(std::move(call));
+  }
+  return calls;
+}
+
+std::vector<std::size_t> iota_items(std::size_t begin, std::size_t end) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = begin; i < end; ++i) out.push_back(i);
+  return out;
 }
 
 TEST(PlanShards, ContiguousNearEqualCoverage) {
@@ -301,6 +352,63 @@ TEST_F(SupervisorTest, CancellationDrainsWorkersGracefully) {
   }
 }
 
+TEST_F(SupervisorTest, CancelledShardedCampaignDrainsItsWorkers) {
+  // Each worker runs its shard as one call, so it must poll the token
+  // SIGTERM raises in its own process to stop before its shard ends.  A
+  // watcher cancels the run as soon as both workers have opened their
+  // shard journals: they drain within a batch chunk, leaving chunks
+  // undone, long before kDrainTimeoutS would have them SIGKILLed.
+  const auto spec = sizing::CampaignSpec::parse(R"({
+    "circuit": "builtin:mult4",
+    "target_pct": 10.0,
+    "wl_grid": [10, 80],
+    "vectors": { "mode": "sampled", "count": 8192, "seed": 7 },
+    "chunk": 256
+  })");
+  std::string reference;
+  {
+    util::ThreadPool pool(2);
+    sizing::CampaignDriver fresh(spec, (dir_ / "fresh").string(), false);
+    ASSERT_TRUE(fresh.run(1, nullptr, nullptr, &pool).complete);
+    std::ostringstream os;
+    fresh.write_table(os);
+    reference = os.str();
+  }
+
+  using Clock = std::chrono::steady_clock;
+  const std::filesystem::path dir = dir_ / "cancelled";
+  util::CancelToken token;
+  std::atomic<bool> returned{false};
+  Clock::time_point cancelled_at;
+  {
+    sizing::CampaignDriver driver(spec, dir.string(), false);
+    std::thread watcher([&] {
+      const auto started = [&](const char* shard) { return std::filesystem::exists(dir / shard); };
+      while (!returned.load() && !(started("shards/shard0.mtj") && started("shards/shard1.mtj"))) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      cancelled_at = Clock::now();
+      token.request();
+    });
+    util::ThreadPool serial(1);
+    const sizing::CampaignStats stats = driver.run(2, nullptr, &token, &serial);
+    const Clock::time_point returned_at = Clock::now();
+    returned = true;
+    watcher.join();
+    EXPECT_TRUE(stats.cancelled);
+    EXPECT_FALSE(stats.complete) << "the workers ran their whole shards";
+    EXPECT_EQ(stats.supervisor.restarts, 0);
+    EXPECT_LT(std::chrono::duration<double>(returned_at - cancelled_at).count(),
+              sizing::kDrainTimeoutS / 2.0);
+  }
+  util::ThreadPool pool(2);
+  sizing::CampaignDriver resumed(spec, dir.string(), true);
+  ASSERT_TRUE(resumed.run(1, nullptr, nullptr, &pool).complete);
+  std::ostringstream os;
+  resumed.write_table(os);
+  EXPECT_EQ(os.str(), reference);
+}
+
 TEST_F(SupervisorTest, MergedJournalDropsHeartbeatRecords) {
   const auto adder = circuits::make_ripple_adder(tech07(), 2);
   const VbsBackend vbs(adder.netlist, adder_outputs(adder));
@@ -363,7 +471,7 @@ TEST_F(SupervisorTest, ExhaustedSlotsQuarantineTheirKillersAndLeaveTheRestToTheC
   ASSERT_EQ(ranges.size(), 2u);
 
   // Items 1 and 2 of each shard kill their worker at generations 0 and 1:
-  // four deaths, each striking the item it announced, spend a slot's
+  // four deaths, each striking the first item its journal lacks, spend a slot's
   // kMaxRestarts restarts with the rest of its shard still pending.
   std::vector<std::size_t> killers;
   for (const auto& [begin, end] : ranges) {
@@ -443,9 +551,8 @@ TEST_F(SupervisorTest, ResumingAMergedCampaignSkipsAllWork) {
 
 TEST_F(SupervisorTest, DeathAfterJournalingTheLastItemIsNoStrikeAndNoRestart) {
   // The worker dies after its last item's outcome reached the shard
-  // journal, before any further "S" line.  The parent must find that outcome
-  // in the journal it reopens: no strike, and nothing pending, so no
-  // restart.
+  // journal.  The parent must find that outcome in the journal it
+  // reopens: no strike, and nothing pending, so no restart.
   const std::string prefix = "test:vbs:0:";
   const auto vectors = sizing::all_vector_pairs(1);
   const std::size_t last = vectors.size() - 1;
@@ -456,14 +563,16 @@ TEST_F(SupervisorTest, DeathAfterJournalingTheLastItemIsNoStrikeAndNoRestart) {
 
   const sizing::SupervisorStats stats = sizing::supervise(
       shard_options(1), vectors.size(),
-      [&](std::size_t idx, Checkpoint& ckpt, util::ColumnarWriter*) {
+      [&](std::span<const std::size_t> items, Checkpoint& ckpt, util::ColumnarWriter*) {
         const sizing::ItemKeys worker_keys(ckpt.context(prefix), vectors);
-        Checkpoint::Stage stage;
-        ckpt.record(worker_keys[idx], Outcome<double>::success(static_cast<double>(idx)), stage);
-        ckpt.commit(stage);
-        if (idx == last && !std::filesystem::exists(died)) {
-          std::ofstream(died) << "1";
-          ::raise(SIGKILL);
+        for (const std::size_t idx : items) {
+          Checkpoint::Stage stage;
+          ckpt.record(worker_keys[idx], Outcome<double>::success(static_cast<double>(idx)), stage);
+          ckpt.commit(stage);
+          if (idx == last && !std::filesystem::exists(died)) {
+            std::ofstream(died) << "1";
+            ::raise(SIGKILL);
+          }
         }
       },
       [&](std::size_t idx) { return Checkpoint::Key(keys[idx]); }, merged);
@@ -481,6 +590,116 @@ TEST_F(SupervisorTest, DeathAfterJournalingTheLastItemIsNoStrikeAndNoRestart) {
   }
 }
 
+TEST_F(SupervisorTest, CleanFirstLifeRunsItsPendingAssignmentInOneCall) {
+  // Items 0 and 5 are journaled already, so only the other ten are
+  // planned; each worker's one body call holds its whole shard of them.
+  const std::size_t n = 12;
+  Checkpoint merged;
+  merged.open((dir_ / "merged.mtj").string());
+  journal_item(merged, 0);
+  journal_item(merged, 5);
+  std::vector<std::size_t> todo;
+  for (const std::size_t i : iota_items(0, n)) {
+    if (i != 0 && i != 5) todo.push_back(i);
+  }
+  const std::string log = (dir_ / "calls").string();
+  const sizing::SupervisorStats stats = sizing::supervise(
+      shard_options(2), n,
+      [&](std::span<const std::size_t> items, Checkpoint& ckpt, util::ColumnarWriter*) {
+        log_call(log, items);
+        for (const std::size_t i : items) journal_item(ckpt, i);
+      },
+      item_key, merged);
+  EXPECT_EQ(stats.workers_spawned, 2);
+  EXPECT_EQ(stats.restarts, 0);
+
+  std::vector<std::vector<std::size_t>> calls;
+  for (const Call& call : read_calls(log)) calls.push_back(call.items);
+  std::sort(calls.begin(), calls.end());
+  std::vector<std::vector<std::size_t>> want;
+  for (const auto& [begin, end] : sizing::plan_shards(todo.size(), 2)) {
+    want.emplace_back(todo.begin() + static_cast<std::ptrdiff_t>(begin),
+                      todo.begin() + static_cast<std::ptrdiff_t>(end));
+  }
+  EXPECT_EQ(calls, want);
+  for (std::size_t i = 0; i < n; ++i) EXPECT_TRUE(merged.contains(item_key(i))) << "item " << i;
+}
+
+TEST_F(SupervisorTest, RestartedLifeRunsOneItemPerCall) {
+  // The first life dies once in item 2 of its one call, having journaled
+  // items 0 and 1.  That death blames nobody, and the restart runs the
+  // rest one item per call, in order.
+  const std::size_t n = 6;
+  const std::size_t dies_at = 2;
+  const std::string died = (dir_ / "died").string();
+  const std::string log = (dir_ / "calls").string();
+  Checkpoint merged;
+  merged.open((dir_ / "merged.mtj").string());
+  const sizing::SupervisorStats stats = sizing::supervise(
+      shard_options(1), n,
+      [&](std::span<const std::size_t> items, Checkpoint& ckpt, util::ColumnarWriter*) {
+        log_call(log, items);
+        for (const std::size_t i : items) {
+          if (i == dies_at && !std::filesystem::exists(died)) {
+            std::ofstream(died) << "1";
+            ::raise(SIGKILL);
+          }
+          journal_item(ckpt, i);
+        }
+      },
+      item_key, merged);
+  EXPECT_EQ(stats.workers_spawned, 2);
+  EXPECT_EQ(stats.restarts, 1);
+  EXPECT_EQ(stats.strikes, 0);
+  EXPECT_EQ(stats.quarantined, 0u);
+
+  const std::vector<Call> calls = read_calls(log);
+  ASSERT_EQ(calls.size(), 1 + n - dies_at);
+  EXPECT_EQ(calls[0].items, iota_items(0, n));
+  for (std::size_t k = 1; k < calls.size(); ++k) {
+    EXPECT_NE(calls[k].pid, calls[0].pid) << "call " << k;
+    EXPECT_EQ(calls[k].items, iota_items(dies_at + k - 1, dies_at + k)) << "call " << k;
+  }
+  for (std::size_t i = 0; i < n; ++i) EXPECT_TRUE(merged.contains(item_key(i))) << "item " << i;
+}
+
+TEST_F(SupervisorTest, KillerWithNoFaultPlanIsFoundByTheRestartsAndQuarantined) {
+  // Item 3 SIGKILLs its worker in any call, and no kWorker* plan is armed.
+  // The one-call first life blames nobody; the two item-by-item lives
+  // after it die in item 3, the first item their journal lacks, and
+  // strike it twice; the last life runs the rest.
+  const std::size_t n = 6;
+  const std::size_t killer = 3;
+  Checkpoint merged;
+  merged.open((dir_ / "merged.mtj").string());
+  const sizing::SupervisorStats stats = sizing::supervise(
+      shard_options(1), n,
+      [&](std::span<const std::size_t> items, Checkpoint& ckpt, util::ColumnarWriter*) {
+        for (const std::size_t i : items) {
+          if (i == killer) ::raise(SIGKILL);
+          journal_item(ckpt, i);
+        }
+      },
+      item_key, merged);
+  EXPECT_EQ(stats.strikes, 2);
+  EXPECT_EQ(stats.restarts, 3);
+  EXPECT_EQ(stats.workers_spawned, 4);
+  EXPECT_EQ(stats.quarantined, 1u);
+  EXPECT_EQ(stats.abandoned, 0u);
+  for (std::size_t i = 0; i < n; ++i) {
+    Outcome<double> out;
+    ASSERT_TRUE(merged.lookup(item_key(i), out)) << "item " << i;
+    if (i == killer) {
+      ASSERT_FALSE(out.ok());
+      EXPECT_EQ(out.failure.code, FailureCode::kPoisonedItem);
+      EXPECT_EQ(out.failure.attempts, 2);
+    } else {
+      ASSERT_TRUE(out.ok()) << "item " << i;
+      EXPECT_EQ(*out.value, static_cast<double>(i));
+    }
+  }
+}
+
 TEST_F(SupervisorTest, ShardStoreThatCannotMergeLeavesNoRecordOfItsRows) {
   // Each worker chunk syncs its block, then journals its chunk record, and
   // then the test swaps its shard store for a directory, which the parent
@@ -492,16 +711,19 @@ TEST_F(SupervisorTest, ShardStoreThatCannotMergeLeavesNoRecordOfItsRows) {
   util::ColumnarWriter store;
   store.open((dir_ / "merged.mtc").string());
   const auto key_of = [](std::size_t c) { return Checkpoint::Key("chunk:" + std::to_string(c)); };
-  const auto run_one = [&](std::size_t c, Checkpoint& ckpt, util::ColumnarWriter* columnar) {
-    const double row = static_cast<double>(c);
-    columnar->set_tag(c);
-    columnar->append("row" + std::to_string(c), &row, 1);
-    columnar->sync();
-    ckpt.record(key_of(c).text, Outcome<double>::success(1.0));
-    std::filesystem::remove(columnar->path());
-    std::filesystem::create_directory(columnar->path());
+  const auto run = [&](std::span<const std::size_t> chunks, Checkpoint& ckpt,
+                       util::ColumnarWriter* columnar) {
+    for (const std::size_t c : chunks) {
+      const double row = static_cast<double>(c);
+      columnar->set_tag(c);
+      columnar->append("row" + std::to_string(c), &row, 1);
+      columnar->sync();
+      ckpt.record(key_of(c).text, Outcome<double>::success(1.0));
+      std::filesystem::remove(columnar->path());
+      std::filesystem::create_directory(columnar->path());
+    }
   };
-  EXPECT_THROW(sizing::supervise(shard_options(1), 2, run_one, key_of, merged, &store),
+  EXPECT_THROW(sizing::supervise(shard_options(1), 2, run, key_of, merged, &store),
                std::runtime_error);
   EXPECT_FALSE(merged.contains(key_of(0)));
   EXPECT_FALSE(merged.contains(key_of(1)));
